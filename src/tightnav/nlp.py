@@ -1,10 +1,15 @@
 """Line-search SQP solver for smooth constrained NLPs.
 
-Quasi-Newton (damped BFGS on the Lagrangian) with an l1 merit line search.
-Subproblems go to the dense active-set QP in `qp`; when a linearization is
-infeasible the solver switches to an elastic subproblem that minimizes the
-constraint violation, and declares the NLP infeasible when that restoration
-phase stalls.  Identical inputs produce bit-identical iterate sequences.
+The subproblem Hessian is either the problem's exact Lagrangian Hessian,
+convexified before each subproblem (`SqpOptions.hessian="exact"`, which the
+OBCA controller selects), or a damped BFGS model of it (the default, and the
+fallback when the problem supplies no exact Hessian).  Steps are globalized
+by an l1 merit line search with a second-order correction.  Subproblems go
+to the dense active-set QP in `qp`, warm-started from the previous
+subproblem's active rows; when a linearization is infeasible the solver
+switches to an elastic subproblem that minimizes the constraint violation,
+and declares the NLP infeasible when that restoration phase stalls.
+Identical inputs produce bit-identical iterate sequences.
 """
 
 from __future__ import annotations
@@ -54,9 +59,13 @@ class SqpOptions:
     ls_max: int = 30
     restoration_stall: int = 10
     elastic_penalty: float = 1e4
-    hessian: str = "bfgs"  # "bfgs" | "constant" (hess0 fixed) | "exact" (lag_hess)
+    hessian: str = "bfgs"  # "bfgs" | "exact" (lag_hess, BFGS if the problem has none)
     log_stream: TextIO | None = None  # CSV: iter,merit,kkt,feas,step
     collect_history: bool = False
+
+    def __post_init__(self):
+        if self.hessian not in ("bfgs", "exact"):
+            raise ValueError(f"hessian must be 'bfgs' or 'exact', got {self.hessian!r}")
 
 
 @dataclass
@@ -366,19 +375,18 @@ def solve_nlp(problem: NlpProblem, x0: np.ndarray, options: SqpOptions | None = 
             grad_L_new += Je_new.T @ nu_new
         if len(ci_new):
             grad_L_new += Ji_new.T @ lam_new
-        if opts.hessian != "constant":
-            s = x_new - x
-            yv = grad_L_new - grad_L_old
-            sBs = float(s @ (B @ s))
-            sy = float(s @ yv)
-            if sBs > 1e-16 and float(s @ s) > 1e-20:
-                if sy < 0.2 * sBs:
-                    theta = 0.8 * sBs / (sBs - sy)
-                    yv = theta * yv + (1.0 - theta) * (B @ s)
-                    sy = float(s @ yv)
-                if sy > 1e-12:
-                    Bs = B @ s
-                    B = B + np.outer(yv, yv) / sy - np.outer(Bs, Bs) / sBs
+        s = x_new - x
+        yv = grad_L_new - grad_L_old
+        sBs = float(s @ (B @ s))
+        sy = float(s @ yv)
+        if sBs > 1e-16 and float(s @ s) > 1e-20:
+            if sy < 0.2 * sBs:
+                theta = 0.8 * sBs / (sBs - sy)
+                yv = theta * yv + (1.0 - theta) * (B @ s)
+                sy = float(s @ yv)
+            if sy > 1e-12:
+                Bs = B @ s
+                B = B + np.outer(yv, yv) / sy - np.outer(Bs, Bs) / sBs
 
         x, fval, g, ce, Je, ci, Ji = x_new, f_new, g_new, ce_new, Je_new, ci_new, Ji_new
         lam, nu = lam_new, nu_new

@@ -4,10 +4,16 @@ Solves
     minimize    0.5 x'Hx + f'x
     subject to  C x = d,   A x <= b
 
-for symmetric positive-definite H.  The method starts from the unconstrained
-minimizer, adds the equality constraints in one batched QR factorization, and
-then adds violated inequalities one at a time while keeping dual feasibility
-(Goldfarb-Idnani scheme).  Infeasible problems are detected through an
+for symmetric positive-definite H.  The method (Goldfarb & Idnani, Math. Prog.
+1983) keeps a working set of linearly independent constraint normals with the
+factorization JT @ N = [R; 0], and a point that minimizes the objective with
+every working-set row held as an equality.  It starts with the equality
+constraints added in one pivoted QR.  An optional warm set of inequality rows,
+typically the previous SQP subproblem's active set, is added the same way in a
+second batch; members with negative multipliers are then dropped until the
+start is dual feasible, in the manner of qpOASES (Ferreau et al., Math. Prog.
+Comp. 2014).  From that start, violated inequalities are added one at a time
+while dual feasibility is kept.  Infeasible problems are detected through an
 unbounded dual ray.  All linear algebra is dense; the target problems are MPC
 subproblems with a few hundred variables.
 
@@ -60,6 +66,57 @@ def _factor_spd(H: np.ndarray) -> np.ndarray:
     raise QpError("Hessian is not positive definite even after regularization")
 
 
+def _add_rows(JT, R, q, normals, rtol):
+    """Append linearly independent rows of `normals` to the working set.
+
+    One pivoted QR of the normals projected onto the complement of the
+    current span, JT[q:] @ normals.T, updates JT and R in place.  A pivot
+    whose diagonal falls to rtol * max(largest diagonal, 1) or below is
+    dependent on the rows before it.  Returns (accepted, rejected) positions
+    into `normals`, accepted in pivot order.
+    """
+    k = normals.shape[0]
+    if k == 0 or q == JT.shape[0]:
+        return np.zeros(0, dtype=int), np.arange(k)
+    Qb, Rb, piv = qr(JT[q:] @ normals.T, mode="full", pivoting=True)
+    diag = np.abs(np.diag(Rb))
+    rank = int(np.sum(diag > max(diag[0], 1.0) * rtol))
+    JT[q:] = Qb.T @ JT[q:]
+    R[:q, q : q + rank] = JT[:q] @ normals[piv[:rank]].T
+    R[q : q + rank, q : q + rank] = Rb[:rank, :rank]
+    return piv[:rank], piv[rank:]
+
+
+def _drop_row(JT, R, q, pos):
+    """Remove working-set member `pos` of q; Givens rotations restore R."""
+    R[:, pos : q - 1] = R[:, pos + 1 : q]
+    R[:, q - 1] = 0.0
+    for jj in range(pos, q - 1):
+        r = np.hypot(R[jj, jj], R[jj + 1, jj])
+        if r <= 0.0:
+            continue
+        cs, sn = R[jj, jj] / r, R[jj + 1, jj] / r
+        if sn != 0.0:
+            rows = R[jj : jj + 2, jj : q - 1].copy()
+            R[jj, jj : q - 1] = cs * rows[0] + sn * rows[1]
+            R[jj + 1, jj : q - 1] = -sn * rows[0] + cs * rows[1]
+            jrows = JT[jj : jj + 2].copy()
+            JT[jj] = cs * jrows[0] + sn * jrows[1]
+            JT[jj + 1] = -sn * jrows[0] + cs * jrows[1]
+    R[q - 1 :, :] = 0.0
+
+
+def _working_set_point(JT, R, x0, normals, rhs):
+    """Minimizer with every working-set row held as an equality, and its
+    multipliers: (x, u) with normals @ x = rhs and Hx + f = normals' u,
+    where x0 is the unconstrained minimizer."""
+    q = normals.shape[0]
+    if not q:
+        return x0, np.zeros(0)
+    w = solve_triangular(R[:q, :q].T, rhs - normals @ x0, lower=True)
+    return x0 + JT[:q].T @ w, solve_triangular(R[:q, :q], w)
+
+
 def solve_qp(
     H: np.ndarray,
     f: np.ndarray,
@@ -72,8 +129,13 @@ def solve_qp(
 ) -> QpSolution:
     """Solve the QP; see module docstring for conventions.
 
-    warm_rows: optional inequality-row indices tried first when scanning for
-    violated constraints (active-set hint from a previous related solve).
+    warm_rows: optional inequality-row indices, typically the active rows of
+    a previous related solve, used as the initial working set.  They are
+    added in one batch after the equalities; rows that are duplicated, out of
+    range, zero, or linearly dependent on earlier members are skipped, and
+    members whose multiplier comes out negative are dropped before the
+    active-set loop starts.  The solution does not depend on the hint; only
+    the work to reach it does.
     """
     H = np.asarray(H, dtype=float)
     f = np.asarray(f, dtype=float).ravel()
@@ -109,9 +171,8 @@ def solve_qp(
     # JT = inv(L); maintained so that JT rows [0:q] span the active-normal
     # subspace in factored coordinates: JT @ n_active = [R; 0] columns.
     JT = solve_triangular(L, np.eye(n), lower=True)
-    x = -JT.T @ (JT @ f)
+    x0 = -JT.T @ (JT @ f)
     R = np.zeros((n, n))
-    q = 0
 
     # Internal >= convention: rows stored as (g, h) meaning g'x >= h.
     # Inequalities a'x <= b become (-a, -b).  Equalities keep their sign and
@@ -121,49 +182,37 @@ def solve_qp(
     h = np.concatenate([de, -bi])
     m_all = n_eq + n_in
 
-    active: list[int] = []
-    u = np.zeros(0)
+    # --- initial working set: equalities, then the warm rows ---------------
+    eq_rows, eq_dependent = _add_rows(JT, R, 0, Ce, 1e-13)
+    active = [int(j) for j in eq_rows]
+    if warm_rows is not None and n_in:
+        _, _, cand = np.intersect1d(
+            np.asarray(warm_rows, dtype=int).ravel(), idx_i, return_indices=True
+        )
+        # Admit a warm row only where the add step below would admit it.
+        acc, _ = _add_rows(JT, R, len(active), G[n_eq + cand], np.sqrt(_DEP_TOL))
+        active += [n_eq + int(cand[j]) for j in acc]
+    q = len(active)
+    x, u = _working_set_point(JT, R, x0, G[active], h[active])
+    # Dependent equality rows must already be consistent.
+    if eq_dependent.size and np.max(np.abs(Ce[eq_dependent] @ x - de[eq_dependent])) > 1e-8:
+        return QpSolution("infeasible", x, lam_out, nu_out, 0, _obj(H, f, x))
 
-    def _givens(a_val, b_val):
-        r = np.hypot(a_val, b_val)
-        if r <= 0.0:
-            return 1.0, 0.0, 0.0
-        return a_val / r, b_val / r, r
-
-    # --- batched equality processing ---------------------------------------
-    if n_eq:
-        Dmat = JT @ Ce.T  # (n, n_eq)
-        Qe, Re, piv = qr(Dmat, mode="full", pivoting=True)
-        diag = np.abs(np.diag(Re[: min(n, n_eq), : min(n, n_eq)]))
-        ref = diag[0] if diag.size else 0.0
-        rank = int(np.sum(diag > max(ref, 1.0) * 1e-13)) if diag.size else 0
-        order = piv[:rank]
-        JT = Qe.T @ JT
-        R[:rank, :rank] = Re[:rank, :rank]
-        if rank:
-            viol = de[order] - Ce[order] @ x
-            x = x + JT[:rank].T @ solve_triangular(
-                R[:rank, :rank].T, viol, lower=True
-            )
-        # Dependent equality rows must already be consistent.
-        rest = piv[rank:]
-        if rest.size and np.max(np.abs(Ce[rest] @ x - de[rest])) > 1e-8:
-            return QpSolution("infeasible", x, lam_out, nu_out, 0, _obj(H, f, x))
-        active = [int(j) for j in order]
-        q = rank
-        rhs = H @ x + f
-        y = JT[:q] @ rhs if q else np.zeros(0)
-        u = solve_triangular(R[:q, :q], y) if q else np.zeros(0)
-
-    warm = np.zeros(n_in, dtype=bool)
-    if warm_rows is not None:
-        for j in np.asarray(warm_rows, dtype=int).ravel():
-            pos = np.searchsorted(idx_i, j)
-            if pos < idx_i.size and idx_i[pos] == j:
-                warm[pos] = True
+    # Warm rows pulling the wrong way leave the working set, most negative
+    # multiplier first, until (x, active) is dual feasible.  Each drop counts
+    # as an iteration.
+    iters = 0
+    while q > len(eq_rows):
+        drop = len(eq_rows) + int(np.argmin(u[len(eq_rows) :]))
+        if u[drop] >= 0.0:
+            break
+        _drop_row(JT, R, q, drop)
+        active.pop(drop)
+        q -= 1
+        iters += 1
+        x, u = _working_set_point(JT, R, x0, G[active], h[active])
 
     limit = max_iter if max_iter is not None else 50 * (m_all + n + 1)
-    iters = 0
     status = "max_iterations"
 
     while iters < limit:
@@ -177,10 +226,7 @@ def solve_qp(
         if not np.any(violated):
             status = "optimal"
             break
-        pool = violated & warm
-        if not np.any(pool):
-            pool = violated
-        cand = np.flatnonzero(pool)
+        cand = np.flatnonzero(violated)
         pick = cand[np.argmin(slack[cand])]
         row = n_eq + int(pick)
         npl = G[row]
@@ -234,22 +280,10 @@ def solve_qp(
                 q += 1
                 break
             # Partial step: drop the blocking constraint and continue.
-            drop = blocker
-            active.pop(drop)
-            u = np.delete(u, drop)
-            R[:, drop : q - 1] = R[:, drop + 1 : q]
-            R[:, q - 1] = 0.0
-            for jj in range(drop, q - 1):
-                cs, sn, rr = _givens(R[jj, jj], R[jj + 1, jj])
-                if sn != 0.0:
-                    rows = R[jj : jj + 2, jj : q - 1].copy()
-                    R[jj, jj : q - 1] = cs * rows[0] + sn * rows[1]
-                    R[jj + 1, jj : q - 1] = -sn * rows[0] + cs * rows[1]
-                    jrows = JT[jj : jj + 2].copy()
-                    JT[jj] = cs * jrows[0] + sn * jrows[1]
-                    JT[jj + 1] = -sn * jrows[0] + cs * jrows[1]
+            _drop_row(JT, R, q, blocker)
+            active.pop(blocker)
+            u = np.delete(u, blocker)
             q -= 1
-            R[q + 1 :, :] = 0.0
 
     # Map internal multipliers back to the caller's convention.
     for pos, j in enumerate(active):

@@ -33,7 +33,6 @@ from .supervisor import (
     safety_control,
     safety_speed_target,
     select_policy,
-    selection_reason,
 )
 
 logger = logging.getLogger(__name__)
@@ -328,17 +327,15 @@ def run_closed_loop(scenario: Scenario, scheme: str, model=None,
                 scores = pred.scores
                 # Screen first with an assumed-optimal solve: when the
                 # prediction alone already rules the MPC out, skip the solve.
-                sol = None
-                if select_policy(pred, "optimal", danger, sup) == PolicyKind.SG_OBCA:
+                policy, reason = select_policy(pred, "optimal", danger, sup)
+                if policy == PolicyKind.SG_OBCA:
                     sol = controller.solve_step(z, u_prev, ref, env.window(k, n_h + 1),
                                                 strategy=pred.label, step=k)
                     sg_status = sol.status
                     strategy = int(pred.label)
+                    policy, reason = select_policy(pred, sol.status, danger, sup)
                 else:
                     sg_status = "skipped"
-                status = sol.status if sol is not None else "optimal"
-                policy = select_policy(pred, status, danger, sup)
-                reason = selection_reason(pred, status, danger, sup)
             else:
                 sol = None
                 if danger:

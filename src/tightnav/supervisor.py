@@ -72,32 +72,25 @@ def _as_state(z) -> np.ndarray:
     return np.asarray(z, float).ravel()
 
 
-def _select(pred, sg_status, collision_anticipated, cfg: SupervisorConfig):
+def select_policy(pred, sg_status, collision_anticipated,
+                  config: SupervisorConfig) -> tuple[PolicyKind, str]:
+    """One policy per step, with the reason: brake > guided MPC > safety control.
+
+    The guided MPC requires a confident pass-side prediction and an optimal
+    solve; a predicted yield, low confidence, or a failed solve each suffice
+    to fall back to safety control.
+    """
     if collision_anticipated:
         return PolicyKind.EMERGENCY_BRAKE, "collision_anticipated"
     if pred is None:
         return PolicyKind.SAFETY_CONTROL, "no_prediction"
     if pred.label == StrategyLabel.YIELD:
         return PolicyKind.SAFETY_CONTROL, "yield_predicted"
-    if float(np.max(pred.scores)) < cfg.xi:
+    if float(np.max(pred.scores)) < config.xi:
         return PolicyKind.SAFETY_CONTROL, "low_confidence"
     if sg_status != "optimal":
         return PolicyKind.SAFETY_CONTROL, "solver_not_optimal"
     return PolicyKind.SG_OBCA, "guided"
-
-
-def select_policy(pred, sg_status, collision_anticipated, config: SupervisorConfig) -> PolicyKind:
-    """One policy per step: brake > guided MPC > safety control.
-
-    The guided MPC requires a confident pass-side prediction and an optimal
-    solve; a predicted yield, low confidence, or a failed solve each suffice
-    to fall back to safety control.
-    """
-    return _select(pred, sg_status, collision_anticipated, config)[0]
-
-
-def selection_reason(pred, sg_status, collision_anticipated, config: SupervisorConfig) -> str:
-    return _select(pred, sg_status, collision_anticipated, config)[1]
 
 
 def _nearest_ref_index(ref: np.ndarray, p: np.ndarray) -> int:

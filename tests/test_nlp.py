@@ -75,6 +75,12 @@ def test_optimal_implies_tolerances():
     assert sol.feas_residual <= opts.tol_feas
 
 
+def test_hessian_mode_validated():
+    assert SqpOptions(hessian="exact").hessian == "exact"
+    with pytest.raises(ValueError):
+        SqpOptions(hessian="constant")
+
+
 def test_infeasible_detected_by_restoration_stall():
     def obj(x):
         return float(x @ x), 2.0 * x

@@ -53,6 +53,28 @@ def random_spd(rng, n, cond=10.0):
     return Q @ np.diag(eigs) @ Q.T
 
 
+def random_feasible_qp(rng, n, mi, me):
+    """(H, f, A, b, C, d): strictly convex, feasible by construction."""
+    H = random_spd(rng, n)
+    f = rng.standard_normal(n)
+    A = rng.standard_normal((mi, n))
+    x_feas = rng.standard_normal(n)
+    b = A @ x_feas + rng.uniform(0.0, 1.0, mi)
+    C = rng.standard_normal((me, n))
+    d = C @ x_feas
+    return H, f, A, b, C, d
+
+
+def assert_matches_oracle(problem, sol, x_cold):
+    """sol agrees with the enumeration oracle and, at 1e-9, with the cold solve."""
+    H, f, A, b, C, d = problem
+    ref = enumerate_qp(*problem)
+    assert sol.ok
+    np.testing.assert_allclose(sol.x, ref[1], atol=1e-6)
+    np.testing.assert_allclose(sol.x, x_cold, atol=1e-9)
+    assert max(kkt_residuals(H, f, A, b, C, d, sol)) < 1e-8
+
+
 def test_single_lower_bound_active():
     # minimize ||x||^2 subject to x0 >= 1: x = (1, 0, 0), multiplier 2.
     H = 2.0 * np.eye(3)
@@ -95,13 +117,7 @@ def test_random_qps_match_enumeration_oracle():
         n = int(rng.integers(2, 9))
         mi = int(rng.integers(0, 6))
         me = int(rng.integers(0, min(n - 1, 2) + 1))
-        H = random_spd(rng, n)
-        f = rng.standard_normal(n)
-        A = rng.standard_normal((mi, n))
-        x_feas = rng.standard_normal(n)
-        b = A @ x_feas + rng.uniform(0.0, 1.0, mi)  # keeps problem feasible
-        C = rng.standard_normal((me, n))
-        d = C @ x_feas
+        H, f, A, b, C, d = random_feasible_qp(rng, n, mi, me)
         ref = enumerate_qp(H, f, A, b, C, d)
         assert ref is not None
         sol = solve_qp(H, f, A, b, C, d)
@@ -171,16 +187,86 @@ def test_determinism_bitwise():
 
 
 def test_warm_rows_same_solution():
+    # Warm-started from its own optimal active set, the solve only has to
+    # confirm optimality: one pass of the active-set loop, no changes.
     rng = np.random.default_rng(13)
-    H = random_spd(rng, 8)
-    f = rng.standard_normal(8)
-    A = rng.standard_normal((12, 8))
-    b = A @ rng.standard_normal(8) + 0.05
-    cold = solve_qp(H, f, A, b)
-    warm = solve_qp(H, f, A, b, warm_rows=cold.active_rows)
-    assert warm.ok
-    np.testing.assert_allclose(warm.x, cold.x, atol=1e-9)
-    assert warm.iterations <= cold.iterations + 2
+    n_active = 0
+    for me in (0, 0, 1, 2) * 6:
+        problem = random_feasible_qp(rng, int(rng.integers(3, 8)), 6, me)
+        cold = solve_qp(*problem)
+        warm = solve_qp(*problem, warm_rows=cold.active_rows)
+        assert_matches_oracle(problem, warm, cold.x)
+        assert warm.iterations == 1
+        np.testing.assert_array_equal(warm.active_rows, cold.active_rows)
+        n_active += len(cold.active_rows)
+    assert n_active > 0
+
+
+def _start_multipliers(problem, rows):
+    """Inequality multipliers with `rows` and every equality held tight."""
+    H, f, A, b, C, d = problem
+    M = np.vstack([C, A[rows]])
+    k = len(M)
+    kkt = np.block([[H, M.T], [M, np.zeros((k, k))]])
+    sol = np.linalg.solve(kkt, np.concatenate([-f, d, b[rows]]))
+    return sol[len(f) + len(C):]
+
+
+def test_warm_rows_with_negative_start_multipliers():
+    # Warm sets that hold rows pulling the wrong way must be pruned to a
+    # dual-feasible start; the answer is the oracle's either way.
+    rng = np.random.default_rng(21)
+    pruned = 0
+    for trial in range(30):
+        me = trial % 3
+        n = int(rng.integers(4, 8))
+        problem = random_feasible_qp(rng, n, 5, me)
+        mi_warm = min(5, n - me)
+        rows = np.sort(rng.choice(5, size=mi_warm, replace=False))
+        pruned += bool(np.any(_start_multipliers(problem, rows) < -1e-6))
+        warm = solve_qp(*problem, warm_rows=rows)
+        assert_matches_oracle(problem, warm, solve_qp(*problem).x)
+    assert pruned >= 10
+
+
+def test_warm_rows_degenerate_indices():
+    # Duplicate, dependent, out-of-range and zero-row indices are skipped or
+    # resolved; none of them changes the solution.
+    rng = np.random.default_rng(5)
+    for me in (0, 1, 2, 0, 1, 2):
+        H, f, A, b, C, d = random_feasible_qp(rng, 5, 3, me)
+        # Pull the unconstrained minimizer across rows 0 and 1.
+        f = f - 5.0 * (A[0] + A[1])
+        A = np.vstack([A, A[0] + A[1], 2.0 * A[0], np.zeros(5)])
+        b = np.concatenate([b, [b[0] + b[1], 2.0 * b[0], 1.0]])
+        problem = (H, f, A, b, C, d)
+        cold = solve_qp(*problem)
+        assert cold.ok
+        for warm_rows in ([0, 0, 1, 1, 3, 4], [-1, 6, 7, 100], [3, 4, 5, 0, 1, 2],
+                          np.arange(6), [5], []):
+            warm = solve_qp(*problem, warm_rows=np.asarray(warm_rows, dtype=int))
+            assert warm.ok, warm_rows
+            np.testing.assert_allclose(warm.x, cold.x, atol=1e-9)
+            assert max(kkt_residuals(H, f, A, b, C, d, warm)) < 1e-8
+            # The working set stays linearly independent.
+            rows = np.vstack([C, A[warm.active_rows]])
+            assert np.linalg.matrix_rank(rows) == len(rows)
+
+
+def test_warm_rows_infeasible_still_detected():
+    H = np.eye(1)
+    A = np.array([[1.0], [-1.0]])  # x <= -1 and x >= 1
+    b = np.array([-1.0, -1.0])
+    for warm_rows in ([0], [1], [0, 1]):
+        assert solve_qp(H, np.zeros(1), A, b, warm_rows=warm_rows).status == "infeasible"
+    H = np.eye(3)
+    C = np.array([[1.0, 0.0, 0.0]])
+    d = np.array([0.0])
+    A = np.array([[-1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])  # x0 >= 1 contradicts x0 = 0
+    b = np.array([-1.0, 2.0])
+    for warm_rows in ([0], [0, 1], [1]):
+        sol = solve_qp(H, np.zeros(3), A, b, C, d, warm_rows=warm_rows)
+        assert sol.status == "infeasible"
 
 
 def test_zero_rows_handled():

@@ -1,0 +1,115 @@
+"""Closed-loop tests for `run_closed_loop`.
+
+Each run is capped at 30 control steps.  On the overtake the EV reaches its
+closest approach to the TV within those steps, so the MPC solves engage
+obstacle pairs and the SQP subproblems run warm-started from the previous
+active set.  The MPC horizon is shortened to 8 steps to keep the runs fast.
+Safety is audited with the exact body-to-obstacle distance the simulator
+logs at every step.
+"""
+
+import numpy as np
+import pytest
+
+import tightnav.nlp
+from tightnav.obca import ControllerConfig, StrategyLabel
+from tightnav.predictor import MlpModel, N_HIDDEN, encode_features
+from tightnav.scenario import benchmark_suite, parked_tv_scenario
+from tightnav.simulate import AUDIT_SLACK, OUTCOME_COLLISION, run_closed_loop
+from tightnav.supervisor import PolicyKind
+
+MAX_STEPS = 30
+CTRL = ControllerConfig(guided=False, horizon=8)
+
+
+def overtake():
+    return benchmark_suite()[8]
+
+
+def step_record(log):
+    """Everything a step logs except its wall time."""
+    return (log.step, log.z.tobytes(), log.u.tobytes(), log.policy, log.reason,
+            log.min_distance, log.sg_status, log.strategy,
+            None if log.scores is None else log.scores.tobytes())
+
+
+def assert_safe_and_actuatable(res, ctrl):
+    p = ctrl.params
+    assert res.outcome != OUTCOME_COLLISION
+    assert len(res.logs) == res.iterations
+    floor = ctrl.d_min - AUDIT_SLACK
+    assert res.min_distance >= floor
+    assert all(log.min_distance >= floor for log in res.logs)
+    u = np.array([log.u for log in res.logs])
+    assert np.all(np.abs(u[:, 0]) <= p.delta_max + 1e-9)
+    assert np.all(np.abs(u[:, 1]) <= p.a_max + 1e-9)
+
+
+@pytest.fixture(scope="module")
+def overtake_run():
+    """The overtake under `bl`, counting the warm-started QP calls."""
+    warm_calls = []
+    solve_qp = tightnav.nlp.solve_qp
+
+    def counting(*args, **kwargs):
+        warm = kwargs.get("warm_rows")
+        if warm is not None and len(warm):
+            warm_calls.append(len(warm))
+        return solve_qp(*args, **kwargs)
+
+    tightnav.nlp.solve_qp = counting
+    try:
+        res = run_closed_loop(overtake(), "bl", ctrl_config=CTRL, max_steps=MAX_STEPS)
+    finally:
+        tightnav.nlp.solve_qp = solve_qp
+    return res, warm_calls
+
+
+def test_overtake_safe_and_within_actuator_bounds(overtake_run):
+    res, warm_calls = overtake_run
+    assert warm_calls
+    assert_safe_and_actuatable(res, CTRL)
+    assert all(log.policy == PolicyKind.SG_OBCA and log.sg_status == "optimal"
+               for log in res.logs)
+
+
+def test_overtake_rerun_bit_identical(overtake_run):
+    first, _ = overtake_run
+    again = run_closed_loop(overtake(), "bl", ctrl_config=CTRL, max_steps=MAX_STEPS)
+    assert (again.outcome, again.iterations) == (first.outcome, first.iterations)
+    assert again.min_distance == first.min_distance
+    assert [step_record(log) for log in again.logs] == [step_record(log) for log in first.logs]
+
+
+def test_parked_tv_safe_and_within_actuator_bounds():
+    res = run_closed_loop(parked_tv_scenario(), "bl", ctrl_config=CTRL, max_steps=MAX_STEPS)
+    assert_safe_and_actuatable(res, CTRL)
+
+
+def constant_model(scenario, ctrl, logits):
+    """Strategy model whose prediction is softmax(logits) on every input."""
+    env = scenario.environment(ctrl.horizon + 1, ctrl.params)
+    d_in = len(encode_features(scenario.ev_init, env))
+    n_out = len(logits)
+    return MlpModel(w1=np.zeros((N_HIDDEN, d_in)), b1=np.zeros(N_HIDDEN),
+                    w2=np.zeros((n_out, N_HIDDEN)), b2=np.asarray(logits, float),
+                    mean=np.zeros(d_in), scale=np.ones(d_in))
+
+
+@pytest.mark.parametrize("logits, reasons", [
+    ([0.0, 0.0, 5.0], {"yield_predicted"}),
+    ([0.1, 0.0, 0.0], {"low_confidence"}),
+    ([5.0, 0.0, 0.0], {"guided", "solver_not_optimal"}),
+])
+def test_sg_policy_and_reason_follow_prediction(logits, reasons):
+    sc = parked_tv_scenario()
+    ctrl = ControllerConfig(guided=True, horizon=8)
+    res = run_closed_loop(sc, "sg", constant_model(sc, ctrl, logits), ctrl_config=ctrl,
+                          max_steps=MAX_STEPS)
+    assert_safe_and_actuatable(res, ctrl)
+    assert {log.reason for log in res.logs} <= reasons
+    for log in res.logs:
+        solved = log.reason in ("guided", "solver_not_optimal")
+        assert (log.sg_status != "skipped") == solved
+        assert log.strategy == (int(StrategyLabel.PASS_LEFT) if solved else None)
+        assert (log.policy == PolicyKind.SG_OBCA) == (log.reason == "guided")

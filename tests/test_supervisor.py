@@ -21,7 +21,6 @@ from tightnav.supervisor import (
     safety_control,
     safety_speed_target,
     select_policy,
-    selection_reason,
 )
 
 CFG = SupervisorConfig()
@@ -40,31 +39,29 @@ def straight_ref(length=6.0, n=121, v=CFG.v_ref):
 # --- policy selection -------------------------------------------------------
 
 def test_select_confident_pass_uses_guided_mpc():
-    kind = select_policy(pred_of([0.9, 0.05, 0.05]), "optimal", False, CFG)
-    assert kind == PolicyKind.SG_OBCA
+    assert select_policy(pred_of([0.9, 0.05, 0.05]), "optimal", False, CFG) == (
+        PolicyKind.SG_OBCA, "guided")
 
 
 def test_select_low_confidence_falls_back():
-    kind = select_policy(pred_of([0.4, 0.3, 0.3]), "optimal", False, CFG)
-    assert kind == PolicyKind.SAFETY_CONTROL
-    assert selection_reason(pred_of([0.4, 0.3, 0.3]), "optimal", False, CFG) == "low_confidence"
+    assert select_policy(pred_of([0.4, 0.3, 0.3]), "optimal", False, CFG) == (
+        PolicyKind.SAFETY_CONTROL, "low_confidence")
 
 
 def test_select_confident_yield_falls_back():
-    kind = select_policy(pred_of([0.05, 0.05, 0.9]), "optimal", False, CFG)
-    assert kind == PolicyKind.SAFETY_CONTROL
-    assert selection_reason(pred_of([0.05, 0.05, 0.9]), "optimal", False, CFG) == "yield_predicted"
+    assert select_policy(pred_of([0.05, 0.05, 0.9]), "optimal", False, CFG) == (
+        PolicyKind.SAFETY_CONTROL, "yield_predicted")
 
 
 def test_select_collision_overrides_everything():
-    kind = select_policy(pred_of([0.9, 0.05, 0.05]), "optimal", True, CFG)
-    assert kind == PolicyKind.EMERGENCY_BRAKE
+    assert select_policy(pred_of([0.9, 0.05, 0.05]), "optimal", True, CFG) == (
+        PolicyKind.EMERGENCY_BRAKE, "collision_anticipated")
 
 
 def test_select_failed_solve_falls_back():
-    kind = select_policy(pred_of([0.9, 0.05, 0.05]), "infeasible", False, CFG)
-    assert kind == PolicyKind.SAFETY_CONTROL
-    assert selection_reason(pred_of([0.9, 0.05, 0.05]), None, False, CFG) == "solver_not_optimal"
+    for status in ("infeasible", None):
+        assert select_policy(pred_of([0.9, 0.05, 0.05]), status, False, CFG) == (
+            PolicyKind.SAFETY_CONTROL, "solver_not_optimal")
 
 
 def test_select_is_total():
@@ -73,9 +70,11 @@ def test_select_is_total():
     for pred in preds:
         for status in ("optimal", "infeasible", "max_iterations", None):
             for flag in (False, True):
-                kind = select_policy(pred, status, flag, CFG)
+                kind, reason = select_policy(pred, status, flag, CFG)
                 assert kind in PolicyKind
-                assert isinstance(selection_reason(pred, status, flag, CFG), str)
+                assert isinstance(reason, str)
+                if pred is None and not flag:
+                    assert (kind, reason) == (PolicyKind.SAFETY_CONTROL, "no_prediction")
 
 
 def test_config_validates_threshold_and_gains():
