@@ -1,10 +1,12 @@
 """Planar convex-polytope primitives for collision avoidance.
 
 Polytopes are halfspace intersections {p in R^2 : A p <= b}.  Vehicle bodies
-are rotated boxes.  Distances between polytopes are computed by a small
-convex QP whose KKT multipliers double as warm starts for the dual
-collision-avoidance constraints; a grid-sampling oracle exists only in the
-tests.
+are rotated boxes.  The distance between two polytopes is computed in closed
+form: a separating-axis test, then the minimum vertex-to-edge distance in
+both directions, in the manner of Gilbert, Johnson & Keerthi (1988).  The
+face multipliers at the witness points are read off the faces active there;
+they double as warm starts for the dual collision-avoidance constraints.  A
+grid-sampling oracle and the equivalent distance QP exist only in the tests.
 """
 
 from __future__ import annotations
@@ -14,18 +16,11 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linprog
-
-from .qp import solve_qp
 
 logger = logging.getLogger(__name__)
 
-_COMPASS = np.array(
-    [
-        [1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0],
-        [1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0],
-    ]
-)
+# A face counts as active at a boundary point within this distance.
+_ACTIVE_TOL = 1e-9
 
 
 class GeometryError(ValueError):
@@ -59,14 +54,25 @@ class Polytope:
 
     @classmethod
     def from_box(cls, center, half_x: float, half_y: float, psi: float = 0.0):
-        """Axis-aligned box of half-extents (half_x, half_y) rotated by psi."""
+        """Axis-aligned box of half-extents (half_x, half_y) rotated by psi.
+
+        The corners are stored in the order `vertices` would compute them
+        (counterclockwise, by angle from the center), so they cost nothing.
+        """
         if half_x <= 0 or half_y <= 0:
             raise GeometryError("box half-extents must be positive")
         G = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
         g = np.array([half_x, half_y, half_x, half_y])
         R = rotation_matrix(psi)
         c = np.asarray(center, dtype=float)
-        return cls(G @ R.T, g + G @ (R.T @ c))
+        (r00, r01), (r10, r11) = R.tolist()
+        cx, cy = c.tolist()
+        offsets = [(r00 * sx * half_x + r01 * sy * half_y, r10 * sx * half_x + r11 * sy * half_y)
+                   for sx, sy in ((1.0, 1.0), (-1.0, 1.0), (-1.0, -1.0), (1.0, -1.0))]
+        angles = [math.atan2(oy, ox) for ox, oy in offsets]
+        first = angles.index(min(angles))
+        corners = np.array([(cx + ox, cy + oy) for ox, oy in offsets[first:] + offsets[:first]])
+        return cls(G @ R.T, g + G @ (R.T @ c), corners)
 
     def contains(self, p, tol: float = 1e-9) -> bool:
         return bool(np.all(self.A @ np.asarray(p, float) - self.b <= tol))
@@ -106,14 +112,15 @@ class Polytope:
         return float(np.max(self.vertices() @ d))
 
     def is_bounded(self) -> bool:
-        """Support-function finiteness in 8 compass directions (LP check)."""
-        for d in _COMPASS:
-            res = linprog(-d, A_ub=self.A, b_ub=self.b, bounds=(None, None), method="highs")
-            if res.status == 3:  # unbounded
-                return False
-            if res.status == 2:  # empty counts as degenerate, not unbounded
-                raise GeometryError("polytope is empty")
-        return True
+        """Whether the face normals positively span the plane.
+
+        They do exactly when no angular gap between consecutive normal
+        directions reaches pi.  Emptiness is not checked here; `vertices`
+        raises for an empty polytope.
+        """
+        ang = np.sort(np.arctan2(self.A[:, 1], self.A[:, 0]))
+        gaps = np.diff(ang, append=ang[0] + 2.0 * math.pi)
+        return bool(np.max(gaps) < math.pi)
 
     def validate(self) -> None:
         if not self.is_bounded():
@@ -153,7 +160,7 @@ def body_polytope(z, length: float, width: float) -> Polytope:
 
 @dataclass
 class DistanceResult:
-    """Distance QP outcome with witness points and face multipliers."""
+    """Distance between two polytopes with witness points and face multipliers."""
 
     distance: float
     point_p: np.ndarray
@@ -162,31 +169,122 @@ class DistanceResult:
     mult_q: np.ndarray
 
 
+# The routines below run on every control step for pairs of 4-vertex boxes.
+# They use scalar arithmetic on Python floats: at that size each numpy call
+# costs more than the arithmetic it does.
+
+def _closest_pair(vp, vq):
+    """(p, q) minimizing |p - q| over vertex-edge pairs in both directions.
+
+    vp and vq are vertex lists in cyclic order.  For two separated convex
+    polygons the pair found is a pair of witness points of their distance.
+    """
+    best = math.inf
+    pair = None
+    for verts, ring, flip in ((vp, vq, False), (vq, vp, True)):
+        for k in range(len(ring)):
+            ax, ay = ring[k - 1]
+            ex, ey = ring[k][0] - ax, ring[k][1] - ay
+            ee = ex * ex + ey * ey
+            for vx, vy in verts:
+                t = ((vx - ax) * ex + (vy - ay) * ey) / ee if ee > 0.0 else 0.0
+                t = 0.0 if t < 0.0 else (1.0 if t > 1.0 else t)
+                cx, cy = ax + t * ex, ay + t * ey
+                d2 = (vx - cx) ** 2 + (vy - cy) ** 2
+                if d2 < best:
+                    best = d2
+                    pair = ((cx, cy), (vx, vy)) if flip else ((vx, vy), (cx, cy))
+    return pair
+
+
+def _face_multipliers(poly: Polytope, x, d) -> np.ndarray:
+    """Nonnegative face multipliers m with poly.A' m = d at boundary point x.
+
+    d must lie in the normal cone at x.  Among the faces active at x, the
+    nearest normals on either side of d span the smallest cone holding it,
+    and a 2x2 solve gives their weights.  When every active normal lies on
+    one side of d (d is parallel to a face normal), or the two span no cone,
+    the most aligned face alone carries d.  Faces not active at x get zero.
+    """
+    (px, py), (dx, dy) = x, d
+    rows = poly.A.tolist()
+    norms = [math.hypot(ax, ay) for ax, ay in rows]
+    slack = [(ax * px + ay * py - b) / n for (ax, ay), b, n in zip(rows, poly.b.tolist(), norms)]
+    floor = min(max(slack), -_ACTIVE_TOL)
+    left = right = None  # (angle from d to the normal, face index)
+    for i, (ax, ay) in enumerate(rows):
+        if slack[i] < floor:
+            continue
+        rel = math.atan2(dx * ay - dy * ax, dx * ax + dy * ay)
+        if rel >= 0.0 and (left is None or rel < left[0]):
+            left = (rel, i)
+        elif rel < 0.0 and (right is None or rel > right[0]):
+            right = (rel, i)
+    mult = np.zeros(len(rows))
+    if left and right:
+        i, j = left[1], right[1]
+        (aix, aiy), (ajx, ajy) = rows[i], rows[j]
+        det = aix * ajy - aiy * ajx
+        if abs(det) > 1e-12 * norms[i] * norms[j]:
+            mult[i] = max((dx * ajy - dy * ajx) / det, 0.0)
+            mult[j] = max((aix * dy - aiy * dx) / det, 0.0)
+            return mult
+    if right is None or (left is not None and left[0] <= -right[0]):
+        i = left[1]
+    else:
+        i = right[1]
+    ax, ay = rows[i]
+    mult[i] = max(ax * dx + ay * dy, 0.0) / norms[i] ** 2
+    return mult
+
+
+def _common_point(P: Polytope, Q: Polytope) -> np.ndarray:
+    """A common point of polytopes the separating-axis test found intersecting.
+
+    It is the vertex mean of P clipped to Q (Sutherland-Hodgman).  When they
+    only touch within the test's tolerance the clip can come out empty; then
+    the midpoint of the closest boundary pair is returned.
+    """
+    poly = P.vertices().tolist()
+    for (ax, ay), b in zip(Q.A.tolist(), Q.b.tolist()):
+        s = [ax * x + ay * y - b - _ACTIVE_TOL for x, y in poly]
+        out = []
+        for k in range(len(poly)):
+            (x0, y0), (x1, y1), s0, s1 = poly[k - 1], poly[k], s[k - 1], s[k]
+            if (s0 < 0.0 < s1) or (s1 < 0.0 < s0):
+                f = s0 / (s0 - s1)
+                out.append((x0 + f * (x1 - x0), y0 + f * (y1 - y0)))
+            if s1 <= 0.0:
+                out.append((x1, y1))
+        if not out:
+            p, q = _closest_pair(P.vertices().tolist(), Q.vertices().tolist())
+            return 0.5 * (np.array(p) + np.array(q))
+        poly = out
+    return np.mean(poly, axis=0)
+
+
 def distance_witness(P: Polytope, Q: Polytope) -> DistanceResult:
     """Minimum translation distance with witness points and multipliers.
 
-    Solves min 0.5 ||p - q||^2 over p in P, q in Q.  The returned face
-    multipliers satisfy (p - q) = -P.A' mult_p = Q.A' mult_q and feed the
-    dual warm start of the collision-avoidance controller.
+    Solves min ||p - q|| over p in P, q in Q in closed form.  Polytopes that
+    the separating-axis test finds separated get the closest vertex-edge
+    pair and face multipliers satisfying (p - q) = -P.A' mult_p = Q.A' mult_q:
+    the KKT multipliers of min 0.5 ||p - q||^2, which feed the dual warm
+    start of the collision-avoidance controller.  Along parallel edges the
+    witness points are not unique (the multipliers are) and one closest pair
+    is returned.  Intersecting polytopes get distance 0, a common point as
+    both witnesses, and zero multipliers.  Raises GeometryError for an empty
+    polytope.
     """
-    mp, mq = P.A.shape[0], Q.A.shape[0]
-    H = np.zeros((4, 4))
-    H[:2, :2] = np.eye(2)
-    H[2:, 2:] = np.eye(2)
-    H[:2, 2:] = -np.eye(2)
-    H[2:, :2] = -np.eye(2)
-    A = np.zeros((mp + mq, 4))
-    A[:mp, :2] = P.A
-    A[mp:, 2:] = Q.A
-    b = np.concatenate([P.b, Q.b])
-    sol = solve_qp(H, np.zeros(4), A, b)
-    if not sol.ok:
-        raise GeometryError("distance QP failed: polytope is empty")
-    p, q = sol.x[:2], sol.x[2:]
-    dist = float(np.linalg.norm(p - q))
-    if np.max(np.abs(sol.x)) > 1e6:
-        raise GeometryError("distance witness diverged; polytope unbounded?")
-    return DistanceResult(dist, p, q, sol.lam[:mp], sol.lam[mp:])
+    vp, vq = P.vertices(), Q.vertices()
+    if polytopes_intersect(P, Q):
+        c = _common_point(P, Q)
+        return DistanceResult(0.0, c, c.copy(), np.zeros(len(P.A)), np.zeros(len(Q.A)))
+    p, q = _closest_pair(vp.tolist(), vq.tolist())
+    dx, dy = p[0] - q[0], p[1] - q[1]
+    return DistanceResult(math.hypot(dx, dy), np.array(p), np.array(q),
+                          _face_multipliers(P, p, (-dx, -dy)),
+                          _face_multipliers(Q, q, (dx, dy)))
 
 
 def min_translation_distance(P: Polytope, Q: Polytope) -> float:
@@ -196,13 +294,12 @@ def min_translation_distance(P: Polytope, Q: Polytope) -> float:
 
 def polytopes_intersect(P: Polytope, Q: Polytope, tol: float = 1e-9) -> bool:
     """Exact separating-axis test for two convex polygons."""
-    vp, vq = P.vertices(), Q.vertices()
-    for axes in (P.A, Q.A):
-        for ax in axes:
-            lo_p, hi_p = np.min(vp @ ax), np.max(vp @ ax)
-            lo_q, hi_q = np.min(vq @ ax), np.max(vq @ ax)
-            if hi_p < lo_q - tol or hi_q < lo_p - tol:
-                return False
+    vp, vq = P.vertices().tolist(), Q.vertices().tolist()
+    for ax, ay in P.A.tolist() + Q.A.tolist():
+        proj_p = [ax * x + ay * y for x, y in vp]
+        proj_q = [ax * x + ay * y for x, y in vq]
+        if max(proj_p) < min(proj_q) - tol or max(proj_q) < min(proj_p) - tol:
+            return False
     return True
 
 

@@ -31,7 +31,6 @@ from .geometry import (
     body_polytope,
     distance_witness,
     project_to_critical_boundary,
-    rotation_matrix,
     strategy_halfspace,
 )
 from .nlp import NlpProblem, SqpOptions, solve_nlp
@@ -73,6 +72,7 @@ class EnvironmentEncoding:
     """
 
     steps: list
+    _faces: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.steps:
@@ -97,6 +97,13 @@ class EnvironmentEncoding:
 
     def obstacles(self, t: int) -> list:
         return self.steps[t]
+
+    def face_arrays(self):
+        """Every obstacle's (A, b), stacked to shapes (T, M, 4, 2) and (T, M, 4)."""
+        if self._faces is None:
+            self._faces = (np.array([[poly.A for poly in obs] for obs in self.steps]),
+                           np.array([[poly.b for poly in obs] for obs in self.steps]))
+        return self._faces
 
     def tv(self, t: int) -> Polytope:
         """The target-vehicle polytope at step t."""
@@ -205,7 +212,7 @@ def generate_strategy_constraints(strategy, ref, env: EnvironmentEncoding, r_ev:
 
 
 def _witness_duals(obs: Polytope, z, params: VehicleParams):
-    """(distance, lam, mu) from the pairwise distance QP at state z.
+    """(distance, lam, mu) from the exact pairwise distance at state z.
 
     The scaled multipliers satisfy the dual stationarity row exactly and put
     the clearance expression at the true distance; touching bodies fall back
@@ -221,45 +228,51 @@ def _witness_duals(obs: Polytope, z, params: VehicleParams):
     return res.distance, res.mult_p / res.distance, res.mult_q / res.distance
 
 
-def _face_certificate(obs: Polytope, z, params: VehicleParams):
-    """Best single-face separation certificate (value, lam, mu).
+def _face_certificates(env: EnvironmentEncoding, zs, params: VehicleParams):
+    """Best single-face separation certificates for every step and obstacle.
 
-    value is a lower bound on the body-obstacle distance: the clearance of
-    the ego body beyond the most separating obstacle face.  lam picks that
-    face, mu balances the stationarity row, and the normal bound holds with
-    equality, so the triple is dual-feasible whenever value >= 0.
+    For each state zs[t] and obstacle m of env step t, returns (vals (T, M),
+    lam (T, M, 4), mu (T, M, 4)).  vals[t, m] is a lower bound on the
+    body-obstacle distance: the clearance of the ego body beyond the most
+    separating obstacle face.  lam picks that face, mu balances the
+    stationarity row, and the normal bound holds with equality, so each
+    triple is dual-feasible whenever its value is >= 0.
     """
-    z = np.asarray(z, float)
-    p, psi = z[:2], float(z[2])
-    norms = np.linalg.norm(obs.A, axis=1)
-    clear = (obs.A @ p - obs.b) / norms
-    rot = rotation_matrix(psi)
-    v = (obs.A / norms[:, None]) @ rot  # rows: obstacle normals in body frame
+    zs = np.asarray(zs, float)
+    a_all, b_all = env.face_arrays()
+    a_mat, b_vec = a_all[: len(zs)], b_all[: len(zs)]
+    norms = np.linalg.norm(a_mat, axis=3)
+    clear = ((a_mat @ zs[:, None, :2, None])[..., 0] - b_vec) / norms
+    c, s = np.cos(zs[:, 2]), np.sin(zs[:, 2])
+    rot = np.stack([np.stack([c, -s], axis=1), np.stack([s, c], axis=1)], axis=1)
+    v = (a_mat / norms[..., None]) @ rot[:, None]  # obstacle normals in the body frame
     half = np.array([0.5 * params.length, 0.5 * params.width])
-    vals = clear - np.abs(v) @ half
-    i = int(np.argmax(vals))
-    lam = np.zeros(4)
-    lam[i] = 1.0 / norms[i]
-    w2 = -v[i]
-    mu = np.array([max(w2[0], 0.0), max(w2[1], 0.0), max(-w2[0], 0.0), max(-w2[1], 0.0)])
-    return float(vals[i]), lam, mu
+    face_vals = clear - np.abs(v) @ half
+    best = np.argmax(face_vals, axis=2)[..., None]
+    vals = np.take_along_axis(face_vals, best, axis=2)[..., 0]
+    lam = np.zeros(face_vals.shape)
+    np.put_along_axis(lam, best, 1.0 / np.take_along_axis(norms, best, axis=2), axis=2)
+    w2 = -np.take_along_axis(v, best[..., None], axis=2)[:, :, 0]
+    mu = np.maximum(np.concatenate([w2, -w2], axis=2), 0.0)
+    return vals, lam, mu
 
 
-def _seed_duals(obs: Polytope, z, params: VehicleParams):
-    """Engagement seed: witness duals, or the face certificate on overlap.
+def _seed_duals(obs: Polytope, z, params: VehicleParams, face_lam, face_mu):
+    """Engagement seed: witness duals, or the pair's face certificate on overlap.
 
     Zero duals at an overlapping pair would zero out the clearance row's
-    position gradient and strand the solver; the best-face certificate keeps
-    a nonzero escape direction in the linearization.
+    position gradient and strand the solver; the best-face certificate
+    (face_lam, face_mu from `_face_certificates`) keeps a nonzero escape
+    direction in the linearization.
     """
     dist, lam, mu = _witness_duals(obs, z, params)
     if dist <= 1e-6:
-        _, lam, mu = _face_certificate(obs, z, params)
+        lam, mu = face_lam, face_mu
     return dist, lam, mu
 
 
 def dual_warm_start(z_guess, env: EnvironmentEncoding, params: VehicleParams):
-    """Distance-QP multipliers for every (step, obstacle) pair along a guess.
+    """Witness multipliers of the exact distance for every (step, obstacle) pair.
 
     Returns (lam, mu) of shape (T, M, 4), feasible for the dual stationarity
     and normal-bound constraints wherever the guessed body clears the
@@ -541,18 +554,12 @@ class ObcaController:
             zs[t + 1] = step_rk4(zs[t], us[t], cfg.dt, cfg.params)
         return zs, us
 
-    def _guess_collides(self, zs_g, env) -> bool:
-        cfg = self.config
-        for t in range(1, cfg.horizon + 1):
-            for obs in env.obstacles(t):
-                if _face_certificate(obs, zs_g[t], cfg.params)[0] < 0.0:
-                    return True
-        return False
-
     def _reseed(self, pairs, zs_g, env):
         cfg = self.config
+        _, lam_f, mu_f = _face_certificates(env, zs_g, cfg.params)
         return {
-            (t, m): _seed_duals(env.obstacles(t)[m], zs_g[t], cfg.params)[1:]
+            (t, m): _seed_duals(env.obstacles(t)[m], zs_g[t], cfg.params,
+                                lam_f[t, m], mu_f[t, m])[1:]
             for t, m in pairs
         }
 
@@ -611,24 +618,24 @@ class ObcaController:
         # where the dual rows cannot express an escape direction; fall back to
         # a braking rollout, which is collision-free whenever the start is.
         brake_start = False
-        if self._guess_collides(zs_g, env):
+        f_g, lam_g, mu_g = _face_certificates(env, zs_g, cfg.params)
+        if np.min(f_g[1:]) < 0.0:
             zs_g, us_g = self._braking_guess(z0)
             brake_start = True
+            f_g, lam_g, mu_g = _face_certificates(env, zs_g, cfg.params)
 
         # Engage only pairs that either the warm start or the reference comes
         # close to; far pairs keep a certificate instead of decision variables.
+        f_r = _face_certificates(env, ref, cfg.params)[0]
         dual_map = {}
         pairs = []
-        for t in range(1, n_h + 1):
-            for m, obs in enumerate(env.obstacles(t)):
-                f_g, _, _ = _face_certificate(obs, zs_g[t], cfg.params)
-                f_r, _, _ = _face_certificate(obs, ref[t], cfg.params)
-                if min(f_g, f_r) >= cfg.engage_dist:
-                    continue
-                dist, lam_w, mu_w = _seed_duals(obs, zs_g[t], cfg.params)
-                if dist < cfg.engage_dist or f_r < cfg.engage_dist:
-                    pairs.append((t, m))
-                    dual_map[(t, m)] = (lam_w, mu_w)
+        for t, m in np.argwhere(np.minimum(f_g, f_r)[1:] < cfg.engage_dist) + (1, 0):
+            t, m = int(t), int(m)
+            dist, lam_w, mu_w = _seed_duals(env.obstacles(t)[m], zs_g[t], cfg.params,
+                                            lam_g[t, m], mu_g[t, m])
+            if dist < cfg.engage_dist or f_r[t, m] < cfg.engage_dist:
+                pairs.append((t, m))
+                dual_map[(t, m)] = (lam_w, mu_w)
 
         rounds = 0
         iters = 0
@@ -653,15 +660,16 @@ class ObcaController:
             certificates = {}
             promote = []
             engaged = set(pairs)
+            f_s, lam_s, mu_s = _face_certificates(env, zs, cfg.params)
             for t in range(1, n_h + 1):
                 for m, obs in enumerate(env.obstacles(t)):
                     if (t, m) in engaged:
                         continue
-                    fval, lam_c, mu_c = _face_certificate(obs, zs[t], cfg.params)
-                    if fval >= cfg.d_min + cfg.reengage_margin:
-                        certificates[(t, m)] = (lam_c, mu_c)
+                    if f_s[t, m] >= cfg.d_min + cfg.reengage_margin:
+                        certificates[(t, m)] = (lam_s[t, m], mu_s[t, m])
                         continue
-                    dist, lam_w, mu_w = _seed_duals(obs, zs[t], cfg.params)
+                    dist, lam_w, mu_w = _seed_duals(obs, zs[t], cfg.params,
+                                                    lam_s[t, m], mu_s[t, m])
                     certificates[(t, m)] = (lam_w, mu_w)
                     if dist < cfg.d_min + cfg.reengage_margin:
                         promote.append((t, m))

@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import json
 import math
-import os
-import tempfile
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .dynamics import VehicleParams
+from .fileio import atomic_write
 from .obca import EnvironmentEncoding, StrategyLabel
 
 N_HIDDEN = 40
@@ -260,19 +259,6 @@ def label_rollout(ev_traj, tv_traj, params: VehicleParams, dt: float = 0.1,
 
 # --- persistence ------------------------------------------------------------
 
-def _atomic_write(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def save_model(model: MlpModel, path: str) -> None:
     doc = {
         "format": MODEL_FORMAT,
@@ -288,7 +274,7 @@ def save_model(model: MlpModel, path: str) -> None:
         "w2": model.w2.tolist(),
         "b2": model.b2.tolist(),
     }
-    _atomic_write(path, json.dumps(doc))
+    atomic_write(path, json.dumps(doc))
 
 
 def load_model(path: str) -> MlpModel:
@@ -324,7 +310,7 @@ def save_dataset(path: str, features, labels) -> None:
     lines = []
     for row, lab in zip(x, y):
         lines.append(str(int(lab)) + "," + ",".join(repr(float(v)) for v in row))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    atomic_write(path, "\n".join(lines) + "\n")
 
 
 def load_dataset(path: str):

@@ -27,7 +27,7 @@ import logging
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cholesky, qr, solve_triangular
+from scipy.linalg import cholesky, get_lapack_funcs, qr, solve_triangular
 
 logger = logging.getLogger(__name__)
 
@@ -70,18 +70,25 @@ def _add_rows(JT, R, q, normals, rtol):
     """Append linearly independent rows of `normals` to the working set.
 
     One pivoted QR of the normals projected onto the complement of the
-    current span, JT[q:] @ normals.T, updates JT and R in place.  A pivot
-    whose diagonal falls to rtol * max(largest diagonal, 1) or below is
-    dependent on the rows before it.  Returns (accepted, rejected) positions
-    into `normals`, accepted in pivot order.
+    current span, JT[q:] @ normals.T, updates JT and R in place; its
+    Householder reflectors are applied to JT[q:] directly (LAPACK ormqr),
+    without forming the orthogonal factor.  A pivot whose diagonal falls to
+    rtol * max(largest diagonal, 1) or below is dependent on the rows before
+    it.  Returns (accepted, rejected) positions into `normals`, accepted in
+    pivot order.
     """
     k = normals.shape[0]
     if k == 0 or q == JT.shape[0]:
         return np.zeros(0, dtype=int), np.arange(k)
-    Qb, Rb, piv = qr(JT[q:] @ normals.T, mode="full", pivoting=True)
+    (refl, tau), Rb, piv = qr(JT[q:] @ normals.T, mode="raw", pivoting=True)
     diag = np.abs(np.diag(Rb))
     rank = int(np.sum(diag > max(diag[0], 1.0) * rtol))
-    JT[q:] = Qb.T @ JT[q:]
+    refl = refl[:, : len(tau)]
+    ormqr = get_lapack_funcs("ormqr", (refl,))
+    lwork = int(ormqr("L", "T", refl, tau, JT[q:], -1)[1][0])
+    JT[q:], _, info = ormqr("L", "T", refl, tau, JT[q:], lwork)
+    if info != 0:
+        raise QpError(f"ormqr failed with info={info}")
     R[:q, q : q + rank] = JT[:q] @ normals[piv[:rank]].T
     R[q : q + rank, q : q + rank] = Rb[:rank, :rank]
     return piv[:rank], piv[rank:]

@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import json
 import math
-import os
-import tempfile
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .dynamics import VehicleParams, step_rk4
+from .fileio import atomic_write
 from .geometry import Polytope, body_polytope, min_translation_distance
 from .obca import EnvironmentEncoding
 
@@ -489,17 +488,7 @@ def scenario_from_dict(data: dict) -> Scenario:
 
 
 def save_scenario(sc: Scenario, path: str) -> None:
-    text = json.dumps(scenario_to_dict(sc), indent=1)
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    atomic_write(path, json.dumps(scenario_to_dict(sc), indent=1))
 
 
 def load_scenario(path: str) -> Scenario:

@@ -13,14 +13,13 @@ from __future__ import annotations
 
 import logging
 import math
-import os
-import tempfile
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .dynamics import VehicleParams, step_rk4
+from .fileio import atomic_write
 from .geometry import body_polytope, min_translation_distance, polytopes_intersect
 from .obca import ControllerConfig, EnvironmentEncoding, ObcaController, StrategyLabel
 from .predictor import encode_features, forward, label_rollout
@@ -62,19 +61,6 @@ def _clearance(z, obstacles, params: VehicleParams):
             hit = True
         dist = min(dist, min_translation_distance(body, obs))
     return hit, dist
-
-
-def _atomic_write(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 # --- expert rollouts and the training set -----------------------------------
@@ -453,7 +439,7 @@ def write_benchmark_csv(result: BenchmarkResult, path: str) -> None:
             str(row["outcome"]), str(row["iterations"]),
             f"{row['min_distance']:.6f}",
         ]))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    atomic_write(path, "\n".join(lines) + "\n")
 
 
 def task_result_to_dict(res: TaskResult) -> dict:

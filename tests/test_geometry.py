@@ -1,9 +1,11 @@
 """Geometry tests.
 
-Oracles: grid sampling for polytope distances, direct corner enumeration for
-body boxes, and analytic results for axis-aligned cases.  The distance QP
-must agree with the sampling oracle to grid resolution and satisfy the
-witness/multiplier identities exactly.
+Oracles: grid sampling for polytope distances, the distance as a convex QP
+(the formulation the closed-form routine replaced), direct corner
+enumeration for body boxes, and analytic results for axis-aligned and
+named contact cases.  The closed-form distance must agree with the sampling
+oracle to grid resolution, with the QP to 1e-8 in distance and multipliers,
+and satisfy the witness/multiplier identities.
 """
 
 import math
@@ -26,6 +28,7 @@ from tightnav.geometry import (
     rotation_matrix,
     strategy_halfspace,
 )
+from tightnav.qp import solve_qp
 
 
 def grid_points(poly: Polytope, n: int = 45) -> np.ndarray:
@@ -63,6 +66,31 @@ def corner_oracle(center, half_x, half_y, psi) -> np.ndarray:
 def shoelace(verts: np.ndarray) -> float:
     x, y = verts[:, 0], verts[:, 1]
     return 0.5 * abs(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
+
+
+def qp_distance_witness(P: Polytope, Q: Polytope):
+    """(distance, p, q, mult_p, mult_q) from min 0.5 |p - q|^2 over p in P, q in Q.
+
+    This is the dense QP the closed-form routine replaced, kept as an
+    independent oracle; its inequality multipliers are the face multipliers.
+    """
+    mp, mq = P.A.shape[0], Q.A.shape[0]
+    H = np.block([[np.eye(2), -np.eye(2)], [-np.eye(2), np.eye(2)]])
+    A = np.zeros((mp + mq, 4))
+    A[:mp, :2] = P.A
+    A[mp:, 2:] = Q.A
+    sol = solve_qp(H, np.zeros(4), A, np.concatenate([P.b, Q.b]))
+    assert sol.ok
+    p, q = sol.x[:2], sol.x[2:]
+    return float(np.linalg.norm(p - q)), p, q, sol.lam[:mp], sol.lam[mp:]
+
+
+def assert_witness_identities(P, Q, res, atol=1e-9):
+    diff = res.point_p - res.point_q
+    np.testing.assert_allclose(-P.A.T @ res.mult_p, diff, atol=atol)
+    np.testing.assert_allclose(Q.A.T @ res.mult_q, diff, atol=atol)
+    assert res.distance == pytest.approx(np.linalg.norm(diff), abs=atol)
+    assert P.contains(res.point_p, tol=atol) and Q.contains(res.point_q, tol=atol)
 
 
 def test_rotation_matrix_basic():
@@ -258,3 +286,127 @@ def test_halfspace_normalization_and_violation():
     assert abs(hs.offset - 2.0) < 1e-15
     assert hs.violation([0.0, 1.0]) == pytest.approx(1.0)
     assert hs.satisfied([0.0, 3.0])
+
+
+def random_box_pair(rng):
+    P = Polytope.from_box(rng.uniform(-1, 1, 2), *rng.uniform(0.05, 0.8, 2),
+                          psi=rng.uniform(-4, 4))
+    Q = Polytope.from_box(rng.uniform(-1, 1, 2) + rng.uniform(-2, 2, 2),
+                          *rng.uniform(0.05, 0.8, 2), psi=rng.uniform(-4, 4))
+    return P, Q
+
+
+def test_distance_matches_qp_oracle():
+    rng = np.random.default_rng(101)
+    separated = 0
+    for _ in range(250):
+        P, Q = random_box_pair(rng)
+        res = distance_witness(P, Q)
+        d_qp, _, _, mult_p, mult_q = qp_distance_witness(P, Q)
+        assert res.distance == pytest.approx(d_qp, abs=1e-8)
+        if res.distance > 1e-6:
+            separated += 1
+            np.testing.assert_allclose(res.mult_p, mult_p, atol=1e-8)
+            np.testing.assert_allclose(res.mult_q, mult_q, atol=1e-8)
+            assert_witness_identities(P, Q, res)
+    assert separated >= 200
+
+
+def test_multipliers_nonnegative_and_zero_off_active_faces():
+    rng = np.random.default_rng(103)
+    for _ in range(200):
+        P, Q = random_box_pair(rng)
+        res = distance_witness(P, Q)
+        for poly, point, mult in ((P, res.point_p, res.mult_p), (Q, res.point_q, res.mult_q)):
+            assert np.all(mult >= 0.0)
+            slack = (poly.A @ point - poly.b) / np.linalg.norm(poly.A, axis=1)
+            assert np.all(mult[slack < -1e-9] == 0.0)
+
+
+def test_distance_parallel_edges():
+    # Facing edges x = 0.5 and x = 2.0 overlap in y: the witness points are
+    # not unique, the distance and the multipliers are.
+    P = Polytope.from_box([0.0, 0.0], 0.5, 0.5)
+    Q = Polytope.from_box([2.5, 0.3], 0.5, 0.4)
+    res = distance_witness(P, Q)
+    assert res.distance == pytest.approx(1.5, abs=1e-12)
+    assert res.point_p[0] == pytest.approx(0.5, abs=1e-12)
+    assert res.point_q[0] == pytest.approx(2.0, abs=1e-12)
+    assert -0.1 - 1e-12 <= res.point_p[1] <= 0.5 + 1e-12
+    np.testing.assert_allclose(res.mult_p, [1.5, 0.0, 0.0, 0.0], atol=1e-12)
+    np.testing.assert_allclose(res.mult_q, [0.0, 0.0, 1.5, 0.0], atol=1e-12)
+    _, _, _, mult_p, mult_q = qp_distance_witness(P, Q)
+    np.testing.assert_allclose(res.mult_p, mult_p, atol=1e-8)
+    np.testing.assert_allclose(res.mult_q, mult_q, atol=1e-8)
+    assert_witness_identities(P, Q, res)
+
+
+def test_distance_vertex_against_vertex():
+    # Corner (0.5, 0.5) faces corner (1.5, 1.5): the direction between them
+    # lies strictly inside both corners' normal cones.
+    P = Polytope.from_box([0.0, 0.0], 0.5, 0.5)
+    Q = Polytope.from_box([2.0, 2.0], 0.5, 0.5)
+    res = distance_witness(P, Q)
+    assert res.distance == pytest.approx(math.sqrt(2.0), abs=1e-12)
+    np.testing.assert_allclose(res.point_p, [0.5, 0.5], atol=1e-12)
+    np.testing.assert_allclose(res.point_q, [1.5, 1.5], atol=1e-12)
+    np.testing.assert_allclose(res.mult_p, [1.0, 1.0, 0.0, 0.0], atol=1e-12)
+    np.testing.assert_allclose(res.mult_q, [0.0, 0.0, 1.0, 1.0], atol=1e-12)
+    assert_witness_identities(P, Q, res)
+
+
+def test_distance_touching_boxes():
+    P = Polytope.from_box([0.0, 0.0], 1.0, 1.0)
+    for Q in (Polytope.from_box([2.0, 0.5], 1.0, 1.0),  # shared edge segment
+              Polytope.from_box([2.0, 2.0], 1.0, 1.0)):  # shared corner
+        res = distance_witness(P, Q)
+        assert res.distance == 0.0
+        np.testing.assert_array_equal(res.point_p, res.point_q)
+        assert P.contains(res.point_p) and Q.contains(res.point_q)
+        assert np.all(res.mult_p == 0.0) and np.all(res.mult_q == 0.0)
+
+
+def test_distance_containment_and_crossing_overlap():
+    big = Polytope.from_box([0.1, -0.2], 2.0, 1.5, psi=0.3)
+    small = Polytope.from_box([0.3, 0.0], 0.2, 0.1, psi=-1.1)
+    bar = Polytope.from_box([0.0, 0.0], 2.0, 0.2)
+    post = Polytope.from_box([0.0, 0.0], 0.2, 2.0, psi=0.05)  # no corner inside the bar
+    for P, Q in ((big, small), (small, big), (bar, post)):
+        res = distance_witness(P, Q)
+        assert res.distance == 0.0
+        np.testing.assert_array_equal(res.point_p, res.point_q)
+        assert P.contains(res.point_p) and Q.contains(res.point_q)
+        assert np.all(res.mult_p == 0.0) and np.all(res.mult_q == 0.0)
+
+
+def test_distance_tiny_box():
+    # All four faces of a 1e-9 box are active at its witness point, opposite
+    # faces included; the multipliers must come from two adjacent ones.
+    Q = Polytope.from_box([0.0, 0.0], 1.0, 0.5)
+    for center, psi in (([3.0, 0.0], 0.0), ([3.0, 0.4], 0.3), ([2.0, 1.5], 0.0),
+                        ([0.2, -1.7], math.pi / 4)):
+        P = Polytope.from_box(center, 1e-9, 1e-9, psi=psi)
+        res = distance_witness(P, Q)
+        assert res.distance == pytest.approx(point_polytope_distance(center, Q), abs=2e-9)
+        assert_witness_identities(P, Q, res)
+        assert np.all(res.mult_p >= 0.0) and np.count_nonzero(res.mult_p) <= 2
+
+
+def test_box_corners_match_face_intersection():
+    rng = np.random.default_rng(107)
+    for _ in range(50):
+        P = Polytope.from_box(rng.uniform(-2, 2, 2), *rng.uniform(0.05, 1.0, 2),
+                              psi=rng.uniform(-7, 7))
+        # The same box from its faces alone: vertices by face intersection.
+        np.testing.assert_allclose(P.vertices(), Polytope(P.A, P.b).vertices(), atol=1e-12)
+
+
+def test_boundedness_from_normals():
+    assert Polytope.from_box([3, -1], 0.2, 0.1, psi=2.0).is_bounded()
+    triangle = Polytope(np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]]), np.ones(3))
+    assert triangle.is_bounded()
+    strip = Polytope(np.array([[0.0, 1.0], [0.0, -1.0], [1.0, 0.1]]), np.ones(3))
+    assert not strip.is_bounded()
+    # Normals with a gap of exactly pi leave a ray unbounded.
+    half_strip = Polytope(np.array([[0.0, 1.0], [0.0, -1.0], [1.0, 0.0]]), np.ones(3))
+    assert not half_strip.is_bounded()

@@ -1,7 +1,7 @@
 """Tests for the dual-constraint MPC: warm starts, strategy rows, solves.
 
 The dual-feasibility oracle is direct substitution into the constraint
-system; trajectory safety is audited with the independent distance QP.
+system; trajectory safety is audited with the exact polytope distance.
 """
 
 import math
@@ -22,7 +22,7 @@ from tightnav.obca import (
     dual_warm_start,
     generate_strategy_constraints,
     lateral_direction,
-    _face_certificate,
+    _face_certificates,
 )
 
 UNIT_PARAMS = VehicleParams(l_f=0.25, l_r=0.25, length=1.0, width=1.0)
@@ -113,7 +113,9 @@ def test_face_certificate_lower_bound_and_feasible():
         center = rng.uniform(-2.5, 2.5, size=2)
         obstacle = Polytope.from_box(center, rng.uniform(0.1, 0.8),
                                      rng.uniform(0.1, 0.8), rng.uniform(0, math.pi))
-        value, lam, mu = _face_certificate(obstacle, z, DESK)
+        vals, lams, mus = _face_certificates(static_env(obstacle, 1, with_walls=False),
+                                             z[None, :], DESK)
+        value, lam, mu = vals[0, 0], lams[0, 0], mus[0, 0]
         dist = min_translation_distance(obstacle, body_polytope(z, DESK.length, DESK.width))
         assert value <= dist + 1e-9
         val_c, stat, nrm = dual_residuals(obstacle, z, lam, mu, DESK)
@@ -121,6 +123,43 @@ def test_face_certificate_lower_bound_and_feasible():
         assert stat <= 1e-12
         assert nrm <= 1.0 + 1e-12
         assert np.all(lam >= 0) and np.all(mu >= 0)
+
+
+def body_corners(z, params):
+    """The four ego-body corners at state z, by direct enumeration."""
+    half_l, half_w = 0.5 * params.length, 0.5 * params.width
+    local = np.array([[half_l, half_w], [-half_l, half_w], [-half_l, -half_w], [half_l, -half_w]])
+    return local @ rotation_matrix(float(z[2])).T + np.asarray(z[:2])
+
+
+def test_face_certificates_batch_matches_corner_enumeration():
+    # 21 steps of a 3-obstacle scene: the moving target vehicle and two walls.
+    rng = np.random.default_rng(33)
+    n_steps = 21
+    top, bottom = lane_walls()
+    tvs = [Polytope.from_box(rng.uniform(-1, 3, 2) * (1.0, 0.2), 0.2, 0.1, rng.uniform(-3, 3))
+           for _ in range(n_steps)]
+    env = EnvironmentEncoding([[tv, top, bottom] for tv in tvs])
+    zs = np.column_stack([rng.uniform(-1, 3, n_steps), rng.uniform(-0.4, 0.4, n_steps),
+                          rng.uniform(-math.pi, math.pi, n_steps), np.zeros(n_steps)])
+    vals, lam, mu = _face_certificates(env, zs, DESK)
+    assert vals.shape == (n_steps, 3) and lam.shape == mu.shape == (n_steps, 3, 4)
+    for t in range(n_steps):
+        corners = body_corners(zs[t], DESK)
+        for m, obs in enumerate(env.obstacles(t)):
+            # Clearance of the body beyond each obstacle face is the smallest
+            # signed distance of its corners; the certificate takes the best face.
+            norms = np.linalg.norm(obs.A, axis=1)
+            per_face = np.min((corners @ obs.A.T - obs.b) / norms, axis=0)
+            assert vals[t, m] == pytest.approx(np.max(per_face), abs=1e-12)
+            dist = min_translation_distance(obs, body_polytope(zs[t], DESK.length, DESK.width))
+            assert vals[t, m] <= dist + 1e-9
+            val_c, stat, nrm = dual_residuals(obs, zs[t], lam[t, m], mu[t, m], DESK)
+            assert val_c == pytest.approx(vals[t, m], abs=1e-9)
+            assert stat <= 1e-12
+            assert nrm == pytest.approx(1.0, abs=1e-12)
+    assert np.all(lam >= 0) and np.all(mu >= 0)
+    assert np.all(np.count_nonzero(lam, axis=2) == 1)
 
 
 # --- strategy constraints ---------------------------------------------------
