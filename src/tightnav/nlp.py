@@ -1,23 +1,22 @@
 """Line-search SQP solver for smooth constrained NLPs.
 
-The subproblem Hessian is either the problem's exact Lagrangian Hessian,
-convexified before each subproblem (`SqpOptions.hessian="exact"`, which the
-OBCA controller selects), or a damped BFGS model of it (the default, and the
-fallback when the problem supplies no exact Hessian).  Steps are globalized
-by an l1 merit line search with a second-order correction.  Subproblems go
-to the dense active-set QP in `qp`, warm-started from the previous
-subproblem's active rows; when a linearization is infeasible the solver
-switches to an elastic subproblem that minimizes the constraint violation,
-and declares the NLP infeasible when that restoration phase stalls.
-Identical inputs produce bit-identical iterate sequences.
+Every subproblem uses the problem's exact Lagrangian Hessian at the current
+iterate and multipliers, convexified so the QP is strictly convex.  Steps
+are globalized by an l1 merit line search with a second-order correction.
+Subproblems go to the dense active-set QP in `qp`, warm-started from the
+previous subproblem's active rows; when a linearization is infeasible the
+solver switches to an elastic subproblem that minimizes the constraint
+violation, and declares the NLP infeasible when that restoration phase
+stalls.  A line search that finds no acceptable step ends the solve: the
+next subproblem would be built from the same point and multipliers and fail
+the same way.  Identical inputs produce bit-identical iterate sequences.
 """
 
 from __future__ import annotations
 
 import logging
-import time
 from dataclasses import dataclass, field
-from typing import Callable, TextIO
+from typing import Callable
 
 import numpy as np
 
@@ -33,19 +32,20 @@ class NlpProblem:
     """Problem data: min f(x) s.t. c_eq(x) = 0, c_in(x) <= 0, lb <= x <= ub.
 
     objective(x) -> (value, gradient); eq/ineq(x) -> (values, jacobian).
-    Bounds may be None or contain +-inf entries.
+    lag_hess(x, mult_eq, mult_ineq) -> the n x n Hessian of the Lagrangian
+    f + mult_eq . c_eq + mult_ineq . c_in, where mult_ineq covers the rows of
+    `ineq` only (bounds are linear and add no curvature).  It may be
+    indefinite or a Gauss-Newton approximation; the solver convexifies it
+    before each subproblem.  Bounds may be None or contain +-inf entries.
     """
 
     n: int
     objective: Callable[[np.ndarray], tuple[float, np.ndarray]]
+    lag_hess: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
     eq: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None
     ineq: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None
     lower: np.ndarray | None = None
     upper: np.ndarray | None = None
-    hess0: np.ndarray | None = None  # initial Lagrangian Hessian model (PD)
-    # Optional exact Lagrangian Hessian: lag_hess(x, mult_eq, mult_ineq) -> H.
-    # May be indefinite; the solver convexifies it before each subproblem.
-    lag_hess: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray] | None = None
 
 
 @dataclass
@@ -53,19 +53,12 @@ class SqpOptions:
     tol_kkt: float = 1e-4
     tol_feas: float = 1e-6
     iter_max: int = 100
-    time_budget: float | None = None  # seconds; breach reports MaxIterations
     armijo: float = 1e-4
     backtrack: float = 0.5
     ls_max: int = 30
     restoration_stall: int = 10
     elastic_penalty: float = 1e4
-    hessian: str = "bfgs"  # "bfgs" | "exact" (lag_hess, BFGS if the problem has none)
-    log_stream: TextIO | None = None  # CSV: iter,merit,kkt,feas,step
     collect_history: bool = False
-
-    def __post_init__(self):
-        if self.hessian not in ("bfgs", "exact"):
-            raise ValueError(f"hessian must be 'bfgs' or 'exact', got {self.hessian!r}")
 
 
 @dataclass
@@ -175,8 +168,6 @@ def solve_nlp(problem: NlpProblem, x0: np.ndarray, options: SqpOptions | None = 
                              lo[i_lo] - xv[i_lo], xv[i_hi] - hi[i_hi]])
         return ce, ci
 
-    t_start = time.perf_counter()
-    B = np.eye(n) if problem.hess0 is None else np.asarray(problem.hess0, float).copy()
     mu_pen = 1.0
     fval, g, ce, Je, ci, Ji = eval_all(x)
     m_u = len(ci) - len(i_lo) - len(i_hi)
@@ -185,7 +176,6 @@ def solve_nlp(problem: NlpProblem, x0: np.ndarray, options: SqpOptions | None = 
     warm = None
     stall = 0
     best_viol = np.inf
-    ls_failures = 0
     status: Status = "max_iterations"
     history: list = []
     it = 0
@@ -201,33 +191,29 @@ def solve_nlp(problem: NlpProblem, x0: np.ndarray, options: SqpOptions | None = 
         return max(r_stat, r_comp)
 
     for it in range(1, opts.iter_max + 1):
-        if opts.time_budget is not None and time.perf_counter() - t_start > opts.time_budget:
-            status = "max_iterations"
-            break
         r_kkt = kkt(g, Je, Ji, nu, lam, ce, ci)
         r_feas = _violation_inf(ce, ci)
         if r_kkt <= opts.tol_kkt and r_feas <= opts.tol_feas:
             status = "optimal"
             break
 
-        if opts.hessian == "exact" and problem.lag_hess is not None:
-            # Row augmentation preserves the Newton rate but is only safe in
-            # the endgame: it must use rows that are active with teeth (tight
-            # and carrying a multiplier), and inflating a row that is about
-            # to detach would glue the iterate to it.  Far from feasibility
-            # the eigenvalue fallback inside _convexify is the better model.
-            j_act = None
-            if r_feas <= 1e-5:
-                act = np.flatnonzero((ci > -1e-6) & (lam > 1e-6))
-                j_act = np.vstack([Je, Ji[act]])
-            B = _convexify(problem.lag_hess(x, nu, lam[:m_u]), j_act)
-
-        # Ill-conditioned endgames can overflow the curvature model to inf;
-        # surface that as a status instead of letting the factorization raise,
-        # so callers fall back the same way they do for any failed solve.
-        if not all(np.all(np.isfinite(a)) for a in (B, g, Ji, ci, Je, ce)):
+        # Ill-conditioned endgames can overflow the curvature to inf; surface
+        # that as a status instead of letting the factorization raise, so
+        # callers fall back the same way they do for any failed solve.
+        h_lag = problem.lag_hess(x, nu, lam[:m_u])
+        if not all(np.all(np.isfinite(a)) for a in (h_lag, g, Ji, ci, Je, ce)):
             status = "numerical_failure"
             break
+        # Row augmentation preserves the Newton rate but is only safe in the
+        # endgame: it must use rows that are active with teeth (tight and
+        # carrying a multiplier), and inflating a row that is about to detach
+        # would glue the iterate to it.  Far from feasibility the eigenvalue
+        # fallback inside _convexify is the better model.
+        j_act = None
+        if r_feas <= 1e-5:
+            act = np.flatnonzero((ci > -1e-6) & (lam > 1e-6))
+            j_act = np.vstack([Je, Ji[act]])
+        B = _convexify(h_lag, j_act)
         try:
             qp_sol = solve_qp(B, g, Ji, -ci, Je, -ce, warm_rows=warm)
         except (np.linalg.LinAlgError, ValueError):
@@ -296,9 +282,8 @@ def solve_nlp(problem: NlpProblem, x0: np.ndarray, options: SqpOptions | None = 
                 # merit's quadratic constraint drift cannot veto an otherwise
                 # sound Newton step (the Maratos effect).
                 soc_tried = True
-                act = warm if warm is not None else np.zeros(0, dtype=int)
-                j_stack = np.vstack([Je, Ji[act]])
-                r_vec = np.concatenate([ce_t, ci_t[act]])
+                j_stack = np.vstack([Je, Ji[warm]])
+                r_vec = np.concatenate([ce_t, ci_t[warm]])
                 if j_stack.shape[0]:
                     dp = np.linalg.lstsq(j_stack, -r_vec, rcond=None)[0]
                     # The correction is unconstrained, so project it back
@@ -315,29 +300,15 @@ def solve_nlp(problem: NlpProblem, x0: np.ndarray, options: SqpOptions | None = 
                         break
             alpha *= opts.backtrack
         if not accepted:
+            # The next subproblem would be built from the same x and
+            # multipliers, so it would return the same step: stop here.  A
+            # restoration step that cannot reduce the violation at all means
+            # the constraints are locally inconsistent.
             if opts.collect_history:
                 kind = "elastic-fail" if elastic else "ls-fail"
                 history.append((it, merit0, merit_try, r_kkt, r_feas, alpha, kind))
-            if elastic:
-                # Restoration could not make progress at all; a few of these
-                # in a row mean the constraint system is locally inconsistent.
-                stall += 1
-                if stall >= opts.restoration_stall:
-                    status = "infeasible"
-                    break
-                warm = None
-                continue
-            ls_failures += 1
-            if ls_failures >= 3:
-                status = "max_iterations"
-                break
-            if problem.hess0 is not None:
-                B = np.asarray(problem.hess0, float).copy()
-            else:
-                B = np.eye(n) * max(1.0, float(np.linalg.norm(g)))
-            warm = None
-            continue
-        ls_failures = 0
+            status = "infeasible" if elastic else "max_iterations"
+            break
 
         # Restoration stall bookkeeping: infeasibility is declared when the
         # elastic phase stops reducing the violation.
@@ -348,57 +319,19 @@ def solve_nlp(problem: NlpProblem, x0: np.ndarray, options: SqpOptions | None = 
                 stall = 0
             else:
                 stall += 1
-                if stall >= opts.restoration_stall:
-                    status = "infeasible"
-                    x = x_acc
-                    fval, g, ce, Je, ci, Ji = eval_all(x)
-                    lam, nu = lam_new, nu_new
-                    break
         else:
             stall = 0
             best_viol = min(best_viol, viol0)
 
-        # Damped BFGS update on the Lagrangian gradient.
-        def lag_grad(gv, Jev, Jiv):
-            out = gv.copy()
-            if len(ce):
-                out += Jev.T @ nu_new
-            if len(ci):
-                out += Jiv.T @ lam_new
-            return out
-
-        grad_L_old = lag_grad(g, Je, Ji)
-        x_new = x_acc
-        f_new, g_new, ce_new, Je_new, ci_new, Ji_new = eval_all(x_new)
-        grad_L_new = g_new.copy()
-        if len(ce_new):
-            grad_L_new += Je_new.T @ nu_new
-        if len(ci_new):
-            grad_L_new += Ji_new.T @ lam_new
-        s = x_new - x
-        yv = grad_L_new - grad_L_old
-        sBs = float(s @ (B @ s))
-        sy = float(s @ yv)
-        if sBs > 1e-16 and float(s @ s) > 1e-20:
-            if sy < 0.2 * sBs:
-                theta = 0.8 * sBs / (sBs - sy)
-                yv = theta * yv + (1.0 - theta) * (B @ s)
-                sy = float(s @ yv)
-            if sy > 1e-12:
-                Bs = B @ s
-                B = B + np.outer(yv, yv) / sy - np.outer(Bs, Bs) / sBs
-
-        x, fval, g, ce, Je, ci, Ji = x_new, f_new, g_new, ce_new, Je_new, ci_new, Ji_new
+        x = x_acc
+        fval, g, ce, Je, ci, Ji = eval_all(x)
         lam, nu = lam_new, nu_new
-
-        rec = (it, merit0, merit_try, r_kkt, r_feas, alpha,
-               "elastic" if elastic else "qp")
         if opts.collect_history:
-            history.append(rec)
-        if opts.log_stream is not None:
-            opts.log_stream.write(
-                f"{it},{merit0:.9e},{r_kkt:.3e},{r_feas:.3e},{alpha:.3e}\n"
-            )
+            history.append((it, merit0, merit_try, r_kkt, r_feas, alpha,
+                            "elastic" if elastic else "qp"))
+        if stall >= opts.restoration_stall:
+            status = "infeasible"
+            break
 
     r_kkt = kkt(g, Je, Ji, nu, lam, ce, ci)
     r_feas = _violation_inf(ce, ci)

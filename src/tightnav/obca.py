@@ -131,7 +131,7 @@ class ControllerConfig:
     engage_dist: float = 0.25  # pairs closer than this get dual variables
     reengage_margin: float = 2e-3
     max_rounds: int = 3
-    sqp: SqpOptions = field(default_factory=lambda: SqpOptions(hessian="exact"))
+    sqp: SqpOptions = field(default_factory=SqpOptions)
 
     def __post_init__(self):
         self.q_z = np.asarray(self.q_z, float).ravel()
@@ -312,14 +312,10 @@ class _StepNlp:
         self.obs_a = [env.obstacles(t)[m].A for t, m in pairs]
         self.obs_b = [env.obstacles(t)[m].b for t, m in pairs]
         self.g_vec = body_g_vector(cfg.params)
-        # A unit dual ridge keeps the fixed quasi-Newton model from sloshing
-        # multipliers around; the exact-Hessian path uses the true dual
-        # curvature contributed by the regularizer.
-        self.h0 = self._objective_hessian(1.0)
-        self.h_lag_base = self._objective_hessian(2.0 * DUAL_REG)
+        self.h_obj = self._objective_hessian()
 
-    def _objective_hessian(self, dual_ridge: float) -> np.ndarray:
-        """Exact objective Hessian with a chosen ridge on the dual block."""
+    def _objective_hessian(self) -> np.ndarray:
+        """Exact objective Hessian; the dual block carries the regularizer's ridge."""
         cfg = self.cfg
         h = np.zeros((self.n, self.n))
         for t in range(1, cfg.horizon + 1):
@@ -334,7 +330,7 @@ class _StepNlp:
                 h[sl, nxt] = np.diag(-2.0 * cfg.q_d)
                 h[nxt, sl] = np.diag(-2.0 * cfg.q_d)
         base = self.nz + self.nuv
-        h[base:, base:] = dual_ridge * np.eye(self.n - base)
+        h[base:, base:] = 2.0 * DUAL_REG * np.eye(self.n - base)
         return h
 
     def lag_hess(self, x, nu, lam_rows):
@@ -346,7 +342,7 @@ class _StepNlp:
         """
         n_h = self.cfg.horizon
         n_pairs = len(self.pairs)
-        h = self.h_lag_base.copy()
+        h = self.h_obj.copy()
         for j, (t, _) in enumerate(self.pairs):
             lsl, msl = self.dsl(j)
             a_mat = self.obs_a[j]
@@ -520,12 +516,10 @@ class ObcaController:
         self.config = config or ControllerConfig()
         self._prev = None
         self._prev_step = None
-        self.solve_log: list = []
 
     def reset(self) -> None:
         self._prev = None
         self._prev_step = None
-        self.solve_log = []
 
     def _initial_guess(self, z0, step):
         cfg = self.config
@@ -611,7 +605,6 @@ class ObcaController:
                               {"iterations": 0, "rounds": 0, "engaged": 0,
                                "cost": float("nan"), "precheck": True,
                                "wall_time": time.perf_counter() - t_begin})
-            self._log(step, sol)
             return sol
 
         # A warm start that penetrates an obstacle puts the solver in a region
@@ -645,8 +638,8 @@ class ObcaController:
             builder = _StepNlp(cfg, z0, u_prev, ref, env, pairs, strat_rows)
             lo, hi = builder.bounds()
             prob = NlpProblem(n=builder.n, objective=builder.objective,
-                              eq=builder.eq, ineq=builder.ineq, lower=lo, upper=hi,
-                              hess0=builder.h0, lag_hess=builder.lag_hess)
+                              lag_hess=builder.lag_hess, eq=builder.eq,
+                              ineq=builder.ineq, lower=lo, upper=hi)
             sol = solve_nlp(prob, builder.pack(zs_g, us_g, dual_map), cfg.sqp)
             iters += sol.iterations
             zs, us, dual_map = builder.unpack(sol.x)
@@ -704,15 +697,4 @@ class ObcaController:
         if result.ok:
             self._prev = (zs, us)
             self._prev_step = step
-        self._log(step, result)
         return result
-
-    def _log(self, step, sol: MpcSolution) -> None:
-        self.solve_log.append({
-            "step": step,
-            "status": sol.status,
-            "iterations": sol.stats.get("iterations", 0),
-            "cost": sol.stats.get("cost"),
-            "engaged": sol.stats.get("engaged", 0),
-            "strategy_steps": [t for t, _ in sol.strategy_rows],
-        })

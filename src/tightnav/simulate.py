@@ -155,6 +155,7 @@ def build_dataset(records, horizon: int = 20):
     the rollout's single label.  Rollouts shorter than the horizon add no
     examples but still count in the manifest.
     """
+    records = list(records)
     rows = []
     labels = []
     counts = {label.name: 0 for label in StrategyLabel}
@@ -168,7 +169,7 @@ def build_dataset(records, horizon: int = 20):
     x = np.array(rows)
     y = np.array(labels, int)
     manifest = {
-        "n_rollouts": len(list(records)),
+        "n_rollouts": len(records),
         "n_examples": int(len(y)),
         "feature_dim": int(x.shape[1]),
         "horizon": int(horizon),
@@ -188,6 +189,7 @@ def generate_dataset(scenarios, ctrl_config: ControllerConfig | None = None,
     Returns (features, labels, manifest, records); the manifest additionally
     carries the scenario count and how many rollouts the audit discarded.
     """
+    scenarios = list(scenarios)
     records = []
     discarded = 0
     for sc in scenarios:
@@ -200,7 +202,7 @@ def generate_dataset(scenarios, ctrl_config: ControllerConfig | None = None,
         raise ValueError("every expert rollout failed the clearance audit")
     horizon = (ctrl_config or ControllerConfig(guided=False)).horizon
     x, y, manifest = build_dataset(records, horizon)
-    manifest["n_scenarios"] = len(list(scenarios))
+    manifest["n_scenarios"] = len(scenarios)
     manifest["n_discarded"] = discarded
     return x, y, manifest, records
 
@@ -390,6 +392,7 @@ def run_benchmark(scenarios, model, ctrl_config: ControllerConfig | None = None,
     scenarios that every scheme completed, which is the fair speed
     comparison (failures have no completion time).
     """
+    scenarios = list(scenarios)
     rows = []
     per_scheme = {scheme: [] for scheme in schemes}
     for sc in scenarios:

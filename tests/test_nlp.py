@@ -2,7 +2,9 @@
 
 Reference problems with known optima (Rosenbrock, circle-constrained linear
 objective) plus a 3-step vehicle-tracking problem whose oracle is an
-exhaustive input-grid search.
+exhaustive input-grid search.  Each problem supplies its Lagrangian Hessian
+as the solver requires; the tracking problem uses Gauss-Newton on the
+dynamics, as the OBCA controller does.
 """
 
 import itertools
@@ -27,8 +29,19 @@ def rosenbrock(x):
     return f, g
 
 
+def rosenbrock_hess(x, nu, lam):
+    return np.array([
+        [2.0 - 400.0 * (x[1] - x[0] ** 2) + 800.0 * x[0] ** 2, -400.0 * x[0]],
+        [-400.0 * x[0], 200.0],
+    ])
+
+
+def constant_hess(h):
+    return lambda x, nu, lam: h
+
+
 def test_rosenbrock_unconstrained():
-    prob = NlpProblem(n=2, objective=rosenbrock)
+    prob = NlpProblem(n=2, objective=rosenbrock, lag_hess=rosenbrock_hess)
     sol = solve_nlp(prob, np.array([-1.2, 1.0]))
     assert sol.ok
     np.testing.assert_allclose(sol.x, [1.0, 1.0], atol=1e-5)
@@ -42,7 +55,10 @@ def test_circle_constrained_linear_objective():
     def eq(x):
         return np.array([x @ x - 1.0]), (2.0 * x).reshape(1, 2)
 
-    prob = NlpProblem(n=2, objective=obj, eq=eq)
+    def lag_hess(x, nu, lam):
+        return 2.0 * nu[0] * np.eye(2)
+
+    prob = NlpProblem(n=2, objective=obj, lag_hess=lag_hess, eq=eq)
     sol = solve_nlp(prob, np.array([0.0, -1.0]))
     assert sol.ok
     s = math.sqrt(2.0) / 2.0
@@ -56,7 +72,7 @@ def test_inequality_and_bounds():
             [2 * (x[0] - 2), 2 * (x[1] + 1)]
         )
 
-    prob = NlpProblem(n=2, objective=obj,
+    prob = NlpProblem(n=2, objective=obj, lag_hess=constant_hess(2.0 * np.eye(2)),
                       lower=np.array([-np.inf, 0.0]),
                       upper=np.array([1.0, np.inf]))
     sol = solve_nlp(prob, np.array([0.0, 1.0]))
@@ -67,18 +83,12 @@ def test_inequality_and_bounds():
 
 
 def test_optimal_implies_tolerances():
-    prob = NlpProblem(n=2, objective=rosenbrock)
+    prob = NlpProblem(n=2, objective=rosenbrock, lag_hess=rosenbrock_hess)
     opts = SqpOptions()
     sol = solve_nlp(prob, np.array([-1.2, 1.0]), opts)
     assert sol.ok
     assert sol.kkt_residual <= opts.tol_kkt
     assert sol.feas_residual <= opts.tol_feas
-
-
-def test_hessian_mode_validated():
-    assert SqpOptions(hessian="exact").hessian == "exact"
-    with pytest.raises(ValueError):
-        SqpOptions(hessian="constant")
 
 
 def test_infeasible_detected_by_restoration_stall():
@@ -89,9 +99,15 @@ def test_infeasible_detected_by_restoration_stall():
         # x0 >= 1 and x0 <= -1: empty.
         return np.array([1.0 - x[0], x[0] + 1.0]), np.array([[-1.0, 0.0], [1.0, 0.0]])
 
-    prob = NlpProblem(n=2, objective=obj, ineq=ineq)
+    prob = NlpProblem(n=2, objective=obj, lag_hess=constant_hess(2.0 * np.eye(2)),
+                      ineq=ineq)
     sol = solve_nlp(prob, np.zeros(2))
     assert sol.status == "infeasible"
+
+
+def disc_hess(x, nu, lam):
+    # (x0 - 3)^2 + x1^2 plus lam0 * (x . x - 1)
+    return 2.0 * (1.0 + lam[0]) * np.eye(2)
 
 
 def test_merit_non_increasing_on_accepted_steps():
@@ -101,7 +117,7 @@ def test_merit_non_increasing_on_accepted_steps():
     def ineq(x):
         return np.array([x[0] ** 2 + x[1] ** 2 - 1.0]), (2.0 * x).reshape(1, 2)
 
-    prob = NlpProblem(n=2, objective=obj, ineq=ineq)
+    prob = NlpProblem(n=2, objective=obj, lag_hess=disc_hess, ineq=ineq)
     opts = SqpOptions(collect_history=True)
     sol = solve_nlp(prob, np.array([-0.5, 0.8]), opts)
     assert sol.ok
@@ -119,7 +135,7 @@ def test_determinism_bit_identical():
     def ineq(x):
         return np.array([x[0] ** 2 + x[1] ** 2 - 1.0]), (2.0 * x).reshape(1, 2)
 
-    prob = NlpProblem(n=2, objective=obj, ineq=ineq)
+    prob = NlpProblem(n=2, objective=obj, lag_hess=disc_hess, ineq=ineq)
     runs = []
     for _ in range(2):
         sol = solve_nlp(prob, np.array([-0.5, 0.8]), SqpOptions(collect_history=True))
@@ -129,19 +145,31 @@ def test_determinism_bit_identical():
     assert runs[0].history == runs[1].history
 
 
-def test_iteration_log_stream():
-    import io
-
+def test_failed_line_search_stops_without_moving():
+    # The gradient points uphill, so no step along the subproblem's direction
+    # lowers the merit; a retry would rebuild the same subproblem.
     def obj(x):
-        return float(x @ x + x[0]), 2.0 * x + np.array([1.0, 0.0])
+        return float(x @ x), -2.0 * x
 
-    stream = io.StringIO()
-    sol = solve_nlp(NlpProblem(n=2, objective=obj), np.array([2.0, 2.0]),
-                    SqpOptions(log_stream=stream))
-    assert sol.ok
-    lines = [ln for ln in stream.getvalue().splitlines() if ln]
-    assert len(lines) >= 1
-    assert all(len(ln.split(",")) == 5 for ln in lines)
+    prob = NlpProblem(n=2, objective=obj, lag_hess=constant_hess(2.0 * np.eye(2)))
+    x0 = np.array([1.0, 1.0])
+    sol = solve_nlp(prob, x0, SqpOptions(collect_history=True))
+    assert sol.status == "max_iterations"
+    assert sol.iterations == 1
+    assert np.array_equal(sol.x, x0)
+    assert [rec[-1] for rec in sol.history] == ["ls-fail"]
+
+
+def test_non_finite_hessian_reports_numerical_failure():
+    def obj(x):
+        return float(x @ x), 2.0 * x
+
+    prob = NlpProblem(n=2, objective=obj, lag_hess=constant_hess(np.full((2, 2), np.inf)))
+    x0 = np.array([1.0, -0.5])
+    sol = solve_nlp(prob, x0)
+    assert sol.status == "numerical_failure"
+    assert not sol.ok
+    assert np.array_equal(sol.x, x0)
 
 
 # --- 3-step tracking problem vs. exhaustive input grid ----------------------
@@ -193,7 +221,11 @@ def build_tracking_nlp(z0, z_ref, n_steps, q_z, q_u):
         j = n_steps * nz + t * nu
         lo[j], hi[j] = -PARAMS.delta_max, PARAMS.delta_max
         lo[j + 1], hi[j + 1] = -PARAMS.a_max, PARAMS.a_max
-    return NlpProblem(n=n, objective=objective, eq=eq, lower=lo, upper=hi), z_at, u_at
+    # Exact objective Hessian; the dynamics rows are Gauss-Newton.
+    h_obj = np.diag(np.concatenate([np.tile(2.0 * q_z, n_steps), np.tile(2.0 * q_u, n_steps)]))
+    prob = NlpProblem(n=n, objective=objective, lag_hess=constant_hess(h_obj), eq=eq,
+                      lower=lo, upper=hi)
+    return prob, z_at, u_at
 
 
 def rollout_cost(z0, us, z_ref, q_z, q_u):

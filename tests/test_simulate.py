@@ -1,12 +1,16 @@
-"""Closed-loop tests for `run_closed_loop`.
+"""Tests for the simulation layer: closed loop, expert data and benchmark.
 
-Each run is capped at 30 control steps.  On the overtake the EV reaches its
-closest approach to the TV within those steps, so the MPC solves engage
-obstacle pairs and the SQP subproblems run warm-started from the previous
-active set.  The MPC horizon is shortened to 8 steps to keep the runs fast.
-Safety is audited with the exact body-to-obstacle distance the simulator
-logs at every step.
+Each closed-loop run is capped at 30 control steps.  On the overtake the EV
+reaches its closest approach to the TV within those steps, so the MPC solves
+engage obstacle pairs and the SQP subproblems run warm-started from the
+previous active set.  The MPC horizon is shortened to 8 steps to keep the
+runs fast.  Safety is audited with the exact body-to-obstacle distance the
+simulator logs at every step.  The dataset and benchmark tests use even
+shorter runs: they check bookkeeping and serialization, not driving.
 """
+
+import json
+import math
 
 import numpy as np
 import pytest
@@ -15,7 +19,17 @@ import tightnav.nlp
 from tightnav.obca import ControllerConfig, StrategyLabel
 from tightnav.predictor import MlpModel, N_HIDDEN, encode_features
 from tightnav.scenario import benchmark_suite, parked_tv_scenario
-from tightnav.simulate import AUDIT_SLACK, OUTCOME_COLLISION, run_closed_loop
+from tightnav.simulate import (
+    AUDIT_SLACK,
+    OUTCOME_COLLISION,
+    OUTCOME_TIMEOUT,
+    build_dataset,
+    generate_dataset,
+    run_benchmark,
+    run_closed_loop,
+    task_result_to_dict,
+    write_benchmark_csv,
+)
 from tightnav.supervisor import PolicyKind
 
 MAX_STEPS = 30
@@ -113,3 +127,68 @@ def test_sg_policy_and_reason_follow_prediction(logits, reasons):
         assert (log.sg_status != "skipped") == solved
         assert log.strategy == (int(StrategyLabel.PASS_LEFT) if solved else None)
         assert (log.policy == PolicyKind.SG_OBCA) == (log.reason == "guided")
+
+
+# --- expert dataset, benchmark summary and writers --------------------------
+
+def test_dataset_counts_generator_inputs():
+    x, y, manifest, records = generate_dataset(iter([parked_tv_scenario()]), CTRL,
+                                               n_steps=10)
+    assert manifest["n_scenarios"] == 1
+    assert manifest["n_rollouts"] == 1
+    assert manifest["n_discarded"] == 0
+    (rec,) = records
+    assert rec.n_steps == 10
+    x2, y2, again = build_dataset(iter([rec]), horizon=CTRL.horizon)
+    assert again["n_rollouts"] == 1
+    assert again["n_examples"] == rec.n_steps - CTRL.horizon + 1 == len(y2)
+    assert np.array_equal(x2, x) and np.array_equal(y2, y)
+
+
+@pytest.fixture(scope="module")
+def short_benchmark():
+    """One scheme on one scenario, cut after 5 steps; the scenarios come
+    from a generator."""
+    return run_benchmark((sc for sc in [parked_tv_scenario()]), None, CTRL,
+                         schemes=("bl",), max_steps=5)
+
+
+def test_benchmark_summary_of_timed_out_run(short_benchmark):
+    (row,) = short_benchmark.rows
+    assert row["scheme"] == "bl" and row["outcome"] == OUTCOME_TIMEOUT
+    assert row["iterations"] == 5
+    bl = short_benchmark.summary["bl"]
+    assert bl["n"] == 1 and bl["n_completed"] == 0
+    assert bl["failure_rate"] == 1.0
+    assert math.isnan(bl["iterations_median"])
+    joint = short_benchmark.summary["joint"]
+    assert joint["n"] == 0
+    assert math.isnan(joint["bl_iterations_median"])
+
+
+def test_benchmark_csv_round_trip(short_benchmark, tmp_path):
+    path = tmp_path / "bench.csv"
+    write_benchmark_csv(short_benchmark, str(path))
+    lines = path.read_text().splitlines()
+    assert lines[0] == "scenario,seed,scheme,outcome,iterations,min_distance"
+    assert len(lines) == 2
+    row = short_benchmark.rows[0]
+    fields = lines[1].split(",")
+    assert fields[:5] == [row["scenario"], str(row["seed"]), "bl", OUTCOME_TIMEOUT, "5"]
+    assert fields[5] == f"{row['min_distance']:.6f}"
+    assert len(fields[5].split(".")[1]) == 6
+    assert float(fields[5]) == pytest.approx(row["min_distance"], abs=5e-7)
+
+
+def test_task_result_json_round_trip():
+    res = run_closed_loop(parked_tv_scenario(), "bl", ctrl_config=CTRL, max_steps=5)
+    out = json.loads(json.dumps(task_result_to_dict(res)))
+    assert (out["scheme"], out["outcome"], out["iterations"]) == ("bl", res.outcome, 5)
+    assert out["min_distance"] == res.min_distance
+    assert len(out["steps"]) == len(res.logs) == 5
+    for step, log in zip(out["steps"], res.logs):
+        assert step["step"] == log.step
+        assert step["policy"] == log.policy.name
+        assert step["policy"] in PolicyKind.__members__
+        assert step["z"] == [float(v) for v in log.z]
+        assert step["u"] == [float(v) for v in log.u]
