@@ -4,7 +4,15 @@ Every subproblem uses the problem's exact Lagrangian Hessian at the current
 iterate and multipliers, convexified so the QP is strictly convex.  Steps
 are globalized by an l1 merit line search with a second-order correction.
 Subproblems go to the dense active-set QP in `qp`, warm-started from the
-previous subproblem's active rows; when a linearization is infeasible the
+previous subproblem's active rows.  The first subproblem of a solve starts
+from the caller's `warm_rows` hint, typically the working set of a related
+earlier solve; the solution carries the working set of the last subproblem
+as `active_rows`, so a caller can pass it on.  Both count inequality rows the
+solver's way: the rows of `problem.ineq` first, then the finite lower bounds
+in variable order, then the finite upper bounds in variable order.  A hint
+changes only the QP work, never the subproblem's answer: the QP skips rows
+that are out of range, repeated or dependent, and drops rows whose
+multipliers come out negative.  When a linearization is infeasible the
 solver switches to an elastic subproblem that minimizes the constraint
 violation, and declares the NLP infeasible when that restoration phase
 stalls.  A line search that finds no acceptable step ends the solve: the
@@ -63,6 +71,14 @@ class SqpOptions:
 
 @dataclass
 class NlpSolution:
+    """Final iterate, multipliers and residuals of one solve.
+
+    active_rows holds the working set of the last subproblem solved, in the
+    inequality-row numbering of the module docstring; when no subproblem
+    was solved it is the `warm_rows` hint the solve received (empty for
+    none).  Pass it as `warm_rows` to a related later solve.
+    """
+
     status: Status
     x: np.ndarray
     objective: float
@@ -74,6 +90,7 @@ class NlpSolution:
     feas_residual: float
     iterations: int
     history: list = field(default_factory=list)
+    active_rows: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=int))
 
     @property
     def ok(self) -> bool:
@@ -124,7 +141,15 @@ def _violation_inf(ce, ci):
     return max(v, 0.0)
 
 
-def solve_nlp(problem: NlpProblem, x0: np.ndarray, options: SqpOptions | None = None) -> NlpSolution:
+def solve_nlp(problem: NlpProblem, x0: np.ndarray, options: SqpOptions | None = None,
+              warm_rows: np.ndarray | None = None) -> NlpSolution:
+    """Solve the NLP from x0.
+
+    warm_rows: optional inequality-row indices (numbered as in the module
+    docstring) that seed the first subproblem's QP working set, typically
+    the `active_rows` of a related earlier solve.  Later subproblems start
+    from their predecessor's working set.
+    """
     opts = options or SqpOptions()
     n = problem.n
     x = np.asarray(x0, dtype=float).copy()
@@ -173,7 +198,7 @@ def solve_nlp(problem: NlpProblem, x0: np.ndarray, options: SqpOptions | None = 
     m_u = len(ci) - len(i_lo) - len(i_hi)
     lam = np.zeros(len(ci))
     nu = np.zeros(len(ce))
-    warm = None
+    warm = None if warm_rows is None else np.asarray(warm_rows, dtype=int).ravel()
     stall = 0
     best_viol = np.inf
     status: Status = "max_iterations"
@@ -356,6 +381,7 @@ def solve_nlp(problem: NlpProblem, x0: np.ndarray, options: SqpOptions | None = 
         feas_residual=r_feas,
         iterations=it,
         history=history,
+        active_rows=np.empty(0, dtype=int) if warm is None else warm,
     )
 
 

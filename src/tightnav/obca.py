@@ -11,6 +11,13 @@ region); the baseline variant omits those rows and is otherwise identical.
 Obstacle pairs far from the warm-start trajectory carry no decision
 variables; their separation is re-certified after the solve and the pair is
 promoted into the NLP if the optimizer moved the trajectory toward it.
+
+Consecutive control steps warm-start each other twice over: the previous
+plan, shifted one stage, is the primal initial guess, and the previous
+solve's final QP working set, shifted the same way, seeds the first SQP
+subproblem.  The working set travels as stage-independent row identities
+(`_StepNlp.row_keys`), because row numbers depend on which pairs are
+engaged and which stages carry strategy rows.
 """
 
 from __future__ import annotations
@@ -290,12 +297,33 @@ def dual_warm_start(z_guess, env: EnvironmentEncoding, params: VehicleParams):
     return lam, mu
 
 
+def _shift_keys(keys: list) -> list:
+    """Row keys (see `_StepNlp`) moved one stage earlier, for the next step.
+
+    Keys that leave the horizon get a stage no NLP has and are dropped when
+    translated back to rows.
+    """
+    return [(kind, t - 1, m, c) for kind, t, m, c in keys]
+
+
 class _StepNlp:
     """Index bookkeeping and callbacks for one horizon NLP.
 
     Variables: [z_1..z_N | u_0..u_{N-1} | (lam, mu) per engaged pair].
     Equalities: discretized dynamics, then dual stationarity per pair.
     Inequalities: clearance and normal-bound per pair, then strategy rows.
+
+    `row_keys` and `key_rows` translate between the solver's inequality-row
+    numbers (see `tightnav.nlp`) and row identities that do not depend on
+    the engaged pairs or the strategy rows.  A key is (kind, t, m, c):
+
+        ("clear" | "normal", t, m, 0)      clearance / normal-bound row of pair (t, m)
+        ("strat", t, -1, 0)                strategy row at stage t
+        ("z_lo" | "z_hi", t, -1, c)        bound on z_t[c]
+        ("u_lo" | "u_hi", t, -1, c)        bound on u_t[c]
+        ("dual_lo" | "dual_hi", t, m, c)   bound on dual component c of pair (t, m)
+
+    where dual components 0-3 are lam and 4-7 are mu.
     """
 
     def __init__(self, cfg: ControllerConfig, z0, u_prev, ref, env, pairs, strat_rows):
@@ -313,6 +341,7 @@ class _StepNlp:
         self.obs_b = [env.obstacles(t)[m].b for t, m in pairs]
         self.g_vec = body_g_vector(cfg.params)
         self.h_obj = self._objective_hessian()
+        self._bounds_index = None
 
     def _objective_hessian(self) -> np.ndarray:
         """Exact objective Hessian; the dual block carries the regularizer's ridge."""
@@ -414,6 +443,95 @@ class _StepNlp:
         lo[self.nz + self.nuv :] = 0.0
         return lo, hi
 
+    def _bound_rows(self):
+        """(i_lo, i_hi, lo_row, hi_row) for the finite variable bounds.
+
+        i_lo / i_hi list the bounded variables in the solver's row order;
+        lo_row / hi_row map a variable to its bound's row number, -1 if none.
+        """
+        if self._bounds_index is None:
+            lo, hi = self.bounds()
+            m_u = 2 * len(self.pairs) + len(self.strat)
+            i_lo = np.flatnonzero(np.isfinite(lo))
+            i_hi = np.flatnonzero(np.isfinite(hi))
+            lo_row = np.full(self.n, -1)
+            hi_row = np.full(self.n, -1)
+            lo_row[i_lo] = m_u + np.arange(len(i_lo))
+            hi_row[i_hi] = m_u + len(i_lo) + np.arange(len(i_hi))
+            self._bounds_index = (i_lo, i_hi, lo_row, hi_row)
+        return self._bounds_index
+
+    def _var_key(self, v: int, side: str) -> tuple:
+        if v < self.nz:
+            return ("z_" + side, v // 4 + 1, -1, v % 4)
+        v -= self.nz
+        if v < self.nuv:
+            return ("u_" + side, v // 2, -1, v % 2)
+        v -= self.nuv
+        t, m = self.pairs[v // 8]
+        return ("dual_" + side, t, m, v % 8)
+
+    def row_keys(self, rows) -> list:
+        """The identity of each inequality row number in `rows`."""
+        if not len(rows):
+            return []
+        n_pairs = len(self.pairs)
+        m_u = 2 * n_pairs + len(self.strat)
+        i_lo, i_hi, _, _ = self._bound_rows()
+        keys = []
+        for r in rows:
+            r = int(r)
+            if r < n_pairs:
+                keys.append(("clear", *self.pairs[r], 0))
+            elif r < 2 * n_pairs:
+                keys.append(("normal", *self.pairs[r - n_pairs], 0))
+            elif r < m_u:
+                keys.append(("strat", self.strat[r - 2 * n_pairs][0], -1, 0))
+            elif r < m_u + len(i_lo):
+                keys.append(self._var_key(int(i_lo[r - m_u]), "lo"))
+            else:
+                keys.append(self._var_key(int(i_hi[r - m_u - len(i_lo)]), "hi"))
+        return keys
+
+    def key_rows(self, keys) -> np.ndarray | None:
+        """Row numbers of the keys this NLP has, in key order; None for None.
+
+        Keys of stages outside the horizon, of pairs that are not engaged and
+        of stages without a strategy row name no row here and are dropped.
+        """
+        if keys is None:
+            return None
+        if not keys:
+            return np.empty(0, dtype=int)
+        n_h = self.cfg.horizon
+        n_pairs = len(self.pairs)
+        pair_index = {pair: j for j, pair in enumerate(self.pairs)}
+        strat_index = {t: i for i, (t, _) in enumerate(self.strat)}
+        _, _, lo_row, hi_row = self._bound_rows()
+        rows = []
+        for kind, t, m, c in keys:
+            row = -1
+            if kind == "strat":
+                if t in strat_index:
+                    row = 2 * n_pairs + strat_index[t]
+            elif kind in ("clear", "normal"):
+                if (t, m) in pair_index:
+                    row = pair_index[(t, m)] + (n_pairs if kind == "normal" else 0)
+            else:
+                block, side = kind.split("_")
+                v = -1
+                if block == "z" and 1 <= t <= n_h:
+                    v = self.zsl(t).start + c
+                elif block == "u" and 0 <= t < n_h:
+                    v = self.usl(t).start + c
+                elif block == "dual" and (t, m) in pair_index:
+                    v = self.dsl(pair_index[(t, m)])[0].start + c
+                if v >= 0:
+                    row = int((lo_row if side == "lo" else hi_row)[v])
+            if row >= 0:
+                rows.append(row)
+        return np.array(rows, dtype=int)
+
     def objective(self, x):
         cfg = self.cfg
         val = 0.0
@@ -507,9 +625,13 @@ class _StepNlp:
 class ObcaController:
     """Receding-horizon collision-avoidance controller with warm starting.
 
-    A single instance is sequential: it keeps the previous solution for the
-    one-step-shifted primal warm start.  Pass `step` so a gap in the call
-    sequence (another policy drove the vehicle) falls back to a cold start.
+    A single instance is sequential: it keeps the previous successful
+    solution and that solve's final QP working set, and shifts both one
+    stage to warm-start the next step (the plan as the primal guess, the
+    working set as the first subproblem's QP hint).  Later rounds of a step
+    start from the previous round's working set.  Pass `step` so a gap in
+    the call sequence (another policy drove the vehicle, or the last solve
+    failed) falls back to a cold start; `reset` forgets both.
     """
 
     def __init__(self, config: ControllerConfig | None = None):
@@ -522,6 +644,8 @@ class ObcaController:
         self._prev_step = None
 
     def _initial_guess(self, z0, step):
+        """(zs, us, keys): the previous plan and working-set keys shifted one
+        stage, or a zero-input rollout and no keys on a cold start."""
         cfg = self.config
         fresh = self._prev is None or (
             step is not None and self._prev_step is not None and step != self._prev_step + 1
@@ -529,12 +653,12 @@ class ObcaController:
         if fresh:
             us = np.zeros((cfg.horizon, 2))
             zs = rollout(z0, us, cfg.dt, cfg.params)
-            return zs, us
-        prev_zs, prev_us = self._prev
+            return zs, us, None
+        prev_zs, prev_us, prev_keys = self._prev
         us = np.vstack([prev_us[1:], prev_us[-1:]])
         z_tail = step_rk4(prev_zs[-1], prev_us[-1], cfg.dt, cfg.params)
         zs = np.vstack([z0[None, :], prev_zs[2:], z_tail[None, :]])
-        return zs, us
+        return zs, us, _shift_keys(prev_keys)
 
     def _braking_guess(self, z0):
         """Stop-as-fast-as-possible rollout; the safe fallback warm start."""
@@ -598,7 +722,7 @@ class ObcaController:
                 if t >= 1
             ]
 
-        zs_g, us_g = self._initial_guess(z0, step)
+        zs_g, us_g, keys = self._initial_guess(z0, step)
         if strat_rows and self._unreachable_strategy(z0, strat_rows):
             lam = np.zeros((n_h + 1, env.n_obstacles, 4))
             sol = MpcSolution(zs_g, us_g, lam, lam.copy(), "infeasible", strat_rows,
@@ -640,7 +764,13 @@ class ObcaController:
             prob = NlpProblem(n=builder.n, objective=builder.objective,
                               lag_hess=builder.lag_hess, eq=builder.eq,
                               ineq=builder.ineq, lower=lo, upper=hi)
-            sol = solve_nlp(prob, builder.pack(zs_g, us_g, dual_map), cfg.sqp)
+            # Round 1 starts from the previous step's working set, shifted;
+            # later rounds, braking restarts included, from the previous
+            # round's.  Keys this NLP lacks (stages that left the horizon,
+            # pairs no longer engaged) drop out.
+            sol = solve_nlp(prob, builder.pack(zs_g, us_g, dual_map), cfg.sqp,
+                            warm_rows=builder.key_rows(keys))
+            keys = builder.row_keys(sol.active_rows)
             iters += sol.iterations
             zs, us, dual_map = builder.unpack(sol.x)
             if sol.status != "optimal":
@@ -695,6 +825,6 @@ class ObcaController:
                    "wall_time": time.perf_counter() - t_begin},
         )
         if result.ok:
-            self._prev = (zs, us)
+            self._prev = (zs, us, keys)
             self._prev_step = step
         return result

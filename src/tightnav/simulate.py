@@ -14,7 +14,7 @@ from __future__ import annotations
 import logging
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -397,9 +397,7 @@ def run_benchmark(scenarios, model, ctrl_config: ControllerConfig | None = None,
     per_scheme = {scheme: [] for scheme in schemes}
     for sc in scenarios:
         for scheme in schemes:
-            cfg = ctrl_config
-            if cfg is not None and cfg.guided != (scheme == "sg"):
-                cfg = None
+            cfg = None if ctrl_config is None else replace(ctrl_config, guided=(scheme == "sg"))
             res = run_closed_loop(sc, scheme, model if scheme == "sg" else None,
                                   cfg, sup_config, max_steps)
             row = {

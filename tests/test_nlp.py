@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from tightnav.dynamics import VehicleParams, step_jacobians, step_rk4
+import tightnav.nlp
 from tightnav.nlp import NlpProblem, NlpSolution, SqpOptions, solve_nlp
 
 PARAMS = VehicleParams()
@@ -272,3 +273,87 @@ def test_three_step_mpc_matches_grid_oracle():
         u_nlp = u_at(sol.x, t)
         assert abs(u_nlp[0] - best_seq[t][0]) <= d_spacing + 1e-9
         assert abs(u_nlp[1] - best_seq[t][1]) <= a_spacing + 1e-9
+
+
+# --- warm-start hints ---------------------------------------------------------
+
+def inequality_row_count(prob: NlpProblem, x) -> int:
+    """Rows of `ineq`, then the finite lower bounds, then the finite upper bounds."""
+    m = len(prob.ineq(x)[0]) if prob.ineq is not None else 0
+    for bound in (prob.lower, prob.upper):
+        if bound is not None:
+            m += int(np.sum(np.isfinite(bound)))
+    return m
+
+
+def hinted_problems():
+    """(problem, x0) for problems above that have inequality rows, each
+    with some of them active at the solution."""
+    def box_obj(x):
+        return float((x[0] - 2) ** 2 + (x[1] + 1) ** 2), np.array(
+            [2 * (x[0] - 2), 2 * (x[1] + 1)])
+
+    box = NlpProblem(n=2, objective=box_obj, lag_hess=constant_hess(2.0 * np.eye(2)),
+                     lower=np.array([-np.inf, 0.0]), upper=np.array([1.0, np.inf]))
+
+    def disc_obj(x):
+        return float((x[0] - 3) ** 2 + x[1] ** 2), np.array([2 * (x[0] - 3), 2 * x[1]])
+
+    def disc_ineq(x):
+        return np.array([x[0] ** 2 + x[1] ** 2 - 1.0]), (2.0 * x).reshape(1, 2)
+
+    disc = NlpProblem(n=2, objective=disc_obj, lag_hess=disc_hess, ineq=disc_ineq)
+    # A reference speed out of reach saturates the acceleration bounds.
+    z_ref = np.array([[0.06 * t, 0.2 * t, 0.0, 3.0] for t in range(4)])
+    tracking, _, _ = build_tracking_nlp(np.array([0.0, 0.0, 0.0, 0.5]), z_ref, 3,
+                                        np.array([1.0, 1.0, 1.0, 10.0]), np.ones(2))
+    return [(box, np.array([0.0, 1.0])), (disc, np.array([-0.5, 0.8])),
+            (tracking, np.zeros(tracking.n))]
+
+
+@pytest.mark.parametrize("case", range(3))
+def test_warm_rows_change_work_not_answer(case):
+    prob, x0 = hinted_problems()[case]
+    cold = solve_nlp(prob, x0)
+    assert cold.ok and len(cold.active_rows) > 0
+    m = inequality_row_count(prob, x0)
+    garbage = np.concatenate([cold.active_rows, cold.active_rows, [-1, m, m + 7],
+                              np.arange(m)])
+    for hint in (cold.active_rows, garbage, np.empty(0, dtype=int)):
+        warm = solve_nlp(prob, x0, warm_rows=hint)
+        assert warm.status == cold.status
+        np.testing.assert_allclose(warm.x, cold.x, rtol=0.0, atol=1e-8)
+        assert np.all((warm.active_rows >= 0) & (warm.active_rows < m))
+
+
+def test_first_subproblem_receives_hint(monkeypatch):
+    prob, x0 = hinted_problems()[2]
+    cold = solve_nlp(prob, x0)
+    seen = []
+    solve_qp = tightnav.nlp.solve_qp
+
+    def recording(*args, **kwargs):
+        seen.append(kwargs.get("warm_rows"))
+        return solve_qp(*args, **kwargs)
+
+    monkeypatch.setattr(tightnav.nlp, "solve_qp", recording)
+    solve_nlp(prob, x0, warm_rows=cold.active_rows)
+    assert np.array_equal(seen[0], cold.active_rows)
+    seen.clear()
+    solve_nlp(prob, x0)
+    assert seen[0] is None
+
+
+def test_active_rows_echo_hint_when_no_subproblem_runs():
+    # Started at the unconstrained optimum inside the box, the solve stops
+    # before building a subproblem and hands the hint back unchanged.
+    def obj(x):
+        return float((x[0] - 0.5) ** 2 + x[1] ** 2), np.array([2 * (x[0] - 0.5), 2 * x[1]])
+
+    prob = NlpProblem(n=2, objective=obj, lag_hess=constant_hess(2.0 * np.eye(2)),
+                      lower=np.zeros(2) - 1.0, upper=np.ones(2))
+    x0 = np.array([0.5, 0.0])
+    sol = solve_nlp(prob, x0, warm_rows=np.array([3, 1]))
+    assert sol.ok and sol.iterations == 1
+    assert np.array_equal(sol.active_rows, [3, 1])
+    assert solve_nlp(prob, x0).active_rows.size == 0

@@ -4,11 +4,16 @@ The dual-feasibility oracle is direct substitution into the constraint
 system; trajectory safety is audited with the exact polytope distance.
 """
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import tightnav.nlp
+import tightnav.obca
 from tightnav.dynamics import VehicleParams, rollout, step_rk4
 from tightnav.geometry import Polytope, body_polytope, min_translation_distance, rotation_matrix
 from tightnav.obca import (
@@ -23,6 +28,8 @@ from tightnav.obca import (
     generate_strategy_constraints,
     lateral_direction,
     _face_certificates,
+    _shift_keys,
+    _StepNlp,
 )
 
 UNIT_PARAMS = VehicleParams(l_f=0.25, l_r=0.25, length=1.0, width=1.0)
@@ -407,3 +414,222 @@ def test_closed_loop_audit_min_distance():
         for obs in env.obstacles(0):
             assert min_translation_distance(obs, body) >= cfg.d_min - 1e-4
     assert z[0] > 0.9  # made real progress down the lane
+
+
+# --- QP working set carried across steps --------------------------------------
+
+def reference_row_keys(nlp):
+    """Every inequality row's key, by enumerating the rows in the solver's order."""
+    n_h = nlp.cfg.horizon
+    owners = [("z_{}", t, -1, nlp.zsl(t)) for t in range(1, n_h + 1)]
+    owners += [("u_{}", t, -1, nlp.usl(t)) for t in range(n_h)]
+    for j, (t, m) in enumerate(nlp.pairs):
+        lsl, msl = nlp.dsl(j)
+        owners.append(("dual_{}", t, m, slice(lsl.start, msl.stop)))
+
+    def var_key(v, side):
+        for kind, t, m, sl in owners:
+            if sl.start <= v < sl.stop:
+                return (kind.format(side), t, m, v - sl.start)
+        raise AssertionError(f"variable {v} has no owner")
+
+    lo, hi = nlp.bounds()
+    return ([("clear", t, m, 0) for t, m in nlp.pairs]
+            + [("normal", t, m, 0) for t, m in nlp.pairs]
+            + [("strat", t, -1, 0) for t, _ in nlp.strat]
+            + [var_key(v, "lo") for v in np.flatnonzero(np.isfinite(lo))]
+            + [var_key(v, "hi") for v in np.flatnonzero(np.isfinite(hi))])
+
+
+def step_nlp(horizon, n_obstacles, pairs, strat_stages):
+    """A horizon NLP over a static scene; only its index bookkeeping is used."""
+    cfg = ControllerConfig(guided=True, horizon=horizon)
+    boxes = [Polytope.from_box((1.0 + m, 0.0), 0.2, 0.1) for m in range(n_obstacles)]
+    env = EnvironmentEncoding([boxes] * (horizon + 1))
+    z0 = np.array([0.0, 0.0, 0.0, 0.5])
+    ref = straight_ref(z0, horizon, cfg.dt, cfg.params)
+    return _StepNlp(cfg, z0, np.zeros(2), ref, env, sorted(pairs),
+                    [(t, None) for t in sorted(strat_stages)])
+
+
+@st.composite
+def horizon_layouts(draw):
+    """(horizon, obstacle count, pairs and strategy stages of two NLPs)."""
+    horizon = draw(st.integers(1, 5))
+    n_obs = draw(st.integers(1, 3))
+    pair_space = [(t, m) for t in range(1, horizon + 1) for m in range(n_obs)]
+    stages = list(range(1, horizon + 1))
+    layouts = [(draw(st.sets(st.sampled_from(pair_space))),
+                draw(st.sets(st.sampled_from(stages)))) for _ in range(2)]
+    return horizon, n_obs, layouts
+
+
+@settings(max_examples=60, deadline=None)
+@given(horizon_layouts())
+def test_row_keys_round_trip(layout):
+    horizon, n_obs, layouts = layout
+    for pairs, stages in layouts:
+        nlp = step_nlp(horizon, n_obs, pairs, stages)
+        ref = reference_row_keys(nlp)
+        rows = np.arange(len(ref))
+        assert nlp.row_keys(rows) == ref
+        assert np.array_equal(nlp.key_rows(ref), rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(horizon_layouts(), st.data())
+def test_shifted_keys_drop_first_stage_and_disengaged_pairs(layout, data):
+    horizon, n_obs, ((pairs1, stages1), (pairs2, stages2)) = layout
+    before = step_nlp(horizon, n_obs, pairs1, stages1)
+    after = step_nlp(horizon, n_obs, pairs2, stages2)
+    ref_before, ref_after = reference_row_keys(before), reference_row_keys(after)
+    active = sorted(data.draw(st.sets(st.sampled_from(range(len(ref_before))))))
+    rows = after.key_rows(_shift_keys(before.row_keys(active)))
+    assert len(set(rows.tolist())) == len(rows)
+    assert np.all((rows >= 0) & (rows < len(ref_after)))
+    kept = []
+    for r in active:
+        kind, t, m, c = ref_before[r]
+        first = 0 if kind.startswith("u_") else 1
+        if t - 1 < first:
+            continue  # left the horizon
+        if kind in ("clear", "normal") or kind.startswith("dual_"):
+            if (t - 1, m) not in pairs2:
+                continue  # pair no longer engaged
+        if kind == "strat" and t - 1 not in stages2:
+            continue  # no strategy row at that stage
+        kept.append((kind, t - 1, m, c))
+    assert [ref_after[r] for r in rows] == kept
+
+
+def record_nlp_calls(monkeypatch, clear_hints=False, fail_call=None):
+    """Log (nlp, warm_rows, solution) for every NLP the controller solves.
+
+    clear_hints withholds every hint.  The solve numbered fail_call is
+    reported as not optimal, which sends the controller into a braking
+    restart when its start was not already the braking guess.
+    """
+    calls = []
+    solve_nlp = tightnav.obca.solve_nlp
+
+    def recording(prob, x0, options=None, warm_rows=None):
+        if clear_hints:
+            warm_rows = None
+        sol = solve_nlp(prob, x0, options, warm_rows=warm_rows)
+        calls.append((prob.ineq.__self__, warm_rows, sol))
+        if len(calls) - 1 == fail_call:
+            return dataclasses.replace(sol, status="max_iterations")
+        return sol
+
+    monkeypatch.setattr(tightnav.obca, "solve_nlp", recording)
+    return calls
+
+
+def record_qp_hints(monkeypatch):
+    hints = []
+    solve_qp = tightnav.nlp.solve_qp
+
+    def recording(*args, **kwargs):
+        hints.append(kwargs.get("warm_rows"))
+        return solve_qp(*args, **kwargs)
+
+    monkeypatch.setattr(tightnav.nlp, "solve_qp", recording)
+    return hints
+
+
+def offset_scene():
+    """Obstacle beside the reference line: the straight rollout clears it,
+    so the first step starts from that rollout, not the braking guess."""
+    tv = Polytope.from_box((1.1, 0.26), 0.28, 0.11)
+    env = static_env(tv, 21)
+    z0 = np.array([0.0, 0.0, 0.0, 0.6])
+    cfg = ControllerConfig(guided=False)
+    return tv, env, z0, straight_ref(z0, cfg.horizon, cfg.dt, cfg.params)
+
+
+def consecutive_steps(ctrl, scene=blocking_scene, steps=(0, 1), before=None):
+    """Solve the scene at each step number in `steps`, applying each plan's
+    first input; before(i), if given, runs ahead of the i-th solve."""
+    tv, env, z, _ = scene()
+    cfg = ctrl.config
+    global_ref = straight_ref(z, cfg.horizon + len(steps), cfg.dt, cfg.params)
+    u_prev = np.zeros(2)
+    sols = []
+    for i, k in enumerate(steps):
+        if before is not None:
+            before(i)
+        sol = ctrl.solve_step(z, u_prev, global_ref[i : i + cfg.horizon + 1], env, step=k)
+        assert sol.ok
+        sols.append(sol)
+        u_prev = sol.us[0]
+        z = step_rk4(z, u_prev, cfg.dt, cfg.params)
+    return sols
+
+
+def hinted_keys(nlp, rows):
+    ref = reference_row_keys(nlp)
+    return [ref[r] for r in rows]
+
+
+def shifted_into(nlp, keys):
+    """The keys one stage earlier that name a row of `nlp`."""
+    return {(kind, t - 1, m, c) for kind, t, m, c in keys} & set(reference_row_keys(nlp))
+
+
+def test_next_step_starts_from_shifted_working_set(monkeypatch):
+    calls = record_nlp_calls(monkeypatch)
+    qp_hints = record_qp_hints(monkeypatch)
+    starts = []
+    sols = consecutive_steps(ObcaController(ControllerConfig(guided=False)),
+                             before=lambda i: starts.append((len(calls), len(qp_hints))))
+    nlp1, _, last1 = calls[starts[1][0] - 1]
+    nlp2, hint2, _ = calls[starts[1][0]]
+    # The second step's first subproblem QP receives the hint.
+    assert hint2 is not None and len(hint2) > 0
+    assert np.array_equal(qp_hints[starts[1][1]], hint2)
+    # Every hinted row names a constraint the previous step's final working
+    # set held one stage later, and every such constraint the new NLP has
+    # is hinted.
+    keys1 = hinted_keys(nlp1, last1.active_rows)
+    keys2 = hinted_keys(nlp2, hint2)
+    shifted = [(kind, t - 1, m, c) for kind, t, m, c in keys1]
+    assert all(key in shifted for key in keys2)
+    assert set(keys2) == shifted_into(nlp2, keys1)
+    # The hint changes the work, not the answer.
+    monkeypatch.undo()
+    record_nlp_calls(monkeypatch, clear_hints=True)
+    cold = consecutive_steps(ObcaController(ControllerConfig(guided=False)))
+    np.testing.assert_allclose(sols[1].zs, cold[1].zs, rtol=0.0, atol=1e-6)
+    np.testing.assert_allclose(sols[1].us, cold[1].us, rtol=0.0, atol=1e-6)
+
+
+@pytest.mark.parametrize("interrupt", ["reset", "gap"])
+def test_reset_or_step_gap_starts_cold(monkeypatch, interrupt):
+    calls = record_nlp_calls(monkeypatch)
+    ctrl = ObcaController(ControllerConfig(guided=False))
+    starts = []
+
+    def before(i):
+        starts.append(len(calls))
+        if i == 1 and interrupt == "reset":
+            ctrl.reset()
+
+    consecutive_steps(ctrl, steps=(0, 1) if interrupt == "reset" else (0, 5), before=before)
+    assert calls[starts[0]][1] is None
+    assert calls[starts[1]][1] is None
+
+
+def test_braking_restart_reuses_previous_round_working_set(monkeypatch):
+    # Report the first solve as failed: the controller restarts from the
+    # braking guess in a second round.
+    calls = record_nlp_calls(monkeypatch, fail_call=0)
+    starts = []
+    sols = consecutive_steps(ObcaController(ControllerConfig(guided=False)), offset_scene,
+                             before=lambda i: starts.append(len(calls)))
+    assert starts == [0, 2] and sols[0].stats["rounds"] == 2
+    (nlp_a, _, failed), (nlp_b, hint_b, final), (nlp_c, hint_c, _) = calls[:3]
+    # The restart starts from the failed round's working set, unshifted ...
+    assert len(failed.active_rows) > 0
+    assert hinted_keys(nlp_b, hint_b) == hinted_keys(nlp_a, failed.active_rows)
+    # ... and the next step from the final round's, shifted one stage.
+    assert set(hinted_keys(nlp_c, hint_c)) == shifted_into(nlp_c, hinted_keys(nlp_b, final.active_rows))

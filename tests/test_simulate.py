@@ -16,12 +16,15 @@ import numpy as np
 import pytest
 
 import tightnav.nlp
+import tightnav.simulate
+from tightnav.dynamics import step_rk4
 from tightnav.obca import ControllerConfig, StrategyLabel
 from tightnav.predictor import MlpModel, N_HIDDEN, encode_features
-from tightnav.scenario import benchmark_suite, parked_tv_scenario
+from tightnav.scenario import Scenario, benchmark_suite, parked_tv_scenario
 from tightnav.simulate import (
     AUDIT_SLACK,
     OUTCOME_COLLISION,
+    OUTCOME_EMERGENCY,
     OUTCOME_TIMEOUT,
     build_dataset,
     generate_dataset,
@@ -30,7 +33,7 @@ from tightnav.simulate import (
     task_result_to_dict,
     write_benchmark_csv,
 )
-from tightnav.supervisor import PolicyKind
+from tightnav.supervisor import PolicyKind, SupervisorConfig, emergency_brake
 
 MAX_STEPS = 30
 CTRL = ControllerConfig(guided=False, horizon=8)
@@ -100,6 +103,40 @@ def test_parked_tv_safe_and_within_actuator_bounds():
     assert_safe_and_actuatable(res, CTRL)
 
 
+def head_on_scenario():
+    """A TV drives down the lane at the EV for 15 steps, then stops.
+
+    The safety controller cannot keep the clearance against the oncoming
+    TV, so the supervisor anticipates a collision while the EV still moves.
+    """
+    xs = 0.6 - 0.06 * np.arange(16)
+    tv = np.column_stack([xs, np.zeros(16), np.full(16, math.pi), np.r_[np.full(15, 0.6), 0.0]])
+    return Scenario(tv_traj=tv, ev_init=np.array([-1.0, 0.0, 0.0, 0.6]), name="head-on")
+
+
+def test_emergency_brake_latches_until_stopped():
+    res = run_closed_loop(head_on_scenario(), "bl", ctrl_config=CTRL, max_steps=MAX_STEPS)
+    assert_safe_and_actuatable(res, CTRL)
+    assert res.outcome == OUTCOME_EMERGENCY
+    kinds = [log.policy for log in res.logs]
+    first = kinds.index(PolicyKind.EMERGENCY_BRAKE)
+    assert res.logs[first].reason == "collision_anticipated"
+    braking = res.logs[first:]
+    assert len(braking) >= 3
+    sup = SupervisorConfig(params=CTRL.params)
+    for log in braking[1:]:
+        assert (log.policy, log.reason) == (PolicyKind.EMERGENCY_BRAKE, "latched")
+    for log in braking:
+        assert np.array_equal(log.u, emergency_brake(log.z, sup).as_array())
+    speeds = [abs(log.z[3]) for log in braking]
+    assert all(b <= a for a, b in zip(speeds, speeds[1:]))
+    assert speeds[-1] > 0.0
+    # The run ends on the first step that finds the EV at rest.
+    z_end = step_rk4(braking[-1].z, braking[-1].u, CTRL.dt, CTRL.params)
+    assert z_end[3] == 0.0
+    assert res.iterations == braking[-1].step + 1
+
+
 def constant_model(scenario, ctrl, logits):
     """Strategy model whose prediction is softmax(logits) on every input."""
     env = scenario.environment(ctrl.horizon + 1, ctrl.params)
@@ -164,6 +201,25 @@ def test_benchmark_summary_of_timed_out_run(short_benchmark):
     joint = short_benchmark.summary["joint"]
     assert joint["n"] == 0
     assert math.isnan(joint["bl_iterations_median"])
+
+
+def test_benchmark_runs_every_scheme_with_callers_config(monkeypatch):
+    configs = []
+
+    class Recording(tightnav.simulate.ObcaController):
+        def __init__(self, config=None):
+            super().__init__(config)
+            configs.append(self.config)
+
+    monkeypatch.setattr(tightnav.simulate, "ObcaController", Recording)
+    sc = parked_tv_scenario()
+    ctrl = ControllerConfig(guided=False, horizon=8, q_z=[2.0, 2.0, 2.0, 20.0], q_d=[30.0, 30.0])
+    run_benchmark([sc], constant_model(sc, ctrl, [5.0, 0.0, 0.0]), ctrl, schemes=("sg", "bl"),
+                  max_steps=2)
+    assert [cfg.guided for cfg in configs] == [True, False]
+    for cfg in configs:
+        assert cfg.horizon == 8
+        assert np.array_equal(cfg.q_z, ctrl.q_z) and np.array_equal(cfg.q_d, ctrl.q_d)
 
 
 def test_benchmark_csv_round_trip(short_benchmark, tmp_path):
