@@ -2,26 +2,18 @@
 
 State z = (x, y, psi, v): rear-axle-free center position, heading, speed.
 Input u = (delta_f, a): front steering angle and longitudinal acceleration.
-Internally everything operates on plain float64 arrays; `VehicleState` /
-`VehicleInput` are the user-facing views.
+States and inputs are plain float64 arrays of shape (4,) and (2,) throughout
+the package; headings are not wrapped.  `step_jacobians` returns the RK4
+step together with its Jacobians, so a caller that needs both integrates
+each stage once.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-
-TWO_PI = 2.0 * math.pi
-
-
-def wrap_angle(psi: float) -> float:
-    """Normalize an angle into (-pi, pi]."""
-    w = psi % TWO_PI
-    if w > math.pi:
-        w -= TWO_PI
-    return w
 
 
 @dataclass
@@ -51,39 +43,6 @@ class VehicleParams:
     def covering_radius(self) -> float:
         """Radius of the smallest disc covering the body, centered at z."""
         return 0.5 * math.hypot(self.length, self.width)
-
-
-@dataclass
-class VehicleState:
-    """Vehicle state with heading normalized to (-pi, pi] at construction."""
-
-    x: float
-    y: float
-    psi: float
-    v: float
-
-    def __post_init__(self):
-        self.psi = wrap_angle(self.psi)
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.psi, self.v], dtype=float)
-
-    @classmethod
-    def from_array(cls, z: np.ndarray) -> "VehicleState":
-        return cls(float(z[0]), float(z[1]), float(z[2]), float(z[3]))
-
-
-@dataclass
-class VehicleInput:
-    delta_f: float
-    a: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.delta_f, self.a], dtype=float)
-
-    @classmethod
-    def from_array(cls, u: np.ndarray) -> "VehicleInput":
-        return cls(float(u[0]), float(u[1]))
 
 
 def slip_angle(delta_f: float, params: VehicleParams) -> float:
@@ -138,10 +97,12 @@ def _derivative_jacobians(z, u, params):
 
 
 def step_jacobians(z: np.ndarray, u: np.ndarray, dt: float, params: VehicleParams):
-    """Exact Jacobians (d z_next / d z, d z_next / d u) of the RK4 step.
+    """(z_next, d z_next / d z, d z_next / d u) of the RK4 step.
 
-    Forward-mode chain rule through the four stages; matches step_rk4 to
-    machine precision (finite differences are a test oracle only).
+    z_next is bit-identical to step_rk4(z, u, dt, params): the same four
+    stages in the same order.  The Jacobians are exact, by the forward-mode
+    chain rule through those stages (finite differences are a test oracle
+    only).
     """
     k1 = continuous_derivative(z, u, params)
     z2 = z + 0.5 * dt * k1
@@ -149,6 +110,7 @@ def step_jacobians(z: np.ndarray, u: np.ndarray, dt: float, params: VehicleParam
     z3 = z + 0.5 * dt * k2
     k3 = continuous_derivative(z3, u, params)
     z4 = z + dt * k3
+    k4 = continuous_derivative(z4, u, params)
     eye = np.eye(4)
 
     a1, b1 = _derivative_jacobians(z, u, params)
@@ -165,9 +127,10 @@ def step_jacobians(z: np.ndarray, u: np.ndarray, dt: float, params: VehicleParam
     a4 = a4r @ j4
     b4 = b4r + a4r @ (dt * b3)
 
+    z_next = z + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     jz = eye + (dt / 6.0) * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
     ju = (dt / 6.0) * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-    return jz, ju
+    return z_next, jz, ju
 
 
 def rollout(z0: np.ndarray, inputs: np.ndarray, dt: float, params: VehicleParams) -> np.ndarray:

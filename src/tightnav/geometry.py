@@ -21,6 +21,10 @@ logger = logging.getLogger(__name__)
 
 # A face counts as active at a boundary point within this distance.
 _ACTIVE_TOL = 1e-9
+# Critical-boundary projection: the initial bracket beyond 4 radii (a lane
+# width at desk scale) and the bisection stopping width.
+BRACKET_HINT = 0.9
+PROJECTION_TOL = 1e-6
 
 
 class GeometryError(ValueError):
@@ -111,21 +115,6 @@ class Polytope:
         d = np.asarray(direction, float)
         return float(np.max(self.vertices() @ d))
 
-    def is_bounded(self) -> bool:
-        """Whether the face normals positively span the plane.
-
-        They do exactly when no angular gap between consecutive normal
-        directions reaches pi.  Emptiness is not checked here; `vertices`
-        raises for an empty polytope.
-        """
-        ang = np.sort(np.arctan2(self.A[:, 1], self.A[:, 0]))
-        gaps = np.diff(ang, append=ang[0] + 2.0 * math.pi)
-        return bool(np.max(gaps) < math.pi)
-
-    def validate(self) -> None:
-        if not self.is_bounded():
-            raise GeometryError("polytope is unbounded")
-
 
 @dataclass
 class Halfspace:
@@ -145,9 +134,6 @@ class Halfspace:
     def violation(self, p) -> float:
         """Positive when p is on the wrong side."""
         return self.offset - float(self.w @ np.asarray(p, float))
-
-    def satisfied(self, p, tol: float = 1e-9) -> bool:
-        return self.violation(p) <= tol
 
 
 def body_polytope(z, length: float, width: float) -> Polytope:
@@ -349,18 +335,13 @@ class CriticalRegion:
         return point_polytope_distance(p, self.base) <= self.radius + tol
 
 
-def project_to_critical_boundary(
-    p_ref,
-    region: CriticalRegion,
-    direction,
-    bracket_hint: float = 0.9,
-    tol: float = 1e-6,
-) -> np.ndarray:
+def project_to_critical_boundary(p_ref, region: CriticalRegion, direction) -> np.ndarray:
     """Smallest t >= 0 with dist(p_ref + t*d, base) = radius, via bisection.
 
     p_ref must lie inside the region.  The initial bracket upper end is
-    4*radius + bracket_hint (a lane width at desk scale) and grows
-    geometrically until the boundary crossing is bracketed.
+    4*radius + BRACKET_HINT (a lane width at desk scale) and grows
+    geometrically until the boundary crossing is bracketed; bisection stops
+    once the bracket is narrower than PROJECTION_TOL.
     """
     p_ref = np.asarray(p_ref, dtype=float)
     d = np.asarray(direction, dtype=float)
@@ -372,9 +353,9 @@ def project_to_critical_boundary(
     def g(t):
         return point_polytope_distance(p_ref + t * d, region.base) - region.radius
 
-    if g(0.0) > tol:
+    if g(0.0) > PROJECTION_TOL:
         raise GeometryError("reference point is outside the critical region")
-    t_hi = 4.0 * region.radius + bracket_hint
+    t_hi = 4.0 * region.radius + BRACKET_HINT
     expansions = 0
     while g(t_hi) <= 0.0:
         t_hi *= 2.0
@@ -382,7 +363,7 @@ def project_to_critical_boundary(
         if expansions > 40:
             raise GeometryError("no boundary crossing along projection ray")
     t_lo = 0.0
-    while t_hi - t_lo > tol:
+    while t_hi - t_lo > PROJECTION_TOL:
         mid = 0.5 * (t_lo + t_hi)
         if g(mid) <= 0.0:
             t_lo = mid

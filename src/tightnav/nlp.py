@@ -18,6 +18,10 @@ violation, and declares the NLP infeasible when that restoration phase
 stalls.  A line search that finds no acceptable step ends the solve: the
 next subproblem would be built from the same point and multipliers and fail
 the same way.  Identical inputs produce bit-identical iterate sequences.
+
+The solver takes no options.  Its tolerances, iteration cap, line-search
+and restoration constants are the module constants below, and every solve
+records its per-iteration history.
 """
 
 from __future__ import annotations
@@ -33,6 +37,24 @@ from .qp import solve_qp
 logger = logging.getLogger(__name__)
 
 Status = str  # "optimal" | "max_iterations" | "infeasible" | "numerical_failure"
+
+# Convergence: the KKT (stationarity and complementarity) and feasibility
+# residuals, both in the max norm, that count as optimal.
+TOL_KKT = 1e-4
+TOL_FEAS = 1e-6
+# SQP iterations per solve.  One OBCA control step runs up to
+# `tightnav.obca.MAX_ROUNDS` solves, so this is the cap that a per-step work
+# budget would replace.
+ITER_MAX = 100
+# Merit line search: Armijo sufficient-decrease fraction, step shrink factor
+# and trial count.
+ARMIJO = 1e-4
+BACKTRACK = 0.5
+LS_MAX = 30
+# Restoration: elastic iterations without a 0.1 % violation reduction before
+# the NLP is declared infeasible, and the l1 slack penalty.
+RESTORATION_STALL = 10
+ELASTIC_PENALTY = 1e4
 
 
 @dataclass
@@ -57,19 +79,6 @@ class NlpProblem:
 
 
 @dataclass
-class SqpOptions:
-    tol_kkt: float = 1e-4
-    tol_feas: float = 1e-6
-    iter_max: int = 100
-    armijo: float = 1e-4
-    backtrack: float = 0.5
-    ls_max: int = 30
-    restoration_stall: int = 10
-    elastic_penalty: float = 1e4
-    collect_history: bool = False
-
-
-@dataclass
 class NlpSolution:
     """Final iterate, multipliers and residuals of one solve.
 
@@ -77,6 +86,12 @@ class NlpSolution:
     inequality-row numbering of the module docstring; when no subproblem
     was solved it is the `warm_rows` hint the solve received (empty for
     none).  Pass it as `warm_rows` to a related later solve.
+
+    history holds one tuple per SQP iteration that took or tried a step:
+    (iteration, merit before, merit at the last trial, KKT residual,
+    feasibility residual, step length, kind), where kind is "qp" or
+    "elastic" for an accepted step and "ls-fail" or "elastic-fail" for the
+    line search that ended the solve.
     """
 
     status: Status
@@ -141,7 +156,7 @@ def _violation_inf(ce, ci):
     return max(v, 0.0)
 
 
-def solve_nlp(problem: NlpProblem, x0: np.ndarray, options: SqpOptions | None = None,
+def solve_nlp(problem: NlpProblem, x0: np.ndarray,
               warm_rows: np.ndarray | None = None) -> NlpSolution:
     """Solve the NLP from x0.
 
@@ -150,7 +165,6 @@ def solve_nlp(problem: NlpProblem, x0: np.ndarray, options: SqpOptions | None = 
     the `active_rows` of a related earlier solve.  Later subproblems start
     from their predecessor's working set.
     """
-    opts = options or SqpOptions()
     n = problem.n
     x = np.asarray(x0, dtype=float).copy()
     if x.shape != (n,):
@@ -215,10 +229,10 @@ def solve_nlp(problem: NlpProblem, x0: np.ndarray, options: SqpOptions | None = 
         r_comp = float(np.max(np.abs(lamv * civ))) if len(civ) else 0.0
         return max(r_stat, r_comp)
 
-    for it in range(1, opts.iter_max + 1):
+    for it in range(1, ITER_MAX + 1):
         r_kkt = kkt(g, Je, Ji, nu, lam, ce, ci)
         r_feas = _violation_inf(ce, ci)
-        if r_kkt <= opts.tol_kkt and r_feas <= opts.tol_feas:
+        if r_kkt <= TOL_KKT and r_feas <= TOL_FEAS:
             status = "optimal"
             break
 
@@ -247,7 +261,7 @@ def solve_nlp(problem: NlpProblem, x0: np.ndarray, options: SqpOptions | None = 
         if qp_sol is None or qp_sol.status != "optimal":
             elastic = True
             try:
-                qp_sol = _elastic_qp(B, g, Je, ce, Ji, ci, opts.elastic_penalty)
+                qp_sol = _elastic_qp(B, g, Je, ce, Ji, ci, ELASTIC_PENALTY)
             except (np.linalg.LinAlgError, ValueError):
                 status = "numerical_failure"
                 break
@@ -292,12 +306,12 @@ def solve_nlp(problem: NlpProblem, x0: np.ndarray, options: SqpOptions | None = 
         merit_try = merit0
         x_acc = x
         soc_tried = False
-        for _ in range(opts.ls_max):
+        for _ in range(LS_MAX):
             x_try = x + alpha * p
             f_try = problem.objective(x_try)[0]
             ce_t, ci_t = viol_only(x_try)
             merit_try = f_try + mu_pen * _violation_l1(ce_t, ci_t)
-            if merit_try <= merit0 + opts.armijo * alpha * deriv + 1e-12:
+            if merit_try <= merit0 + ARMIJO * alpha * deriv + 1e-12:
                 accepted = True
                 x_acc = x_try
                 break
@@ -318,20 +332,19 @@ def solve_nlp(problem: NlpProblem, x0: np.ndarray, options: SqpOptions | None = 
                     f_soc = problem.objective(x_soc)[0]
                     ce_s, ci_s = viol_only(x_soc)
                     m_soc = f_soc + mu_pen * _violation_l1(ce_s, ci_s)
-                    if m_soc <= merit0 + opts.armijo * deriv + 1e-12:
+                    if m_soc <= merit0 + ARMIJO * deriv + 1e-12:
                         accepted = True
                         x_acc = x_soc
                         merit_try = m_soc
                         break
-            alpha *= opts.backtrack
+            alpha *= BACKTRACK
         if not accepted:
             # The next subproblem would be built from the same x and
             # multipliers, so it would return the same step: stop here.  A
             # restoration step that cannot reduce the violation at all means
             # the constraints are locally inconsistent.
-            if opts.collect_history:
-                kind = "elastic-fail" if elastic else "ls-fail"
-                history.append((it, merit0, merit_try, r_kkt, r_feas, alpha, kind))
+            kind = "elastic-fail" if elastic else "ls-fail"
+            history.append((it, merit0, merit_try, r_kkt, r_feas, alpha, kind))
             status = "infeasible" if elastic else "max_iterations"
             break
 
@@ -351,16 +364,15 @@ def solve_nlp(problem: NlpProblem, x0: np.ndarray, options: SqpOptions | None = 
         x = x_acc
         fval, g, ce, Je, ci, Ji = eval_all(x)
         lam, nu = lam_new, nu_new
-        if opts.collect_history:
-            history.append((it, merit0, merit_try, r_kkt, r_feas, alpha,
-                            "elastic" if elastic else "qp"))
-        if stall >= opts.restoration_stall:
+        history.append((it, merit0, merit_try, r_kkt, r_feas, alpha,
+                        "elastic" if elastic else "qp"))
+        if stall >= RESTORATION_STALL:
             status = "infeasible"
             break
 
     r_kkt = kkt(g, Je, Ji, nu, lam, ce, ci)
     r_feas = _violation_inf(ce, ci)
-    if status == "max_iterations" and r_kkt <= opts.tol_kkt and r_feas <= opts.tol_feas:
+    if status == "max_iterations" and r_kkt <= TOL_KKT and r_feas <= TOL_FEAS:
         status = "optimal"
     lam_u = lam[:m_u] if len(ci) else np.zeros(0)
     mult_lower = np.zeros(n)

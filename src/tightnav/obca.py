@@ -24,13 +24,12 @@ from __future__ import annotations
 
 import logging
 import math
-import time
 from dataclasses import dataclass, field
 from enum import IntEnum
 
 import numpy as np
 
-from .dynamics import VehicleInput, VehicleParams, VehicleState, rollout, step_jacobians, step_rk4
+from .dynamics import VehicleParams, rollout, step_jacobians, step_rk4
 from .geometry import (
     CriticalRegion,
     GeometryError,
@@ -40,7 +39,7 @@ from .geometry import (
     project_to_critical_boundary,
     strategy_halfspace,
 )
-from .nlp import NlpProblem, SqpOptions, solve_nlp
+from .nlp import NlpProblem, solve_nlp
 
 logger = logging.getLogger(__name__)
 
@@ -53,6 +52,18 @@ BODY_G = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
 # least-norm certificate and restores strict convexity on the dual block; the
 # trajectory itself is unaffected because the clearance rows remain hard.
 DUAL_REG = 1e-4
+
+# Margin that makes the clearance inequality strict.
+EPS_STRICT = 1e-6
+# Pairs that the warm start or the reference brings closer than this get
+# dual variables; farther pairs keep a separation certificate.
+ENGAGE_DIST = 0.25
+# After a solve, a disengaged pair whose distance falls below d_min plus
+# this margin is promoted into the NLP for another round.
+REENGAGE_MARGIN = 2e-3
+# Solve rounds per control step: promotion rounds, and the count past which
+# a failed solve gets no braking restart.
+MAX_ROUNDS = 3
 
 
 class StrategyLabel(IntEnum):
@@ -126,6 +137,15 @@ class EnvironmentEncoding:
 
 @dataclass
 class ControllerConfig:
+    """The settable values of the whole control stack.
+
+    They pose the MPC problem: horizon, time step, clearance floor, tracking
+    weights, vehicle and whether strategy rows apply.  The supervisor's
+    safety controller, emergency brake and collision anticipation read
+    dt, d_min and params from here too, and the reference speed from the
+    `Scenario`; every other tuning value is a module constant.
+    """
+
     horizon: int = 20
     dt: float = 0.1
     d_min: float = 0.01
@@ -134,13 +154,12 @@ class ControllerConfig:
     q_d: np.ndarray = field(default_factory=lambda: np.array([50.0, 50.0]))
     params: VehicleParams = field(default_factory=VehicleParams)
     guided: bool = True
-    eps_strict: float = 1e-6  # margin making the clearance inequality strict
-    engage_dist: float = 0.25  # pairs closer than this get dual variables
-    reengage_margin: float = 2e-3
-    max_rounds: int = 3
-    sqp: SqpOptions = field(default_factory=SqpOptions)
 
     def __post_init__(self):
+        # The supervisor imports this module, so its brake gain is looked up
+        # when a config is built rather than at import time.
+        from .supervisor import K_BRAKE
+
         self.q_z = np.asarray(self.q_z, float).ravel()
         self.q_u = np.asarray(self.q_u, float).ravel()
         self.q_d = np.asarray(self.q_d, float).ravel()
@@ -154,8 +173,11 @@ class ControllerConfig:
             raise ValueError("input weights must be 2 positive entries")
         if self.q_d.shape != (2,) or np.any(self.q_d < 0):
             raise ValueError("rate weights must be 2 nonnegative entries")
-        if self.engage_dist <= self.d_min:
-            raise ValueError("engage distance must exceed d_min")
+        if ENGAGE_DIST <= self.d_min:
+            raise ValueError(f"d_min must be below the engage distance {ENGAGE_DIST}")
+        if K_BRAKE * self.dt > 1.0 + 1e-9:
+            raise ValueError("dt exceeds the safety controller's stability limit "
+                             f"1 / K_BRAKE = {1.0 / K_BRAKE}")
 
 
 @dataclass
@@ -276,25 +298,6 @@ def _seed_duals(obs: Polytope, z, params: VehicleParams, face_lam, face_mu):
     if dist <= 1e-6:
         lam, mu = face_lam, face_mu
     return dist, lam, mu
-
-
-def dual_warm_start(z_guess, env: EnvironmentEncoding, params: VehicleParams):
-    """Witness multipliers of the exact distance for every (step, obstacle) pair.
-
-    Returns (lam, mu) of shape (T, M, 4), feasible for the dual stationarity
-    and normal-bound constraints wherever the guessed body clears the
-    obstacle; overlapping pairs get zeros.
-    """
-    zs = np.asarray(z_guess, float)
-    if len(zs) > env.n_steps:
-        raise ValueError("guess is longer than the environment horizon")
-    m = env.n_obstacles
-    lam = np.zeros((len(zs), m, 4))
-    mu = np.zeros((len(zs), m, 4))
-    for t in range(len(zs)):
-        for j, obs in enumerate(env.obstacles(t)):
-            _, lam[t, j], mu[t, j] = _witness_duals(obs, zs[t], params)
-    return lam, mu
 
 
 def _shift_keys(keys: list) -> list:
@@ -572,8 +575,7 @@ class _StepNlp:
         prev = self.z0
         for t in range(n_h):
             ut = x[self.usl(t)]
-            pred = step_rk4(prev, ut, cfg.dt, cfg.params)
-            jz, ju = step_jacobians(prev, ut, cfg.dt, cfg.params)
+            pred, jz, ju = step_jacobians(prev, ut, cfg.dt, cfg.params)
             rows = slice(4 * t, 4 * t + 4)
             z_next = x[self.zsl(t + 1)]
             vals[rows] = z_next - pred
@@ -607,7 +609,7 @@ class _StepNlp:
             lam, mu = x[lsl], x[msl]
             psl = slice(self.zsl(t).start, self.zsl(t).start + 2)
             edge = self.obs_a[j] @ x[psl] - self.obs_b[j]
-            vals[j] = cfg.d_min + cfg.eps_strict - float(edge @ lam - self.g_vec @ mu)
+            vals[j] = cfg.d_min + EPS_STRICT - float(edge @ lam - self.g_vec @ mu)
             jac[j, psl] = -(self.obs_a[j].T @ lam)
             jac[j, lsl] = -edge
             jac[j, msl] = self.g_vec
@@ -697,20 +699,13 @@ class ObcaController:
                    strategy=None, step: int | None = None) -> MpcSolution:
         cfg = self.config
         n_h = cfg.horizon
-        if isinstance(z_k, VehicleState):
-            z_k = z_k.as_array()
         z0 = np.asarray(z_k, float).copy()
-        if u_prev is None:
-            u_prev = np.zeros(2)
-        elif isinstance(u_prev, VehicleInput):
-            u_prev = u_prev.as_array()
-        u_prev = np.asarray(u_prev, float).copy()
+        u_prev = np.zeros(2) if u_prev is None else np.asarray(u_prev, float).copy()
         ref = np.asarray(ref, float)
         if ref.shape != (n_h + 1, 4):
             raise ValueError(f"reference must be ({n_h + 1}, 4), got {ref.shape}")
         if env.n_steps < n_h + 1:
             raise ValueError("environment does not cover the horizon")
-        t_begin = time.perf_counter()
 
         strat_rows = []
         if cfg.guided and strategy is not None and StrategyLabel(strategy) != StrategyLabel.YIELD:
@@ -727,8 +722,7 @@ class ObcaController:
             lam = np.zeros((n_h + 1, env.n_obstacles, 4))
             sol = MpcSolution(zs_g, us_g, lam, lam.copy(), "infeasible", strat_rows,
                               {"iterations": 0, "rounds": 0, "engaged": 0,
-                               "cost": float("nan"), "precheck": True,
-                               "wall_time": time.perf_counter() - t_begin})
+                               "cost": float("nan"), "precheck": True})
             return sol
 
         # A warm start that penetrates an obstacle puts the solver in a region
@@ -746,11 +740,11 @@ class ObcaController:
         f_r = _face_certificates(env, ref, cfg.params)[0]
         dual_map = {}
         pairs = []
-        for t, m in np.argwhere(np.minimum(f_g, f_r)[1:] < cfg.engage_dist) + (1, 0):
+        for t, m in np.argwhere(np.minimum(f_g, f_r)[1:] < ENGAGE_DIST) + (1, 0):
             t, m = int(t), int(m)
             dist, lam_w, mu_w = _seed_duals(env.obstacles(t)[m], zs_g[t], cfg.params,
                                             lam_g[t, m], mu_g[t, m])
-            if dist < cfg.engage_dist or f_r[t, m] < cfg.engage_dist:
+            if dist < ENGAGE_DIST or f_r[t, m] < ENGAGE_DIST:
                 pairs.append((t, m))
                 dual_map[(t, m)] = (lam_w, mu_w)
 
@@ -768,13 +762,13 @@ class ObcaController:
             # later rounds, braking restarts included, from the previous
             # round's.  Keys this NLP lacks (stages that left the horizon,
             # pairs no longer engaged) drop out.
-            sol = solve_nlp(prob, builder.pack(zs_g, us_g, dual_map), cfg.sqp,
+            sol = solve_nlp(prob, builder.pack(zs_g, us_g, dual_map),
                             warm_rows=builder.key_rows(keys))
             keys = builder.row_keys(sol.active_rows)
             iters += sol.iterations
             zs, us, dual_map = builder.unpack(sol.x)
             if sol.status != "optimal":
-                if brake_start or rounds > cfg.max_rounds:
+                if brake_start or rounds > MAX_ROUNDS:
                     break
                 brake_start = True
                 zs_g, us_g = self._braking_guess(z0)
@@ -788,16 +782,16 @@ class ObcaController:
                 for m, obs in enumerate(env.obstacles(t)):
                     if (t, m) in engaged:
                         continue
-                    if f_s[t, m] >= cfg.d_min + cfg.reengage_margin:
+                    if f_s[t, m] >= cfg.d_min + REENGAGE_MARGIN:
                         certificates[(t, m)] = (lam_s[t, m], mu_s[t, m])
                         continue
                     dist, lam_w, mu_w = _seed_duals(obs, zs[t], cfg.params,
                                                     lam_s[t, m], mu_s[t, m])
                     certificates[(t, m)] = (lam_w, mu_w)
-                    if dist < cfg.d_min + cfg.reengage_margin:
+                    if dist < cfg.d_min + REENGAGE_MARGIN:
                         promote.append((t, m))
                         dual_map[(t, m)] = (lam_w, mu_w)
-            if not promote or rounds >= cfg.max_rounds:
+            if not promote or rounds >= MAX_ROUNDS:
                 break
             logger.debug("re-engaging %d obstacle pairs", len(promote))
             pairs = sorted(pairs + promote)
@@ -821,8 +815,7 @@ class ObcaController:
             zs=zs, us=us, lam=lam, mu=mu, status=sol.status, strategy_rows=strat_rows,
             stats={"iterations": iters, "rounds": rounds, "engaged": len(pairs),
                    "cost": sol.objective, "kkt": sol.kkt_residual,
-                   "feas": sol.feas_residual, "precheck": False,
-                   "wall_time": time.perf_counter() - t_begin},
+                   "feas": sol.feas_residual, "precheck": False},
         )
         if result.ok:
             self._prev = (zs, us, keys)

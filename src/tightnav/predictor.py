@@ -23,6 +23,10 @@ N_HIDDEN = 40
 N_OUT = 3
 # Constant features would otherwise divide by ~0 during standardization.
 SCALE_FLOOR = 1e-6
+# Labeling: an EV slower than LABEL_STOP_SPEED (m/s) near the TV for
+# LABEL_DWELL_TIME seconds before passing it counts as yielding.
+LABEL_STOP_SPEED = 0.01
+LABEL_DWELL_TIME = 2.0
 
 MODEL_FORMAT = "tightnav-mlp"
 MODEL_VERSION = 1
@@ -48,10 +52,6 @@ class MlpModel:
 class StrategyPrediction:
     scores: np.ndarray  # 3-simplex vector, StrategyLabel order
     label: StrategyLabel
-
-    @property
-    def confidence(self) -> float:
-        return float(self.scores[self.label])
 
 
 @dataclass
@@ -207,16 +207,15 @@ def evaluate(model: MlpModel, features, labels) -> float:
     return float(np.mean(pred == y))
 
 
-def label_rollout(ev_traj, tv_traj, params: VehicleParams, dt: float = 0.1,
-                  stop_speed: float = 0.01, dwell_time: float = 2.0) -> StrategyLabel:
+def label_rollout(ev_traj, tv_traj, params: VehicleParams, dt: float = 0.1) -> StrategyLabel:
     """Automatic strategy label from a pair of closed-loop trajectories.
 
     The pass event is the first step where the EV's longitudinal coordinate
     in the TV body frame exceeds the TV half-length; the sign of the lateral
     coordinate there picks PassLeft (+) or PassRight (-).  A rollout with no
     pass event yields, as does one that dwells near-stopped (speed below
-    `stop_speed` for at least `dwell_time` seconds) within two covering radii
-    of the TV before passing it.
+    LABEL_STOP_SPEED for at least LABEL_DWELL_TIME seconds) within two
+    covering radii of the TV before passing it.
     """
     ev = np.asarray(ev_traj, float)
     tv = np.asarray(tv_traj, float)
@@ -242,9 +241,9 @@ def label_rollout(ev_traj, tv_traj, params: VehicleParams, dt: float = 0.1,
     dwell = 0
     for t in range(scan_end):
         gap = math.hypot(ev[t, 0] - tv[t, 0], ev[t, 1] - tv[t, 1])
-        if abs(ev[t, 3]) < stop_speed and gap <= near:
+        if abs(ev[t, 3]) < LABEL_STOP_SPEED and gap <= near:
             dwell += 1
-            if dwell * dt >= dwell_time - 1e-9:
+            if dwell * dt >= LABEL_DWELL_TIME - 1e-9:
                 return StrategyLabel.YIELD
         else:
             dwell = 0

@@ -132,7 +132,6 @@ def solve_qp(
     C: np.ndarray | None = None,
     d: np.ndarray | None = None,
     warm_rows: np.ndarray | None = None,
-    max_iter: int | None = None,
 ) -> QpSolution:
     """Solve the QP; see module docstring for conventions.
 
@@ -219,7 +218,7 @@ def solve_qp(
         iters += 1
         x, u = _working_set_point(JT, R, x0, G[active], h[active])
 
-    limit = max_iter if max_iter is not None else 50 * (m_all + n + 1)
+    limit = 50 * (m_all + n + 1)
     status = "max_iterations"
 
     while iters < limit:

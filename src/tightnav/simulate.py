@@ -7,6 +7,11 @@ back to safety control or the emergency brake on the same terms.  The expert
 that generates training data is the baseline MPC with perfect preview of the
 TV trajectory plus a hold rule that defers to the safety controller whenever
 the previewed swept region closes the corridor ahead.
+
+A run has one source for each setting: the `ControllerConfig` gives the MPC
+and the supervisor their shared vehicle, time step and clearance floor, and
+the `Scenario` gives the time step it was built with and the reference speed
+that both the lane reference and safety control track.
 """
 
 from __future__ import annotations
@@ -26,7 +31,6 @@ from .predictor import encode_features, forward, label_rollout
 from .scenario import Scenario, lane_reference
 from .supervisor import (
     PolicyKind,
-    SupervisorConfig,
     anticipate_collision,
     emergency_brake,
     safety_control,
@@ -83,7 +87,6 @@ class RolloutRecord:
 
 
 def generate_expert_rollout(scenario: Scenario, ctrl_config: ControllerConfig | None = None,
-                            sup_config: SupervisorConfig | None = None,
                             n_steps: int = EXPERT_ROLLOUT_STEPS) -> RolloutRecord | None:
     """Drive the scenario with the previewing expert; None if the audit fails.
 
@@ -95,9 +98,9 @@ def generate_expert_rollout(scenario: Scenario, ctrl_config: ControllerConfig | 
     exact obstacle geometry afterwards.
     """
     ctrl = ctrl_config or ControllerConfig(guided=False)
-    sup = sup_config or SupervisorConfig(params=ctrl.params)
-    if abs(ctrl.dt - scenario.dt) > 1e-12 or abs(sup.dt - scenario.dt) > 1e-12:
-        raise ValueError("controller, supervisor, and scenario time steps differ")
+    if abs(ctrl.dt - scenario.dt) > 1e-12:
+        raise ValueError("controller and scenario time steps differ")
+    v_ref = scenario.v_ref
     n_h = ctrl.horizon
     n_env = n_steps + n_h + 1
     env = scenario.environment(n_env, ctrl.params)
@@ -111,16 +114,16 @@ def generate_expert_rollout(scenario: Scenario, ctrl_config: ControllerConfig | 
     for k in range(n_steps):
         if z[0] > scenario.lot.x_max:
             break
-        ref = lane_reference(z, n_h, scenario.dt, scenario.v_ref)
-        gate = safety_speed_target(z, tv_pad[k:], sup)
+        ref = lane_reference(z, n_h, scenario.dt, v_ref)
+        gate = safety_speed_target(z, tv_pad[k:], ctrl, v_ref)
         if gate < EXPERT_HOLD_SPEED:
-            u = safety_control(z, tv_pad[k:], ref, sup).as_array()
+            u = safety_control(z, tv_pad[k:], ref, ctrl, v_ref)
         else:
             sol = controller.solve_step(z, u_prev, ref, env.window(k, n_h + 1), step=k)
             if sol.ok:
                 u = sol.us[0]
             else:
-                u = safety_control(z, tv_pad[k:], ref, sup).as_array()
+                u = safety_control(z, tv_pad[k:], ref, ctrl, v_ref)
         z = step_rk4(z, u, scenario.dt, ctrl.params)
         states.append(z.copy())
         inputs.append(u)
@@ -182,7 +185,6 @@ def build_dataset(records, horizon: int = 20):
 
 
 def generate_dataset(scenarios, ctrl_config: ControllerConfig | None = None,
-                     sup_config: SupervisorConfig | None = None,
                      n_steps: int = EXPERT_ROLLOUT_STEPS):
     """Expert-drive every scenario and window the survivors into a dataset.
 
@@ -193,7 +195,7 @@ def generate_dataset(scenarios, ctrl_config: ControllerConfig | None = None,
     records = []
     discarded = 0
     for sc in scenarios:
-        rec = generate_expert_rollout(sc, ctrl_config, sup_config, n_steps)
+        rec = generate_expert_rollout(sc, ctrl_config, n_steps)
         if rec is None:
             discarded += 1
         else:
@@ -250,7 +252,6 @@ class TaskResult:
 
 def run_closed_loop(scenario: Scenario, scheme: str, model=None,
                     ctrl_config: ControllerConfig | None = None,
-                    sup_config: SupervisorConfig | None = None,
                     max_steps: int = 600) -> TaskResult:
     """Simulate one scenario under the supervised controller stack.
 
@@ -266,9 +267,9 @@ def run_closed_loop(scenario: Scenario, scheme: str, model=None,
     if scheme == "sg" and model is None:
         raise ValueError("the sg scheme needs a trained strategy model")
     ctrl = ctrl_config or ControllerConfig(guided=(scheme == "sg"))
-    sup = sup_config or SupervisorConfig(params=ctrl.params)
-    if abs(ctrl.dt - scenario.dt) > 1e-12 or abs(sup.dt - scenario.dt) > 1e-12:
-        raise ValueError("controller, supervisor, and scenario time steps differ")
+    if abs(ctrl.dt - scenario.dt) > 1e-12:
+        raise ValueError("controller and scenario time steps differ")
+    v_ref = scenario.v_ref
     p = ctrl.params
     n_h = ctrl.horizon
     n_env = max_steps + n_h + 1
@@ -301,7 +302,7 @@ def run_closed_loop(scenario: Scenario, scheme: str, model=None,
             iterations = k
             break
 
-        ref = lane_reference(z, n_h, scenario.dt, scenario.v_ref)
+        ref = lane_reference(z, n_h, scenario.dt, v_ref)
         scores = None
         strategy = None
         sg_status = None
@@ -309,19 +310,19 @@ def run_closed_loop(scenario: Scenario, scheme: str, model=None,
         if latched:
             policy, reason = PolicyKind.EMERGENCY_BRAKE, "latched"
         else:
-            danger = anticipate_collision(z, tv_pad[k : k + n_h + 1], ref, sup)
+            danger = anticipate_collision(z, tv_pad[k : k + n_h + 1], ref, ctrl, v_ref)
             if scheme == "sg":
                 pred = forward(model, encode_features(z, env.window(k, n_h + 1)))
                 scores = pred.scores
                 # Screen first with an assumed-optimal solve: when the
                 # prediction alone already rules the MPC out, skip the solve.
-                policy, reason = select_policy(pred, "optimal", danger, sup)
+                policy, reason = select_policy(pred, "optimal", danger)
                 if policy == PolicyKind.SG_OBCA:
                     sol = controller.solve_step(z, u_prev, ref, env.window(k, n_h + 1),
                                                 strategy=pred.label, step=k)
                     sg_status = sol.status
                     strategy = int(pred.label)
-                    policy, reason = select_policy(pred, sol.status, danger, sup)
+                    policy, reason = select_policy(pred, sol.status, danger)
                 else:
                     sg_status = "skipped"
             else:
@@ -339,9 +340,9 @@ def run_closed_loop(scenario: Scenario, scheme: str, model=None,
 
         if policy == PolicyKind.EMERGENCY_BRAKE:
             latched = True
-            u = emergency_brake(z, sup).as_array()
+            u = emergency_brake(z, ctrl)
         elif policy == PolicyKind.SAFETY_CONTROL:
-            u = safety_control(z, tv_pad[k:], ref, sup).as_array()
+            u = safety_control(z, tv_pad[k:], ref, ctrl, v_ref)
         else:
             u = np.array(sol.us[0], float)
         solve_time = time.perf_counter() - t_begin
@@ -381,7 +382,6 @@ def _scheme_summary(rows) -> dict:
 
 
 def run_benchmark(scenarios, model, ctrl_config: ControllerConfig | None = None,
-                  sup_config: SupervisorConfig | None = None,
                   schemes=SCHEMES, max_steps: int = 600,
                   progress=None) -> BenchmarkResult:
     """Run every scenario under every scheme and summarize the pairing.
@@ -399,7 +399,7 @@ def run_benchmark(scenarios, model, ctrl_config: ControllerConfig | None = None,
         for scheme in schemes:
             cfg = None if ctrl_config is None else replace(ctrl_config, guided=(scheme == "sg"))
             res = run_closed_loop(sc, scheme, model if scheme == "sg" else None,
-                                  cfg, sup_config, max_steps)
+                                  cfg, max_steps)
             row = {
                 "scenario": sc.name,
                 "seed": sc.seed,

@@ -5,19 +5,24 @@ strategy prediction is a confident pass and its NLP solved; a speed-profile
 safety controller covers every other regular situation, and an emergency
 brake (latched by the simulation loop) fires when even the safety controller
 cannot keep the required clearance over the prediction horizon.
+
+The supervisor has no settings of its own.  It shares the MPC's vehicle,
+time step and clearance floor through the `ControllerConfig` it is given,
+and tracks the scenario's reference speed `v_ref`, passed by the caller.
+Its gains, confidence threshold and corridor margins are the module
+constants below.  Inputs are returned as (delta_f, a) arrays.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from enum import IntEnum
 
 import numpy as np
 
-from .dynamics import VehicleInput, VehicleParams, VehicleState, step_rk4
+from .dynamics import VehicleParams, step_rk4
 from .geometry import body_polytope, min_translation_distance
-from .obca import StrategyLabel
+from .obca import ControllerConfig, StrategyLabel
 
 
 class PolicyKind(IntEnum):
@@ -26,59 +31,31 @@ class PolicyKind(IntEnum):
     EMERGENCY_BRAKE = 2
 
 
-@dataclass
-class SupervisorConfig:
-    xi: float = 0.75  # confidence threshold for trusting a pass prediction
-    k_speed: float = 2.0  # speed-servo gain, 1/s
-    k_brake: float = 8.0  # firmer gain when above the target speed
-    v_ref: float = 0.6
-    dt: float = 0.1
-    d_min: float = 0.01
-    params: VehicleParams = field(default_factory=VehicleParams)
-    # Engagement scale in covering radii: the braking allowance self-
-    # deactivates at about near_factor * r_EV for the default gains.
-    near_factor: float = 3.0
-    # Extra standoff behind a TV pose angled across the corridor: a turning
-    # or gear-changing vehicle sweeps roughly a turn radius, so following
-    # it at the straight-traffic distance is not safe.
-    maneuver_margin: float = 0.55
-    maneuver_angle: float = 0.15  # rad of relative heading that counts as angled
-    # Lateral reach of the forward corridor beyond the EV's own half-width:
-    # covers steering drift plus rotating bodies sweeping into the lane.
-    corridor_slack: float = 0.22
-    lookahead: float | None = None  # pure-pursuit distance; default 3 * length
-    brake_headroom: float = 0.5  # fraction of a_max the approach profile plans with
-
-    def __post_init__(self):
-        if not (1.0 / 3.0 < self.xi < 1.0):
-            raise ValueError("confidence threshold must lie in (1/3, 1)")
-        if self.k_speed <= 0 or self.k_brake <= 0 or self.dt <= 0 or self.d_min <= 0:
-            raise ValueError("gains, dt, and d_min must be positive")
-        if self.k_brake * self.dt > 1.0 + 1e-9:
-            raise ValueError("brake gain exceeds the discrete stability limit 1/dt")
-        if not (0.0 < self.brake_headroom <= 1.0):
-            raise ValueError("brake headroom must lie in (0, 1]")
-        if self.maneuver_margin < 0.0 or self.maneuver_angle <= 0.0:
-            raise ValueError("maneuver margin must be >= 0 and its angle positive")
-        if self.corridor_slack < 0.0:
-            raise ValueError("corridor slack must be nonnegative")
-        if self.lookahead is None:
-            self.lookahead = 3.0 * self.params.length
+# Confidence a pass prediction needs before the guided MPC may act.
+XI = 0.75
+# Speed servo gains, 1/s: gentle toward a higher target, firm toward a lower
+# one.  K_BRAKE * dt <= 1 keeps the discrete servo stable; `ControllerConfig`
+# checks it where dt is set.
+K_SPEED = 2.0
+K_BRAKE = 8.0
+# Extra standoff behind a TV pose angled across the corridor by more than
+# MANEUVER_ANGLE rad: a turning or gear-changing vehicle sweeps roughly a
+# turn radius, so following it at the straight-traffic distance is not safe.
+MANEUVER_MARGIN = 0.55
+MANEUVER_ANGLE = 0.15
+# Lateral reach of the forward corridor beyond the EV's own half-width:
+# covers steering drift plus rotating bodies sweeping into the lane.
+CORRIDOR_SLACK = 0.22
+# Fraction of a_max the approach profile plans to brake with.
+BRAKE_HEADROOM = 0.5
 
 
-def _as_state(z) -> np.ndarray:
-    if isinstance(z, VehicleState):
-        return z.as_array()
-    return np.asarray(z, float).ravel()
-
-
-def select_policy(pred, sg_status, collision_anticipated,
-                  config: SupervisorConfig) -> tuple[PolicyKind, str]:
+def select_policy(pred, sg_status, collision_anticipated) -> tuple[PolicyKind, str]:
     """One policy per step, with the reason: brake > guided MPC > safety control.
 
-    The guided MPC requires a confident pass-side prediction and an optimal
-    solve; a predicted yield, low confidence, or a failed solve each suffice
-    to fall back to safety control.
+    The guided MPC requires a pass-side prediction with confidence XI or
+    more and an optimal solve; a predicted yield, low confidence, or a failed
+    solve each suffice to fall back to safety control.
     """
     if collision_anticipated:
         return PolicyKind.EMERGENCY_BRAKE, "collision_anticipated"
@@ -86,7 +63,7 @@ def select_policy(pred, sg_status, collision_anticipated,
         return PolicyKind.SAFETY_CONTROL, "no_prediction"
     if pred.label == StrategyLabel.YIELD:
         return PolicyKind.SAFETY_CONTROL, "yield_predicted"
-    if float(np.max(pred.scores)) < config.xi:
+    if float(np.max(pred.scores)) < XI:
         return PolicyKind.SAFETY_CONTROL, "low_confidence"
     if sg_status != "optimal":
         return PolicyKind.SAFETY_CONTROL, "solver_not_optimal"
@@ -99,15 +76,15 @@ def _nearest_ref_index(ref: np.ndarray, p: np.ndarray) -> int:
     return int(np.argmin(d * d + e * e))
 
 
-def _pursuit_steering(z, ref, cfg: SupervisorConfig) -> float:
-    """Pure pursuit toward the reference point one lookahead distance ahead."""
-    p = cfg.params
+def _pursuit_steering(z, ref, p: VehicleParams) -> float:
+    """Pure pursuit toward the reference point three body lengths ahead."""
+    lookahead = 3.0 * p.length
     i0 = _nearest_ref_index(ref, z[:2])
     target = ref[-1, :2]
     dist = 0.0
     for j in range(i0 + 1, len(ref)):
         dist += float(np.hypot(*(ref[j, :2] - ref[j - 1, :2])))
-        if dist >= cfg.lookahead:
+        if dist >= lookahead:
             target = ref[j, :2]
             break
     dx, dy = target - z[:2]
@@ -125,11 +102,11 @@ def _tv_extent_along(heading: float, tv_psi: float, params: VehicleParams) -> fl
     return 0.5 * (abs(math.cos(rel)) * params.length + abs(math.sin(rel)) * params.width)
 
 
-def safety_speed_target(z_ev, tv_prediction, config: SupervisorConfig) -> float:
+def safety_speed_target(z_ev, tv_prediction, config: ControllerConfig, v_ref: float) -> float:
     """Speed cap that keeps the EV behind the TV's predicted swept region.
 
-    The cap is v_ref except when the TV currently sits inside the forward
-    corridor within `near_factor` covering radii.  Then the free distance is
+    The cap is the scenario's reference speed v_ref except when the TV
+    currently sits inside the forward corridor.  Then the free distance is
     measured to the closest point the TV's body will occupy in the corridor
     while closing on the EV, not just its current pose: a reverse-parking
     TV backs up toward its follower, and a standoff computed from the
@@ -140,24 +117,25 @@ def safety_speed_target(z_ev, tv_prediction, config: SupervisorConfig) -> float:
     Poses angled across the corridor carry an extra maneuver margin, since
     a turning vehicle sweeps roughly a turn radius.  The target is the TV's
     longitudinal speed plus a braking-distance allowance that vanishes at
-    the standoff point, so the EV settles at zero relative speed.
+    the standoff point, so the EV settles at zero relative speed.  The
+    clearance floor d_min and the vehicle come from `config`.
     """
-    cfg = config
-    p = cfg.params
-    z = _as_state(z_ev)
+    p = config.params
+    d_min = config.d_min
+    z = np.asarray(z_ev, float).ravel()
     tv = np.asarray(tv_prediction, float)
     if tv.ndim != 2 or len(tv) == 0:
         raise ValueError("TV prediction must be a nonempty state sequence")
 
     tv0 = tv[0]
     c, s = math.cos(z[2]), math.sin(z[2])
-    corridor_half = 0.5 * p.width + cfg.corridor_slack + 2.0 * cfg.d_min
+    corridor_half = 0.5 * p.width + CORRIDOR_SLACK + 2.0 * d_min
 
     # Free distance to the most intrusive predicted pose whose body can
     # reach the corridor, each measured with its own heading-aware extent.
-    # The allowance law below is inactive beyond roughly near_factor
-    # covering radii for the default gains, so no explicit range gate is
-    # needed; poses behind the EV or clear of the corridor never cap it.
+    # The allowance law below is inactive beyond roughly three covering
+    # radii for the default gains, so no explicit range gate is needed;
+    # poses behind the EV or clear of the corridor never cap it.
     def _pose_geometry(tvt):
         dxt, dyt = float(tvt[0]) - z[0], float(tvt[1]) - z[1]
         longi_t = c * dxt + s * dyt
@@ -167,15 +145,15 @@ def safety_speed_target(z_ev, tv_prediction, config: SupervisorConfig) -> float:
         return longi_t, in_corridor
 
     def _standoff(tvt):
-        out = 0.5 * p.length + _tv_extent_along(z[2], float(tvt[2]), p) + 3.0 * cfg.d_min
+        out = 0.5 * p.length + _tv_extent_along(z[2], float(tvt[2]), p) + 3.0 * d_min
         rel = math.atan2(math.sin(float(tvt[2]) - z[2]), math.cos(float(tvt[2]) - z[2]))
-        if abs(rel) > cfg.maneuver_angle:
-            out += cfg.maneuver_margin
+        if abs(rel) > MANEUVER_ANGLE:
+            out += MANEUVER_MARGIN
         return out
 
     longi_now, blocked_now = _pose_geometry(tv0)
     if not blocked_now:
-        return cfg.v_ref
+        return v_ref
     s_free = longi_now - _standoff(tv0)
     for tvt in tv[1:]:
         longi_t, in_corridor = _pose_geometry(tvt)
@@ -186,63 +164,63 @@ def safety_speed_target(z_ev, tv_prediction, config: SupervisorConfig) -> float:
     # Largest approach speed whose braking distance plus first-order servo
     # creep (v/k after the target hits zero) still fits in s_free:
     # v^2 / (2 a) + v / k <= s_free, solved for v.
-    a_eff = cfg.brake_headroom * p.a_max
-    k = cfg.k_brake
+    a_eff = BRAKE_HEADROOM * p.a_max
+    k = K_BRAKE
     v_allow = (a_eff / k) * (math.sqrt(1.0 + 2.0 * k * k * s_free / a_eff) - 1.0)
     v_long_tv = float(tv0[3]) * math.cos(float(tv0[2]) - z[2])
-    return max(0.0, min(cfg.v_ref, v_long_tv + v_allow))
+    return max(0.0, min(v_ref, v_long_tv + v_allow))
 
 
-def safety_control(z_ev, tv_prediction, ref, config: SupervisorConfig) -> VehicleInput:
-    """Centerline tracking with a speed profile that yields behind the TV.
+def safety_control(z_ev, tv_prediction, ref, config: ControllerConfig,
+                   v_ref: float) -> np.ndarray:
+    """Input (delta_f, a) for centerline tracking with a speed profile that
+    yields behind the TV.
 
     Steering is pure pursuit on the reference path; the speed target comes
     from `safety_speed_target`, so the EV settles behind a slow, stopped, or
     backing TV at zero relative speed instead of overrunning it.
     """
-    cfg = config
-    p = cfg.params
-    z = _as_state(z_ev)
+    p = config.params
+    z = np.asarray(z_ev, float).ravel()
     ref = np.asarray(ref, float)
-    delta = _pursuit_steering(z, ref, cfg)
-    v_tgt = safety_speed_target(z, tv_prediction, cfg)
+    delta = _pursuit_steering(z, ref, p)
+    v_tgt = safety_speed_target(z, tv_prediction, config, v_ref)
     # Asymmetric servo: gentle speed-up, firm slow-down, so the vehicle can
     # actually hold the decreasing approach profile instead of lagging it.
-    gain = cfg.k_brake if z[3] > v_tgt else cfg.k_speed
+    gain = K_BRAKE if z[3] > v_tgt else K_SPEED
     a = float(np.clip(gain * (v_tgt - z[3]), -p.a_max, p.a_max))
-    return VehicleInput(delta_f=delta, a=a)
+    return np.array([delta, a])
 
 
-def emergency_brake(z_ev, config: SupervisorConfig) -> VehicleInput:
-    """Straight-wheel maximal braking that lands exactly on v = 0."""
-    z = _as_state(z_ev)
-    v = float(z[3])
+def emergency_brake(z_ev, config: ControllerConfig) -> np.ndarray:
+    """Input (0, a) for straight-wheel maximal braking that lands exactly on
+    v = 0 within config.dt."""
+    v = float(np.asarray(z_ev, float).ravel()[3])
     if v == 0.0:
-        return VehicleInput(delta_f=0.0, a=0.0)
-    p = config.params
-    a = -math.copysign(min(p.a_max, abs(v) / config.dt), v)
-    return VehicleInput(delta_f=0.0, a=a)
+        return np.zeros(2)
+    a = -math.copysign(min(config.params.a_max, abs(v) / config.dt), v)
+    return np.array([0.0, a])
 
 
-def anticipate_collision(z_ev, tv_prediction, ref, config: SupervisorConfig) -> bool:
+def anticipate_collision(z_ev, tv_prediction, ref, config: ControllerConfig,
+                         v_ref: float) -> bool:
     """True when even the safety controller loses the clearance floor.
 
     Simulates the safety-control law forward against the TV prediction and
-    audits the exact body-to-body distance at every step, including the
-    current one.
+    audits the exact body-to-body distance against config.d_min at every
+    step, including the current one.
     """
-    cfg = config
-    p = cfg.params
-    z = _as_state(z_ev).copy()
+    p = config.params
+    z = np.asarray(z_ev, float).ravel().copy()
     tv = np.asarray(tv_prediction, float)
     if tv.ndim != 2 or len(tv) == 0:
         raise ValueError("TV prediction must be a nonempty state sequence")
     for t in range(len(tv)):
         ev_body = body_polytope(z, p.length, p.width)
         tv_body = body_polytope(tv[t], p.length, p.width)
-        if min_translation_distance(ev_body, tv_body) < cfg.d_min:
+        if min_translation_distance(ev_body, tv_body) < config.d_min:
             return True
         if t + 1 < len(tv):
-            u = safety_control(z, tv[t:], ref, cfg)
-            z = step_rk4(z, u.as_array(), cfg.dt, p)
+            u = safety_control(z, tv[t:], ref, config, v_ref)
+            z = step_rk4(z, u, config.dt, p)
     return False

@@ -12,15 +12,12 @@ import numpy as np
 import pytest
 
 from tightnav.dynamics import (
-    VehicleInput,
     VehicleParams,
-    VehicleState,
     continuous_derivative,
     rollout,
     slip_angle,
     step_jacobians,
     step_rk4,
-    wrap_angle,
 )
 
 PARAMS = VehicleParams()
@@ -102,7 +99,7 @@ def test_jacobians_match_finite_differences():
     rng = np.random.default_rng(7)
     for _ in range(100):
         z, u = sample_envelope(rng)
-        jz, ju = step_jacobians(z, u, DT, PARAMS)
+        _, jz, ju = step_jacobians(z, u, DT, PARAMS)
         jz_fd, ju_fd = fd_jacobians(z, u, DT, PARAMS)
         scale_z = np.maximum(np.abs(jz_fd), 1.0)
         scale_u = np.maximum(np.abs(ju_fd), 1.0)
@@ -126,22 +123,15 @@ def test_rigid_motion_equivariance():
     np.testing.assert_allclose(moved[:, 3], base[:, 3], atol=1e-12)
 
 
-def test_state_wraps_heading_at_construction():
-    st = VehicleState(0.0, 0.0, 3.5 * math.pi, 0.0)
-    assert -math.pi < st.psi <= math.pi
-    assert abs(st.psi - wrap_angle(3.5 * math.pi)) < 1e-15
-    # pi maps to pi (half-open interval).
-    assert VehicleState(0, 0, math.pi, 0).psi == pytest.approx(math.pi)
-    assert VehicleState(0, 0, -math.pi, 0).psi == pytest.approx(math.pi)
-
-
-def test_state_input_array_roundtrip():
-    st = VehicleState(1.0, 2.0, 0.5, -0.3)
-    np.testing.assert_allclose(VehicleState.from_array(st.as_array()).as_array(),
-                               st.as_array())
-    ui = VehicleInput(0.1, -0.4)
-    np.testing.assert_allclose(VehicleInput.from_array(ui.as_array()).as_array(),
-                               [0.1, -0.4])
+def test_jacobian_step_is_rk4_step_bit_for_bit():
+    # The MPC's dynamics rows take the step from step_jacobians, the
+    # closed loop from step_rk4; they must agree to the last bit.
+    rng = np.random.default_rng(19)
+    for _ in range(200):
+        z, u = sample_envelope(rng)
+        dt = rng.uniform(0.01, 0.2)
+        z_next = step_jacobians(z, u, dt, PARAMS)[0]
+        assert z_next.tobytes() == step_rk4(z, u, dt, PARAMS).tobytes()
 
 
 def test_params_validation_and_radius():

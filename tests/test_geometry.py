@@ -184,15 +184,6 @@ def test_empty_polytope_raises():
         empty.vertices()
 
 
-def test_boundedness_check():
-    box = Polytope.from_box([0, 0], 1, 1)
-    assert box.is_bounded()
-    wedge = Polytope(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]), np.ones(3))
-    assert not wedge.is_bounded()
-    with pytest.raises(GeometryError):
-        wedge.validate()
-
-
 def test_sat_intersection():
     P = Polytope.from_box([0, 0], 1, 1)
     assert polytopes_intersect(P, Polytope.from_box([1.5, 0], 1, 1))
@@ -285,7 +276,7 @@ def test_halfspace_normalization_and_violation():
     np.testing.assert_allclose(hs.w, [0.0, 1.0])
     assert abs(hs.offset - 2.0) < 1e-15
     assert hs.violation([0.0, 1.0]) == pytest.approx(1.0)
-    assert hs.satisfied([0.0, 3.0])
+    assert hs.violation([0.0, 3.0]) == pytest.approx(-1.0)
 
 
 def random_box_pair(rng):
@@ -400,13 +391,3 @@ def test_box_corners_match_face_intersection():
         # The same box from its faces alone: vertices by face intersection.
         np.testing.assert_allclose(P.vertices(), Polytope(P.A, P.b).vertices(), atol=1e-12)
 
-
-def test_boundedness_from_normals():
-    assert Polytope.from_box([3, -1], 0.2, 0.1, psi=2.0).is_bounded()
-    triangle = Polytope(np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]]), np.ones(3))
-    assert triangle.is_bounded()
-    strip = Polytope(np.array([[0.0, 1.0], [0.0, -1.0], [1.0, 0.1]]), np.ones(3))
-    assert not strip.is_bounded()
-    # Normals with a gap of exactly pi leave a ray unbounded.
-    half_strip = Polytope(np.array([[0.0, 1.0], [0.0, -1.0], [1.0, 0.0]]), np.ones(3))
-    assert not half_strip.is_bounded()

@@ -15,7 +15,7 @@ import pytest
 
 from tightnav.dynamics import VehicleParams, step_jacobians, step_rk4
 import tightnav.nlp
-from tightnav.nlp import NlpProblem, NlpSolution, SqpOptions, solve_nlp
+from tightnav.nlp import TOL_FEAS, TOL_KKT, NlpProblem, NlpSolution, solve_nlp
 
 PARAMS = VehicleParams()
 DT = 0.1
@@ -85,11 +85,10 @@ def test_inequality_and_bounds():
 
 def test_optimal_implies_tolerances():
     prob = NlpProblem(n=2, objective=rosenbrock, lag_hess=rosenbrock_hess)
-    opts = SqpOptions()
-    sol = solve_nlp(prob, np.array([-1.2, 1.0]), opts)
+    sol = solve_nlp(prob, np.array([-1.2, 1.0]))
     assert sol.ok
-    assert sol.kkt_residual <= opts.tol_kkt
-    assert sol.feas_residual <= opts.tol_feas
+    assert sol.kkt_residual <= TOL_KKT
+    assert sol.feas_residual <= TOL_FEAS
 
 
 def test_infeasible_detected_by_restoration_stall():
@@ -119,8 +118,7 @@ def test_merit_non_increasing_on_accepted_steps():
         return np.array([x[0] ** 2 + x[1] ** 2 - 1.0]), (2.0 * x).reshape(1, 2)
 
     prob = NlpProblem(n=2, objective=obj, lag_hess=disc_hess, ineq=ineq)
-    opts = SqpOptions(collect_history=True)
-    sol = solve_nlp(prob, np.array([-0.5, 0.8]), opts)
+    sol = solve_nlp(prob, np.array([-0.5, 0.8]))
     assert sol.ok
     np.testing.assert_allclose(sol.x, [1.0, 0.0], atol=1e-5)
     assert len(sol.history) > 0
@@ -139,7 +137,7 @@ def test_determinism_bit_identical():
     prob = NlpProblem(n=2, objective=obj, lag_hess=disc_hess, ineq=ineq)
     runs = []
     for _ in range(2):
-        sol = solve_nlp(prob, np.array([-0.5, 0.8]), SqpOptions(collect_history=True))
+        sol = solve_nlp(prob, np.array([-0.5, 0.8]))
         runs.append(sol)
     assert np.array_equal(runs[0].x, runs[1].x)
     assert runs[0].iterations == runs[1].iterations
@@ -154,7 +152,7 @@ def test_failed_line_search_stops_without_moving():
 
     prob = NlpProblem(n=2, objective=obj, lag_hess=constant_hess(2.0 * np.eye(2)))
     x0 = np.array([1.0, 1.0])
-    sol = solve_nlp(prob, x0, SqpOptions(collect_history=True))
+    sol = solve_nlp(prob, x0)
     assert sol.status == "max_iterations"
     assert sol.iterations == 1
     assert np.array_equal(sol.x, x0)
@@ -205,8 +203,7 @@ def build_tracking_nlp(z0, z_ref, n_steps, q_z, q_u):
         prev = z0
         for t in range(n_steps):
             ut = u_at(x, t)
-            pred = step_rk4(prev, ut, DT, PARAMS)
-            jz, ju = step_jacobians(prev, ut, DT, PARAMS)
+            pred, jz, ju = step_jacobians(prev, ut, DT, PARAMS)
             rows = slice(t * nz, (t + 1) * nz)
             vals[rows] = z_at(x, t + 1) - pred
             jac[rows, t * nz : (t + 1) * nz] = np.eye(nz)
@@ -252,7 +249,7 @@ def test_three_step_mpc_matches_grid_oracle():
     prev = z0
     for t in range(n_steps):
         x0[t * 4 : (t + 1) * 4] = prev
-    sol = solve_nlp(prob, x0, SqpOptions(iter_max=200))
+    sol = solve_nlp(prob, x0)
     assert sol.ok
 
     deltas = np.linspace(-PARAMS.delta_max, PARAMS.delta_max, 5)

@@ -24,12 +24,12 @@ from tightnav.obca import (
     ObcaController,
     StrategyLabel,
     body_g_vector,
-    dual_warm_start,
     generate_strategy_constraints,
     lateral_direction,
     _face_certificates,
     _shift_keys,
     _StepNlp,
+    _witness_duals,
 )
 
 UNIT_PARAMS = VehicleParams(l_f=0.25, l_r=0.25, length=1.0, width=1.0)
@@ -65,27 +65,26 @@ def straight_ref(z0, n, dt, params):
 
 # --- dual warm start --------------------------------------------------------
 
-def test_dual_warm_start_separated_boxes():
+def test_witness_duals_separated_boxes():
     obstacle = Polytope.from_box((3.0, 0.0), 0.5, 0.5)
-    env = static_env(obstacle, 1, with_walls=False)
     z = np.array([0.0, 0.0, 0.0, 0.0])
-    lam, mu = dual_warm_start([z], env, UNIT_PARAMS)
-    val, stat, nrm = dual_residuals(obstacle, z, lam[0, 0], mu[0, 0], UNIT_PARAMS)
+    dist, lam, mu = _witness_duals(obstacle, z, UNIT_PARAMS)
+    assert dist == pytest.approx(2.0, abs=1e-12)
+    val, stat, nrm = dual_residuals(obstacle, z, lam, mu, UNIT_PARAMS)
     assert val == pytest.approx(2.0, abs=1e-6)
     assert stat <= 1e-8
     assert nrm <= 1.0 + 1e-9
     assert np.all(lam >= 0) and np.all(mu >= 0)
 
 
-def test_dual_warm_start_overlap_gives_zero():
+def test_witness_duals_overlap_gives_zero():
     obstacle = Polytope.from_box((0.3, 0.0), 0.5, 0.5)
-    env = static_env(obstacle, 1, with_walls=False)
-    lam, mu = dual_warm_start([[0.0, 0.0, 0.0, 0.0]], env, UNIT_PARAMS)
+    _, lam, mu = _witness_duals(obstacle, [0.0, 0.0, 0.0, 0.0], UNIT_PARAMS)
     assert np.all(lam == 0.0)
     assert np.all(mu == 0.0)
 
 
-def test_dual_warm_start_random_pairs_feasible():
+def test_witness_duals_random_pairs_feasible():
     rng = np.random.default_rng(7)
     for _ in range(40):
         z = np.array([rng.uniform(-1, 1), rng.uniform(-1, 1),
@@ -94,22 +93,15 @@ def test_dual_warm_start_random_pairs_feasible():
             [math.cos(a := rng.uniform(0, 2 * math.pi)), math.sin(a)])
         obstacle = Polytope.from_box(center, rng.uniform(0.1, 0.6),
                                      rng.uniform(0.1, 0.6), rng.uniform(0, math.pi))
-        env = static_env(obstacle, 1, with_walls=False)
-        lam, mu = dual_warm_start([z], env, DESK)
-        val, stat, nrm = dual_residuals(obstacle, z, lam[0, 0], mu[0, 0], DESK)
+        witness, lam, mu = _witness_duals(obstacle, z, DESK)
+        val, stat, nrm = dual_residuals(obstacle, z, lam, mu, DESK)
         assert stat <= 1e-7
         assert nrm <= 1.0 + 1e-9
         dist = min_translation_distance(obstacle, body_polytope(z, DESK.length, DESK.width))
+        assert witness == pytest.approx(dist, abs=1e-12)
         if dist > 1e-6:
             # Strong duality: the clearance expression equals the distance.
             assert val == pytest.approx(dist, abs=1e-6)
-
-
-def test_dual_warm_start_rejects_short_environment():
-    obstacle = Polytope.from_box((3.0, 0.0), 0.5, 0.5)
-    env = static_env(obstacle, 2, with_walls=False)
-    with pytest.raises(ValueError):
-        dual_warm_start(np.zeros((5, 4)), env, DESK)
 
 
 def test_face_certificate_lower_bound_and_feasible():
@@ -512,10 +504,10 @@ def record_nlp_calls(monkeypatch, clear_hints=False, fail_call=None):
     calls = []
     solve_nlp = tightnav.obca.solve_nlp
 
-    def recording(prob, x0, options=None, warm_rows=None):
+    def recording(prob, x0, warm_rows=None):
         if clear_hints:
             warm_rows = None
-        sol = solve_nlp(prob, x0, options, warm_rows=warm_rows)
+        sol = solve_nlp(prob, x0, warm_rows=warm_rows)
         calls.append((prob.ineq.__self__, warm_rows, sol))
         if len(calls) - 1 == fail_call:
             return dataclasses.replace(sol, status="max_iterations")

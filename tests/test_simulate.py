@@ -9,6 +9,7 @@ simulator logs at every step.  The dataset and benchmark tests use even
 shorter runs: they check bookkeeping and serialization, not driving.
 """
 
+import dataclasses
 import json
 import math
 
@@ -33,7 +34,7 @@ from tightnav.simulate import (
     task_result_to_dict,
     write_benchmark_csv,
 )
-from tightnav.supervisor import PolicyKind, SupervisorConfig, emergency_brake
+from tightnav.supervisor import PolicyKind, emergency_brake
 
 MAX_STEPS = 30
 CTRL = ControllerConfig(guided=False, horizon=8)
@@ -123,11 +124,10 @@ def test_emergency_brake_latches_until_stopped():
     assert res.logs[first].reason == "collision_anticipated"
     braking = res.logs[first:]
     assert len(braking) >= 3
-    sup = SupervisorConfig(params=CTRL.params)
     for log in braking[1:]:
         assert (log.policy, log.reason) == (PolicyKind.EMERGENCY_BRAKE, "latched")
     for log in braking:
-        assert np.array_equal(log.u, emergency_brake(log.z, sup).as_array())
+        assert np.array_equal(log.u, emergency_brake(log.z, CTRL))
     speeds = [abs(log.z[3]) for log in braking]
     assert all(b <= a for a, b in zip(speeds, speeds[1:]))
     assert speeds[-1] > 0.0
@@ -164,6 +164,34 @@ def test_sg_policy_and_reason_follow_prediction(logits, reasons):
         assert (log.sg_status != "skipped") == solved
         assert log.strategy == (int(StrategyLabel.PASS_LEFT) if solved else None)
         assert (log.policy == PolicyKind.SG_OBCA) == (log.reason == "guided")
+
+
+def test_safety_control_tracks_the_scenario_reference_speed():
+    # A yield prediction hands every step to safety control; with the TV
+    # parked beside the lane it must settle on the scenario's v_ref, not
+    # on a speed of its own.
+    sc = dataclasses.replace(parked_tv_scenario(), v_ref=0.3)
+    ctrl = ControllerConfig(guided=True, horizon=8)
+    res = run_closed_loop(sc, "sg", constant_model(sc, ctrl, [0.0, 0.0, 5.0]),
+                          ctrl_config=ctrl, max_steps=MAX_STEPS)
+    assert {log.reason for log in res.logs} == {"yield_predicted"}
+    assert sc.ev_init[3] == 0.6
+    assert abs(res.logs[-1].z[3] - 0.3) < 1e-3
+    assert max(log.z[3] for log in res.logs[1:]) < 0.6
+
+
+def test_collision_anticipation_uses_the_controller_clearance_floor(monkeypatch):
+    floors = []
+    anticipate = tightnav.simulate.anticipate_collision
+
+    def recording(z, tv, ref, config, *rest):
+        floors.append(config.d_min)
+        return anticipate(z, tv, ref, config, *rest)
+
+    monkeypatch.setattr(tightnav.simulate, "anticipate_collision", recording)
+    ctrl = ControllerConfig(guided=False, horizon=8, d_min=0.02)
+    run_closed_loop(parked_tv_scenario(), "bl", ctrl_config=ctrl, max_steps=3)
+    assert floors == [0.02] * 3
 
 
 # --- expert dataset, benchmark summary and writers --------------------------
