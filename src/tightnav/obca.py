@@ -9,8 +9,9 @@ the horizon (pass-left / pass-right hyperplanes built from the critical
 region); the baseline variant omits those rows and is otherwise identical.
 
 Obstacle pairs far from the warm-start trajectory carry no decision
-variables; their separation is re-certified after the solve and the pair is
-promoted into the NLP if the optimizer moved the trajectory toward it.
+variables.  After each solve a promotion check measures the disengaged
+pairs against the new trajectory, and a pair the optimizer moved the
+trajectory toward joins the NLP for another round.
 
 Consecutive control steps warm-start each other twice over: the previous
 plan, shifted one stage, is the primal initial guess, and the previous
@@ -56,7 +57,7 @@ DUAL_REG = 1e-4
 # Margin that makes the clearance inequality strict.
 EPS_STRICT = 1e-6
 # Pairs that the warm start or the reference brings closer than this get
-# dual variables; farther pairs keep a separation certificate.
+# dual variables; farther pairs get none.
 ENGAGE_DIST = 0.25
 # After a solve, a disengaged pair whose distance falls below d_min plus
 # this margin is promoted into the NLP for another round.
@@ -182,17 +183,17 @@ class ControllerConfig:
 
 @dataclass
 class MpcSolution:
-    """One horizon solve: states, inputs, dual certificates, diagnostics.
+    """One horizon solve: the plan, its status, strategy rows and counters.
 
-    lam/mu have shape (N+1, M, 4).  Engaged pairs carry the optimizer's
-    duals; disengaged pairs carry an independently constructed separation
-    certificate; step 0 (the measured state) is all zeros.
+    zs has shape (N+1, 4) with zs[0] the measured state, us has shape (N, 2).
+    stats holds "iterations" (SQP iterations over all rounds), "rounds",
+    "engaged" (obstacle pairs in the last round's NLP), "cost" and
+    "precheck" (True when the unreachable-strategy screen answered without
+    solving).
     """
 
     zs: np.ndarray
     us: np.ndarray
-    lam: np.ndarray
-    mu: np.ndarray
     status: str
     strategy_rows: list
     stats: dict
@@ -326,7 +327,9 @@ class _StepNlp:
         ("u_lo" | "u_hi", t, -1, c)        bound on u_t[c]
         ("dual_lo" | "dual_hi", t, m, c)   bound on dual component c of pair (t, m)
 
-    where dual components 0-3 are lam and 4-7 are mu.
+    where dual components 0-3 are lam and 4-7 are mu.  Both read one table,
+    built the first time a non-empty row set or key list needs it: every
+    row's key in the solver's order, and each key's row.
     """
 
     def __init__(self, cfg: ControllerConfig, z0, u_prev, ref, env, pairs, strat_rows):
@@ -344,25 +347,24 @@ class _StepNlp:
         self.obs_b = [env.obstacles(t)[m].b for t, m in pairs]
         self.g_vec = body_g_vector(cfg.params)
         self.h_obj = self._objective_hessian()
-        self._bounds_index = None
+        self._table = None
 
     def _objective_hessian(self) -> np.ndarray:
-        """Exact objective Hessian; the dual block carries the regularizer's ridge."""
+        """Exact objective Hessian; the dual block carries the regularizer's ridge.
+
+        The input block is tridiagonal by stage: the rate term couples u_t
+        to u_{t+1}, and every stage but the last carries two rate terms.
+        """
         cfg = self.cfg
-        h = np.zeros((self.n, self.n))
-        for t in range(1, cfg.horizon + 1):
-            sl = self.zsl(t)
-            h[sl, sl] = np.diag(2.0 * cfg.q_z)
-        for t in range(cfg.horizon):
-            sl = self.usl(t)
-            h[sl, sl] += np.diag(2.0 * cfg.q_u + 2.0 * cfg.q_d)
-            if t + 1 < cfg.horizon:
-                nxt = self.usl(t + 1)
-                h[sl, sl] += np.diag(2.0 * cfg.q_d)
-                h[sl, nxt] = np.diag(-2.0 * cfg.q_d)
-                h[nxt, sl] = np.diag(-2.0 * cfg.q_d)
-        base = self.nz + self.nuv
-        h[base:, base:] = 2.0 * DUAL_REG * np.eye(self.n - base)
+        n_h = cfg.horizon
+        diag = np.full(self.n, 2.0 * DUAL_REG)
+        diag[: self.nz] = np.tile(2.0 * cfg.q_z, n_h)
+        u_diag = diag[self.nz : self.nz + self.nuv]
+        u_diag[:] = np.tile(2.0 * cfg.q_u + 2.0 * cfg.q_d, n_h)
+        u_diag[:-2] += np.tile(2.0 * cfg.q_d, n_h - 1)
+        h = np.diag(diag)
+        rate = np.arange(self.nz, self.nz + self.nuv - 2)
+        h[rate, rate + 2] = h[rate + 2, rate] = np.tile(-2.0 * cfg.q_d, n_h - 1)
         return h
 
     def lag_hess(self, x, nu, lam_rows):
@@ -381,15 +383,15 @@ class _StepNlp:
             base = self.zsl(t).start
             psl = slice(base, base + 2)
             psi_i = base + 2
-            sig = float(lam_rows[j]) if j < len(lam_rows) else 0.0
+            sig = float(lam_rows[j])
             if sig:
                 h[psl, lsl] -= sig * a_mat.T
                 h[lsl, psl] -= sig * a_mat
-            eta = float(lam_rows[n_pairs + j]) if n_pairs + j < len(lam_rows) else 0.0
+            eta = float(lam_rows[n_pairs + j])
             if eta:
                 h[lsl, lsl] += 2.0 * eta * (a_mat @ a_mat.T)
             nu_j = nu[4 * n_h + 2 * j : 4 * n_h + 2 * j + 2]
-            if len(nu_j) == 2 and (nu_j[0] != 0.0 or nu_j[1] != 0.0):
+            if nu_j[0] != 0.0 or nu_j[1] != 0.0:
                 psi = float(x[psi_i])
                 c, s = math.cos(psi), math.sin(psi)
                 rot_t = np.array([[c, s], [-s, c]])
@@ -433,68 +435,42 @@ class _StepNlp:
         return zs, us, duals
 
     def bounds(self):
+        """(lo, hi): speed bounds on every z_t, actuator bounds on every u_t,
+        nonnegative duals."""
         p = self.cfg.params
+        n_h = self.cfg.horizon
         lo = np.full(self.n, -np.inf)
         hi = np.full(self.n, np.inf)
-        for t in range(1, self.cfg.horizon + 1):
-            lo[self.zsl(t).start + 3] = p.v_min
-            hi[self.zsl(t).start + 3] = p.v_max
-        for t in range(self.cfg.horizon):
-            sl = self.usl(t)
-            lo[sl.start], hi[sl.start] = -p.delta_max, p.delta_max
-            lo[sl.start + 1], hi[sl.start + 1] = -p.a_max, p.a_max
+        lo[3 : self.nz : 4] = p.v_min
+        hi[3 : self.nz : 4] = p.v_max
+        lo[self.nz : self.nz + self.nuv] = np.tile([-p.delta_max, -p.a_max], n_h)
+        hi[self.nz : self.nz + self.nuv] = np.tile([p.delta_max, p.a_max], n_h)
         lo[self.nz + self.nuv :] = 0.0
         return lo, hi
 
-    def _bound_rows(self):
-        """(i_lo, i_hi, lo_row, hi_row) for the finite variable bounds.
-
-        i_lo / i_hi list the bounded variables in the solver's row order;
-        lo_row / hi_row map a variable to its bound's row number, -1 if none.
-        """
-        if self._bounds_index is None:
-            lo, hi = self.bounds()
-            m_u = 2 * len(self.pairs) + len(self.strat)
-            i_lo = np.flatnonzero(np.isfinite(lo))
-            i_hi = np.flatnonzero(np.isfinite(hi))
-            lo_row = np.full(self.n, -1)
-            hi_row = np.full(self.n, -1)
-            lo_row[i_lo] = m_u + np.arange(len(i_lo))
-            hi_row[i_hi] = m_u + len(i_lo) + np.arange(len(i_hi))
-            self._bounds_index = (i_lo, i_hi, lo_row, hi_row)
-        return self._bounds_index
-
-    def _var_key(self, v: int, side: str) -> tuple:
-        if v < self.nz:
-            return ("z_" + side, v // 4 + 1, -1, v % 4)
-        v -= self.nz
-        if v < self.nuv:
-            return ("u_" + side, v // 2, -1, v % 2)
-        v -= self.nuv
-        t, m = self.pairs[v // 8]
-        return ("dual_" + side, t, m, v % 8)
+    def _row_table(self):
+        """(keys, rows): every inequality row's key in the solver's order,
+        and the row number of each key."""
+        if self._table is None:
+            n_h = self.cfg.horizon
+            var = [("z_", t, -1, c) for t in range(1, n_h + 1) for c in range(4)]
+            var += [("u_", t, -1, c) for t in range(n_h) for c in range(2)]
+            var += [("dual_", t, m, c) for t, m in self.pairs for c in range(8)]
+            keys = ([("clear", t, m, 0) for t, m in self.pairs]
+                    + [("normal", t, m, 0) for t, m in self.pairs]
+                    + [("strat", t, -1, 0) for t, _ in self.strat])
+            for side, bound in zip(("lo", "hi"), self.bounds()):
+                keys += [(block + side, t, m, c) for (block, t, m, c), finite
+                         in zip(var, np.isfinite(bound).tolist()) if finite]
+            self._table = (keys, {key: r for r, key in enumerate(keys)})
+        return self._table
 
     def row_keys(self, rows) -> list:
         """The identity of each inequality row number in `rows`."""
         if not len(rows):
             return []
-        n_pairs = len(self.pairs)
-        m_u = 2 * n_pairs + len(self.strat)
-        i_lo, i_hi, _, _ = self._bound_rows()
-        keys = []
-        for r in rows:
-            r = int(r)
-            if r < n_pairs:
-                keys.append(("clear", *self.pairs[r], 0))
-            elif r < 2 * n_pairs:
-                keys.append(("normal", *self.pairs[r - n_pairs], 0))
-            elif r < m_u:
-                keys.append(("strat", self.strat[r - 2 * n_pairs][0], -1, 0))
-            elif r < m_u + len(i_lo):
-                keys.append(self._var_key(int(i_lo[r - m_u]), "lo"))
-            else:
-                keys.append(self._var_key(int(i_hi[r - m_u - len(i_lo)]), "hi"))
-        return keys
+        keys = self._row_table()[0]
+        return [keys[int(r)] for r in rows]
 
     def key_rows(self, keys) -> np.ndarray | None:
         """Row numbers of the keys this NLP has, in key order; None for None.
@@ -506,34 +482,8 @@ class _StepNlp:
             return None
         if not keys:
             return np.empty(0, dtype=int)
-        n_h = self.cfg.horizon
-        n_pairs = len(self.pairs)
-        pair_index = {pair: j for j, pair in enumerate(self.pairs)}
-        strat_index = {t: i for i, (t, _) in enumerate(self.strat)}
-        _, _, lo_row, hi_row = self._bound_rows()
-        rows = []
-        for kind, t, m, c in keys:
-            row = -1
-            if kind == "strat":
-                if t in strat_index:
-                    row = 2 * n_pairs + strat_index[t]
-            elif kind in ("clear", "normal"):
-                if (t, m) in pair_index:
-                    row = pair_index[(t, m)] + (n_pairs if kind == "normal" else 0)
-            else:
-                block, side = kind.split("_")
-                v = -1
-                if block == "z" and 1 <= t <= n_h:
-                    v = self.zsl(t).start + c
-                elif block == "u" and 0 <= t < n_h:
-                    v = self.usl(t).start + c
-                elif block == "dual" and (t, m) in pair_index:
-                    v = self.dsl(pair_index[(t, m)])[0].start + c
-                if v >= 0:
-                    row = int((lo_row if side == "lo" else hi_row)[v])
-            if row >= 0:
-                rows.append(row)
-        return np.array(rows, dtype=int)
+        rows = self._row_table()[1]
+        return np.array([rows[key] for key in keys if key in rows], dtype=int)
 
     def objective(self, x):
         cfg = self.cfg
@@ -719,11 +669,9 @@ class ObcaController:
 
         zs_g, us_g, keys = self._initial_guess(z0, step)
         if strat_rows and self._unreachable_strategy(z0, strat_rows):
-            lam = np.zeros((n_h + 1, env.n_obstacles, 4))
-            sol = MpcSolution(zs_g, us_g, lam, lam.copy(), "infeasible", strat_rows,
-                              {"iterations": 0, "rounds": 0, "engaged": 0,
-                               "cost": float("nan"), "precheck": True})
-            return sol
+            return MpcSolution(zs_g, us_g, "infeasible", strat_rows,
+                               {"iterations": 0, "rounds": 0, "engaged": 0,
+                                "cost": float("nan"), "precheck": True})
 
         # A warm start that penetrates an obstacle puts the solver in a region
         # where the dual rows cannot express an escape direction; fall back to
@@ -736,7 +684,7 @@ class ObcaController:
             f_g, lam_g, mu_g = _face_certificates(env, zs_g, cfg.params)
 
         # Engage only pairs that either the warm start or the reference comes
-        # close to; far pairs keep a certificate instead of decision variables.
+        # close to; far pairs get no decision variables.
         f_r = _face_certificates(env, ref, cfg.params)[0]
         dual_map = {}
         pairs = []
@@ -750,7 +698,6 @@ class ObcaController:
 
         rounds = 0
         iters = 0
-        certificates = {}
         while True:
             rounds += 1
             builder = _StepNlp(cfg, z0, u_prev, ref, env, pairs, strat_rows)
@@ -774,23 +721,22 @@ class ObcaController:
                 zs_g, us_g = self._braking_guess(z0)
                 dual_map = self._reseed(pairs, zs_g, env)
                 continue
-            certificates = {}
+            # Promotion check: a face certificate's value bounds the distance
+            # from below, so only disengaged pairs under the threshold need
+            # the exact distance.
             promote = []
             engaged = set(pairs)
+            threshold = cfg.d_min + REENGAGE_MARGIN
             f_s, lam_s, mu_s = _face_certificates(env, zs, cfg.params)
-            for t in range(1, n_h + 1):
-                for m, obs in enumerate(env.obstacles(t)):
-                    if (t, m) in engaged:
-                        continue
-                    if f_s[t, m] >= cfg.d_min + REENGAGE_MARGIN:
-                        certificates[(t, m)] = (lam_s[t, m], mu_s[t, m])
-                        continue
-                    dist, lam_w, mu_w = _seed_duals(obs, zs[t], cfg.params,
-                                                    lam_s[t, m], mu_s[t, m])
-                    certificates[(t, m)] = (lam_w, mu_w)
-                    if dist < cfg.d_min + REENGAGE_MARGIN:
-                        promote.append((t, m))
-                        dual_map[(t, m)] = (lam_w, mu_w)
+            for t, m in np.argwhere(f_s[1:] < threshold) + (1, 0):
+                t, m = int(t), int(m)
+                if (t, m) in engaged:
+                    continue
+                dist, lam_w, mu_w = _seed_duals(env.obstacles(t)[m], zs[t], cfg.params,
+                                                lam_s[t, m], mu_s[t, m])
+                if dist < threshold:
+                    promote.append((t, m))
+                    dual_map[(t, m)] = (lam_w, mu_w)
             if not promote or rounds >= MAX_ROUNDS:
                 break
             logger.debug("re-engaging %d obstacle pairs", len(promote))
@@ -802,20 +748,10 @@ class ObcaController:
             zs_g, us_g = zs, us
             brake_start = False
 
-        m_obs = env.n_obstacles
-        lam = np.zeros((n_h + 1, m_obs, 4))
-        mu = np.zeros((n_h + 1, m_obs, 4))
-        if sol.status == "optimal":
-            for (t, m), (lam_c, mu_c) in certificates.items():
-                lam[t, m], mu[t, m] = lam_c, mu_c
-        for (t, m), (lam_e, mu_e) in dual_map.items():
-            lam[t, m], mu[t, m] = lam_e, mu_e
-
         result = MpcSolution(
-            zs=zs, us=us, lam=lam, mu=mu, status=sol.status, strategy_rows=strat_rows,
+            zs=zs, us=us, status=sol.status, strategy_rows=strat_rows,
             stats={"iterations": iters, "rounds": rounds, "engaged": len(pairs),
-                   "cost": sol.objective, "kkt": sol.kkt_residual,
-                   "feas": sol.feas_residual, "precheck": False},
+                   "cost": sol.objective, "precheck": False},
         )
         if result.ok:
             self._prev = (zs, us, keys)

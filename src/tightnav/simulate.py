@@ -1,12 +1,15 @@
 """Closed-loop simulation: expert rollouts, dataset assembly, policy benchmark.
 
-Two controller schemes run on identical scenarios.  `sg` consults the
-strategy predictor each step and wraps the guided MPC in the policy
-supervisor; `bl` runs the same MPC without strategy constraints and falls
-back to safety control or the emergency brake on the same terms.  The expert
-that generates training data is the baseline MPC with perfect preview of the
-TV trajectory plus a hold rule that defers to the safety controller whenever
-the previewed swept region closes the corridor ahead.
+Two controller schemes run on identical scenarios and share one per-step
+path: anticipate collisions, screen with `supervisor.select_policy`, solve
+the MPC if the screen allows it, and select again on the solve's status.
+`sg` consults the strategy predictor each step and solves the guided MPC;
+`bl` passes no prediction, solves the same MPC without strategy
+constraints, and falls back to safety control or the emergency brake on
+the same terms.  The expert that generates training data is the baseline
+MPC with perfect preview of the TV trajectory plus a hold rule that defers
+to the safety controller whenever the previewed swept region closes the
+corridor ahead.
 
 A run has one source for each setting: the `ControllerConfig` gives the MPC
 and the supervisor their shared vehicle, time step and clearance floor, and
@@ -256,11 +259,14 @@ def run_closed_loop(scenario: Scenario, scheme: str, model=None,
     """Simulate one scenario under the supervised controller stack.
 
     Each step: audit the exact clearance, check task completion, then let
-    the supervisor pick exactly one policy.  Under `sg` the strategy
-    predictor screens the step first, so the MPC is only solved when a
-    confident pass prediction makes it eligible; under `bl` the MPC is
-    solved unguided and safety control covers failed solves.  An emergency
-    brake, once selected, stays latched until the vehicle stops.
+    the supervisor pick exactly one policy.  Both schemes screen the step
+    with `select_policy` before solving, so the MPC is only solved when
+    no collision is anticipated and, under `sg`, a confident pass
+    prediction makes it eligible; under `bl` the prediction is None and
+    the MPC is solved unguided.  Safety control covers failed solves.  An
+    emergency brake, once selected, stays latched until the vehicle stops.
+    A run that reaches `max_steps` audits the state its last input reached
+    as well, so a final-state hit is a collision.
     """
     if scheme not in SCHEMES:
         raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
@@ -311,32 +317,22 @@ def run_closed_loop(scenario: Scenario, scheme: str, model=None,
             policy, reason = PolicyKind.EMERGENCY_BRAKE, "latched"
         else:
             danger = anticipate_collision(z, tv_pad[k : k + n_h + 1], ref, ctrl, v_ref)
+            pred = None
             if scheme == "sg":
                 pred = forward(model, encode_features(z, env.window(k, n_h + 1)))
                 scores = pred.scores
-                # Screen first with an assumed-optimal solve: when the
-                # prediction alone already rules the MPC out, skip the solve.
-                policy, reason = select_policy(pred, "optimal", danger)
-                if policy == PolicyKind.SG_OBCA:
-                    sol = controller.solve_step(z, u_prev, ref, env.window(k, n_h + 1),
-                                                strategy=pred.label, step=k)
-                    sg_status = sol.status
+            # Screen first with an assumed-optimal solve: when the danger
+            # check or the prediction alone rules the MPC out, skip the solve.
+            policy, reason = select_policy(pred, "optimal", danger)
+            if policy == PolicyKind.SG_OBCA:
+                if pred is not None:
                     strategy = int(pred.label)
-                    policy, reason = select_policy(pred, sol.status, danger)
-                else:
-                    sg_status = "skipped"
-            else:
-                sol = None
-                if danger:
-                    policy, reason = PolicyKind.EMERGENCY_BRAKE, "collision_anticipated"
-                else:
-                    sol = controller.solve_step(z, u_prev, ref, env.window(k, n_h + 1),
-                                                step=k)
-                    sg_status = sol.status
-                    if sol.ok:
-                        policy, reason = PolicyKind.SG_OBCA, "nominal"
-                    else:
-                        policy, reason = PolicyKind.SAFETY_CONTROL, "solver_not_optimal"
+                sol = controller.solve_step(z, u_prev, ref, env.window(k, n_h + 1),
+                                            strategy=strategy, step=k)
+                sg_status = sol.status
+                policy, reason = select_policy(pred, sol.status, danger)
+            elif pred is not None:
+                sg_status = "skipped"
 
         if policy == PolicyKind.EMERGENCY_BRAKE:
             latched = True
@@ -353,6 +349,12 @@ def run_closed_loop(scenario: Scenario, scheme: str, model=None,
                             solve_time=solve_time))
         z = step_rk4(z, u, scenario.dt, p)
         u_prev = u
+    else:
+        # A timed-out run still answers for the state its last input reached.
+        hit, dist = _clearance(z, env.obstacles(max_steps), p)
+        min_dist = min(min_dist, dist)
+        if hit:
+            outcome = OUTCOME_COLLISION
 
     return TaskResult(scheme=scheme, scenario_name=scenario.name, seed=scenario.seed,
                       outcome=outcome, iterations=iterations,

@@ -1,10 +1,12 @@
 """Policy supervision: guided-MPC gating, safety control, emergency brake.
 
 Per control step exactly one policy acts.  The guided MPC runs only when the
-strategy prediction is a confident pass and its NLP solved; a speed-profile
-safety controller covers every other regular situation, and an emergency
-brake (latched by the simulation loop) fires when even the safety controller
-cannot keep the required clearance over the prediction horizon.
+strategy prediction is a confident pass and its NLP solved; the unguided
+baseline, which has no prediction, runs the MPC whenever it solved.  A
+speed-profile safety controller covers every other regular situation, and
+an emergency brake (latched by the simulation loop) fires when even the
+safety controller cannot keep the required clearance over the prediction
+horizon.
 
 The supervisor has no settings of its own.  It shares the MPC's vehicle,
 time step and clearance floor through the `ControllerConfig` it is given,
@@ -51,23 +53,24 @@ BRAKE_HEADROOM = 0.5
 
 
 def select_policy(pred, sg_status, collision_anticipated) -> tuple[PolicyKind, str]:
-    """One policy per step, with the reason: brake > guided MPC > safety control.
+    """One policy per step, with the reason: brake > MPC > safety control.
 
-    The guided MPC requires a pass-side prediction with confidence XI or
-    more and an optimal solve; a predicted yield, low confidence, or a failed
-    solve each suffice to fall back to safety control.
+    With a prediction (the strategy-guided scheme), the MPC requires a
+    pass-side prediction with confidence XI or more and an optimal solve; a
+    predicted yield, low confidence, or a failed solve each suffice to fall
+    back to safety control.  `pred=None` is the unguided baseline: the MPC
+    acts ("nominal") whenever its solve is optimal.
     """
     if collision_anticipated:
         return PolicyKind.EMERGENCY_BRAKE, "collision_anticipated"
-    if pred is None:
-        return PolicyKind.SAFETY_CONTROL, "no_prediction"
-    if pred.label == StrategyLabel.YIELD:
-        return PolicyKind.SAFETY_CONTROL, "yield_predicted"
-    if float(np.max(pred.scores)) < XI:
-        return PolicyKind.SAFETY_CONTROL, "low_confidence"
+    if pred is not None:
+        if pred.label == StrategyLabel.YIELD:
+            return PolicyKind.SAFETY_CONTROL, "yield_predicted"
+        if float(np.max(pred.scores)) < XI:
+            return PolicyKind.SAFETY_CONTROL, "low_confidence"
     if sg_status != "optimal":
         return PolicyKind.SAFETY_CONTROL, "solver_not_optimal"
-    return PolicyKind.SG_OBCA, "guided"
+    return PolicyKind.SG_OBCA, "nominal" if pred is None else "guided"
 
 
 def _nearest_ref_index(ref: np.ndarray, p: np.ndarray) -> int:

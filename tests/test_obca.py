@@ -15,7 +15,13 @@ from hypothesis import strategies as st
 import tightnav.nlp
 import tightnav.obca
 from tightnav.dynamics import VehicleParams, rollout, step_rk4
-from tightnav.geometry import Polytope, body_polytope, min_translation_distance, rotation_matrix
+from tightnav.geometry import (
+    Halfspace,
+    Polytope,
+    body_polytope,
+    min_translation_distance,
+    rotation_matrix,
+)
 from tightnav.obca import (
     BODY_G,
     ControllerConfig,
@@ -327,22 +333,6 @@ def test_baseline_cost_no_higher_than_guided():
     assert bl.stats["cost"] <= sg.stats["cost"] + 1e-6
 
 
-def test_solution_duals_certify_all_pairs():
-    tv, env, z0, ref = blocking_scene()
-    cfg = ControllerConfig(guided=True)
-    sol = ObcaController(cfg).solve_step(z0, np.zeros(2), ref, env,
-                                         strategy=StrategyLabel.PASS_LEFT)
-    assert sol.ok
-    assert np.all(sol.lam >= 0) and np.all(sol.mu >= 0)
-    for t in range(1, cfg.horizon + 1):
-        for m, obs in enumerate(env.obstacles(t)):
-            val, stat, nrm = dual_residuals(obs, sol.zs[t], sol.lam[t, m],
-                                            sol.mu[t, m], cfg.params)
-            assert stat <= 1e-5
-            assert nrm <= 1.0 + 1e-6
-            assert val >= cfg.d_min - 1e-5
-
-
 def test_unreachable_strategy_detected_without_solving():
     env = canonical_env(21)
     cfg = ControllerConfig(guided=True)
@@ -406,6 +396,92 @@ def test_closed_loop_audit_min_distance():
         for obs in env.obstacles(0):
             assert min_translation_distance(obs, body) >= cfg.d_min - 1e-4
     assert z[0] > 0.9  # made real progress down the lane
+
+
+# --- step NLP callbacks against finite differences ---------------------------
+
+FD_EPS = 1e-6
+
+
+def central_diff(fun, x):
+    """Central differences of fun at x; the last axis indexes the variable."""
+    cols = []
+    for i in range(len(x)):
+        e = np.zeros(len(x))
+        e[i] = FD_EPS
+        cols.append((np.asarray(fun(x + e)) - np.asarray(fun(x - e))) / (2.0 * FD_EPS))
+    return np.stack(cols, axis=-1)
+
+
+@pytest.fixture(scope="module")
+def fd_nlp():
+    """(nlp, x): horizon 3, every stage's pairs with two rotated boxes
+    engaged, one strategy row, and a point with nonzero headings and duals."""
+    cfg = ControllerConfig(guided=True, horizon=3)
+    boxes = [Polytope.from_box((0.9, 0.3), 0.2, 0.1, 0.4),
+             Polytope.from_box((1.2, -0.35), 0.25, 0.12, -0.7)]
+    env = EnvironmentEncoding([boxes] * 4)
+    z0 = np.array([0.0, 0.05, 0.1, 0.5])
+    ref = straight_ref(z0, 3, cfg.dt, cfg.params)
+    pairs = [(t, m) for t in (1, 2, 3) for m in (0, 1)]
+    strat = [(2, Halfspace(np.array([0.6, 0.8]), -0.1))]
+    nlp = _StepNlp(cfg, z0, np.array([0.05, -0.1]), ref, env, pairs, strat)
+    rng = np.random.default_rng(7)
+    us = rng.uniform(-0.3, 0.3, (3, 2))
+    zs = rollout(z0, us, cfg.dt, cfg.params) + rng.normal(0.0, 0.05, (4, 4))
+    duals = {pair: (rng.uniform(0.1, 1.0, 4), rng.uniform(0.1, 1.0, 4)) for pair in pairs}
+    return nlp, nlp.pack(zs, us, duals)
+
+
+def test_step_nlp_objective_gradient_and_hessian_match_differences(fd_nlp):
+    nlp, x = fd_nlp
+    _, grad = nlp.objective(x)
+    np.testing.assert_allclose(grad, central_diff(lambda v: nlp.objective(v)[0], x),
+                               rtol=0.0, atol=1e-6)
+    np.testing.assert_allclose(nlp.h_obj, central_diff(lambda v: nlp.objective(v)[1], x),
+                               rtol=0.0, atol=1e-6)
+
+
+def test_step_nlp_constraint_jacobians_match_differences(fd_nlp):
+    nlp, x = fd_nlp
+    for rows in (nlp.eq, nlp.ineq):
+        _, jac = rows(x)
+        np.testing.assert_allclose(jac, central_diff(lambda v: rows(v)[0], x),
+                                   rtol=0.0, atol=1e-7)
+
+
+def test_step_nlp_lagrangian_hessian_matches_differences(fd_nlp):
+    nlp, x = fd_nlp
+    rng = np.random.default_rng(8)
+    n_dyn = 4 * nlp.cfg.horizon
+    nu = rng.normal(0.0, 1.0, n_dyn + 2 * len(nlp.pairs))
+    lam = rng.uniform(0.5, 2.0, 2 * len(nlp.pairs) + len(nlp.strat))
+    # The dynamics rows are Gauss-Newton by design: their multipliers add
+    # no curvature, so the oracle differentiates the Lagrangian without them.
+    nu_obstacle = np.concatenate([np.zeros(n_dyn), nu[n_dyn:]])
+
+    def lagrangian_grad(v):
+        return nlp.objective(v)[1] + nlp.eq(v)[1].T @ nu_obstacle + nlp.ineq(v)[1].T @ lam
+
+    np.testing.assert_allclose(nlp.lag_hess(x, nu, lam), central_diff(lagrangian_grad, x),
+                               rtol=0.0, atol=1e-6)
+
+
+def test_step_nlp_bounds_match_per_stage_definition(fd_nlp):
+    nlp, _ = fd_nlp
+    p = nlp.cfg.params
+    lo = np.full(nlp.n, -np.inf)
+    hi = np.full(nlp.n, np.inf)
+    for t in range(1, nlp.cfg.horizon + 1):
+        lo[nlp.zsl(t).start + 3], hi[nlp.zsl(t).start + 3] = p.v_min, p.v_max
+    for t in range(nlp.cfg.horizon):
+        sl = nlp.usl(t)
+        lo[sl], hi[sl] = [-p.delta_max, -p.a_max], [p.delta_max, p.a_max]
+    for j in range(len(nlp.pairs)):
+        lsl, msl = nlp.dsl(j)
+        lo[lsl] = lo[msl] = 0.0
+    got_lo, got_hi = nlp.bounds()
+    assert np.array_equal(got_lo, lo) and np.array_equal(got_hi, hi)
 
 
 # --- QP working set carried across steps --------------------------------------

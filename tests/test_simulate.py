@@ -21,9 +21,10 @@ import tightnav.simulate
 from tightnav.dynamics import step_rk4
 from tightnav.obca import ControllerConfig, StrategyLabel
 from tightnav.predictor import MlpModel, N_HIDDEN, encode_features
-from tightnav.scenario import Scenario, benchmark_suite, parked_tv_scenario
+from tightnav.scenario import Scenario, benchmark_suite, forward_park_case, parked_tv_scenario
 from tightnav.simulate import (
     AUDIT_SLACK,
+    _clearance,
     OUTCOME_COLLISION,
     OUTCOME_EMERGENCY,
     OUTCOME_TIMEOUT,
@@ -91,6 +92,21 @@ def test_overtake_safe_and_within_actuator_bounds(overtake_run):
                for log in res.logs)
 
 
+def test_bl_reasons_are_the_baseline_selection(overtake_run):
+    # The baseline passes no prediction: optimal solves act as "nominal",
+    # never as "guided", and no step is skipped for want of a prediction.
+    res, _ = overtake_run
+    assert {log.reason for log in res.logs} == {"nominal"}
+    assert all(log.strategy is None and log.scores is None for log in res.logs)
+    head_on = run_closed_loop(head_on_scenario(), "bl", ctrl_config=CTRL, max_steps=MAX_STEPS)
+    assert {log.reason for log in head_on.logs} <= {"nominal", "solver_not_optimal",
+                                                   "collision_anticipated", "latched"}
+    assert "collision_anticipated" in {log.reason for log in head_on.logs}
+    for log in head_on.logs:
+        solved = log.reason in ("nominal", "solver_not_optimal")
+        assert (log.sg_status is not None) == solved
+
+
 def test_overtake_rerun_bit_identical(overtake_run):
     first, _ = overtake_run
     again = run_closed_loop(overtake(), "bl", ctrl_config=CTRL, max_steps=MAX_STEPS)
@@ -135,6 +151,32 @@ def test_emergency_brake_latches_until_stopped():
     z_end = step_rk4(braking[-1].z, braking[-1].u, CTRL.dt, CTRL.params)
     assert z_end[3] == 0.0
     assert res.iterations == braking[-1].step + 1
+
+
+def test_timed_out_run_audits_the_final_state():
+    res = run_closed_loop(forward_park_case(), "bl", ctrl_config=CTRL, max_steps=MAX_STEPS)
+    assert res.outcome == OUTCOME_TIMEOUT and len(res.logs) == MAX_STEPS
+    last = res.logs[-1]
+    z_end = step_rk4(last.z, last.u, CTRL.dt, CTRL.params)
+    env = forward_park_case().environment(MAX_STEPS + 1, CTRL.params)
+    _, d_end = _clearance(z_end, env.obstacles(MAX_STEPS), CTRL.params)
+    # The last input brings the EV closer than any state it started a step in.
+    assert d_end < min(log.min_distance for log in res.logs)
+    assert res.min_distance == d_end
+
+
+def test_final_state_hit_is_a_collision():
+    # The TV stays far ahead for three steps, then sits where the EV must be
+    # after its third input, whatever the supervisor chose.
+    far = [2.5, 0.0, math.pi, 0.0]
+    tv = np.array([far, far, far] + [[-0.9, 0.0, 0.0, 0.0]] * 2)
+    sc = Scenario(tv_traj=tv, ev_init=np.array([-1.0, 0.0, 0.0, 0.6]), name="final-hit")
+    res = run_closed_loop(sc, "bl", ctrl_config=CTRL, max_steps=3)
+    assert len(res.logs) == 3
+    assert all(log.min_distance > 0.3 for log in res.logs)
+    assert res.outcome == OUTCOME_COLLISION
+    assert res.iterations == 3
+    assert res.min_distance == 0.0
 
 
 def constant_model(scenario, ctrl, logits):

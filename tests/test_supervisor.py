@@ -74,8 +74,12 @@ def test_select_is_total():
                 kind, reason = select_policy(pred, status, flag)
                 assert kind in PolicyKind
                 assert isinstance(reason, str)
-                if pred is None and not flag:
-                    assert (kind, reason) == (PolicyKind.SAFETY_CONTROL, "no_prediction")
+                if pred is None:
+                    # No prediction is the unguided baseline.
+                    assert (kind, reason) == (
+                        (PolicyKind.EMERGENCY_BRAKE, "collision_anticipated") if flag
+                        else (PolicyKind.SG_OBCA, "nominal") if status == "optimal"
+                        else (PolicyKind.SAFETY_CONTROL, "solver_not_optimal"))
 
 
 def test_config_validates_threshold_and_gains():
