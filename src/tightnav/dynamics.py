@@ -5,7 +5,9 @@ Input u = (delta_f, a): front steering angle and longitudinal acceleration.
 States and inputs are plain float64 arrays of shape (4,) and (2,) throughout
 the package; headings are not wrapped.  `step_jacobians` returns the RK4
 step together with its Jacobians, so a caller that needs both integrates
-each stage once.
+each stage once.  It also takes T states and inputs stacked as (T, 4) and
+(T, 2), so the MPC evaluates a whole horizon's dynamics rows in one call;
+the closed loop and the rollouts step one state at a time with `step_rk4`.
 """
 
 from __future__ import annotations
@@ -70,60 +72,69 @@ def step_rk4(z: np.ndarray, u: np.ndarray, dt: float, params: VehicleParams) -> 
     return z + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _derivative_jacobians(z, u, params):
-    """Jacobians of continuous_derivative wrt z and u at (z, u)."""
-    psi, v = z[2], z[3]
-    delta = u[0]
-    lr, wb = params.l_r, params.wheelbase
-    t = math.tan(delta)
-    beta = math.atan(lr * t / wb)
-    # d beta / d delta
-    sec2 = 1.0 + t * t
-    dbeta = (lr / wb) * sec2 / (1.0 + (lr * t / wb) ** 2)
-    c = math.cos(psi + beta)
-    s = math.sin(psi + beta)
-    fz = np.zeros((4, 4))
-    fz[0, 2] = -v * s
-    fz[0, 3] = c
-    fz[1, 2] = v * c
-    fz[1, 3] = s
-    fz[2, 3] = math.sin(beta) / lr
-    fu = np.zeros((4, 2))
-    fu[0, 0] = -v * s * dbeta
-    fu[1, 0] = v * c * dbeta
-    fu[2, 0] = (v / lr) * math.cos(beta) * dbeta
-    fu[3, 1] = 1.0
-    return fz, fu
+def _stage(z, beta, dbeta, acc, params):
+    """continuous_derivative at T stacked states and its Jacobians wrt z and u.
+
+    z is (T, 4); beta is the slip angle of each row's steering input, dbeta
+    its derivative by the steering angle and acc the acceleration input,
+    each (T,).  Returns (T, 4), (T, 4, 4) and (T, 4, 2).
+    """
+    psi, v = z[:, 2], z[:, 3]
+    lr = params.l_r
+    c = np.cos(psi + beta)
+    s = np.sin(psi + beta)
+    sin_b = np.sin(beta)
+    k = np.stack([v * c, v * s, v / lr * sin_b, acc], axis=1)
+    fz = np.zeros((len(z), 4, 4))
+    fz[:, 0, 2] = -v * s
+    fz[:, 0, 3] = c
+    fz[:, 1, 2] = v * c
+    fz[:, 1, 3] = s
+    fz[:, 2, 3] = sin_b / lr
+    fu = np.zeros((len(z), 4, 2))
+    fu[:, 0, 0] = -v * s * dbeta
+    fu[:, 1, 0] = v * c * dbeta
+    fu[:, 2, 0] = (v / lr) * np.cos(beta) * dbeta
+    fu[:, 3, 1] = 1.0
+    return k, fz, fu
 
 
 def step_jacobians(z: np.ndarray, u: np.ndarray, dt: float, params: VehicleParams):
     """(z_next, d z_next / d z, d z_next / d u) of the RK4 step.
 
-    z_next is bit-identical to step_rk4(z, u, dt, params): the same four
-    stages in the same order.  The Jacobians are exact, by the forward-mode
-    chain rule through those stages (finite differences are a test oracle
-    only).
+    Takes one state (4,) and input (2,), or T of each stacked as (T, 4) and
+    (T, 2); the results then have shapes (T, 4), (T, 4, 4) and (T, 4, 2),
+    row t belonging to (z[t], u[t]).  z_next is bit-identical to
+    step_rk4(z[t], u[t], dt, params): the same four stages in the same
+    order, with the slip angle taken from `slip_angle`.  The Jacobians are
+    exact, by the forward-mode chain rule through those stages (finite
+    differences are a test oracle only).
     """
-    k1 = continuous_derivative(z, u, params)
-    z2 = z + 0.5 * dt * k1
-    k2 = continuous_derivative(z2, u, params)
-    z3 = z + 0.5 * dt * k2
-    k3 = continuous_derivative(z3, u, params)
-    z4 = z + dt * k3
-    k4 = continuous_derivative(z4, u, params)
+    z = np.asarray(z, float)
+    u = np.asarray(u, float)
+    if z.ndim == 1:
+        z_next, jz, ju = step_jacobians(z[None], u[None], dt, params)
+        return z_next[0], jz[0], ju[0]
+    lr, wb = params.l_r, params.wheelbase
+    beta = np.array([slip_angle(d, params) for d in u[:, 0].tolist()])
+    t = np.tan(u[:, 0])
+    dbeta = (lr / wb) * (1.0 + t * t) / (1.0 + (lr * t / wb) ** 2)
     eye = np.eye(4)
 
-    a1, b1 = _derivative_jacobians(z, u, params)
+    k1, a1, b1 = _stage(z, beta, dbeta, u[:, 1], params)
+    z2 = z + 0.5 * dt * k1
+    k2, a2r, b2r = _stage(z2, beta, dbeta, u[:, 1], params)
     j2 = eye + 0.5 * dt * a1
-    a2r, b2r = _derivative_jacobians(z2, u, params)
     a2 = a2r @ j2
     b2 = b2r + a2r @ (0.5 * dt * b1)
+    z3 = z + 0.5 * dt * k2
+    k3, a3r, b3r = _stage(z3, beta, dbeta, u[:, 1], params)
     j3 = eye + 0.5 * dt * a2
-    a3r, b3r = _derivative_jacobians(z3, u, params)
     a3 = a3r @ j3
     b3 = b3r + a3r @ (0.5 * dt * b2)
+    z4 = z + dt * k3
+    k4, a4r, b4r = _stage(z4, beta, dbeta, u[:, 1], params)
     j4 = eye + dt * a3
-    a4r, b4r = _derivative_jacobians(z4, u, params)
     a4 = a4r @ j4
     b4 = b4r + a4r @ (dt * b3)
 

@@ -5,8 +5,11 @@ are rotated boxes.  The distance between two polytopes is computed in closed
 form: a separating-axis test, then the minimum vertex-to-edge distance in
 both directions, in the manner of Gilbert, Johnson & Keerthi (1988).  The
 face multipliers at the witness points are read off the faces active there;
-they double as warm starts for the dual collision-avoidance constraints.  A
-grid-sampling oracle and the equivalent distance QP exist only in the tests.
+they double as warm starts for the dual collision-avoidance constraints.
+`box_distances` runs the same test and minimum on many pairs of vehicle
+boxes at once, straight from their states, for audits along a predicted
+horizon.  A grid-sampling oracle and the equivalent distance QP exist only
+in the tests.
 """
 
 from __future__ import annotations
@@ -21,6 +24,8 @@ logger = logging.getLogger(__name__)
 
 # A face counts as active at a boundary point within this distance.
 _ACTIVE_TOL = 1e-9
+# Separating-axis test: projections must be apart by more than this.
+_SAT_TOL = 1e-9
 # Critical-boundary projection: the initial bracket beyond 4 radii (a lane
 # width at desk scale) and the bisection stopping width.
 BRACKET_HINT = 0.9
@@ -274,17 +279,74 @@ def distance_witness(P: Polytope, Q: Polytope) -> DistanceResult:
 
 
 def min_translation_distance(P: Polytope, Q: Polytope) -> float:
-    """Distance between two polytopes; 0 iff they intersect."""
-    return distance_witness(P, Q).distance
+    """Distance between two polytopes; 0 iff they intersect.
+
+    The separating-axis test and the closest vertex-edge pair of
+    `distance_witness`, without its witness points and face multipliers;
+    the distance is bit-identical to `distance_witness(P, Q).distance`.
+    """
+    if polytopes_intersect(P, Q):
+        return 0.0
+    p, q = _closest_pair(P.vertices().tolist(), Q.vertices().tolist())
+    return math.hypot(p[0] - q[0], p[1] - q[1])
 
 
-def polytopes_intersect(P: Polytope, Q: Polytope, tol: float = 1e-9) -> bool:
+def _box_corners(z, half_l: float, half_w: float) -> np.ndarray:
+    """(T, 4, 2) corners of the boxes at states z (T, >= 3), counterclockwise,
+    by the arithmetic of `Polytope.from_box`."""
+    c, s = np.cos(z[:, 2]), np.sin(z[:, 2])
+    sx = np.array([1.0, -1.0, -1.0, 1.0])
+    sy = np.array([1.0, 1.0, -1.0, -1.0])
+    ox = (c[:, None] * sx) * half_l + (-s[:, None] * sy) * half_w
+    oy = (s[:, None] * sx) * half_l + (c[:, None] * sy) * half_w
+    return np.stack([z[:, :1] + ox, z[:, 1:2] + oy], axis=2)
+
+
+def _vertex_edge_d2(verts, ring) -> np.ndarray:
+    """(T, 16) squared distances from each vertex of `verts` to each edge of
+    the polygon `ring`, both (T, 4, 2) in cyclic order, as `_closest_pair`."""
+    a = np.roll(ring, 1, axis=1)
+    ex, ey = ring[..., 0] - a[..., 0], ring[..., 1] - a[..., 1]
+    ax, ay, ex, ey = (w[:, None, :] for w in (a[..., 0], a[..., 1], ex, ey))
+    vx, vy = verts[:, :, None, 0], verts[:, :, None, 1]
+    t = np.clip(((vx - ax) * ex + (vy - ay) * ey) / (ex * ex + ey * ey), 0.0, 1.0)
+    return ((vx - (ax + t * ex)) ** 2 + (vy - (ay + t * ey)) ** 2).reshape(len(verts), -1)
+
+
+def box_distances(z_a, z_b, length: float, width: float) -> np.ndarray:
+    """Distances between T pairs of equal body boxes, (T,) for states (T, >= 3).
+
+    Row t is the distance between the length x width boxes centered at
+    z_a[t] and z_b[t] with headings z_a[t, 2] and z_b[t, 2], the batched
+    form of `min_translation_distance` on two `body_polytope`s: the same
+    separating-axis test on the eight face normals, then the minimum
+    vertex-to-edge distance in both directions.  Intersecting boxes get 0.
+    Builds no `Polytope`.
+    """
+    if length <= 0 or width <= 0:
+        raise GeometryError("body dimensions must be positive")
+    z_a, z_b = np.asarray(z_a, float), np.asarray(z_b, float)
+    va = _box_corners(z_a, 0.5 * length, 0.5 * width)
+    vb = _box_corners(z_b, 0.5 * length, 0.5 * width)
+    separated = np.zeros(len(va), dtype=bool)
+    for psi in (z_a[:, 2], z_b[:, 2]):
+        c, s = np.cos(psi)[:, None], np.sin(psi)[:, None]
+        for nx, ny in ((c, s), (-s, c), (-c, -s), (s, -c)):
+            pa = nx * va[..., 0] + ny * va[..., 1]
+            pb = nx * vb[..., 0] + ny * vb[..., 1]
+            separated |= pa.max(axis=1) < pb.min(axis=1) - _SAT_TOL
+            separated |= pb.max(axis=1) < pa.min(axis=1) - _SAT_TOL
+    d2 = np.concatenate([_vertex_edge_d2(va, vb), _vertex_edge_d2(vb, va)], axis=1)
+    return np.where(separated, np.sqrt(d2.min(axis=1)), 0.0)
+
+
+def polytopes_intersect(P: Polytope, Q: Polytope) -> bool:
     """Exact separating-axis test for two convex polygons."""
     vp, vq = P.vertices().tolist(), Q.vertices().tolist()
     for ax, ay in P.A.tolist() + Q.A.tolist():
         proj_p = [ax * x + ay * y for x, y in vp]
         proj_q = [ax * x + ay * y for x, y in vq]
-        if max(proj_p) < min(proj_q) - tol or max(proj_q) < min(proj_p) - tol:
+        if max(proj_p) < min(proj_q) - _SAT_TOL or max(proj_q) < min(proj_p) - _SAT_TOL:
             return False
     return True
 

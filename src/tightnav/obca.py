@@ -301,6 +301,23 @@ def _seed_duals(obs: Polytope, z, params: VehicleParams, face_lam, face_mu):
     return dist, lam, mu
 
 
+def _rotations_t(psi):
+    """(R', dR'/dpsi), each (P, 2, 2), of the body rotations at headings psi."""
+    c, s = np.cos(psi), np.sin(psi)
+    rot_t = np.stack([np.stack([c, s], axis=1), np.stack([-s, c], axis=1)], axis=1)
+    drot_t = np.stack([np.stack([-s, c], axis=1), np.stack([-c, -s], axis=1)], axis=1)
+    return rot_t, drot_t
+
+
+def _rowdot(a, b):
+    """Dot product of each row of a (P, k) with b (P, k) or (k,).
+
+    A stacked matmul rounds each row exactly as `a[p] @ b[p]` does, which
+    an einsum does not.
+    """
+    return (a[:, None, :] @ np.broadcast_to(b, a.shape)[:, :, None])[:, 0, 0]
+
+
 def _shift_keys(keys: list) -> list:
     """Row keys (see `_StepNlp`) moved one stage earlier, for the next step.
 
@@ -343,8 +360,25 @@ class _StepNlp:
         self.nz = 4 * n_h
         self.nuv = 2 * n_h
         self.n = self.nz + self.nuv + 8 * len(pairs)
-        self.obs_a = [env.obstacles(t)[m].A for t, m in pairs]
-        self.obs_b = [env.obstacles(t)[m].b for t, m in pairs]
+        # Stacked per-pair data and the columns each pair's rows touch.
+        t_pair = np.array([t for t, _ in pairs], dtype=int)
+        m_pair = np.array([m for _, m in pairs], dtype=int)
+        a_all, b_all = env.face_arrays()
+        self.obs_a = a_all[t_pair, m_pair]  # (P, 4, 2)
+        self.obs_b = b_all[t_pair, m_pair]  # (P, 4)
+        self.pos_cols = 4 * (t_pair[:, None] - 1) + np.arange(2)  # (P, 2)
+        self.psi_cols = 4 * (t_pair - 1) + 2  # (P,)
+        self.lam_cols = self.nz + self.nuv + 8 * np.arange(len(pairs))[:, None] + np.arange(4)
+        self.mu_cols = self.lam_cols + 4
+        t_strat = np.array([t for t, _ in strat_rows], dtype=int)
+        self.strat_cols = 4 * (t_strat[:, None] - 1) + np.arange(2)  # (S, 2)
+        # Dynamics-row blocks: row block t (z_{t+1} - f(z_t, u_t)) holds I
+        # at z_{t+1}, -dz_{t+1}/dz_t at z_t (t >= 1) and -dz_{t+1}/du_t at u_t.
+        stage = np.arange(n_h)[:, None, None]
+        r4 = np.arange(4)
+        self.dyn_rows = 4 * stage + r4[:, None]  # (N, 4, 1)
+        self.jz_cols = 4 * (stage[1:] - 1) + r4  # (N-1, 1, 4)
+        self.ju_cols = self.nz + 2 * stage + np.arange(2)  # (N, 1, 2)
         self.g_vec = body_g_vector(cfg.params)
         self.h_obj = self._objective_hessian()
         self._table = None
@@ -374,54 +408,36 @@ class _StepNlp:
         stay small next to the clearance and stationarity multipliers that
         carry the obstacle coupling.
         """
-        n_h = self.cfg.horizon
-        n_pairs = len(self.pairs)
         h = self.h_obj.copy()
-        for j, (t, _) in enumerate(self.pairs):
-            lsl, msl = self.dsl(j)
-            a_mat = self.obs_a[j]
-            base = self.zsl(t).start
-            psl = slice(base, base + 2)
-            psi_i = base + 2
-            sig = float(lam_rows[j])
-            if sig:
-                h[psl, lsl] -= sig * a_mat.T
-                h[lsl, psl] -= sig * a_mat
-            eta = float(lam_rows[n_pairs + j])
-            if eta:
-                h[lsl, lsl] += 2.0 * eta * (a_mat @ a_mat.T)
-            nu_j = nu[4 * n_h + 2 * j : 4 * n_h + 2 * j + 2]
-            if nu_j[0] != 0.0 or nu_j[1] != 0.0:
-                psi = float(x[psi_i])
-                c, s = math.cos(psi), math.sin(psi)
-                rot_t = np.array([[c, s], [-s, c]])
-                drot_t = np.array([[-s, c], [-c, -s]])
-                atl = a_mat.T @ x[lsl]
-                h[psi_i, psi_i] += float(nu_j @ (-rot_t @ atl))
-                cross = (nu_j @ drot_t) @ a_mat.T
-                h[psi_i, lsl] += cross
-                h[lsl, psi_i] += cross
+        n_pairs = len(self.pairs)
+        if not n_pairs:
+            return h
+        a_mat = self.obs_a
+        a_t = a_mat.transpose(0, 2, 1)
+        pos, lam_c, psi_c = self.pos_cols, self.lam_cols, self.psi_cols
+        sig = lam_rows[:n_pairs, None, None]
+        h[pos[:, :, None], lam_c[:, None, :]] -= sig * a_t
+        h[lam_c[:, :, None], pos[:, None, :]] -= sig * a_mat
+        eta = lam_rows[n_pairs : 2 * n_pairs, None, None]
+        h[lam_c[:, :, None], lam_c[:, None, :]] += 2.0 * eta * (a_mat @ a_t)
+        nu_p = nu[self.nz :].reshape(n_pairs, 1, 2)
+        rot_t, drot_t = _rotations_t(x[psi_c])
+        atl = a_t @ x[lam_c][:, :, None]
+        # Pairs at one stage share psi's diagonal entry, so it accumulates.
+        np.add.at(h, (psi_c, psi_c), (nu_p @ -(rot_t @ atl))[:, 0, 0])
+        cross = ((nu_p @ drot_t) @ a_t)[:, 0]
+        h[psi_c[:, None], lam_c] += cross
+        h[lam_c, psi_c[:, None]] += cross
         return h
-
-    def zsl(self, t: int) -> slice:
-        return slice(4 * (t - 1), 4 * t)
-
-    def usl(self, t: int) -> slice:
-        return slice(self.nz + 2 * t, self.nz + 2 * t + 2)
-
-    def dsl(self, j: int):
-        base = self.nz + self.nuv + 8 * j
-        return slice(base, base + 4), slice(base + 4, base + 8)
 
     def pack(self, zs, us, dual_map) -> np.ndarray:
         x = np.zeros(self.n)
         x[: self.nz] = np.asarray(zs, float)[1:].ravel()
         x[self.nz : self.nz + self.nuv] = np.asarray(us, float).ravel()
         for j, pair in enumerate(self.pairs):
-            lsl, msl = self.dsl(j)
             lam, mu = dual_map.get(pair, (np.zeros(4), np.zeros(4)))
-            x[lsl] = np.maximum(lam, 0.0)
-            x[msl] = np.maximum(mu, 0.0)
+            x[self.lam_cols[j]] = np.maximum(lam, 0.0)
+            x[self.mu_cols[j]] = np.maximum(mu, 0.0)
         return x
 
     def unpack(self, x):
@@ -430,8 +446,8 @@ class _StepNlp:
         us = x[self.nz : self.nz + self.nuv].reshape(n_h, 2)
         duals = {}
         for j, pair in enumerate(self.pairs):
-            lsl, msl = self.dsl(j)
-            duals[pair] = (np.maximum(x[lsl], 0.0), np.maximum(x[msl], 0.0))
+            duals[pair] = (np.maximum(x[self.lam_cols[j]], 0.0),
+                           np.maximum(x[self.mu_cols[j]], 0.0))
         return zs, us, duals
 
     def bounds(self):
@@ -487,65 +503,43 @@ class _StepNlp:
 
     def objective(self, x):
         cfg = self.cfg
-        val = 0.0
-        grad = np.zeros(self.n)
-        for t in range(1, cfg.horizon + 1):
-            sl = self.zsl(t)
-            dz = x[sl] - self.ref[t]
-            wz = cfg.q_z * dz
-            val += float(dz @ wz)
-            grad[sl] += 2.0 * wz
-        prev = self.u_prev
-        for t in range(cfg.horizon):
-            sl = self.usl(t)
-            ut = x[sl]
-            wu = cfg.q_u * ut
-            val += float(ut @ wu)
-            grad[sl] += 2.0 * wu
-            du = ut - prev
-            wd = cfg.q_d * du
-            val += float(du @ wd)
-            grad[sl] += 2.0 * wd
-            if t > 0:
-                grad[self.usl(t - 1)] -= 2.0 * wd
-            prev = ut
+        n_h = cfg.horizon
+        dz = x[: self.nz].reshape(n_h, 4) - self.ref[1:]
+        us = x[self.nz : self.nz + self.nuv].reshape(n_h, 2)
+        du = us - np.vstack([self.u_prev[None, :], us[:-1]])
         xd = x[self.nz + self.nuv :]
-        if len(xd):
-            val += DUAL_REG * float(xd @ xd)
-            grad[self.nz + self.nuv :] += 2.0 * DUAL_REG * xd
-        return val, grad
+        wz, wu, wd = cfg.q_z * dz, cfg.q_u * us, cfg.q_d * du
+        val = np.vdot(dz, wz) + np.vdot(us, wu) + np.vdot(du, wd) + DUAL_REG * np.vdot(xd, xd)
+        grad_u = 2.0 * wu + 2.0 * wd
+        grad_u[:-1] -= 2.0 * wd[1:]
+        grad = np.concatenate([2.0 * wz.ravel(), grad_u.ravel(), 2.0 * DUAL_REG * xd])
+        return float(val), grad
 
     def eq(self, x):
         cfg = self.cfg
         n_h = cfg.horizon
         n_pairs = len(self.pairs)
-        vals = np.zeros(4 * n_h + 2 * n_pairs)
+        vals = np.zeros(self.nz + 2 * n_pairs)
         jac = np.zeros((len(vals), self.n))
-        eye4 = np.eye(4)
-        prev = self.z0
-        for t in range(n_h):
-            ut = x[self.usl(t)]
-            pred, jz, ju = step_jacobians(prev, ut, cfg.dt, cfg.params)
-            rows = slice(4 * t, 4 * t + 4)
-            z_next = x[self.zsl(t + 1)]
-            vals[rows] = z_next - pred
-            jac[rows, self.zsl(t + 1)] = eye4
-            if t > 0:
-                jac[rows, self.zsl(t)] = -jz
-            jac[rows, self.usl(t)] = -ju
-            prev = z_next
-        for j, (t, _) in enumerate(self.pairs):
-            lsl, msl = self.dsl(j)
-            lam, mu = x[lsl], x[msl]
-            psi = float(x[self.zsl(t).start + 2])
-            c, s = math.cos(psi), math.sin(psi)
-            rot_t = np.array([[c, s], [-s, c]])
-            atl = self.obs_a[j].T @ lam
-            rows = slice(4 * n_h + 2 * j, 4 * n_h + 2 * j + 2)
-            vals[rows] = BODY_G.T @ mu + rot_t @ atl
-            jac[rows, self.zsl(t).start + 2] = np.array([[-s, c], [-c, -s]]) @ atl
-            jac[rows, lsl] = rot_t @ self.obs_a[j].T
-            jac[rows, msl] = BODY_G.T
+        # Given x every stage is independent: stage t steps from z_t (z_0
+        # for t = 0) under u_t, so one call covers the horizon.
+        zs = x[: self.nz].reshape(n_h, 4)
+        us = x[self.nz : self.nz + self.nuv].reshape(n_h, 2)
+        pred, jz, ju = step_jacobians(np.vstack([self.z0[None, :], zs[:-1]]), us,
+                                      cfg.dt, cfg.params)
+        vals[: self.nz] = (zs - pred).ravel()
+        np.fill_diagonal(jac[:, : self.nz], 1.0)
+        jac[self.dyn_rows[1:], self.jz_cols] = -jz[1:]
+        jac[self.dyn_rows, self.ju_cols] = -ju
+        if n_pairs:
+            rows = self.nz + 2 * np.arange(n_pairs)[:, None] + np.arange(2)  # (P, 2)
+            a_t = self.obs_a.transpose(0, 2, 1)
+            rot_t, drot_t = _rotations_t(x[self.psi_cols])
+            atl = a_t @ x[self.lam_cols][:, :, None]  # (P, 2, 1)
+            vals[rows] = x[self.mu_cols] @ BODY_G + (rot_t @ atl)[:, :, 0]
+            jac[rows, self.psi_cols[:, None]] = (drot_t @ atl)[:, :, 0]
+            jac[rows[:, :, None], self.lam_cols[:, None, :]] = rot_t @ a_t
+            jac[rows[:, :, None], self.mu_cols[:, None, :]] = BODY_G.T
         return vals, jac
 
     def ineq(self, x):
@@ -554,23 +548,25 @@ class _StepNlp:
         n_rows = 2 * n_pairs + len(self.strat)
         vals = np.zeros(n_rows)
         jac = np.zeros((n_rows, self.n))
-        for j, (t, _) in enumerate(self.pairs):
-            lsl, msl = self.dsl(j)
-            lam, mu = x[lsl], x[msl]
-            psl = slice(self.zsl(t).start, self.zsl(t).start + 2)
-            edge = self.obs_a[j] @ x[psl] - self.obs_b[j]
-            vals[j] = cfg.d_min + EPS_STRICT - float(edge @ lam - self.g_vec @ mu)
-            jac[j, psl] = -(self.obs_a[j].T @ lam)
-            jac[j, lsl] = -edge
-            jac[j, msl] = self.g_vec
-            atl = self.obs_a[j].T @ lam
-            vals[n_pairs + j] = float(atl @ atl) - 1.0
-            jac[n_pairs + j, lsl] = 2.0 * (self.obs_a[j] @ atl)
-        for i, (t, hs) in enumerate(self.strat):
-            row = 2 * n_pairs + i
-            psl = slice(self.zsl(t).start, self.zsl(t).start + 2)
-            vals[row] = hs.offset - float(hs.w @ x[psl])
-            jac[row, psl] = -hs.w
+        if n_pairs:
+            clear = np.arange(n_pairs)
+            normal = n_pairs + clear
+            lam = x[self.lam_cols]
+            edge = (self.obs_a @ x[self.pos_cols][:, :, None])[:, :, 0] - self.obs_b
+            atl = (self.obs_a.transpose(0, 2, 1) @ lam[:, :, None])[:, :, 0]
+            vals[clear] = cfg.d_min + EPS_STRICT - (
+                _rowdot(edge, lam) - _rowdot(x[self.mu_cols], self.g_vec))
+            jac[clear[:, None], self.pos_cols] = -atl
+            jac[clear[:, None], self.lam_cols] = -edge
+            jac[clear[:, None], self.mu_cols] = self.g_vec
+            vals[normal] = _rowdot(atl, atl) - 1.0
+            jac[normal[:, None], self.lam_cols] = 2.0 * (self.obs_a @ atl[:, :, None])[:, :, 0]
+        if self.strat:
+            rows = 2 * n_pairs + np.arange(len(self.strat))
+            w = np.array([hs.w for _, hs in self.strat])
+            offset = np.array([hs.offset for _, hs in self.strat])
+            vals[rows] = offset - np.einsum("si,si->s", w, x[self.strat_cols])
+            jac[rows[:, None], self.strat_cols] = -w
         return vals, jac
 
 

@@ -23,7 +23,7 @@ from enum import IntEnum
 import numpy as np
 
 from .dynamics import VehicleParams, step_rk4
-from .geometry import body_polytope, min_translation_distance
+from .geometry import box_distances
 from .obca import ControllerConfig, StrategyLabel
 
 
@@ -83,13 +83,11 @@ def _pursuit_steering(z, ref, p: VehicleParams) -> float:
     """Pure pursuit toward the reference point three body lengths ahead."""
     lookahead = 3.0 * p.length
     i0 = _nearest_ref_index(ref, z[:2])
-    target = ref[-1, :2]
-    dist = 0.0
-    for j in range(i0 + 1, len(ref)):
-        dist += float(np.hypot(*(ref[j, :2] - ref[j - 1, :2])))
-        if dist >= lookahead:
-            target = ref[j, :2]
-            break
+    seg = np.diff(ref[i0:, :2], axis=0)
+    # Path length from ref[i0] to each later point, summed in path order.
+    travelled = np.cumsum(np.hypot(seg[:, 0], seg[:, 1]))
+    j = i0 + 1 + int(np.searchsorted(travelled, lookahead))
+    target = ref[j, :2] if j < len(ref) else ref[-1, :2]
     dx, dy = target - z[:2]
     ld = math.hypot(dx, dy)
     if ld < 1e-9:
@@ -122,6 +120,10 @@ def safety_speed_target(z_ev, tv_prediction, config: ControllerConfig, v_ref: fl
     longitudinal speed plus a braking-distance allowance that vanishes at
     the standoff point, so the EV settles at zero relative speed.  The
     clearance floor d_min and the vehicle come from `config`.
+
+    For v_ref >= 0 the cap lies in [0, v_ref], and for a stationary TV
+    straight ahead it does not decrease as the TV sits farther along the
+    corridor.
     """
     p = config.params
     d_min = config.d_min
@@ -209,21 +211,19 @@ def anticipate_collision(z_ev, tv_prediction, ref, config: ControllerConfig,
                          v_ref: float) -> bool:
     """True when even the safety controller loses the clearance floor.
 
-    Simulates the safety-control law forward against the TV prediction and
-    audits the exact body-to-body distance against config.d_min at every
-    step, including the current one.
+    Simulates the safety-control law forward against the TV prediction,
+    one step per predicted TV pose, then audits the exact body-to-body
+    distance of every EV/TV pose pair against config.d_min in one batched
+    call, the current pair included.  The answer is that of stopping at the
+    first breach: the states up to it are the same either way.
     """
     p = config.params
-    z = np.asarray(z_ev, float).ravel().copy()
     tv = np.asarray(tv_prediction, float)
     if tv.ndim != 2 or len(tv) == 0:
         raise ValueError("TV prediction must be a nonempty state sequence")
-    for t in range(len(tv)):
-        ev_body = body_polytope(z, p.length, p.width)
-        tv_body = body_polytope(tv[t], p.length, p.width)
-        if min_translation_distance(ev_body, tv_body) < config.d_min:
-            return True
-        if t + 1 < len(tv):
-            u = safety_control(z, tv[t:], ref, config, v_ref)
-            z = step_rk4(z, u, config.dt, p)
-    return False
+    ev = np.empty((len(tv), 4))
+    ev[0] = np.asarray(z_ev, float).ravel()
+    for t in range(len(tv) - 1):
+        u = safety_control(ev[t], tv[t:], ref, config, v_ref)
+        ev[t + 1] = step_rk4(ev[t], u, config.dt, p)
+    return bool(np.any(box_distances(ev, tv, p.length, p.width) < config.d_min))

@@ -96,10 +96,11 @@ def test_rk4_matches_fine_integrator_random():
 
 
 def test_jacobians_match_finite_differences():
+    # One batched call over all samples, each row checked on its own.
     rng = np.random.default_rng(7)
-    for _ in range(100):
-        z, u = sample_envelope(rng)
-        _, jz, ju = step_jacobians(z, u, DT, PARAMS)
+    zs, us = map(np.array, zip(*(sample_envelope(rng) for _ in range(100))))
+    _, jzs, jus = step_jacobians(zs, us, DT, PARAMS)
+    for z, u, jz, ju in zip(zs, us, jzs, jus):
         jz_fd, ju_fd = fd_jacobians(z, u, DT, PARAMS)
         scale_z = np.maximum(np.abs(jz_fd), 1.0)
         scale_u = np.maximum(np.abs(ju_fd), 1.0)
@@ -132,6 +133,31 @@ def test_jacobian_step_is_rk4_step_bit_for_bit():
         dt = rng.uniform(0.01, 0.2)
         z_next = step_jacobians(z, u, dt, PARAMS)[0]
         assert z_next.tobytes() == step_rk4(z, u, dt, PARAMS).tobytes()
+
+
+def test_batched_step_matches_per_row_calls():
+    # Rows of a stacked call against one call per row, with steering at and
+    # just inside delta_max, where tan and the slip angle move fastest.
+    rng = np.random.default_rng(23)
+    zs, us = map(np.array, zip(*(sample_envelope(rng) for _ in range(60))))
+    edge = PARAMS.delta_max * np.array([1.0, -1.0, 1.0 - 1e-12, -(1.0 - 1e-12)])
+    us[: len(edge), 0] = edge
+    z_next, jz, ju = step_jacobians(zs, us, DT, PARAMS)
+    assert z_next.shape == (60, 4) and jz.shape == (60, 4, 4) and ju.shape == (60, 4, 2)
+    for t, (z, u) in enumerate(zip(zs, us)):
+        row_next, row_jz, row_ju = step_jacobians(z, u, DT, PARAMS)
+        assert row_next.shape == (4,) and row_jz.shape == (4, 4) and row_ju.shape == (4, 2)
+        assert z_next[t].tobytes() == row_next.tobytes()
+        assert z_next[t].tobytes() == step_rk4(z, u, DT, PARAMS).tobytes()
+        np.testing.assert_allclose(jz[t], row_jz, rtol=0.0, atol=1e-14)
+        np.testing.assert_allclose(ju[t], row_ju, rtol=0.0, atol=1e-14)
+
+
+def test_jacobians_reject_steering_outside_the_model():
+    zs = np.zeros((3, 4))
+    us = np.array([[0.1, 0.0], [math.pi / 2, 0.0], [0.0, 0.0]])
+    with pytest.raises(ValueError):
+        step_jacobians(zs, us, DT, PARAMS)
 
 
 def test_params_validation_and_radius():

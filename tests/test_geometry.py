@@ -20,6 +20,7 @@ from tightnav.geometry import (
     Halfspace,
     Polytope,
     body_polytope,
+    box_distances,
     distance_witness,
     min_translation_distance,
     point_polytope_distance,
@@ -301,6 +302,77 @@ def test_distance_matches_qp_oracle():
             np.testing.assert_allclose(res.mult_q, mult_q, atol=1e-8)
             assert_witness_identities(P, Q, res)
     assert separated >= 200
+
+
+def test_distance_only_equals_witness_distance_exactly():
+    rng = np.random.default_rng(101)
+    for _ in range(250):
+        P, Q = random_box_pair(rng)
+        assert min_translation_distance(P, Q) == distance_witness(P, Q).distance
+
+
+def assert_box_distances_match(z_a, z_b, length, width):
+    """box_distances against min_translation_distance on body polytopes."""
+    z_a, z_b = np.atleast_2d(z_a), np.atleast_2d(z_b)
+    got = box_distances(z_a, z_b, length, width)
+    assert got.shape == (len(z_a),)
+    want = [min_translation_distance(body_polytope(a, length, width),
+                                     body_polytope(b, length, width))
+            for a, b in zip(z_a, z_b)]
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+    return got
+
+
+def test_box_distances_match_pairwise_distance_random():
+    rng = np.random.default_rng(109)
+    n = 400
+    z_a = np.column_stack([rng.uniform(-1, 1, (n, 2)), rng.uniform(-4, 4, n)])
+    z_b = np.column_stack([z_a[:, :2] + rng.uniform(-0.6, 0.6, (n, 2)), rng.uniform(-4, 4, n)])
+    got = assert_box_distances_match(z_a, z_b, 0.36, 0.22)
+    assert np.count_nonzero(got == 0.0) >= 40 and np.count_nonzero(got > 0.0) >= 200
+
+
+def test_box_distances_contact_cases():
+    length, width = 0.36, 0.22
+    cases = [
+        # Overlap: distance exactly 0.
+        ([0.0, 0.0, 0.0], [0.1, 0.05, 0.7]),
+        ([0.0, 0.0, 0.0], [0.0, 0.0, 0.0]),
+        # Touching end to end, side by side, and corner to corner.
+        ([0.0, 0.0, 0.0], [length, 0.0, 0.0]),
+        ([0.0, 0.0, 0.0], [0.1, width, 0.0]),
+        ([0.0, 0.0, 0.0], [length, width, 0.0]),
+        # A corner of a rotated box on the other's end face.
+        ([0.0, 0.0, 0.0], [0.5 * length + 0.5 * math.hypot(length, width),
+                           0.0, math.atan2(width, length)]),
+        # Gaps and overlaps inside the separating-axis tolerance read as contact.
+        ([0.0, 0.0, 0.0], [length + 5e-10, 0.0, 0.0]),
+        ([0.0, 0.0, 0.0], [length - 5e-10, 0.0, 0.0]),
+        # Parallel and antiparallel facing faces, offset sideways.
+        ([0.0, 0.0, 0.0], [length + 0.3, 0.05, 0.0]),
+        ([0.0, 0.0, 0.0], [length + 0.3, 0.05, math.pi]),
+        ([0.2, -0.1, 1.0], [0.2 - 0.5 * math.sin(1.0), -0.1 + 0.5 * math.cos(1.0), 1.0 + math.pi]),
+    ]
+    z_a = np.array([a for a, _ in cases])
+    z_b = np.array([b for _, b in cases])
+    got = assert_box_distances_match(z_a, z_b, length, width)
+    assert np.all(got[:8] == 0.0)
+    assert got[8] == pytest.approx(0.3, abs=1e-12)
+    assert got[9] == pytest.approx(0.3, abs=1e-12)
+    assert got[10] == pytest.approx(0.5 - width, abs=1e-12)
+
+
+def test_box_distances_tiny_boxes():
+    # Near the separating-axis tolerance (1e-9 m) and well above it.
+    rng = np.random.default_rng(113)
+    for length in (2e-9, 2e-6):
+        z_a = np.column_stack([rng.uniform(-1, 1, (50, 2)), rng.uniform(-4, 4, 50)])
+        z_b = np.column_stack([z_a[:, :2] + rng.uniform(-1.5 * length, 1.5 * length, (50, 2)),
+                               rng.uniform(-4, 4, 50)])
+        got = assert_box_distances_match(z_a, z_b, length, 0.5 * length)
+        assert np.count_nonzero(got == 0.0) >= 10 and np.count_nonzero(got > 0.0) >= 10
+    with pytest.raises(GeometryError):
+        box_distances(z_a, z_b, 0.0, 0.1)
 
 
 def test_multipliers_nonnegative_and_zero_off_active_faces():

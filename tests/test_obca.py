@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tightnav.dynamics
 import tightnav.nlp
 import tightnav.obca
 from tightnav.dynamics import VehicleParams, rollout, step_rk4
@@ -450,6 +451,19 @@ def test_step_nlp_constraint_jacobians_match_differences(fd_nlp):
                                    rtol=0.0, atol=1e-7)
 
 
+def test_step_nlp_eq_steps_the_horizon_in_one_call(fd_nlp, monkeypatch):
+    nlp, x = fd_nlp
+    calls = []
+
+    def counted(z, u, dt, params):
+        calls.append(np.shape(z))
+        return tightnav.dynamics.step_jacobians(z, u, dt, params)
+
+    monkeypatch.setattr(tightnav.obca, "step_jacobians", counted)
+    nlp.eq(x)
+    assert calls == [(nlp.cfg.horizon, 4)]
+
+
 def test_step_nlp_lagrangian_hessian_matches_differences(fd_nlp):
     nlp, x = fd_nlp
     rng = np.random.default_rng(8)
@@ -467,18 +481,34 @@ def test_step_nlp_lagrangian_hessian_matches_differences(fd_nlp):
                                rtol=0.0, atol=1e-6)
 
 
+def zsl(t):
+    """Columns of z_t in a step NLP's variables [z_1..z_N | u_0..u_{N-1} | duals]."""
+    return slice(4 * (t - 1), 4 * t)
+
+
+def usl(nlp, t):
+    """Columns of u_t."""
+    return slice(nlp.nz + 2 * t, nlp.nz + 2 * t + 2)
+
+
+def dsl(nlp, j):
+    """Columns of lam and of mu of the j-th engaged pair."""
+    base = nlp.nz + nlp.nuv + 8 * j
+    return slice(base, base + 4), slice(base + 4, base + 8)
+
+
 def test_step_nlp_bounds_match_per_stage_definition(fd_nlp):
     nlp, _ = fd_nlp
     p = nlp.cfg.params
     lo = np.full(nlp.n, -np.inf)
     hi = np.full(nlp.n, np.inf)
     for t in range(1, nlp.cfg.horizon + 1):
-        lo[nlp.zsl(t).start + 3], hi[nlp.zsl(t).start + 3] = p.v_min, p.v_max
+        lo[zsl(t).start + 3], hi[zsl(t).start + 3] = p.v_min, p.v_max
     for t in range(nlp.cfg.horizon):
-        sl = nlp.usl(t)
+        sl = usl(nlp, t)
         lo[sl], hi[sl] = [-p.delta_max, -p.a_max], [p.delta_max, p.a_max]
     for j in range(len(nlp.pairs)):
-        lsl, msl = nlp.dsl(j)
+        lsl, msl = dsl(nlp, j)
         lo[lsl] = lo[msl] = 0.0
     got_lo, got_hi = nlp.bounds()
     assert np.array_equal(got_lo, lo) and np.array_equal(got_hi, hi)
@@ -489,10 +519,10 @@ def test_step_nlp_bounds_match_per_stage_definition(fd_nlp):
 def reference_row_keys(nlp):
     """Every inequality row's key, by enumerating the rows in the solver's order."""
     n_h = nlp.cfg.horizon
-    owners = [("z_{}", t, -1, nlp.zsl(t)) for t in range(1, n_h + 1)]
-    owners += [("u_{}", t, -1, nlp.usl(t)) for t in range(n_h)]
+    owners = [("z_{}", t, -1, zsl(t)) for t in range(1, n_h + 1)]
+    owners += [("u_{}", t, -1, usl(nlp, t)) for t in range(n_h)]
     for j, (t, m) in enumerate(nlp.pairs):
-        lsl, msl = nlp.dsl(j)
+        lsl, msl = dsl(nlp, j)
         owners.append(("dual_{}", t, m, slice(lsl.start, msl.stop)))
 
     def var_key(v, side):

@@ -8,15 +8,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from tightnav.dynamics import step_rk4
-from tightnav.geometry import body_polytope, min_translation_distance
+from tightnav.geometry import Polytope, body_polytope, min_translation_distance
 from tightnav.obca import ControllerConfig, StrategyLabel
 from tightnav.predictor import StrategyPrediction
 from tightnav.scenario import V_REF
 from tightnav.supervisor import (
+    CORRIDOR_SLACK,
     MANEUVER_ANGLE,
     PolicyKind,
+    _nearest_ref_index,
+    _pursuit_steering,
     anticipate_collision,
     emergency_brake,
     safety_control,
@@ -172,6 +177,51 @@ def test_sc_stationary_tv_property():
             assert d >= CFG.d_min
 
 
+def finite(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+ev_states = st.tuples(finite(-3, 3), finite(-3, 3), finite(-math.pi, math.pi), finite(-1, 1))
+tv_sequences = st.lists(st.tuples(finite(-4, 4), finite(-4, 4), finite(-math.pi, math.pi),
+                                  finite(-1, 1)), min_size=1, max_size=25)
+
+
+def ahead_of(z, longi, lat, tv_psi, tv_v=0.0):
+    """A TV pose `longi` along and `lat` across the EV's heading from z."""
+    c, s = math.cos(z[2]), math.sin(z[2])
+    return [z[0] + longi * c - lat * s, z[1] + longi * s + lat * c, tv_psi, tv_v]
+
+
+@given(ev_states, tv_sequences, finite(0.0, 2.0))
+def test_speed_target_lies_between_zero_and_reference(z, tv, v_ref):
+    cap = safety_speed_target(np.array(z), np.array(tv), CFG, v_ref)
+    assert 0.0 <= cap <= v_ref
+
+
+@given(ev_states, tv_sequences, st.booleans(), finite(1e-3, 3.0), finite(-3.0, 3.0),
+       finite(0.0, 2.0))
+def test_speed_target_ignores_tv_outside_the_corridor(z, tv, behind, gap, offset, v_ref):
+    # Behind the EV, or beside the corridor by more than the TV's largest
+    # lateral extent (its covering radius).
+    p = CFG.params
+    corridor_half = 0.5 * p.width + CORRIDOR_SLACK + 2.0 * CFG.d_min
+    if behind:
+        tv[0] = ahead_of(z, -gap, offset, tv[0][2], tv[0][3])
+    else:
+        lat = math.copysign(corridor_half + p.covering_radius + gap, offset)
+        tv[0] = ahead_of(z, offset, lat, tv[0][2], tv[0][3])
+    assert safety_speed_target(np.array(z), np.array(tv), CFG, v_ref) == v_ref
+
+
+@given(ev_states, finite(1e-3, 5.0), finite(1e-3, 5.0), finite(-math.pi, math.pi),
+       st.integers(1, 25), finite(0.0, 2.0))
+def test_speed_target_grows_with_distance_to_stationary_tv_ahead(z, d1, d2, tv_psi, n, v_ref):
+    near, far = sorted((d1, d2))
+    caps = [safety_speed_target(np.array(z), np.tile(ahead_of(z, d, 0.0, tv_psi), (n, 1)),
+                                CFG, v_ref) for d in (near, far)]
+    assert caps[0] <= caps[1]
+
+
 def test_sc_target_accounts_for_future_backward_sweep():
     """A TV that will back up caps the speed harder than a static one."""
     z = np.array([0.0, 0.0, 0.0, 0.4])
@@ -241,6 +291,46 @@ def test_sc_matches_speed_behind_moving_tv():
     assert settled_at is not None and settled_at <= 3.0
 
 
+def pursuit_steering_loop(z, ref, p):
+    """Reference: pure pursuit walking the reference one segment at a time."""
+    lookahead = 3.0 * p.length
+    i0 = _nearest_ref_index(ref, z[:2])
+    target = ref[-1, :2]
+    dist = 0.0
+    for j in range(i0 + 1, len(ref)):
+        dist += float(np.hypot(*(ref[j, :2] - ref[j - 1, :2])))
+        if dist >= lookahead:
+            target = ref[j, :2]
+            break
+    dx, dy = target - z[:2]
+    ld = math.hypot(dx, dy)
+    if ld < 1e-9:
+        return 0.0
+    alpha = math.atan2(dy, dx) - z[2]
+    delta = math.atan2(2.0 * p.wheelbase * math.sin(alpha), ld)
+    return float(np.clip(delta, -p.delta_max, p.delta_max))
+
+
+def test_pursuit_steering_matches_segment_walk():
+    p = CFG.params
+    rng = np.random.default_rng(29)
+    for _ in range(300):
+        n = int(rng.integers(2, 30))
+        heading = rng.uniform(-0.6, 0.6, n - 1)
+        steps = rng.uniform(0.0, 0.25, n - 1)[:, None] * np.stack(
+            [np.cos(heading), np.sin(heading)], axis=1)
+        pts = np.vstack([np.zeros(2), np.cumsum(steps, axis=0)]) + rng.uniform(-1, 1, 2)
+        ref = np.column_stack([pts, np.zeros((n, 2))])
+        z = np.array([*(pts[rng.integers(n)] + rng.normal(0.0, 0.1, 2)),
+                      rng.uniform(-0.5, 0.5), 0.4])
+        assert _pursuit_steering(z, ref, p) == pursuit_steering_loop(z, ref, p)
+    # A point exactly one lookahead along the path is the target, not the next.
+    look = 3.0 * p.length
+    ref = np.array([[0.0, 0.0, 0.0, 0.5], [look, 0.0, 0.0, 0.5], [look, 1.0, 0.0, 0.5]])
+    z = np.array([0.0, 0.0, 0.0, 0.5])
+    assert _pursuit_steering(z, ref, p) == pursuit_steering_loop(z, ref, p) == 0.0
+
+
 # --- emergency brake --------------------------------------------------------
 
 def test_eb_brakes_against_motion():
@@ -301,3 +391,51 @@ def test_anticipate_audits_the_configured_clearance_floor():
 def test_anticipate_recoverable_approach_false():
     tv = np.tile(np.array([1.2, 0.0, 0.0, 0.0]), (30, 1))
     assert not anticipate_collision(np.array([0.0, 0.0, 0.0, 0.6]), tv, straight_ref(), CFG, V_REF)
+
+
+def anticipate_collision_loop(z_ev, tv, ref, config, v_ref):
+    """Reference: audit each EV/TV pose pair with the polytope distance as
+    the safety law rolls forward, stopping at the first breach."""
+    p = config.params
+    z = np.asarray(z_ev, float).copy()
+    for t in range(len(tv)):
+        if min_translation_distance(body_polytope(z, p.length, p.width),
+                                    body_polytope(tv[t], p.length, p.width)) < config.d_min:
+            return True
+        if t + 1 < len(tv):
+            z = step_rk4(z, safety_control(z, tv[t:], ref, config, v_ref), config.dt, p)
+    return False
+
+
+def test_anticipate_matches_per_stage_audit():
+    # TVs heading roughly at the EV, driving forward or backing away at
+    # constant speed and turn rate.
+    rng = np.random.default_rng(31)
+    ref = straight_ref()
+    answers = []
+    for _ in range(200):
+        z = np.array([0.0, rng.uniform(-0.1, 0.1), rng.uniform(-0.2, 0.2), rng.uniform(0.0, 0.8)])
+        n = int(rng.integers(1, 22))
+        tv = np.empty((n, 4))
+        x0, y0 = rng.uniform(0.3, 2.0), rng.uniform(-0.5, 0.5)
+        tv[0] = [x0, y0, math.atan2(-y0, -x0) + rng.uniform(-0.8, 0.8), rng.uniform(-0.3, 1.0)]
+        yaw_rate = rng.uniform(-0.8, 0.8)
+        for t in range(1, n):
+            x, y, psi, v = tv[t - 1]
+            tv[t] = [x + v * CFG.dt * math.cos(psi), y + v * CFG.dt * math.sin(psi),
+                     psi + yaw_rate * CFG.dt, v]
+        got = anticipate_collision(z, tv, ref, CFG, V_REF)
+        assert got == anticipate_collision_loop(z, tv, ref, CFG, V_REF)
+        answers.append(got)
+    assert answers.count(True) >= 20 and answers.count(False) >= 20
+
+
+def test_anticipate_builds_no_polytope(monkeypatch):
+    def refuse(self):
+        raise AssertionError("anticipate_collision built a Polytope")
+
+    monkeypatch.setattr(Polytope, "__post_init__", refuse)
+    far = np.tile(np.array([10.0, 0.0, 0.0, 0.0]), (21, 1))
+    near = np.tile(np.array([0.1, 0.0, 0.0, 0.0]), (21, 1))
+    assert not anticipate_collision(np.zeros(4), far, straight_ref(), CFG, V_REF)
+    assert anticipate_collision(np.zeros(4), near, straight_ref(), CFG, V_REF)
