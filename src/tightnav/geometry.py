@@ -8,8 +8,15 @@ face multipliers at the witness points are read off the faces active there;
 they double as warm starts for the dual collision-avoidance constraints.
 `box_distances` runs the same test and minimum on many pairs of vehicle
 boxes at once, straight from their states, for audits along a predicted
-horizon.  A grid-sampling oracle and the equivalent distance QP exist only
-in the tests.
+horizon.
+
+The guided controller's pass-side hyperplanes come from critical regions,
+an obstacle dilated by the ego covering radius.  For every stage of a
+horizon at once, `point_polytope_distances` measures the point-to-polygon
+distance and `project_to_critical_boundary` bisects each pass-side ray to
+the region's boundary; `strategy_halfspace` then supports the obstacle at
+each boundary point.  A grid-sampling oracle, the equivalent distance QP
+and the per-ray bisection exist only in the tests.
 """
 
 from __future__ import annotations
@@ -26,9 +33,15 @@ logger = logging.getLogger(__name__)
 _ACTIVE_TOL = 1e-9
 # Separating-axis test: projections must be apart by more than this.
 _SAT_TOL = 1e-9
+# A point within this distance outside every face counts as inside.
+_INSIDE_TOL = 1e-9
+# Edges shorter than the square root of this project every point to their start.
+_DEGENERATE_EDGE = 1e-16
 # Critical-boundary projection: the initial bracket beyond 4 radii (a lane
-# width at desk scale) and the bisection stopping width.
+# width at desk scale), the most times it doubles, and the bisection
+# stopping width.
 BRACKET_HINT = 0.9
+_MAX_DOUBLINGS = 40
 PROJECTION_TOL = 1e-6
 
 
@@ -83,7 +96,7 @@ class Polytope:
         corners = np.array([(cx + ox, cy + oy) for ox, oy in offsets[first:] + offsets[:first]])
         return cls(G @ R.T, g + G @ (R.T @ c), corners)
 
-    def contains(self, p, tol: float = 1e-9) -> bool:
+    def contains(self, p, tol: float = _INSIDE_TOL) -> bool:
         return bool(np.all(self.A @ np.asarray(p, float) - self.b <= tol))
 
     def vertices(self) -> np.ndarray:
@@ -354,7 +367,7 @@ def polytopes_intersect(P: Polytope, Q: Polytope) -> bool:
 def _point_segment_closest(p, a, b):
     ab = b - a
     denom = float(ab @ ab)
-    t = 0.0 if denom < 1e-16 else float(np.clip((p - a) @ ab / denom, 0.0, 1.0))
+    t = 0.0 if denom < _DEGENERATE_EDGE else float(np.clip((p - a) @ ab / denom, 0.0, 1.0))
     return a + t * ab
 
 
@@ -393,45 +406,77 @@ class CriticalRegion:
         if self.radius <= 0:
             raise GeometryError("critical region radius must be positive")
 
-    def contains(self, p, tol: float = 1e-9) -> bool:
-        return point_polytope_distance(p, self.base) <= self.radius + tol
 
+# The batched routines below take K polygons as stacked arrays: vertices
+# verts (K, V, 2) in cyclic order and faces {x : A[k] x <= b[k]} with
+# A (K, F, 2) and b (K, F).  Every operation is elementwise over the K rows.
 
-def project_to_critical_boundary(p_ref, region: CriticalRegion, direction) -> np.ndarray:
-    """Smallest t >= 0 with dist(p_ref + t*d, base) = radius, via bisection.
+def point_polytope_distances(p, verts, A, b) -> np.ndarray:
+    """Distances from K points p (K, 2) to K polygons, (K,).
 
-    p_ref must lie inside the region.  The initial bracket upper end is
-    4*radius + BRACKET_HINT (a lane width at desk scale) and grows
-    geometrically until the boundary crossing is bracketed; bisection stops
-    once the bracket is narrower than PROJECTION_TOL.
+    Row k is `point_polytope_distance(p[k], poly_k)`: exactly 0 when the
+    point passes the face test of `Polytope.contains` (A p - b <= 1e-9 on
+    every face), else the least distance to the V edges
+    verts[k, i] -> verts[k, i + 1], with `_point_segment_closest`'s
+    arithmetic.  That routine takes its dot products through BLAS, so the two
+    can differ in the last bit.
     """
-    p_ref = np.asarray(p_ref, dtype=float)
-    d = np.asarray(direction, dtype=float)
-    nd = np.linalg.norm(d)
-    if nd < 1e-12:
-        raise GeometryError("projection direction must be nonzero")
-    d = d / nd
+    p = np.asarray(p, float)
+    px, py = p[:, None, 0], p[:, None, 1]
+    inside = np.all(A[..., 0] * px + A[..., 1] * py - b <= _INSIDE_TOL, axis=1)
+    ax, ay = verts[..., 0], verts[..., 1]
+    nxt = np.roll(verts, -1, axis=1)
+    ex, ey = nxt[..., 0] - ax, nxt[..., 1] - ay
+    ee = ex * ex + ey * ey
+    t = np.zeros_like(ee)
+    np.divide((px - ax) * ex + (py - ay) * ey, ee, out=t, where=ee >= _DEGENERATE_EDGE)
+    t = np.clip(t, 0.0, 1.0)
+    dx, dy = px - (ax + t * ex), py - (ay + t * ey)
+    return np.where(inside, 0.0, np.sqrt(dx * dx + dy * dy).min(axis=1))
+
+
+def project_to_critical_boundary(p_ref, d, verts, A, b, radius: float):
+    """Where K rays leave their critical regions: (points (K, 2), ok (K,)).
+
+    Row k finds the smallest t >= 0 with dist(p_ref[k] + t d[k], poly_k) =
+    radius by bisection on the sign of g(t) = dist - radius; d (K, 2) holds
+    unit directions.  The bracket's upper end starts at 4 radius +
+    BRACKET_HINT (a lane width at desk scale) and doubles, at most 40 times,
+    until g > 0 there; a row still inside after that gets ok False and a NaN
+    point, and the other rows are unaffected.  Bisection keeps the half with
+    g(t_lo) <= 0 and stops, row by row, once the bracket is no wider than
+    PROJECTION_TOL; the point returned is at the bracket's midpoint.  A row
+    runs exactly the steps it would run alone.  Raises GeometryError when a
+    reference point lies outside its region.
+    """
+    p_ref, d = np.asarray(p_ref, float), np.asarray(d, float)
+    if radius <= 0:
+        raise GeometryError("critical region radius must be positive")
 
     def g(t):
-        return point_polytope_distance(p_ref + t * d, region.base) - region.radius
+        return point_polytope_distances(p_ref + t[:, None] * d, verts, A, b) - radius
 
-    if g(0.0) > PROJECTION_TOL:
+    t_lo = np.zeros(len(p_ref))
+    if np.any(g(t_lo) > PROJECTION_TOL):
         raise GeometryError("reference point is outside the critical region")
-    t_hi = 4.0 * region.radius + BRACKET_HINT
-    expansions = 0
-    while g(t_hi) <= 0.0:
-        t_hi *= 2.0
-        expansions += 1
-        if expansions > 40:
-            raise GeometryError("no boundary crossing along projection ray")
-    t_lo = 0.0
-    while t_hi - t_lo > PROJECTION_TOL:
+    t_hi = np.full(len(p_ref), 4.0 * radius + BRACKET_HINT)
+    short = g(t_hi) <= 0.0
+    for _ in range(_MAX_DOUBLINGS):
+        if not short.any():
+            break
+        t_hi = np.where(short, 2.0 * t_hi, t_hi)
+        short &= g(t_hi) <= 0.0
+    ok = ~short
+    active = ok & (t_hi - t_lo > PROJECTION_TOL)
+    while active.any():
         mid = 0.5 * (t_lo + t_hi)
-        if g(mid) <= 0.0:
-            t_lo = mid
-        else:
-            t_hi = mid
-    return p_ref + 0.5 * (t_lo + t_hi) * d
+        below = g(mid) <= 0.0
+        t_lo = np.where(active & below, mid, t_lo)
+        t_hi = np.where(active & ~below, mid, t_hi)
+        active &= t_hi - t_lo > PROJECTION_TOL
+    points = p_ref + (0.5 * (t_lo + t_hi))[:, None] * d
+    points[~ok] = np.nan
+    return points, ok
 
 
 def strategy_halfspace(q_boundary, region: CriticalRegion) -> Halfspace:

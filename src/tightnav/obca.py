@@ -37,6 +37,7 @@ from .geometry import (
     Polytope,
     body_polytope,
     distance_witness,
+    point_polytope_distances,
     project_to_critical_boundary,
     strategy_halfspace,
 )
@@ -204,8 +205,13 @@ class MpcSolution:
 
 
 def lateral_direction(strategy: StrategyLabel, psi_ref: float) -> np.ndarray:
-    """Unit normal to the reference heading, toward the commanded pass side."""
+    """Unit normal to the reference heading, toward the commanded pass side.
+
+    (-sin, cos) is divided by its computed norm, which rounding leaves one
+    ulp off 1 for about a quarter of headings.
+    """
     d = np.array([-math.sin(psi_ref), math.cos(psi_ref)])
+    d /= np.linalg.norm(d)
     if strategy == StrategyLabel.PASS_LEFT:
         return d
     if strategy == StrategyLabel.PASS_RIGHT:
@@ -216,24 +222,38 @@ def lateral_direction(strategy: StrategyLabel, psi_ref: float) -> np.ndarray:
 def generate_strategy_constraints(strategy, ref, env: EnvironmentEncoding, r_ev: float):
     """Per-step pass-side halfspaces for reference points inside the critical region.
 
-    Returns [(t, Halfspace), ...]; steps whose reference position lies
-    outside the dilated obstacle get no constraint, and projection failures
-    skip the step with a warning rather than aborting the solve.
+    Stage t's critical region is the TV polytope env.tv(t) dilated by r_ev.
+    The horizon's TV polygons are stacked once; one batched distance screens
+    every stage's reference position, and one batched bisection projects the
+    positions inside their region along the pass-side direction onto the
+    region's boundary.  Each boundary point then gives its supporting
+    halfspace.  Returns [(t, Halfspace), ...]; steps whose reference position
+    lies outside the region get no constraint, and a step whose projection or
+    halfspace fails is skipped with a warning rather than aborting the solve.
     """
     strategy = StrategyLabel(strategy)
     if strategy == StrategyLabel.YIELD:
         raise ValueError("yield is handled by the safety controller, not by constraints")
     ref = np.asarray(ref, float)
+    n = min(len(ref), env.n_steps)
+    tvs = [env.tv(t) for t in range(n)]
+    A, b = (faces[:n, 0] for faces in env.face_arrays())
+    verts = np.array([tv.vertices() for tv in tvs])
+    p_ref = ref[:n, :2]
+    stages = np.flatnonzero(point_polytope_distances(p_ref, verts, A, b) <= r_ev + 1e-9)
+    if not len(stages):
+        return []
+    dirs = np.array([lateral_direction(strategy, float(ref[t, 2])) for t in stages])
+    qs, ok = project_to_critical_boundary(p_ref[stages], dirs, verts[stages], A[stages],
+                                          b[stages], r_ev)
     out = []
-    for t in range(min(len(ref), env.n_steps)):
-        region = CriticalRegion(env.tv(t), r_ev)
-        p_ref = ref[t, :2]
-        if not region.contains(p_ref):
+    for t, q, found in zip(stages.tolist(), qs, ok.tolist()):
+        if not found:
+            logger.warning("strategy constraint skipped at step %d: no boundary crossing "
+                           "along projection ray", t)
             continue
-        direction = lateral_direction(strategy, float(ref[t, 2]))
         try:
-            q = project_to_critical_boundary(p_ref, region, direction)
-            hs = strategy_halfspace(q, region)
+            hs = strategy_halfspace(q, CriticalRegion(tvs[t], r_ev))
         except GeometryError as exc:
             logger.warning("strategy constraint skipped at step %d: %s", t, exc)
             continue

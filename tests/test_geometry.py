@@ -12,9 +12,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
 from tightnav.geometry import (
+    BRACKET_HINT,
+    PROJECTION_TOL,
     CriticalRegion,
     GeometryError,
     Halfspace,
@@ -24,12 +28,15 @@ from tightnav.geometry import (
     distance_witness,
     min_translation_distance,
     point_polytope_distance,
+    point_polytope_distances,
     polytopes_intersect,
     project_to_critical_boundary,
     rotation_matrix,
     strategy_halfspace,
 )
 from tightnav.qp import solve_qp
+
+from oracles import project_one
 
 
 def grid_points(poly: Polytope, n: int = 45) -> np.ndarray:
@@ -205,33 +212,198 @@ def test_point_distance_matches_qp():
         assert abs(d_fast - d_qp) < 1e-6
 
 
+def stack(polys):
+    """(verts, A, b) of polytopes stacked to (K, V, 2), (K, F, 2) and (K, F)."""
+    return (np.array([p.vertices() for p in polys]), np.array([p.A for p in polys]),
+            np.array([p.b for p in polys]))
+
+
+def plain_point_polygon_distance(p, poly: Polytope) -> float:
+    """The batched distance's documented arithmetic in Python floats.
+
+    Face test A p - b <= 1e-9, then the least distance to the edges
+    v_i -> v_(i+1) as `_point_segment_closest` computes it, with the dot
+    products as a plain sum of products in index order.
+    """
+    px, py = p
+    if all(ax * px + ay * py - b <= 1e-9 for (ax, ay), b in zip(poly.A.tolist(), poly.b.tolist())):
+        return 0.0
+    verts = poly.vertices().tolist()
+    best = math.inf
+    for i, (ax, ay) in enumerate(verts):
+        bx, by = verts[(i + 1) % len(verts)]
+        ex, ey = bx - ax, by - ay
+        ee = ex * ex + ey * ey
+        t = 0.0 if ee < 1e-16 else min(max(((px - ax) * ex + (py - ay) * ey) / ee, 0.0), 1.0)
+        dx, dy = px - (ax + t * ex), py - (ay + t * ey)
+        best = min(best, math.sqrt(dx * dx + dy * dy))
+    return best
+
+
+def random_boxes(rng, k, half_lo=0.05, half_hi=1.0):
+    return [Polytope.from_box(rng.uniform(-1, 1, 2), rng.uniform(half_lo, half_hi),
+                              rng.uniform(half_lo, half_hi), rng.uniform(-math.pi, math.pi))
+            for _ in range(k)]
+
+
+def assert_distances_match(points, polys):
+    """Batched distances against the scalar routine and the plain arithmetic."""
+    got = point_polytope_distances(np.array(points, float), *stack(polys))
+    scalar = np.array([point_polytope_distance(p, poly) for p, poly in zip(points, polys)])
+    np.testing.assert_allclose(got, scalar, rtol=0.0, atol=1e-15)
+    assert np.array_equal(got == 0.0, scalar == 0.0)
+    plain = [plain_point_polygon_distance(p, poly) for p, poly in zip(points, polys)]
+    assert got.tolist() == plain
+    return got
+
+
+def test_batched_distance_matches_scalar_random_boxes():
+    rng = np.random.default_rng(211)
+    polys = random_boxes(rng, 3000)
+    points = rng.uniform(-2.5, 2.5, (3000, 2))
+    got = assert_distances_match(points, polys)
+    assert np.count_nonzero(got == 0.0) >= 100 and np.count_nonzero(got > 0.0) >= 1000
+
+
+def test_batched_distance_on_faces_corners_and_tolerance():
+    rng = np.random.default_rng(223)
+    polys, points, want_zero = [], [], []
+    for poly in random_boxes(rng, 200):
+        v = poly.vertices()
+        n = poly.A / np.linalg.norm(poly.A, axis=1)[:, None]
+        mid = 0.5 * (v + np.roll(v, -1, axis=0))
+        # Which face each edge midpoint lies on.
+        face = [int(np.argmin(np.abs(poly.A @ m - poly.b))) for m in mid]
+        for i in range(4):
+            polys += [poly] * 4
+            points += [v[i], mid[i], mid[i] + 5e-10 * n[face[i]], mid[i] + 1e-6 * n[face[i]]]
+            want_zero += [True, True, True, False]
+    got = assert_distances_match(points, polys)
+    assert np.array_equal(got == 0.0, np.array(want_zero))
+
+
+def test_batched_distance_tiny_boxes():
+    # Edges shorter than 1e-8 take the degenerate-edge branch (t = 0).
+    rng = np.random.default_rng(227)
+    for half in (1e-9, 1e-7):
+        polys = [Polytope.from_box(c, half, half, psi)
+                 for c, psi in zip(rng.uniform(-1, 1, (100, 2)), rng.uniform(-3, 3, 100))]
+        points = [poly.vertices().mean(axis=0) + rng.uniform(-3 * half, 3 * half, 2)
+                  for poly in polys]
+        got = assert_distances_match(points, polys)
+        assert np.count_nonzero(got == 0.0) >= 10 and np.count_nonzero(got > 0.0) >= 40
+
+
+def project_rows(p_ref, d, polys, radius):
+    """Batched projection of all rows, and each row by the retired routine
+    (None where it raises)."""
+    d = np.asarray(d, float)
+    # The retired routine divides d by its norm first; the batched one takes
+    # unit rows as they are.
+    unit = np.array([row / np.linalg.norm(row) for row in d])
+    q, ok = project_to_critical_boundary(p_ref, unit, *stack(polys), radius)
+    want = []
+    for p, row, poly in zip(p_ref, d, polys):
+        try:
+            want.append(project_one(p, CriticalRegion(poly, radius), row))
+        except GeometryError:
+            want.append(None)
+    return q, ok, want
+
+
+def assert_rows_bitwise(q, ok, want):
+    assert ok.tolist() == [w is not None for w in want]
+    for got, w in zip(q, want):
+        if w is None:
+            assert np.all(np.isnan(got))
+        else:
+            assert got.tobytes() == w.tobytes()
+
+
+@pytest.mark.parametrize("radius", [0.3, 1.0])
+def test_batched_projection_matches_per_row_bisection(radius):
+    rng = np.random.default_rng(233 if radius == 0.3 else 239)
+    polys, p_ref, dirs, long_rows = [], [], [], 0
+    while len(polys) < 600:
+        if rng.random() < 0.25:
+            # Longer than 4r + 0.9 along d: the bracket must double.
+            half_l = rng.uniform(2.5 * radius + 0.5, 40.0)
+            psi = rng.uniform(-math.pi, math.pi)
+            poly = Polytope.from_box(rng.uniform(-1, 1, 2), half_l, rng.uniform(0.05, 0.5), psi)
+            theta = psi + rng.choice([0.0, math.pi]) + rng.uniform(-0.02, 0.02)
+            long_rows += 1
+        else:
+            poly = random_boxes(rng, 1)[0]
+            theta = rng.uniform(-math.pi, math.pi)
+        p = poly.vertices().mean(axis=0) + rng.uniform(-1.0, 1.0, 2)
+        if point_polytope_distance(p, poly) > radius:
+            continue
+        polys.append(poly)
+        p_ref.append(p)
+        dirs.append([math.cos(theta), math.sin(theta)])
+    q, ok, want = project_rows(np.array(p_ref), dirs, polys, radius)
+    assert all(w is not None for w in want)
+    assert_rows_bitwise(q, ok, want)
+    reach = np.linalg.norm(q - np.array(p_ref), axis=1)
+    assert long_rows >= 100 and np.count_nonzero(reach > 4 * radius + 0.9) >= 50
+
+
+def test_batched_projection_keeps_a_tie_in_the_lower_bracket():
+    # The first midpoint lies exactly at distance r from the box's top face,
+    # so g(mid) == 0.0 and the midpoint becomes the bracket's lower end.
+    radius = 1.0
+    mid = 0.5 * (4.0 * radius + BRACKET_HINT)
+    base = Polytope.from_box([0.0, 0.0], 1.0, mid - radius)
+    assert point_polytope_distance([0.0, mid], base) == radius
+    q, ok, want = project_rows(np.zeros((1, 2)), [[0.0, 1.0]], [base], radius)
+    assert_rows_bitwise(q, ok, want)
+    assert mid <= q[0, 1] <= mid + PROJECTION_TOL
+
+
+def test_batched_projection_exhausted_row_fails_alone():
+    rng = np.random.default_rng(241)
+    radius = 0.3
+    polys = random_boxes(rng, 40)
+    # (4r + 0.9) * 2^40 falls short of the huge box's far end; the 1e9 m box
+    # needs 29 doublings and still converges.
+    polys[7] = Polytope.from_box([0.0, 0.0], 1e13, 0.5)
+    polys[23] = Polytope.from_box([0.0, 0.0], 1e9, 0.5)
+    p_ref = np.array([poly.vertices().mean(axis=0) for poly in polys])
+    dirs = [[1.0, 0.0] if k in (7, 23) else [0.6, 0.8] for k in range(40)]
+    q, ok, want = project_rows(p_ref, dirs, polys, radius)
+    assert ok.tolist() == [k != 7 for k in range(40)]
+    assert_rows_bitwise(q, ok, want)
+    assert q[23, 0] > 1e9
+
+
 def test_projection_box_example():
     # Box [-2,2]x[-1,1] dilated by 1; from the origin straight up -> (0, 2).
     base = Polytope.from_box([0, 0], 2.0, 1.0)
-    region = CriticalRegion(base, 1.0)
-    q = project_to_critical_boundary([0.0, 0.0], region, [0.0, 1.0])
-    np.testing.assert_allclose(q, [0.0, 2.0], atol=1e-5)
+    q, ok = project_to_critical_boundary([[0.0, 0.0]], [[0.0, 1.0]], *stack([base]), 1.0)
+    assert ok.tolist() == [True]
+    np.testing.assert_allclose(q[0], [0.0, 2.0], atol=1e-5)
     # Residual check: the projected point sits on the dilated boundary.
-    assert abs(point_polytope_distance(q, base) - region.radius) < 1e-5
+    assert abs(point_polytope_distance(q[0], base) - 1.0) < 1e-5
 
 
 def test_projection_random_residuals():
     rng = np.random.default_rng(31)
     base = Polytope.from_box([0.5, 0.2], 0.8, 0.5, psi=0.4)
-    region = CriticalRegion(base, 0.35)
-    for _ in range(20):
-        p = np.asarray([0.5, 0.2]) + rng.uniform(-0.3, 0.3, 2)
-        if not region.contains(p):
-            continue
-        theta = rng.uniform(0, 2 * math.pi)
-        q = project_to_critical_boundary(p, region, [math.cos(theta), math.sin(theta)])
-        assert abs(point_polytope_distance(q, base) - region.radius) < 1e-5
+    p = np.asarray([0.5, 0.2]) + rng.uniform(-0.3, 0.3, (20, 2))
+    p = p[point_polytope_distances(p, *stack([base] * 20)) <= 0.35]
+    theta = rng.uniform(0, 2 * math.pi, len(p))
+    d = np.column_stack([np.cos(theta), np.sin(theta)])
+    q, ok = project_to_critical_boundary(p, d, *stack([base] * len(p)), 0.35)
+    assert len(p) >= 10 and ok.all()
+    for qk in q:
+        assert abs(point_polytope_distance(qk, base) - 0.35) < 1e-5
 
 
 def test_projection_requires_inside_point():
-    region = CriticalRegion(Polytope.from_box([0, 0], 1, 1), 0.5)
+    base = Polytope.from_box([0, 0], 1, 1)
     with pytest.raises(GeometryError):
-        project_to_critical_boundary([5.0, 0.0], region, [0.0, 1.0])
+        project_to_critical_boundary([[0.0, 0.0], [5.0, 0.0]], [[0.0, 1.0]] * 2,
+                                     *stack([base] * 2), 0.5)
 
 
 def test_strategy_halfspace_flat_face():
@@ -261,15 +433,66 @@ def test_strategy_halfspace_supporting_property_random():
     rng = np.random.default_rng(41)
     base = Polytope.from_box([0.2, -0.1], 0.7, 0.45, psi=0.6)
     region = CriticalRegion(base, 0.3)
-    for _ in range(25):
-        theta = rng.uniform(0, 2 * math.pi)
-        d = np.array([math.cos(theta), math.sin(theta)])
-        q = project_to_critical_boundary([0.2, -0.1], region, d)
+    theta = rng.uniform(0, 2 * math.pi, 25)
+    d = np.column_stack([np.cos(theta), np.sin(theta)])
+    qs, ok = project_to_critical_boundary([[0.2, -0.1]] * 25, d, *stack([base] * 25), 0.3)
+    assert ok.all()
+    for q in qs:
         hs = strategy_halfspace(q, region)
         support = max(hs.w @ v for v in base.vertices())
         assert abs(hs.offset - support) < 1e-9
         # q itself is on the constraint boundary up to projection tolerance.
         assert abs(hs.w @ q - hs.offset - region.radius) < 2e-5
+
+
+@st.composite
+def projection_rows(draw):
+    """(bases, reference points, unit directions, radius) of 1-6 rows.
+
+    Each reference point is a convex combination of its base's vertices
+    pushed out by at most r/2, so it lies well inside its critical region.
+    """
+    radius = draw(st.floats(0.05, 1.0))
+    n = draw(st.integers(1, 6))
+    unit = st.floats(0.0, 1.0)
+    bases, p_ref, dirs = [], [], []
+    for _ in range(n):
+        base = Polytope.from_box([draw(st.floats(-2, 2)), draw(st.floats(-2, 2))],
+                                 draw(st.floats(0.02, 1.5)), draw(st.floats(0.02, 1.5)),
+                                 draw(st.floats(-math.pi, math.pi)))
+        weights = np.array([draw(unit) for _ in range(4)]) + 1e-3
+        inner = weights @ base.vertices() / weights.sum()
+        push = draw(st.floats(-math.pi, math.pi))
+        p = inner + draw(st.floats(0.0, 0.5 * radius)) * np.array([math.cos(push), math.sin(push)])
+        theta = draw(st.floats(-math.pi, math.pi))
+        bases.append(base)
+        p_ref.append(p)
+        dirs.append([math.cos(theta), math.sin(theta)])
+    return bases, np.array(p_ref), np.array(dirs), radius
+
+
+@settings(max_examples=150)
+@given(projection_rows())
+def test_strategy_halfspace_properties(rows):
+    """The halfspace at each projected boundary point q of a reference point
+    well inside its region (distance at most r/2 from the base):
+
+    - supports the base (`strategy_halfspace`): every vertex has
+      w.v <= offset + 1e-9, and offset is support(w) to 1e-12;
+    - q is within PROJECTION_TOL of distance r (the bisection brackets the
+      crossing to PROJECTION_TOL and the distance is 1-Lipschitz along d);
+    - w.d >= 0: the distance is convex along the ray and at most r before
+      the crossing, so its slope w.d there is at least (r - dist(p)) / t.
+    """
+    bases, p_ref, dirs, radius = rows
+    qs, ok = project_to_critical_boundary(p_ref, dirs, *stack(bases), radius)
+    assert ok.all()
+    for base, q, d in zip(bases, qs, dirs):
+        hs = strategy_halfspace(q, CriticalRegion(base, radius))
+        assert np.all(base.vertices() @ hs.w <= hs.offset + 1e-9)
+        assert abs(hs.offset - base.support(hs.w)) <= 1e-12
+        assert abs(point_polytope_distance(q, base) - radius) <= PROJECTION_TOL
+        assert hs.w @ d >= 0.0
 
 
 def test_halfspace_normalization_and_violation():

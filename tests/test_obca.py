@@ -39,6 +39,8 @@ from tightnav.obca import (
     _witness_duals,
 )
 
+from oracles import strategy_constraints_per_stage
+
 UNIT_PARAMS = VehicleParams(l_f=0.25, l_r=0.25, length=1.0, width=1.0)
 DESK = VehicleParams()
 
@@ -225,6 +227,42 @@ def test_strategy_constraints_support_tv_polytope():
         for t, hs in generate_strategy_constraints(strat, ref, env, r_ev):
             verts = env.tv(t).vertices()
             assert np.max(verts @ hs.w) <= hs.offset + 1e-9
+
+
+def moving_tv_scene(rng, n_steps=21, dt=0.1):
+    """A TV driving and turning past the lane walls, and a reference that
+    crosses its critical region at some stages and stays clear at others."""
+    c0, v = rng.uniform(-1, 1, 2), rng.uniform(-0.6, 0.6, 2)
+    psi0, omega = rng.uniform(-math.pi, math.pi), rng.uniform(-1.5, 1.5)
+    half_l, half_w = rng.uniform(0.1, 0.3), rng.uniform(0.06, 0.15)
+    top, bottom = lane_walls()
+    tvs = [Polytope.from_box(c0 + v * t * dt, half_l, half_w, psi0 + omega * t * dt)
+           for t in range(n_steps)]
+    env = EnvironmentEncoding([[tv, top, bottom] for tv in tvs])
+    centers = np.array([tv.vertices().mean(axis=0) for tv in tvs])
+    spread = rng.uniform(0.1, 0.6)
+    ref = np.column_stack([centers + rng.uniform(-spread, spread, (n_steps, 2)),
+                           rng.uniform(-math.pi, math.pi) + rng.uniform(-0.3, 0.3, n_steps),
+                           np.full(n_steps, 0.5)])
+    return ref, env
+
+
+def test_strategy_constraints_match_per_stage_oracle():
+    rng = np.random.default_rng(307)
+    r_ev = DESK.covering_radius
+    rows = skipped = 0
+    for _ in range(30):
+        ref, env = moving_tv_scene(rng)
+        for strat in (StrategyLabel.PASS_LEFT, StrategyLabel.PASS_RIGHT):
+            got = generate_strategy_constraints(strat, ref, env, r_ev)
+            want = strategy_constraints_per_stage(strat, ref, env, r_ev)
+            assert [t for t, _ in got] == [t for t, _ in want]
+            for (_, hg), (_, hw) in zip(got, want):
+                assert hg.w.tobytes() == hw.w.tobytes()
+                assert float(hg.offset).hex() == float(hw.offset).hex()
+            rows += len(got)
+            skipped += env.n_steps - len(got)
+    assert rows >= 200 and skipped >= 200
 
 
 def test_lateral_direction_orientation():

@@ -1,19 +1,78 @@
-"""Tests of the project metadata in pyproject.toml."""
+"""Tests of the project metadata in pyproject.toml and of the package layering."""
 
+import ast
 import importlib
 from pathlib import Path
 
 import pytest
 
-tomllib = pytest.importorskip("tomllib")
+ROOT = Path(__file__).resolve().parents[1]
+PYPROJECT = ROOT / "pyproject.toml"
+PACKAGE = ROOT / "src" / "tightnav"
 
-PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+# The README's layer order: each module imports only from modules to its left.
+CHAIN = ["dynamics", "geometry", "qp", "nlp", "obca", "supervisor", "predictor", "simulate"]
+# The one import against that order: `ControllerConfig.__post_init__` reads the
+# supervisor's brake gain when a config is built, since the supervisor
+# imports obca.
+EXEMPT = {("obca", "supervisor", "K_BRAKE")}
 
 
 def test_every_console_script_resolves():
+    tomllib = pytest.importorskip("tomllib")
     with open(PYPROJECT, "rb") as fh:
         scripts = tomllib.load(fh)["project"].get("scripts", {})
     for name, target in scripts.items():
         module, _, attr = target.partition(":")
         assert attr, f"script {name} names no attribute: {target}"
         assert callable(getattr(importlib.import_module(module), attr)), name
+
+
+def lower_layers(module: str) -> set:
+    """The package modules `module` may import from.
+
+    `fileio` sits below everything; `scenario` builds on `obca` and the layers
+    under it, and only `simulate` uses it.
+    """
+    if module == "fileio":
+        return set()
+    if module == "scenario":
+        return {"fileio", *CHAIN[:CHAIN.index("obca") + 1]}
+    below = {"fileio", *CHAIN[:CHAIN.index(module)]}
+    return below | {"scenario"} if module == "simulate" else below
+
+
+def package_imports(path: Path):
+    """(imported module, imported names, at module level) for every import of
+    a package module in the file, at any depth."""
+    tree = ast.parse(path.read_text())
+    top_level = {id(node) for node in tree.body}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level == 1 and node.module:
+                yield node.module, [a.name for a in node.names], id(node) in top_level
+            elif node.level == 1 or (node.level == 0 and node.module == "tightnav"):
+                for alias in node.names:
+                    yield alias.name, [], id(node) in top_level
+            elif node.level == 0 and (node.module or "").startswith("tightnav."):
+                yield (node.module.partition(".")[2], [a.name for a in node.names],
+                       id(node) in top_level)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("tightnav."):
+                    yield alias.name.partition(".")[2], [], id(node) in top_level
+
+
+def test_modules_import_only_lower_layers():
+    modules = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__")
+    assert set(modules) == {"fileio", "scenario", *CHAIN}, "place a new module in the layering"
+    used = set()
+    for module in modules:
+        for target, names, top_level in package_imports(PACKAGE / f"{module}.py"):
+            if target in lower_layers(module):
+                continue
+            exempt = {(module, target, name) for name in names}
+            assert names and not top_level and exempt <= EXEMPT, \
+                f"{module} imports {names or target} from the higher layer {target}"
+            used |= exempt
+    assert used == EXEMPT, "an exemption no longer names a real import"
