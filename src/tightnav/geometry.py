@@ -1,29 +1,43 @@
 """Planar convex-polytope primitives for collision avoidance.
 
-Polytopes are halfspace intersections {p in R^2 : A p <= b}.  Vehicle bodies
-are rotated boxes.  The distance between two polytopes is computed in closed
-form: a separating-axis test, then the minimum vertex-to-edge distance in
-both directions, in the manner of Gilbert, Johnson & Keerthi (1988).  The
-face multipliers at the witness points are read off the faces active there;
-they double as warm starts for the dual collision-avoidance constraints.
-`box_distances` runs the same test and minimum on many pairs of vehicle
-boxes at once, straight from their states, for audits along a predicted
-horizon.
+Polytopes are halfspace intersections {p in R^2 : A p <= b} that carry their
+vertices.  Vehicle bodies are rotated boxes.  The distance between two
+polytopes is computed in closed form: a separating-axis test, then the
+minimum vertex-to-edge distance in both directions, in the manner of
+Gilbert, Johnson & Keerthi (1988).  The face multipliers at the closest pair
+are read off the faces active there; they double as warm starts for the dual
+collision-avoidance constraints.
+
+Two routines find the closest point of an edge to a vertex:
+
+- `_closest_pair`, in scalar arithmetic on Python floats, for one pair of
+  polytopes (`distance_witness`, `min_translation_distance`);
+- `_closest_on_edges`, batched in numpy over many points and polygons, for
+  everything else: `box_distances` over many vehicle-box pairs,
+  `point_polytope_distances` over a horizon's stages, and the candidates of
+  `strategy_halfspace`.
+
+The pair routines stay scalar because at one pair of 4-vertex boxes each
+numpy call costs more than the arithmetic it does: run on the batched
+routine with one row, traced per-call distance time rose from 60 to 200 ms
+per `interaction_bl` pass and from 41 to 149 ms per `guided_sg` pass, and
+the separating-axis test from 9.5 to 33 ms per `open_lane` pass.
 
 The guided controller's pass-side hyperplanes come from critical regions,
 an obstacle dilated by the ego covering radius.  For every stage of a
 horizon at once, `point_polytope_distances` measures the point-to-polygon
 distance and `project_to_critical_boundary` bisects each pass-side ray to
 the region's boundary; `strategy_halfspace` then supports the obstacle at
-each boundary point.  A grid-sampling oracle, the equivalent distance QP
-and the per-ray bisection exist only in the tests.
+each boundary point.  A grid-sampling oracle, the equivalent distance QP,
+vertex enumeration by face intersection and the retired per-edge and
+per-ray routines exist only in the tests.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,8 +49,6 @@ _ACTIVE_TOL = 1e-9
 _SAT_TOL = 1e-9
 # A point within this distance outside every face counts as inside.
 _INSIDE_TOL = 1e-9
-# Edges shorter than the square root of this project every point to their start.
-_DEGENERATE_EDGE = 1e-16
 # Critical-boundary projection: the initial bracket beyond 4 radii (a lane
 # width at desk scale), the most times it doubles, and the bisection
 # stopping width.
@@ -57,19 +69,20 @@ def rotation_matrix(psi: float) -> np.ndarray:
 
 @dataclass
 class Polytope:
-    """Halfspace intersection {p : A p <= b} in the plane."""
+    """Convex polygon {p : A p <= b} with its vertices in counterclockwise order."""
 
     A: np.ndarray
     b: np.ndarray
-    _vertices: np.ndarray | None = field(default=None, repr=False, compare=False)
+    vertices: np.ndarray
 
     def __post_init__(self):
         self.A = np.asarray(self.A, dtype=float).reshape(-1, 2)
         self.b = np.asarray(self.b, dtype=float).ravel()
+        self.vertices = np.asarray(self.vertices, dtype=float).reshape(-1, 2)
         if self.A.shape[0] != self.b.shape[0]:
             raise GeometryError("A and b row counts differ")
-        if self.A.shape[0] < 3:
-            raise GeometryError("a bounded planar polytope needs >= 3 faces")
+        if self.A.shape[0] < 3 or len(self.vertices) < 3:
+            raise GeometryError("a bounded planar polytope needs >= 3 faces and vertices")
         norms = np.linalg.norm(self.A, axis=1)
         if np.any(norms < 1e-12):
             raise GeometryError("zero-norm face normal")
@@ -78,8 +91,8 @@ class Polytope:
     def from_box(cls, center, half_x: float, half_y: float, psi: float = 0.0):
         """Axis-aligned box of half-extents (half_x, half_y) rotated by psi.
 
-        The corners are stored in the order `vertices` would compute them
-        (counterclockwise, by angle from the center), so they cost nothing.
+        The corners run counterclockwise from the one at the least angle
+        about the center.
         """
         if half_x <= 0 or half_y <= 0:
             raise GeometryError("box half-extents must be positive")
@@ -99,39 +112,10 @@ class Polytope:
     def contains(self, p, tol: float = _INSIDE_TOL) -> bool:
         return bool(np.all(self.A @ np.asarray(p, float) - self.b <= tol))
 
-    def vertices(self) -> np.ndarray:
-        """Vertices by pairwise face intersection, ordered counterclockwise."""
-        if self._vertices is not None:
-            return self._vertices
-        m = self.A.shape[0]
-        pts = []
-        for i in range(m):
-            for j in range(i + 1, m):
-                M = self.A[[i, j]]
-                det = M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
-                if abs(det) < 1e-12:
-                    continue
-                p = np.linalg.solve(M, self.b[[i, j]])
-                if np.all(self.A @ p - self.b <= 1e-8):
-                    pts.append(p)
-        if not pts:
-            raise GeometryError("polytope has no vertices (empty or degenerate)")
-        pts = np.array(pts)
-        # Deduplicate.
-        keep: list[int] = []
-        for i in range(len(pts)):
-            if not any(np.linalg.norm(pts[i] - pts[k]) < 1e-9 for k in keep):
-                keep.append(i)
-        uniq = pts[keep]
-        centroid = uniq.mean(axis=0)
-        order = np.argsort(np.arctan2(uniq[:, 1] - centroid[1], uniq[:, 0] - centroid[0]))
-        self._vertices = uniq[order]
-        return self._vertices
-
     def support(self, direction) -> float:
-        """Support function max_{p in P} d.p via vertex enumeration."""
+        """Support function max_{p in P} d.p over the vertices."""
         d = np.asarray(direction, float)
-        return float(np.max(self.vertices() @ d))
+        return float(np.max(self.vertices @ d))
 
 
 @dataclass
@@ -164,11 +148,9 @@ def body_polytope(z, length: float, width: float) -> Polytope:
 
 @dataclass
 class DistanceResult:
-    """Distance between two polytopes with witness points and face multipliers."""
+    """Distance between two polytopes with the face multipliers at its witnesses."""
 
     distance: float
-    point_p: np.ndarray
-    point_q: np.ndarray
     mult_p: np.ndarray
     mult_q: np.ndarray
 
@@ -242,52 +224,23 @@ def _face_multipliers(poly: Polytope, x, d) -> np.ndarray:
     return mult
 
 
-def _common_point(P: Polytope, Q: Polytope) -> np.ndarray:
-    """A common point of polytopes the separating-axis test found intersecting.
-
-    It is the vertex mean of P clipped to Q (Sutherland-Hodgman).  When they
-    only touch within the test's tolerance the clip can come out empty; then
-    the midpoint of the closest boundary pair is returned.
-    """
-    poly = P.vertices().tolist()
-    for (ax, ay), b in zip(Q.A.tolist(), Q.b.tolist()):
-        s = [ax * x + ay * y - b - _ACTIVE_TOL for x, y in poly]
-        out = []
-        for k in range(len(poly)):
-            (x0, y0), (x1, y1), s0, s1 = poly[k - 1], poly[k], s[k - 1], s[k]
-            if (s0 < 0.0 < s1) or (s1 < 0.0 < s0):
-                f = s0 / (s0 - s1)
-                out.append((x0 + f * (x1 - x0), y0 + f * (y1 - y0)))
-            if s1 <= 0.0:
-                out.append((x1, y1))
-        if not out:
-            p, q = _closest_pair(P.vertices().tolist(), Q.vertices().tolist())
-            return 0.5 * (np.array(p) + np.array(q))
-        poly = out
-    return np.mean(poly, axis=0)
-
-
 def distance_witness(P: Polytope, Q: Polytope) -> DistanceResult:
-    """Minimum translation distance with witness points and multipliers.
+    """Minimum translation distance with face multipliers.
 
     Solves min ||p - q|| over p in P, q in Q in closed form.  Polytopes that
-    the separating-axis test finds separated get the closest vertex-edge
-    pair and face multipliers satisfying (p - q) = -P.A' mult_p = Q.A' mult_q:
-    the KKT multipliers of min 0.5 ||p - q||^2, which feed the dual warm
-    start of the collision-avoidance controller.  Along parallel edges the
-    witness points are not unique (the multipliers are) and one closest pair
-    is returned.  Intersecting polytopes get distance 0, a common point as
-    both witnesses, and zero multipliers.  Raises GeometryError for an empty
-    polytope.
+    the separating-axis test finds separated get the distance of the closest
+    vertex-edge pair (p, q) and face multipliers satisfying
+    (p - q) = -P.A' mult_p = Q.A' mult_q: the KKT multipliers of
+    min 0.5 ||p - q||^2, which feed the dual warm start of the
+    collision-avoidance controller.  Along parallel edges the witness points
+    are not unique; the multipliers are.  Intersecting polytopes get
+    distance 0 and zero multipliers.
     """
-    vp, vq = P.vertices(), Q.vertices()
     if polytopes_intersect(P, Q):
-        c = _common_point(P, Q)
-        return DistanceResult(0.0, c, c.copy(), np.zeros(len(P.A)), np.zeros(len(Q.A)))
-    p, q = _closest_pair(vp.tolist(), vq.tolist())
+        return DistanceResult(0.0, np.zeros(len(P.A)), np.zeros(len(Q.A)))
+    p, q = _closest_pair(P.vertices.tolist(), Q.vertices.tolist())
     dx, dy = p[0] - q[0], p[1] - q[1]
-    return DistanceResult(math.hypot(dx, dy), np.array(p), np.array(q),
-                          _face_multipliers(P, p, (-dx, -dy)),
+    return DistanceResult(math.hypot(dx, dy), _face_multipliers(P, p, (-dx, -dy)),
                           _face_multipliers(Q, q, (dx, dy)))
 
 
@@ -295,13 +248,48 @@ def min_translation_distance(P: Polytope, Q: Polytope) -> float:
     """Distance between two polytopes; 0 iff they intersect.
 
     The separating-axis test and the closest vertex-edge pair of
-    `distance_witness`, without its witness points and face multipliers;
-    the distance is bit-identical to `distance_witness(P, Q).distance`.
+    `distance_witness`, without its face multipliers; the distance is
+    bit-identical to `distance_witness(P, Q).distance`.
     """
     if polytopes_intersect(P, Q):
         return 0.0
-    p, q = _closest_pair(P.vertices().tolist(), Q.vertices().tolist())
+    p, q = _closest_pair(P.vertices.tolist(), Q.vertices.tolist())
     return math.hypot(p[0] - q[0], p[1] - q[1])
+
+
+def polytopes_intersect(P: Polytope, Q: Polytope) -> bool:
+    """Exact separating-axis test for two convex polygons."""
+    vp, vq = P.vertices.tolist(), Q.vertices.tolist()
+    for ax, ay in P.A.tolist() + Q.A.tolist():
+        proj_p = [ax * x + ay * y for x, y in vp]
+        proj_q = [ax * x + ay * y for x, y in vq]
+        if max(proj_p) < min(proj_q) - _SAT_TOL or max(proj_q) < min(proj_p) - _SAT_TOL:
+            return False
+    return True
+
+
+# The batched routines below take K polygons as stacked vertices (K, V, 2) in
+# cyclic order, and where they need them faces {x : A[k] x <= b[k]} with
+# A (K, F, 2) and b (K, F).  Every operation is elementwise over the K rows.
+
+def _closest_on_edges(pts, ring):
+    """Closest points of the edges of K polygons to points: (cx, cy, d2).
+
+    pts (K, P, 2) holds P points per polygon and ring (K, V, 2) the polygons'
+    vertices in cyclic order.  Entry [k, i, e] of each (K, P, V) result is
+    the point of edge ring[k, e - 1] -> ring[k, e] closest to pts[k, i], and
+    its squared distance: the arithmetic of `_closest_pair`, elementwise.  An
+    edge of zero length gives its start.
+    """
+    a = np.roll(ring, 1, axis=1)
+    ax, ay = a[:, None, :, 0], a[:, None, :, 1]
+    ex, ey = ring[:, None, :, 0] - ax, ring[:, None, :, 1] - ay
+    vx, vy = pts[:, :, None, 0], pts[:, :, None, 1]
+    # A zero-length edge has ex = ey = 0, so dividing by 1 there gives t = 0.
+    ee = ex * ex + ey * ey
+    t = np.clip(((vx - ax) * ex + (vy - ay) * ey) / np.where(ee > 0.0, ee, 1.0), 0.0, 1.0)
+    cx, cy = ax + t * ex, ay + t * ey
+    return cx, cy, (vx - cx) ** 2 + (vy - cy) ** 2
 
 
 def _box_corners(z, half_l: float, half_w: float) -> np.ndarray:
@@ -313,17 +301,6 @@ def _box_corners(z, half_l: float, half_w: float) -> np.ndarray:
     ox = (c[:, None] * sx) * half_l + (-s[:, None] * sy) * half_w
     oy = (s[:, None] * sx) * half_l + (c[:, None] * sy) * half_w
     return np.stack([z[:, :1] + ox, z[:, 1:2] + oy], axis=2)
-
-
-def _vertex_edge_d2(verts, ring) -> np.ndarray:
-    """(T, 16) squared distances from each vertex of `verts` to each edge of
-    the polygon `ring`, both (T, 4, 2) in cyclic order, as `_closest_pair`."""
-    a = np.roll(ring, 1, axis=1)
-    ex, ey = ring[..., 0] - a[..., 0], ring[..., 1] - a[..., 1]
-    ax, ay, ex, ey = (w[:, None, :] for w in (a[..., 0], a[..., 1], ex, ey))
-    vx, vy = verts[:, :, None, 0], verts[:, :, None, 1]
-    t = np.clip(((vx - ax) * ex + (vy - ay) * ey) / (ex * ex + ey * ey), 0.0, 1.0)
-    return ((vx - (ax + t * ex)) ** 2 + (vy - (ay + t * ey)) ** 2).reshape(len(verts), -1)
 
 
 def box_distances(z_a, z_b, length: float, width: float) -> np.ndarray:
@@ -349,90 +326,22 @@ def box_distances(z_a, z_b, length: float, width: float) -> np.ndarray:
             pb = nx * vb[..., 0] + ny * vb[..., 1]
             separated |= pa.max(axis=1) < pb.min(axis=1) - _SAT_TOL
             separated |= pb.max(axis=1) < pa.min(axis=1) - _SAT_TOL
-    d2 = np.concatenate([_vertex_edge_d2(va, vb), _vertex_edge_d2(vb, va)], axis=1)
-    return np.where(separated, np.sqrt(d2.min(axis=1)), 0.0)
+    d2 = np.minimum(_closest_on_edges(va, vb)[2], _closest_on_edges(vb, va)[2])
+    return np.where(separated, np.sqrt(d2.reshape(len(va), -1).min(axis=1)), 0.0)
 
-
-def polytopes_intersect(P: Polytope, Q: Polytope) -> bool:
-    """Exact separating-axis test for two convex polygons."""
-    vp, vq = P.vertices().tolist(), Q.vertices().tolist()
-    for ax, ay in P.A.tolist() + Q.A.tolist():
-        proj_p = [ax * x + ay * y for x, y in vp]
-        proj_q = [ax * x + ay * y for x, y in vq]
-        if max(proj_p) < min(proj_q) - _SAT_TOL or max(proj_q) < min(proj_p) - _SAT_TOL:
-            return False
-    return True
-
-
-def _point_segment_closest(p, a, b):
-    ab = b - a
-    denom = float(ab @ ab)
-    t = 0.0 if denom < _DEGENERATE_EDGE else float(np.clip((p - a) @ ab / denom, 0.0, 1.0))
-    return a + t * ab
-
-
-def point_polytope_projection(p, poly: Polytope):
-    """(distance, closest point, per-edge candidates) for a point.
-
-    Inside the polytope the distance is 0 and the point projects to itself;
-    candidates are the per-edge closest points used for tie handling.
-    """
-    p = np.asarray(p, dtype=float)
-    if poly.contains(p):
-        return 0.0, p.copy(), []
-    verts = poly.vertices()
-    n = len(verts)
-    cands = []
-    for i in range(n):
-        cp = _point_segment_closest(p, verts[i], verts[(i + 1) % n])
-        cands.append((float(np.linalg.norm(p - cp)), cp))
-    dmin = min(c[0] for c in cands)
-    best = next(c[1] for c in cands if c[0] == dmin)
-    return dmin, best, cands
-
-
-def point_polytope_distance(p, poly: Polytope) -> float:
-    return point_polytope_projection(p, poly)[0]
-
-
-@dataclass
-class CriticalRegion:
-    """A polytope dilated by a disc: {p : dist(p, base) <= radius}."""
-
-    base: Polytope
-    radius: float
-
-    def __post_init__(self):
-        if self.radius <= 0:
-            raise GeometryError("critical region radius must be positive")
-
-
-# The batched routines below take K polygons as stacked arrays: vertices
-# verts (K, V, 2) in cyclic order and faces {x : A[k] x <= b[k]} with
-# A (K, F, 2) and b (K, F).  Every operation is elementwise over the K rows.
 
 def point_polytope_distances(p, verts, A, b) -> np.ndarray:
     """Distances from K points p (K, 2) to K polygons, (K,).
 
-    Row k is `point_polytope_distance(p[k], poly_k)`: exactly 0 when the
-    point passes the face test of `Polytope.contains` (A p - b <= 1e-9 on
-    every face), else the least distance to the V edges
-    verts[k, i] -> verts[k, i + 1], with `_point_segment_closest`'s
-    arithmetic.  That routine takes its dot products through BLAS, so the two
-    can differ in the last bit.
+    Row k is exactly 0 when the point passes the face test of
+    `Polytope.contains` (A p - b <= 1e-9 on every face), else the least
+    distance to the V edges of verts[k], as `_closest_on_edges` measures it.
     """
     p = np.asarray(p, float)
     px, py = p[:, None, 0], p[:, None, 1]
     inside = np.all(A[..., 0] * px + A[..., 1] * py - b <= _INSIDE_TOL, axis=1)
-    ax, ay = verts[..., 0], verts[..., 1]
-    nxt = np.roll(verts, -1, axis=1)
-    ex, ey = nxt[..., 0] - ax, nxt[..., 1] - ay
-    ee = ex * ex + ey * ey
-    t = np.zeros_like(ee)
-    np.divide((px - ax) * ex + (py - ay) * ey, ee, out=t, where=ee >= _DEGENERATE_EDGE)
-    t = np.clip(t, 0.0, 1.0)
-    dx, dy = px - (ax + t * ex), py - (ay + t * ey)
-    return np.where(inside, 0.0, np.sqrt(dx * dx + dy * dy).min(axis=1))
+    d2 = _closest_on_edges(p[:, None], verts)[2][:, 0]
+    return np.where(inside, 0.0, np.sqrt(d2.min(axis=1)))
 
 
 def project_to_critical_boundary(p_ref, d, verts, A, b, radius: float):
@@ -445,9 +354,11 @@ def project_to_critical_boundary(p_ref, d, verts, A, b, radius: float):
     until g > 0 there; a row still inside after that gets ok False and a NaN
     point, and the other rows are unaffected.  Bisection keeps the half with
     g(t_lo) <= 0 and stops, row by row, once the bracket is no wider than
-    PROJECTION_TOL; the point returned is at the bracket's midpoint.  A row
-    runs exactly the steps it would run alone.  Raises GeometryError when a
-    reference point lies outside its region.
+    PROJECTION_TOL or its midpoint rounds to one of its ends (a crossing
+    beyond about 4e9, where one ulp of t exceeds PROJECTION_TOL); the point
+    returned is at the bracket's midpoint.  A row runs exactly the steps it
+    would run alone.  Raises GeometryError when a reference point lies
+    outside its region.
     """
     p_ref, d = np.asarray(p_ref, float), np.asarray(d, float)
     if radius <= 0:
@@ -470,6 +381,7 @@ def project_to_critical_boundary(p_ref, d, verts, A, b, radius: float):
     active = ok & (t_hi - t_lo > PROJECTION_TOL)
     while active.any():
         mid = 0.5 * (t_lo + t_hi)
+        active &= (t_lo < mid) & (mid < t_hi)
         below = g(mid) <= 0.0
         t_lo = np.where(active & below, mid, t_lo)
         t_hi = np.where(active & ~below, mid, t_hi)
@@ -479,30 +391,32 @@ def project_to_critical_boundary(p_ref, d, verts, A, b, radius: float):
     return points, ok
 
 
-def strategy_halfspace(q_boundary, region: CriticalRegion) -> Halfspace:
+def strategy_halfspace(q_boundary, base: Polytope) -> Halfspace:
     """Supporting hyperplane of the base polytope at a boundary point.
 
-    The outward normal is (q - closest base point) / radius; when q is
-    equidistant from several faces the candidate normals are averaged and
-    renormalized.  The offset is the base support value, so every base vertex
-    satisfies w . v <= offset and the constraint w . p >= offset keeps the
-    ego vehicle on the far side.
+    The outward normal is (q - closest base point) / distance; when q is
+    equidistant (within 1e-9) from several edges the distinct candidate
+    normals are averaged and renormalized.  The offset is the base support
+    value, so every base vertex satisfies w . v <= offset and the constraint
+    w . p >= offset keeps the ego vehicle on the far side.  Raises
+    GeometryError when q lies inside the base or within 1e-9 of it.
     """
     q = np.asarray(q_boundary, dtype=float)
-    dist, closest, cands = point_polytope_projection(q, region.base)
-    if dist < 1e-9:
+    # Edges in the order v_i -> v_(i+1) from v_0, which decides which of two
+    # near-equal normals is kept.
+    cx, cy, d2 = _closest_on_edges(q[None, None], np.roll(base.vertices, -1, axis=0)[None])
+    dists = np.sqrt(d2[0, 0])
+    dist = dists.min()
+    if base.contains(q) or dist < 1e-9:
         raise GeometryError("boundary point lies inside the base polytope")
-    tie = [c for c in cands if c[0] <= dist + 1e-9]
     normals = []
-    seen = []
-    for cd, cp in tie:
-        nrm = (q - cp) / cd
-        if not any(np.linalg.norm(nrm - s) < 1e-9 for s in seen):
-            seen.append(nrm)
+    for i in np.flatnonzero(dists <= dist + 1e-9):
+        nrm = (q - (cx[0, 0, i], cy[0, 0, i])) / dists[i]
+        if not any(np.linalg.norm(nrm - s) < 1e-9 for s in normals):
             normals.append(nrm)
     w = np.mean(normals, axis=0)
     wn = np.linalg.norm(w)
     if wn < 1e-12:
         raise GeometryError("degenerate averaged normal")
     w = w / wn
-    return Halfspace(w, region.base.support(w))
+    return Halfspace(w, base.support(w))

@@ -32,7 +32,6 @@ import numpy as np
 
 from .dynamics import VehicleParams, rollout, step_jacobians, step_rk4
 from .geometry import (
-    CriticalRegion,
     GeometryError,
     Polytope,
     body_polytope,
@@ -238,7 +237,7 @@ def generate_strategy_constraints(strategy, ref, env: EnvironmentEncoding, r_ev:
     n = min(len(ref), env.n_steps)
     tvs = [env.tv(t) for t in range(n)]
     A, b = (faces[:n, 0] for faces in env.face_arrays())
-    verts = np.array([tv.vertices() for tv in tvs])
+    verts = np.array([tv.vertices for tv in tvs])
     p_ref = ref[:n, :2]
     stages = np.flatnonzero(point_polytope_distances(p_ref, verts, A, b) <= r_ev + 1e-9)
     if not len(stages):
@@ -253,7 +252,7 @@ def generate_strategy_constraints(strategy, ref, env: EnvironmentEncoding, r_ev:
                            "along projection ray", t)
             continue
         try:
-            hs = strategy_halfspace(q, CriticalRegion(tvs[t], r_ev))
+            hs = strategy_halfspace(q, tvs[t])
         except GeometryError as exc:
             logger.warning("strategy constraint skipped at step %d: %s", t, exc)
             continue
@@ -268,11 +267,7 @@ def _witness_duals(obs: Polytope, z, params: VehicleParams):
     the clearance expression at the true distance; touching bodies fall back
     to zero duals.
     """
-    body = body_polytope(z, params.length, params.width)
-    try:
-        res = distance_witness(obs, body)
-    except GeometryError:
-        return 0.0, np.zeros(4), np.zeros(4)
+    res = distance_witness(obs, body_polytope(z, params.length, params.width))
     if res.distance <= 1e-9:
         return res.distance, np.zeros(4), np.zeros(4)
     return res.distance, res.mult_p / res.distance, res.mult_q / res.distance

@@ -93,17 +93,8 @@ def _drive_until(states, delta, a, stop, dt, params, cap=400):
     raise ScenarioError("maneuver primitive failed to reach its stop condition")
 
 
-def _stop_exact(states, delta, dt, params):
-    """Decelerate so the final step lands exactly on v = 0."""
-    z = states[-1]
-    while abs(z[3]) > 1e-12:
-        a = -math.copysign(min(params.a_max, abs(z[3]) / dt), z[3])
-        z = step_rk4(z, np.array([delta, a]), dt, params)
-        states.append(z)
-    return states
-
-
 def _ramp_to(states, delta, v_target, dt, params):
+    """Change speed so the final step lands exactly on v_target."""
     z = states[-1]
     while abs(z[3] - v_target) > 1e-12:
         err = v_target - z[3]
@@ -167,14 +158,14 @@ def synth_tv_maneuver(row: str, index: int, mode: str, speed_scale: float = 1.0,
         y_turn_end = states[-1][1]
         y_stop = y_turn_end + 0.10
         _drive_until(states, 0.0, 0.0, lambda z: z[1] >= y_stop, dt, p, cap=60)
-        _stop_exact(states, 0.0, dt, p)
+        _ramp_to(states, 0.0, 0.0, dt, p)
         n_idle = 0
     else:
         # Swing the nose away from the spot while slowing, overrun the spot,
         # and stop in the lane for the gear change.
         _ramp_to(states, 0.0, v_park, dt, p)
         _drive_until(states, -0.6 * delta_turn, 0.0, lambda z: z[2] <= -0.30, dt, p)
-        _stop_exact(states, 0.0, dt, p)
+        _ramp_to(states, 0.0, 0.0, dt, p)
         n_idle = math.ceil(idle_duration / dt)
         for _ in range(max(n_idle - 1, 0)):
             states.append(states[-1].copy())
@@ -186,7 +177,7 @@ def synth_tv_maneuver(row: str, index: int, mode: str, speed_scale: float = 1.0,
         y_arc_end = states[-1][1]
         y_stop = y_arc_end + 0.06
         _drive_until(states, 0.0, 0.0, lambda z: z[1] >= y_stop, dt, p, cap=60)
-        _stop_exact(states, 0.0, dt, p)
+        _ramp_to(states, 0.0, 0.0, dt, p)
 
     traj = np.array(states)
     traj[:, :2] += np.array([cx, cy]) - traj[-1, :2]

@@ -1,9 +1,16 @@
-"""Retired per-stage routines, kept as oracles for their batched replacements.
+"""Retired routines, kept as oracles for their replacements.
 
-`project_one` bisects a single ray with the scalar `point_polytope_distance`,
-and `strategy_constraints_per_stage` screens, projects and builds the
-halfspace of one horizon stage at a time.  `geometry.project_to_critical_boundary`
-and `obca.generate_strategy_constraints` must return the same bits.
+- `face_intersection_vertices` enumerates a polygon's vertices from its faces
+  alone; `Polytope.from_box` must supply the same corners.
+- `point_polytope_projection` measures a point against each edge with numpy
+  dot products, and `strategy_halfspace_per_edge` builds the supporting
+  halfspace from those candidates; the batched edge routine behind
+  `geometry.point_polytope_distances` and `geometry.strategy_halfspace`
+  must agree with them.
+- `project_one` bisects a single ray, and `strategy_constraints_per_stage`
+  screens, projects and builds the halfspace of one horizon stage at a time;
+  `geometry.project_to_critical_boundary` and
+  `obca.generate_strategy_constraints` must return the same bits.
 """
 
 import math
@@ -13,15 +20,97 @@ import numpy as np
 from tightnav.geometry import (
     BRACKET_HINT,
     PROJECTION_TOL,
-    CriticalRegion,
     GeometryError,
-    point_polytope_distance,
+    Halfspace,
+    Polytope,
     strategy_halfspace,
 )
 from tightnav.obca import StrategyLabel
 
+# Edges shorter than the square root of this project every point to their start.
+DEGENERATE_EDGE = 1e-16
 
-def project_one(p_ref, region: CriticalRegion, direction) -> np.ndarray:
+
+def face_intersection_vertices(A, b) -> np.ndarray:
+    """Vertices of {p : A p <= b} by pairwise face intersection, ordered
+    counterclockwise by angle about their mean."""
+    A, b = np.asarray(A, float), np.asarray(b, float)
+    m = A.shape[0]
+    pts = []
+    for i in range(m):
+        for j in range(i + 1, m):
+            M = A[[i, j]]
+            det = M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
+            if abs(det) < 1e-12:
+                continue
+            p = np.linalg.solve(M, b[[i, j]])
+            if np.all(A @ p - b <= 1e-8):
+                pts.append(p)
+    if not pts:
+        raise GeometryError("polytope has no vertices (empty or degenerate)")
+    pts = np.array(pts)
+    keep: list[int] = []
+    for i in range(len(pts)):
+        if not any(np.linalg.norm(pts[i] - pts[k]) < 1e-9 for k in keep):
+            keep.append(i)
+    uniq = pts[keep]
+    centroid = uniq.mean(axis=0)
+    order = np.argsort(np.arctan2(uniq[:, 1] - centroid[1], uniq[:, 0] - centroid[0]))
+    return uniq[order]
+
+
+def _point_segment_closest(p, a, b):
+    ab = b - a
+    denom = float(ab @ ab)
+    t = 0.0 if denom < DEGENERATE_EDGE else float(np.clip((p - a) @ ab / denom, 0.0, 1.0))
+    return a + t * ab
+
+
+def point_polytope_projection(p, poly: Polytope):
+    """(distance, closest point, per-edge candidates) for a point.
+
+    Inside the polytope the distance is 0 and the point projects to itself;
+    candidates are (distance, closest point) per edge v_i -> v_(i+1).
+    """
+    p = np.asarray(p, dtype=float)
+    if poly.contains(p):
+        return 0.0, p.copy(), []
+    verts = poly.vertices
+    n = len(verts)
+    cands = []
+    for i in range(n):
+        cp = _point_segment_closest(p, verts[i], verts[(i + 1) % n])
+        cands.append((float(np.linalg.norm(p - cp)), cp))
+    dmin = min(c[0] for c in cands)
+    best = next(c[1] for c in cands if c[0] == dmin)
+    return dmin, best, cands
+
+
+def point_polytope_distance(p, poly: Polytope) -> float:
+    return point_polytope_projection(p, poly)[0]
+
+
+def strategy_halfspace_per_edge(q_boundary, base: Polytope) -> Halfspace:
+    """`geometry.strategy_halfspace` on `point_polytope_projection`'s candidates."""
+    q = np.asarray(q_boundary, dtype=float)
+    dist, _, cands = point_polytope_projection(q, base)
+    if dist < 1e-9:
+        raise GeometryError("boundary point lies inside the base polytope")
+    normals = []
+    for cd, cp in cands:
+        if cd <= dist + 1e-9:
+            nrm = (q - cp) / cd
+            if not any(np.linalg.norm(nrm - s) < 1e-9 for s in normals):
+                normals.append(nrm)
+    w = np.mean(normals, axis=0)
+    wn = np.linalg.norm(w)
+    if wn < 1e-12:
+        raise GeometryError("degenerate averaged normal")
+    w = w / wn
+    return Halfspace(w, base.support(w))
+
+
+def project_one(p_ref, base: Polytope, radius: float, direction) -> np.ndarray:
     """Smallest t >= 0 with dist(p_ref + t*d, base) = radius, via bisection.
 
     p_ref must lie inside the region.  The initial bracket upper end is
@@ -37,11 +126,11 @@ def project_one(p_ref, region: CriticalRegion, direction) -> np.ndarray:
     d = d / nd
 
     def g(t):
-        return point_polytope_distance(p_ref + t * d, region.base) - region.radius
+        return point_polytope_distance(p_ref + t * d, base) - radius
 
     if g(0.0) > PROJECTION_TOL:
         raise GeometryError("reference point is outside the critical region")
-    t_hi = 4.0 * region.radius + BRACKET_HINT
+    t_hi = 4.0 * radius + BRACKET_HINT
     expansions = 0
     while g(t_hi) <= 0.0:
         t_hi *= 2.0
@@ -64,17 +153,17 @@ def strategy_constraints_per_stage(strategy, ref, env, r_ev: float):
     ref = np.asarray(ref, float)
     out = []
     for t in range(min(len(ref), env.n_steps)):
-        region = CriticalRegion(env.tv(t), r_ev)
+        base = env.tv(t)
         p_ref = ref[t, :2]
-        if not point_polytope_distance(p_ref, region.base) <= region.radius + 1e-9:
+        if not point_polytope_distance(p_ref, base) <= r_ev + 1e-9:
             continue
         psi = float(ref[t, 2])
         direction = np.array([-math.sin(psi), math.cos(psi)])
         if strategy == StrategyLabel.PASS_RIGHT:
             direction = -direction
         try:
-            q = project_one(p_ref, region, direction)
-            hs = strategy_halfspace(q, region)
+            q = project_one(p_ref, base, r_ev, direction)
+            hs = strategy_halfspace(q, base)
         except GeometryError:
             continue
         out.append((t, hs))

@@ -2,13 +2,16 @@
 
 Oracles: grid sampling for polytope distances, the distance as a convex QP
 (the formulation the closed-form routine replaced), direct corner
-enumeration for body boxes, and analytic results for axis-aligned and
-named contact cases.  The closed-form distance must agree with the sampling
-oracle to grid resolution, with the QP to 1e-8 in distance and multipliers,
-and satisfy the witness/multiplier identities.
+enumeration and vertex enumeration by face intersection for boxes, the
+retired per-edge and per-ray routines in `oracles.py`, and analytic results
+for axis-aligned and named contact cases.  The closed-form distance must
+agree with the sampling oracle to grid resolution, with the QP to 1e-8 in
+distance and multipliers, and its multipliers must satisfy the witness
+identities at the QP's closest points.
 """
 
 import math
+import signal
 
 import numpy as np
 import pytest
@@ -19,7 +22,6 @@ from scipy.spatial.distance import cdist
 from tightnav.geometry import (
     BRACKET_HINT,
     PROJECTION_TOL,
-    CriticalRegion,
     GeometryError,
     Halfspace,
     Polytope,
@@ -27,20 +29,25 @@ from tightnav.geometry import (
     box_distances,
     distance_witness,
     min_translation_distance,
-    point_polytope_distance,
     point_polytope_distances,
     polytopes_intersect,
     project_to_critical_boundary,
     rotation_matrix,
     strategy_halfspace,
+    _closest_pair,
 )
 from tightnav.qp import solve_qp
 
-from oracles import project_one
+from oracles import (
+    face_intersection_vertices,
+    point_polytope_distance,
+    project_one,
+    strategy_halfspace_per_edge,
+)
 
 
 def grid_points(poly: Polytope, n: int = 45) -> np.ndarray:
-    verts = poly.vertices()
+    verts = poly.vertices
     lo, hi = verts.min(axis=0), verts.max(axis=0)
     xs = np.linspace(lo[0], hi[0], n)
     ys = np.linspace(lo[1], hi[1], n)
@@ -58,7 +65,7 @@ def oracle_distance(P: Polytope, Q: Polytope, n: int = 45) -> float:
 
 
 def grid_spacing(poly: Polytope, n: int = 45) -> float:
-    verts = poly.vertices()
+    verts = poly.vertices
     span = verts.max(axis=0) - verts.min(axis=0)
     return float(np.max(span)) / (n - 1)
 
@@ -94,11 +101,13 @@ def qp_distance_witness(P: Polytope, Q: Polytope):
 
 
 def assert_witness_identities(P, Q, res, atol=1e-9):
-    diff = res.point_p - res.point_q
+    """(p - q) = -P.A' mult_p = Q.A' mult_q and |p - q| = distance at the QP's
+    closest points p, q: p - q is unique even where p and q are not."""
+    _, p, q, _, _ = qp_distance_witness(P, Q)
+    diff = p - q
     np.testing.assert_allclose(-P.A.T @ res.mult_p, diff, atol=atol)
     np.testing.assert_allclose(Q.A.T @ res.mult_q, diff, atol=atol)
     assert res.distance == pytest.approx(np.linalg.norm(diff), abs=atol)
-    assert P.contains(res.point_p, tol=atol) and Q.contains(res.point_q, tol=atol)
 
 
 def test_rotation_matrix_basic():
@@ -115,7 +124,7 @@ def test_body_polytope_corners_match_enumeration():
         L, W = rng.uniform(0.1, 1.0), rng.uniform(0.1, 1.0)
         poly = body_polytope(z, L, W)
         expected = corner_oracle(z[:2], L / 2, W / 2, z[2])
-        verts = poly.vertices()
+        verts = poly.vertices
         assert len(verts) == 4
         for c in expected:
             assert np.min(np.linalg.norm(verts - c, axis=1)) < 1e-9
@@ -162,8 +171,8 @@ def test_distance_symmetry_and_translation_invariance():
         d1 = min_translation_distance(P, Q)
         assert abs(d1 - min_translation_distance(Q, P)) < 1e-7
         t = rng.uniform(-5, 5, 2)
-        Pt = Polytope(P.A, P.b + P.A @ t)
-        Qt = Polytope(Q.A, Q.b + Q.A @ t)
+        Pt = Polytope(P.A, P.b + P.A @ t, P.vertices + t)
+        Qt = Polytope(Q.A, Q.b + Q.A @ t, Q.vertices + t)
         assert abs(min_translation_distance(Pt, Qt) - d1) < 1e-6
 
 
@@ -175,21 +184,17 @@ def test_distance_witness_identities():
         res = distance_witness(P, Q)
         if res.distance < 1e-8:
             continue
-        diff = res.point_p - res.point_q
-        np.testing.assert_allclose(-P.A.T @ res.mult_p, diff, atol=1e-7)
-        np.testing.assert_allclose(Q.A.T @ res.mult_q, diff, atol=1e-7)
-        assert P.contains(res.point_p, tol=1e-7)
-        assert Q.contains(res.point_q, tol=1e-7)
+        assert_witness_identities(P, Q, res, atol=1e-7)
 
 
-def test_empty_polytope_raises():
-    empty = Polytope(np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]]),
-                     np.array([-2.0, 1.0, 0.0]))
+def test_polytope_rejects_malformed_input():
     box = Polytope.from_box([0, 0], 1, 1)
-    with pytest.raises(GeometryError):
-        min_translation_distance(empty, box)
-    with pytest.raises(GeometryError):
-        empty.vertices()
+    for A, b, verts in ((box.A, box.b[:3], box.vertices),
+                        (box.A[:2], box.b[:2], box.vertices),
+                        (box.A, box.b, box.vertices[:2]),
+                        (np.vstack([box.A[:3], [0.0, 0.0]]), box.b, box.vertices)):
+        with pytest.raises(GeometryError):
+            Polytope(A, b, verts)
 
 
 def test_sat_intersection():
@@ -206,7 +211,7 @@ def test_point_distance_matches_qp():
     poly = Polytope.from_box([0.3, -0.2], 0.6, 0.4, psi=0.8)
     for _ in range(20):
         p = rng.uniform(-2, 2, 2)
-        d_fast = point_polytope_distance(p, poly)
+        d_fast = point_polytope_distances([p], *stack([poly]))[0]
         tiny = Polytope.from_box(p, 1e-9, 1e-9)
         d_qp = min_translation_distance(tiny, poly)
         assert abs(d_fast - d_qp) < 1e-6
@@ -214,7 +219,7 @@ def test_point_distance_matches_qp():
 
 def stack(polys):
     """(verts, A, b) of polytopes stacked to (K, V, 2), (K, F, 2) and (K, F)."""
-    return (np.array([p.vertices() for p in polys]), np.array([p.A for p in polys]),
+    return (np.array([p.vertices for p in polys]), np.array([p.A for p in polys]),
             np.array([p.b for p in polys]))
 
 
@@ -222,19 +227,19 @@ def plain_point_polygon_distance(p, poly: Polytope) -> float:
     """The batched distance's documented arithmetic in Python floats.
 
     Face test A p - b <= 1e-9, then the least distance to the edges
-    v_i -> v_(i+1) as `_point_segment_closest` computes it, with the dot
-    products as a plain sum of products in index order.
+    v_i -> v_(i+1), with the dot products as a plain sum of products in index
+    order and t = 0 on an edge of zero length.
     """
     px, py = p
     if all(ax * px + ay * py - b <= 1e-9 for (ax, ay), b in zip(poly.A.tolist(), poly.b.tolist())):
         return 0.0
-    verts = poly.vertices().tolist()
+    verts = poly.vertices.tolist()
     best = math.inf
     for i, (ax, ay) in enumerate(verts):
         bx, by = verts[(i + 1) % len(verts)]
         ex, ey = bx - ax, by - ay
         ee = ex * ex + ey * ey
-        t = 0.0 if ee < 1e-16 else min(max(((px - ax) * ex + (py - ay) * ey) / ee, 0.0), 1.0)
+        t = min(max(((px - ax) * ex + (py - ay) * ey) / ee, 0.0), 1.0) if ee > 0.0 else 0.0
         dx, dy = px - (ax + t * ex), py - (ay + t * ey)
         best = min(best, math.sqrt(dx * dx + dy * dy))
     return best
@@ -246,11 +251,12 @@ def random_boxes(rng, k, half_lo=0.05, half_hi=1.0):
             for _ in range(k)]
 
 
-def assert_distances_match(points, polys):
-    """Batched distances against the scalar routine and the plain arithmetic."""
+def assert_distances_match(points, polys, atol=1e-15):
+    """Batched distances against the retired per-edge routine and, bit for bit,
+    the plain arithmetic."""
     got = point_polytope_distances(np.array(points, float), *stack(polys))
     scalar = np.array([point_polytope_distance(p, poly) for p, poly in zip(points, polys)])
-    np.testing.assert_allclose(got, scalar, rtol=0.0, atol=1e-15)
+    np.testing.assert_allclose(got, scalar, rtol=0.0, atol=atol)
     assert np.array_equal(got == 0.0, scalar == 0.0)
     plain = [plain_point_polygon_distance(p, poly) for p, poly in zip(points, polys)]
     assert got.tolist() == plain
@@ -269,7 +275,7 @@ def test_batched_distance_on_faces_corners_and_tolerance():
     rng = np.random.default_rng(223)
     polys, points, want_zero = [], [], []
     for poly in random_boxes(rng, 200):
-        v = poly.vertices()
+        v = poly.vertices
         n = poly.A / np.linalg.norm(poly.A, axis=1)[:, None]
         mid = 0.5 * (v + np.roll(v, -1, axis=0))
         # Which face each edge midpoint lies on.
@@ -283,14 +289,18 @@ def test_batched_distance_on_faces_corners_and_tolerance():
 
 
 def test_batched_distance_tiny_boxes():
-    # Edges shorter than 1e-8 take the degenerate-edge branch (t = 0).
+    # The retired routine projects every point to the start of an edge
+    # shorter than 1e-8, which overestimates the distance by up to the edge
+    # length; the batched one projects onto it.
     rng = np.random.default_rng(227)
     for half in (1e-9, 1e-7):
         polys = [Polytope.from_box(c, half, half, psi)
                  for c, psi in zip(rng.uniform(-1, 1, (100, 2)), rng.uniform(-3, 3, 100))]
-        points = [poly.vertices().mean(axis=0) + rng.uniform(-3 * half, 3 * half, 2)
+        points = [poly.vertices.mean(axis=0) + rng.uniform(-3 * half, 3 * half, 2)
                   for poly in polys]
-        got = assert_distances_match(points, polys)
+        got = assert_distances_match(points, polys, atol=1e-15 if half > 1e-8 else 3 * half)
+        retired = [point_polytope_distance(p, poly) for p, poly in zip(points, polys)]
+        assert np.all(got <= np.array(retired) + 1e-15)
         assert np.count_nonzero(got == 0.0) >= 10 and np.count_nonzero(got > 0.0) >= 40
 
 
@@ -305,7 +315,7 @@ def project_rows(p_ref, d, polys, radius):
     want = []
     for p, row, poly in zip(p_ref, d, polys):
         try:
-            want.append(project_one(p, CriticalRegion(poly, radius), row))
+            want.append(project_one(p, poly, radius, row))
         except GeometryError:
             want.append(None)
     return q, ok, want
@@ -335,7 +345,7 @@ def test_batched_projection_matches_per_row_bisection(radius):
         else:
             poly = random_boxes(rng, 1)[0]
             theta = rng.uniform(-math.pi, math.pi)
-        p = poly.vertices().mean(axis=0) + rng.uniform(-1.0, 1.0, 2)
+        p = poly.vertices.mean(axis=0) + rng.uniform(-1.0, 1.0, 2)
         if point_polytope_distance(p, poly) > radius:
             continue
         polys.append(poly)
@@ -368,12 +378,46 @@ def test_batched_projection_exhausted_row_fails_alone():
     # needs 29 doublings and still converges.
     polys[7] = Polytope.from_box([0.0, 0.0], 1e13, 0.5)
     polys[23] = Polytope.from_box([0.0, 0.0], 1e9, 0.5)
-    p_ref = np.array([poly.vertices().mean(axis=0) for poly in polys])
+    p_ref = np.array([poly.vertices.mean(axis=0) for poly in polys])
     dirs = [[1.0, 0.0] if k in (7, 23) else [0.6, 0.8] for k in range(40)]
     q, ok, want = project_rows(p_ref, dirs, polys, radius)
     assert ok.tolist() == [k != 7 for k in range(40)]
     assert_rows_bitwise(q, ok, want)
     assert q[23, 0] > 1e9
+
+
+def test_batched_projection_far_crossing_terminates():
+    # The crossing at 1e10 + r lies where one ulp of t (1.9e-6) exceeds
+    # PROJECTION_TOL: the bracket stops shrinking before it is that narrow,
+    # and the row must stop when its midpoint rounds to a bracket end.  The
+    # retired per-ray routine loops forever on that row, so only the other
+    # rows are compared with it.
+    rng = np.random.default_rng(251)
+    radius = 0.3
+    polys = random_boxes(rng, 30)
+    polys[11] = Polytope.from_box([0.0, 0.0], 1e10, 1.0)
+    p_ref = np.array([poly.vertices.mean(axis=0) for poly in polys])
+    theta = rng.uniform(-math.pi, math.pi, 30)
+    dirs = np.column_stack([np.cos(theta), np.sin(theta)])
+    dirs[11] = [1.0, 0.0]
+    # Unit rows as `project_rows` makes them.
+    dirs = np.array([row / np.linalg.norm(row) for row in dirs])
+
+    def timeout(signum, frame):
+        raise TimeoutError("projection did not return within a second")
+
+    previous = signal.signal(signal.SIGALRM, timeout)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        q, ok = project_to_critical_boundary(p_ref, dirs, *stack(polys), radius)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+    assert ok.all()
+    assert abs(q[11, 0] - (1e10 + radius)) <= 1e-5 and q[11, 1] == 0.0
+    others = [k for k in range(30) if k != 11]
+    _, _, want = project_rows(p_ref[others], dirs[others], [polys[k] for k in others], radius)
+    assert_rows_bitwise(q[others], ok[others], want)
 
 
 def test_projection_box_example():
@@ -408,41 +452,84 @@ def test_projection_requires_inside_point():
 
 def test_strategy_halfspace_flat_face():
     base = Polytope.from_box([0, 0], 1.0, 1.0)
-    region = CriticalRegion(base, 1.0)
-    hs = strategy_halfspace([0.0, 2.0], region)
+    hs = strategy_halfspace([0.0, 2.0], base)
     np.testing.assert_allclose(hs.w, [0.0, 1.0], atol=1e-9)
     assert abs(hs.offset - 1.0) < 1e-9
     # Supporting property: every base vertex on or below the plane.
-    for v in base.vertices():
+    for v in base.vertices:
         assert hs.w @ v <= hs.offset + 1e-9
 
 
 def test_strategy_halfspace_vertex_tiebreak():
     # Boundary point off the corner: normal is the diagonal direction.
     base = Polytope.from_box([0, 0], 1.0, 1.0)
-    region = CriticalRegion(base, 1.0)
     s = 1.0 / math.sqrt(2.0)
-    hs = strategy_halfspace([1.0 + s, 1.0 + s], region)
+    hs = strategy_halfspace([1.0 + s, 1.0 + s], base)
     np.testing.assert_allclose(hs.w, [s, s], atol=1e-6)
     assert abs(hs.offset - base.support(hs.w)) < 1e-12
-    for v in base.vertices():
+    for v in base.vertices:
         assert hs.w @ v <= hs.offset + 1e-9
 
 
 def test_strategy_halfspace_supporting_property_random():
     rng = np.random.default_rng(41)
     base = Polytope.from_box([0.2, -0.1], 0.7, 0.45, psi=0.6)
-    region = CriticalRegion(base, 0.3)
     theta = rng.uniform(0, 2 * math.pi, 25)
     d = np.column_stack([np.cos(theta), np.sin(theta)])
     qs, ok = project_to_critical_boundary([[0.2, -0.1]] * 25, d, *stack([base] * 25), 0.3)
     assert ok.all()
     for q in qs:
-        hs = strategy_halfspace(q, region)
-        support = max(hs.w @ v for v in base.vertices())
+        hs = strategy_halfspace(q, base)
+        support = max(hs.w @ v for v in base.vertices)
         assert abs(hs.offset - support) < 1e-9
         # q itself is on the constraint boundary up to projection tolerance.
-        assert abs(hs.w @ q - hs.offset - region.radius) < 2e-5
+        assert abs(hs.w @ q - hs.offset - 0.3) < 2e-5
+
+
+def test_strategy_halfspace_matches_per_edge_oracle():
+    """`strategy_halfspace` against the retired per-edge routine.
+
+    Off a corner, both adjacent edges tie at the corner, their closest points
+    come out of the same arithmetic in both routines, and the halfspaces
+    agree within 4e-16.  Elsewhere the retired routine's numpy dot products
+    may fuse multiply-adds: the edge parameter can differ in its last bit,
+    which moves the closest point along the edge by about eps |edge| and
+    turns the normal by that over the distance.
+    """
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(257)
+    corner_rows = other_rows = 0
+    for base in random_boxes(rng, 150, half_hi=0.5):
+        v = base.vertices
+        edges = np.roll(v, -1, axis=0) - v
+        lengths = np.linalg.norm(edges, axis=1)
+        out = np.column_stack([edges[:, 1], -edges[:, 0]]) / lengths[:, None]
+        for i in range(4):
+            r = rng.uniform(0.05, 1.0)
+            alpha = rng.uniform(0.05, 0.95)
+            corner = alpha * out[i - 1] + (1.0 - alpha) * out[i]
+            rows = ((v[i] + r * corner / np.linalg.norm(corner), True),
+                    (v[i] + rng.uniform(0.05, 0.95) * edges[i] + r * out[i], False),
+                    (v[i] + r * out[i], False),  # the face and the corner tie
+                    (rng.uniform(-3.0, 3.0, 2), False))
+            for q, at_corner in rows:
+                try:
+                    want = strategy_halfspace_per_edge(q, base)
+                except GeometryError:
+                    with pytest.raises(GeometryError):
+                        strategy_halfspace(q, base)
+                    continue
+                got = strategy_halfspace(q, base)
+                tol = 4e-16
+                if not at_corner:
+                    tol += 4 * eps * lengths.max() / point_polytope_distance(q, base)
+                assert np.max(np.abs(got.w - want.w)) <= tol
+                assert abs(got.offset - want.offset) <= tol
+                corner_rows += at_corner
+                other_rows += not at_corner
+    assert corner_rows == 600 and other_rows >= 1500
+    with pytest.raises(GeometryError):
+        strategy_halfspace(base.vertices.mean(axis=0), base)
 
 
 @st.composite
@@ -461,7 +548,7 @@ def projection_rows(draw):
                                  draw(st.floats(0.02, 1.5)), draw(st.floats(0.02, 1.5)),
                                  draw(st.floats(-math.pi, math.pi)))
         weights = np.array([draw(unit) for _ in range(4)]) + 1e-3
-        inner = weights @ base.vertices() / weights.sum()
+        inner = weights @ base.vertices / weights.sum()
         push = draw(st.floats(-math.pi, math.pi))
         p = inner + draw(st.floats(0.0, 0.5 * radius)) * np.array([math.cos(push), math.sin(push)])
         theta = draw(st.floats(-math.pi, math.pi))
@@ -488,8 +575,8 @@ def test_strategy_halfspace_properties(rows):
     qs, ok = project_to_critical_boundary(p_ref, dirs, *stack(bases), radius)
     assert ok.all()
     for base, q, d in zip(bases, qs, dirs):
-        hs = strategy_halfspace(q, CriticalRegion(base, radius))
-        assert np.all(base.vertices() @ hs.w <= hs.offset + 1e-9)
+        hs = strategy_halfspace(q, base)
+        assert np.all(base.vertices @ hs.w <= hs.offset + 1e-9)
         assert abs(hs.offset - base.support(hs.w)) <= 1e-12
         assert abs(point_polytope_distance(q, base) - radius) <= PROJECTION_TOL
         assert hs.w @ d >= 0.0
@@ -603,7 +690,9 @@ def test_multipliers_nonnegative_and_zero_off_active_faces():
     for _ in range(200):
         P, Q = random_box_pair(rng)
         res = distance_witness(P, Q)
-        for poly, point, mult in ((P, res.point_p, res.mult_p), (Q, res.point_q, res.mult_q)):
+        # The closest pair the multipliers were read off.
+        p, q = _closest_pair(P.vertices.tolist(), Q.vertices.tolist())
+        for poly, point, mult in ((P, p, res.mult_p), (Q, q, res.mult_q)):
             assert np.all(mult >= 0.0)
             slack = (poly.A @ point - poly.b) / np.linalg.norm(poly.A, axis=1)
             assert np.all(mult[slack < -1e-9] == 0.0)
@@ -616,9 +705,6 @@ def test_distance_parallel_edges():
     Q = Polytope.from_box([2.5, 0.3], 0.5, 0.4)
     res = distance_witness(P, Q)
     assert res.distance == pytest.approx(1.5, abs=1e-12)
-    assert res.point_p[0] == pytest.approx(0.5, abs=1e-12)
-    assert res.point_q[0] == pytest.approx(2.0, abs=1e-12)
-    assert -0.1 - 1e-12 <= res.point_p[1] <= 0.5 + 1e-12
     np.testing.assert_allclose(res.mult_p, [1.5, 0.0, 0.0, 0.0], atol=1e-12)
     np.testing.assert_allclose(res.mult_q, [0.0, 0.0, 1.5, 0.0], atol=1e-12)
     _, _, _, mult_p, mult_q = qp_distance_witness(P, Q)
@@ -634,8 +720,6 @@ def test_distance_vertex_against_vertex():
     Q = Polytope.from_box([2.0, 2.0], 0.5, 0.5)
     res = distance_witness(P, Q)
     assert res.distance == pytest.approx(math.sqrt(2.0), abs=1e-12)
-    np.testing.assert_allclose(res.point_p, [0.5, 0.5], atol=1e-12)
-    np.testing.assert_allclose(res.point_q, [1.5, 1.5], atol=1e-12)
     np.testing.assert_allclose(res.mult_p, [1.0, 1.0, 0.0, 0.0], atol=1e-12)
     np.testing.assert_allclose(res.mult_q, [0.0, 0.0, 1.0, 1.0], atol=1e-12)
     assert_witness_identities(P, Q, res)
@@ -647,8 +731,6 @@ def test_distance_touching_boxes():
               Polytope.from_box([2.0, 2.0], 1.0, 1.0)):  # shared corner
         res = distance_witness(P, Q)
         assert res.distance == 0.0
-        np.testing.assert_array_equal(res.point_p, res.point_q)
-        assert P.contains(res.point_p) and Q.contains(res.point_q)
         assert np.all(res.mult_p == 0.0) and np.all(res.mult_q == 0.0)
 
 
@@ -660,8 +742,6 @@ def test_distance_containment_and_crossing_overlap():
     for P, Q in ((big, small), (small, big), (bar, post)):
         res = distance_witness(P, Q)
         assert res.distance == 0.0
-        np.testing.assert_array_equal(res.point_p, res.point_q)
-        assert P.contains(res.point_p) and Q.contains(res.point_q)
         assert np.all(res.mult_p == 0.0) and np.all(res.mult_q == 0.0)
 
 
@@ -684,5 +764,5 @@ def test_box_corners_match_face_intersection():
         P = Polytope.from_box(rng.uniform(-2, 2, 2), *rng.uniform(0.05, 1.0, 2),
                               psi=rng.uniform(-7, 7))
         # The same box from its faces alone: vertices by face intersection.
-        np.testing.assert_allclose(P.vertices(), Polytope(P.A, P.b).vertices(), atol=1e-12)
+        np.testing.assert_allclose(P.vertices, face_intersection_vertices(P.A, P.b), atol=1e-12)
 

@@ -218,14 +218,14 @@ def test_strategy_constraints_support_tv_polytope():
                                rng.uniform(0.1, 0.5), rng.uniform(0, math.pi))
         env = static_env(tv, 4, with_walls=False)
         psi_ref = rng.uniform(-0.3, 0.3)
-        base = tv.vertices().mean(axis=0)
+        base = tv.vertices.mean(axis=0)
         ref = np.array([
             [base[0] + 0.05 * t, base[1] + rng.uniform(-0.1, 0.1), psi_ref, 0.5]
             for t in range(4)
         ])
         strat = StrategyLabel.PASS_LEFT if rng.random() < 0.5 else StrategyLabel.PASS_RIGHT
         for t, hs in generate_strategy_constraints(strat, ref, env, r_ev):
-            verts = env.tv(t).vertices()
+            verts = env.tv(t).vertices
             assert np.max(verts @ hs.w) <= hs.offset + 1e-9
 
 
@@ -239,7 +239,7 @@ def moving_tv_scene(rng, n_steps=21, dt=0.1):
     tvs = [Polytope.from_box(c0 + v * t * dt, half_l, half_w, psi0 + omega * t * dt)
            for t in range(n_steps)]
     env = EnvironmentEncoding([[tv, top, bottom] for tv in tvs])
-    centers = np.array([tv.vertices().mean(axis=0) for tv in tvs])
+    centers = np.array([tv.vertices.mean(axis=0) for tv in tvs])
     spread = rng.uniform(0.1, 0.6)
     ref = np.column_stack([centers + rng.uniform(-spread, spread, (n_steps, 2)),
                            rng.uniform(-math.pi, math.pi) + rng.uniform(-0.3, 0.3, n_steps),
@@ -278,7 +278,8 @@ def test_environment_encoding_validation():
     tv = Polytope.from_box((0, 0), 0.3, 0.2)
     with pytest.raises(ValueError):
         EnvironmentEncoding([[tv], [tv, tv]])
-    tri = Polytope(np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]]), np.ones(3))
+    tri = Polytope(np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]]), np.ones(3),
+                   [[1.0, -2.0], [1.0, 1.0], [-2.0, 1.0]])
     with pytest.raises(ValueError):
         EnvironmentEncoding([[tri]])
     with pytest.raises(ValueError):

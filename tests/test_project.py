@@ -1,7 +1,9 @@
-"""Tests of the project metadata in pyproject.toml and of the package layering."""
+"""Tests of the project metadata in pyproject.toml, of the package layering and
+of the benchmark tracer's targets."""
 
 import ast
 import importlib
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -76,3 +78,15 @@ def test_modules_import_only_lower_layers():
                 f"{module} imports {names or target} from the higher layer {target}"
             used |= exempt
     assert used == EXEMPT, "an exemption no longer names a real import"
+
+
+def test_every_trace_target_is_an_attribute_of_its_owner():
+    """perfbench's tracer wraps each (owner, attribute) of `spans.TARGETS`;
+    a renamed or deleted function would otherwise surface only as a KeyError
+    in a traced run."""
+    spec = importlib.util.spec_from_file_location("spans", ROOT / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    missing = [(getattr(owner, "__name__", owner), attr) for _, owner, attr, _ in spans.TARGETS
+               if attr not in vars(owner)]
+    assert not missing, f"trace targets not found: {missing}"
