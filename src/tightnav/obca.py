@@ -346,7 +346,10 @@ class _StepNlp:
     """Index bookkeeping and callbacks for one horizon NLP.
 
     Variables: [z_1..z_N | u_0..u_{N-1} | (lam, mu) per engaged pair].
-    Equalities: discretized dynamics, then dual stationarity per pair.
+    Equalities: discretized dynamics, then dual stationarity per pair.  The
+    dynamics rows are state equations for z (identity on z_{t+1}, the step
+    Jacobian on z_t), so the solver condenses z out of every subproblem
+    (`NlpProblem.n_state = nz`).
     Inequalities: clearance and normal-bound per pair, then strategy rows.
 
     `row_keys` and `key_rows` translate between the solver's inequality-row
@@ -715,7 +718,8 @@ class ObcaController:
             lo, hi = builder.bounds()
             prob = NlpProblem(n=builder.n, objective=builder.objective,
                               lag_hess=builder.lag_hess, eq=builder.eq,
-                              ineq=builder.ineq, lower=lo, upper=hi)
+                              ineq=builder.ineq, lower=lo, upper=hi,
+                              n_state=builder.nz)
             # Round 1 starts from the previous step's working set, shifted;
             # later rounds, braking restarts included, from the previous
             # round's.  Keys this NLP lacks (stages that left the horizon,

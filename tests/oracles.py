@@ -11,12 +11,16 @@
   screens, projects and builds the halfspace of one horizon stage at a time;
   `geometry.project_to_critical_boundary` and
   `obca.generate_strategy_constraints` must return the same bits.
+- `inverse_dynamics_residual` fits a bounded input to every state pair of a
+  trajectory; synthesized target-vehicle maneuvers must score near zero.
 """
 
 import math
 
 import numpy as np
+from scipy.optimize import least_squares
 
+from tightnav.dynamics import VehicleParams, step_rk4
 from tightnav.geometry import (
     BRACKET_HINT,
     PROJECTION_TOL,
@@ -26,6 +30,7 @@ from tightnav.geometry import (
     strategy_halfspace,
 )
 from tightnav.obca import StrategyLabel
+from tightnav.scenario import DT
 
 # Edges shorter than the square root of this project every point to their start.
 DEGENERATE_EDGE = 1e-16
@@ -168,3 +173,36 @@ def strategy_constraints_per_stage(strategy, ref, env, r_ev: float):
             continue
         out.append((t, hs))
     return out
+
+
+def inverse_dynamics_residual(traj: np.ndarray, dt: float = DT,
+                              params: VehicleParams | None = None) -> float:
+    """Worst one-step defect against the best-fitting bounded input.
+
+    For each consecutive state pair the acceleration follows exactly from
+    the speed change; the steering angle is recovered from the heading rate
+    and then polished by a bounded least-squares fit, so a trajectory
+    produced by any bounded-input RK4 integration scores near zero.
+    """
+    p = params or VehicleParams()
+    traj = np.asarray(traj, float)
+    worst = 0.0
+    for t in range(len(traj) - 1):
+        z0, z1 = traj[t], traj[t + 1]
+        a0 = np.clip((z1[3] - z0[3]) / dt, -p.a_max, p.a_max)
+        v_mid = 0.5 * (z0[3] + z1[3])
+        if abs(v_mid) > 1e-6:
+            sin_b = np.clip((z1[2] - z0[2]) / dt * p.l_r / v_mid, -0.95, 0.95)
+            beta = math.asin(sin_b)
+            d0 = np.clip(math.atan(math.tan(beta) * p.wheelbase / p.l_r),
+                         -p.delta_max, p.delta_max)
+        else:
+            d0 = 0.0
+
+        def defect(u):
+            return step_rk4(z0, u, dt, p) - z1
+
+        fit = least_squares(defect, x0=np.array([d0, a0]),
+                            bounds=([-p.delta_max, -p.a_max], [p.delta_max, p.a_max]))
+        worst = max(worst, float(np.max(np.abs(fit.fun))))
+    return worst

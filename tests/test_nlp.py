@@ -4,9 +4,12 @@ Reference problems with known optima (Rosenbrock, circle-constrained linear
 objective) plus a 3-step vehicle-tracking problem whose oracle is an
 exhaustive input-grid search.  Each problem supplies its Lagrangian Hessian
 as the solver requires; the tracking problem uses Gauss-Newton on the
-dynamics, as the OBCA controller does.
+dynamics, as the OBCA controller does.  The condensed subproblem (states
+eliminated through the declared state rows) has the dense QP on the full
+subproblem as its oracle.
 """
 
+import dataclasses
 import itertools
 import math
 
@@ -16,6 +19,7 @@ import pytest
 from tightnav.dynamics import VehicleParams, step_jacobians, step_rk4
 import tightnav.nlp
 from tightnav.nlp import TOL_FEAS, TOL_KKT, NlpProblem, NlpSolution, solve_nlp
+from tightnav.qp import kkt_residuals, solve_qp
 
 PARAMS = VehicleParams()
 DT = 0.1
@@ -354,3 +358,127 @@ def test_active_rows_echo_hint_when_no_subproblem_runs():
     assert sol.ok and sol.iterations == 1
     assert np.array_equal(sol.active_rows, [3, 1])
     assert solve_nlp(prob, x0).active_rows.size == 0
+
+
+# --- condensing the state rows ------------------------------------------------
+
+def shooting_subproblem(rng, n_steps=5, nx=3, nu=2, n_extra=6):
+    """Random multiple-shooting subproblem in the solver's form.
+
+    Variables [x_1..x_N | u_0..u_{N-1} | extra]; the first nx * N equality
+    rows are the linearized dynamics x_{t+1} = A_t x_t + B_t u_t + c_t, then
+    two pair-like rows that couple one state's entries to the extras.
+    Inequalities: general rows on states and extras, then lower and upper
+    bounds on every state and every other variable, as `solve_nlp` folds
+    them in.  A known point satisfies every row, most inequalities with
+    slack, so some rows end up active and others not.
+    Returns (B, g, Je, ce, Ji, ci, k).
+    """
+    k = nx * n_steps
+    n = k + nu * n_steps + n_extra
+    p_feas = rng.normal(size=n)
+    m = rng.normal(size=(n, n))
+    B = m @ m.T / n + np.eye(n)
+    g = 3.0 * rng.normal(size=n)
+    dyn = np.zeros((k, n))
+    for t in range(n_steps):
+        rows = slice(t * nx, (t + 1) * nx)
+        dyn[rows, t * nx : (t + 1) * nx] = np.eye(nx)
+        if t:
+            dyn[rows, (t - 1) * nx : t * nx] = -(np.eye(nx) + 0.1 * rng.normal(size=(nx, nx)))
+        dyn[rows, k + t * nu : k + (t + 1) * nu] = -rng.normal(size=(nx, nu))
+    pair = np.zeros((2, n))
+    pair[:, nx * (n_steps // 2) : nx * (n_steps // 2) + nx] = rng.normal(size=(2, nx))
+    pair[:, n - n_extra :] = rng.normal(size=(2, n_extra))
+    Je = np.vstack([dyn, pair])
+    ce = -Je @ p_feas
+    general = np.zeros((6, n))
+    general[:, :k] = rng.normal(size=(6, k))
+    general[3:, n - n_extra :] = rng.normal(size=(3, n_extra))
+    Ji = np.vstack([general, -np.eye(n), np.eye(n)])
+    slack = rng.uniform(0.0, 0.5, size=len(Ji))
+    ci = -Ji @ p_feas - slack
+    return B, g, Je, ce, Ji, ci, k
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_condensed_subproblem_matches_full_qp(seed):
+    B, g, Je, ce, Ji, ci, k = shooting_subproblem(np.random.default_rng(seed))
+    full = solve_qp(B, g, Ji, -ci, Je, -ce)
+    cond = tightnav.nlp._solve_subproblem(B, g, Je, ce, Ji, ci, k, None)
+    assert full.ok and cond.ok
+    assert len(full.active_rows) > 0
+    np.testing.assert_array_equal(cond.active_rows, full.active_rows)
+    for got, want in ((cond.x, full.x), (cond.lam, full.lam), (cond.nu, full.nu)):
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-9)
+    assert max(kkt_residuals(B, g, Ji, -ci, Je, -ce, cond)) < 1e-8
+    assert cond.objective == pytest.approx(full.objective, rel=1e-12)
+
+
+def test_condensed_tracking_solve_matches_uncondensed():
+    z_ref = np.array([[0.06 * t, 0.2 * t, 0.0, 3.0] for t in range(4)])
+    plain, _, _ = build_tracking_nlp(np.array([0.0, 0.0, 0.0, 0.5]), z_ref, 3,
+                                     np.array([1.0, 1.0, 1.0, 10.0]), np.ones(2))
+    assert plain.n_state == 0
+    condensed = dataclasses.replace(plain, n_state=12)
+    x0 = np.zeros(plain.n)
+    want = solve_nlp(plain, x0)
+    got = solve_nlp(condensed, x0)
+    assert want.ok
+    assert got.status == want.status and got.iterations == want.iterations
+    np.testing.assert_allclose(got.x, want.x, rtol=0.0, atol=1e-8)
+    np.testing.assert_allclose(got.mult_eq, want.mult_eq, rtol=0.0, atol=1e-6)
+    again = solve_nlp(condensed, x0)
+    assert np.array_equal(again.x, got.x)
+    assert again.history == got.history
+    assert np.array_equal(again.mult_eq, got.mult_eq)
+
+
+def test_state_block_must_be_unit_lower_triangular():
+    z_ref = np.array([[0.06 * t, 0.01 * t, 0.0, 0.8] for t in range(4)])
+    prob, _, _ = build_tracking_nlp(np.array([0.0, 0.0, 0.0, 0.5]), z_ref, 3,
+                                    np.ones(4), np.ones(2))
+    x0 = np.zeros(prob.n)
+
+    def tampered(row, col, value):
+        def eq(x):
+            vals, jac = prob.eq(x)
+            jac[row, col] = value
+            return vals, jac
+        return dataclasses.replace(prob, eq=eq, n_state=12)
+
+    for row, col, value in ((5, 5, 2.0), (0, 0, 0.0), (2, 7, 0.3), (3, 11, -1e-12)):
+        with pytest.raises(ValueError, match="unit lower triangular"):
+            solve_nlp(tampered(row, col, value), x0)
+    # Entries below the diagonal are the dynamics and are allowed.
+    assert solve_nlp(tampered(7, 2, 0.3), x0).iterations > 0
+    # Entries right of the block are not part of it either.
+    assert solve_nlp(tampered(2, 12, 0.3), x0).iterations > 0
+    for n_state in (-1, prob.n + 1):
+        with pytest.raises(ValueError, match="n_state"):
+            solve_nlp(dataclasses.replace(prob, n_state=n_state), x0)
+    # More state rows than equality rows.
+    with pytest.raises(ValueError, match="n_state"):
+        solve_nlp(dataclasses.replace(prob, n_state=13), x0)
+
+
+def test_every_condensed_subproblem_reaches_module_solve_qp(monkeypatch):
+    z_ref = np.array([[0.06 * t, 0.2 * t, 0.0, 3.0] for t in range(4)])
+    prob, _, _ = build_tracking_nlp(np.array([0.0, 0.0, 0.0, 0.5]), z_ref, 3,
+                                    np.array([1.0, 1.0, 1.0, 10.0]), np.ones(2))
+    prob = dataclasses.replace(prob, n_state=12)
+    sizes = []
+
+    def counting(H, *args, **kwargs):
+        sizes.append(len(H))
+        return solve_qp(H, *args, **kwargs)
+
+    monkeypatch.setattr(tightnav.nlp, "solve_qp", counting)
+    sol = solve_nlp(prob, np.zeros(prob.n))
+    assert sol.ok
+    kinds = [rec[-1] for rec in sol.history]
+    assert set(kinds) == {"qp"}
+    assert len(sizes) == len(kinds) > 1
+    # The QP sees only the inputs.
+    assert set(sizes) == {prob.n - 12}

@@ -14,7 +14,6 @@ from tightnav.scenario import (
     ScenarioError,
     forward_park_case,
     idle_window,
-    inverse_dynamics_residual,
     lane_reference,
     load_scenario,
     parked_tv_scenario,
@@ -23,6 +22,8 @@ from tightnav.scenario import (
     save_scenario,
     synth_tv_maneuver,
 )
+
+from oracles import inverse_dynamics_residual
 
 
 def inside(poly, p, tol=1e-9):
