@@ -10,7 +10,11 @@ state rows fix the first `n_state` step components as an affine function of
 the rest, so the QP sees only the remaining variables and equality rows, and
 the step and the state-row multipliers are recovered exactly afterwards.
 The QP is the same strictly convex subproblem either way, so condensing
-changes its cost, not its answer.  The first subproblem of a solve starts
+changes its cost, not its answer.  A problem that declares its Hessian's
+diagonal blocks (`hess_blocks`) has its curvature tested and flipped block
+by block, batched over blocks of one size, instead of as one n x n
+matrix; the model is the same up to rounding, and bit for bit whenever no
+eigenvalue is flipped.  The first subproblem of a solve starts
 from the caller's `warm_rows` hint, typically the working set of a related
 earlier solve; the solution carries the working set of the last subproblem
 as `active_rows`, so a caller can pass it on.  Both count inequality rows the
@@ -44,7 +48,7 @@ from .qp import solve_qp
 # the package's set-up measurably slower (0.26 against 0.23 s over 10
 # alternating runs of perfbench's set-up timing), although the same modules
 # load either way.
-from scipy.linalg import solve_triangular
+from scipy.linalg import lstsq, solve_triangular
 
 logger = logging.getLogger(__name__)
 
@@ -87,6 +91,12 @@ class NlpProblem:
     those variables from every subproblem, and `solve_nlp` raises ValueError
     when the block at a subproblem's iterate is not of that form.  0
     declares nothing.
+
+    hess_blocks, one integer label per variable, declares that `lag_hess`
+    has no nonzero entry between variables with different labels.  The
+    solver then tests and modifies the curvature block by block, and
+    raises ValueError when a Hessian has an entry outside the blocks.  None
+    declares nothing.
     """
 
     n: int
@@ -97,6 +107,7 @@ class NlpProblem:
     lower: np.ndarray | None = None
     upper: np.ndarray | None = None
     n_state: int = 0
+    hess_blocks: np.ndarray | None = None
 
 
 @dataclass
@@ -133,33 +144,73 @@ class NlpSolution:
         return self.status == "optimal"
 
 
+def _block_groups(labels: np.ndarray) -> list[np.ndarray]:
+    """The variables of each labelled block, grouped by block size: one
+    (blocks, size) index array per size, each row in ascending order."""
+    order = np.argsort(labels, kind="stable")
+    _, first, size = np.unique(labels[order], return_index=True, return_counts=True)
+    return [order[first[size == s][:, None] + np.arange(s)] for s in np.unique(size)]
+
+
+def _definite(b: np.ndarray) -> bool:
+    """Whether every matrix of the stack b passes a Cholesky factorization."""
+    if b.shape[-1] == 1:
+        return bool(np.all(b > 0.0))
+    try:
+        np.linalg.cholesky(b)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def _convexify(h: np.ndarray, j_rows: np.ndarray | None = None,
-               floor: float = 1e-6) -> np.ndarray:
+               floor: float = 1e-6, blocks: list[np.ndarray] | None = None) -> np.ndarray:
     """Positive-definite model that agrees with h on the active manifold.
 
     Augmenting with rho * J^T J leaves the Hessian untouched on the null
     space of the active constraint rows -- where the subproblem step lives --
     so the Newton rate survives the convexification.  If no modest rho makes
     the matrix definite, fall back to flipping negative eigenvalues.
+
+    blocks (from `_block_groups`) declares h block diagonal: it must have no
+    nonzero entry outside the blocks, else ValueError.  The rho = 0 test and
+    the eigenvalue flip then run per block, batched over blocks of one size,
+    and give the same matrix as on the whole of h (the flip up to
+    rounding).  The rho trials stay whole, because J^T J couples the blocks.
+    None is one block holding every variable.
     """
-    h = 0.5 * (h + h.T)
-    shift = floor * np.eye(h.shape[0])
-    trials = [0.0]
+    n = h.shape[0]
+    declared = blocks is not None
+    if not declared:
+        blocks = [np.arange(n)[None]]
+    sub = [h[ix[:, :, None], ix[:, None, :]] for ix in blocks]
+    if declared and np.count_nonzero(h) != sum(np.count_nonzero(s) for s in sub):
+        raise ValueError("the Lagrangian Hessian has entries outside hess_blocks")
+    sub = [0.5 * (s + s.transpose(0, 2, 1)) for s in sub]
+
+    def assemble(parts):
+        b = np.zeros((n, n))
+        for ix, part in zip(blocks, parts):
+            b[ix[:, :, None], ix[:, None, :]] = part
+        return b
+
+    shifted = [s + floor * np.eye(s.shape[-1]) for s in sub]
+    if all(_definite(s) for s in shifted):
+        return assemble(shifted)
     if j_rows is not None and len(j_rows):
-        trials += [1e1, 1e3, 1e5]
-    jtj = None
-    for rho in trials:
-        if rho and jtj is None:
-            jtj = j_rows.T @ j_rows
-        b = h + shift if rho == 0.0 else h + rho * jtj + shift
-        try:
-            np.linalg.cholesky(b)
-            return b
-        except np.linalg.LinAlgError:
-            continue
-    w, v = np.linalg.eigh(h)
-    w = np.maximum(np.abs(w), floor)
-    return (v * w) @ v.T
+        h_sym = assemble(sub)
+        shift = floor * np.eye(n)
+        jtj = j_rows.T @ j_rows
+        for rho in (1e1, 1e3, 1e5):
+            b = h_sym + rho * jtj + shift
+            if _definite(b):
+                return b
+    flipped = []
+    for s in sub:
+        w, v = np.linalg.eigh(s)
+        w = np.maximum(np.abs(w), floor)
+        flipped.append((v * w[:, None, :]) @ v.transpose(0, 2, 1))
+    return assemble(flipped)
 
 
 def _violation_l1(ce, ci):
@@ -196,6 +247,10 @@ def solve_nlp(problem: NlpProblem, x0: np.ndarray,
         raise ValueError(f"x0 shape {x.shape} does not match n={n}")
     if not 0 <= k <= n:
         raise ValueError(f"n_state={k} is outside [0, n={n}]")
+    labels = problem.hess_blocks
+    if labels is not None and np.shape(labels) != (n,):
+        raise ValueError(f"hess_blocks shape {np.shape(labels)} does not match n={n}")
+    blocks = None
 
     lo = np.full(n, -np.inf) if problem.lower is None else np.asarray(problem.lower, float)
     hi = np.full(n, np.inf) if problem.upper is None else np.asarray(problem.upper, float)
@@ -279,7 +334,9 @@ def solve_nlp(problem: NlpProblem, x0: np.ndarray,
         if r_feas <= 1e-5:
             act = np.flatnonzero((ci > -1e-6) & (lam > 1e-6))
             j_act = np.vstack([Je, Ji[act]])
-        B = _convexify(h_lag, j_act)
+        if labels is not None and blocks is None:
+            blocks = _block_groups(np.asarray(labels))
+        B = _convexify(h_lag, j_act, blocks=blocks)
         _check_state_block(Je, k)
         try:
             qp_sol = _solve_subproblem(B, g, Je, ce, Ji, ci, k, warm)
@@ -352,7 +409,7 @@ def solve_nlp(problem: NlpProblem, x0: np.ndarray,
                 j_stack = np.vstack([Je, Ji[warm]])
                 r_vec = np.concatenate([ce_t, ci_t[warm]])
                 if j_stack.shape[0]:
-                    dp = np.linalg.lstsq(j_stack, -r_vec, rcond=None)[0]
+                    dp = _min_norm_solve(j_stack, -r_vec)
                     # The correction is unconstrained, so project it back
                     # into the variable box before touching the model
                     # functions; some of them are undefined outside it.
@@ -423,6 +480,16 @@ def solve_nlp(problem: NlpProblem, x0: np.ndarray,
         history=history,
         active_rows=np.empty(0, dtype=int) if warm is None else warm,
     )
+
+
+def _min_norm_solve(a, b):
+    """Minimum-norm least-squares solution of a x = b, as `np.linalg.lstsq`
+    gives it, with numpy's rank cutoff; LAPACK's cutoff of one machine
+    epsilon counts a rank-deficient stack as full rank and returns a huge
+    x.  The QR-based driver takes half the time of numpy's SVD one on the
+    correction's row stacks.  The caller has checked a for finite values."""
+    cond = np.finfo(float).eps * max(a.shape)
+    return lstsq(a, b, cond=cond, lapack_driver="gelsy", check_finite=False)[0]
 
 
 def _check_state_block(Je, k):

@@ -23,6 +23,7 @@ engaged and which stages carry strategy rows.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass, field
@@ -351,6 +352,9 @@ class _StepNlp:
     Jacobian on z_t), so the solver condenses z out of every subproblem
     (`NlpProblem.n_state = nz`).
     Inequalities: clearance and normal-bound per pair, then strategy rows.
+    The Lagrangian Hessian is block diagonal, and `hess_blocks` labels its
+    blocks: one per stage t, holding z_t and the duals of the pairs at t
+    (4 + 8 p_t variables), and one holding every input.
 
     `row_keys` and `key_rows` translate between the solver's inequality-row
     numbers (see `tightnav.nlp`) and row identities that do not depend on
@@ -398,14 +402,19 @@ class _StepNlp:
         self.jz_cols = 4 * (stage[1:] - 1) + r4  # (N-1, 1, 4)
         self.ju_cols = self.nz + 2 * stage + np.arange(2)  # (N, 1, 2)
         self.g_vec = body_g_vector(cfg.params)
-        self.h_obj = self._objective_hessian()
+        self.hess_blocks = np.concatenate([np.repeat(np.arange(n_h), 4),
+                                           np.full(self.nuv, n_h),
+                                           np.repeat(t_pair - 1, 8)])
         self._table = None
 
-    def _objective_hessian(self) -> np.ndarray:
+    @functools.cached_property
+    def h_obj(self) -> np.ndarray:
         """Exact objective Hessian; the dual block carries the regularizer's ridge.
 
         The input block is tridiagonal by stage: the rate term couples u_t
         to u_{t+1}, and every stage but the last carries two rate terms.
+        Built on first use: a solve that converges at its initial guess
+        never reads it.
         """
         cfg = self.cfg
         n_h = cfg.horizon
@@ -719,7 +728,7 @@ class ObcaController:
             prob = NlpProblem(n=builder.n, objective=builder.objective,
                               lag_hess=builder.lag_hess, eq=builder.eq,
                               ineq=builder.ineq, lower=lo, upper=hi,
-                              n_state=builder.nz)
+                              n_state=builder.nz, hess_blocks=builder.hess_blocks)
             # Round 1 starts from the previous step's working set, shifted;
             # later rounds, braking restarts included, from the previous
             # round's.  Keys this NLP lacks (stages that left the horizon,

@@ -11,6 +11,9 @@
   screens, projects and builds the halfspace of one horizon stage at a time;
   `geometry.project_to_critical_boundary` and
   `obca.generate_strategy_constraints` must return the same bits.
+- `convexify_whole` tests and modifies the Lagrangian Hessian as one n x n
+  matrix; `nlp._convexify`, which works per declared block, must take the
+  same path and return the same matrix.
 - `inverse_dynamics_residual` fits a bounded input to every state pair of a
   trajectory; synthesized target-vehicle maneuvers must score near zero.
 """
@@ -173,6 +176,31 @@ def strategy_constraints_per_stage(strategy, ref, env, r_ev: float):
             continue
         out.append((t, hs))
     return out
+
+
+def convexify_whole(h: np.ndarray, j_rows: np.ndarray | None = None,
+                    floor: float = 1e-6) -> np.ndarray:
+    """Positive-definite model of h: h itself, else h + rho J^T J for the
+    first rho of 1e1, 1e3, 1e5 that passes, else h with its eigenvalues
+    flipped to at least `floor`, each test an n x n Cholesky factorization."""
+    h = 0.5 * (h + h.T)
+    shift = floor * np.eye(h.shape[0])
+    trials = [0.0]
+    if j_rows is not None and len(j_rows):
+        trials += [1e1, 1e3, 1e5]
+    jtj = None
+    for rho in trials:
+        if rho and jtj is None:
+            jtj = j_rows.T @ j_rows
+        b = h + shift if rho == 0.0 else h + rho * jtj + shift
+        try:
+            np.linalg.cholesky(b)
+            return b
+        except np.linalg.LinAlgError:
+            continue
+    w, v = np.linalg.eigh(h)
+    w = np.maximum(np.abs(w), floor)
+    return (v * w) @ v.T
 
 
 def inverse_dynamics_residual(traj: np.ndarray, dt: float = DT,

@@ -6,7 +6,8 @@ exhaustive input-grid search.  Each problem supplies its Lagrangian Hessian
 as the solver requires; the tracking problem uses Gauss-Newton on the
 dynamics, as the OBCA controller does.  The condensed subproblem (states
 eliminated through the declared state rows) has the dense QP on the full
-subproblem as its oracle.
+subproblem as its oracle, and the per-block convexification has the
+whole-matrix one.
 """
 
 import dataclasses
@@ -20,6 +21,8 @@ from tightnav.dynamics import VehicleParams, step_jacobians, step_rk4
 import tightnav.nlp
 from tightnav.nlp import TOL_FEAS, TOL_KKT, NlpProblem, NlpSolution, solve_nlp
 from tightnav.qp import kkt_residuals, solve_qp
+
+from oracles import convexify_whole
 
 PARAMS = VehicleParams()
 DT = 0.1
@@ -482,3 +485,157 @@ def test_every_condensed_subproblem_reaches_module_solve_qp(monkeypatch):
     assert len(sizes) == len(kinds) > 1
     # The QP sees only the inputs.
     assert set(sizes) == {prob.n - 12}
+
+
+# --- block-diagonal convexification against the whole-matrix oracle ---------
+
+BLOCK_SIZES = (1, 4, 1, 12, 40, 4, 12, 1)
+
+
+def block_hessian(rng, kind):
+    """(h, labels, j_rows): a random Hessian, block diagonal over shuffled
+    variables with sizes BLOCK_SIZES and slightly unsymmetric inside the
+    blocks, built for one path of the convexification.
+
+    "definite" passes as it is; "rho" has negative curvature only along
+    unit rows of j_rows, with a depth that picks the rho trial that passes;
+    "eigen" has negative curvature along a plane that j_rows' one row
+    cannot cover, "eigen-bare" has no rows at all, and "eigen-1x1" is
+    definite but for one slightly negative 1 x 1 block.
+    """
+    n = sum(BLOCK_SIZES)
+    labels = np.repeat(rng.permutation(len(BLOCK_SIZES)) * 7 - 3, BLOCK_SIZES)
+    labels = labels[rng.permutation(n)]
+    h = np.zeros((n, n))
+    for label in np.unique(labels):
+        idx = np.flatnonzero(labels == label)
+        a = rng.normal(size=(len(idx), len(idx)))
+        h[np.ix_(idx, idx)] = a @ a.T / len(idx) + 0.5 * np.eye(len(idx)) + 1e-3 * (a - a.T)
+    if kind == "eigen-1x1":
+        single = np.flatnonzero(np.bincount(labels + 3)[labels + 3] == 1)
+        h[single[0], single[0]] = -0.3
+        return h, labels, None
+    if kind == "definite":
+        return h, labels, (rng.normal(size=(3, n)) if rng.random() < 0.5 else None)
+    neg = rng.choice(n, size=3, replace=False)
+    if kind == "rho":
+        depth = rng.choice([5.0, 500.0, 5e4])
+        h[neg, neg] -= depth
+        unit = np.eye(n)[neg]
+        return h, labels, np.vstack([unit, rng.normal(size=(2, n))])
+    h[neg, neg] -= 5.0
+    return h, labels, (rng.normal(size=(1, n)) if kind == "eigen" else None)
+
+
+def convexify_path(fn, monkeypatch):
+    """(matrix, whether an eigendecomposition ran) of fn()."""
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(a):
+        calls.append(a.shape)
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    out = fn()
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    return out, bool(calls)
+
+
+@pytest.mark.parametrize("kind", ["definite", "rho", "eigen", "eigen-bare", "eigen-1x1"])
+@pytest.mark.parametrize("seed", range(5))
+def test_block_convexify_matches_whole_matrix_oracle(kind, seed, monkeypatch):
+    rng = np.random.default_rng(100 + seed)
+    h, labels, j_rows = block_hessian(rng, kind)
+    want, want_eigen = convexify_path(lambda: convexify_whole(h, j_rows), monkeypatch)
+    floored = 0.5 * (h + h.T) + 1e-6 * np.eye(len(h))
+    # The case reaches the path it was built for.
+    assert want_eigen == kind.startswith("eigen")
+    assert np.array_equal(want, floored) == (kind == "definite")
+    blocks = tightnav.nlp._block_groups(labels)
+    assert sorted(ix.shape[1] for ix in blocks for _ in ix) == sorted(BLOCK_SIZES)
+    for declared in (blocks, None):
+        got, got_eigen = convexify_path(
+            lambda: tightnav.nlp._convexify(h, j_rows, blocks=declared), monkeypatch)
+        assert got_eigen == want_eigen
+        if want_eigen:
+            assert np.all(np.linalg.eigvalsh(got) > 0.0)
+            np.testing.assert_allclose(got, want, rtol=0.0,
+                                       atol=1e-10 * np.linalg.norm(h, 2))
+            if declared is not None:
+                assert not got[labels[:, None] != labels[None, :]].any()
+        else:
+            assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
+
+def test_block_groups_cover_each_label_once():
+    labels = np.array([5, -1, 5, 2, 2, 5, 9, -1])
+    groups = tightnav.nlp._block_groups(labels)
+    assert [ix.shape for ix in groups] == [(1, 1), (2, 2), (1, 3)]
+    blocks = [row.tolist() for ix in groups for row in ix]
+    assert sorted(blocks) == [[0, 2, 5], [1, 7], [3, 4], [6]]
+
+
+def test_entry_outside_declared_blocks_raises():
+    rng = np.random.default_rng(3)
+    h, labels, _ = block_hessian(rng, "definite")
+    i = 0
+    j = int(np.flatnonzero(labels != labels[i])[0])
+    h[i, j] = h[j, i] = 1e-300
+    with pytest.raises(ValueError, match="hess_blocks"):
+        tightnav.nlp._convexify(h, blocks=tightnav.nlp._block_groups(labels))
+    # Through the solver: Rosenbrock's Hessian couples its two variables.
+    prob = NlpProblem(n=2, objective=rosenbrock, lag_hess=rosenbrock_hess)
+    x0 = np.array([-1.2, 1.0])
+    with pytest.raises(ValueError, match="hess_blocks"):
+        solve_nlp(dataclasses.replace(prob, hess_blocks=np.array([0, 1])), x0)
+    with pytest.raises(ValueError, match="hess_blocks"):
+        solve_nlp(dataclasses.replace(prob, hess_blocks=np.zeros(3, dtype=int)), x0)
+    # One block holding both is the undeclared solve.
+    whole = solve_nlp(dataclasses.replace(prob, hess_blocks=np.array([4, 4])), x0)
+    plain = solve_nlp(prob, x0)
+    assert whole.ok and np.array_equal(whole.x, plain.x)
+    assert whole.history == plain.history
+
+
+def test_blocks_are_grouped_once_and_only_when_a_subproblem_runs(monkeypatch):
+    z_ref = np.array([[0.06 * t, 0.2 * t, 0.0, 3.0] for t in range(4)])
+    prob, _, _ = build_tracking_nlp(np.array([0.0, 0.0, 0.0, 0.5]), z_ref, 3,
+                                    np.array([1.0, 1.0, 1.0, 10.0]), np.ones(2))
+    # The tracking Hessian is diagonal: one block per stage's state and input.
+    prob = dataclasses.replace(prob, n_state=12, hess_blocks=np.concatenate(
+        [np.repeat(np.arange(3), 4), np.repeat(np.arange(3), 2)]))
+    grouped = []
+    group = tightnav.nlp._block_groups
+
+    def counted(labels):
+        grouped.append(len(labels))
+        return group(labels)
+
+    monkeypatch.setattr(tightnav.nlp, "_block_groups", counted)
+    sol = solve_nlp(prob, np.zeros(prob.n))
+    assert sol.ok and sol.iterations > 2
+    assert grouped == [prob.n]
+    plain = solve_nlp(dataclasses.replace(prob, hess_blocks=None), np.zeros(prob.n))
+    assert np.array_equal(sol.x, plain.x) and sol.history == plain.history
+    grouped.clear()
+    at_minimum = NlpProblem(n=2, objective=rosenbrock, lag_hess=rosenbrock_hess,
+                            hess_blocks=np.array([0, 0]))
+    again = solve_nlp(at_minimum, np.ones(2))
+    assert again.ok and again.iterations == 1
+    assert grouped == []
+
+
+@pytest.mark.parametrize("rank", [None, 5, 12])
+def test_min_norm_solve_matches_numpy_lstsq(rank):
+    rng = np.random.default_rng(rank or 0)
+    for m, n in ((20, 28), (28, 28), (40, 28)):
+        if rank is None and m > n:
+            continue
+        a = rng.normal(size=(m, n))
+        if rank is not None:
+            a = rng.normal(size=(m, rank)) @ rng.normal(size=(rank, n))
+        b = rng.normal(size=m)
+        want = np.linalg.lstsq(a, b, rcond=None)[0]
+        np.testing.assert_allclose(tightnav.nlp._min_norm_solve(a, b), want,
+                                   rtol=0.0, atol=1e-12)

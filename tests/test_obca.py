@@ -520,6 +520,57 @@ def test_step_nlp_lagrangian_hessian_matches_differences(fd_nlp):
                                rtol=0.0, atol=1e-6)
 
 
+def test_step_nlp_hessian_blocks_cover_lagrangian_sparsity():
+    """Two pairs at stage 2, none at stage 3, strategy rows at stages 1 and 3:
+    at random iterates and multipliers every nonzero of the Lagrangian
+    Hessian joins two variables with the same label."""
+    cfg = ControllerConfig(guided=True, horizon=4)
+    boxes = [Polytope.from_box((0.9, 0.3), 0.2, 0.1, 0.4),
+             Polytope.from_box((1.2, -0.35), 0.25, 0.12, -0.7)]
+    env = EnvironmentEncoding([boxes] * 5)
+    z0 = np.array([0.0, 0.05, 0.1, 0.5])
+    ref = straight_ref(z0, 4, cfg.dt, cfg.params)
+    pairs = [(1, 1), (2, 0), (2, 1), (4, 0)]
+    strat = [(1, Halfspace(np.array([0.6, 0.8]), -0.1)),
+             (3, Halfspace(np.array([0.0, 1.0]), 0.2))]
+    nlp = _StepNlp(cfg, z0, np.zeros(2), ref, env, pairs, strat)
+    labels = nlp.hess_blocks
+    assert labels.shape == (nlp.n,)
+    assert sorted(np.unique(labels, return_counts=True)[1]) == [4, 8, 12, 12, 20]
+    assert "h_obj" not in vars(nlp)
+    rng = np.random.default_rng(11)
+    for _ in range(5):
+        x = rng.normal(0.0, 1.0, nlp.n)
+        nu = rng.normal(0.0, 1.0, 4 * cfg.horizon + 2 * len(pairs))
+        lam = rng.uniform(0.1, 2.0, 2 * len(pairs) + len(strat))
+        h = nlp.lag_hess(x, nu, lam)
+        rows, cols = np.nonzero(h)
+        assert np.array_equal(labels[rows], labels[cols])
+        # Every pair's curvature shows up, so the check has teeth.
+        assert np.count_nonzero(h) > nlp.n + 2 * (cfg.horizon - 1) + 16 * len(pairs)
+        blocks = tightnav.nlp._block_groups(labels)
+        tightnav.nlp._convexify(h, blocks=blocks)
+
+
+def test_solve_step_declares_hessian_blocks_and_matches_undeclared(monkeypatch):
+    tv, env, z0, ref = blocking_scene()
+    cfg = ControllerConfig(guided=False)
+    solve_nlp = tightnav.obca.solve_nlp
+    declared = []
+
+    def undeclared(prob, x0, warm_rows=None):
+        declared.append(prob.hess_blocks is not None)
+        return solve_nlp(dataclasses.replace(prob, hess_blocks=None), x0, warm_rows)
+
+    want = ObcaController(cfg).solve_step(z0, np.zeros(2), ref, env)
+    monkeypatch.setattr(tightnav.obca, "solve_nlp", undeclared)
+    got = ObcaController(cfg).solve_step(z0, np.zeros(2), ref, env)
+    assert declared and all(declared)
+    assert want.ok and got.ok and want.stats["engaged"] > 0
+    np.testing.assert_allclose(got.zs, want.zs, rtol=0.0, atol=1e-9)
+    np.testing.assert_allclose(got.us, want.us, rtol=0.0, atol=1e-9)
+
+
 def zsl(t):
     """Columns of z_t in a step NLP's variables [z_1..z_N | u_0..u_{N-1} | duals]."""
     return slice(4 * (t - 1), 4 * t)
