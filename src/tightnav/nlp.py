@@ -14,20 +14,34 @@ changes its cost, not its answer.  A problem that declares its Hessian's
 diagonal blocks (`hess_blocks`) has its curvature tested and flipped block
 by block, batched over blocks of one size, instead of as one n x n
 matrix; the model is the same up to rounding, and bit for bit whenever no
-eigenvalue is flipped.  The first subproblem of a solve starts
-from the caller's `warm_rows` hint, typically the working set of a related
-earlier solve; the solution carries the working set of the last subproblem
-as `active_rows`, so a caller can pass it on.  Both count inequality rows the
-solver's way: the rows of `problem.ineq` first, then the finite lower bounds
-in variable order, then the finite upper bounds in variable order.  A hint
-changes only the QP work, never the subproblem's answer: the QP skips rows
-that are out of range, repeated or dependent, and drops rows whose
-multipliers come out negative.  When a linearization is infeasible the
-solver switches to an elastic subproblem that minimizes the constraint
-violation, and declares the NLP infeasible when that restoration phase
-stalls.  A line search that finds no acceptable step ends the solve: the
-next subproblem would be built from the same point and multipliers and fail
-the same way.  Identical inputs produce bit-identical iterate sequences.
+eigenvalue is flipped.
+
+Variable bounds reach the QP as bound vectors, never as dense unit rows;
+only the bounds of condensed states, which become affine in the remaining
+variables, turn into rows.  The solver keeps the bounds' values after the
+values of `problem.ineq` for the KKT, violation and merit terms, and forms
+a bound's unit Jacobian row only where a row stack needs one: the endgame
+curvature rows, the second-order correction and the elastic subproblem.
+
+The first subproblem of a solve starts from the caller's `warm_rows` hint,
+typically the working set of a related earlier solve; the solution carries
+the working set of the last subproblem as `active_rows`, so a caller can
+pass it on.  Both count inequality rows the solver's way: the rows of
+`problem.ineq` first, then the finite lower bounds in variable order, then
+the finite upper bounds in variable order.  A hint changes only the QP
+work, never the subproblem's answer: the QP skips rows that are out of
+range, repeated or dependent, fixes the variables of hinted bounds, and
+drops rows and releases bounds whose multipliers come out negative.  The QP
+numbers a condensed subproblem's rows differently (the state bounds come
+right after the rows of `problem.ineq`), and `_solve_subproblem` translates
+hints, multipliers and active rows both ways.
+
+When a linearization is infeasible the solver switches to an elastic
+subproblem that minimizes the constraint violation, and declares the NLP
+infeasible when that restoration phase stalls.  A line search that finds no
+acceptable step ends the solve: the next subproblem would be built from the
+same point and multipliers and fail the same way.  Identical inputs produce
+bit-identical iterate sequences.
 
 The solver takes no options.  Its tolerances, iteration cap, line-search
 and restoration constants are the module constants below, and every solve
@@ -259,6 +273,7 @@ def solve_nlp(problem: NlpProblem, x0: np.ndarray,
     x = np.clip(x, lo, hi)
     i_lo = np.flatnonzero(np.isfinite(lo))
     i_hi = np.flatnonzero(np.isfinite(hi))
+    b_var, b_sign, _ = _bounds(lo, hi)
 
     def eval_all(xv):
         fval, g = problem.objective(xv)
@@ -272,14 +287,10 @@ def solve_nlp(problem: NlpProblem, x0: np.ndarray,
             ci_u, Ji_u = problem.ineq(xv)
             ci_u = np.asarray(ci_u, float).ravel()
             Ji_u = np.asarray(Ji_u, float).reshape(len(ci_u), n)
-        # Fold finite bounds in as extra inequality rows.
+        # ci holds the value of every inequality row, the bounds' included;
+        # Ji holds the Jacobian of the rows of `ineq` only.
         ci = np.concatenate([ci_u, lo[i_lo] - xv[i_lo], xv[i_hi] - hi[i_hi]])
-        Jb_lo = np.zeros((len(i_lo), n))
-        Jb_lo[np.arange(len(i_lo)), i_lo] = -1.0
-        Jb_hi = np.zeros((len(i_hi), n))
-        Jb_hi[np.arange(len(i_hi)), i_hi] = 1.0
-        Ji = np.vstack([Ji_u, Jb_lo, Jb_hi])
-        return float(fval), np.asarray(g, float).ravel(), ce, Je, ci, Ji
+        return float(fval), np.asarray(g, float).ravel(), ce, Je, ci, Ji_u
 
     def viol_only(xv):
         ce = problem.eq(xv)[0] if problem.eq is not None else np.zeros(0)
@@ -291,7 +302,7 @@ def solve_nlp(problem: NlpProblem, x0: np.ndarray,
 
     mu_pen = 1.0
     fval, g, ce, Je, ci, Ji = eval_all(x)
-    m_u = len(ci) - len(i_lo) - len(i_hi)
+    m_u = len(Ji)
     lam = np.zeros(len(ci))
     nu = np.zeros(len(ce))
     warm = None if warm_rows is None else np.asarray(warm_rows, dtype=int).ravel()
@@ -305,8 +316,10 @@ def solve_nlp(problem: NlpProblem, x0: np.ndarray,
         stat = gv.copy()
         if len(cev):
             stat += Jev.T @ nuv
-        if len(civ):
-            stat += Jiv.T @ lamv
+        if m_u:
+            stat += Jiv.T @ lamv[:m_u]
+        stat[i_lo] -= lamv[m_u : m_u + len(i_lo)]
+        stat[i_hi] += lamv[m_u + len(i_lo) :]
         r_stat = float(np.max(np.abs(stat))) if n else 0.0
         r_comp = float(np.max(np.abs(lamv * civ))) if len(civ) else 0.0
         return max(r_stat, r_comp)
@@ -333,20 +346,21 @@ def solve_nlp(problem: NlpProblem, x0: np.ndarray,
         j_act = None
         if r_feas <= 1e-5:
             act = np.flatnonzero((ci > -1e-6) & (lam > 1e-6))
-            j_act = np.vstack([Je, Ji[act]])
+            j_act = np.vstack([Je, _ineq_rows(Ji, b_var, b_sign, act)])
         if labels is not None and blocks is None:
             blocks = _block_groups(np.asarray(labels))
         B = _convexify(h_lag, j_act, blocks=blocks)
         _check_state_block(Je, k)
         try:
-            qp_sol = _solve_subproblem(B, g, Je, ce, Ji, ci, k, warm)
+            qp_sol = _solve_subproblem(B, g, Je, ce, Ji, ci[:m_u], lo - x, hi - x, k, warm)
         except (np.linalg.LinAlgError, ValueError):
             qp_sol = None
         elastic = False
         if qp_sol is None or qp_sol.status != "optimal":
             elastic = True
             try:
-                qp_sol = _elastic_qp(B, g, Je, ce, Ji, ci, ELASTIC_PENALTY)
+                qp_sol = _elastic_qp(B, g, Je, ce, Ji, ci[:m_u], lo - x, hi - x,
+                                     ELASTIC_PENALTY)
             except (np.linalg.LinAlgError, ValueError):
                 status = "numerical_failure"
                 break
@@ -380,7 +394,7 @@ def solve_nlp(problem: NlpProblem, x0: np.ndarray,
         # full -mu*viol0 term would then overpromise descent and starve the
         # line search.
         ce_lin = ce + Je @ p if len(ce) else ce
-        ci_lin = ci + Ji @ p if len(ci) else ci
+        ci_lin = ci + np.concatenate([Ji @ p, b_sign * p[b_var]])
         model_red = viol0 - _violation_l1(ce_lin, ci_lin)
         deriv = float(g @ p) - mu_pen * max(model_red, 0.0)
         if deriv > -1e-16:
@@ -406,7 +420,7 @@ def solve_nlp(problem: NlpProblem, x0: np.ndarray,
                 # merit's quadratic constraint drift cannot veto an otherwise
                 # sound Newton step (the Maratos effect).
                 soc_tried = True
-                j_stack = np.vstack([Je, Ji[warm]])
+                j_stack = np.vstack([Je, _ineq_rows(Ji, b_var, b_sign, warm)])
                 r_vec = np.concatenate([ce_t, ci_t[warm]])
                 if j_stack.shape[0]:
                     dp = _min_norm_solve(j_stack, -r_vec)
@@ -505,22 +519,46 @@ def _check_state_block(Je, k):
                          "unit lower triangular")
 
 
-def _solve_subproblem(B, g, Je, ce, Ji, ci, k, warm):
-    """QP step min 0.5 p'Bp + g'p s.t. Je p = -ce, Ji p <= -ci, solved with
-    the first k components of p condensed out through the first k rows.
+def _ineq_rows(Ji, b_var, b_sign, rows):
+    """Jacobian rows of the inequality rows numbered `rows`: rows of Ji
+    first, then for bound row j a unit row holding b_sign[j] at column
+    b_var[j]."""
+    out = np.zeros((len(rows), Ji.shape[1]))
+    ineq = rows < len(Ji)
+    out[ineq] = Ji[rows[ineq]]
+    at, j = np.flatnonzero(~ineq), rows[~ineq] - len(Ji)
+    out[at, b_var[j]] = b_sign[j]
+    return out
+
+
+def _bounds(lb, ub):
+    """(var, sign, c): the finite bounds of lb <= p <= ub as the rows
+    sign * p[var] + c <= 0, numbered as in the module docstring."""
+    i_lo = np.flatnonzero(np.isfinite(lb))
+    i_hi = np.flatnonzero(np.isfinite(ub))
+    sign = np.ones(len(i_lo) + len(i_hi))
+    sign[: len(i_lo)] = -1.0
+    return np.concatenate([i_lo, i_hi]), sign, np.concatenate([lb[i_lo], -ub[i_hi]])
+
+
+def _solve_subproblem(B, g, Je, ce, Ji, ci, lb, ub, k, warm):
+    """QP step min 0.5 p'Bp + g'p s.t. Je p = -ce, Ji p <= -ci, lb <= p <= ub,
+    solved with the first k components of p condensed out through the first
+    k rows.  Multipliers and active rows come back numbered as in the
+    module docstring.
 
     With E = Je[:k, :k] unit lower triangular, those rows give
     p[:k] = s0 + S p[k:], where s0 = -E^-1 ce[:k] and S = -E^-1 Je[:k, k:].
     S is zero outside the columns `cols` that the state rows touch, so
     substituting changes only those columns of the reduced Hessian and of
-    the other rows, and only the rows with a state entry.  The reduced QP
-    keeps every inequality row in its place, so its multipliers and active
-    rows are the full subproblem's.  The state-row multipliers follow from
-    the first k components of stationarity, E' nu_s = -r_s.  Returns the
-    solution in the full variables.
+    the other rows, and only the rows with a state entry.  The bounds on
+    the first k components become rows over the remaining ones, placed
+    after the rows of Ji; every other bound stays a bound.  The state-row
+    multipliers follow from the first k components of stationarity,
+    E' nu_s = -r_s.  Returns the solution in the full variables.
     """
     if not k:
-        return solve_qp(B, g, Ji, -ci, Je, -ce, warm_rows=warm)
+        return solve_qp(B, g, Ji, -ci, Je, -ce, warm_rows=warm, lb=lb, ub=ub)
     # The caller has checked every input for finite values.
     e = Je[:k, :k]
     cols = np.flatnonzero(np.any(Je[:k, k:], axis=0))
@@ -548,24 +586,49 @@ def _solve_subproblem(B, g, Je, ce, Ji, ci, k, warm):
 
     A, b = eliminate(Ji, ci)
     C, d = eliminate(Je[k:], ce[k:])
-    sol = solve_qp(H, f, A, b, C, d, warm_rows=warm)
+    # A state's bound row sign * p_i + c <= 0 becomes
+    # sign * S_i p[k:] <= -c - sign * s0_i, a row after those of Ji.
+    var, sign, c = _bounds(lb, ub)
+    state = var < k
+    s_var, s_sign = var[state], sign[state]
+    rows = np.zeros((len(s_var), len(f)))
+    rows[:, cols] = s_sign[:, None] * S[s_var]
+    A = np.vstack([A, rows])
+    b = np.concatenate([b, -c[state] - s_sign * s0[s_var]])
+    # The QP numbers the states' bound rows right after the rows of Ji and
+    # the other bounds after them, each group in the module docstring's
+    # order: order[r] is the docstring's number of the QP's row r, and
+    # qp_row inverts it.
+    m_u = len(ci)
+    order = np.concatenate([np.arange(m_u), m_u + np.argsort(~state, kind="stable")])
+    qp_row = np.argsort(order)
+    if warm is not None:
+        warm = qp_row[warm[(warm >= 0) & (warm < len(order))]]
+    sol = solve_qp(H, f, A, b, C, d, warm_rows=warm, lb=lb[k:], ub=ub[k:])
     p = np.concatenate([s0 + S @ sol.x[cols], sol.x])
-    r_s = B[:k] @ p + g[:k] + Ji[:, :k].T @ sol.lam + Je[k:, :k].T @ sol.nu
+    r_s = B[:k] @ p + g[:k] + Ji[:, :k].T @ sol.lam[:m_u] + Je[k:, :k].T @ sol.nu
+    r_s += np.bincount(s_var, s_sign * sol.lam[m_u : m_u + len(s_var)], minlength=k)
     nu_s = -solve_triangular(e, r_s, trans="T", lower=True, unit_diagonal=True,
                              check_finite=False)
     sol.x = p
     sol.nu = np.concatenate([nu_s, sol.nu])
+    sol.lam = sol.lam[qp_row]
+    sol.active_rows = np.sort(order[sol.active_rows])
     sol.objective = float(0.5 * p @ (B @ p) + g @ p)
     return sol
 
 
-def _elastic_qp(B, g, Je, ce, Ji, ci, rho):
-    """Relaxed subproblem with l1 slacks on every constraint row.
+def _elastic_qp(B, g, Je, ce, Ji, ci, lb, ub, rho):
+    """Relaxed subproblem with l1 slacks on every constraint row, the bound
+    rows lb <= p <= ub included.
 
     Returns a QpSolution-like object restricted to the p block, or None when
     even the relaxation fails (numerical breakdown).
     """
     n = B.shape[0]
+    var, sign, c = _bounds(lb, ub)
+    Ji = _ineq_rows(Ji, var, sign, np.arange(len(Ji) + len(var)))
+    ci = np.concatenate([ci, c])
     me, mi = len(ce), len(ci)
     n_el = n + 2 * me + mi
     H = np.zeros((n_el, n_el))
@@ -574,17 +637,10 @@ def _elastic_qp(B, g, Je, ce, Ji, ci, rho):
     f = np.concatenate([g, rho * np.ones(2 * me + mi)])
     C = np.hstack([Je, np.eye(me), -np.eye(me), np.zeros((me, mi))]) if me else None
     d = -ce if me else None
-    rows = []
-    rhs = []
-    if mi:
-        rows.append(np.hstack([Ji, np.zeros((mi, 2 * me)), -np.eye(mi)]))
-        rhs.append(-ci)
-    slack_rows = np.hstack([np.zeros((2 * me + mi, n)), -np.eye(2 * me + mi)])
-    rows.append(slack_rows)
-    rhs.append(np.zeros(2 * me + mi))
-    A = np.vstack(rows)
-    b = np.concatenate(rhs)
-    sol = solve_qp(H, f, A, b, C, d)
+    A = np.hstack([Ji, np.zeros((mi, 2 * me)), -np.eye(mi)])
+    # The slacks are nonnegative.
+    lb_el = np.concatenate([np.full(n, -np.inf), np.zeros(2 * me + mi)])
+    sol = solve_qp(H, f, A, -ci, C, d, lb=lb_el)
     if sol.status != "optimal":
         logger.warning("elastic QP failed with status %s", sol.status)
         return None

@@ -2,23 +2,42 @@
 
 Solves
     minimize    0.5 x'Hx + f'x
-    subject to  C x = d,   A x <= b
+    subject to  C x = d,   A x <= b,   lb <= x <= ub
 
-for symmetric positive-definite H.  The method (Goldfarb & Idnani, Math. Prog.
-1983) keeps a working set of linearly independent constraint normals with the
-factorization JT @ N = [R; 0], and a point that minimizes the objective with
-every working-set row held as an equality.  It starts with the equality
-constraints added in one pivoted QR.  An optional warm set of inequality rows,
-typically the previous SQP subproblem's active set, is added the same way in a
-second batch; members with negative multipliers are then dropped until the
-start is dual feasible, in the manner of qpOASES (Ferreau et al., Math. Prog.
-Comp. 2014).  From that start, violated inequalities are added one at a time
-while dual feasibility is kept.  Infeasible problems are detected through an
-unbounded dual ray.  All linear algebra is dense; the target problems are MPC
+for symmetric positive-definite H.  The bounds may hold -inf and +inf
+entries; only the finite ones constrain.  Inequality multipliers and
+working-set members are numbered rows of A first, then the finite lower
+bounds, then the finite upper bounds, each in variable order.
+
+The method (Goldfarb & Idnani, Math. Prog. 1983) keeps a working set of
+linearly independent constraint normals with the factorization JT @ N =
+[R; 0], and a point that minimizes the objective with every working-set row
+held as an equality.  It starts with the equality constraints added in one
+pivoted QR.  An optional warm set of inequality rows, typically the previous
+SQP subproblem's active set, is added the same way in a second batch;
+members with negative multipliers are then dropped until the start is dual
+feasible, in the manner of qpOASES (Ferreau et al., Math. Prog. Comp. 2014).
+From that start, violated inequalities are added one at a time while dual
+feasibility is kept.  Infeasible problems are detected through an unbounded
+dual ray.  All linear algebra is dense; the target problems are MPC
 subproblems with a few hundred variables.
 
-Multiplier conventions at the solution:
-    Hx + f + A' lam + C' nu = 0,   lam >= 0,   lam_i (A x - b)_i = 0.
+Bounds are kept apart from the general rows, as in qpOASES and DAQP
+(Arnstrom, Bemporad & Axehill, IEEE TAC 2022).  The warm set's bounds fix
+their variables, and the method above runs on the free variables only, with
+the free variables' finite bounds as unit rows.  Each fixed bound's
+multiplier is then read off stationarity.  Bounds with a negative multiplier
+are released, and the reduced problem is solved again from its own final
+working set; the fixed set only shrinks, so this ends.  The method runs on
+all variables, with every finite bound as a unit row, for a cold start, a
+warm set without bounds, a fixed set that leaves an equality row or the
+whole problem without a free variable, and a reduced solve that does not
+end optimal.
+
+Multiplier conventions at the solution, with lam_lo and lam_hi the bound
+parts of lam scattered to their variables:
+    Hx + f + A' lam_A - lam_lo + lam_hi + C' nu = 0,   lam >= 0,
+    each multiplier times its row's slack = 0.
 """
 
 from __future__ import annotations
@@ -64,6 +83,17 @@ def _factor_spd(H: np.ndarray) -> np.ndarray:
         except np.linalg.LinAlgError:
             ridge = scale * 1e-12 if ridge == 0.0 else ridge * 100.0
     raise QpError("Hessian is not positive definite even after regularization")
+
+
+def _inverse_factor(H: np.ndarray) -> np.ndarray:
+    """inv(L) for the Cholesky factor L of H, by LAPACK trtri: a third of
+    the flops of solving L X = I."""
+    L = _factor_spd(H)
+    trtri = get_lapack_funcs("trtri", (L,))
+    inv, info = trtri(L, lower=1, overwrite_c=1)
+    if info != 0:
+        raise QpError(f"trtri failed with info={info}")
+    return inv
 
 
 def _add_rows(JT, R, q, normals, rtol):
@@ -132,16 +162,21 @@ def solve_qp(
     C: np.ndarray | None = None,
     d: np.ndarray | None = None,
     warm_rows: np.ndarray | None = None,
+    lb: np.ndarray | None = None,
+    ub: np.ndarray | None = None,
 ) -> QpSolution:
     """Solve the QP; see module docstring for conventions.
 
     warm_rows: optional inequality-row indices, typically the active rows of
-    a previous related solve, used as the initial working set.  They are
-    added in one batch after the equalities; rows that are duplicated, out of
-    range, zero, or linearly dependent on earlier members are skipped, and
-    members whose multiplier comes out negative are dropped before the
-    active-set loop starts.  The solution does not depend on the hint; only
-    the work to reach it does.
+    a previous related solve, used as the initial working set.  Bound
+    members fix their variables (the lower bound where a variable has both);
+    the rest are added in one batch after the equalities.  Rows that are
+    duplicated, out of range, zero, or linearly dependent on earlier members
+    are skipped, and members whose multiplier comes out negative are dropped
+    or released before the active-set loop starts.  The solution does not
+    depend on the hint; only the work to reach it does.
+
+    lb, ub: optional variable bounds, None for none.
     """
     H = np.asarray(H, dtype=float)
     f = np.asarray(f, dtype=float).ravel()
@@ -152,8 +187,96 @@ def solve_qp(
     b = np.zeros(0) if b is None else np.asarray(b, dtype=float).ravel()
     C = np.zeros((0, n)) if C is None else np.asarray(C, dtype=float).reshape(-1, n)
     d = np.zeros(0) if d is None else np.asarray(d, dtype=float).ravel()
+    lb = np.full(n, -np.inf) if lb is None else np.asarray(lb, dtype=float).ravel()
+    ub = np.full(n, np.inf) if ub is None else np.asarray(ub, dtype=float).ravel()
     if A.shape[0] != b.shape[0] or C.shape[0] != d.shape[0]:
         raise QpError("constraint matrix/vector size mismatch")
+    if lb.shape != (n,) or ub.shape != (n,):
+        raise QpError(f"bound shapes {lb.shape}, {ub.shape} do not match n={n}")
+    i_lo = np.flatnonzero(np.isfinite(lb))
+    i_hi = np.flatnonzero(np.isfinite(ub))
+    # Bound row j, numbered after the rows of A, on variable b_var[j]:
+    # -x <= -lb for the lower bounds, x <= ub for the upper ones.
+    b_var = np.concatenate([i_lo, i_hi])
+    b_sign = np.ones(len(b_var))
+    b_sign[: len(i_lo)] = -1.0
+    b_rhs = b_sign * np.concatenate([lb[i_lo], ub[i_hi]])
+    if np.any(lb > ub):
+        return QpSolution("infeasible", np.zeros(n), np.zeros(len(b) + len(b_var)),
+                          np.zeros(len(d)), 0, 0.0)
+    warm = None if warm_rows is None else np.asarray(warm_rows, dtype=int).ravel()
+    if warm is not None and np.any((warm >= len(b)) & (warm < len(b) + len(b_var))):
+        sol = _solve_fixing(H, f, A, b, C, d, b_var, b_sign, b_rhs, warm)
+        if sol is not None:
+            return sol
+    return _solve_rows(H, f, np.vstack([A, _unit_rows(b_var, b_sign, n)]),
+                       np.concatenate([b, b_rhs]), C, d, warm)
+
+
+def _unit_rows(var, sign, n):
+    """Rows with entry sign[j] at column var[j] and zeros elsewhere."""
+    rows = np.zeros((len(var), n))
+    rows[np.arange(len(var)), var] = sign
+    return rows
+
+
+def _solve_fixing(H, f, A, b, C, d, b_var, b_sign, b_rhs, warm):
+    """The QP solved with the warm set's bounds fixing their variables, or
+    None where the module docstring sends it to the full solve.
+
+    Bound row j holds b_sign[j] * x[b_var[j]] <= b_rhs[j], numbered mi + j.
+    """
+    n, mi = len(f), len(b)
+    m = mi + len(b_var)
+    warm = np.unique(warm[(warm >= 0) & (warm < m)])
+    # One bound per variable; the lower bound comes first in the numbering.
+    _, first = np.unique(b_var[warm[warm >= mi] - mi], return_index=True)
+    fixed = warm[warm >= mi][first] - mi
+    if not len(fixed):
+        return None
+    work = warm[warm < mi]
+    iters = 0
+    while True:
+        var = b_var[fixed]
+        free = np.ones(n, dtype=bool)
+        free[var] = False
+        if not free.any() or not np.all(np.any(C[:, free], axis=1)):
+            return None
+        x = np.zeros(n)
+        x[var] = b_sign[fixed] * b_rhs[fixed]
+        # The reduced rows: A's, then the free variables' bounds.  The
+        # working set carried from the last round is among them, since the
+        # fixed set only shrinks.
+        loose = np.flatnonzero(free[b_var])
+        rows = np.concatenate([np.arange(mi), mi + loose])
+        red = np.full(m, -1)
+        red[rows] = np.arange(len(rows))
+        col = np.cumsum(free) - 1
+        sol = _solve_rows(
+            H[np.ix_(free, free)], f[free] + H[free] @ x,
+            np.vstack([A[:, free], _unit_rows(col[b_var[loose]], b_sign[loose], col[-1] + 1)]),
+            np.concatenate([b - A @ x, b_rhs[loose]]), C[:, free], d - C @ x, red[work])
+        iters += sol.iterations
+        if not sol.ok:
+            return None
+        x[free] = sol.x
+        lam = np.zeros(m)
+        lam[rows] = sol.lam
+        work = rows[sol.active_rows]
+        # Stationarity on a fixed variable: the general rows' terms plus
+        # the fixed bound's own; the free variables' bounds do not touch it.
+        grad = H[var] @ x + f[var] + A[:, var].T @ lam[:mi] + C[:, var].T @ sol.nu
+        mult = -b_sign[fixed] * grad
+        if np.all(mult >= 0.0):
+            lam[mi + fixed] = mult
+            return QpSolution("optimal", x, lam, sol.nu, iters, _obj(H, f, x),
+                              np.sort(np.concatenate([work, mi + fixed])))
+        fixed = fixed[mult >= 0.0]
+
+
+def _solve_rows(H, f, A, b, C, d, warm_rows):
+    """The method on all variables, every inequality a row of A."""
+    n = f.shape[0]
     mi, me = A.shape[0], C.shape[0]
 
     lam_out = np.zeros(mi)
@@ -173,10 +296,9 @@ def solve_qp(
     idx_i = np.flatnonzero(keep_i)
     idx_e = np.flatnonzero(keep_e)
 
-    L = _factor_spd(H)
     # JT = inv(L); maintained so that JT rows [0:q] span the active-normal
     # subspace in factored coordinates: JT @ n_active = [R; 0] columns.
-    JT = solve_triangular(L, np.eye(n), lower=True)
+    JT = _inverse_factor(H)
     x0 = -JT.T @ (JT @ f)
     R = np.zeros((n, n))
 
@@ -307,21 +429,29 @@ def _obj(H, f, x) -> float:
     return float(0.5 * x @ (H @ x) + f @ x)
 
 
-def kkt_residuals(H, f, A, b, C, d, sol: QpSolution):
-    """Stationarity / feasibility / complementarity residuals (test helper)."""
+def kkt_residuals(H, f, A, b, C, d, sol: QpSolution, lb=None, ub=None):
+    """Stationarity / feasibility / complementarity residuals (test helper).
+
+    lb, ub as for `solve_qp`; sol.lam holds the bound multipliers after
+    those of A's rows."""
     x = sol.x
-    stat = H @ x + f
-    if A is not None and len(A):
-        stat = stat + np.asarray(A).T @ sol.lam
-    if C is not None and len(C):
-        stat = stat + np.asarray(C).T @ sol.nu
-    r_stat = float(np.max(np.abs(stat)))
-    r_prim = 0.0
-    r_comp = 0.0
-    if A is not None and len(A):
-        s = np.asarray(A) @ x - np.asarray(b)
-        r_prim = max(r_prim, float(np.max(s)))
-        r_comp = float(np.max(np.abs(sol.lam * s)))
-    if C is not None and len(C):
-        r_prim = max(r_prim, float(np.max(np.abs(np.asarray(C) @ x - np.asarray(d)))))
+    n = len(x)
+    A = np.zeros((0, n)) if A is None else np.asarray(A, dtype=float).reshape(-1, n)
+    b = np.zeros(0) if b is None else np.asarray(b, dtype=float)
+    C = np.zeros((0, n)) if C is None else np.asarray(C, dtype=float).reshape(-1, n)
+    d = np.zeros(0) if d is None else np.asarray(d, dtype=float)
+    lb = np.full(n, -np.inf) if lb is None else np.asarray(lb, dtype=float)
+    ub = np.full(n, np.inf) if ub is None else np.asarray(ub, dtype=float)
+    i_lo = np.flatnonzero(np.isfinite(lb))
+    i_hi = np.flatnonzero(np.isfinite(ub))
+    # Every inequality as (row value - right-hand side) <= 0.
+    slack = np.concatenate([A @ x - b, lb[i_lo] - x[i_lo], x[i_hi] - ub[i_hi]])
+    lam_a, lam_lo, lam_hi = np.split(sol.lam, np.cumsum([len(A), len(i_lo)]))
+    stat = H @ x + f + A.T @ lam_a + C.T @ sol.nu
+    stat[i_lo] -= lam_lo
+    stat[i_hi] += lam_hi
+    r_stat = float(np.max(np.abs(stat))) if n else 0.0
+    r_prim = max(float(np.max(slack, initial=0.0)),
+                 float(np.max(np.abs(C @ x - d), initial=0.0)))
+    r_comp = float(np.max(np.abs(sol.lam * slack), initial=0.0))
     return r_stat, r_prim, r_comp

@@ -14,6 +14,10 @@
 - `convexify_whole` tests and modifies the Lagrangian Hessian as one n x n
   matrix; `nlp._convexify`, which works per declared block, must take the
   same path and return the same matrix.
+- `elastic_qp_full_slack` builds the l1-elastic SQP subproblem from
+  inequality rows that already hold the variable bounds as unit rows, with
+  the slacks' nonnegativity as rows too; `nlp._elastic_qp`, which takes the
+  bounds as vectors, must return the same step and multipliers.
 - `inverse_dynamics_residual` fits a bounded input to every state pair of a
   trajectory; synthesized target-vehicle maneuvers must score near zero.
 """
@@ -33,6 +37,7 @@ from tightnav.geometry import (
     strategy_halfspace,
 )
 from tightnav.obca import StrategyLabel
+from tightnav.qp import solve_qp
 from tightnav.scenario import DT
 
 # Edges shorter than the square root of this project every point to their start.
@@ -201,6 +206,34 @@ def convexify_whole(h: np.ndarray, j_rows: np.ndarray | None = None,
     w, v = np.linalg.eigh(h)
     w = np.maximum(np.abs(w), floor)
     return (v * w) @ v.T
+
+
+def elastic_qp_full_slack(B, g, Je, ce, Ji, ci, rho):
+    """Elastic subproblem with an l1 slack on every row of Je p + ce = 0
+    and Ji p + ci <= 0, the bound rows among the latter; None on failure."""
+    n = B.shape[0]
+    me, mi = len(ce), len(ci)
+    n_el = n + 2 * me + mi
+    H = np.zeros((n_el, n_el))
+    H[:n, :n] = B
+    H[n:, n:] = 1e-6 * np.eye(2 * me + mi)
+    f = np.concatenate([g, rho * np.ones(2 * me + mi)])
+    C = np.hstack([Je, np.eye(me), -np.eye(me), np.zeros((me, mi))]) if me else None
+    d = -ce if me else None
+    rows = []
+    rhs = []
+    if mi:
+        rows.append(np.hstack([Ji, np.zeros((mi, 2 * me)), -np.eye(mi)]))
+        rhs.append(-ci)
+    slack_rows = np.hstack([np.zeros((2 * me + mi, n)), -np.eye(2 * me + mi)])
+    rows.append(slack_rows)
+    rhs.append(np.zeros(2 * me + mi))
+    sol = solve_qp(H, f, np.vstack(rows), np.concatenate(rhs), C, d)
+    if sol.status != "optimal":
+        return None
+    sol.lam = sol.lam[:mi]
+    sol.active_rows = sol.active_rows[sol.active_rows < mi]
+    return sol
 
 
 def inverse_dynamics_residual(traj: np.ndarray, dt: float = DT,

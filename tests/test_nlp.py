@@ -22,7 +22,7 @@ import tightnav.nlp
 from tightnav.nlp import TOL_FEAS, TOL_KKT, NlpProblem, NlpSolution, solve_nlp
 from tightnav.qp import kkt_residuals, solve_qp
 
-from oracles import convexify_whole
+from oracles import convexify_whole, elastic_qp_full_slack
 
 PARAMS = VehicleParams()
 DT = 0.1
@@ -408,15 +408,20 @@ def shooting_subproblem(rng, n_steps=5, nx=3, nu=2, n_extra=6):
 def test_condensed_subproblem_matches_full_qp(seed):
     B, g, Je, ce, Ji, ci, k = shooting_subproblem(np.random.default_rng(seed))
     full = solve_qp(B, g, Ji, -ci, Je, -ce)
-    cond = tightnav.nlp._solve_subproblem(B, g, Je, ce, Ji, ci, k, None)
-    assert full.ok and cond.ok
-    assert len(full.active_rows) > 0
-    np.testing.assert_array_equal(cond.active_rows, full.active_rows)
-    for got, want in ((cond.x, full.x), (cond.lam, full.lam), (cond.nu, full.nu)):
-        assert got.shape == want.shape
-        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-9)
-    assert max(kkt_residuals(B, g, Ji, -ci, Je, -ce, cond)) < 1e-8
-    assert cond.objective == pytest.approx(full.objective, rel=1e-12)
+    # Ji ends with a lower and an upper bound row on every variable.
+    n = len(g)
+    m = len(ci) - 2 * n
+    lb, ub = ci[m : m + n], -ci[m + n :]
+    assert full.ok and len(full.active_rows) > 0
+    for warm in (None, full.active_rows):
+        cond = tightnav.nlp._solve_subproblem(B, g, Je, ce, Ji[:m], ci[:m], lb, ub, k, warm)
+        assert cond.ok
+        np.testing.assert_array_equal(cond.active_rows, full.active_rows)
+        for got, want in ((cond.x, full.x), (cond.lam, full.lam), (cond.nu, full.nu)):
+            assert got.shape == want.shape
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-9)
+        assert max(kkt_residuals(B, g, Ji, -ci, Je, -ce, cond)) < 1e-8
+        assert cond.objective == pytest.approx(full.objective, rel=1e-12)
 
 
 def test_condensed_tracking_solve_matches_uncondensed():
@@ -485,6 +490,83 @@ def test_every_condensed_subproblem_reaches_module_solve_qp(monkeypatch):
     assert len(sizes) == len(kinds) > 1
     # The QP sees only the inputs.
     assert set(sizes) == {prob.n - 12}
+
+
+def test_subproblems_pass_bounds_as_bounds(monkeypatch):
+    # Speed bounds on the states, input bounds, and one general row per
+    # stage keeping the lateral position below 0.05.
+    z_ref = np.array([[0.06 * t, 0.2 * t, 0.0, 3.0] for t in range(4)])
+    prob, _, _ = build_tracking_nlp(np.array([0.0, 0.0, 0.0, 0.5]), z_ref, 3,
+                                    np.array([1.0, 1.0, 1.0, 10.0]), np.ones(2))
+    k = 12
+    lo, hi = prob.lower.copy(), prob.upper.copy()
+    lo[3:k:4], hi[3:k:4] = 0.0, 0.7
+
+    def lateral(x):
+        jac = np.zeros((3, prob.n))
+        jac[np.arange(3), np.arange(1, k, 4)] = 1.0
+        return x[1:k:4] - 0.05, jac
+
+    prob = dataclasses.replace(prob, n_state=k, lower=lo, upper=hi, ineq=lateral)
+    calls = []
+
+    def recording(H, f, A, b, C, d, warm_rows=None, lb=None, ub=None):
+        calls.append((A, lb, ub))
+        return solve_qp(H, f, A, b, C, d, warm_rows=warm_rows, lb=lb, ub=ub)
+
+    monkeypatch.setattr(tightnav.nlp, "solve_qp", recording)
+    sol = solve_nlp(prob, np.zeros(prob.n))
+    assert sol.ok and len(calls) > 1
+    # Some speed bound and some input bound end up active.
+    bound_vars = np.concatenate([np.flatnonzero(np.isfinite(lo)), np.flatnonzero(np.isfinite(hi))])
+    active_vars = bound_vars[sol.active_rows[sol.active_rows >= 3] - 3]
+    assert np.any(active_vars < k) and np.any(active_vars >= k)
+    n_speed = 2 * 3
+    for A, lb, ub in calls:
+        np.testing.assert_array_equal(np.isfinite(lb), np.isfinite(lo[k:]))
+        np.testing.assert_array_equal(np.isfinite(ub), np.isfinite(hi[k:]))
+        # The general rows, then the condensed speed bounds, and no bound on
+        # a remaining variable as a unit row.
+        assert A.shape == (3 + n_speed, prob.n - k)
+        single = np.count_nonzero(A, axis=1) == 1
+        assert not np.any(single & (np.max(np.abs(A), axis=1) == 1.0))
+
+
+def test_elastic_qp_matches_full_slack_oracle(monkeypatch):
+    # x0 >= 1 and x0 <= -1 cannot both hold; the bounds and the equality can.
+    def obj(x):
+        return float(x @ x), 2.0 * x
+
+    def eq(x):
+        return np.array([x[1] - x[2] - 0.3]), np.array([[0.0, 1.0, -1.0]])
+
+    def ineq(x):
+        return np.array([1.0 - x[0], x[0] + 1.0]), np.array([[-1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+
+    prob = NlpProblem(n=3, objective=obj, lag_hess=constant_hess(2.0 * np.eye(3)),
+                      eq=eq, ineq=ineq, lower=np.array([-2.0, -1.0, -np.inf]),
+                      upper=np.array([2.0, np.inf, 0.1]))
+    calls = []
+    elastic = tightnav.nlp._elastic_qp
+
+    def recording(*args):
+        sol = elastic(*args)
+        calls.append((args, sol))
+        return sol
+
+    monkeypatch.setattr(tightnav.nlp, "_elastic_qp", recording)
+    assert solve_nlp(prob, np.array([0.5, 0.0, 0.0])).status == "infeasible"
+    assert calls
+    for (B, g, Je, ce, Ji, ci, lb, ub, rho), got in calls:
+        var, sign, c = tightnav.nlp._bounds(lb, ub)
+        assert len(var) == 4
+        rows = tightnav.nlp._ineq_rows(Ji, var, sign, np.arange(len(Ji) + len(var)))
+        want = elastic_qp_full_slack(B, g, Je, ce, rows, np.concatenate([ci, c]), rho)
+        assert got.status == want.status == "optimal"
+        np.testing.assert_array_equal(got.active_rows, want.active_rows)
+        for a, b in ((got.x, want.x), (got.lam, want.lam), (got.nu, want.nu)):
+            assert a.shape == b.shape
+            np.testing.assert_allclose(a, b, rtol=0.0, atol=1e-12)
 
 
 # --- block-diagonal convexification against the whole-matrix oracle ---------

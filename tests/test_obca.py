@@ -713,15 +713,17 @@ def record_nlp_calls(monkeypatch, clear_hints=False, fail_call=None):
     return calls
 
 
-def record_qp_hints(monkeypatch):
+def record_subproblem_hints(monkeypatch):
+    """The working-set hint of every SQP subproblem, in the NLP's row
+    numbering (the QP renumbers the condensed states' bound rows)."""
     hints = []
-    solve_qp = tightnav.nlp.solve_qp
+    solve_subproblem = tightnav.nlp._solve_subproblem
 
-    def recording(*args, **kwargs):
-        hints.append(kwargs.get("warm_rows"))
-        return solve_qp(*args, **kwargs)
+    def recording(*args):
+        hints.append(args[-1])
+        return solve_subproblem(*args)
 
-    monkeypatch.setattr(tightnav.nlp, "solve_qp", recording)
+    monkeypatch.setattr(tightnav.nlp, "_solve_subproblem", recording)
     return hints
 
 
@@ -766,15 +768,15 @@ def shifted_into(nlp, keys):
 
 def test_next_step_starts_from_shifted_working_set(monkeypatch):
     calls = record_nlp_calls(monkeypatch)
-    qp_hints = record_qp_hints(monkeypatch)
+    sub_hints = record_subproblem_hints(monkeypatch)
     starts = []
     sols = consecutive_steps(ObcaController(ControllerConfig(guided=False)),
-                             before=lambda i: starts.append((len(calls), len(qp_hints))))
+                             before=lambda i: starts.append((len(calls), len(sub_hints))))
     nlp1, _, last1 = calls[starts[1][0] - 1]
     nlp2, hint2, _ = calls[starts[1][0]]
-    # The second step's first subproblem QP receives the hint.
+    # The second step's first subproblem receives the hint.
     assert hint2 is not None and len(hint2) > 0
-    assert np.array_equal(qp_hints[starts[1][1]], hint2)
+    assert np.array_equal(sub_hints[starts[1][1]], hint2)
     # Every hinted row names a constraint the previous step's final working
     # set held one stage later, and every such constraint the new NLP has
     # is hinted.

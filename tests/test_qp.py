@@ -288,3 +288,145 @@ def test_redundant_equalities_consistent():
     np.testing.assert_allclose(sol.x, [1.0, 0.0, 0.0], atol=1e-9)
     bad = solve_qp(H, np.zeros(3), C=C, d=np.array([1.0, 3.0]))
     assert bad.status == "infeasible"
+
+
+# --- variable bounds as vectors against the same bounds as rows ---------------
+
+def random_bounded_qp(rng, n, mi, me):
+    """(H, f, A, b, C, d, lb, ub): strictly convex and feasible, with +-inf
+    bounds, some lb == ub, and a minimizer pulled out of the box."""
+    H = random_spd(rng, n)
+    x_feas = rng.standard_normal(n)
+    f = -H @ (x_feas + 3.0 * rng.standard_normal(n))
+    A = rng.standard_normal((mi, n))
+    b = A @ x_feas + rng.uniform(0.0, 1.0, mi)
+    C = rng.standard_normal((me, n))
+    d = C @ x_feas
+    lb = x_feas - rng.uniform(0.0, 0.5, n)
+    ub = x_feas + rng.uniform(0.0, 0.5, n)
+    lb[rng.random(n) < 0.2] = -np.inf
+    ub[rng.random(n) < 0.2] = np.inf
+    pinned = rng.random(n) < 0.15
+    lb[pinned] = ub[pinned] = x_feas[pinned]
+    return H, f, A, b, C, d, lb, ub
+
+
+def bounds_as_rows(A, b, lb, ub):
+    """(A, b) with the finite bounds appended as unit rows, numbered as
+    `solve_qp` numbers its bounds."""
+    n = A.shape[1]
+    i_lo, i_hi = np.flatnonzero(np.isfinite(lb)), np.flatnonzero(np.isfinite(ub))
+    return (np.vstack([A, -np.eye(n)[i_lo], np.eye(n)[i_hi]]),
+            np.concatenate([b, -lb[i_lo], ub[i_hi]]))
+
+
+def reduced_solves(monkeypatch):
+    """Variable counts of the Goldfarb-Idnani runs inside each later solve."""
+    import tightnav.qp
+
+    sizes = []
+    inner = tightnav.qp._solve_rows
+
+    def counting(H, *args):
+        sizes.append(len(H))
+        return inner(H, *args)
+
+    monkeypatch.setattr(tightnav.qp, "_solve_rows", counting)
+    return sizes
+
+
+def assert_same_solution(got, want):
+    assert got.status == want.status == "optimal"
+    np.testing.assert_array_equal(got.active_rows, want.active_rows)
+    for a, b in ((got.x, want.x), (got.lam, want.lam), (got.nu, want.nu)):
+        assert a.shape == b.shape
+        np.testing.assert_allclose(a, b, rtol=0.0, atol=1e-9)
+
+
+def bounded_cases(seed, count=40):
+    rng = np.random.default_rng(seed)
+    for trial in range(count):
+        n = int(rng.integers(3, 10))
+        me = trial % 3 if n > 3 else 0
+        H, f, A, b, C, d, lb, ub = random_bounded_qp(rng, n, int(rng.integers(0, 5)), me)
+        Ar, br = bounds_as_rows(A, b, lb, ub)
+        rows = solve_qp(H, f, Ar, br, C, d)
+        assert rows.ok
+        yield rng, (H, f, A, b, C, d, lb, ub), rows
+
+
+def test_bounds_as_vectors_match_bounds_as_rows_cold_and_exact_hint():
+    n_bound_active = 0
+    for _, (H, f, A, b, C, d, lb, ub), rows in bounded_cases(31):
+        for warm in (None, rows.active_rows):
+            sol = solve_qp(H, f, A, b, C, d, warm_rows=warm, lb=lb, ub=ub)
+            assert_same_solution(sol, rows)
+            assert max(kkt_residuals(H, f, A, b, C, d, sol, lb, ub)) < 1e-8
+        n_bound_active += int(np.sum(rows.active_rows >= len(b)))
+    assert n_bound_active > 40
+
+
+def test_bounds_as_vectors_garbage_hint():
+    for rng, (H, f, A, b, C, d, lb, ub), rows in bounded_cases(32):
+        m = len(rows.lam)
+        hint = np.concatenate([rows.active_rows, rows.active_rows, [-1, m, m + 5],
+                               rng.integers(0, m, size=3)])
+        sol = solve_qp(H, f, A, b, C, d, warm_rows=hint, lb=lb, ub=ub)
+        assert_same_solution(sol, rows)
+
+
+def test_fixed_bounds_with_negative_multipliers_are_released(monkeypatch):
+    sizes = reduced_solves(monkeypatch)
+    released = 0
+    for rng, (H, f, A, b, C, d, lb, ub), rows in bounded_cases(33, count=80):
+        # Hint the final working set and three inactive bounds.
+        inactive = np.setdiff1d(np.arange(len(b), len(rows.lam)), rows.active_rows)
+        hint = np.union1d(rows.active_rows, rng.permutation(inactive)[:3])
+        sizes.clear()
+        sol = solve_qp(H, f, A, b, C, d, warm_rows=hint, lb=lb, ub=ub)
+        assert_same_solution(sol, rows)
+        # Reduced solves only, each with more free variables than the last;
+        # the last still has some fixed, so it is not the full solve.
+        assert sizes == sorted(set(sizes))
+        released += len(sizes) > 1 and sizes[-1] < len(f)
+    assert released >= 15, released
+
+
+def test_equality_without_free_variable_falls_back(monkeypatch):
+    sizes = reduced_solves(monkeypatch)
+    rng = np.random.default_rng(34)
+    n = 6
+    for _ in range(10):
+        x_feas = rng.uniform(-0.5, 0.5, n)
+        H = random_spd(rng, n)
+        f = rng.normal(size=n) * 5.0
+        A = rng.normal(size=(3, n))
+        b = A @ x_feas + rng.uniform(0.0, 1.0, 3)
+        # The first equality touches x0 and x1 only.
+        C = rng.normal(size=(2, n))
+        C[0, 2:] = 0.0
+        d = C @ x_feas
+        lb, ub = -np.ones(n), np.ones(n)
+        Ar, br = bounds_as_rows(A, b, lb, ub)
+        rows = solve_qp(H, f, Ar, br, C, d)
+        assert rows.ok
+        # Fixing both its variables leaves that equality none.
+        sizes.clear()
+        sol = solve_qp(H, f, A, b, C, d, warm_rows=[3, 4], lb=lb, ub=ub)
+        assert sizes == [n]
+        assert_same_solution(sol, rows)
+
+
+def test_bounded_infeasible_with_hint_still_infeasible():
+    # x0 + x1 >= 3 cannot hold with both variables in [0, 1].
+    H = np.eye(3)
+    A = np.array([[-1.0, -1.0, 0.0]])
+    b = np.array([-3.0])
+    lb, ub = np.array([0.0, 0.0, -np.inf]), np.array([1.0, 1.0, np.inf])
+    for warm in (None, [0], [1], [1, 2], [3, 4], [0, 1, 3, 4]):
+        assert solve_qp(H, np.zeros(3), A, b, warm_rows=warm, lb=lb, ub=ub).status == "infeasible"
+    # Crossed bounds on x0; fixing x0 at either one leaves x1 free.
+    for warm in (None, [0], [1]):
+        sol = solve_qp(np.eye(2), np.ones(2), warm_rows=warm,
+                       lb=np.array([1.0, -np.inf]), ub=np.array([0.0, np.inf]))
+        assert sol.status == "infeasible"
