@@ -30,7 +30,7 @@ pass it on.  Both count inequality rows the solver's way: the rows of
 `problem.ineq` first, then the finite lower bounds in variable order, then
 the finite upper bounds in variable order.  A hint changes only the QP
 work, never the subproblem's answer: the QP skips rows that are out of
-range, repeated or dependent, fixes the variables of hinted bounds, and
+range, repeated or dependent, may fix the variables of hinted bounds, and
 drops rows and releases bounds whose multipliers come out negative.  The QP
 numbers a condensed subproblem's rows differently (the state bounds come
 right after the rows of `problem.ineq`), and `_solve_subproblem` translates
@@ -56,7 +56,7 @@ from typing import Callable
 
 import numpy as np
 
-from .qp import solve_qp
+from .qp import bound_rows, solve_qp, unit_rows
 
 # Imported after `.qp`, which loads scipy.linalg.  Loading it here first made
 # the package's set-up measurably slower (0.26 against 0.23 s over 10
@@ -271,9 +271,7 @@ def solve_nlp(problem: NlpProblem, x0: np.ndarray,
     if np.any(lo > hi):
         raise ValueError("lower bound exceeds upper bound")
     x = np.clip(x, lo, hi)
-    i_lo = np.flatnonzero(np.isfinite(lo))
-    i_hi = np.flatnonzero(np.isfinite(hi))
-    b_var, b_sign, _ = _bounds(lo, hi)
+    b_var, b_sign, b_rhs = bound_rows(lo, hi)
 
     def eval_all(xv):
         fval, g = problem.objective(xv)
@@ -289,15 +287,14 @@ def solve_nlp(problem: NlpProblem, x0: np.ndarray,
             Ji_u = np.asarray(Ji_u, float).reshape(len(ci_u), n)
         # ci holds the value of every inequality row, the bounds' included;
         # Ji holds the Jacobian of the rows of `ineq` only.
-        ci = np.concatenate([ci_u, lo[i_lo] - xv[i_lo], xv[i_hi] - hi[i_hi]])
+        ci = np.concatenate([ci_u, b_sign * xv[b_var] - b_rhs])
         return float(fval), np.asarray(g, float).ravel(), ce, Je, ci, Ji_u
 
     def viol_only(xv):
         ce = problem.eq(xv)[0] if problem.eq is not None else np.zeros(0)
         ci_u = problem.ineq(xv)[0] if problem.ineq is not None else np.zeros(0)
         ce = np.asarray(ce, float).ravel()
-        ci = np.concatenate([np.asarray(ci_u, float).ravel(),
-                             lo[i_lo] - xv[i_lo], xv[i_hi] - hi[i_hi]])
+        ci = np.concatenate([np.asarray(ci_u, float).ravel(), b_sign * xv[b_var] - b_rhs])
         return ce, ci
 
     mu_pen = 1.0
@@ -318,8 +315,7 @@ def solve_nlp(problem: NlpProblem, x0: np.ndarray,
             stat += Jev.T @ nuv
         if m_u:
             stat += Jiv.T @ lamv[:m_u]
-        stat[i_lo] -= lamv[m_u : m_u + len(i_lo)]
-        stat[i_hi] += lamv[m_u + len(i_lo) :]
+        np.add.at(stat, b_var, b_sign * lamv[m_u:])
         r_stat = float(np.max(np.abs(stat))) if n else 0.0
         r_comp = float(np.max(np.abs(lamv * civ))) if len(civ) else 0.0
         return max(r_stat, r_comp)
@@ -474,12 +470,11 @@ def solve_nlp(problem: NlpProblem, x0: np.ndarray,
     if status == "max_iterations" and r_kkt <= TOL_KKT and r_feas <= TOL_FEAS:
         status = "optimal"
     lam_u = lam[:m_u] if len(ci) else np.zeros(0)
+    lower = b_sign < 0.0
     mult_lower = np.zeros(n)
     mult_upper = np.zeros(n)
-    if len(i_lo):
-        mult_lower[i_lo] = lam[m_u : m_u + len(i_lo)]
-    if len(i_hi):
-        mult_upper[i_hi] = lam[m_u + len(i_lo) :]
+    mult_lower[b_var[lower]] = lam[m_u:][lower]
+    mult_upper[b_var[~lower]] = lam[m_u:][~lower]
     return NlpSolution(
         status=status,
         x=x,
@@ -521,24 +516,13 @@ def _check_state_block(Je, k):
 
 def _ineq_rows(Ji, b_var, b_sign, rows):
     """Jacobian rows of the inequality rows numbered `rows`: rows of Ji
-    first, then for bound row j a unit row holding b_sign[j] at column
-    b_var[j]."""
-    out = np.zeros((len(rows), Ji.shape[1]))
+    first, then for bound row j the unit row of `qp.unit_rows`."""
     ineq = rows < len(Ji)
+    j = rows[~ineq] - len(Ji)
+    out = np.empty((len(rows), Ji.shape[1]))
     out[ineq] = Ji[rows[ineq]]
-    at, j = np.flatnonzero(~ineq), rows[~ineq] - len(Ji)
-    out[at, b_var[j]] = b_sign[j]
+    out[~ineq] = unit_rows(b_var[j], b_sign[j], Ji.shape[1])
     return out
-
-
-def _bounds(lb, ub):
-    """(var, sign, c): the finite bounds of lb <= p <= ub as the rows
-    sign * p[var] + c <= 0, numbered as in the module docstring."""
-    i_lo = np.flatnonzero(np.isfinite(lb))
-    i_hi = np.flatnonzero(np.isfinite(ub))
-    sign = np.ones(len(i_lo) + len(i_hi))
-    sign[: len(i_lo)] = -1.0
-    return np.concatenate([i_lo, i_hi]), sign, np.concatenate([lb[i_lo], -ub[i_hi]])
 
 
 def _solve_subproblem(B, g, Je, ce, Ji, ci, lb, ub, k, warm):
@@ -586,15 +570,15 @@ def _solve_subproblem(B, g, Je, ce, Ji, ci, lb, ub, k, warm):
 
     A, b = eliminate(Ji, ci)
     C, d = eliminate(Je[k:], ce[k:])
-    # A state's bound row sign * p_i + c <= 0 becomes
-    # sign * S_i p[k:] <= -c - sign * s0_i, a row after those of Ji.
-    var, sign, c = _bounds(lb, ub)
+    # A state's bound row sign * p_i <= rhs becomes
+    # sign * S_i p[k:] <= rhs - sign * s0_i, a row after those of Ji.
+    var, sign, rhs = bound_rows(lb, ub)
     state = var < k
     s_var, s_sign = var[state], sign[state]
     rows = np.zeros((len(s_var), len(f)))
     rows[:, cols] = s_sign[:, None] * S[s_var]
     A = np.vstack([A, rows])
-    b = np.concatenate([b, -c[state] - s_sign * s0[s_var]])
+    b = np.concatenate([b, rhs[state] - s_sign * s0[s_var]])
     # The QP numbers the states' bound rows right after the rows of Ji and
     # the other bounds after them, each group in the module docstring's
     # order: order[r] is the docstring's number of the QP's row r, and
@@ -626,9 +610,9 @@ def _elastic_qp(B, g, Je, ce, Ji, ci, lb, ub, rho):
     even the relaxation fails (numerical breakdown).
     """
     n = B.shape[0]
-    var, sign, c = _bounds(lb, ub)
-    Ji = _ineq_rows(Ji, var, sign, np.arange(len(Ji) + len(var)))
-    ci = np.concatenate([ci, c])
+    var, sign, rhs = bound_rows(lb, ub)
+    Ji = np.vstack([Ji, unit_rows(var, sign, n)])
+    ci = np.concatenate([ci, -rhs])
     me, mi = len(ce), len(ci)
     n_el = n + 2 * me + mi
     H = np.zeros((n_el, n_el))

@@ -23,14 +23,16 @@ dual ray.  All linear algebra is dense; the target problems are MPC
 subproblems with a few hundred variables.
 
 Bounds are kept apart from the general rows, as in qpOASES and DAQP
-(Arnstrom, Bemporad & Axehill, IEEE TAC 2022).  The warm set's bounds fix
-their variables, and the method above runs on the free variables only, with
-the free variables' finite bounds as unit rows.  Each fixed bound's
-multiplier is then read off stationarity.  Bounds with a negative multiplier
-are released, and the reduced problem is solved again from its own final
-working set; the fixed set only shrinks, so this ends.  The method runs on
-all variables, with every finite bound as a unit row, for a cold start, a
-warm set without bounds, a fixed set that leaves an equality row or the
+(Arnstrom, Bemporad & Axehill, IEEE TAC 2022).  When the warm set's bounds
+cover at least a quarter of the variables, they fix their variables, and
+the method above runs once on the free variables only, with the free
+variables' finite bounds as unit rows.  Each fixed bound's multiplier is
+then read off stationarity.  If one is negative, the method runs on all
+variables, every finite bound a unit row, from the reduced solve's working
+set plus the fixed bounds with nonnegative multipliers.  It runs on all
+variables from the warm set itself for a cold start, a warm set whose
+bounds cover fewer variables (fixing so few saves less than the reduced
+problem costs to set up), a fixed set that leaves an equality row or the
 whole problem without a free variable, and a reduced solve that does not
 end optimal.
 
@@ -169,12 +171,13 @@ def solve_qp(
 
     warm_rows: optional inequality-row indices, typically the active rows of
     a previous related solve, used as the initial working set.  Bound
-    members fix their variables (the lower bound where a variable has both);
-    the rest are added in one batch after the equalities.  Rows that are
-    duplicated, out of range, zero, or linearly dependent on earlier members
-    are skipped, and members whose multiplier comes out negative are dropped
-    or released before the active-set loop starts.  The solution does not
-    depend on the hint; only the work to reach it does.
+    members may fix their variables (the lower bound where a variable has
+    both), as the module docstring sets out; the other members are added in
+    one batch after the equalities.  Rows that are duplicated, out of range,
+    zero, or linearly dependent on earlier members are skipped, and members
+    whose multiplier comes out negative are dropped before the active-set
+    loop starts.  The solution does not depend on the hint; only the work to
+    reach it does.
 
     lb, ub: optional variable bounds, None for none.
     """
@@ -193,27 +196,34 @@ def solve_qp(
         raise QpError("constraint matrix/vector size mismatch")
     if lb.shape != (n,) or ub.shape != (n,):
         raise QpError(f"bound shapes {lb.shape}, {ub.shape} do not match n={n}")
-    i_lo = np.flatnonzero(np.isfinite(lb))
-    i_hi = np.flatnonzero(np.isfinite(ub))
-    # Bound row j, numbered after the rows of A, on variable b_var[j]:
-    # -x <= -lb for the lower bounds, x <= ub for the upper ones.
-    b_var = np.concatenate([i_lo, i_hi])
-    b_sign = np.ones(len(b_var))
-    b_sign[: len(i_lo)] = -1.0
-    b_rhs = b_sign * np.concatenate([lb[i_lo], ub[i_hi]])
+    b_var, b_sign, b_rhs = bound_rows(lb, ub)
     if np.any(lb > ub):
         return QpSolution("infeasible", np.zeros(n), np.zeros(len(b) + len(b_var)),
                           np.zeros(len(d)), 0, 0.0)
     warm = None if warm_rows is None else np.asarray(warm_rows, dtype=int).ravel()
-    if warm is not None and np.any((warm >= len(b)) & (warm < len(b) + len(b_var))):
-        sol = _solve_fixing(H, f, A, b, C, d, b_var, b_sign, b_rhs, warm)
+    spent = 0
+    if warm is not None:
+        sol, warm, spent = _solve_fixing(H, f, A, b, C, d, b_var, b_sign, b_rhs, warm)
         if sol is not None:
             return sol
-    return _solve_rows(H, f, np.vstack([A, _unit_rows(b_var, b_sign, n)]),
-                       np.concatenate([b, b_rhs]), C, d, warm)
+    sol = _solve_rows(H, f, np.vstack([A, unit_rows(b_var, b_sign, n)]),
+                      np.concatenate([b, b_rhs]), C, d, warm)
+    sol.iterations += spent
+    return sol
 
 
-def _unit_rows(var, sign, n):
+def bound_rows(lb, ub):
+    """(var, sign, rhs): the finite bounds of lb <= x <= ub as the rows
+    sign[j] * x[var[j]] <= rhs[j], the finite lower bounds first, then the
+    finite upper bounds, each in variable order."""
+    i_lo = np.flatnonzero(np.isfinite(lb))
+    i_hi = np.flatnonzero(np.isfinite(ub))
+    sign = np.ones(len(i_lo) + len(i_hi))
+    sign[: len(i_lo)] = -1.0
+    return np.concatenate([i_lo, i_hi]), sign, np.concatenate([-lb[i_lo], ub[i_hi]])
+
+
+def unit_rows(var, sign, n):
     """Rows with entry sign[j] at column var[j] and zeros elsewhere."""
     rows = np.zeros((len(var), n))
     rows[np.arange(len(var)), var] = sign
@@ -221,57 +231,51 @@ def _unit_rows(var, sign, n):
 
 
 def _solve_fixing(H, f, A, b, C, d, b_var, b_sign, b_rhs, warm):
-    """The QP solved with the warm set's bounds fixing their variables, or
-    None where the module docstring sends it to the full solve.
+    """One solve with the warm set's bounds fixing their variables.
 
     Bound row j holds b_sign[j] * x[b_var[j]] <= b_rhs[j], numbered mi + j.
+    Returns (solution, hint, iterations): the QP's solution when every
+    fixed bound's multiplier comes out nonnegative; otherwise None and the
+    hint the full solve starts from, as the module docstring sets out, with
+    the iterations spent here.
     """
     n, mi = len(f), len(b)
-    m = mi + len(b_var)
-    warm = np.unique(warm[(warm >= 0) & (warm < m)])
+    warm = np.unique(warm[(warm >= 0) & (warm < mi + len(b_var))])
     # One bound per variable; the lower bound comes first in the numbering.
     _, first = np.unique(b_var[warm[warm >= mi] - mi], return_index=True)
     fixed = warm[warm >= mi][first] - mi
-    if not len(fixed):
-        return None
-    work = warm[warm < mi]
-    iters = 0
-    while True:
-        var = b_var[fixed]
-        free = np.ones(n, dtype=bool)
-        free[var] = False
-        if not free.any() or not np.all(np.any(C[:, free], axis=1)):
-            return None
-        x = np.zeros(n)
-        x[var] = b_sign[fixed] * b_rhs[fixed]
-        # The reduced rows: A's, then the free variables' bounds.  The
-        # working set carried from the last round is among them, since the
-        # fixed set only shrinks.
-        loose = np.flatnonzero(free[b_var])
-        rows = np.concatenate([np.arange(mi), mi + loose])
-        red = np.full(m, -1)
-        red[rows] = np.arange(len(rows))
-        col = np.cumsum(free) - 1
-        sol = _solve_rows(
-            H[np.ix_(free, free)], f[free] + H[free] @ x,
-            np.vstack([A[:, free], _unit_rows(col[b_var[loose]], b_sign[loose], col[-1] + 1)]),
-            np.concatenate([b - A @ x, b_rhs[loose]]), C[:, free], d - C @ x, red[work])
-        iters += sol.iterations
-        if not sol.ok:
-            return None
-        x[free] = sol.x
-        lam = np.zeros(m)
-        lam[rows] = sol.lam
-        work = rows[sol.active_rows]
-        # Stationarity on a fixed variable: the general rows' terms plus
-        # the fixed bound's own; the free variables' bounds do not touch it.
-        grad = H[var] @ x + f[var] + A[:, var].T @ lam[:mi] + C[:, var].T @ sol.nu
-        mult = -b_sign[fixed] * grad
-        if np.all(mult >= 0.0):
-            lam[mi + fixed] = mult
-            return QpSolution("optimal", x, lam, sol.nu, iters, _obj(H, f, x),
-                              np.sort(np.concatenate([work, mi + fixed])))
-        fixed = fixed[mult >= 0.0]
+    var = b_var[fixed]
+    free = np.ones(n, dtype=bool)
+    free[var] = False
+    # Fewer than a quarter of the variables fixed, no free variable at all,
+    # or an equality row with none.
+    if 4 * len(fixed) < n or not free.any() or not np.all(np.any(C[:, free], axis=1)):
+        return None, warm, 0
+    x = np.zeros(n)
+    x[var] = b_sign[fixed] * b_rhs[fixed]
+    # The reduced rows: A's, then the free variables' bounds.
+    rows = np.concatenate([np.arange(mi), mi + np.flatnonzero(free[b_var])])
+    col = np.cumsum(free) - 1
+    loose = rows[mi:] - mi
+    sol = _solve_rows(
+        H[np.ix_(free, free)], f[free] + H[free] @ x,
+        np.vstack([A[:, free], unit_rows(col[b_var[loose]], b_sign[loose], col[-1] + 1)]),
+        np.concatenate([b - A @ x, b_rhs[loose]]), C[:, free], d - C @ x, warm[warm < mi])
+    if not sol.ok:
+        return None, warm, sol.iterations
+    x[free] = sol.x
+    lam = np.zeros(mi + len(b_var))
+    lam[rows] = sol.lam
+    work = rows[sol.active_rows]
+    # Stationarity on a fixed variable: the general rows' terms plus the
+    # fixed bound's own; the free variables' bounds do not touch it.
+    grad = H[var] @ x + f[var] + A[:, var].T @ lam[:mi] + C[:, var].T @ sol.nu
+    mult = -b_sign[fixed] * grad
+    if np.any(mult < 0.0):
+        return None, np.concatenate([work, mi + fixed[mult >= 0.0]]), sol.iterations
+    lam[mi + fixed] = mult
+    return QpSolution("optimal", x, lam, sol.nu, sol.iterations, _obj(H, f, x),
+                      np.sort(np.concatenate([work, mi + fixed]))), None, sol.iterations
 
 
 def _solve_rows(H, f, A, b, C, d, warm_rows):
@@ -442,14 +446,11 @@ def kkt_residuals(H, f, A, b, C, d, sol: QpSolution, lb=None, ub=None):
     d = np.zeros(0) if d is None else np.asarray(d, dtype=float)
     lb = np.full(n, -np.inf) if lb is None else np.asarray(lb, dtype=float)
     ub = np.full(n, np.inf) if ub is None else np.asarray(ub, dtype=float)
-    i_lo = np.flatnonzero(np.isfinite(lb))
-    i_hi = np.flatnonzero(np.isfinite(ub))
+    var, sign, rhs = bound_rows(lb, ub)
     # Every inequality as (row value - right-hand side) <= 0.
-    slack = np.concatenate([A @ x - b, lb[i_lo] - x[i_lo], x[i_hi] - ub[i_hi]])
-    lam_a, lam_lo, lam_hi = np.split(sol.lam, np.cumsum([len(A), len(i_lo)]))
-    stat = H @ x + f + A.T @ lam_a + C.T @ sol.nu
-    stat[i_lo] -= lam_lo
-    stat[i_hi] += lam_hi
+    slack = np.concatenate([A @ x - b, sign * x[var] - rhs])
+    stat = H @ x + f + A.T @ sol.lam[: len(A)] + C.T @ sol.nu
+    np.add.at(stat, var, sign * sol.lam[len(A) :])
     r_stat = float(np.max(np.abs(stat))) if n else 0.0
     r_prim = max(float(np.max(slack, initial=0.0)),
                  float(np.max(np.abs(C @ x - d), initial=0.0)))

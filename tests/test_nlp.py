@@ -20,7 +20,7 @@ import pytest
 from tightnav.dynamics import VehicleParams, step_jacobians, step_rk4
 import tightnav.nlp
 from tightnav.nlp import TOL_FEAS, TOL_KKT, NlpProblem, NlpSolution, solve_nlp
-from tightnav.qp import kkt_residuals, solve_qp
+from tightnav.qp import bound_rows, kkt_residuals, solve_qp, unit_rows
 
 from oracles import convexify_whole, elastic_qp_full_slack
 
@@ -492,9 +492,10 @@ def test_every_condensed_subproblem_reaches_module_solve_qp(monkeypatch):
     assert set(sizes) == {prob.n - 12}
 
 
-def test_subproblems_pass_bounds_as_bounds(monkeypatch):
-    # Speed bounds on the states, input bounds, and one general row per
-    # stage keeping the lateral position below 0.05.
+def speed_bounded_tracking():
+    """(prob, k): a condensed tracking NLP with speed bounds on its k
+    states, input bounds, and one general row per stage keeping the lateral
+    position below 0.05."""
     z_ref = np.array([[0.06 * t, 0.2 * t, 0.0, 3.0] for t in range(4)])
     prob, _, _ = build_tracking_nlp(np.array([0.0, 0.0, 0.0, 0.5]), z_ref, 3,
                                     np.array([1.0, 1.0, 1.0, 10.0]), np.ones(2))
@@ -507,7 +508,12 @@ def test_subproblems_pass_bounds_as_bounds(monkeypatch):
         jac[np.arange(3), np.arange(1, k, 4)] = 1.0
         return x[1:k:4] - 0.05, jac
 
-    prob = dataclasses.replace(prob, n_state=k, lower=lo, upper=hi, ineq=lateral)
+    return dataclasses.replace(prob, n_state=k, lower=lo, upper=hi, ineq=lateral), k
+
+
+def test_subproblems_pass_bounds_as_bounds(monkeypatch):
+    prob, k = speed_bounded_tracking()
+    lo, hi = prob.lower, prob.upper
     calls = []
 
     def recording(H, f, A, b, C, d, warm_rows=None, lb=None, ub=None):
@@ -530,6 +536,45 @@ def test_subproblems_pass_bounds_as_bounds(monkeypatch):
         assert A.shape == (3 + n_speed, prob.n - k)
         single = np.count_nonzero(A, axis=1) == 1
         assert not np.any(single & (np.max(np.abs(A), axis=1) == 1.0))
+
+
+def test_condensed_hints_reach_the_qp_renumbered(monkeypatch):
+    prob, k = speed_bounded_tracking()
+    # A cold solve's working set, which holds state and input bounds, and
+    # one general row.
+    hint = np.union1d(solve_nlp(prob, np.zeros(prob.n)).active_rows, [1])
+    # The QP's number for each of the NLP's rows: the 3 general rows, then
+    # the states' bounds, then the bounds left as bounds, each group in the
+    # NLP's order.
+    bound_var = np.concatenate([np.flatnonzero(np.isfinite(prob.lower)),
+                                np.flatnonzero(np.isfinite(prob.upper))])
+    group = np.concatenate([np.zeros(3), np.where(bound_var < k, 1, 2)])
+    qp_number = np.argsort(np.argsort(group, kind="stable"), kind="stable")
+    assert {0, 1, 2} <= set(group[hint])
+    hints, qp_calls = [], []
+    solve_subproblem = tightnav.nlp._solve_subproblem
+
+    def recording_subproblem(*args):
+        hints.append(args[-1])
+        return solve_subproblem(*args)
+
+    def recording_qp(*args, **kwargs):
+        sol = solve_qp(*args, **kwargs)
+        qp_calls.append((kwargs["warm_rows"], sol.active_rows))
+        return sol
+
+    monkeypatch.setattr(tightnav.nlp, "_solve_subproblem", recording_subproblem)
+    monkeypatch.setattr(tightnav.nlp, "solve_qp", recording_qp)
+    sol = solve_nlp(prob, np.zeros(prob.n), warm_rows=hint)
+    assert sol.ok and {kind for *_, kind in sol.history} == {"qp"}
+    np.testing.assert_array_equal(hints[0], hint)
+    # Each hint goes to the QP renumbered, and each QP working set comes
+    # back as the next subproblem's hint (the solution's, for the last).
+    back = np.argsort(qp_number)
+    for i, (warm, active) in enumerate(qp_calls):
+        np.testing.assert_array_equal(warm, qp_number[hints[i]])
+        nxt = hints[i + 1] if i + 1 < len(hints) else sol.active_rows
+        np.testing.assert_array_equal(nxt, np.sort(back[active]))
 
 
 def test_elastic_qp_matches_full_slack_oracle(monkeypatch):
@@ -558,10 +603,10 @@ def test_elastic_qp_matches_full_slack_oracle(monkeypatch):
     assert solve_nlp(prob, np.array([0.5, 0.0, 0.0])).status == "infeasible"
     assert calls
     for (B, g, Je, ce, Ji, ci, lb, ub, rho), got in calls:
-        var, sign, c = tightnav.nlp._bounds(lb, ub)
+        var, sign, rhs = bound_rows(lb, ub)
         assert len(var) == 4
-        rows = tightnav.nlp._ineq_rows(Ji, var, sign, np.arange(len(Ji) + len(var)))
-        want = elastic_qp_full_slack(B, g, Je, ce, rows, np.concatenate([ci, c]), rho)
+        rows = np.vstack([Ji, unit_rows(var, sign, len(g))])
+        want = elastic_qp_full_slack(B, g, Je, ce, rows, np.concatenate([ci, -rhs]), rho)
         assert got.status == want.status == "optimal"
         np.testing.assert_array_equal(got.active_rows, want.active_rows)
         for a, b in ((got.x, want.x), (got.lam, want.lam), (got.nu, want.nu)):

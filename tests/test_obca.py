@@ -713,17 +713,15 @@ def record_nlp_calls(monkeypatch, clear_hints=False, fail_call=None):
     return calls
 
 
-def record_subproblem_hints(monkeypatch):
-    """The working-set hint of every SQP subproblem, in the NLP's row
-    numbering (the QP renumbers the condensed states' bound rows)."""
+def record_qp_hints(monkeypatch):
     hints = []
-    solve_subproblem = tightnav.nlp._solve_subproblem
+    solve_qp = tightnav.nlp.solve_qp
 
-    def recording(*args):
-        hints.append(args[-1])
-        return solve_subproblem(*args)
+    def recording(*args, **kwargs):
+        hints.append(kwargs.get("warm_rows"))
+        return solve_qp(*args, **kwargs)
 
-    monkeypatch.setattr(tightnav.nlp, "_solve_subproblem", recording)
+    monkeypatch.setattr(tightnav.nlp, "solve_qp", recording)
     return hints
 
 
@@ -766,17 +764,33 @@ def shifted_into(nlp, keys):
     return {(kind, t - 1, m, c) for kind, t, m, c in keys} & set(reference_row_keys(nlp))
 
 
+def qp_row_numbers(nlp):
+    """The QP's number for each of the NLP's inequality rows in a condensed
+    subproblem: the rows of `ineq` keep theirs, the bounds on the states,
+    which condensing turns into rows, follow them, and the bounds left as
+    bounds come last, each group in the NLP's order."""
+    group = [0 if kind in ("clear", "normal", "strat") else 1 if kind.startswith("z_") else 2
+             for kind, _, _, _ in reference_row_keys(nlp)]
+    return np.argsort(np.argsort(group, kind="stable"), kind="stable")
+
+
 def test_next_step_starts_from_shifted_working_set(monkeypatch):
     calls = record_nlp_calls(monkeypatch)
-    sub_hints = record_subproblem_hints(monkeypatch)
+    qp_hints = record_qp_hints(monkeypatch)
     starts = []
     sols = consecutive_steps(ObcaController(ControllerConfig(guided=False)),
-                             before=lambda i: starts.append((len(calls), len(sub_hints))))
+                             before=lambda i: starts.append((len(calls), len(qp_hints))))
     nlp1, _, last1 = calls[starts[1][0] - 1]
     nlp2, hint2, _ = calls[starts[1][0]]
-    # The second step's first subproblem receives the hint.
+    # The second step's first subproblem QP receives the hint, renumbered:
+    # it holds general rows and dual bounds, and the dual bounds move past
+    # the state bounds.
     assert hint2 is not None and len(hint2) > 0
-    assert np.array_equal(sub_hints[starts[1][1]], hint2)
+    kinds = {kind.split("_")[0] for kind, _, _, _ in hinted_keys(nlp2, hint2)}
+    assert "dual" in kinds and kinds & {"clear", "normal"}
+    want = qp_row_numbers(nlp2)[hint2]
+    assert not np.array_equal(want, hint2)
+    np.testing.assert_array_equal(qp_hints[starts[1][1]], want)
     # Every hinted row names a constraint the previous step's final working
     # set held one stage later, and every such constraint the new NLP has
     # is hinted.

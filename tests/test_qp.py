@@ -385,11 +385,38 @@ def test_fixed_bounds_with_negative_multipliers_are_released(monkeypatch):
         sizes.clear()
         sol = solve_qp(H, f, A, b, C, d, warm_rows=hint, lb=lb, ub=ub)
         assert_same_solution(sol, rows)
-        # Reduced solves only, each with more free variables than the last;
-        # the last still has some fixed, so it is not the full solve.
-        assert sizes == sorted(set(sizes))
-        released += len(sizes) > 1 and sizes[-1] < len(f)
+        # One reduced solve, and the full solve after it when a fixed bound
+        # had to be released; or the full solve alone.
+        n = len(f)
+        assert sizes == [n] or (sizes[0] < n and sizes[1:] in ([], [n]))
+        released += len(sizes) == 2
     assert released >= 15, released
+
+
+def test_hinted_bounds_fix_variables_unless_few(monkeypatch):
+    sizes = reduced_solves(monkeypatch)
+    reduced = few = 0
+    for _, (H, f, A, b, C, d, lb, ub), rows in bounded_cases(35, count=60):
+        n = len(f)
+        bound_var = np.concatenate([np.flatnonzero(np.isfinite(lb)), np.flatnonzero(np.isfinite(ub))])
+        general = rows.active_rows[rows.active_rows < len(b)]
+        bounds = rows.active_rows[rows.active_rows >= len(b)]
+        # The exact working set, and its general rows with one bound.
+        for hint in (rows.active_rows, np.concatenate([general, bounds[:1]])):
+            free = np.ones(n, dtype=bool)
+            free[bound_var[hint[hint >= len(b)] - len(b)]] = False
+            sizes.clear()
+            sol = solve_qp(H, f, A, b, C, d, warm_rows=hint, lb=lb, ub=ub)
+            assert_same_solution(sol, rows)
+            # Bounds fixing under a quarter of the variables are not worth a
+            # reduced problem.  Otherwise a hint of active rows takes one
+            # reduced solve, unless it leaves no free variable at all or
+            # none for an equality row.
+            fixes = 4 * np.sum(~free) >= n and free.any() and np.all(np.any(C[:, free], axis=1))
+            assert sizes == ([free.sum()] if fixes else [n])
+            reduced += fixes
+            few += 0 < 4 * np.sum(~free) < n
+    assert reduced >= 15 and few >= 15, (reduced, few)
 
 
 def test_equality_without_free_variable_falls_back(monkeypatch):
