@@ -1,4 +1,4 @@
-"""Atomic text-file writes shared by the model, dataset, scenario and result writers."""
+"""Atomic text-file writes shared by the model, dataset and result writers."""
 
 from __future__ import annotations
 

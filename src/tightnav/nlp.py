@@ -1,8 +1,10 @@
 """Line-search SQP solver for smooth constrained NLPs.
 
 Every subproblem uses the problem's exact Lagrangian Hessian at the current
-iterate and multipliers, convexified so the QP is strictly convex.  Steps
-are globalized by an l1 merit line search with a second-order correction.
+iterate and multipliers, convexified so the QP is strictly convex: shifted by
+a small multiple of the identity when that is positive definite, else with
+its negative eigenvalues flipped.  Steps are globalized by an l1 merit line
+search with a second-order correction.
 Subproblems go to the dense active-set QP in `qp`, warm-started from the
 previous subproblem's active rows.  A problem that declares `n_state` state
 equations (see `NlpProblem`) has its state step condensed out first: the
@@ -20,8 +22,8 @@ Variable bounds reach the QP as bound vectors, never as dense unit rows;
 only the bounds of condensed states, which become affine in the remaining
 variables, turn into rows.  The solver keeps the bounds' values after the
 values of `problem.ineq` for the KKT, violation and merit terms, and forms
-a bound's unit Jacobian row only where a row stack needs one: the endgame
-curvature rows, the second-order correction and the elastic subproblem.
+a bound's unit Jacobian row only where a row stack needs one: the
+second-order correction and the elastic subproblem.
 
 The first subproblem of a solve starts from the caller's `warm_rows` hint,
 typically the working set of a related earlier solve; the solution carries
@@ -72,6 +74,9 @@ Status = str  # "optimal" | "max_iterations" | "infeasible" | "numerical_failure
 # residuals, both in the max norm, that count as optimal.
 TOL_KKT = 1e-4
 TOL_FEAS = 1e-6
+# Convexification: the shift added to a definite Lagrangian Hessian, and
+# the least eigenvalue that a flipped one keeps.
+FLOOR = 1e-6
 # SQP iterations per solve.  One OBCA control step runs up to
 # `tightnav.obca.MAX_ROUNDS` solves, so this is the cap that a per-step work
 # budget would replace.
@@ -177,21 +182,17 @@ def _definite(b: np.ndarray) -> bool:
     return True
 
 
-def _convexify(h: np.ndarray, j_rows: np.ndarray | None = None,
-               floor: float = 1e-6, blocks: list[np.ndarray] | None = None) -> np.ndarray:
-    """Positive-definite model that agrees with h on the active manifold.
-
-    Augmenting with rho * J^T J leaves the Hessian untouched on the null
-    space of the active constraint rows -- where the subproblem step lives --
-    so the Newton rate survives the convexification.  If no modest rho makes
-    the matrix definite, fall back to flipping negative eigenvalues.
+def _convexify(h: np.ndarray, blocks: list[np.ndarray] | None) -> np.ndarray:
+    """Positive-definite model of h: h + FLOOR * I when every block of it
+    passes a Cholesky test, else h with every block's eigenvalues replaced
+    by their magnitudes, floored at FLOOR (Nocedal & Wright, *Numerical
+    Optimization*, 2nd ed., 3.4).
 
     blocks (from `_block_groups`) declares h block diagonal: it must have no
-    nonzero entry outside the blocks, else ValueError.  The rho = 0 test and
-    the eigenvalue flip then run per block, batched over blocks of one size,
-    and give the same matrix as on the whole of h (the flip up to
-    rounding).  The rho trials stay whole, because J^T J couples the blocks.
-    None is one block holding every variable.
+    nonzero entry outside the blocks, else ValueError.  The test and the
+    flip then run per block, batched over blocks of one size, and give the
+    same matrix as on the whole of h (the flip up to rounding).  None is
+    one block holding every variable.
     """
     n = h.shape[0]
     declared = blocks is not None
@@ -201,30 +202,17 @@ def _convexify(h: np.ndarray, j_rows: np.ndarray | None = None,
     if declared and np.count_nonzero(h) != sum(np.count_nonzero(s) for s in sub):
         raise ValueError("the Lagrangian Hessian has entries outside hess_blocks")
     sub = [0.5 * (s + s.transpose(0, 2, 1)) for s in sub]
-
-    def assemble(parts):
-        b = np.zeros((n, n))
-        for ix, part in zip(blocks, parts):
-            b[ix[:, :, None], ix[:, None, :]] = part
-        return b
-
-    shifted = [s + floor * np.eye(s.shape[-1]) for s in sub]
-    if all(_definite(s) for s in shifted):
-        return assemble(shifted)
-    if j_rows is not None and len(j_rows):
-        h_sym = assemble(sub)
-        shift = floor * np.eye(n)
-        jtj = j_rows.T @ j_rows
-        for rho in (1e1, 1e3, 1e5):
-            b = h_sym + rho * jtj + shift
-            if _definite(b):
-                return b
-    flipped = []
-    for s in sub:
-        w, v = np.linalg.eigh(s)
-        w = np.maximum(np.abs(w), floor)
-        flipped.append((v * w[:, None, :]) @ v.transpose(0, 2, 1))
-    return assemble(flipped)
+    parts = [s + FLOOR * np.eye(s.shape[-1]) for s in sub]
+    if not all(_definite(s) for s in parts):
+        parts = []
+        for s in sub:
+            w, v = np.linalg.eigh(s)
+            w = np.maximum(np.abs(w), FLOOR)
+            parts.append((v * w[:, None, :]) @ v.transpose(0, 2, 1))
+    b = np.zeros((n, n))
+    for ix, part in zip(blocks, parts):
+        b[ix[:, :, None], ix[:, None, :]] = part
+    return b
 
 
 def _violation_l1(ce, ci):
@@ -334,18 +322,9 @@ def solve_nlp(problem: NlpProblem, x0: np.ndarray,
         if not all(np.all(np.isfinite(a)) for a in (h_lag, g, Ji, ci, Je, ce)):
             status = "numerical_failure"
             break
-        # Row augmentation preserves the Newton rate but is only safe in the
-        # endgame: it must use rows that are active with teeth (tight and
-        # carrying a multiplier), and inflating a row that is about to detach
-        # would glue the iterate to it.  Far from feasibility the eigenvalue
-        # fallback inside _convexify is the better model.
-        j_act = None
-        if r_feas <= 1e-5:
-            act = np.flatnonzero((ci > -1e-6) & (lam > 1e-6))
-            j_act = np.vstack([Je, _ineq_rows(Ji, b_var, b_sign, act)])
         if labels is not None and blocks is None:
             blocks = _block_groups(np.asarray(labels))
-        B = _convexify(h_lag, j_act, blocks=blocks)
+        B = _convexify(h_lag, blocks)
         _check_state_block(Je, k)
         try:
             qp_sol = _solve_subproblem(B, g, Je, ce, Ji, ci[:m_u], lo - x, hi - x, k, warm)

@@ -9,21 +9,17 @@ finished trajectory is rigidly translated onto the requested spot.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .dynamics import VehicleParams, step_rk4
-from .fileio import atomic_write
 from .geometry import Polytope, body_polytope, min_translation_distance
 from .obca import EnvironmentEncoding
 
 DT = 0.1
 V_REF = 0.6
-SCENARIO_FORMAT = "tightnav-scenario"
-SCENARIO_VERSION = 1
 
 
 class ScenarioError(ValueError):
@@ -406,47 +402,3 @@ def parked_tv_scenario(seed: int = 0, row: str = "top", index: int = 2,
     psi = -0.5 * math.pi if row == "top" else 0.5 * math.pi
     tv = np.tile(np.array([cx, cy, psi, 0.0]), (2, 1))
     return _assemble(tv, lot.x_min + 0.2, seed, "parked-tv", lot)
-
-
-# --- persistence ------------------------------------------------------------
-
-def scenario_to_dict(sc: Scenario) -> dict:
-    lot = sc.lot
-    return {
-        "format": SCENARIO_FORMAT,
-        "version": SCENARIO_VERSION,
-        "name": sc.name,
-        "seed": sc.seed,
-        "dt": sc.dt,
-        "v_ref": sc.v_ref,
-        "ev_init": [float(v) for v in sc.ev_init],
-        "tv_traj": [[float(v) for v in row] for row in sc.tv_traj],
-        "lot": {
-            "x_min": lot.x_min, "x_max": lot.x_max,
-            "lane_half_width": lot.lane_half_width,
-            "wall_thickness": lot.wall_thickness,
-            "spot_width": lot.spot_width, "spot_depth": lot.spot_depth,
-            "spots_per_row": lot.spots_per_row, "spot_x0": lot.spot_x0,
-        },
-    }
-
-
-def scenario_from_dict(data: dict) -> Scenario:
-    if data.get("format") != SCENARIO_FORMAT:
-        raise ScenarioError(f"not a scenario file: format={data.get('format')!r}")
-    if data.get("version") != SCENARIO_VERSION:
-        raise ScenarioError(f"unsupported scenario version {data.get('version')!r}")
-    lot = ParkingLot(**data["lot"])
-    return Scenario(tv_traj=np.array(data["tv_traj"], float),
-                    ev_init=np.array(data["ev_init"], float),
-                    v_ref=float(data["v_ref"]), dt=float(data["dt"]),
-                    seed=int(data["seed"]), name=str(data["name"]), lot=lot)
-
-
-def save_scenario(sc: Scenario, path: str) -> None:
-    atomic_write(path, json.dumps(scenario_to_dict(sc), indent=1))
-
-
-def load_scenario(path: str) -> Scenario:
-    with open(path) as fh:
-        return scenario_from_dict(json.load(fh))

@@ -11,9 +11,9 @@
   screens, projects and builds the halfspace of one horizon stage at a time;
   `geometry.project_to_critical_boundary` and
   `obca.generate_strategy_constraints` must return the same bits.
-- `convexify_whole` tests and modifies the Lagrangian Hessian as one n x n
-  matrix; `nlp._convexify`, which works per declared block, must take the
-  same path and return the same matrix.
+- `convexify_whole` tests the Lagrangian Hessian for definiteness and flips
+  its eigenvalues as one n x n matrix; `nlp._convexify`, which works per
+  declared block, must take the same path and return the same matrix.
 - `elastic_qp_full_slack` builds the l1-elastic SQP subproblem from
   inequality rows that already hold the variable bounds as unit rows, with
   the slacks' nonnegativity as rows too; `nlp._elastic_qp`, which takes the
@@ -183,26 +183,17 @@ def strategy_constraints_per_stage(strategy, ref, env, r_ev: float):
     return out
 
 
-def convexify_whole(h: np.ndarray, j_rows: np.ndarray | None = None,
-                    floor: float = 1e-6) -> np.ndarray:
-    """Positive-definite model of h: h itself, else h + rho J^T J for the
-    first rho of 1e1, 1e3, 1e5 that passes, else h with its eigenvalues
-    flipped to at least `floor`, each test an n x n Cholesky factorization."""
+def convexify_whole(h: np.ndarray, floor: float = 1e-6) -> np.ndarray:
+    """Positive-definite model of h: h + floor I if an n x n Cholesky
+    factorization passes, else h with its eigenvalues replaced by their
+    magnitudes, floored at `floor`."""
     h = 0.5 * (h + h.T)
-    shift = floor * np.eye(h.shape[0])
-    trials = [0.0]
-    if j_rows is not None and len(j_rows):
-        trials += [1e1, 1e3, 1e5]
-    jtj = None
-    for rho in trials:
-        if rho and jtj is None:
-            jtj = j_rows.T @ j_rows
-        b = h + shift if rho == 0.0 else h + rho * jtj + shift
-        try:
-            np.linalg.cholesky(b)
-            return b
-        except np.linalg.LinAlgError:
-            continue
+    b = h + floor * np.eye(h.shape[0])
+    try:
+        np.linalg.cholesky(b)
+        return b
+    except np.linalg.LinAlgError:
+        pass
     w, v = np.linalg.eigh(h)
     w = np.maximum(np.abs(w), floor)
     return (v * w) @ v.T

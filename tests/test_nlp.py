@@ -620,15 +620,15 @@ BLOCK_SIZES = (1, 4, 1, 12, 40, 4, 12, 1)
 
 
 def block_hessian(rng, kind):
-    """(h, labels, j_rows): a random Hessian, block diagonal over shuffled
-    variables with sizes BLOCK_SIZES and slightly unsymmetric inside the
-    blocks, built for one path of the convexification.
+    """(h, labels): a random Hessian, block diagonal over shuffled variables
+    with sizes BLOCK_SIZES and slightly unsymmetric inside the blocks, built
+    for one path of the convexification.
 
-    "definite" passes as it is; "rho" has negative curvature only along
-    unit rows of j_rows, with a depth that picks the rho trial that passes;
-    "eigen" has negative curvature along a plane that j_rows' one row
-    cannot cover, "eigen-bare" has no rows at all, and "eigen-1x1" is
-    definite but for one slightly negative 1 x 1 block.
+    "definite" passes as it is.  The others need the eigenvalue flip:
+    "eigen" has one negative direction that mixes the variables of the
+    largest block, "eigen-bare" has negative curvature of depth 5 along
+    three bare coordinate axes, "eigen-deep" the same at depth 500 or 5e4,
+    and "eigen-1x1" is definite but for one slightly negative 1 x 1 block.
     """
     n = sum(BLOCK_SIZES)
     labels = np.repeat(rng.permutation(len(BLOCK_SIZES)) * 7 - 3, BLOCK_SIZES)
@@ -638,20 +638,21 @@ def block_hessian(rng, kind):
         idx = np.flatnonzero(labels == label)
         a = rng.normal(size=(len(idx), len(idx)))
         h[np.ix_(idx, idx)] = a @ a.T / len(idx) + 0.5 * np.eye(len(idx)) + 1e-3 * (a - a.T)
+    if kind == "definite":
+        return h, labels
     if kind == "eigen-1x1":
         single = np.flatnonzero(np.bincount(labels + 3)[labels + 3] == 1)
         h[single[0], single[0]] = -0.3
-        return h, labels, None
-    if kind == "definite":
-        return h, labels, (rng.normal(size=(3, n)) if rng.random() < 0.5 else None)
+        return h, labels
+    if kind == "eigen":
+        idx = np.flatnonzero(np.bincount(labels + 3)[labels + 3] == max(BLOCK_SIZES))
+        u = rng.normal(size=len(idx))
+        u /= np.linalg.norm(u)
+        h[np.ix_(idx, idx)] -= 10.0 * np.outer(u, u)
+        return h, labels
     neg = rng.choice(n, size=3, replace=False)
-    if kind == "rho":
-        depth = rng.choice([5.0, 500.0, 5e4])
-        h[neg, neg] -= depth
-        unit = np.eye(n)[neg]
-        return h, labels, np.vstack([unit, rng.normal(size=(2, n))])
-    h[neg, neg] -= 5.0
-    return h, labels, (rng.normal(size=(1, n)) if kind == "eigen" else None)
+    h[neg, neg] -= 5.0 if kind == "eigen-bare" else rng.choice([500.0, 5e4])
+    return h, labels
 
 
 def convexify_path(fn, monkeypatch):
@@ -669,12 +670,13 @@ def convexify_path(fn, monkeypatch):
     return out, bool(calls)
 
 
-@pytest.mark.parametrize("kind", ["definite", "rho", "eigen", "eigen-bare", "eigen-1x1"])
+@pytest.mark.parametrize("kind", ["definite", "eigen-deep", "eigen", "eigen-bare",
+                                  "eigen-1x1"])
 @pytest.mark.parametrize("seed", range(5))
 def test_block_convexify_matches_whole_matrix_oracle(kind, seed, monkeypatch):
     rng = np.random.default_rng(100 + seed)
-    h, labels, j_rows = block_hessian(rng, kind)
-    want, want_eigen = convexify_path(lambda: convexify_whole(h, j_rows), monkeypatch)
+    h, labels = block_hessian(rng, kind)
+    want, want_eigen = convexify_path(lambda: convexify_whole(h), monkeypatch)
     floored = 0.5 * (h + h.T) + 1e-6 * np.eye(len(h))
     # The case reaches the path it was built for.
     assert want_eigen == kind.startswith("eigen")
@@ -683,7 +685,7 @@ def test_block_convexify_matches_whole_matrix_oracle(kind, seed, monkeypatch):
     assert sorted(ix.shape[1] for ix in blocks for _ in ix) == sorted(BLOCK_SIZES)
     for declared in (blocks, None):
         got, got_eigen = convexify_path(
-            lambda: tightnav.nlp._convexify(h, j_rows, blocks=declared), monkeypatch)
+            lambda: tightnav.nlp._convexify(h, declared), monkeypatch)
         assert got_eigen == want_eigen
         if want_eigen:
             assert np.all(np.linalg.eigvalsh(got) > 0.0)
@@ -693,6 +695,24 @@ def test_block_convexify_matches_whole_matrix_oracle(kind, seed, monkeypatch):
                 assert not got[labels[:, None] != labels[None, :]].any()
         else:
             assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
+
+def test_tangent_definite_hessian_takes_the_eigen_flip(monkeypatch):
+    # min -x0 x1 s.t. x0 + x1 = 2: the Hessian [[0, -1], [-1, 0]] is
+    # indefinite but positive definite on the constraint's tangent (1, -1).
+    # Started feasible, the solver has no curvature rule but the flip, and
+    # the flipped model still reaches the optimum (1, 1).
+    prob = NlpProblem(
+        n=2,
+        objective=lambda x: (float(-x[0] * x[1]), np.array([-x[1], -x[0]])),
+        lag_hess=constant_hess(np.array([[0.0, -1.0], [-1.0, 0.0]])),
+        eq=lambda x: (np.array([x[0] + x[1] - 2.0]), np.array([[1.0, 1.0]])),
+    )
+    sol, flipped = convexify_path(lambda: solve_nlp(prob, np.array([0.5, 1.5])),
+                                  monkeypatch)
+    assert sol.ok and sol.iterations <= 5
+    np.testing.assert_allclose(sol.x, [1.0, 1.0], atol=1e-8)
+    assert flipped
 
 
 def test_block_groups_cover_each_label_once():
@@ -705,12 +725,12 @@ def test_block_groups_cover_each_label_once():
 
 def test_entry_outside_declared_blocks_raises():
     rng = np.random.default_rng(3)
-    h, labels, _ = block_hessian(rng, "definite")
+    h, labels = block_hessian(rng, "definite")
     i = 0
     j = int(np.flatnonzero(labels != labels[i])[0])
     h[i, j] = h[j, i] = 1e-300
     with pytest.raises(ValueError, match="hess_blocks"):
-        tightnav.nlp._convexify(h, blocks=tightnav.nlp._block_groups(labels))
+        tightnav.nlp._convexify(h, tightnav.nlp._block_groups(labels))
     # Through the solver: Rosenbrock's Hessian couples its two variables.
     prob = NlpProblem(n=2, objective=rosenbrock, lag_hess=rosenbrock_hess)
     x0 = np.array([-1.2, 1.0])

@@ -549,7 +549,7 @@ def test_step_nlp_hessian_blocks_cover_lagrangian_sparsity():
         # Every pair's curvature shows up, so the check has teeth.
         assert np.count_nonzero(h) > nlp.n + 2 * (cfg.horizon - 1) + 16 * len(pairs)
         blocks = tightnav.nlp._block_groups(labels)
-        tightnav.nlp._convexify(h, blocks=blocks)
+        tightnav.nlp._convexify(h, blocks)
 
 
 def test_solve_step_declares_hessian_blocks_and_matches_undeclared(monkeypatch):

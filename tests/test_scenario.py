@@ -15,11 +15,9 @@ from tightnav.scenario import (
     forward_park_case,
     idle_window,
     lane_reference,
-    load_scenario,
     parked_tv_scenario,
     random_scenario,
     reverse_park_case,
-    save_scenario,
     synth_tv_maneuver,
 )
 
@@ -158,21 +156,3 @@ def test_case_presets_are_valid_scenarios():
     lo, hi = idle_window(rc.tv_traj)
     assert hi - lo == math.ceil(3.0 / DT)
 
-
-def test_scenario_json_round_trip(tmp_path):
-    sc = random_scenario(4)
-    path = str(tmp_path / "scene.json")
-    save_scenario(sc, path)
-    back = load_scenario(path)
-    assert back.name == sc.name
-    assert back.seed == sc.seed
-    assert np.array_equal(back.tv_traj, sc.tv_traj)
-    assert np.array_equal(back.ev_init, sc.ev_init)
-    assert back.lot == sc.lot
-
-
-def test_load_rejects_foreign_json(tmp_path):
-    path = tmp_path / "bogus.json"
-    path.write_text('{"format": "something-else", "version": 1}')
-    with pytest.raises(ScenarioError):
-        load_scenario(str(path))
