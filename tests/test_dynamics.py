@@ -1,7 +1,8 @@
 """Dynamics tests.
 
-Oracles: a fine-substep integrator for the RK4 step and central finite
-differences for the exact step Jacobians.  Random states are drawn from the
+Oracles: a fine-substep integrator for the RK4 step, the retired numpy
+RK4 step for its bits, and central finite differences for the exact step
+Jacobians.  Random states are drawn from the
 parking operating envelope (|v| <= 1 m/s, |delta| <= delta_max) where the
 single-step tolerances are meaningful.
 """
@@ -11,9 +12,9 @@ import math
 import numpy as np
 import pytest
 
+from oracles import continuous_derivative, step_rk4_array
 from tightnav.dynamics import (
     VehicleParams,
-    continuous_derivative,
     rollout,
     slip_angle,
     step_jacobians,
@@ -133,6 +134,28 @@ def test_jacobian_step_is_rk4_step_bit_for_bit():
         dt = rng.uniform(0.01, 0.2)
         z_next = step_jacobians(z, u, dt, PARAMS)[0]
         assert z_next.tobytes() == step_rk4(z, u, dt, PARAMS).tobytes()
+
+
+def test_scalar_step_matches_array_step_bit_for_bit():
+    # Random states and inputs, steering at +-delta_max, v = 0 and v < 0,
+    # each read from a non-contiguous row of a wider array.
+    rng = np.random.default_rng(37)
+    n = 400
+    zs = rng.uniform(-3.0, 3.0, (n, 8))[:, ::2]
+    zs[:, 3] = rng.uniform(-1.0, 2.0, n)
+    zs[::5, 3] = 0.0
+    zs[1::5, 3] = -np.abs(zs[1::5, 3]) - 1e-3
+    us = np.empty((n, 4))
+    us[:, 0] = rng.uniform(-PARAMS.delta_max, PARAMS.delta_max, n)
+    us[:, 2] = rng.uniform(-PARAMS.a_max, PARAMS.a_max, n)
+    us[::3, 0] = PARAMS.delta_max
+    us[1::3, 0] = -PARAMS.delta_max
+    us = us[:, ::2]
+    assert not zs[0].flags.c_contiguous and not us[0].flags.c_contiguous
+    for z, u, dt in zip(zs, us, rng.choice([DT, 0.05, 0.2], n)):
+        got = step_rk4(z, u, dt, PARAMS)
+        assert got.shape == (4,) and got.dtype == np.float64
+        assert got.tobytes() == step_rk4_array(z, u, dt, PARAMS).tobytes()
 
 
 def test_batched_step_matches_per_row_calls():

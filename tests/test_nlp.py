@@ -511,6 +511,31 @@ def speed_bounded_tracking():
     return dataclasses.replace(prob, n_state=k, lower=lo, upper=hi, ineq=lateral), k
 
 
+def test_each_point_is_evaluated_once():
+    # The accepted trial's evaluation is the next iterate's, so no point
+    # reaches the constraint callbacks twice, and the iterates are those
+    # of an unrecorded rerun.  This solve rejects most full steps and
+    # accepts their second-order corrections instead.
+    n_steps = 8
+    z_ref = np.array([[0.1 * t, 0.5 * t, 0.0, 3.0] for t in range(n_steps + 1)])
+    prob, _, _ = build_tracking_nlp(np.array([0.0, 0.0, 0.0, 0.5]), z_ref, n_steps,
+                                    np.array([1.0, 1.0, 1.0, 10.0]), np.ones(2))
+    prob = dataclasses.replace(prob, n_state=4 * n_steps)
+    points = []
+
+    def eq(x):
+        points.append(x.copy())
+        return prob.eq(x)
+
+    x0 = np.zeros(prob.n)
+    sol = solve_nlp(dataclasses.replace(prob, eq=eq), x0)
+    assert sol.ok and len(points) > sol.iterations + 5
+    assert len({x.tobytes() for x in points}) == len(points)
+    again = solve_nlp(prob, x0)
+    assert np.array_equal(again.x, sol.x)
+    assert again.history == sol.history
+
+
 def test_subproblems_pass_bounds_as_bounds(monkeypatch):
     prob, k = speed_bounded_tracking()
     lo, hi = prob.lower, prob.upper

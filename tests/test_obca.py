@@ -338,6 +338,26 @@ def test_solve_step_avoids_blocking_obstacle():
     assert sol.stats["cost"] > 1e-4  # it had to leave the reference
 
 
+def test_solve_step_evaluates_each_point_once(monkeypatch):
+    tv, env, z0, ref = blocking_scene()
+    cfg = ControllerConfig(guided=False)
+    points = []
+    eq = _StepNlp.eq
+
+    def recording(self, x):
+        points.append(x.copy())
+        return eq(self, x)
+
+    monkeypatch.setattr(_StepNlp, "eq", recording)
+    sol = ObcaController(cfg).solve_step(z0, np.zeros(2), ref, env)
+    assert sol.ok and sol.stats["engaged"] > 0
+    assert len(points) > 2
+    assert len({x.tobytes() for x in points}) == len(points)
+    monkeypatch.undo()
+    again = ObcaController(cfg).solve_step(z0, np.zeros(2), ref, env)
+    assert np.array_equal(again.zs, sol.zs) and np.array_equal(again.us, sol.us)
+
+
 def test_solve_step_strategy_rows_enforced():
     tv, env, z0, ref = blocking_scene()
     cfg = ControllerConfig(guided=True)

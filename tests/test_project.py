@@ -1,9 +1,13 @@
-"""Tests of the project metadata in pyproject.toml, of the package layering and
-of the benchmark tracer's targets."""
+"""Tests of the project metadata in pyproject.toml, of the package layering,
+of the import cost and of the benchmark tracer's targets."""
 
 import ast
 import importlib
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -78,6 +82,20 @@ def test_modules_import_only_lower_layers():
                 f"{module} imports {names or target} from the higher layer {target}"
             used |= exempt
     assert used == EXEMPT, "an exemption no longer names a real import"
+
+
+def test_import_loads_no_scipy_subpackage_but_linalg():
+    """Importing the package pulls in scipy.linalg and no other public scipy
+    subpackage: each one adds set-up time to every process that imports it."""
+    probe = ("import json, sys, tightnav.simulate; "
+             "print(json.dumps(sorted({n.split('.')[1] for n, m in sys.modules.items() "
+             "if n.startswith('scipy.') and n.count('.') == 1 and hasattr(m, '__path__') "
+             "and not n.split('.')[1].startswith('_')})))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(PACKAGE.parent), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         env=env, timeout=120, check=True)
+    assert json.loads(out.stdout) == ["linalg"]
 
 
 def test_every_trace_target_is_an_attribute_of_its_owner():

@@ -11,6 +11,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import tightnav.supervisor
+from oracles import nearest_ref_index, safety_speed_target_every_pose
 from tightnav.dynamics import step_rk4
 from tightnav.geometry import Polytope, body_polytope, min_translation_distance
 from tightnav.obca import ControllerConfig, StrategyLabel
@@ -20,7 +22,7 @@ from tightnav.supervisor import (
     CORRIDOR_SLACK,
     MANEUVER_ANGLE,
     PolicyKind,
-    _nearest_ref_index,
+    _path,
     _pursuit_steering,
     anticipate_collision,
     emergency_brake,
@@ -222,6 +224,29 @@ def test_speed_target_grows_with_distance_to_stationary_tv_ahead(z, d1, d2, tv_p
     assert caps[0] <= caps[1]
 
 
+runs = st.lists(st.tuples(finite(0.05, 3.0), finite(-0.8, 0.8), finite(-math.pi, math.pi),
+                          finite(-1, 1), st.integers(1, 6), st.booleans()),
+                min_size=1, max_size=8)
+
+
+@given(ev_states, runs, st.integers(0, 30), finite(0.0, 2.0))
+def test_speed_target_skipping_repeats_matches_every_pose(z, poses, pad, v_ref):
+    # TV poses ahead of the EV, most inside the corridor, each repeated for a
+    # run of steps, then the final pose padded as `Scenario.tv_padded` does.
+    # A run may turn in place: the spot of the run before, a new heading.
+    tv = []
+    for longi, lat, psi, v, n, turn in poses:
+        pose = ahead_of(z, longi, lat, psi, v)
+        if turn and tv:
+            pose[:2] = tv[-1][:2]
+        tv += [pose] * n
+    tv = np.vstack([tv, np.tile(tv[-1], (pad, 1))])
+    expect = safety_speed_target_every_pose(np.array(z), tv, CFG, v_ref)
+    assert safety_speed_target(np.array(z), tv, CFG, v_ref) == expect
+    assert safety_speed_target(np.array(z), tv[::-1], CFG, v_ref) == \
+        safety_speed_target_every_pose(np.array(z), tv[::-1], CFG, v_ref)
+
+
 def test_sc_target_accounts_for_future_backward_sweep():
     """A TV that will back up caps the speed harder than a static one."""
     z = np.array([0.0, 0.0, 0.0, 0.4])
@@ -294,7 +319,7 @@ def test_sc_matches_speed_behind_moving_tv():
 def pursuit_steering_loop(z, ref, p):
     """Reference: pure pursuit walking the reference one segment at a time."""
     lookahead = 3.0 * p.length
-    i0 = _nearest_ref_index(ref, z[:2])
+    i0 = nearest_ref_index(ref, z[:2])
     target = ref[-1, :2]
     dist = 0.0
     for j in range(i0 + 1, len(ref)):
@@ -323,12 +348,13 @@ def test_pursuit_steering_matches_segment_walk():
         ref = np.column_stack([pts, np.zeros((n, 2))])
         z = np.array([*(pts[rng.integers(n)] + rng.normal(0.0, 0.1, 2)),
                       rng.uniform(-0.5, 0.5), 0.4])
-        assert _pursuit_steering(z, ref, p) == pursuit_steering_loop(z, ref, p)
+        got = _pursuit_steering(z.tolist(), _path(ref), p)
+        assert got == pursuit_steering_loop(z, ref, p)
     # A point exactly one lookahead along the path is the target, not the next.
     look = 3.0 * p.length
     ref = np.array([[0.0, 0.0, 0.0, 0.5], [look, 0.0, 0.0, 0.5], [look, 1.0, 0.0, 0.5]])
     z = np.array([0.0, 0.0, 0.0, 0.5])
-    assert _pursuit_steering(z, ref, p) == pursuit_steering_loop(z, ref, p) == 0.0
+    assert _pursuit_steering(z.tolist(), _path(ref), p) == pursuit_steering_loop(z, ref, p) == 0.0
 
 
 # --- emergency brake --------------------------------------------------------
@@ -439,3 +465,51 @@ def test_anticipate_builds_no_polytope(monkeypatch):
     near = np.tile(np.array([0.1, 0.0, 0.0, 0.0]), (21, 1))
     assert not anticipate_collision(np.zeros(4), far, straight_ref(), CFG, V_REF)
     assert anticipate_collision(np.zeros(4), near, straight_ref(), CFG, V_REF)
+
+
+def test_anticipate_screen_cut_is_exact(monkeypatch):
+    # Same-heading boxes corner to corner along their diagonal are D - 2r
+    # apart, the least any pair of centres D apart can be, so a pair on the
+    # cut clears the floor by 1e-9.  The diagonal is turned onto an axis and
+    # the EV sits at the origin, so the centre distance is the TV's
+    # coordinate to the bit.  Pairs up to the cut reach box_distances and
+    # pairs beyond it do not, with the oracle's answer on both sides.
+    p = CFG.params
+    cut = 2.0 * p.covering_radius + CFG.d_min + 1e-9
+    diag = math.atan2(p.width, p.length)
+    real = tightnav.supervisor.box_distances
+    measured = []
+
+    def recording(z_a, z_b, length, width):
+        measured.append(len(z_a))
+        return real(z_a, z_b, length, width)
+
+    monkeypatch.setattr(tightnav.supervisor, "box_distances", recording)
+    for axis, sign in ((0, 1.0), (1, 1.0), (0, -1.0), (1, -1.0)):
+        psi = math.atan2(sign * axis, sign * (1 - axis)) - diag
+        for shift, reached in ((-1e-12, True), (0.0, True), (1e-12, False)):
+            z = np.array([0.0, 0.0, psi, 0.0])
+            tv = np.array([[0.0, 0.0, psi, 0.0]])
+            tv[0, axis] = sign * (cut + shift)
+            assert (np.hypot(tv[0, 0], tv[0, 1]) <= cut) == reached
+            measured.clear()
+            got = anticipate_collision(z, tv, straight_ref(), CFG, V_REF)
+            assert got == anticipate_collision_loop(z, tv, straight_ref(), CFG, V_REF)
+            assert not got
+            assert measured == ([1] if reached else [])
+            gap = min_translation_distance(body_polytope(z, p.length, p.width),
+                                           body_polytope(tv[0], p.length, p.width))
+            assert gap == pytest.approx(CFG.d_min + 1e-9 + shift, abs=1e-13)
+
+
+def test_anticipate_skips_box_distances_when_every_pair_is_beyond_the_cut(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("box_distances called with every pair beyond the cut")
+
+    monkeypatch.setattr(tightnav.supervisor, "box_distances", refuse)
+    far = np.tile(np.array([10.0, 0.0, 0.0, 0.0]), (21, 1))
+    assert not anticipate_collision(np.zeros(4), far, straight_ref(), CFG, V_REF)
+    # A TV parked beside the lane while the EV drives past it.
+    beside = np.tile(np.array([1.5, 0.75, 0.0, 0.0]), (21, 1))
+    z = np.array([0.0, 0.0, 0.0, V_REF])
+    assert not anticipate_collision(z, beside, straight_ref(), CFG, V_REF)
