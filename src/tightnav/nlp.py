@@ -22,8 +22,7 @@ Variable bounds reach the QP as bound vectors, never as dense unit rows;
 only the bounds of condensed states, which become affine in the remaining
 variables, turn into rows.  The solver keeps the bounds' values after the
 values of `problem.ineq` for the KKT, violation and merit terms, and forms
-a bound's unit Jacobian row only where a row stack needs one: the
-second-order correction and the elastic subproblem.
+a bound's unit Jacobian row only for the second-order correction's stack.
 
 The first subproblem of a solve starts from the caller's `warm_rows` hint,
 typically the working set of a related earlier solve; the solution carries
@@ -39,8 +38,11 @@ right after the rows of `problem.ineq`), and `_solve_subproblem` translates
 hints, multipliers and active rows both ways.
 
 When a linearization is infeasible the solver switches to an elastic
-subproblem that minimizes the constraint violation, and declares the NLP
-infeasible when that restoration phase stalls.  A line search that finds no
+subproblem, the same condensed subproblem from the same hint with l1 slacks
+on the rows of `ineq` and the equality rows after the state rows; the state
+rows and the bounds stay hard, as in SNOPT's elastic mode (Gill, Murray &
+Saunders, SIAM Review 47, 2005).  It declares the NLP infeasible when that
+restoration phase stalls or the relaxation fails.  A line search that finds no
 acceptable step ends the solve: the next subproblem would be built from the
 same point and multipliers and fail the same way.  Identical inputs produce
 bit-identical iterate sequences.
@@ -327,8 +329,8 @@ def solve_nlp(problem: NlpProblem, x0: np.ndarray,
         if qp_sol is None or qp_sol.status != "optimal":
             elastic = True
             try:
-                qp_sol = _elastic_qp(B, g, Je, ce, Ji, ci[:m_u], lo - x, hi - x,
-                                     ELASTIC_PENALTY)
+                qp_sol = _elastic_qp(B, g, Je, ce, Ji, ci[:m_u], lo - x, hi - x, k,
+                                     warm, ELASTIC_PENALTY)
             except (np.linalg.LinAlgError, ValueError):
                 status = "numerical_failure"
                 break
@@ -336,9 +338,7 @@ def solve_nlp(problem: NlpProblem, x0: np.ndarray,
                 status = "infeasible"
                 break
         p = qp_sol.x[:n]
-        lam_new = qp_sol.lam[: len(ci)]
-        nu_new = qp_sol.nu[: len(ce)]
-        warm = qp_sol.active_rows[qp_sol.active_rows < len(ci)]
+        lam_new, nu_new, warm = qp_sol.lam, qp_sol.nu, qp_sol.active_rows
 
         # Penalty tracking: keep mu above the current multipliers (descent
         # guarantee) but let it decay after transients, and never learn it
@@ -575,32 +575,31 @@ def _solve_subproblem(B, g, Je, ce, Ji, ci, lb, ub, k, warm):
     return sol
 
 
-def _elastic_qp(B, g, Je, ce, Ji, ci, lb, ub, rho):
-    """Relaxed subproblem with l1 slacks on every constraint row, the bound
-    rows lb <= p <= ub included.
-
-    Returns a QpSolution-like object restricted to the p block, or None when
-    even the relaxation fails (numerical breakdown).
-    """
-    n = B.shape[0]
-    var, sign, rhs = bound_rows(lb, ub)
-    Ji = np.vstack([Ji, unit_rows(var, sign, n)])
-    ci = np.concatenate([ci, -rhs])
-    me, mi = len(ce), len(ci)
-    n_el = n + 2 * me + mi
-    H = np.zeros((n_el, n_el))
+def _elastic_qp(B, g, Je, ce, Ji, ci, lb, ub, k, warm, rho):
+    """`_solve_subproblem`'s step with slack columns after the variables, 2
+    per equality row after the k state rows and 1 per row of Ji, each with
+    cost rho and curvature 1e-6.  The slacks' lower bounds fall between the
+    variables' lower and upper bounds in the subproblem's numbering, so the
+    hint is shifted past them and `lam` and `active_rows` shifted back.
+    Returns None when the relaxation fails."""
+    n, me, mi = len(g), len(ce) - k, len(ci)
+    ns = 2 * me + mi
+    H = np.zeros((n + ns, n + ns))
     H[:n, :n] = B
-    H[n:, n:] = 1e-6 * np.eye(2 * me + mi)
-    f = np.concatenate([g, rho * np.ones(2 * me + mi)])
-    C = np.hstack([Je, np.eye(me), -np.eye(me), np.zeros((me, mi))]) if me else None
-    d = -ce if me else None
-    A = np.hstack([Ji, np.zeros((mi, 2 * me)), -np.eye(mi)])
-    # The slacks are nonnegative.
-    lb_el = np.concatenate([np.full(n, -np.inf), np.zeros(2 * me + mi)])
-    sol = solve_qp(H, f, A, -ci, C, d, lb=lb_el)
+    H[n:, n:] = 1e-6 * np.eye(ns)
+    Je = np.hstack([Je, np.zeros((len(ce), ns))])
+    Je[k:, n : n + 2 * me] = np.hstack([np.eye(me), -np.eye(me)])
+    Ji = np.hstack([Ji, np.zeros((mi, 2 * me)), -np.eye(mi)])
+    first = mi + np.count_nonzero(np.isfinite(lb))
+    if warm is not None:
+        warm = np.where(warm >= first, warm + ns, warm)
+    sol = _solve_subproblem(H, np.concatenate([g, np.full(ns, rho)]), Je, ce, Ji, ci,
+                            np.concatenate([lb, np.zeros(ns)]),
+                            np.concatenate([ub, np.full(ns, np.inf)]), k, warm)
     if sol.status != "optimal":
         logger.warning("elastic QP failed with status %s", sol.status)
         return None
-    sol.lam = sol.lam[:mi]
-    sol.active_rows = sol.active_rows[sol.active_rows < mi]
+    sol.lam = np.delete(sol.lam, np.s_[first : first + ns])
+    a = sol.active_rows[(sol.active_rows < first) | (sol.active_rows >= first + ns)]
+    sol.active_rows = np.where(a >= first, a - ns, a)
     return sol

@@ -14,10 +14,12 @@
 - `convexify_whole` tests the Lagrangian Hessian for definiteness and flips
   its eigenvalues as one n x n matrix; `nlp._convexify`, which works per
   declared block, must take the same path and return the same matrix.
-- `elastic_qp_full_slack` builds the l1-elastic SQP subproblem from
-  inequality rows that already hold the variable bounds as unit rows, with
-  the slacks' nonnegativity as rows too; `nlp._elastic_qp`, which takes the
-  bounds as vectors, must return the same step and multipliers.
+- `elastic_qp_full_slack` builds the l1-elastic SQP subproblem uncondensed,
+  with a slack on every equality row, state rows included, and on every
+  inequality row, the variable bounds included as unit rows, and the
+  slacks' nonnegativity as rows too.  `nlp._elastic_qp` keeps the state rows
+  and the bounds hard; where those can hold together, it must reach the
+  same least l1 violation of the other rows.
 - `continuous_derivative` and `step_rk4_array` are the RK4 step on numpy
   4-vectors, one derivative call per stage; `dynamics.step_rk4`, which runs
   on Python floats, must return the same bytes.

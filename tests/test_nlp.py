@@ -6,11 +6,13 @@ exhaustive input-grid search.  Each problem supplies its Lagrangian Hessian
 as the solver requires; the tracking problem uses Gauss-Newton on the
 dynamics, as the OBCA controller does.  The condensed subproblem (states
 eliminated through the declared state rows) has the dense QP on the full
-subproblem as its oracle, and the per-block convexification has the
-whole-matrix one.
+subproblem as its oracle, the per-block convexification has the
+whole-matrix one, and the elastic subproblem has the relaxation that puts a
+slack on every row and bound.
 """
 
 import dataclasses
+import functools
 import itertools
 import math
 
@@ -405,7 +407,7 @@ def shooting_subproblem(rng, n_steps=5, nx=3, nu=2, n_extra=6):
 
 
 @pytest.mark.parametrize("seed", range(8))
-def test_condensed_subproblem_matches_full_qp(seed):
+def test_condensed_subproblem_matches_full_qp(seed, monkeypatch):
     B, g, Je, ce, Ji, ci, k = shooting_subproblem(np.random.default_rng(seed))
     full = solve_qp(B, g, Ji, -ci, Je, -ce)
     # Ji ends with a lower and an upper bound row on every variable.
@@ -422,6 +424,46 @@ def test_condensed_subproblem_matches_full_qp(seed):
             np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-9)
         assert max(kkt_residuals(B, g, Ji, -ci, Je, -ce, cond)) < 1e-8
         assert cond.objective == pytest.approx(full.objective, rel=1e-12)
+
+    # The elastic relaxation of the same rows plus a contradictory pair, so
+    # that a slack is positive: condensed, it must equal the relaxation
+    # solved uncondensed, with and without a hint holding upper bounds.
+    Ji, ci = np.vstack([Ji[:m], -Ji[:1]]), np.concatenate([ci[:m], 1.0 - ci[:1]])
+    m += 1
+    n_slack = 2 * (len(ce) - k) + m
+    elastic = functools.partial(tightnav.nlp._elastic_qp, B, g, Je, ce, Ji, ci, lb, ub, k)
+    solve_subproblem = tightnav.nlp._solve_subproblem
+    hints = []
+
+    def uncondensed(*args):
+        return solve_subproblem(*args[:-2], 0, args[-1])
+
+    def recording_qp(*args, **kwargs):
+        hints.append(kwargs["warm_rows"])
+        return solve_qp(*args, **kwargs)
+
+    # The QP's unconstrained minimizer puts each slack at -rho / 1e-6, so
+    # its points carry errors of about that many epsilons, and so do its
+    # multipliers relative to their size.
+    for rho in (1.0, tightnav.nlp.ELASTIC_PENALTY):
+        tol = 100.0 * np.finfo(float).eps * rho / 1e-6
+        with monkeypatch.context() as patch:
+            patch.setattr(tightnav.nlp, "_solve_subproblem", uncondensed)
+            patch.setattr(tightnav.nlp, "solve_qp", recording_qp)
+            want = elastic(None, rho)
+            # Upper bounds are numbered from m + n on: past the slacks'
+            # lower bounds in the subproblem, and only there.
+            hint = np.union1d(want.active_rows, m + n + np.arange(0, n, 3))
+            hinted = elastic(hint, rho)
+        assert want.ok and want.x[len(g) + 2 * (len(ce) - k) :].max() > 0.1
+        np.testing.assert_array_equal(hints[-1], np.where(hint >= m + n, hint + n_slack, hint))
+        for got in (hinted, elastic(None, rho), elastic(hint, rho)):
+            assert got.ok
+            np.testing.assert_array_equal(got.active_rows, want.active_rows)
+            for a, b in ((got.x, want.x), (got.lam, want.lam), (got.nu, want.nu)):
+                assert a.shape == b.shape
+                np.testing.assert_allclose(a, b, rtol=tol, atol=tol)
+    assert len(want.lam) == m + 2 * n and want.active_rows.max() < m + 2 * n
 
 
 def test_condensed_tracking_solve_matches_uncondensed():
@@ -602,41 +644,86 @@ def test_condensed_hints_reach_the_qp_renumbered(monkeypatch):
         np.testing.assert_array_equal(nxt, np.sort(back[active]))
 
 
-def test_elastic_qp_matches_full_slack_oracle(monkeypatch):
-    # x0 >= 1 and x0 <= -1 cannot both hold; the bounds and the equality can.
+def elastic_toy():
+    """(problem, x0): an NLP over [z, u, a, b] whose linearization is
+    infeasible everywhere while its bounds and its state row are not.
+
+    z = 0.5 u + 0.2 is the state row (n_state = 1), so the bound |u| <= 0.5
+    keeps z <= 0.45 against the row 0.5 (1 - z) <= 0; a <= 0.1 and b >= 0.2
+    keep the general equality 0.5 (a - b) - 0.3 + 0.1 a^2 = 0 from holding.
+    The rows carry a factor 0.5 against the bounds and the state row, so an
+    l1 relaxation that softens those too gains nothing by violating them.
+    """
     def obj(x):
         return float(x @ x), 2.0 * x
 
     def eq(x):
-        return np.array([x[1] - x[2] - 0.3]), np.array([[0.0, 1.0, -1.0]])
+        return (np.array([x[0] - 0.5 * x[1] - 0.2, 0.5 * (x[2] - x[3]) - 0.3 + 0.1 * x[2] ** 2]),
+                np.array([[1.0, -0.5, 0.0, 0.0], [0.0, 0.0, 0.5 + 0.2 * x[2], -0.5]]))
 
     def ineq(x):
-        return np.array([1.0 - x[0], x[0] + 1.0]), np.array([[-1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+        return np.array([0.5 * (1.0 - x[0]), x[3] - 2.0]), np.array([[-0.5, 0.0, 0.0, 0.0],
+                                                                    [0.0, 0.0, 0.0, 1.0]])
 
-    prob = NlpProblem(n=3, objective=obj, lag_hess=constant_hess(2.0 * np.eye(3)),
-                      eq=eq, ineq=ineq, lower=np.array([-2.0, -1.0, -np.inf]),
-                      upper=np.array([2.0, np.inf, 0.1]))
-    calls = []
+    def hess(x, nu, lam):
+        return np.diag([2.0, 2.0, 2.0 + 0.2 * nu[1], 2.0])
+
+    prob = NlpProblem(n=4, objective=obj, lag_hess=hess, eq=eq, ineq=ineq,
+                      lower=np.array([-np.inf, -0.5, -1.0, 0.2]),
+                      upper=np.array([np.inf, 0.5, 0.1, np.inf]), n_state=1)
+    return prob, np.array([0.0, 0.3, 0.0, 0.5])
+
+
+def general_violation(Je, ce, Ji, ci, k, p):
+    """l1 violation of the linearized rows after the k state rows."""
+    return (float(np.sum(np.abs(Je[k:] @ p + ce[k:])))
+            + float(np.sum(np.maximum(Ji @ p + ci, 0.0))))
+
+
+def test_elastic_qp_reaches_full_slack_violation(monkeypatch):
+    prob, x0 = elastic_toy()
+    calls, qps = [], []
     elastic = tightnav.nlp._elastic_qp
 
-    def recording(*args):
+    def recording_elastic(*args):
+        qps.clear()
         sol = elastic(*args)
-        calls.append((args, sol))
+        calls.append((args, sol, qps[:]))
         return sol
 
-    monkeypatch.setattr(tightnav.nlp, "_elastic_qp", recording)
-    assert solve_nlp(prob, np.array([0.5, 0.0, 0.0])).status == "infeasible"
+    def recording_qp(*args, **kwargs):
+        sol = solve_qp(*args, **kwargs)
+        qps.append((args, kwargs, dataclasses.replace(sol)))
+        return sol
+
+    monkeypatch.setattr(tightnav.nlp, "_elastic_qp", recording_elastic)
+    monkeypatch.setattr(tightnav.nlp, "solve_qp", recording_qp)
+    for hint in (None, np.arange(inequality_row_count(prob, x0))):
+        assert solve_nlp(prob, x0, warm_rows=hint).status == "infeasible"
     assert calls
-    for (B, g, Je, ce, Ji, ci, lb, ub, rho), got in calls:
+    for (B, g, Je, ce, Ji, ci, lb, ub, k, warm, rho), got, qp in calls:
+        assert got.status == "optimal"
+        # The QP it solved: the state column condensed out, the slacks
+        # appended, the bounds as bounds.
+        (args, kwargs, raw), = qp
+        assert len(args[0]) == len(g) - k + 2 * (len(ce) - k) + len(ci)
+        # The QP's unconstrained minimizer puts each slack at -rho / 1e-6,
+        # so its points carry absolute errors of about that many epsilons.
+        tol = 10.0 * np.finfo(float).eps * rho / 1e-6
+        r_stat, r_prim, r_comp = kkt_residuals(*args, raw, lb=kwargs["lb"], ub=kwargs["ub"])
+        assert r_stat < 1e-8 and r_prim < tol and r_comp < tol * np.max(raw.lam)
+        p = got.x[: len(g)]
+        # Every bound holds to rounding, the state row too.
+        assert np.all(p >= lb - 1e-12) and np.all(p <= ub + 1e-12)
+        np.testing.assert_allclose(Je[:k] @ p, -ce[:k], rtol=0.0, atol=1e-12)
         var, sign, rhs = bound_rows(lb, ub)
-        assert len(var) == 4
+        assert len(got.lam) == len(ci) + len(var)
+        assert np.all(got.active_rows < len(ci) + len(var))
         rows = np.vstack([Ji, unit_rows(var, sign, len(g))])
         want = elastic_qp_full_slack(B, g, Je, ce, rows, np.concatenate([ci, -rhs]), rho)
-        assert got.status == want.status == "optimal"
-        np.testing.assert_array_equal(got.active_rows, want.active_rows)
-        for a, b in ((got.x, want.x), (got.lam, want.lam), (got.nu, want.nu)):
-            assert a.shape == b.shape
-            np.testing.assert_allclose(a, b, rtol=0.0, atol=1e-12)
+        assert want.status == "optimal"
+        assert general_violation(Je, ce, Ji, ci, k, p) == pytest.approx(
+            general_violation(Je, ce, Ji, ci, k, want.x[: len(g)]), rel=1e-6)
 
 
 # --- block-diagonal convexification against the whole-matrix oracle ---------

@@ -6,12 +6,15 @@ engage obstacle pairs and the SQP subproblems run warm-started from the
 previous active set.  The MPC horizon is shortened to 8 steps to keep the
 runs fast.  Safety is audited with the exact body-to-obstacle distance the
 simulator logs at every step.  The dataset and benchmark tests use even
-shorter runs: they check bookkeeping and serialization, not driving.
+shorter runs: they check bookkeeping and serialization, not driving.  One
+run is longer: 98 steps of a held-out reverse park under `sg`, whose last
+two steps run the SQP's elastic restoration.
 """
 
 import dataclasses
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -20,7 +23,7 @@ import tightnav.nlp
 import tightnav.simulate
 from tightnav.dynamics import step_rk4
 from tightnav.obca import ControllerConfig, StrategyLabel
-from tightnav.predictor import MlpModel, N_HIDDEN, encode_features
+from tightnav.predictor import MlpModel, N_HIDDEN, encode_features, load_model
 from tightnav.scenario import Scenario, benchmark_suite, forward_park_case, parked_tv_scenario
 from tightnav.simulate import (
     AUDIT_SLACK,
@@ -38,6 +41,8 @@ from tightnav.simulate import (
 from tightnav.supervisor import PolicyKind, emergency_brake
 
 MAX_STEPS = 30
+STRATEGY_MODEL = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "fixtures",
+                              "strategy_model.json")
 CTRL = ControllerConfig(guided=False, horizon=8)
 
 
@@ -118,6 +123,40 @@ def test_overtake_rerun_bit_identical(overtake_run):
 def test_parked_tv_safe_and_within_actuator_bounds():
     res = run_closed_loop(parked_tv_scenario(), "bl", ctrl_config=CTRL, max_steps=MAX_STEPS)
     assert_safe_and_actuatable(res, CTRL)
+
+
+def test_sg_tail_restoration_keeps_the_states_condensed(monkeypatch):
+    # The held-out reverse park under `sg`, with the benchmark's committed
+    # strategy model: steps 96 and 97 run solves whose linearizations are
+    # infeasible, so the SQP falls back to its elastic subproblem and the
+    # supervisor to safety control.
+    model = load_model(STRATEGY_MODEL)
+    elastic_qps, qp_sizes = [], []
+    elastic = tightnav.nlp._elastic_qp
+    solve_qp = tightnav.nlp.solve_qp
+
+    def recording_elastic(B, g, Je, ce, Ji, ci, lb, ub, k, warm, rho):
+        start = len(qp_sizes)
+        sol = elastic(B, g, Je, ce, Ji, ci, lb, ub, k, warm, rho)
+        # The columns of the QP without the k states: the other variables,
+        # then 2 slacks per other equality row and 1 per inequality row.
+        elastic_qps.append((k, len(g) - k + 2 * (len(ce) - k) + len(ci), qp_sizes[start:]))
+        return sol
+
+    def recording_qp(H, *args, **kwargs):
+        qp_sizes.append(len(H))
+        return solve_qp(H, *args, **kwargs)
+
+    monkeypatch.setattr(tightnav.nlp, "_elastic_qp", recording_elastic)
+    monkeypatch.setattr(tightnav.nlp, "solve_qp", recording_qp)
+    res = run_closed_loop(benchmark_suite()[0], "sg", model=model, max_steps=98)
+    assert len(res.logs) == 98
+    for log in res.logs[96:]:
+        assert log.sg_status == "infeasible"
+        assert (log.policy, log.reason) == (PolicyKind.SAFETY_CONTROL, "solver_not_optimal")
+    assert elastic_qps
+    for k, n_cols, sizes in elastic_qps:
+        assert k > 0 and sizes == [n_cols]
 
 
 def head_on_scenario():
