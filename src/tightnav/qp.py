@@ -27,14 +27,24 @@ Bounds are kept apart from the general rows, as in qpOASES and DAQP
 cover at least a quarter of the variables, they fix their variables, and
 the method above runs once on the free variables only, with the free
 variables' finite bounds as unit rows.  Each fixed bound's multiplier is
-then read off stationarity.  If one is negative, the method runs on all
-variables, every finite bound a unit row, from the reduced solve's working
-set plus the fixed bounds with nonnegative multipliers.  It runs on all
-variables from the warm set itself for a cold start, a warm set whose
-bounds cover fewer variables (fixing so few saves less than the reduced
-problem costs to set up), a fixed set that leaves an equality row or the
-whole problem without a free variable, and a reduced solve that does not
-end optimal.
+then read off stationarity.  If one is negative, the method continues on
+all variables, every finite bound a unit row, from the reduced solve's
+factorization: only the Schur complement of the fixed block is factored,
+every fixed bound joins the working set ahead of the reduced one, which
+reproduces the reduced solution, and the pruning above drops the bounds
+with negative multipliers.  That start would leave out an equality row the
+reduced solve found dependent; then the method runs on all variables,
+factored afresh, from the reduced working set plus the fixed bounds with
+nonnegative multipliers.  It runs on all variables from the warm set
+itself for a cold start, a warm set whose bounds cover fewer variables
+(fixing so few saves less than the reduced problem costs to set up), a
+fixed set that leaves an equality row or the whole problem without a free
+variable, and a reduced solve that does not end optimal.
+
+After a run's first factorization every working-set change is compiled
+work on O(n) rows of JT or fewer: a pivoted QR and Householder reflectors
+for a batch, one reflection for a single row added, Givens rotations for a
+row dropped.
 
 Multiplier conventions at the solution, with lam_lo and lam_hi the bound
 parts of lam scattered to their variables:
@@ -48,7 +58,7 @@ import logging
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cholesky, get_lapack_funcs, qr, solve_triangular
+from scipy.linalg import cholesky, get_lapack_funcs, qr, qr_delete, solve_triangular
 
 logger = logging.getLogger(__name__)
 
@@ -127,22 +137,18 @@ def _add_rows(JT, R, q, normals, rtol):
 
 
 def _drop_row(JT, R, q, pos):
-    """Remove working-set member `pos` of q; Givens rotations restore R."""
-    R[:, pos : q - 1] = R[:, pos + 1 : q]
+    """Remove working-set member `pos` of q.
+
+    Deleting its column from R leaves a Hessenberg block, which Givens
+    rotations of neighbouring rows return to upper triangular; the same
+    rotations applied to JT's rows keep JT @ N' = [R; 0].  LAPACK-style
+    compiled code does both (scipy `qr_delete`, with JT' in the role of the
+    orthogonal factor, which it only rotates), at O(q * n) per drop.
+    """
+    Q, Rq = qr_delete(JT.T, R[:, :q], pos, 1, "col", check_finite=False)
+    JT[:] = Q.T
+    R[:, : q - 1] = Rq
     R[:, q - 1] = 0.0
-    for jj in range(pos, q - 1):
-        r = np.hypot(R[jj, jj], R[jj + 1, jj])
-        if r <= 0.0:
-            continue
-        cs, sn = R[jj, jj] / r, R[jj + 1, jj] / r
-        if sn != 0.0:
-            rows = R[jj : jj + 2, jj : q - 1].copy()
-            R[jj, jj : q - 1] = cs * rows[0] + sn * rows[1]
-            R[jj + 1, jj : q - 1] = -sn * rows[0] + cs * rows[1]
-            jrows = JT[jj : jj + 2].copy()
-            JT[jj] = cs * jrows[0] + sn * jrows[1]
-            JT[jj + 1] = -sn * jrows[0] + cs * jrows[1]
-    R[q - 1 :, :] = 0.0
 
 
 def _working_set_point(JT, R, x0, normals, rhs):
@@ -206,8 +212,8 @@ def solve_qp(
         sol, warm, spent = _solve_fixing(H, f, A, b, C, d, b_var, b_sign, b_rhs, warm)
         if sol is not None:
             return sol
-    sol = _solve_rows(H, f, np.vstack([A, unit_rows(b_var, b_sign, n)]),
-                      np.concatenate([b, b_rhs]), C, d, warm)
+    sol, _ = _solve_rows(H, f, np.vstack([A, unit_rows(b_var, b_sign, n)]),
+                         np.concatenate([b, b_rhs]), C, d, warm)
     sol.iterations += spent
     return sol
 
@@ -231,15 +237,16 @@ def unit_rows(var, sign, n):
 
 
 def _solve_fixing(H, f, A, b, C, d, b_var, b_sign, b_rhs, warm):
-    """One solve with the warm set's bounds fixing their variables.
+    """The solve with the warm set's bounds fixing their variables.
 
     Bound row j holds b_sign[j] * x[b_var[j]] <= b_rhs[j], numbered mi + j.
-    Returns (solution, hint, iterations): the QP's solution when every
-    fixed bound's multiplier comes out nonnegative; otherwise None and the
-    hint the full solve starts from, as the module docstring sets out, with
-    the iterations spent here.
+    Returns (solution, hint, iterations): the QP's solution when the reduced
+    solve ends optimal and either every fixed bound's multiplier comes out
+    nonnegative or the bounds are released from its factorization;
+    otherwise None and the hint the full solve starts from, as the module
+    docstring sets out, with the iterations spent here.
     """
-    n, mi = len(f), len(b)
+    n, mi, me = len(f), len(b), len(d)
     warm = np.unique(warm[(warm >= 0) & (warm < mi + len(b_var))])
     # One bound per variable; the lower bound comes first in the numbering.
     _, first = np.unique(b_var[warm[warm >= mi] - mi], return_index=True)
@@ -257,7 +264,7 @@ def _solve_fixing(H, f, A, b, C, d, b_var, b_sign, b_rhs, warm):
     rows = np.concatenate([np.arange(mi), mi + np.flatnonzero(free[b_var])])
     col = np.cumsum(free) - 1
     loose = rows[mi:] - mi
-    sol = _solve_rows(
+    sol, factors = _solve_rows(
         H[np.ix_(free, free)], f[free] + H[free] @ x,
         np.vstack([A[:, free], unit_rows(col[b_var[loose]], b_sign[loose], col[-1] + 1)]),
         np.concatenate([b - A @ x, b_rhs[loose]]), C[:, free], d - C @ x, warm[warm < mi])
@@ -271,15 +278,73 @@ def _solve_fixing(H, f, A, b, C, d, b_var, b_sign, b_rhs, warm):
     # fixed bound's own; the free variables' bounds do not touch it.
     grad = H[var] @ x + f[var] + A[:, var].T @ lam[:mi] + C[:, var].T @ sol.nu
     mult = -b_sign[fixed] * grad
-    if np.any(mult < 0.0):
+    if np.all(mult >= 0.0):
+        lam[mi + fixed] = mult
+        return QpSolution("optimal", x, lam, sol.nu, sol.iterations, _obj(H, f, x),
+                          np.sort(np.concatenate([work, mi + fixed]))), None, sol.iterations
+    JT, R, members = factors
+    ineq = members >= me
+    if np.count_nonzero(~ineq) < me:
+        # An equality row the reduced solve found dependent is no member,
+        # and the start below would leave it out of the working set.
         return None, np.concatenate([work, mi + fixed[mult >= 0.0]]), sol.iterations
-    lam[mi + fixed] = mult
-    return QpSolution("optimal", x, lam, sol.nu, sol.iterations, _obj(H, f, x),
-                      np.sort(np.concatenate([work, mi + fixed]))), None, sol.iterations
+    # Release: go on over all variables from the reduced factorization,
+    # every fixed bound a member; the full solve's pruning drops those with
+    # negative multipliers.  Members are numbered rows of C, then of A.
+    A_all = np.vstack([A, unit_rows(b_var, b_sign, n)])
+    members[ineq] = me + rows[members[ineq] - me]
+    JT, R = _unfix(H, var, b_sign[fixed], JT, R, np.vstack([C, A_all])[members])
+    full, _ = _solve_rows(H, f, A_all, np.concatenate([b, b_rhs]), C, d, None,
+                          start=(JT, R, np.concatenate([me + mi + fixed[::-1], members])))
+    full.iterations += sol.iterations
+    return full, None, full.iterations
 
 
-def _solve_rows(H, f, A, b, C, d, warm_rows):
-    """The method on all variables, every inequality a row of A."""
+def _unfix(H, var, sign, JT_F, R_F, N):
+    """The factorization on all variables from one on the free variables.
+
+    var, ascending, are the fixed variables and sign their bound rows'
+    signs (sign[j] * x[var[j]] <= rhs[j]).  JT_F and R_F are `_solve_rows`'
+    factors over the free variables F: JT_F H[F, F] JT_F' = I and
+    JT_F N[:, F]' = [R_F; 0] for the working-set rows N.  With
+    P = JT_F H[F, var] and the Schur complement H[var, var] - P'P = L L',
+    the rows (columns F, then var)
+        JT = [rev(inv(L) [-P' JT_F, I]); [JT_F, 0]]
+    (rev reversing the rows) satisfy JT H JT' = I.  For the working set of
+    every fixed bound, last variable first, then N's rows, JT @ N' = [R; 0]
+    with the upper triangular
+        R = [[inv(L) reversed in rows and columns, each column times
+              its bound's sign, JT[:nx] N'], [0, R_F]].
+    Only the Schur complement is factored.
+    """
+    n, nx = len(H), len(var)
+    free = np.ones(n, dtype=bool)
+    free[var] = False
+    P = JT_F @ H[np.ix_(free, var)]
+    L_inv = _inverse_factor(H[np.ix_(var, var)] - P.T @ P)
+    JT = np.zeros((n, n))
+    JT[:nx, free] = -(L_inv @ (P.T @ JT_F))[::-1]
+    JT[:nx, var] = L_inv[::-1]
+    JT[nx:, free] = JT_F
+    q = nx + len(N)
+    R = np.zeros((q, q))
+    R[:nx, :nx] = L_inv[::-1, ::-1] * sign[::-1]
+    R[:nx, nx:] = JT[:nx] @ N.T
+    R[nx:, nx:] = R_F
+    return JT, R
+
+
+def _solve_rows(H, f, A, b, C, d, warm_rows, start=None):
+    """The method on all variables, every inequality a row of A.
+
+    Working-set members are numbered as the rows of C, then the rows of A
+    (row i of A is member len(C) + i).  start: optional (JT, R, members) to
+    begin from in place of factoring H and adding the equalities and
+    warm_rows.  JT H JT' = I, and JT @ N' = [R; 0] with R upper triangular
+    for N the members' rows as given; every row of C must be a member.
+    Returns (solution, (JT, R, members)), the final working set in the same
+    terms, or (solution, None) when the solve stops before its loop ends.
+    """
     n = f.shape[0]
     mi, me = A.shape[0], C.shape[0]
 
@@ -296,15 +361,9 @@ def _solve_rows(H, f, A, b, C, d, warm_rows):
     Ce, de, keep_e, norms_e = _normalize(C, d)
     x_dummy = np.zeros(n)
     if np.any(b[~keep_i] < -_SLACK_TOL) or np.any(np.abs(d[~keep_e]) > _SLACK_TOL):
-        return QpSolution("infeasible", x_dummy, lam_out, nu_out, 0, 0.0)
+        return QpSolution("infeasible", x_dummy, lam_out, nu_out, 0, 0.0), None
     idx_i = np.flatnonzero(keep_i)
     idx_e = np.flatnonzero(keep_e)
-
-    # JT = inv(L); maintained so that JT rows [0:q] span the active-normal
-    # subspace in factored coordinates: JT @ n_active = [R; 0] columns.
-    JT = _inverse_factor(H)
-    x0 = -JT.T @ (JT @ f)
-    R = np.zeros((n, n))
 
     # Internal >= convention: rows stored as (g, h) meaning g'x >= h.
     # Inequalities a'x <= b become (-a, -b).  Equalities keep their sign and
@@ -314,29 +373,49 @@ def _solve_rows(H, f, A, b, C, d, warm_rows):
     h = np.concatenate([de, -bi])
     m_all = n_eq + n_in
 
-    # --- initial working set: equalities, then the warm rows ---------------
-    eq_rows, eq_dependent = _add_rows(JT, R, 0, Ce, 1e-13)
-    active = [int(j) for j in eq_rows]
-    if warm_rows is not None and n_in:
-        _, _, cand = np.intersect1d(
-            np.asarray(warm_rows, dtype=int).ravel(), idx_i, return_indices=True
-        )
-        # Admit a warm row only where the add step below would admit it.
-        acc, _ = _add_rows(JT, R, len(active), G[n_eq + cand], np.sqrt(_DEP_TOL))
-        active += [n_eq + int(cand[j]) for j in acc]
+    # Internal row j of G is member caller[j]'s row divided by scale[j].
+    caller = np.concatenate([idx_e, me + idx_i])
+    scale = np.concatenate([norms_e[idx_e], -norms_i[idx_i]])
+
+    # JT rows [0:q] span the active normals in factored coordinates:
+    # JT @ n_active = [R; 0] columns.
+    R = np.zeros((n, n))
+    if start is None:
+        # --- initial working set: equalities, then the warm rows -----------
+        JT = _inverse_factor(H)
+        x0 = -JT.T @ (JT @ f)
+        eq_rows, eq_dependent = _add_rows(JT, R, 0, Ce, 1e-13)
+        active = [int(j) for j in eq_rows]
+        if warm_rows is not None and n_in:
+            _, _, cand = np.intersect1d(
+                np.asarray(warm_rows, dtype=int).ravel(), idx_i, return_indices=True
+            )
+            # Admit a warm row only where the add step below would admit it.
+            acc, _ = _add_rows(JT, R, len(active), G[n_eq + cand], np.sqrt(_DEP_TOL))
+            active += [n_eq + int(cand[j]) for j in acc]
+    else:
+        JT, R_start, members = start
+        internal = np.zeros(me + mi, dtype=int)
+        internal[caller] = np.arange(m_all)
+        active = internal[members].tolist()
+        R[: len(active), : len(active)] = R_start / scale[active]
+        x0 = -JT.T @ (JT @ f)
+        eq_dependent = np.zeros(0, dtype=int)
     q = len(active)
     x, u = _working_set_point(JT, R, x0, G[active], h[active])
     # Dependent equality rows must already be consistent.
     if eq_dependent.size and np.max(np.abs(Ce[eq_dependent] @ x - de[eq_dependent])) > 1e-8:
-        return QpSolution("infeasible", x, lam_out, nu_out, 0, _obj(H, f, x))
+        return QpSolution("infeasible", x, lam_out, nu_out, 0, _obj(H, f, x)), None
 
-    # Warm rows pulling the wrong way leave the working set, most negative
-    # multiplier first, until (x, active) is dual feasible.  Each drop counts
-    # as an iteration.
+    # Inequality members pulling the wrong way leave the working set, most
+    # negative multiplier first, until (x, active) is dual feasible;
+    # equality members stay wherever they sit.  Each drop counts as an
+    # iteration.
     iters = 0
-    while q > len(eq_rows):
-        drop = len(eq_rows) + int(np.argmin(u[len(eq_rows) :]))
-        if u[drop] >= 0.0:
+    while q:
+        pull = np.where(np.asarray(active) >= n_eq, u, 0.0)
+        drop = int(np.argmin(pull))
+        if pull[drop] >= 0.0:
             break
         _drop_row(JT, R, q, drop)
         active.pop(drop)
@@ -386,7 +465,7 @@ def _solve_rows(H, f, A, b, C, d, warm_rows):
             if not np.isfinite(t1) and not np.isfinite(t2):
                 return QpSolution(
                     "infeasible", x, lam_out, nu_out, iters, _obj(H, f, x)
-                )
+                ), None
             t = min(t1, t2)
             if np.isfinite(t2) and t > 0.0:
                 z = d2 @ JT[q:]
@@ -426,7 +505,8 @@ def _solve_rows(H, f, A, b, C, d, warm_rows):
     act = np.array(
         sorted(idx_i[j - n_eq] for j in active if j >= n_eq), dtype=int
     )
-    return QpSolution(status, x, lam_out, nu_out, iters, _obj(H, f, x), act)
+    return (QpSolution(status, x, lam_out, nu_out, iters, _obj(H, f, x), act),
+            (JT, R[:q, :q] * scale[active], caller[active]))
 
 
 def _obj(H, f, x) -> float:

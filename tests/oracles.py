@@ -20,6 +20,9 @@
   slacks' nonnegativity as rows too.  `nlp._elastic_qp` keeps the state rows
   and the bounds hard; where those can hold together, it must reach the
   same least l1 violation of the other rows.
+- `drop_row_givens` removes a QP working-set member with one pure-Python
+  Givens rotation per column after it; `qp._drop_row`, which leaves the
+  rotations to compiled code, must reach the same |R|.
 - `continuous_derivative` and `step_rk4_array` are the RK4 step on numpy
   4-vectors, one derivative call per stage; `dynamics.step_rk4`, which runs
   on Python floats, must return the same bytes.
@@ -243,6 +246,25 @@ def elastic_qp_full_slack(B, g, Je, ce, Ji, ci, rho):
     sol.lam = sol.lam[:mi]
     sol.active_rows = sol.active_rows[sol.active_rows < mi]
     return sol
+
+
+def drop_row_givens(JT, R, q, pos):
+    """Remove working-set member `pos` of q; Givens rotations restore R."""
+    R[:, pos : q - 1] = R[:, pos + 1 : q]
+    R[:, q - 1] = 0.0
+    for jj in range(pos, q - 1):
+        r = np.hypot(R[jj, jj], R[jj + 1, jj])
+        if r <= 0.0:
+            continue
+        cs, sn = R[jj, jj] / r, R[jj + 1, jj] / r
+        if sn != 0.0:
+            rows = R[jj : jj + 2, jj : q - 1].copy()
+            R[jj, jj : q - 1] = cs * rows[0] + sn * rows[1]
+            R[jj + 1, jj : q - 1] = -sn * rows[0] + cs * rows[1]
+            jrows = JT[jj : jj + 2].copy()
+            JT[jj] = cs * jrows[0] + sn * jrows[1]
+            JT[jj + 1] = -sn * jrows[0] + cs * jrows[1]
+    R[q - 1 :, :] = 0.0
 
 
 def continuous_derivative(z: np.ndarray, u: np.ndarray, params: VehicleParams) -> np.ndarray:

@@ -11,7 +11,17 @@ import itertools
 import numpy as np
 import pytest
 
-from tightnav.qp import QpSolution, kkt_residuals, solve_qp
+from oracles import drop_row_givens
+from tightnav.qp import (
+    QpSolution,
+    _add_rows,
+    _drop_row,
+    _inverse_factor,
+    _solve_rows,
+    _unfix,
+    kkt_residuals,
+    solve_qp,
+)
 
 
 def enumerate_qp(H, f, A=None, b=None, C=None, d=None):
@@ -290,6 +300,66 @@ def test_redundant_equalities_consistent():
     assert bad.status == "infeasible"
 
 
+# --- the working-set factorization -------------------------------------------
+
+def assert_factorization(JT, R, H, N):
+    """JT H JT' = I and JT N' = [R; 0] to 1e-10, R upper triangular, for
+    the working-set rows N in order."""
+    n, q = len(H), len(N)
+    np.testing.assert_allclose(JT @ H @ JT.T, np.eye(n), rtol=0.0, atol=1e-10)
+    np.testing.assert_allclose(JT @ N.T, np.vstack([R[:q, :q], np.zeros((n - q, q))]),
+                               rtol=0.0, atol=1e-10)
+    assert not np.any(np.tril(R[:q, :q], -1))
+
+
+def test_working_set_updates_keep_the_factorization():
+    rng = np.random.default_rng(37)
+    for n in (20, 41, 60):
+        H = random_spd(rng, n)
+        normals = rng.standard_normal((3 * n // 4, n))
+        # Two batches, the second added onto the first.
+        JT, R = _inverse_factor(H), np.zeros((n, n))
+        first, rejected = _add_rows(JT, R, 0, normals[: n // 4], 1e-13)
+        second, rejected2 = _add_rows(JT, R, len(first), normals[n // 4 :], 1e-13)
+        assert rejected.size == rejected2.size == 0
+        N = np.vstack([normals[first], normals[n // 4 + second]])
+        q = len(N)
+        assert_factorization(JT, R, H, N)
+        for pos in (0, q // 2, q - 1):
+            JT_drop, R_drop = JT.copy(), R.copy()
+            _drop_row(JT_drop, R_drop, q, pos)
+            assert_factorization(JT_drop, R_drop, H, np.delete(N, pos, axis=0))
+            JT_ref, R_ref = JT.copy(), R.copy()
+            drop_row_givens(JT_ref, R_ref, q, pos)
+            np.testing.assert_allclose(np.abs(R_drop[: q - 1, : q - 1]),
+                                       np.abs(R_ref[: q - 1, : q - 1]), rtol=0.0, atol=1e-12)
+
+
+def test_release_start_factors_all_variables_from_a_reduced_solve():
+    rng = np.random.default_rng(38)
+    for n in (20, 41, 60):
+        H = random_spd(rng, n)
+        var = np.sort(rng.choice(n, size=n // 3, replace=False))
+        sign = rng.choice([-1.0, 1.0], size=len(var))
+        free = np.ones(n, dtype=bool)
+        free[var] = False
+        # A reduced QP on the free variables with a large working set.
+        x_feas = rng.standard_normal(n)
+        A = rng.standard_normal((n, n))
+        C = rng.standard_normal((2, n))
+        H_F, x_F = H[np.ix_(free, free)], x_feas[free]
+        f_F = -H_F @ (x_F + 3.0 * rng.standard_normal(len(x_F)))
+        sol, (JT_F, R_F, members) = _solve_rows(
+            H_F, f_F, A[:, free], A[:, free] @ x_F + 0.1, C[:, free], C[:, free] @ x_F, None)
+        assert sol.ok and len(members) > n // 4
+        N = np.vstack([C, A])[members]
+        JT, R = _unfix(H, var, sign, JT_F, R_F, N)
+        # The fixed bounds sign * x[var] <= rhs, last variable first.
+        bounds = np.zeros((len(var), n))
+        bounds[np.arange(len(var)), var[::-1]] = sign[::-1]
+        assert_factorization(JT, R, H, np.vstack([bounds, N]))
+
+
 # --- variable bounds as vectors against the same bounds as rows ---------------
 
 def random_bounded_qp(rng, n, mi, me):
@@ -320,19 +390,34 @@ def bounds_as_rows(A, b, lb, ub):
             np.concatenate([b, -lb[i_lo], ub[i_hi]]))
 
 
-def reduced_solves(monkeypatch):
-    """Variable counts of the Goldfarb-Idnani runs inside each later solve."""
+def recorded(monkeypatch, name, what=lambda H, out: len(H)):
+    """what(first argument, result) for each later call of
+    `tightnav.qp.<name>`; by default the first argument's size."""
     import tightnav.qp
 
-    sizes = []
-    inner = tightnav.qp._solve_rows
+    seen = []
+    inner = getattr(tightnav.qp, name)
 
-    def counting(H, *args):
-        sizes.append(len(H))
-        return inner(H, *args)
+    def recording(H, *args, **kwargs):
+        out = inner(H, *args, **kwargs)
+        seen.append(what(H, out))
+        return out
 
-    monkeypatch.setattr(tightnav.qp, "_solve_rows", counting)
-    return sizes
+    monkeypatch.setattr(tightnav.qp, name, recording)
+    return seen
+
+
+def reduced_solves(monkeypatch):
+    """Variable counts of the Goldfarb-Idnani runs inside each later solve."""
+    return recorded(monkeypatch, "_solve_rows")
+
+
+def fixed_free(b, lb, ub, hint):
+    """The free-variable mask once the hint's bounds fix their variables."""
+    bound_var = np.concatenate([np.flatnonzero(np.isfinite(lb)), np.flatnonzero(np.isfinite(ub))])
+    free = np.ones(len(lb), dtype=bool)
+    free[bound_var[hint[hint >= len(b)] - len(b)]] = False
+    return free
 
 
 def assert_same_solution(got, want):
@@ -376,21 +461,64 @@ def test_bounds_as_vectors_garbage_hint():
 
 
 def test_fixed_bounds_with_negative_multipliers_are_released(monkeypatch):
-    sizes = reduced_solves(monkeypatch)
-    released = 0
+    runs = recorded(monkeypatch, "_solve_rows", lambda H, out: (len(H), out[0].status))
+    factored = recorded(monkeypatch, "_inverse_factor")
+    released = seeded = 0
     for rng, (H, f, A, b, C, d, lb, ub), rows in bounded_cases(33, count=80):
         # Hint the final working set and three inactive bounds.
         inactive = np.setdiff1d(np.arange(len(b), len(rows.lam)), rows.active_rows)
         hint = np.union1d(rows.active_rows, rng.permutation(inactive)[:3])
-        sizes.clear()
+        runs.clear()
+        factored.clear()
         sol = solve_qp(H, f, A, b, C, d, warm_rows=hint, lb=lb, ub=ub)
         assert_same_solution(sol, rows)
         # One reduced solve, and the full solve after it when a fixed bound
         # had to be released; or the full solve alone.
         n = len(f)
+        sizes = [size for size, _ in runs]
         assert sizes == [n] or (sizes[0] < n and sizes[1:] in ([], [n]))
-        released += len(sizes) == 2
-    assert released >= 15, released
+        if len(sizes) == 2:
+            # A release round factors only the fixed variables' Schur
+            # complement.  The full solve starts over after a reduced solve
+            # that is not optimal or that found an equality row dependent.
+            free = fixed_free(b, lb, ub, hint)
+            over = runs[0][1] != "optimal" or np.linalg.matrix_rank(C[:, free]) < len(C)
+            n_free = int(free.sum())
+            assert factored == [n_free, n if over else n - n_free]
+            released += 1
+            seeded += not over
+    assert released >= 15 and seeded >= 15, (released, seeded)
+
+
+def test_release_after_a_dependent_reduced_equality_starts_over(monkeypatch):
+    # Two equality rows differ only on x0, so once x0 and x1 are fixed the
+    # reduced solve finds the second dependent (and consistent).  The hinted
+    # bound on x1 is inactive, so its release is needed; the seeded start
+    # would leave the second equality out, so the full solve starts over.
+    runs = recorded(monkeypatch, "_solve_rows", lambda H, out: (len(H), out[0].status))
+    factored = recorded(monkeypatch, "_inverse_factor")
+    rng = np.random.default_rng(36)
+    n = 8
+    for _ in range(5):
+        H = random_spd(rng, n)
+        target = rng.standard_normal(n)
+        target[1] = 5.0
+        C = rng.standard_normal((2, n))
+        C[1] = C[0]
+        C[1, 0] += 1.0
+        d = np.array([0.3, 0.3 - 1.0])  # forces x0 = -1
+        lb = np.full(n, -np.inf)
+        lb[:2] = -1.0
+        ub = np.full(n, np.inf)
+        f = -H @ target
+        Ar, br = bounds_as_rows(np.zeros((0, n)), np.zeros(0), lb, ub)
+        rows = solve_qp(H, f, Ar, br, C, d)
+        assert rows.ok and rows.x[1] > lb[1] + 0.1
+        runs.clear()
+        factored.clear()
+        sol = solve_qp(H, f, None, None, C, d, warm_rows=[0, 1], lb=lb, ub=ub)
+        assert runs == [(n - 2, "optimal"), (n, "optimal")] and factored == [n - 2, n]
+        assert_same_solution(sol, rows)
 
 
 def test_hinted_bounds_fix_variables_unless_few(monkeypatch):
@@ -398,13 +526,11 @@ def test_hinted_bounds_fix_variables_unless_few(monkeypatch):
     reduced = few = 0
     for _, (H, f, A, b, C, d, lb, ub), rows in bounded_cases(35, count=60):
         n = len(f)
-        bound_var = np.concatenate([np.flatnonzero(np.isfinite(lb)), np.flatnonzero(np.isfinite(ub))])
         general = rows.active_rows[rows.active_rows < len(b)]
         bounds = rows.active_rows[rows.active_rows >= len(b)]
         # The exact working set, and its general rows with one bound.
         for hint in (rows.active_rows, np.concatenate([general, bounds[:1]])):
-            free = np.ones(n, dtype=bool)
-            free[bound_var[hint[hint >= len(b)] - len(b)]] = False
+            free = fixed_free(b, lb, ub, hint)
             sizes.clear()
             sol = solve_qp(H, f, A, b, C, d, warm_rows=hint, lb=lb, ub=ub)
             assert_same_solution(sol, rows)
@@ -457,3 +583,31 @@ def test_bounded_infeasible_with_hint_still_infeasible():
         sol = solve_qp(np.eye(2), np.ones(2), warm_rows=warm,
                        lb=np.array([1.0, -np.inf]), ub=np.array([0.0, np.inf]))
         assert sol.status == "infeasible"
+
+
+def test_mpc_subproblems_match_bounds_as_rows(monkeypatch):
+    # The QPs of the first 10 steps of an overtake under the unguided MPC
+    # (n up to 200, hints carried across SQP iterations and steps), each
+    # against the same QP with its bounds as rows, solved cold.
+    import tightnav.nlp
+    from tightnav.scenario import benchmark_suite
+    from tightnav.simulate import run_closed_loop
+
+    calls = []
+    inner = tightnav.nlp.solve_qp
+
+    def capture(*args, **kwargs):
+        calls.append((args, kwargs))
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(tightnav.nlp, "solve_qp", capture)
+    run_closed_loop(benchmark_suite()[8], "bl", max_steps=10)
+    sizes = reduced_solves(monkeypatch)
+    released = 0
+    for (H, f, A, b, C, d), kwargs in calls:
+        sizes.clear()
+        sol = solve_qp(H, f, A, b, C, d, **kwargs)
+        released += len(sizes) == 2
+        rows = solve_qp(H, f, *bounds_as_rows(A, b, kwargs["lb"], kwargs["ub"]), C, d)
+        assert_same_solution(sol, rows)
+    assert released >= 10, released
