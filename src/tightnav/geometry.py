@@ -253,6 +253,11 @@ def min_translation_distance(P: Polytope, Q: Polytope) -> float:
     """
     if polytopes_intersect(P, Q):
         return 0.0
+    return separated_distance(P, Q)
+
+
+def separated_distance(P: Polytope, Q: Polytope) -> float:
+    """`min_translation_distance` of a pair `polytopes_intersect` found apart."""
     p, q = _closest_pair(P.vertices.tolist(), Q.vertices.tolist())
     return math.hypot(p[0] - q[0], p[1] - q[1])
 

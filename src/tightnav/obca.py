@@ -23,6 +23,7 @@ engaged and which stages carry strategy rows.
 
 from __future__ import annotations
 
+import copy
 import functools
 import logging
 import math
@@ -42,6 +43,7 @@ from .geometry import (
     strategy_halfspace,
 )
 from .nlp import NlpProblem, solve_nlp
+from .qp import bound_rows
 
 logger = logging.getLogger(__name__)
 
@@ -83,29 +85,28 @@ def body_g_vector(params: VehicleParams) -> np.ndarray:
 
 @dataclass
 class EnvironmentEncoding:
-    """Obstacle polytopes per horizon step; index 0 is the moving vehicle.
+    """Obstacle timeline: polytopes per step; index 0 is the moving vehicle.
 
     steps[t][m] is obstacle m at step t.  Every step carries the same
     obstacle count (the standard scene uses 3: the target vehicle plus the
     two lane boundaries) and every polytope has exactly 4 faces so the dual
-    blocks stay rectangular.
+    blocks stay rectangular.  Past its last step the timeline holds that
+    step: `obstacles`, `tv` and `window` clamp t, the encoding's only padding.
+    `faces`, every obstacle's (A, b) stacked to shapes (T, M, 4, 2) and
+    (T, M, 4), is built once; a window indexes its parent's stack.
     """
 
     steps: list
-    _faces: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    faces: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not self.steps:
-            raise ValueError("environment must cover at least one step")
-        m = len(self.steps[0])
-        for t, obs in enumerate(self.steps):
-            if len(obs) != m:
-                raise ValueError(f"step {t} has {len(obs)} obstacles, expected {m}")
-            for poly in obs:
-                if poly.A.shape != (4, 2):
-                    raise ValueError("obstacles must be 4-face polytopes")
-        if m < 1:
-            raise ValueError("environment needs at least one obstacle per step")
+        if not self.steps or not self.steps[0]:
+            raise ValueError("environment needs at least one step and one obstacle per step")
+        # numpy raises ValueError on steps of ragged obstacle or face counts.
+        a_all = np.array([[poly.A for poly in obs] for obs in self.steps])
+        if a_all.shape[2:] != (4, 2):
+            raise ValueError("obstacles must be 4-face polytopes")
+        self.faces = (a_all, np.array([[poly.b for poly in obs] for obs in self.steps]))
 
     @property
     def n_steps(self) -> int:
@@ -116,25 +117,19 @@ class EnvironmentEncoding:
         return len(self.steps[0])
 
     def obstacles(self, t: int) -> list:
-        return self.steps[t]
-
-    def face_arrays(self):
-        """Every obstacle's (A, b), stacked to shapes (T, M, 4, 2) and (T, M, 4)."""
-        if self._faces is None:
-            self._faces = (np.array([[poly.A for poly in obs] for obs in self.steps]),
-                           np.array([[poly.b for poly in obs] for obs in self.steps]))
-        return self._faces
+        return self.steps[min(t, len(self.steps) - 1)]
 
     def tv(self, t: int) -> Polytope:
         """The target-vehicle polytope at step t."""
-        return self.steps[t][0]
+        return self.obstacles(t)[0]
 
     def window(self, start: int, count: int) -> "EnvironmentEncoding":
-        """count-step slice starting at `start`, padded with the last step."""
-        out = []
-        for t in range(start, start + count):
-            out.append(self.steps[min(t, len(self.steps) - 1)])
-        return EnvironmentEncoding(out)
+        """count steps from `start`, each clamped to the last step."""
+        index = np.minimum(np.arange(start, start + count), len(self.steps) - 1)
+        win = copy.copy(self)
+        win.steps = [self.steps[t] for t in index.tolist()]
+        win.faces = tuple(stack[index] for stack in self.faces)
+        return win
 
 
 @dataclass
@@ -142,8 +137,8 @@ class ControllerConfig:
     """The settable values of the whole control stack.
 
     They pose the MPC problem: horizon, time step, clearance floor, tracking
-    weights, vehicle and whether strategy rows apply.  The supervisor's
-    safety controller, emergency brake and collision anticipation read
+    weights and vehicle; passing a strategy to `solve_step` adds its rows.
+    The supervisor's safety controller, emergency brake and anticipation read
     dt, d_min and params from here too, and the reference speed from the
     `Scenario`; every other tuning value is a module constant.
     """
@@ -155,7 +150,6 @@ class ControllerConfig:
     q_u: np.ndarray = field(default_factory=lambda: np.array([1.0, 1.0]))
     q_d: np.ndarray = field(default_factory=lambda: np.array([50.0, 50.0]))
     params: VehicleParams = field(default_factory=VehicleParams)
-    guided: bool = True
 
     def __post_init__(self):
         # The supervisor imports this module, so its brake gain is looked up
@@ -237,7 +231,7 @@ def generate_strategy_constraints(strategy, ref, env: EnvironmentEncoding, r_ev:
     ref = np.asarray(ref, float)
     n = min(len(ref), env.n_steps)
     tvs = [env.tv(t) for t in range(n)]
-    A, b = (faces[:n, 0] for faces in env.face_arrays())
+    A, b = (faces[:n, 0] for faces in env.faces)
     verts = np.array([tv.vertices for tv in tvs])
     p_ref = ref[:n, :2]
     stages = np.flatnonzero(point_polytope_distances(p_ref, verts, A, b) <= r_ev + 1e-9)
@@ -285,7 +279,7 @@ def _face_certificates(env: EnvironmentEncoding, zs, params: VehicleParams):
     triple is dual-feasible whenever its value is >= 0.
     """
     zs = np.asarray(zs, float)
-    a_all, b_all = env.face_arrays()
+    a_all, b_all = env.faces
     a_mat, b_vec = a_all[: len(zs)], b_all[: len(zs)]
     norms = np.linalg.norm(a_mat, axis=3)
     clear = ((a_mat @ zs[:, None, :2, None])[..., 0] - b_vec) / norms
@@ -385,7 +379,7 @@ class _StepNlp:
         # Stacked per-pair data and the columns each pair's rows touch.
         t_pair = np.array([t for t, _ in pairs], dtype=int)
         m_pair = np.array([m for _, m in pairs], dtype=int)
-        a_all, b_all = env.face_arrays()
+        a_all, b_all = env.faces
         self.obs_a = a_all[t_pair, m_pair]  # (P, 4, 2)
         self.obs_b = b_all[t_pair, m_pair]  # (P, 4)
         self.pos_cols = 4 * (t_pair[:, None] - 1) + np.arange(2)  # (P, 2)
@@ -493,18 +487,19 @@ class _StepNlp:
 
     def _row_table(self):
         """(keys, rows): every inequality row's key in the solver's order,
-        and the row number of each key."""
+        and the row number of each key.  The bound rows are numbered as
+        `qp.bound_rows` numbers them for the solver."""
         if self._table is None:
             n_h = self.cfg.horizon
             var = [("z_", t, -1, c) for t in range(1, n_h + 1) for c in range(4)]
             var += [("u_", t, -1, c) for t in range(n_h) for c in range(2)]
             var += [("dual_", t, m, c) for t, m in self.pairs for c in range(8)]
+            b_var, b_sign, _ = bound_rows(*self.bounds())
             keys = ([("clear", t, m, 0) for t, m in self.pairs]
                     + [("normal", t, m, 0) for t, m in self.pairs]
-                    + [("strat", t, -1, 0) for t, _ in self.strat])
-            for side, bound in zip(("lo", "hi"), self.bounds()):
-                keys += [(block + side, t, m, c) for (block, t, m, c), finite
-                         in zip(var, np.isfinite(bound).tolist()) if finite]
+                    + [("strat", t, -1, 0) for t, _ in self.strat]
+                    + [(var[v][0] + ("lo" if sign < 0 else "hi"), *var[v][1:])
+                       for v, sign in zip(b_var.tolist(), b_sign.tolist())])
             self._table = (keys, {key: r for r, key in enumerate(keys)})
         return self._table
 
@@ -681,7 +676,7 @@ class ObcaController:
             raise ValueError("environment does not cover the horizon")
 
         strat_rows = []
-        if cfg.guided and strategy is not None and StrategyLabel(strategy) != StrategyLabel.YIELD:
+        if strategy is not None and StrategyLabel(strategy) != StrategyLabel.YIELD:
             strat_rows = [
                 (t, hs)
                 for t, hs in generate_strategy_constraints(

@@ -68,17 +68,14 @@ def encode_features(z, env: EnvironmentEncoding) -> np.ndarray:
 
     Layout: (x, y, psi, v), then for each step the obstacles in order, each
     contributing its face normals row-major followed by its offsets.  The
-    dimension is 4 + n_steps * n_obstacles * 12.
+    dimension is 4 + n_steps * n_obstacles * 12, read off the face stack.
     """
     z = np.asarray(z, float).ravel()
     if z.shape != (4,):
         raise ValueError(f"state must have 4 entries, got {z.shape}")
-    parts = [z]
-    for t in range(env.n_steps):
-        for obs in env.obstacles(t):
-            parts.append(obs.A.ravel())
-            parts.append(obs.b)
-    x = np.concatenate(parts)
+    a_all, b_all = env.faces
+    obstacles = np.concatenate([a_all.reshape(*b_all.shape[:2], 8), b_all], axis=2)
+    x = np.concatenate([z, obstacles.ravel()])
     if not np.all(np.isfinite(x)):
         raise ValueError("feature vector contains non-finite entries")
     return x

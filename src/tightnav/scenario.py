@@ -238,15 +238,14 @@ class Scenario:
         tail = np.tile(self.tv_traj[-1], (n_steps - len(self.tv_traj), 1))
         return np.vstack([self.tv_traj, tail])
 
-    def environment(self, n_steps: int, params: VehicleParams | None = None
-                    ) -> EnvironmentEncoding:
-        """Per-step obstacle encoding: TV body first, then the two walls."""
+    def environment(self, params: VehicleParams | None = None) -> EnvironmentEncoding:
+        """The obstacle timeline: one step per TV pose, TV body first, then
+        the two walls.  The encoding holds the parked pose after the
+        trajectory ends."""
         p = params or VehicleParams()
         top, bottom = self.lot.walls()
-        tv = self.tv_padded(n_steps)
         return EnvironmentEncoding(
-            [[body_polytope(tv[t], p.length, p.width), top, bottom]
-             for t in range(n_steps)])
+            [[body_polytope(z, p.length, p.width), top, bottom] for z in self.tv_traj])
 
 
 def lane_reference(z, horizon: int, dt: float = DT, v_ref: float = V_REF) -> np.ndarray:

@@ -14,7 +14,8 @@ corridor ahead.
 A run has one source for each setting: the `ControllerConfig` gives the MPC
 and the supervisor their shared vehicle, time step and clearance floor, and
 the `Scenario` gives the time step it was built with and the reference speed
-that both the lane reference and safety control track.
+that both the lane reference and safety control track.  The obstacles
+come from the scenario's one timeline, which the audit reads by step.
 """
 
 from __future__ import annotations
@@ -22,13 +23,13 @@ from __future__ import annotations
 import logging
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .dynamics import VehicleParams, step_rk4
 from .fileio import atomic_write
-from .geometry import body_polytope, min_translation_distance, polytopes_intersect
+from .geometry import body_polytope, polytopes_intersect, separated_distance
 from .obca import ControllerConfig, EnvironmentEncoding, ObcaController, StrategyLabel
 from .predictor import encode_features, forward, label_rollout
 from .scenario import Scenario, lane_reference
@@ -59,14 +60,16 @@ AUDIT_SLACK = 1e-4
 
 
 def _clearance(z, obstacles, params: VehicleParams):
-    """(intersects, distance): exact body-vs-obstacle audit at one state."""
+    """(intersects, distance): exact body-vs-obstacle audit at one state,
+    with one separating-axis test per obstacle."""
     body = body_polytope(z, params.length, params.width)
     hit = False
     dist = math.inf
     for obs in obstacles:
         if polytopes_intersect(body, obs):
-            hit = True
-        dist = min(dist, min_translation_distance(body, obs))
+            hit, dist = True, 0.0
+        else:
+            dist = min(dist, separated_distance(body, obs))
     return hit, dist
 
 
@@ -79,7 +82,7 @@ class RolloutRecord:
     ev_traj: np.ndarray  # (T+1, 4)
     inputs: np.ndarray  # (T, 2)
     tv_traj: np.ndarray  # (T+1, 4), the realized TV states
-    env: EnvironmentEncoding  # T + horizon + 1 steps, for window features
+    env: EnvironmentEncoding  # the scenario's obstacle timeline, for window features
     label: StrategyLabel
     scenario_name: str
     seed: int
@@ -100,14 +103,13 @@ def generate_expert_rollout(scenario: Scenario, ctrl_config: ControllerConfig | 
     gap that is about to close.  Every realized state is audited against the
     exact obstacle geometry afterwards.
     """
-    ctrl = ctrl_config or ControllerConfig(guided=False)
+    ctrl = ctrl_config or ControllerConfig()
     if abs(ctrl.dt - scenario.dt) > 1e-12:
         raise ValueError("controller and scenario time steps differ")
     v_ref = scenario.v_ref
     n_h = ctrl.horizon
-    n_env = n_steps + n_h + 1
-    env = scenario.environment(n_env, ctrl.params)
-    tv_pad = scenario.tv_padded(n_env)
+    env = scenario.environment(ctrl.params)
+    tv_pad = scenario.tv_padded(n_steps + n_h + 1)
     controller = ObcaController(ctrl)
 
     z = scenario.ev_init.copy()
@@ -146,7 +148,7 @@ def generate_expert_rollout(scenario: Scenario, ctrl_config: ControllerConfig | 
         ev_traj=ev,
         inputs=np.array(inputs).reshape(t_rec, 2),
         tv_traj=tv_pad[: len(ev)].copy(),
-        env=env.window(0, t_rec + n_h + 1),
+        env=env,
         label=label,
         scenario_name=scenario.name,
         seed=scenario.seed,
@@ -205,7 +207,7 @@ def generate_dataset(scenarios, ctrl_config: ControllerConfig | None = None,
             records.append(rec)
     if not records:
         raise ValueError("every expert rollout failed the clearance audit")
-    horizon = (ctrl_config or ControllerConfig(guided=False)).horizon
+    horizon = (ctrl_config or ControllerConfig()).horizon
     x, y, manifest = build_dataset(records, horizon)
     manifest["n_scenarios"] = len(scenarios)
     manifest["n_discarded"] = discarded
@@ -263,8 +265,9 @@ def run_closed_loop(scenario: Scenario, scheme: str, model=None,
     with `select_policy` before solving, so the MPC is only solved when
     no collision is anticipated and, under `sg`, a confident pass
     prediction makes it eligible; under `bl` the prediction is None and
-    the MPC is solved unguided.  Safety control covers failed solves.  An
-    emergency brake, once selected, stays latched until the vehicle stops.
+    the MPC is solved unguided; both read the step's one horizon window.
+    Safety control covers failed solves.  An emergency brake, once
+    selected, stays latched until the vehicle stops.
     A run that reaches `max_steps` audits the state its last input reached
     as well, so a final-state hit is a collision.
     """
@@ -272,15 +275,14 @@ def run_closed_loop(scenario: Scenario, scheme: str, model=None,
         raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
     if scheme == "sg" and model is None:
         raise ValueError("the sg scheme needs a trained strategy model")
-    ctrl = ctrl_config or ControllerConfig(guided=(scheme == "sg"))
+    ctrl = ctrl_config or ControllerConfig()
     if abs(ctrl.dt - scenario.dt) > 1e-12:
         raise ValueError("controller and scenario time steps differ")
     v_ref = scenario.v_ref
     p = ctrl.params
     n_h = ctrl.horizon
-    n_env = max_steps + n_h + 1
-    env = scenario.environment(n_env, p)
-    tv_pad = scenario.tv_padded(n_env)
+    env = scenario.environment(p)
+    tv_pad = scenario.tv_padded(max_steps + n_h + 1)
     controller = ObcaController(ctrl)
     lot = scenario.lot
 
@@ -316,10 +318,11 @@ def run_closed_loop(scenario: Scenario, scheme: str, model=None,
         if latched:
             policy, reason = PolicyKind.EMERGENCY_BRAKE, "latched"
         else:
+            window = env.window(k, n_h + 1)
             danger = anticipate_collision(z, tv_pad[k : k + n_h + 1], ref, ctrl, v_ref)
             pred = None
             if scheme == "sg":
-                pred = forward(model, encode_features(z, env.window(k, n_h + 1)))
+                pred = forward(model, encode_features(z, window))
                 scores = pred.scores
             # Screen first with an assumed-optimal solve: when the danger
             # check or the prediction alone rules the MPC out, skip the solve.
@@ -327,8 +330,7 @@ def run_closed_loop(scenario: Scenario, scheme: str, model=None,
             if policy == PolicyKind.SG_OBCA:
                 if pred is not None:
                     strategy = int(pred.label)
-                sol = controller.solve_step(z, u_prev, ref, env.window(k, n_h + 1),
-                                            strategy=strategy, step=k)
+                sol = controller.solve_step(z, u_prev, ref, window, strategy=strategy, step=k)
                 sg_status = sol.status
                 policy, reason = select_policy(pred, sol.status, danger)
             elif pred is not None:
@@ -388,8 +390,9 @@ def run_benchmark(scenarios, model, ctrl_config: ControllerConfig | None = None,
                   progress=None) -> BenchmarkResult:
     """Run every scenario under every scheme and summarize the pairing.
 
-    The guided scheme gets the model; the baseline gets the same controller
-    configuration with the strategy rows disabled.  The summary carries
+    Both schemes run on the caller's controller configuration; only the
+    guided scheme gets the model, so only it passes a strategy to the MPC
+    and adds strategy rows.  The summary carries
     per-scheme completion statistics plus median iterations over the
     scenarios that every scheme completed, which is the fair speed
     comparison (failures have no completion time).
@@ -399,9 +402,8 @@ def run_benchmark(scenarios, model, ctrl_config: ControllerConfig | None = None,
     per_scheme = {scheme: [] for scheme in schemes}
     for sc in scenarios:
         for scheme in schemes:
-            cfg = None if ctrl_config is None else replace(ctrl_config, guided=(scheme == "sg"))
             res = run_closed_loop(sc, scheme, model if scheme == "sg" else None,
-                                  cfg, max_steps)
+                                  ctrl_config, max_steps)
             row = {
                 "scenario": sc.name,
                 "seed": sc.seed,

@@ -33,6 +33,15 @@
   before it, must return the same cap.
 - `inverse_dynamics_residual` fits a bounded input to every state pair of a
   trajectory; synthesized target-vehicle maneuvers must score near zero.
+- `padded_environment_steps` builds one body polytope per `tv_padded` step
+  of a run plus the walls, `window_steps` pads a slice of those with the
+  last step, `stacked_faces` stacks each polytope's faces, and
+  `encode_features_per_polytope` flattens the obstacles one by one;
+  `Scenario.environment`, whose encoding holds the last TV pose by clamping
+  and slices each window from one face stack, must give the same bits.
+- `clearance_twice` audits each obstacle with the separating-axis test and
+  then `min_translation_distance`, which runs the test again;
+  `simulate._clearance` must return the same (hit, distance).
 """
 
 import math
@@ -47,6 +56,9 @@ from tightnav.geometry import (
     GeometryError,
     Halfspace,
     Polytope,
+    body_polytope,
+    min_translation_distance,
+    polytopes_intersect,
     strategy_halfspace,
 )
 from tightnav.obca import StrategyLabel
@@ -364,3 +376,45 @@ def inverse_dynamics_residual(traj: np.ndarray, dt: float = DT,
                             bounds=([-p.delta_max, -p.a_max], [p.delta_max, p.a_max]))
         worst = max(worst, float(np.max(np.abs(fit.fun))))
     return worst
+
+
+def padded_environment_steps(scenario, n_steps: int, params: VehicleParams | None = None):
+    """Obstacles of n_steps steps: the TV body at each `tv_padded` pose, then
+    the two walls."""
+    p = params or VehicleParams()
+    top, bottom = scenario.lot.walls()
+    tv = scenario.tv_padded(n_steps)
+    return [[body_polytope(tv[t], p.length, p.width), top, bottom] for t in range(n_steps)]
+
+
+def window_steps(steps, start: int, count: int):
+    """count steps starting at `start`, padded with the last step."""
+    return [steps[min(t, len(steps) - 1)] for t in range(start, start + count)]
+
+
+def stacked_faces(steps):
+    """Every obstacle's (A, b), stacked to shapes (T, M, 4, 2) and (T, M, 4)."""
+    return (np.array([[poly.A for poly in obs] for obs in steps]),
+            np.array([[poly.b for poly in obs] for obs in steps]))
+
+
+def encode_features_per_polytope(z, steps) -> np.ndarray:
+    """The state, then each step's obstacles' face normals and offsets."""
+    parts = [np.asarray(z, float).ravel()]
+    for obs in steps:
+        for poly in obs:
+            parts.append(poly.A.ravel())
+            parts.append(poly.b)
+    return np.concatenate(parts)
+
+
+def clearance_twice(z, obstacles, params: VehicleParams):
+    """(intersects, distance) with two separating-axis tests per obstacle."""
+    body = body_polytope(z, params.length, params.width)
+    hit = False
+    dist = math.inf
+    for obs in obstacles:
+        if polytopes_intersect(body, obs):
+            hit = True
+        dist = min(dist, min_translation_distance(body, obs))
+    return hit, dist

@@ -283,17 +283,27 @@ def test_environment_encoding_validation():
     with pytest.raises(ValueError):
         EnvironmentEncoding([[tri]])
     with pytest.raises(ValueError):
+        EnvironmentEncoding([[tv, tri], [tv, tv]])
+    with pytest.raises(ValueError):
         EnvironmentEncoding([])
+    with pytest.raises(ValueError):
+        EnvironmentEncoding([[]])
 
 
 def test_environment_window_pads_with_last_step():
     boxes = [Polytope.from_box((float(t), 0.0), 0.3, 0.2) for t in range(3)]
     env = EnvironmentEncoding([[b] for b in boxes])
+    assert env.tv(7) is boxes[2] and env.obstacles(600) == [boxes[2]]
     win = env.window(1, 4)
     assert win.n_steps == 4
     assert win.tv(0) is boxes[1]
     assert win.tv(1) is boxes[2]
     assert win.tv(3) is boxes[2]
+    assert win.tv(9) is boxes[2]
+    # The window's faces are rows 1, 2, 2, 2 of the parent's stack.
+    for got, stack in zip(win.faces, env.faces):
+        assert np.array_equal(got, stack[[1, 2, 2, 2]])
+    assert env.window(5, 2).obstacles(0) == [boxes[2]]
 
 
 # --- horizon solves ---------------------------------------------------------
@@ -307,7 +317,7 @@ def blocking_scene():
     tv = Polytope.from_box((1.1, 0.0), 0.28, 0.11)
     env = static_env(tv, 21)
     z0 = np.array([0.0, 0.0, 0.0, 0.6])
-    cfg = ControllerConfig(guided=False)
+    cfg = ControllerConfig()
     ref = straight_ref(z0, cfg.horizon, cfg.dt, cfg.params)
     return tv, env, z0, ref
 
@@ -315,7 +325,7 @@ def blocking_scene():
 def test_solve_step_far_obstacles_track_reference():
     far = Polytope.from_box((100.0, 100.0), 0.3, 0.2)
     env = static_env(far, 21, with_walls=False)
-    cfg = ControllerConfig(guided=False)
+    cfg = ControllerConfig()
     z0 = np.array([0.0, 0.0, 0.0, 0.6])
     ref = straight_ref(z0, cfg.horizon, cfg.dt, cfg.params)
     sol = ObcaController(cfg).solve_step(z0, np.zeros(2), ref, env)
@@ -327,7 +337,7 @@ def test_solve_step_far_obstacles_track_reference():
 
 def test_solve_step_avoids_blocking_obstacle():
     tv, env, z0, ref = blocking_scene()
-    cfg = ControllerConfig(guided=False)
+    cfg = ControllerConfig()
     sol = ObcaController(cfg).solve_step(z0, np.zeros(2), ref, env)
     assert sol.ok
     assert sol.stats["engaged"] > 0
@@ -340,7 +350,7 @@ def test_solve_step_avoids_blocking_obstacle():
 
 def test_solve_step_evaluates_each_point_once(monkeypatch):
     tv, env, z0, ref = blocking_scene()
-    cfg = ControllerConfig(guided=False)
+    cfg = ControllerConfig()
     points = []
     eq = _StepNlp.eq
 
@@ -360,7 +370,7 @@ def test_solve_step_evaluates_each_point_once(monkeypatch):
 
 def test_solve_step_strategy_rows_enforced():
     tv, env, z0, ref = blocking_scene()
-    cfg = ControllerConfig(guided=True)
+    cfg = ControllerConfig()
     ctrl = ObcaController(cfg)
     sol = ctrl.solve_step(z0, np.zeros(2), ref, env, strategy=StrategyLabel.PASS_LEFT)
     assert sol.ok
@@ -374,9 +384,9 @@ def test_solve_step_strategy_rows_enforced():
 
 def test_solve_step_pass_sides_differ():
     tv, env, z0, ref = blocking_scene()
-    left = ObcaController(ControllerConfig(guided=True)).solve_step(
+    left = ObcaController(ControllerConfig()).solve_step(
         z0, np.zeros(2), ref, env, strategy=StrategyLabel.PASS_LEFT)
-    right = ObcaController(ControllerConfig(guided=True)).solve_step(
+    right = ObcaController(ControllerConfig()).solve_step(
         z0, np.zeros(2), ref, env, strategy=StrategyLabel.PASS_RIGHT)
     assert left.ok and right.ok
     t_close = int(np.argmin(np.abs(left.zs[:, 0] - 1.1)))
@@ -385,9 +395,9 @@ def test_solve_step_pass_sides_differ():
 
 def test_baseline_cost_no_higher_than_guided():
     tv, env, z0, ref = blocking_scene()
-    bl = ObcaController(ControllerConfig(guided=False)).solve_step(
+    bl = ObcaController(ControllerConfig()).solve_step(
         z0, np.zeros(2), ref, env)
-    sg = ObcaController(ControllerConfig(guided=True)).solve_step(
+    sg = ObcaController(ControllerConfig()).solve_step(
         z0, np.zeros(2), ref, env, strategy=StrategyLabel.PASS_LEFT)
     assert bl.ok and sg.ok
     assert bl.stats["cost"] <= sg.stats["cost"] + 1e-6
@@ -395,7 +405,7 @@ def test_baseline_cost_no_higher_than_guided():
 
 def test_unreachable_strategy_detected_without_solving():
     env = canonical_env(21)
-    cfg = ControllerConfig(guided=True)
+    cfg = ControllerConfig()
     z0 = np.array([0.0, -3.0, 0.0, 0.0])
     ref = np.array([[0.0, 0.0, 0.0, 0.0]] * (cfg.horizon + 1))
     sol = ObcaController(cfg).solve_step(z0, np.zeros(2), ref, env,
@@ -408,7 +418,7 @@ def test_unreachable_strategy_detected_without_solving():
 def test_solve_step_deterministic():
     tv, env, z0, ref = blocking_scene()
     sols = [
-        ObcaController(ControllerConfig(guided=False)).solve_step(
+        ObcaController(ControllerConfig()).solve_step(
             z0, np.zeros(2), ref, env)
         for _ in range(2)
     ]
@@ -419,7 +429,7 @@ def test_solve_step_deterministic():
 
 def test_shifted_warm_start_consistency():
     tv, env, z0, ref_unused = blocking_scene()
-    cfg = ControllerConfig(guided=False)
+    cfg = ControllerConfig()
     n = cfg.horizon
     global_ref = straight_ref(z0, n + 2, cfg.dt, cfg.params)
     ctrl = ObcaController(cfg)
@@ -441,7 +451,7 @@ def test_shifted_warm_start_consistency():
 def test_closed_loop_audit_min_distance():
     tv = Polytope.from_box((1.1, 0.26), 0.28, 0.11)
     env = static_env(tv, 30)
-    cfg = ControllerConfig(guided=False)
+    cfg = ControllerConfig()
     z = np.array([0.0, 0.0, 0.0, 0.6])
     u_prev = np.zeros(2)
     global_ref = straight_ref(np.array([0.0, 0.0, 0.0, 0.6]), 50, cfg.dt, cfg.params)
@@ -477,7 +487,7 @@ def central_diff(fun, x):
 def fd_nlp():
     """(nlp, x): horizon 3, every stage's pairs with two rotated boxes
     engaged, one strategy row, and a point with nonzero headings and duals."""
-    cfg = ControllerConfig(guided=True, horizon=3)
+    cfg = ControllerConfig(horizon=3)
     boxes = [Polytope.from_box((0.9, 0.3), 0.2, 0.1, 0.4),
              Polytope.from_box((1.2, -0.35), 0.25, 0.12, -0.7)]
     env = EnvironmentEncoding([boxes] * 4)
@@ -544,7 +554,7 @@ def test_step_nlp_hessian_blocks_cover_lagrangian_sparsity():
     """Two pairs at stage 2, none at stage 3, strategy rows at stages 1 and 3:
     at random iterates and multipliers every nonzero of the Lagrangian
     Hessian joins two variables with the same label."""
-    cfg = ControllerConfig(guided=True, horizon=4)
+    cfg = ControllerConfig(horizon=4)
     boxes = [Polytope.from_box((0.9, 0.3), 0.2, 0.1, 0.4),
              Polytope.from_box((1.2, -0.35), 0.25, 0.12, -0.7)]
     env = EnvironmentEncoding([boxes] * 5)
@@ -574,7 +584,7 @@ def test_step_nlp_hessian_blocks_cover_lagrangian_sparsity():
 
 def test_solve_step_declares_hessian_blocks_and_matches_undeclared(monkeypatch):
     tv, env, z0, ref = blocking_scene()
-    cfg = ControllerConfig(guided=False)
+    cfg = ControllerConfig()
     solve_nlp = tightnav.obca.solve_nlp
     declared = []
 
@@ -651,7 +661,7 @@ def reference_row_keys(nlp):
 
 def step_nlp(horizon, n_obstacles, pairs, strat_stages):
     """A horizon NLP over a static scene; only its index bookkeeping is used."""
-    cfg = ControllerConfig(guided=True, horizon=horizon)
+    cfg = ControllerConfig(horizon=horizon)
     boxes = [Polytope.from_box((1.0 + m, 0.0), 0.2, 0.1) for m in range(n_obstacles)]
     env = EnvironmentEncoding([boxes] * (horizon + 1))
     z0 = np.array([0.0, 0.0, 0.0, 0.5])
@@ -751,7 +761,7 @@ def offset_scene():
     tv = Polytope.from_box((1.1, 0.26), 0.28, 0.11)
     env = static_env(tv, 21)
     z0 = np.array([0.0, 0.0, 0.0, 0.6])
-    cfg = ControllerConfig(guided=False)
+    cfg = ControllerConfig()
     return tv, env, z0, straight_ref(z0, cfg.horizon, cfg.dt, cfg.params)
 
 
@@ -798,7 +808,7 @@ def test_next_step_starts_from_shifted_working_set(monkeypatch):
     calls = record_nlp_calls(monkeypatch)
     qp_hints = record_qp_hints(monkeypatch)
     starts = []
-    sols = consecutive_steps(ObcaController(ControllerConfig(guided=False)),
+    sols = consecutive_steps(ObcaController(ControllerConfig()),
                              before=lambda i: starts.append((len(calls), len(qp_hints))))
     nlp1, _, last1 = calls[starts[1][0] - 1]
     nlp2, hint2, _ = calls[starts[1][0]]
@@ -822,7 +832,7 @@ def test_next_step_starts_from_shifted_working_set(monkeypatch):
     # The hint changes the work, not the answer.
     monkeypatch.undo()
     record_nlp_calls(monkeypatch, clear_hints=True)
-    cold = consecutive_steps(ObcaController(ControllerConfig(guided=False)))
+    cold = consecutive_steps(ObcaController(ControllerConfig()))
     np.testing.assert_allclose(sols[1].zs, cold[1].zs, rtol=0.0, atol=1e-6)
     np.testing.assert_allclose(sols[1].us, cold[1].us, rtol=0.0, atol=1e-6)
 
@@ -830,7 +840,7 @@ def test_next_step_starts_from_shifted_working_set(monkeypatch):
 @pytest.mark.parametrize("interrupt", ["reset", "gap"])
 def test_reset_or_step_gap_starts_cold(monkeypatch, interrupt):
     calls = record_nlp_calls(monkeypatch)
-    ctrl = ObcaController(ControllerConfig(guided=False))
+    ctrl = ObcaController(ControllerConfig())
     starts = []
 
     def before(i):
@@ -848,7 +858,7 @@ def test_braking_restart_reuses_previous_round_working_set(monkeypatch):
     # braking guess in a second round.
     calls = record_nlp_calls(monkeypatch, fail_call=0)
     starts = []
-    sols = consecutive_steps(ObcaController(ControllerConfig(guided=False)), offset_scene,
+    sols = consecutive_steps(ObcaController(ControllerConfig()), offset_scene,
                              before=lambda i: starts.append(len(calls)))
     assert starts == [0, 2] and sols[0].stats["rounds"] == 2
     (nlp_a, _, failed), (nlp_b, hint_b, final), (nlp_c, hint_c, _) = calls[:3]

@@ -4,6 +4,7 @@ of the import cost and of the benchmark tracer's targets."""
 import ast
 import importlib
 import importlib.util
+import inspect
 import json
 import os
 import subprocess
@@ -98,13 +99,27 @@ def test_import_loads_no_scipy_subpackage_but_linalg():
     assert json.loads(out.stdout) == ["linalg"]
 
 
+def used_beyond_import(module, name: str) -> bool:
+    """Whether the module's source reads `name` anywhere but its import."""
+    tree = ast.parse(Path(module.__file__).read_text())
+    return any(isinstance(node, ast.Name) and node.id == name and isinstance(node.ctx, ast.Load)
+               for node in ast.walk(tree))
+
+
 def test_every_trace_target_is_an_attribute_of_its_owner():
     """perfbench's tracer wraps each (owner, attribute) of `spans.TARGETS`;
     a renamed or deleted function would otherwise surface only as a KeyError
-    in a traced run."""
+    in a traced run.  A module-owned target must be defined in that module,
+    or imported there and called beyond the import: one kept only so the
+    tracer finds it would be wrapped but never called, and its layer's
+    counts would read zero."""
     spec = importlib.util.spec_from_file_location("spans", ROOT / "perfbench" / "spans.py")
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
     missing = [(getattr(owner, "__name__", owner), attr) for _, owner, attr, _ in spans.TARGETS
                if attr not in vars(owner)]
     assert not missing, f"trace targets not found: {missing}"
+    idle = [(owner.__name__, attr) for _, owner, attr, _ in spans.TARGETS
+            if inspect.ismodule(owner) and vars(owner)[attr].__module__ != owner.__name__
+            and not used_beyond_import(owner, attr)]
+    assert not idle, f"trace targets imported but never used by their owner: {idle}"

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from tightnav.dynamics import VehicleParams
+from tightnav.predictor import encode_features
 from tightnav.scenario import (
     DEFAULT_LOT,
     DT,
@@ -21,7 +22,13 @@ from tightnav.scenario import (
     synth_tv_maneuver,
 )
 
-from oracles import inverse_dynamics_residual
+from oracles import (
+    encode_features_per_polytope,
+    inverse_dynamics_residual,
+    padded_environment_steps,
+    stacked_faces,
+    window_steps,
+)
 
 
 def inside(poly, p, tol=1e-9):
@@ -129,15 +136,43 @@ def test_random_scenario_deterministic():
 
 def test_environment_layout_and_padding():
     sc = parked_tv_scenario()
-    env = sc.environment(40)
-    assert env.n_steps == 40
+    env = sc.environment()
+    # One step per TV pose; later steps hold the last one.
+    assert env.n_steps == len(sc.tv_traj) == 2
     assert env.n_obstacles == 3
-    p = VehicleParams()
-    # Index 0 is the TV body at the parked pose; later steps repeat it.
     assert inside(env.tv(0), sc.tv_traj[-1, :2])
-    assert np.allclose(env.tv(39).b, env.tv(0).b)
+    assert env.tv(39) is env.tv(1)
     w = env.window(35, 10)
     assert w.n_steps == 10
+    assert all(w.obstacles(t) is env.obstacles(1) for t in range(10))
+
+
+@pytest.mark.parametrize("make", [reverse_park_case, parked_tv_scenario])
+def test_environment_windows_match_the_padded_build(make):
+    """Every window of the pose timeline equals the same window of the
+    environment padded to a 600-step run, bit for bit."""
+    sc = make()
+    p = VehicleParams()
+    horizon = 20
+    n_tv = len(sc.tv_traj)
+    padded = padded_environment_steps(sc, 600 + horizon + 1, p)
+    env = sc.environment(p)
+    z = np.array([0.1, -0.05, 0.2, 0.5])
+    for k in sorted({0, n_tv // 2, n_tv - 1, n_tv + 5, 600}):
+        want = window_steps(padded, k, horizon + 1)
+        win = env.window(k, horizon + 1)
+        assert win.n_steps == horizon + 1
+        for got, ref in zip(win.faces, stacked_faces(want)):
+            assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+        for t in range(horizon + 1):
+            for got, ref in zip(win.obstacles(t), want[t]):
+                for attr in ("A", "b", "vertices"):
+                    assert getattr(got, attr).tobytes() == getattr(ref, attr).tobytes()
+        for got, ref in zip(env.obstacles(k), padded[k]):
+            assert got.A.tobytes() == ref.A.tobytes() and got.b.tobytes() == ref.b.tobytes()
+            assert got.vertices.tobytes() == ref.vertices.tobytes()
+        assert (encode_features(z, win).tobytes()
+                == encode_features_per_polytope(z, want).tobytes())
 
 
 def test_lane_reference_tracks_centerline():

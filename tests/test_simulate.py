@@ -40,10 +40,12 @@ from tightnav.simulate import (
 )
 from tightnav.supervisor import PolicyKind, emergency_brake
 
+from oracles import clearance_twice
+
 MAX_STEPS = 30
 STRATEGY_MODEL = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "fixtures",
                               "strategy_model.json")
-CTRL = ControllerConfig(guided=False, horizon=8)
+CTRL = ControllerConfig(horizon=8)
 
 
 def overtake():
@@ -197,11 +199,34 @@ def test_timed_out_run_audits_the_final_state():
     assert res.outcome == OUTCOME_TIMEOUT and len(res.logs) == MAX_STEPS
     last = res.logs[-1]
     z_end = step_rk4(last.z, last.u, CTRL.dt, CTRL.params)
-    env = forward_park_case().environment(MAX_STEPS + 1, CTRL.params)
+    env = forward_park_case().environment(CTRL.params)
     _, d_end = _clearance(z_end, env.obstacles(MAX_STEPS), CTRL.params)
     # The last input brings the EV closer than any state it started a step in.
     assert d_end < min(log.min_distance for log in res.logs)
     assert res.min_distance == d_end
+
+
+def test_clearance_matches_two_tests_per_obstacle():
+    """One separating-axis test per obstacle gives the audit of the double
+    call, bit for bit, on separated, touching and overlapping poses."""
+    p = CTRL.params
+    obstacles = forward_park_case().environment(p).obstacles(0)
+    tv = obstacles[0].vertices
+    rng = np.random.default_rng(7)
+    poses = [np.array([*rng.uniform([-1.6, -0.5], [3.4, 0.5]), rng.uniform(-math.pi, math.pi),
+                       0.0]) for _ in range(300)]
+    # An EV box a micron off the TV, flush against the TV's and the walls'
+    # faces, and one overlapping.
+    poses += [np.array([tv[:, 0].min() - 0.5 * p.length - 1e-6, tv[:, 1].mean(), 0.0, 0.0]),
+              np.array([tv[:, 0].min() - 0.5 * p.length, tv[:, 1].mean(), 0.0, 0.0]),
+              np.array([0.0, obstacles[1].vertices[:, 1].min() - 0.5 * p.width, 0.0, 0.0]),
+              np.array([*tv.mean(axis=0), 0.3, 0.0])]
+    hits = 0
+    for z in poses:
+        got = _clearance(z, obstacles, p)
+        assert got == clearance_twice(z, obstacles, p)
+        hits += got[0]
+    assert 0 < hits < len(poses)
 
 
 def test_final_state_hit_is_a_collision():
@@ -220,7 +245,7 @@ def test_final_state_hit_is_a_collision():
 
 def constant_model(scenario, ctrl, logits):
     """Strategy model whose prediction is softmax(logits) on every input."""
-    env = scenario.environment(ctrl.horizon + 1, ctrl.params)
+    env = scenario.environment(ctrl.params).window(0, ctrl.horizon + 1)
     d_in = len(encode_features(scenario.ev_init, env))
     n_out = len(logits)
     return MlpModel(w1=np.zeros((N_HIDDEN, d_in)), b1=np.zeros(N_HIDDEN),
@@ -235,7 +260,7 @@ def constant_model(scenario, ctrl, logits):
 ])
 def test_sg_policy_and_reason_follow_prediction(logits, reasons):
     sc = parked_tv_scenario()
-    ctrl = ControllerConfig(guided=True, horizon=8)
+    ctrl = ControllerConfig(horizon=8)
     res = run_closed_loop(sc, "sg", constant_model(sc, ctrl, logits), ctrl_config=ctrl,
                           max_steps=MAX_STEPS)
     assert_safe_and_actuatable(res, ctrl)
@@ -252,7 +277,7 @@ def test_safety_control_tracks_the_scenario_reference_speed():
     # parked beside the lane it must settle on the scenario's v_ref, not
     # on a speed of its own.
     sc = dataclasses.replace(parked_tv_scenario(), v_ref=0.3)
-    ctrl = ControllerConfig(guided=True, horizon=8)
+    ctrl = ControllerConfig(horizon=8)
     res = run_closed_loop(sc, "sg", constant_model(sc, ctrl, [0.0, 0.0, 5.0]),
                           ctrl_config=ctrl, max_steps=MAX_STEPS)
     assert {log.reason for log in res.logs} == {"yield_predicted"}
@@ -270,7 +295,7 @@ def test_collision_anticipation_uses_the_controller_clearance_floor(monkeypatch)
         return anticipate(z, tv, ref, config, *rest)
 
     monkeypatch.setattr(tightnav.simulate, "anticipate_collision", recording)
-    ctrl = ControllerConfig(guided=False, horizon=8, d_min=0.02)
+    ctrl = ControllerConfig(horizon=8, d_min=0.02)
     run_closed_loop(parked_tv_scenario(), "bl", ctrl_config=ctrl, max_steps=3)
     assert floors == [0.02] * 3
 
@@ -314,21 +339,26 @@ def test_benchmark_summary_of_timed_out_run(short_benchmark):
 
 def test_benchmark_runs_every_scheme_with_callers_config(monkeypatch):
     configs = []
+    strategies = []
 
     class Recording(tightnav.simulate.ObcaController):
         def __init__(self, config=None):
             super().__init__(config)
             configs.append(self.config)
+            strategies.append(set())
+
+        def solve_step(self, *args, strategy=None, **kwargs):
+            strategies[-1].add(strategy)
+            return super().solve_step(*args, strategy=strategy, **kwargs)
 
     monkeypatch.setattr(tightnav.simulate, "ObcaController", Recording)
     sc = parked_tv_scenario()
-    ctrl = ControllerConfig(guided=False, horizon=8, q_z=[2.0, 2.0, 2.0, 20.0], q_d=[30.0, 30.0])
+    ctrl = ControllerConfig(horizon=8, q_z=[2.0, 2.0, 2.0, 20.0], q_d=[30.0, 30.0])
     run_benchmark([sc], constant_model(sc, ctrl, [5.0, 0.0, 0.0]), ctrl, schemes=("sg", "bl"),
                   max_steps=2)
-    assert [cfg.guided for cfg in configs] == [True, False]
-    for cfg in configs:
-        assert cfg.horizon == 8
-        assert np.array_equal(cfg.q_z, ctrl.q_z) and np.array_equal(cfg.q_d, ctrl.q_d)
+    assert len(configs) == 2 and all(cfg is ctrl for cfg in configs)
+    # Only the guided scheme passes a strategy; the baseline solves unguided.
+    assert strategies == [{int(StrategyLabel.PASS_LEFT)}, {None}]
 
 
 def test_benchmark_csv_round_trip(short_benchmark, tmp_path):
