@@ -15,7 +15,7 @@ Two routines find the closest point of an edge to a vertex:
 - `_closest_on_edges`, batched in numpy over many points and polygons, for
   everything else: `box_distances` over many vehicle-box pairs,
   `point_polytope_distances` over a horizon's stages, and the candidates of
-  `strategy_halfspace`.
+  `strategy_halfspaces`.
 
 The pair routines stay scalar because at one pair of 4-vertex boxes each
 numpy call costs more than the arithmetic it does: run on the batched
@@ -23,14 +23,17 @@ routine with one row, traced per-call distance time rose from 60 to 200 ms
 per `interaction_bl` pass and from 41 to 149 ms per `guided_sg` pass, and
 the separating-axis test from 9.5 to 33 ms per `open_lane` pass.
 
+Beside them, one batched kernel finds where rays leave dilated polygons.
 The guided controller's pass-side hyperplanes come from critical regions,
 an obstacle dilated by the ego covering radius.  For every stage of a
 horizon at once, `point_polytope_distances` measures the point-to-polygon
-distance and `project_to_critical_boundary` bisects each pass-side ray to
-the region's boundary; `strategy_halfspace` then supports the obstacle at
-each boundary point.  A grid-sampling oracle, the equivalent distance QP,
-vertex enumeration by face intersection and the retired per-edge and
-per-ray routines exist only in the tests.
+distance, `project_to_critical_boundary` computes in closed form where each
+pass-side ray leaves its region (the largest crossing of the pushed-out
+edges and the vertex arcs), and `strategy_halfspaces` supports the
+obstacle at each exit point.  A grid-sampling oracle, the equivalent
+distance QP, vertex enumeration by face intersection, the bisection the
+exit replaced and the retired per-edge, per-ray and per-point routines
+exist only in the tests.
 """
 
 from __future__ import annotations
@@ -49,11 +52,7 @@ _ACTIVE_TOL = 1e-9
 _SAT_TOL = 1e-9
 # A point within this distance outside every face counts as inside.
 _INSIDE_TOL = 1e-9
-# Critical-boundary projection: the initial bracket beyond 4 radii (a lane
-# width at desk scale), the most times it doubles, and the bisection
-# stopping width.
-BRACKET_HINT = 0.9
-_MAX_DOUBLINGS = 40
+# Critical-boundary projection: how far outside its region a ray may start.
 PROJECTION_TOL = 1e-6
 
 
@@ -286,7 +285,7 @@ def _closest_on_edges(pts, ring):
     its squared distance: the arithmetic of `_closest_pair`, elementwise.  An
     edge of zero length gives its start.
     """
-    a = np.roll(ring, 1, axis=1)
+    a = np.concatenate([ring[:, -1:], ring[:, :-1]], axis=1)
     ax, ay = a[:, None, :, 0], a[:, None, :, 1]
     ex, ey = ring[:, None, :, 0] - ax, ring[:, None, :, 1] - ay
     vx, vy = pts[:, :, None, 0], pts[:, :, None, 1]
@@ -349,79 +348,111 @@ def point_polytope_distances(p, verts, A, b) -> np.ndarray:
     return np.where(inside, 0.0, np.sqrt(d2.min(axis=1)))
 
 
-def project_to_critical_boundary(p_ref, d, verts, A, b, radius: float):
-    """Where K rays leave their critical regions: (points (K, 2), ok (K,)).
+def project_to_critical_boundary(p_ref, d, verts, A, b, radius: float) -> np.ndarray:
+    """Where K rays leave their critical regions, (K, 2).
 
-    Row k finds the smallest t >= 0 with dist(p_ref[k] + t d[k], poly_k) =
-    radius by bisection on the sign of g(t) = dist - radius; d (K, 2) holds
-    unit directions.  The bracket's upper end starts at 4 radius +
-    BRACKET_HINT (a lane width at desk scale) and doubles, at most 40 times,
-    until g > 0 there; a row still inside after that gets ok False and a NaN
-    point, and the other rows are unaffected.  Bisection keeps the half with
-    g(t_lo) <= 0 and stops, row by row, once the bracket is no wider than
-    PROJECTION_TOL or its midpoint rounds to one of its ends (a crossing
-    beyond about 4e9, where one ulp of t exceeds PROJECTION_TOL); the point
-    returned is at the bracket's midpoint.  A row runs exactly the steps it
-    would run alone.  Raises GeometryError when a reference point lies
-    outside its region.
+    Row k's critical region is polygon k dilated by `radius`; d (K, 2) holds
+    unit directions.  The region is convex, and its boundary is each edge
+    pushed out by `radius` along its outward normal plus an arc of that
+    radius about each vertex.  A ray from a point inside crosses every piece
+    it meets at or before its exit, and the exit lies on one of them, so the
+    exit is the largest crossing: of each pushed-out edge the ray leaves
+    through (d against the edge's outward normal positive, the crossing
+    within the edge's span) and of each vertex circle the ray meets (its far
+    root).  The row's point is at that t, clamped at t >= 0.  A ray parallel
+    to an edge has no crossing of it and leaves through the arc at its end.
+    One numpy pass covers K rows x V edges.  Raises GeometryError when a
+    reference point lies more than PROJECTION_TOL outside its region.
     """
     p_ref, d = np.asarray(p_ref, float), np.asarray(d, float)
     if radius <= 0:
         raise GeometryError("critical region radius must be positive")
-
-    def g(t):
-        return point_polytope_distances(p_ref + t[:, None] * d, verts, A, b) - radius
-
-    t_lo = np.zeros(len(p_ref))
-    if np.any(g(t_lo) > PROJECTION_TOL):
+    if np.any(point_polytope_distances(p_ref, verts, A, b) - radius > PROJECTION_TOL):
         raise GeometryError("reference point is outside the critical region")
-    t_hi = np.full(len(p_ref), 4.0 * radius + BRACKET_HINT)
-    short = g(t_hi) <= 0.0
-    for _ in range(_MAX_DOUBLINGS):
-        if not short.any():
-            break
-        t_hi = np.where(short, 2.0 * t_hi, t_hi)
-        short &= g(t_hi) <= 0.0
-    ok = ~short
-    active = ok & (t_hi - t_lo > PROJECTION_TOL)
-    while active.any():
-        mid = 0.5 * (t_lo + t_hi)
-        active &= (t_lo < mid) & (mid < t_hi)
-        below = g(mid) <= 0.0
-        t_lo = np.where(active & below, mid, t_lo)
-        t_hi = np.where(active & ~below, mid, t_hi)
-        active &= t_hi - t_lo > PROJECTION_TOL
-    points = p_ref + (0.5 * (t_lo + t_hi))[:, None] * d
-    points[~ok] = np.nan
-    return points, ok
+    px, py = p_ref[:, None, 0], p_ref[:, None, 1]
+    dx, dy = d[:, None, 0], d[:, None, 1]
+    # Vertex circles: w = p - v, t^2 + 2 (d.w) t + |w|^2 - r^2 = 0.  The
+    # discriminant is r^2 minus the squared distance of v from the ray's
+    # line, which the cross product gives without cancellation.
+    wx, wy = px - verts[..., 0], py - verts[..., 1]
+    beta = dx * wx + dy * wy
+    cross = dx * wy - dy * wx
+    disc = radius * radius - cross * cross
+    t_arc = np.where(disc >= 0.0, np.sqrt(np.maximum(disc, 0.0)) - beta, -np.inf)
+    # Edges v_e -> v_(e+1) of a counterclockwise polygon have outward normal
+    # (ey, -ex), of the edge's length L: the pushed-out edge is where
+    # (x - v_e).n = r L, and the crossing lies in the edge's span when
+    # 0 <= (x - v_e).e <= L^2.
+    e = np.concatenate([verts[:, 1:], verts[:, :1]], axis=1) - verts
+    ex, ey = e[..., 0], e[..., 1]
+    dn = dx * ey - dy * ex
+    # No point of the region is farther from p than its farthest vertex
+    # plus r, so neither is a crossing; testing |num / dn| against twice
+    # that before dividing keeps a ray all but parallel to an edge from
+    # overflowing t.
+    reach = np.hypot(wx, wy).max(axis=1, keepdims=True) + radius
+    num = radius * np.hypot(ex, ey) - (wx * ey - wy * ex)
+    leaving = (dn > 0.0) & (np.abs(num) <= 2.0 * reach * dn)
+    t_edge = num / np.where(leaving, dn, 1.0)
+    along = (wx + t_edge * dx) * ex + (wy + t_edge * dy) * ey
+    leaving &= (along >= 0.0) & (along <= ex * ex + ey * ey)
+    t_edge = np.where(leaving, t_edge, -np.inf)
+    t = np.maximum(np.maximum(t_arc.max(axis=1), t_edge.max(axis=1)), 0.0)
+    return p_ref + t[:, None] * d
 
 
-def strategy_halfspace(q_boundary, base: Polytope) -> Halfspace:
-    """Supporting hyperplane of the base polytope at a boundary point.
+def _norms(v) -> np.ndarray:
+    """Euclidean norms of the rows of v (K, 2), rounded as `np.linalg.norm`
+    rounds one row."""
+    return np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
 
-    The outward normal is (q - closest base point) / distance; when q is
-    equidistant (within 1e-9) from several edges the distinct candidate
-    normals are averaged and renormalized.  The offset is the base support
-    value, so every base vertex satisfies w . v <= offset and the constraint
-    w . p >= offset keeps the ego vehicle on the far side.  Raises
-    GeometryError when q lies inside the base or within 1e-9 of it.
+
+def strategy_halfspaces(qs, verts, A, b) -> list:
+    """Supporting halfspaces of K polygons at K boundary points.
+
+    Row k's outward normal is (q - closest polygon point) / distance; when
+    q is equidistant (within 1e-9) from several edges the distinct candidate
+    normals (taken in edge order v_i -> v_(i+1) from v_0, each kept unless
+    within 1e-9 of one kept before it) are averaged and renormalized.  The
+    offset is the polygon's support value, so every vertex satisfies
+    w . v <= offset and the constraint w . p >= offset keeps the ego vehicle
+    on the far side.  Entry k is that `Halfspace`, or the GeometryError for
+    a point inside the polygon or within 1e-9 of it, or for a degenerate
+    averaged normal.  Norms and dot products run as stacked matmuls, which
+    round as the 1-D `np.linalg.norm` and `@` do, so each row has the bits
+    of its own per-point computation.
     """
-    q = np.asarray(q_boundary, dtype=float)
-    # Edges in the order v_i -> v_(i+1) from v_0, which decides which of two
-    # near-equal normals is kept.
-    cx, cy, d2 = _closest_on_edges(q[None, None], np.roll(base.vertices, -1, axis=0)[None])
-    dists = np.sqrt(d2[0, 0])
-    dist = dists.min()
-    if base.contains(q) or dist < 1e-9:
-        raise GeometryError("boundary point lies inside the base polytope")
-    normals = []
-    for i in np.flatnonzero(dists <= dist + 1e-9):
-        nrm = (q - (cx[0, 0, i], cy[0, 0, i])) / dists[i]
-        if not any(np.linalg.norm(nrm - s) < 1e-9 for s in normals):
-            normals.append(nrm)
-    w = np.mean(normals, axis=0)
-    wn = np.linalg.norm(w)
-    if wn < 1e-12:
-        raise GeometryError("degenerate averaged normal")
-    w = w / wn
-    return Halfspace(w, base.support(w))
+    qs = np.asarray(qs, float)
+    # Edges v_i -> v_(i+1) from v_0: the ring starts at v_1.
+    ring = np.concatenate([verts[:, 1:], verts[:, :1]], axis=1)
+    cx, cy, d2 = _closest_on_edges(qs[:, None], ring)
+    dists = np.sqrt(d2[:, 0])
+    dist = dists.min(axis=1)
+    inside = np.all((A @ qs[:, :, None])[..., 0] - b <= _INSIDE_TOL, axis=1) | (dist < 1e-9)
+    normals = np.stack([qs[:, None, 0] - cx[:, 0], qs[:, None, 1] - cy[:, 0]], axis=2)
+    # A zero distance marks an inside row, which gets no halfspace.
+    normals /= np.where(dists > 0.0, dists, 1.0)[..., None]
+    n_edges = normals.shape[1]
+    gaps = (normals[:, :, None] - normals[:, None, :]).reshape(-1, 2)
+    close = (_norms(gaps) < 1e-9).reshape(-1, n_edges, n_edges)
+    keep = dists <= dist[:, None] + 1e-9
+    total = normals[:, 0].copy()
+    for j in range(1, n_edges):
+        keep[:, j] &= ~np.any(keep[:, :j] & close[:, j, :j], axis=1)
+        # The first kept normal starts the sum, as np.mean's does.
+        started = keep[:, :j].any(axis=1)[:, None]
+        total = np.where(keep[:, j, None], np.where(started, total + normals[:, j],
+                                                    normals[:, j]), total)
+    w = total / np.count_nonzero(keep, axis=1)[:, None]
+    wn = _norms(w)
+    w = w / np.where(inside | (wn < 1e-12), 1.0, wn)[:, None]
+    support = (verts @ w[:, :, None])[..., 0].max(axis=1)
+    out = []
+    for k in range(len(qs)):
+        if inside[k]:
+            out.append(GeometryError("boundary point lies inside the base polytope"))
+        elif wn[k] < 1e-12:
+            out.append(GeometryError("degenerate averaged normal"))
+        else:
+            out.append(Halfspace(w[k], support[k]))
+    return out

@@ -40,7 +40,7 @@ from .geometry import (
     distance_witness,
     point_polytope_distances,
     project_to_critical_boundary,
-    strategy_halfspace,
+    strategy_halfspaces,
 )
 from .nlp import NlpProblem, solve_nlp
 from .qp import bound_rows
@@ -92,21 +92,30 @@ class EnvironmentEncoding:
     two lane boundaries) and every polytope has exactly 4 faces so the dual
     blocks stay rectangular.  Past its last step the timeline holds that
     step: `obstacles`, `tv` and `window` clamp t, the encoding's only padding.
-    `faces`, every obstacle's (A, b) stacked to shapes (T, M, 4, 2) and
-    (T, M, 4), is built once; a window indexes its parent's stack.
+    Every obstacle's data is stacked once: `faces`, its (A, b) to shapes
+    (T, M, 4, 2) and (T, M, 4); `vertices` (T, M, V, 2); and the face
+    normals' `norms` (T, M, 4) and `unit_normals` A / norms (T, M, 4, 2).  A
+    window indexes its parent's stacks.
     """
 
     steps: list
     faces: tuple = field(init=False, repr=False, compare=False)
+    vertices: np.ndarray = field(init=False, repr=False, compare=False)
+    norms: np.ndarray = field(init=False, repr=False, compare=False)
+    unit_normals: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.steps or not self.steps[0]:
             raise ValueError("environment needs at least one step and one obstacle per step")
-        # numpy raises ValueError on steps of ragged obstacle or face counts.
+        # numpy raises ValueError on steps of ragged obstacle, face or
+        # vertex counts.
         a_all = np.array([[poly.A for poly in obs] for obs in self.steps])
         if a_all.shape[2:] != (4, 2):
             raise ValueError("obstacles must be 4-face polytopes")
         self.faces = (a_all, np.array([[poly.b for poly in obs] for obs in self.steps]))
+        self.vertices = np.array([[poly.vertices for poly in obs] for obs in self.steps])
+        self.norms = np.linalg.norm(a_all, axis=3)
+        self.unit_normals = a_all / self.norms[..., None]
 
     @property
     def n_steps(self) -> int:
@@ -129,6 +138,8 @@ class EnvironmentEncoding:
         win = copy.copy(self)
         win.steps = [self.steps[t] for t in index.tolist()]
         win.faces = tuple(stack[index] for stack in self.faces)
+        win.vertices, win.norms, win.unit_normals = (
+            stack[index] for stack in (self.vertices, self.norms, self.unit_normals))
         return win
 
 
@@ -216,40 +227,37 @@ def lateral_direction(strategy: StrategyLabel, psi_ref: float) -> np.ndarray:
 def generate_strategy_constraints(strategy, ref, env: EnvironmentEncoding, r_ev: float):
     """Per-step pass-side halfspaces for reference points inside the critical region.
 
-    Stage t's critical region is the TV polytope env.tv(t) dilated by r_ev.
-    The horizon's TV polygons are stacked once; one batched distance screens
-    every stage's reference position, and one batched bisection projects the
-    positions inside their region along the pass-side direction onto the
-    region's boundary.  Each boundary point then gives its supporting
-    halfspace.  Returns [(t, Halfspace), ...]; steps whose reference position
-    lies outside the region get no constraint, and a step whose projection or
-    halfspace fails is skipped with a warning rather than aborting the solve.
+    Stage t's critical region is the TV polytope env.tv(t) dilated by r_ev;
+    every reference stage is screened, past the timeline's end against its
+    last step.  The encoding's stacks give the horizon's TV polygons.  One
+    batched distance screens every stage's reference position; one batched
+    exit takes the positions inside their region along the pass-side
+    direction to the region's boundary, and one batched support gives each
+    boundary point its halfspace.  Returns [(t, Halfspace), ...]; steps
+    whose reference position lies outside the region get no constraint, and
+    a step whose halfspace fails is skipped with a warning rather than
+    aborting the solve.
     """
     strategy = StrategyLabel(strategy)
     if strategy == StrategyLabel.YIELD:
         raise ValueError("yield is handled by the safety controller, not by constraints")
     ref = np.asarray(ref, float)
-    n = min(len(ref), env.n_steps)
-    tvs = [env.tv(t) for t in range(n)]
+    n = len(ref)
+    if env.n_steps < n:
+        env = env.window(0, n)
+    verts = env.vertices[:n, 0]
     A, b = (faces[:n, 0] for faces in env.faces)
-    verts = np.array([tv.vertices for tv in tvs])
-    p_ref = ref[:n, :2]
+    p_ref = ref[:, :2]
     stages = np.flatnonzero(point_polytope_distances(p_ref, verts, A, b) <= r_ev + 1e-9)
     if not len(stages):
         return []
+    verts, A, b = verts[stages], A[stages], b[stages]
     dirs = np.array([lateral_direction(strategy, float(ref[t, 2])) for t in stages])
-    qs, ok = project_to_critical_boundary(p_ref[stages], dirs, verts[stages], A[stages],
-                                          b[stages], r_ev)
+    qs = project_to_critical_boundary(p_ref[stages], dirs, verts, A, b, r_ev)
     out = []
-    for t, q, found in zip(stages.tolist(), qs, ok.tolist()):
-        if not found:
-            logger.warning("strategy constraint skipped at step %d: no boundary crossing "
-                           "along projection ray", t)
-            continue
-        try:
-            hs = strategy_halfspace(q, tvs[t])
-        except GeometryError as exc:
-            logger.warning("strategy constraint skipped at step %d: %s", t, exc)
+    for t, hs in zip(stages.tolist(), strategy_halfspaces(qs, verts, A, b)):
+        if isinstance(hs, GeometryError):
+            logger.warning("strategy constraint skipped at step %d: %s", t, hs)
             continue
         out.append((t, hs))
     return out
@@ -276,24 +284,27 @@ def _face_certificates(env: EnvironmentEncoding, zs, params: VehicleParams):
     body-obstacle distance: the clearance of the ego body beyond the most
     separating obstacle face.  lam picks that face, mu balances the
     stationarity row, and the normal bound holds with equality, so each
-    triple is dual-feasible whenever its value is >= 0.
+    triple is dual-feasible whenever its value is >= 0.  Trajectories
+    stacked as zs (S, T, 4) get results of shape (S, T, ...), with the bits
+    of one call per trajectory.  The face norms come from the encoding.
     """
     zs = np.asarray(zs, float)
-    a_all, b_all = env.faces
-    a_mat, b_vec = a_all[: len(zs)], b_all[: len(zs)]
-    norms = np.linalg.norm(a_mat, axis=3)
-    clear = ((a_mat @ zs[:, None, :2, None])[..., 0] - b_vec) / norms
-    c, s = np.cos(zs[:, 2]), np.sin(zs[:, 2])
-    rot = np.stack([np.stack([c, -s], axis=1), np.stack([s, c], axis=1)], axis=1)
-    v = (a_mat / norms[..., None]) @ rot[:, None]  # obstacle normals in the body frame
+    n = zs.shape[-2]
+    a_mat, b_vec = (faces[:n] for faces in env.faces)
+    norms = env.norms[:n]
+    clear = ((a_mat @ zs[..., None, :2, None])[..., 0] - b_vec) / norms
+    c, s = np.cos(zs[..., 2]), np.sin(zs[..., 2])
+    rot = np.stack([np.stack([c, -s], axis=-1), np.stack([s, c], axis=-1)], axis=-2)
+    v = env.unit_normals[:n] @ rot[..., None, :, :]  # obstacle normals in the body frame
     half = np.array([0.5 * params.length, 0.5 * params.width])
     face_vals = clear - np.abs(v) @ half
-    best = np.argmax(face_vals, axis=2)[..., None]
-    vals = np.take_along_axis(face_vals, best, axis=2)[..., 0]
+    best = np.argmax(face_vals, axis=-1)[..., None]
+    vals = np.take_along_axis(face_vals, best, axis=-1)[..., 0]
     lam = np.zeros(face_vals.shape)
-    np.put_along_axis(lam, best, 1.0 / np.take_along_axis(norms, best, axis=2), axis=2)
-    w2 = -np.take_along_axis(v, best[..., None], axis=2)[:, :, 0]
-    mu = np.maximum(np.concatenate([w2, -w2], axis=2), 0.0)
+    np.put_along_axis(lam, best, 1.0 / np.take_along_axis(
+        np.broadcast_to(norms, face_vals.shape), best, axis=-1), axis=-1)
+    w2 = -np.take_along_axis(v, best[..., None], axis=-2)[..., 0, :]
+    mu = np.maximum(np.concatenate([w2, -w2], axis=-1), 0.0)
     return vals, lam, mu
 
 
@@ -673,7 +684,7 @@ class ObcaController:
         if ref.shape != (n_h + 1, 4):
             raise ValueError(f"reference must be ({n_h + 1}, 4), got {ref.shape}")
         if env.n_steps < n_h + 1:
-            raise ValueError("environment does not cover the horizon")
+            env = env.window(0, n_h + 1)
 
         strat_rows = []
         if strategy is not None and StrategyLabel(strategy) != StrategyLabel.YIELD:
@@ -695,7 +706,8 @@ class ObcaController:
         # where the dual rows cannot express an escape direction; fall back to
         # a braking rollout, which is collision-free whenever the start is.
         brake_start = False
-        f_g, lam_g, mu_g = _face_certificates(env, zs_g, cfg.params)
+        (f_g, f_r), (lam_g, _), (mu_g, _) = _face_certificates(env, np.stack([zs_g, ref]),
+                                                               cfg.params)
         if np.min(f_g[1:]) < 0.0:
             zs_g, us_g = self._braking_guess(z0)
             brake_start = True
@@ -703,7 +715,6 @@ class ObcaController:
 
         # Engage only pairs that either the warm start or the reference comes
         # close to; far pairs get no decision variables.
-        f_r = _face_certificates(env, ref, cfg.params)[0]
         dual_map = {}
         pairs = []
         for t, m in np.argwhere(np.minimum(f_g, f_r)[1:] < ENGAGE_DIST) + (1, 0):

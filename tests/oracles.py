@@ -5,12 +5,17 @@
 - `point_polytope_projection` measures a point against each edge with numpy
   dot products, and `strategy_halfspace_per_edge` builds the supporting
   halfspace from those candidates; the batched edge routine behind
-  `geometry.point_polytope_distances` and `geometry.strategy_halfspace`
+  `geometry.point_polytope_distances` and `geometry.strategy_halfspaces`
   must agree with them.
-- `project_one` bisects a single ray, and `strategy_constraints_per_stage`
-  screens, projects and builds the halfspace of one horizon stage at a time;
-  `geometry.project_to_critical_boundary` and
-  `obca.generate_strategy_constraints` must return the same bits.
+- `project_one` bisects a single ray and `project_by_bisection` bisects many
+  at once; `geometry.project_to_critical_boundary`, which computes each
+  exit in closed form, must land within PROJECTION_TOL / 2 of them.
+- `strategy_halfspace` supports one polygon at one boundary point;
+  `geometry.strategy_halfspaces`, which supports many at once, must return
+  the same bits.  `strategy_constraints_per_stage` screens, projects and
+  builds the halfspace of one horizon stage at a time, by the closed-form
+  exit or by bisection; `obca.generate_strategy_constraints` must return
+  the same bits as the former.
 - `convexify_whole` tests the Lagrangian Hessian for definiteness and flips
   its eigenvalues as one n x n matrix; `nlp._convexify`, which works per
   declared block, must take the same path and return the same matrix.
@@ -51,15 +56,16 @@ from scipy.optimize import least_squares
 
 from tightnav.dynamics import VehicleParams, slip_angle, step_rk4
 from tightnav.geometry import (
-    BRACKET_HINT,
     PROJECTION_TOL,
     GeometryError,
     Halfspace,
     Polytope,
+    _closest_on_edges,
     body_polytope,
     min_translation_distance,
+    point_polytope_distances,
     polytopes_intersect,
-    strategy_halfspace,
+    project_to_critical_boundary,
 )
 from tightnav.obca import StrategyLabel
 from tightnav.qp import solve_qp
@@ -75,6 +81,10 @@ from tightnav.supervisor import (
 
 # Edges shorter than the square root of this project every point to their start.
 DEGENERATE_EDGE = 1e-16
+# Bisection to the critical boundary: the initial bracket beyond 4 radii (a
+# lane width at desk scale) and the most times it doubles.
+BRACKET_HINT = 0.9
+MAX_DOUBLINGS = 40
 
 
 def face_intersection_vertices(A, b) -> np.ndarray:
@@ -181,7 +191,7 @@ def project_one(p_ref, base: Polytope, radius: float, direction) -> np.ndarray:
     while g(t_hi) <= 0.0:
         t_hi *= 2.0
         expansions += 1
-        if expansions > 40:
+        if expansions > MAX_DOUBLINGS:
             raise GeometryError("no boundary crossing along projection ray")
     t_lo = 0.0
     while t_hi - t_lo > PROJECTION_TOL:
@@ -193,22 +203,109 @@ def project_one(p_ref, base: Polytope, radius: float, direction) -> np.ndarray:
     return p_ref + 0.5 * (t_lo + t_hi) * d
 
 
-def strategy_constraints_per_stage(strategy, ref, env, r_ev: float):
-    """[(t, Halfspace), ...] for a pass strategy, one stage at a time."""
+def project_by_bisection(p_ref, d, verts, A, b, radius: float):
+    """Where K rays leave their critical regions, by bisection:
+    (points (K, 2), ok (K,)).
+
+    Row k finds the smallest t >= 0 with dist(p_ref[k] + t d[k], poly_k) =
+    radius by bisection on the sign of g(t) = dist - radius; d (K, 2) holds
+    unit directions.  The bracket's upper end starts at 4 radius +
+    BRACKET_HINT and doubles, at most MAX_DOUBLINGS times, until g > 0
+    there; a row still inside after that gets ok False and a NaN point.
+    Bisection keeps the half with g(t_lo) <= 0 and stops, row by row, once
+    the bracket is no wider than PROJECTION_TOL or its midpoint rounds to
+    one of its ends (a crossing beyond about 4e9, where one ulp of t exceeds
+    PROJECTION_TOL); the point returned is at the bracket's midpoint.
+    Raises GeometryError when a reference point lies outside its region.
+    """
+    p_ref, d = np.asarray(p_ref, float), np.asarray(d, float)
+
+    def g(t):
+        return point_polytope_distances(p_ref + t[:, None] * d, verts, A, b) - radius
+
+    t_lo = np.zeros(len(p_ref))
+    if np.any(g(t_lo) > PROJECTION_TOL):
+        raise GeometryError("reference point is outside the critical region")
+    t_hi = np.full(len(p_ref), 4.0 * radius + BRACKET_HINT)
+    short = g(t_hi) <= 0.0
+    for _ in range(MAX_DOUBLINGS):
+        if not short.any():
+            break
+        t_hi = np.where(short, 2.0 * t_hi, t_hi)
+        short &= g(t_hi) <= 0.0
+    ok = ~short
+    active = ok & (t_hi - t_lo > PROJECTION_TOL)
+    while active.any():
+        mid = 0.5 * (t_lo + t_hi)
+        active &= (t_lo < mid) & (mid < t_hi)
+        below = g(mid) <= 0.0
+        t_lo = np.where(active & below, mid, t_lo)
+        t_hi = np.where(active & ~below, mid, t_hi)
+        active &= t_hi - t_lo > PROJECTION_TOL
+    points = p_ref + (0.5 * (t_lo + t_hi))[:, None] * d
+    points[~ok] = np.nan
+    return points, ok
+
+
+def strategy_halfspace(q_boundary, base: Polytope) -> Halfspace:
+    """Supporting hyperplane of the base polytope at one boundary point.
+
+    The outward normal is (q - closest base point) / distance; when q is
+    equidistant (within 1e-9) from several edges the distinct candidate
+    normals are averaged and renormalized.  The offset is the base support
+    value.  Raises GeometryError when q lies inside the base or within 1e-9
+    of it.
+    """
+    q = np.asarray(q_boundary, dtype=float)
+    # Edges in the order v_i -> v_(i+1) from v_0, which decides which of two
+    # near-equal normals is kept.
+    cx, cy, d2 = _closest_on_edges(q[None, None], np.roll(base.vertices, -1, axis=0)[None])
+    dists = np.sqrt(d2[0, 0])
+    dist = dists.min()
+    if base.contains(q) or dist < 1e-9:
+        raise GeometryError("boundary point lies inside the base polytope")
+    normals = []
+    for i in np.flatnonzero(dists <= dist + 1e-9):
+        nrm = (q - (cx[0, 0, i], cy[0, 0, i])) / dists[i]
+        if not any(np.linalg.norm(nrm - s) < 1e-9 for s in normals):
+            normals.append(nrm)
+    w = np.mean(normals, axis=0)
+    wn = np.linalg.norm(w)
+    if wn < 1e-12:
+        raise GeometryError("degenerate averaged normal")
+    w = w / wn
+    return Halfspace(w, base.support(w))
+
+
+def exit_one(p_ref, base: Polytope, radius: float, direction) -> np.ndarray:
+    """`geometry.project_to_critical_boundary` on one row."""
+    return project_to_critical_boundary(
+        np.asarray(p_ref, float)[None], np.asarray(direction, float)[None],
+        base.vertices[None], base.A[None], base.b[None], radius)[0]
+
+
+def strategy_constraints_per_stage(strategy, ref, env, r_ev: float, project=exit_one):
+    """[(t, Halfspace), ...] for a pass strategy, one stage at a time.
+
+    Stage t reads the TV at env.tv(t), which holds the last step past the
+    end.  `project` finds the boundary point: the closed-form exit or
+    `project_one`'s bisection.
+    """
     strategy = StrategyLabel(strategy)
     ref = np.asarray(ref, float)
     out = []
-    for t in range(min(len(ref), env.n_steps)):
+    for t in range(len(ref)):
         base = env.tv(t)
         p_ref = ref[t, :2]
         if not point_polytope_distance(p_ref, base) <= r_ev + 1e-9:
             continue
         psi = float(ref[t, 2])
         direction = np.array([-math.sin(psi), math.cos(psi)])
+        direction /= np.linalg.norm(direction)
         if strategy == StrategyLabel.PASS_RIGHT:
             direction = -direction
         try:
-            q = project_one(p_ref, base, r_ev, direction)
+            q = project(p_ref, base, r_ev, direction)
             hs = strategy_halfspace(q, base)
         except GeometryError:
             continue

@@ -11,7 +11,6 @@ identities at the QP's closest points.
 """
 
 import math
-import signal
 
 import numpy as np
 import pytest
@@ -20,7 +19,6 @@ from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
 from tightnav.geometry import (
-    BRACKET_HINT,
     PROJECTION_TOL,
     GeometryError,
     Halfspace,
@@ -33,15 +31,18 @@ from tightnav.geometry import (
     polytopes_intersect,
     project_to_critical_boundary,
     rotation_matrix,
-    strategy_halfspace,
+    strategy_halfspaces,
     _closest_pair,
 )
 from tightnav.qp import solve_qp
 
 from oracles import (
+    BRACKET_HINT,
     face_intersection_vertices,
     point_polytope_distance,
+    project_by_bisection,
     project_one,
+    strategy_halfspace,
     strategy_halfspace_per_edge,
 )
 
@@ -304,30 +305,23 @@ def test_batched_distance_tiny_boxes():
         assert np.count_nonzero(got == 0.0) >= 10 and np.count_nonzero(got > 0.0) >= 40
 
 
+def assert_on_boundary(q, polys, radius):
+    """Each exit point is at distance radius from its polygon, to 1e-12 of
+    its magnitude."""
+    for qk, poly in zip(q, polys):
+        scale = max(1.0, float(np.max(np.abs(qk))))
+        assert abs(point_polytope_distance(qk, poly) - radius) <= 1e-12 * scale
+
+
 def project_rows(p_ref, d, polys, radius):
-    """Batched projection of all rows, and each row by the retired routine
-    (None where it raises)."""
-    d = np.asarray(d, float)
-    # The retired routine divides d by its norm first; the batched one takes
-    # unit rows as they are.
-    unit = np.array([row / np.linalg.norm(row) for row in d])
-    q, ok = project_to_critical_boundary(p_ref, unit, *stack(polys), radius)
-    want = []
-    for p, row, poly in zip(p_ref, d, polys):
-        try:
-            want.append(project_one(p, poly, radius, row))
-        except GeometryError:
-            want.append(None)
-    return q, ok, want
-
-
-def assert_rows_bitwise(q, ok, want):
-    assert ok.tolist() == [w is not None for w in want]
-    for got, w in zip(q, want):
-        if w is None:
-            assert np.all(np.isnan(got))
-        else:
-            assert got.tobytes() == w.tobytes()
+    """The closed-form exits of all rows: within PROJECTION_TOL / 2 of the
+    batched bisection where it finds a crossing, and at distance r on every
+    row.  Returns the exits and the rows the bisection found."""
+    q = project_to_critical_boundary(p_ref, d, *stack(polys), radius)
+    q_bis, ok = project_by_bisection(p_ref, np.asarray(d, float), *stack(polys), radius)
+    assert np.all(np.abs(q - q_bis)[ok] <= 0.5 * PROJECTION_TOL)
+    assert_on_boundary(q, polys, radius)
+    return q, ok
 
 
 @pytest.mark.parametrize("radius", [0.3, 1.0])
@@ -336,7 +330,7 @@ def test_batched_projection_matches_per_row_bisection(radius):
     polys, p_ref, dirs, long_rows = [], [], [], 0
     while len(polys) < 600:
         if rng.random() < 0.25:
-            # Longer than 4r + 0.9 along d: the bracket must double.
+            # Longer than 4r + 0.9 along d: the bisection's bracket must double.
             half_l = rng.uniform(2.5 * radius + 0.5, 40.0)
             psi = rng.uniform(-math.pi, math.pi)
             poly = Polytope.from_box(rng.uniform(-1, 1, 2), half_l, rng.uniform(0.05, 0.5), psi)
@@ -351,83 +345,59 @@ def test_batched_projection_matches_per_row_bisection(radius):
         polys.append(poly)
         p_ref.append(p)
         dirs.append([math.cos(theta), math.sin(theta)])
-    q, ok, want = project_rows(np.array(p_ref), dirs, polys, radius)
-    assert all(w is not None for w in want)
-    assert_rows_bitwise(q, ok, want)
+    q, ok = project_rows(np.array(p_ref), dirs, polys, radius)
+    assert ok.all()
+    for qk, p, d, poly in zip(q, p_ref, dirs, polys):
+        assert np.max(np.abs(qk - project_one(p, poly, radius, d))) <= 0.5 * PROJECTION_TOL
     reach = np.linalg.norm(q - np.array(p_ref), axis=1)
     assert long_rows >= 100 and np.count_nonzero(reach > 4 * radius + 0.9) >= 50
 
 
 def test_batched_projection_keeps_a_tie_in_the_lower_bracket():
-    # The first midpoint lies exactly at distance r from the box's top face,
-    # so g(mid) == 0.0 and the midpoint becomes the bracket's lower end.
+    # The bisection's first midpoint lies exactly at distance r from the
+    # box's top face, so g(mid) == 0.0 and the midpoint becomes the
+    # bracket's lower end; the exit is that midpoint exactly.
     radius = 1.0
     mid = 0.5 * (4.0 * radius + BRACKET_HINT)
     base = Polytope.from_box([0.0, 0.0], 1.0, mid - radius)
     assert point_polytope_distance([0.0, mid], base) == radius
-    q, ok, want = project_rows(np.zeros((1, 2)), [[0.0, 1.0]], [base], radius)
-    assert_rows_bitwise(q, ok, want)
-    assert mid <= q[0, 1] <= mid + PROJECTION_TOL
+    q, _ = project_rows(np.zeros((1, 2)), [[0.0, 1.0]], [base], radius)
+    q_bis, _ = project_by_bisection(np.zeros((1, 2)), np.array([[0.0, 1.0]]),
+                                    *stack([base]), radius)
+    assert mid <= q_bis[0, 1] <= mid + PROJECTION_TOL
+    np.testing.assert_allclose(q[0], [0.0, mid], rtol=0.0, atol=1e-15)
 
 
-def test_batched_projection_exhausted_row_fails_alone():
+def test_projection_exits_huge_boxes_in_closed_form():
+    """Crossings at 1e9, 1e10 and 1e13 among random rows.
+
+    The bisection finds the first two (the second only because it stops
+    once its midpoint rounds to a bracket end: one ulp of t there, 1.9e-6,
+    exceeds PROJECTION_TOL) and exhausts its doublings on the third, which
+    the exit finds like any other.  Each huge row's exit is r beyond the
+    box's end, rounded once.
+    """
     rng = np.random.default_rng(241)
     radius = 0.3
     polys = random_boxes(rng, 40)
-    # (4r + 0.9) * 2^40 falls short of the huge box's far end; the 1e9 m box
-    # needs 29 doublings and still converges.
-    polys[7] = Polytope.from_box([0.0, 0.0], 1e13, 0.5)
-    polys[23] = Polytope.from_box([0.0, 0.0], 1e9, 0.5)
+    huge = {7: 1e13, 11: 1e10, 23: 1e9}
+    for k, half in huge.items():
+        polys[k] = Polytope.from_box([0.0, 0.0], half, 0.5)
     p_ref = np.array([poly.vertices.mean(axis=0) for poly in polys])
-    dirs = [[1.0, 0.0] if k in (7, 23) else [0.6, 0.8] for k in range(40)]
-    q, ok, want = project_rows(p_ref, dirs, polys, radius)
-    assert ok.tolist() == [k != 7 for k in range(40)]
-    assert_rows_bitwise(q, ok, want)
-    assert q[23, 0] > 1e9
-
-
-def test_batched_projection_far_crossing_terminates():
-    # The crossing at 1e10 + r lies where one ulp of t (1.9e-6) exceeds
-    # PROJECTION_TOL: the bracket stops shrinking before it is that narrow,
-    # and the row must stop when its midpoint rounds to a bracket end.  The
-    # retired per-ray routine loops forever on that row, so only the other
-    # rows are compared with it.
-    rng = np.random.default_rng(251)
-    radius = 0.3
-    polys = random_boxes(rng, 30)
-    polys[11] = Polytope.from_box([0.0, 0.0], 1e10, 1.0)
-    p_ref = np.array([poly.vertices.mean(axis=0) for poly in polys])
-    theta = rng.uniform(-math.pi, math.pi, 30)
+    theta = rng.uniform(-math.pi, math.pi, 40)
     dirs = np.column_stack([np.cos(theta), np.sin(theta)])
-    dirs[11] = [1.0, 0.0]
-    # Unit rows as `project_rows` makes them.
-    dirs = np.array([row / np.linalg.norm(row) for row in dirs])
-
-    def timeout(signum, frame):
-        raise TimeoutError("projection did not return within a second")
-
-    previous = signal.signal(signal.SIGALRM, timeout)
-    signal.setitimer(signal.ITIMER_REAL, 1.0)
-    try:
-        q, ok = project_to_critical_boundary(p_ref, dirs, *stack(polys), radius)
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0.0)
-        signal.signal(signal.SIGALRM, previous)
-    assert ok.all()
-    assert abs(q[11, 0] - (1e10 + radius)) <= 1e-5 and q[11, 1] == 0.0
-    others = [k for k in range(30) if k != 11]
-    _, _, want = project_rows(p_ref[others], dirs[others], [polys[k] for k in others], radius)
-    assert_rows_bitwise(q[others], ok[others], want)
+    dirs[list(huge)] = [1.0, 0.0]
+    q, ok = project_rows(p_ref, dirs, polys, radius)
+    assert ok.tolist() == [k != 7 for k in range(40)]
+    for k, half in huge.items():
+        assert q[k].tolist() == [half + radius, 0.0]
 
 
 def test_projection_box_example():
     # Box [-2,2]x[-1,1] dilated by 1; from the origin straight up -> (0, 2).
     base = Polytope.from_box([0, 0], 2.0, 1.0)
-    q, ok = project_to_critical_boundary([[0.0, 0.0]], [[0.0, 1.0]], *stack([base]), 1.0)
-    assert ok.tolist() == [True]
-    np.testing.assert_allclose(q[0], [0.0, 2.0], atol=1e-5)
-    # Residual check: the projected point sits on the dilated boundary.
-    assert abs(point_polytope_distance(q[0], base) - 1.0) < 1e-5
+    q, _ = project_rows(np.zeros((1, 2)), [[0.0, 1.0]], [base], 1.0)
+    np.testing.assert_allclose(q[0], [0.0, 2.0], rtol=0.0, atol=1e-15)
 
 
 def test_projection_random_residuals():
@@ -437,10 +407,37 @@ def test_projection_random_residuals():
     p = p[point_polytope_distances(p, *stack([base] * 20)) <= 0.35]
     theta = rng.uniform(0, 2 * math.pi, len(p))
     d = np.column_stack([np.cos(theta), np.sin(theta)])
-    q, ok = project_to_critical_boundary(p, d, *stack([base] * len(p)), 0.35)
+    q, ok = project_rows(p, d, [base] * len(p), 0.35)
     assert len(p) >= 10 and ok.all()
-    for qk in q:
-        assert abs(point_polytope_distance(qk, base) - 0.35) < 1e-5
+
+
+def test_projection_parallel_and_vertex_rays():
+    """Rays along an edge's line, along the pushed-out edge, through a
+    vertex, starting on the boundary and leaving at once, from a vertex, and
+    one ulp of a subnormal off parallel to an edge: exact exits, with no
+    floating-point warning on the way."""
+    base = Polytope.from_box([0.0, 0.0], 2.0, 1.0)
+    s = 1.0 / math.sqrt(2.0)
+    rows = [  # (start, direction, exit)
+        ([0.0, 1.0], [1.0, 0.0], [3.0, 1.0]),     # along the top edge's line
+        ([0.0, 2.0], [1.0, 0.0], [2.0, 2.0]),     # along the pushed-out top edge
+        ([0.0, 0.5], [-1.0, 0.0], [-3.0, 0.5]),   # parallel to the top edge
+        ([0.0, -1.0], [s, s], None),              # through the corner (2, 1)
+        ([2.0, 1.0], [s, s], [2.0 + s, 1.0 + s]),  # from a vertex
+        ([0.0, 2.0], [0.0, 1.0], [0.0, 2.0]),     # on the boundary, leaving
+        ([3.0, 0.0], [0.0, -1.0], [3.0, -1.0]),   # along the pushed-out right edge
+        ([0.0, 0.0], [1.0, 1.3e-308], [3.0, 1.3e-308 * 3.0]),  # all but parallel
+    ]
+    p_ref = np.array([r[0] for r in rows])
+    dirs = np.array([r[1] for r in rows])
+    with np.errstate(divide="raise", over="raise", invalid="raise"):
+        q = project_to_critical_boundary(p_ref, dirs, *stack([base] * len(rows)), 1.0)
+    for (_, _, want), got in zip(rows, q):
+        if want is not None:
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=4e-16)
+    assert_on_boundary(q, [base] * len(rows), 1.0)
+    q_rows, ok = project_rows(p_ref, dirs, [base] * len(rows), 1.0)
+    assert ok.all() and q_rows.tobytes() == q.tobytes()
 
 
 def test_projection_requires_inside_point():
@@ -450,9 +447,26 @@ def test_projection_requires_inside_point():
                                      *stack([base] * 2), 0.5)
 
 
+def halfspaces_bitwise(qs, polys):
+    """`strategy_halfspaces` over all rows, each checked bit for bit against
+    the per-point routine (the same GeometryError message where it raises)."""
+    got = strategy_halfspaces(np.array(qs, float), *stack(polys))
+    assert len(got) == len(qs)
+    for hs, q, poly in zip(got, qs, polys):
+        try:
+            want = strategy_halfspace(q, poly)
+        except GeometryError as exc:
+            assert isinstance(hs, GeometryError) and str(hs) == str(exc)
+            continue
+        assert isinstance(hs, Halfspace)
+        assert hs.w.tobytes() == want.w.tobytes()
+        assert float(hs.offset).hex() == float(want.offset).hex()
+    return got
+
+
 def test_strategy_halfspace_flat_face():
     base = Polytope.from_box([0, 0], 1.0, 1.0)
-    hs = strategy_halfspace([0.0, 2.0], base)
+    (hs,) = halfspaces_bitwise([[0.0, 2.0]], [base])
     np.testing.assert_allclose(hs.w, [0.0, 1.0], atol=1e-9)
     assert abs(hs.offset - 1.0) < 1e-9
     # Supporting property: every base vertex on or below the plane.
@@ -464,11 +478,26 @@ def test_strategy_halfspace_vertex_tiebreak():
     # Boundary point off the corner: normal is the diagonal direction.
     base = Polytope.from_box([0, 0], 1.0, 1.0)
     s = 1.0 / math.sqrt(2.0)
-    hs = strategy_halfspace([1.0 + s, 1.0 + s], base)
+    (hs,) = halfspaces_bitwise([[1.0 + s, 1.0 + s]], [base])
     np.testing.assert_allclose(hs.w, [s, s], atol=1e-6)
     assert abs(hs.offset - base.support(hs.w)) < 1e-12
     for v in base.vertices:
         assert hs.w @ v <= hs.offset + 1e-9
+
+
+def test_strategy_halfspace_averages_near_tied_normals():
+    # Above the top face of [-1, 1]^2, dx left of the corner (1, 1): the top
+    # edge and the right edge (whose closest point is the corner) tie within
+    # 1e-9 while dx^2 / 2 <= 1e-9.  Their normals differ by about dx, so at
+    # dx = 1e-6 both are averaged; at dx = 5e-10 the right edge's, first in
+    # edge order from v_0 = (-1, -1), is kept and the top's dropped; at
+    # dx = 1e-4 the distances no longer tie.
+    base = Polytope.from_box([0, 0], 1.0, 1.0)
+    qs = [[1.0 - 1e-6, 2.0], [1.0 - 5e-10, 2.0], [1.0 - 1e-4, 2.0]]
+    got = halfspaces_bitwise(qs, [base] * len(qs))
+    np.testing.assert_allclose(got[0].w, [-5e-7, 1.0], rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(got[1].w, [-5e-10, 1.0], rtol=0.0, atol=1e-15)
+    assert got[2].w.tolist() == [0.0, 1.0]
 
 
 def test_strategy_halfspace_supporting_property_random():
@@ -476,18 +505,17 @@ def test_strategy_halfspace_supporting_property_random():
     base = Polytope.from_box([0.2, -0.1], 0.7, 0.45, psi=0.6)
     theta = rng.uniform(0, 2 * math.pi, 25)
     d = np.column_stack([np.cos(theta), np.sin(theta)])
-    qs, ok = project_to_critical_boundary([[0.2, -0.1]] * 25, d, *stack([base] * 25), 0.3)
-    assert ok.all()
-    for q in qs:
-        hs = strategy_halfspace(q, base)
+    qs = project_to_critical_boundary([[0.2, -0.1]] * 25, d, *stack([base] * 25), 0.3)
+    for q, hs in zip(qs, halfspaces_bitwise(qs, [base] * 25)):
         support = max(hs.w @ v for v in base.vertices)
         assert abs(hs.offset - support) < 1e-9
-        # q itself is on the constraint boundary up to projection tolerance.
-        assert abs(hs.w @ q - hs.offset - 0.3) < 2e-5
+        # q itself is on the constraint boundary.
+        assert abs(hs.w @ q - hs.offset - 0.3) < 1e-12
 
 
 def test_strategy_halfspace_matches_per_edge_oracle():
-    """`strategy_halfspace` against the retired per-edge routine.
+    """`strategy_halfspaces` against the retired per-edge routine, and bit
+    for bit against the per-point one.
 
     Off a corner, both adjacent edges tie at the corner, their closest points
     come out of the same arithmetic in both routines, and the halfspaces
@@ -498,38 +526,40 @@ def test_strategy_halfspace_matches_per_edge_oracle():
     """
     eps = np.finfo(float).eps
     rng = np.random.default_rng(257)
-    corner_rows = other_rows = 0
+    qs, bases, at_corner = [], [], []
     for base in random_boxes(rng, 150, half_hi=0.5):
         v = base.vertices
         edges = np.roll(v, -1, axis=0) - v
-        lengths = np.linalg.norm(edges, axis=1)
-        out = np.column_stack([edges[:, 1], -edges[:, 0]]) / lengths[:, None]
+        out = np.column_stack([edges[:, 1], -edges[:, 0]]) / np.linalg.norm(edges, axis=1)[:, None]
         for i in range(4):
             r = rng.uniform(0.05, 1.0)
             alpha = rng.uniform(0.05, 0.95)
             corner = alpha * out[i - 1] + (1.0 - alpha) * out[i]
-            rows = ((v[i] + r * corner / np.linalg.norm(corner), True),
-                    (v[i] + rng.uniform(0.05, 0.95) * edges[i] + r * out[i], False),
-                    (v[i] + r * out[i], False),  # the face and the corner tie
-                    (rng.uniform(-3.0, 3.0, 2), False))
-            for q, at_corner in rows:
-                try:
-                    want = strategy_halfspace_per_edge(q, base)
-                except GeometryError:
-                    with pytest.raises(GeometryError):
-                        strategy_halfspace(q, base)
-                    continue
-                got = strategy_halfspace(q, base)
-                tol = 4e-16
-                if not at_corner:
-                    tol += 4 * eps * lengths.max() / point_polytope_distance(q, base)
-                assert np.max(np.abs(got.w - want.w)) <= tol
-                assert abs(got.offset - want.offset) <= tol
-                corner_rows += at_corner
-                other_rows += not at_corner
+            qs += [v[i] + r * corner / np.linalg.norm(corner),
+                   v[i] + rng.uniform(0.05, 0.95) * edges[i] + r * out[i],
+                   v[i] + r * out[i],  # the face and the corner tie
+                   rng.uniform(-3.0, 3.0, 2)]
+            bases += [base] * 4
+            at_corner += [True, False, False, False]
+    got = halfspaces_bitwise(qs, bases)
+    corner_rows = other_rows = 0
+    for hs, q, base, corner in zip(got, qs, bases, at_corner):
+        try:
+            want = strategy_halfspace_per_edge(q, base)
+        except GeometryError:
+            assert isinstance(hs, GeometryError)
+            continue
+        tol = 4e-16
+        if not corner:
+            lengths = np.linalg.norm(np.roll(base.vertices, -1, axis=0) - base.vertices, axis=1)
+            tol += 4 * eps * lengths.max() / point_polytope_distance(q, base)
+        assert np.max(np.abs(hs.w - want.w)) <= tol
+        assert abs(hs.offset - want.offset) <= tol
+        corner_rows += corner
+        other_rows += not corner
     assert corner_rows == 600 and other_rows >= 1500
-    with pytest.raises(GeometryError):
-        strategy_halfspace(base.vertices.mean(axis=0), base)
+    inside = strategy_halfspaces(bases[0].vertices.mean(axis=0)[None], *stack(bases[:1]))
+    assert isinstance(inside[0], GeometryError)
 
 
 @st.composite
@@ -561,24 +591,21 @@ def projection_rows(draw):
 @settings(max_examples=150)
 @given(projection_rows())
 def test_strategy_halfspace_properties(rows):
-    """The halfspace at each projected boundary point q of a reference point
-    well inside its region (distance at most r/2 from the base):
+    """The halfspace at each exit point q of a reference point well inside
+    its region (distance at most r/2 from the base):
 
-    - supports the base (`strategy_halfspace`): every vertex has
+    - supports the base (`strategy_halfspaces`): every vertex has
       w.v <= offset + 1e-9, and offset is support(w) to 1e-12;
-    - q is within PROJECTION_TOL of distance r (the bisection brackets the
-      crossing to PROJECTION_TOL and the distance is 1-Lipschitz along d);
+    - q is at distance r to 1e-12 of its magnitude, and within
+      PROJECTION_TOL / 2 of the bisection's point;
     - w.d >= 0: the distance is convex along the ray and at most r before
       the crossing, so its slope w.d there is at least (r - dist(p)) / t.
     """
     bases, p_ref, dirs, radius = rows
-    qs, ok = project_to_critical_boundary(p_ref, dirs, *stack(bases), radius)
-    assert ok.all()
-    for base, q, d in zip(bases, qs, dirs):
-        hs = strategy_halfspace(q, base)
+    qs, _ = project_rows(p_ref, dirs, bases, radius)
+    for base, hs, d in zip(bases, halfspaces_bitwise(qs, bases), dirs):
         assert np.all(base.vertices @ hs.w <= hs.offset + 1e-9)
         assert abs(hs.offset - base.support(hs.w)) <= 1e-12
-        assert abs(point_polytope_distance(q, base) - radius) <= PROJECTION_TOL
         assert hs.w @ d >= 0.0
 
 

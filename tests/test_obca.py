@@ -6,6 +6,7 @@ system; trajectory safety is audited with the exact polytope distance.
 
 import dataclasses
 import math
+import os
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ import tightnav.nlp
 import tightnav.obca
 from tightnav.dynamics import VehicleParams, rollout, step_rk4
 from tightnav.geometry import (
+    GeometryError,
     Halfspace,
     Polytope,
     body_polytope,
@@ -39,7 +41,14 @@ from tightnav.obca import (
     _witness_duals,
 )
 
-from oracles import strategy_constraints_per_stage
+from tightnav.predictor import load_model
+from tightnav.scenario import benchmark_suite, parked_tv_scenario
+from tightnav.simulate import run_closed_loop
+
+from oracles import project_one, strategy_constraints_per_stage, strategy_halfspace
+
+STRATEGY_MODEL = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "fixtures",
+                              "strategy_model.json")
 
 UNIT_PARAMS = VehicleParams(l_f=0.25, l_r=0.25, length=1.0, width=1.0)
 DESK = VehicleParams()
@@ -170,6 +179,53 @@ def test_face_certificates_batch_matches_corner_enumeration():
     assert np.all(np.count_nonzero(lam, axis=2) == 1)
 
 
+def test_face_certificates_stack_matches_separate_calls():
+    """The warm start and the reference certified in one stacked call get the
+    bits of two separate calls."""
+    rng = np.random.default_rng(35)
+    n_steps = 21
+    top, bottom = lane_walls()
+    tvs = [Polytope.from_box(rng.uniform(-1, 3, 2) * (1.0, 0.2), 0.2, 0.1, rng.uniform(-3, 3))
+           for _ in range(n_steps)]
+    env = EnvironmentEncoding([[tv, top, bottom] for tv in tvs])
+    trajectories = [np.column_stack([rng.uniform(-1, 3, n_steps), rng.uniform(-0.4, 0.4, n_steps),
+                                     rng.uniform(-math.pi, math.pi, n_steps),
+                                     rng.uniform(-0.5, 0.5, n_steps)]) for _ in range(2)]
+    stacked = _face_certificates(env, np.stack(trajectories), DESK)
+    for k, zs in enumerate(trajectories):
+        for got, want in zip(stacked, _face_certificates(env, zs, DESK)):
+            assert got[k].tobytes() == want.tobytes()
+
+
+def test_solve_step_certifies_twice_per_round(monkeypatch):
+    """One certificate call covers the warm start and the reference, and one
+    more follows each round's solve; a warm start that penetrates an
+    obstacle costs one more for its braking replacement."""
+    calls = []
+    certify = tightnav.obca._face_certificates
+
+    def counting(env, zs, params):
+        calls.append(np.shape(zs))
+        return certify(env, zs, params)
+
+    monkeypatch.setattr(tightnav.obca, "_face_certificates", counting)
+    cfg = ControllerConfig()
+    z0 = np.array([0.0, 0.0, 0.0, 0.6])
+    ref = straight_ref(z0, cfg.horizon, cfg.dt, cfg.params)
+    # A TV beside the path: close enough to engage, clear of the warm start.
+    env = static_env(Polytope.from_box((1.1, 0.3), 0.28, 0.11), 21)
+    sol = ObcaController(cfg).solve_step(z0, np.zeros(2), ref, env)
+    assert sol.ok and sol.stats["engaged"] > 0
+    assert calls == [(2, 21, 4)] + [(21, 4)] * sol.stats["rounds"]
+    # The blocking TV sits on the zero-input rollout.
+    calls.clear()
+    _, env, z0, ref = blocking_scene()
+    sol = ObcaController(cfg).solve_step(z0, np.zeros(2), ref, env,
+                                         strategy=StrategyLabel.PASS_LEFT)
+    assert sol.ok and sol.stats["rounds"] == 1
+    assert calls == [(2, 21, 4), (21, 4), (21, 4)]
+
+
 # --- strategy constraints ---------------------------------------------------
 
 def canonical_env(n_steps=3):
@@ -265,6 +321,79 @@ def test_strategy_constraints_match_per_stage_oracle():
     assert rows >= 200 and skipped >= 200
 
 
+def test_strategy_constraints_near_per_stage_bisection():
+    """The closed-form exits put each stage's halfspace where the bisection
+    puts it, within what PROJECTION_TOL / 2 moves a supporting line."""
+    rng = np.random.default_rng(311)
+    r_ev = DESK.covering_radius
+    rows = 0
+    for _ in range(10):
+        ref, env = moving_tv_scene(rng)
+        for strat in (StrategyLabel.PASS_LEFT, StrategyLabel.PASS_RIGHT):
+            got = generate_strategy_constraints(strat, ref, env, r_ev)
+            want = strategy_constraints_per_stage(strat, ref, env, r_ev, project=project_one)
+            assert [t for t, _ in got] == [t for t, _ in want]
+            for (t, hg), (_, hw) in zip(got, want):
+                # The normal turns by at most the point's move over its
+                # distance r_ev from the TV.
+                assert np.max(np.abs(hg.w - hw.w)) <= 1e-6 / r_ev
+                assert abs(hg.offset - hw.offset) <= 1e-6 / r_ev * (1.0 + np.abs(ref[t, :2]).max())
+            rows += len(got)
+    assert rows >= 50
+
+
+def test_strategy_halfspaces_match_per_point_on_guided_stages(monkeypatch):
+    """Every batch of halfspaces the guided overtake of the `guided_sg`
+    benchmark builds (36 batches, 410 rows), row by row against the
+    per-point routine, bit for bit."""
+    model = load_model(STRATEGY_MODEL)
+    batches = []
+    batched = tightnav.obca.strategy_halfspaces
+
+    def recording(qs, verts, A, b):
+        out = batched(qs, verts, A, b)
+        batches.append((qs, verts, A, b, out))
+        return out
+
+    monkeypatch.setattr(tightnav.obca, "strategy_halfspaces", recording)
+    run_closed_loop(benchmark_suite()[8], "sg", model=model)
+    rows = 0
+    for qs, verts, A, b, out in batches:
+        for q, v, a_k, b_k, got in zip(qs, verts, A, b, out):
+            want = strategy_halfspace(q, Polytope(a_k, b_k, v))
+            assert got.w.tobytes() == want.w.tobytes()
+            assert float(got.offset).hex() == float(want.offset).hex()
+            rows += 1
+    assert len(batches) >= 30 and rows >= 400
+
+
+def test_solve_step_windows_a_short_encoding():
+    """An encoding shorter than the horizon holds its last step: the parked
+    TV's 2-step timeline solves as its window covering the horizon does."""
+    scenario = parked_tv_scenario()
+    cfg = ControllerConfig(horizon=8)
+    env = scenario.environment(cfg.params)
+    assert env.n_steps == 2
+    x0, y_ref, v = 1.2, 0.34, 0.3
+    z0 = np.array([x0, 0.3, 0.0, v])
+    ref = np.column_stack([x0 + v * cfg.dt * np.arange(9), np.full(9, y_ref), np.zeros(9),
+                           np.full(9, v)])
+    for strategy in (None, StrategyLabel.PASS_RIGHT):
+        short = ObcaController(cfg).solve_step(z0, np.zeros(2), ref, env, strategy=strategy)
+        full = ObcaController(cfg).solve_step(z0, np.zeros(2), ref, env.window(0, 9),
+                                              strategy=strategy)
+        assert short.ok and short.status == full.status
+        assert short.zs.tobytes() == full.zs.tobytes() and short.us.tobytes() == full.us.tobytes()
+        assert short.stats == full.stats
+        assert [(t, hs.w.tobytes(), hs.offset) for t, hs in short.strategy_rows] == \
+            [(t, hs.w.tobytes(), hs.offset) for t, hs in full.strategy_rows]
+        assert (len(short.strategy_rows) > 0) == (strategy is not None)
+    # The screen reads the clamped timeline at every reference stage.
+    rows = generate_strategy_constraints(StrategyLabel.PASS_RIGHT, ref, env,
+                                         cfg.params.covering_radius)
+    assert max(t for t, _ in rows) > 1
+
+
 def test_lateral_direction_orientation():
     np.testing.assert_allclose(lateral_direction(StrategyLabel.PASS_LEFT, 0.0), [0.0, 1.0])
     np.testing.assert_allclose(lateral_direction(StrategyLabel.PASS_RIGHT, 0.0), [0.0, -1.0])
@@ -300,9 +429,11 @@ def test_environment_window_pads_with_last_step():
     assert win.tv(1) is boxes[2]
     assert win.tv(3) is boxes[2]
     assert win.tv(9) is boxes[2]
-    # The window's faces are rows 1, 2, 2, 2 of the parent's stack.
+    # The window's stacks are rows 1, 2, 2, 2 of the parent's.
     for got, stack in zip(win.faces, env.faces):
         assert np.array_equal(got, stack[[1, 2, 2, 2]])
+    for name in ("vertices", "norms", "unit_normals"):
+        assert getattr(win, name).tobytes() == getattr(env, name)[[1, 2, 2, 2]].tobytes()
     assert env.window(5, 2).obstacles(0) == [boxes[2]]
 
 
