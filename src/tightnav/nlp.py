@@ -41,14 +41,15 @@ When a linearization is infeasible the solver switches to an elastic
 subproblem, the same condensed subproblem from the same hint with l1 slacks
 on the rows of `ineq` and the equality rows after the state rows; the state
 rows and the bounds stay hard, as in SNOPT's elastic mode (Gill, Murray &
-Saunders, SIAM Review 47, 2005).  It declares the NLP infeasible when that
-restoration phase stalls or the relaxation fails.  A line search that finds no
+Saunders, SIAM Review 47, 2005).  A solve takes at most one elastic step:
+the NLP is declared infeasible as soon as a subproblem fails after it, the
+line search rejects it or the relaxation fails.  A line search that finds no
 acceptable step ends the solve: the next subproblem would be built from the
 same point and multipliers and fail the same way.  Identical inputs produce
 bit-identical iterate sequences.
 
 The solver takes no options.  Its tolerances, iteration cap, line-search
-and restoration constants are the module constants below, and every solve
+constants and elastic penalty are the module constants below, and every solve
 records its per-iteration history.
 """
 
@@ -80,17 +81,15 @@ TOL_FEAS = 1e-6
 # the least eigenvalue that a flipped one keeps.
 FLOOR = 1e-6
 # SQP iterations per solve.  One OBCA control step runs up to
-# `tightnav.obca.MAX_ROUNDS` solves, so this is the cap that a per-step work
-# budget would replace.
+# `tightnav.obca.MAX_ROUNDS` + 1 solves, so this is the cap that a per-step
+# work budget would replace.
 ITER_MAX = 100
 # Merit line search: Armijo sufficient-decrease fraction, step shrink factor
 # and trial count.
 ARMIJO = 1e-4
 BACKTRACK = 0.5
 LS_MAX = 30
-# Restoration: elastic iterations without a 0.1 % violation reduction before
-# the NLP is declared infeasible, and the l1 slack penalty.
-RESTORATION_STALL = 10
+# The l1 slack penalty of the one elastic step a solve may take.
 ELASTIC_PENALTY = 1e4
 
 
@@ -286,8 +285,7 @@ def solve_nlp(problem: NlpProblem, x0: np.ndarray,
     lam = np.zeros(len(ci))
     nu = np.zeros(len(ce))
     warm = None if warm_rows is None else np.asarray(warm_rows, dtype=int).ravel()
-    stall = 0
-    best_viol = np.inf
+    restored = False
     status: Status = "max_iterations"
     history: list = []
     it = 0
@@ -327,7 +325,11 @@ def solve_nlp(problem: NlpProblem, x0: np.ndarray,
             qp_sol = None
         elastic = False
         if qp_sol is None or qp_sol.status != "optimal":
-            elastic = True
+            # A solve takes one elastic step at most.
+            if restored:
+                status = "infeasible"
+                break
+            elastic = restored = True
             try:
                 qp_sol = _elastic_qp(B, g, Je, ce, Ji, ci[:m_u], lo - x, hi - x, k,
                                      warm, ELASTIC_PENALTY)
@@ -408,35 +410,19 @@ def solve_nlp(problem: NlpProblem, x0: np.ndarray,
             alpha *= BACKTRACK
         if not accepted:
             # The next subproblem would be built from the same x and
-            # multipliers, so it would return the same step: stop here.  A
-            # restoration step that cannot reduce the violation at all means
-            # the constraints are locally inconsistent.
+            # multipliers, so it would return the same step: stop here.  An
+            # elastic step that cannot reduce the violation at all means the
+            # constraints are locally inconsistent.
             kind = "elastic-fail" if elastic else "ls-fail"
             history.append((it, merit0, merit_try, r_kkt, r_feas, alpha, kind))
             status = "infeasible" if elastic else "max_iterations"
             break
-
-        # Restoration stall bookkeeping: infeasibility is declared when the
-        # elastic phase stops reducing the violation.
-        if elastic:
-            v_now = _violation_l1(ev_acc[2], ev_acc[4])
-            if v_now < best_viol * (1.0 - 1e-3) - 1e-12:
-                best_viol = v_now
-                stall = 0
-            else:
-                stall += 1
-        else:
-            stall = 0
-            best_viol = min(best_viol, viol0)
 
         x = x_acc
         fval, g, ce, Je, ci, Ji = ev_acc
         lam, nu = lam_new, nu_new
         history.append((it, merit0, merit_try, r_kkt, r_feas, alpha,
                         "elastic" if elastic else "qp"))
-        if stall >= RESTORATION_STALL:
-            status = "infeasible"
-            break
 
     r_kkt = kkt(g, Je, Ji, nu, lam, ce, ci)
     r_feas = _violation_inf(ce, ci)

@@ -65,8 +65,8 @@ ENGAGE_DIST = 0.25
 # After a solve, a disengaged pair whose distance falls below d_min plus
 # this margin is promoted into the NLP for another round.
 REENGAGE_MARGIN = 2e-3
-# Solve rounds per control step: promotion rounds, and the count past which
-# a failed solve gets no braking restart.
+# Solves per control step after which promotion stops; a failed solve that
+# did not start from the braking guess is retried once from it on top.
 MAX_ROUNDS = 3
 
 
@@ -745,7 +745,9 @@ class ObcaController:
             iters += sol.iterations
             zs, us, dual_map = builder.unpack(sol.x)
             if sol.status != "optimal":
-                if brake_start or rounds > MAX_ROUNDS:
+                # No solve takes a second elastic step: retry once from the
+                # braking guess instead, unless this solve started there.
+                if brake_start:
                     break
                 brake_start = True
                 zs_g, us_g = self._braking_guess(z0)

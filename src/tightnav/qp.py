@@ -19,8 +19,10 @@ members with negative multipliers are then dropped until the start is dual
 feasible, in the manner of qpOASES (Ferreau et al., Math. Prog. Comp. 2014).
 From that start, violated inequalities are added one at a time while dual
 feasibility is kept.  Infeasible problems are detected through an unbounded
-dual ray.  All linear algebra is dense; the target problems are MPC
-subproblems with a few hundred variables.
+dual ray.  Where rounding hides that ray, or a badly scaled problem grows the
+multipliers without bound, the step that would leave the float range ends
+the solve as a numerical failure instead.  All linear algebra is dense; the
+target problems are MPC subproblems with a few hundred variables.
 
 Bounds are kept apart from the general rows, as in qpOASES and DAQP
 (Arnstrom, Bemporad & Axehill, IEEE TAC 2022).  When the warm set's bounds
@@ -54,13 +56,10 @@ parts of lam scattered to their variables:
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import cholesky, get_lapack_funcs, qr, qr_delete, solve_triangular
-
-logger = logging.getLogger(__name__)
 
 _SLACK_TOL = 1e-10
 _DEP_TOL = 1e-11
@@ -68,7 +67,7 @@ _DEP_TOL = 1e-11
 
 @dataclass
 class QpSolution:
-    status: str  # "optimal" | "infeasible" | "max_iterations"
+    status: str  # "optimal" | "infeasible" | "max_iterations" | "numerical_failure"
     x: np.ndarray
     lam: np.ndarray  # inequality multipliers, >= 0
     nu: np.ndarray  # equality multipliers, free sign
@@ -426,75 +425,81 @@ def _solve_rows(H, f, A, b, C, d, warm_rows, start=None):
     limit = 50 * (m_all + n + 1)
     status = "max_iterations"
 
-    while iters < limit:
-        iters += 1
-        slack = G[n_eq:] @ x - h[n_eq:] if n_in else np.zeros(0)
-        in_set = np.zeros(n_in, dtype=bool)
-        for j in active:
-            if j >= n_eq:
-                in_set[j - n_eq] = True
-        violated = (slack < -_SLACK_TOL) & ~in_set
-        if not np.any(violated):
-            status = "optimal"
-            break
-        cand = np.flatnonzero(violated)
-        pick = cand[np.argmin(slack[cand])]
-        row = n_eq + int(pick)
-        npl = G[row]
-        s_val = slack[pick]
-        u_plus = 0.0
+    # The multipliers can grow without bound (see the module docstring): the
+    # operation that would form an inf or nan ends the solve.
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            while iters < limit:
+                iters += 1
+                slack = G[n_eq:] @ x - h[n_eq:] if n_in else np.zeros(0)
+                in_set = np.zeros(n_in, dtype=bool)
+                for j in active:
+                    if j >= n_eq:
+                        in_set[j - n_eq] = True
+                violated = (slack < -_SLACK_TOL) & ~in_set
+                if not np.any(violated):
+                    status = "optimal"
+                    break
+                cand = np.flatnonzero(violated)
+                pick = cand[np.argmin(slack[cand])]
+                row = n_eq + int(pick)
+                npl = G[row]
+                s_val = slack[pick]
+                u_plus = 0.0
 
-        # Inner add/drop loop for the chosen constraint.
-        while True:
-            dvec = JT @ npl
-            d2 = dvec[q:]
-            nrm2 = float(d2 @ d2)
-            if q:
-                r_dir = solve_triangular(R[:q, :q], dvec[:q])
-            else:
-                r_dir = np.zeros(0)
-            # Dual blocking step (only inequality members can hit zero).
-            t1 = np.inf
-            blocker = -1
-            for pos in range(q):
-                if active[pos] >= n_eq and r_dir[pos] > _SLACK_TOL:
-                    ratio = u[pos] / r_dir[pos]
-                    if ratio < t1 - 1e-14:
-                        t1, blocker = ratio, pos
-            t2 = -s_val / nrm2 if nrm2 > _DEP_TOL else np.inf
-            if not np.isfinite(t1) and not np.isfinite(t2):
-                return QpSolution(
-                    "infeasible", x, lam_out, nu_out, iters, _obj(H, f, x)
-                ), None
-            t = min(t1, t2)
-            if np.isfinite(t2) and t > 0.0:
-                z = d2 @ JT[q:]
-                x = x + t * z
-                s_val = npl @ x - h[row]
-            if q:
-                u = u - t * r_dir
-            u_plus += t
-            if t == t2 and np.isfinite(t2):
-                # Add the constraint: one Householder reflection collapses d2.
-                nrm = np.sqrt(nrm2)
-                v = d2.copy()
-                sign = 1.0 if d2[0] >= 0.0 else -1.0
-                v[0] += sign * nrm
-                vv = float(v @ v)
-                if vv > 0.0:
-                    w = v @ JT[q:]
-                    JT[q:] -= np.outer((2.0 / vv) * v, w)
-                R[:q, q] = dvec[:q]
-                R[q, q] = -sign * nrm
-                active.append(row)
-                u = np.append(u, u_plus)
-                q += 1
-                break
-            # Partial step: drop the blocking constraint and continue.
-            _drop_row(JT, R, q, blocker)
-            active.pop(blocker)
-            u = np.delete(u, blocker)
-            q -= 1
+                # Inner add/drop loop for the chosen constraint.
+                while True:
+                    dvec = JT @ npl
+                    d2 = dvec[q:]
+                    nrm2 = float(d2 @ d2)
+                    if q:
+                        r_dir = solve_triangular(R[:q, :q], dvec[:q])
+                    else:
+                        r_dir = np.zeros(0)
+                    # Dual blocking step (only inequality members can hit zero).
+                    t1 = np.inf
+                    blocker = -1
+                    for pos in range(q):
+                        if active[pos] >= n_eq and r_dir[pos] > _SLACK_TOL:
+                            ratio = u[pos] / r_dir[pos]
+                            if ratio < t1 - 1e-14:
+                                t1, blocker = ratio, pos
+                    t2 = -s_val / nrm2 if nrm2 > _DEP_TOL else np.inf
+                    if not np.isfinite(t1) and not np.isfinite(t2):
+                        return QpSolution(
+                            "infeasible", x, lam_out, nu_out, iters, _obj(H, f, x)
+                        ), None
+                    t = min(t1, t2)
+                    if np.isfinite(t2) and t > 0.0:
+                        z = d2 @ JT[q:]
+                        x = x + t * z
+                        s_val = npl @ x - h[row]
+                    if q:
+                        u = u - t * r_dir
+                    u_plus += t
+                    if t == t2 and np.isfinite(t2):
+                        # Add the constraint: one Householder reflection collapses d2.
+                        nrm = np.sqrt(nrm2)
+                        v = d2.copy()
+                        sign = 1.0 if d2[0] >= 0.0 else -1.0
+                        v[0] += sign * nrm
+                        vv = float(v @ v)
+                        if vv > 0.0:
+                            w = v @ JT[q:]
+                            JT[q:] -= np.outer((2.0 / vv) * v, w)
+                        R[:q, q] = dvec[:q]
+                        R[q, q] = -sign * nrm
+                        active.append(row)
+                        u = np.append(u, u_plus)
+                        q += 1
+                        break
+                    # Partial step: drop the blocking constraint and continue.
+                    _drop_row(JT, R, q, blocker)
+                    active.pop(blocker)
+                    u = np.delete(u, blocker)
+                    q -= 1
+    except FloatingPointError:
+        return QpSolution("numerical_failure", x, lam_out, nu_out, iters, 0.0), None
 
     # Map internal multipliers back to the caller's convention.
     for pos, j in enumerate(active):

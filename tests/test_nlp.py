@@ -100,7 +100,7 @@ def test_optimal_implies_tolerances():
     assert sol.feas_residual <= TOL_FEAS
 
 
-def test_infeasible_detected_by_restoration_stall():
+def test_infeasible_detected_after_one_elastic_step(monkeypatch):
     def obj(x):
         return float(x @ x), 2.0 * x
 
@@ -108,10 +108,23 @@ def test_infeasible_detected_by_restoration_stall():
         # x0 >= 1 and x0 <= -1: empty.
         return np.array([1.0 - x[0], x[0] + 1.0]), np.array([[-1.0, 0.0], [1.0, 0.0]])
 
+    calls = []
+    elastic = tightnav.nlp._elastic_qp
+
+    def counting(*args):
+        calls.append(args)
+        return elastic(*args)
+
+    monkeypatch.setattr(tightnav.nlp, "_elastic_qp", counting)
     prob = NlpProblem(n=2, objective=obj, lag_hess=constant_hess(2.0 * np.eye(2)),
                       ineq=ineq)
     sol = solve_nlp(prob, np.zeros(2))
+    # Iteration 1 takes the elastic step; iteration 2's subproblem fails
+    # again and ends the solve without a second one.
     assert sol.status == "infeasible"
+    assert len(calls) == 1
+    assert sol.iterations == 2
+    assert [rec[-1] for rec in sol.history] == ["elastic"]
 
 
 def disc_hess(x, nu, lam):

@@ -513,6 +513,20 @@ def test_solve_step_strategy_rows_enforced():
     assert sol.zs[t_close, 1] > 0.055
 
 
+def test_guided_solve_leaves_the_braking_guess_in_one_elastic_step(monkeypatch):
+    # The zero-input warm start runs into the TV, so the solve starts from
+    # the stopped braking guess, whose linearization has no lateral
+    # authority against the strategy rows: its one elastic step leaves it.
+    tv, env, z0, ref = blocking_scene()
+    calls = record_nlp_calls(monkeypatch)
+    sol = ObcaController(ControllerConfig()).solve_step(
+        z0, np.zeros(2), ref, env, strategy=StrategyLabel.PASS_LEFT)
+    assert sol.ok and len(calls) == 1
+    history = calls[0][2].history
+    assert [(rec[0], rec[-1]) for rec in history[:1]] == [(1, "elastic")]
+    assert len(history) > 1 and all(rec[-1] == "qp" for rec in history[1:])
+
+
 def test_solve_step_pass_sides_differ():
     tv, env, z0, ref = blocking_scene()
     left = ObcaController(ControllerConfig()).solve_step(

@@ -173,6 +173,15 @@ def test_infeasible_with_equalities():
     assert sol.status == "infeasible"
 
 
+def test_step_past_the_float_range_is_a_numerical_failure():
+    # x >= 1e300 against curvature 1e10: the step onto the row is 1e300
+    # over the row's squared norm in factored coordinates, 1e-10, which has
+    # no float value.  The solve must end before forming it.
+    sol = solve_qp(np.array([[1e10]]), np.zeros(1), np.array([[-1.0]]), np.array([-1e300]))
+    assert sol.status == "numerical_failure" and not sol.ok
+    assert np.all(np.isfinite(sol.x)) and sol.iterations == 1
+
+
 def test_semidefinite_hessian_regularized():
     # Distance-QP structure: H singular along the joint-translation direction.
     H = np.array([[1.0, -1.0], [-1.0, 1.0]]) * 2.0

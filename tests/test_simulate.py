@@ -8,13 +8,17 @@ runs fast.  Safety is audited with the exact body-to-obstacle distance the
 simulator logs at every step.  The dataset and benchmark tests use even
 shorter runs: they check bookkeeping and serialization, not driving.  One
 run is longer: 98 steps of a held-out reverse park under `sg`, whose last
-two steps run the SQP's elastic restoration.
+two steps run the SQP's elastic restoration.  One runs in a fresh
+interpreter with BLAS on one thread: 21 steps of a held-out turn-in under
+`sg`, whose last step overflows a QP's dual step.
 """
 
 import dataclasses
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -159,6 +163,44 @@ def test_sg_tail_restoration_keeps_the_states_condensed(monkeypatch):
     assert elastic_qps
     for k, n_cols, sizes in elastic_qps:
         assert k > 0 and sizes == [n_cols]
+
+
+# Run in a fresh interpreter, whose BLAS is pinned to one thread before numpy
+# loads, as the benchmark runs it: the overflow below depends on rounding.
+QP_OVERFLOW_RUN = """
+import collections, sys
+import tightnav.nlp
+from tightnav.predictor import load_model
+from tightnav.scenario import benchmark_suite
+from tightnav.simulate import run_closed_loop
+
+statuses = collections.Counter()
+solve_qp = tightnav.nlp.solve_qp
+
+def recording(*args, **kwargs):
+    sol = solve_qp(*args, **kwargs)
+    statuses[sol.status] += 1
+    return sol
+
+tightnav.nlp.solve_qp = recording
+res = run_closed_loop(benchmark_suite()[37], "sg", model=load_model(sys.argv[1]), max_steps=21)
+print(res.outcome, len(res.logs), statuses["numerical_failure"], res.logs[-1].sg_status)
+"""
+
+
+def test_qp_overflow_ends_the_qp_not_the_run():
+    # At step 20 of this turn-in under `sg`, an elastic QP's multipliers
+    # grow past the float range.  That QP ends `numerical_failure`, its NLP
+    # `infeasible`, and the braking restart solves the step; no
+    # RuntimeWarning escapes.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(tightnav.__file__)))
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    run = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", QP_OVERFLOW_RUN,
+                          STRATEGY_MODEL], env=env, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    outcome, steps, failures, last = run.stdout.split()
+    assert (outcome, steps, last) == ("timeout", "21", "optimal")
+    assert int(failures) >= 1
 
 
 def head_on_scenario():
