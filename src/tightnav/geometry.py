@@ -348,26 +348,29 @@ def point_polytope_distances(p, verts, A, b) -> np.ndarray:
     return np.where(inside, 0.0, np.sqrt(d2.min(axis=1)))
 
 
-def project_to_critical_boundary(p_ref, d, verts, A, b, radius: float) -> np.ndarray:
+def project_to_critical_boundary(p_ref, d, verts, A, b, radius: float, dist) -> np.ndarray:
     """Where K rays leave their critical regions, (K, 2).
 
     Row k's critical region is polygon k dilated by `radius`; d (K, 2) holds
-    unit directions.  The region is convex, and its boundary is each edge
-    pushed out by `radius` along its outward normal plus an arc of that
-    radius about each vertex.  A ray from a point inside crosses every piece
-    it meets at or before its exit, and the exit lies on one of them, so the
-    exit is the largest crossing: of each pushed-out edge the ray leaves
-    through (d against the edge's outward normal positive, the crossing
-    within the edge's span) and of each vertex circle the ray meets (its far
-    root).  The row's point is at that t, clamped at t >= 0.  A ray parallel
-    to an edge has no crossing of it and leaves through the arc at its end.
-    One numpy pass covers K rows x V edges.  Raises GeometryError when a
-    reference point lies more than PROJECTION_TOL outside its region.
+    unit directions, and dist (K,) the distances of the rays' start points
+    p_ref from their polygons, as `point_polytope_distances` measures them
+    (the caller has them from screening the points).  The region is convex,
+    and its boundary is each edge pushed out by `radius` along its outward
+    normal plus an arc of that radius about each vertex.  A ray from a
+    point inside crosses every piece it meets at or before its exit, and the
+    exit lies on one of them, so the exit is the largest crossing: of each
+    pushed-out edge the ray leaves through (d against the edge's outward
+    normal positive, the crossing within the edge's span) and of each vertex
+    circle the ray meets (its far root).  The row's point is at that t,
+    clamped at t >= 0.  A ray parallel to an edge has no crossing of it and
+    leaves through the arc at its end.  One numpy pass covers K rows x V
+    edges.  Raises GeometryError when a distance puts its point more than
+    PROJECTION_TOL outside its region.
     """
     p_ref, d = np.asarray(p_ref, float), np.asarray(d, float)
     if radius <= 0:
         raise GeometryError("critical region radius must be positive")
-    if np.any(point_polytope_distances(p_ref, verts, A, b) - radius > PROJECTION_TOL):
+    if np.any(np.asarray(dist, float) - radius > PROJECTION_TOL):
         raise GeometryError("reference point is outside the critical region")
     px, py = p_ref[:, None, 0], p_ref[:, None, 1]
     dx, dy = d[:, None, 0], d[:, None, 1]

@@ -27,15 +27,15 @@ a bound's unit Jacobian row only for the second-order correction's stack.
 The first subproblem of a solve starts from the caller's `warm_rows` hint,
 typically the working set of a related earlier solve; the solution carries
 the working set of the last subproblem as `active_rows`, so a caller can
-pass it on.  Both count inequality rows the solver's way: the rows of
-`problem.ineq` first, then the finite lower bounds in variable order, then
-the finite upper bounds in variable order.  A hint changes only the QP
-work, never the subproblem's answer: the QP skips rows that are out of
-range, repeated or dependent, may fix the variables of hinted bounds, and
-drops rows and releases bounds whose multipliers come out negative.  The QP
-numbers a condensed subproblem's rows differently (the state bounds come
-right after the rows of `problem.ineq`), and `_solve_subproblem` translates
-hints, multipliers and active rows both ways.
+pass it on.  Both count inequality rows the QP's way: the rows of
+`problem.ineq` first, then the finite bounds variable by variable as
+`qp.bound_rows` numbers them.  A hint changes only the QP work, never the
+subproblem's answer: the QP skips rows that are out of range, repeated or
+dependent, may fix the variables of hinted bounds, and drops rows and
+releases bounds whose multipliers come out negative.  The states are the
+leading variables, so their bound rows, which condensing turns into
+general rows placed right after those of `problem.ineq`, keep their
+numbers, and the QP's numbering of a subproblem is the solver's.
 
 When a linearization is infeasible the solver switches to an elastic
 subproblem, the same condensed subproblem from the same hint with l1 slacks
@@ -495,8 +495,9 @@ def _solve_subproblem(B, g, Je, ce, Ji, ci, lb, ub, k, warm):
     S is zero outside the columns `cols` that the state rows touch, so
     substituting changes only those columns of the reduced Hessian and of
     the other rows, and only the rows with a state entry.  The bounds on
-    the first k components become rows over the remaining ones, placed
-    after the rows of Ji; every other bound stays a bound.  The state-row
+    the first k components, the first bound rows, become rows over the
+    remaining ones placed after the rows of Ji, so every row keeps its
+    number; every other bound stays a bound.  The state-row
     multipliers follow from the first k components of stationarity,
     E' nu_s = -r_s.  Returns the solution in the full variables.
     """
@@ -529,34 +530,24 @@ def _solve_subproblem(B, g, Je, ce, Ji, ci, lb, ub, k, warm):
 
     A, b = eliminate(Ji, ci)
     C, d = eliminate(Je[k:], ce[k:])
-    # A state's bound row sign * p_i <= rhs becomes
-    # sign * S_i p[k:] <= rhs - sign * s0_i, a row after those of Ji.
+    # The states' bound rows are the first bound rows.  Each one,
+    # sign * p_i <= rhs, becomes sign * S_i p[k:] <= rhs - sign * s0_i.
     var, sign, rhs = bound_rows(lb, ub)
-    state = var < k
+    state = np.s_[: np.searchsorted(var, k)]
     s_var, s_sign = var[state], sign[state]
     rows = np.zeros((len(s_var), len(f)))
     rows[:, cols] = s_sign[:, None] * S[s_var]
     A = np.vstack([A, rows])
     b = np.concatenate([b, rhs[state] - s_sign * s0[s_var]])
-    # The QP numbers the states' bound rows right after the rows of Ji and
-    # the other bounds after them, each group in the module docstring's
-    # order: order[r] is the docstring's number of the QP's row r, and
-    # qp_row inverts it.
-    m_u = len(ci)
-    order = np.concatenate([np.arange(m_u), m_u + np.argsort(~state, kind="stable")])
-    qp_row = np.argsort(order)
-    if warm is not None:
-        warm = qp_row[warm[(warm >= 0) & (warm < len(order))]]
     sol = solve_qp(H, f, A, b, C, d, warm_rows=warm, lb=lb[k:], ub=ub[k:])
     p = np.concatenate([s0 + S @ sol.x[cols], sol.x])
+    m_u = len(ci)
     r_s = B[:k] @ p + g[:k] + Ji[:, :k].T @ sol.lam[:m_u] + Je[k:, :k].T @ sol.nu
     r_s += np.bincount(s_var, s_sign * sol.lam[m_u : m_u + len(s_var)], minlength=k)
     nu_s = -solve_triangular(e, r_s, trans="T", lower=True, unit_diagonal=True,
                              check_finite=False)
     sol.x = p
     sol.nu = np.concatenate([nu_s, sol.nu])
-    sol.lam = sol.lam[qp_row]
-    sol.active_rows = np.sort(order[sol.active_rows])
     sol.objective = float(0.5 * p @ (B @ p) + g @ p)
     return sol
 
@@ -564,10 +555,10 @@ def _solve_subproblem(B, g, Je, ce, Ji, ci, lb, ub, k, warm):
 def _elastic_qp(B, g, Je, ce, Ji, ci, lb, ub, k, warm, rho):
     """`_solve_subproblem`'s step with slack columns after the variables, 2
     per equality row after the k state rows and 1 per row of Ji, each with
-    cost rho and curvature 1e-6.  The slacks' lower bounds fall between the
-    variables' lower and upper bounds in the subproblem's numbering, so the
-    hint is shifted past them and `lam` and `active_rows` shifted back.
-    Returns None when the relaxation fails."""
+    cost rho and curvature 1e-6.  The slacks' lower bounds are the last
+    bound rows, so the subproblem's row numbers hold unchanged before them,
+    and `lam` and `active_rows` are cut off at the first.  Returns None when
+    the relaxation fails."""
     n, me, mi = len(g), len(ce) - k, len(ci)
     ns = 2 * me + mi
     H = np.zeros((n + ns, n + ns))
@@ -576,16 +567,13 @@ def _elastic_qp(B, g, Je, ce, Ji, ci, lb, ub, k, warm, rho):
     Je = np.hstack([Je, np.zeros((len(ce), ns))])
     Je[k:, n : n + 2 * me] = np.hstack([np.eye(me), -np.eye(me)])
     Ji = np.hstack([Ji, np.zeros((mi, 2 * me)), -np.eye(mi)])
-    first = mi + np.count_nonzero(np.isfinite(lb))
-    if warm is not None:
-        warm = np.where(warm >= first, warm + ns, warm)
     sol = _solve_subproblem(H, np.concatenate([g, np.full(ns, rho)]), Je, ce, Ji, ci,
                             np.concatenate([lb, np.zeros(ns)]),
                             np.concatenate([ub, np.full(ns, np.inf)]), k, warm)
     if sol.status != "optimal":
         logger.warning("elastic QP failed with status %s", sol.status)
         return None
-    sol.lam = np.delete(sol.lam, np.s_[first : first + ns])
-    a = sol.active_rows[(sol.active_rows < first) | (sol.active_rows >= first + ns)]
-    sol.active_rows = np.where(a >= first, a - ns, a)
+    first = len(sol.lam) - ns
+    sol.lam = sol.lam[:first]
+    sol.active_rows = sol.active_rows[sol.active_rows < first]
     return sol

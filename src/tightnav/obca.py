@@ -189,7 +189,7 @@ class ControllerConfig:
 
 @dataclass
 class MpcSolution:
-    """One horizon solve: the plan, its status, strategy rows and counters.
+    """One horizon solve: the plan, its status and counters.
 
     zs has shape (N+1, 4) with zs[0] the measured state, us has shape (N, 2).
     stats holds "iterations" (SQP iterations over all rounds), "rounds",
@@ -201,7 +201,6 @@ class MpcSolution:
     zs: np.ndarray
     us: np.ndarray
     status: str
-    strategy_rows: list
     stats: dict
 
     @property
@@ -248,12 +247,13 @@ def generate_strategy_constraints(strategy, ref, env: EnvironmentEncoding, r_ev:
     verts = env.vertices[:n, 0]
     A, b = (faces[:n, 0] for faces in env.faces)
     p_ref = ref[:, :2]
-    stages = np.flatnonzero(point_polytope_distances(p_ref, verts, A, b) <= r_ev + 1e-9)
+    dist = point_polytope_distances(p_ref, verts, A, b)
+    stages = np.flatnonzero(dist <= r_ev + 1e-9)
     if not len(stages):
         return []
     verts, A, b = verts[stages], A[stages], b[stages]
     dirs = np.array([lateral_direction(strategy, float(ref[t, 2])) for t in stages])
-    qs = project_to_critical_boundary(p_ref[stages], dirs, verts, A, b, r_ev)
+    qs = project_to_critical_boundary(p_ref[stages], dirs, verts, A, b, r_ev, dist[stages])
     out = []
     for t, hs in zip(stages.tolist(), strategy_halfspaces(qs, verts, A, b)):
         if isinstance(hs, GeometryError):
@@ -261,19 +261,6 @@ def generate_strategy_constraints(strategy, ref, env: EnvironmentEncoding, r_ev:
             continue
         out.append((t, hs))
     return out
-
-
-def _witness_duals(obs: Polytope, z, params: VehicleParams):
-    """(distance, lam, mu) from the exact pairwise distance at state z.
-
-    The scaled multipliers satisfy the dual stationarity row exactly and put
-    the clearance expression at the true distance; touching bodies fall back
-    to zero duals.
-    """
-    res = distance_witness(obs, body_polytope(z, params.length, params.width))
-    if res.distance <= 1e-9:
-        return res.distance, np.zeros(4), np.zeros(4)
-    return res.distance, res.mult_p / res.distance, res.mult_q / res.distance
 
 
 def _face_certificates(env: EnvironmentEncoding, zs, params: VehicleParams):
@@ -309,17 +296,20 @@ def _face_certificates(env: EnvironmentEncoding, zs, params: VehicleParams):
 
 
 def _seed_duals(obs: Polytope, z, params: VehicleParams, face_lam, face_mu):
-    """Engagement seed: witness duals, or the pair's face certificate on overlap.
+    """(distance, lam, mu): the engagement seed of one pair at state z.
 
-    Zero duals at an overlapping pair would zero out the clearance row's
-    position gradient and strand the solver; the best-face certificate
-    (face_lam, face_mu from `_face_certificates`) keeps a nonzero escape
-    direction in the linearization.
+    Apart, the exact pairwise distance's scaled multipliers: they satisfy
+    the dual stationarity row exactly and put the clearance expression at
+    the true distance.  At a distance of 1e-6 or less, the pair's best-face
+    certificate (face_lam, face_mu from `_face_certificates`), because the
+    witness multipliers vanish at contact, and zero duals would zero out the
+    clearance row's position gradient and strand the solver; the
+    certificate keeps a nonzero escape direction in the linearization.
     """
-    dist, lam, mu = _witness_duals(obs, z, params)
-    if dist <= 1e-6:
-        lam, mu = face_lam, face_mu
-    return dist, lam, mu
+    res = distance_witness(obs, body_polytope(z, params.length, params.width))
+    if res.distance <= 1e-6:
+        return res.distance, face_lam, face_mu
+    return res.distance, res.mult_p / res.distance, res.mult_q / res.distance
 
 
 def _rotations_t(psi):
@@ -498,8 +488,9 @@ class _StepNlp:
 
     def _row_table(self):
         """(keys, rows): every inequality row's key in the solver's order,
-        and the row number of each key.  The bound rows are numbered as
-        `qp.bound_rows` numbers them for the solver."""
+        and the row number of each key.  The bound rows follow the rows of
+        `ineq` in the one order of `qp.bound_rows`, variable by variable,
+        which the QP numbers its rows by too."""
         if self._table is None:
             n_h = self.cfg.horizon
             var = [("z_", t, -1, c) for t in range(1, n_h + 1) for c in range(4)]
@@ -653,15 +644,6 @@ class ObcaController:
             zs[t + 1] = step_rk4(zs[t], us[t], cfg.dt, cfg.params)
         return zs, us
 
-    def _reseed(self, pairs, zs_g, env):
-        cfg = self.config
-        _, lam_f, mu_f = _face_certificates(env, zs_g, cfg.params)
-        return {
-            (t, m): _seed_duals(env.obstacles(t)[m], zs_g[t], cfg.params,
-                                lam_f[t, m], mu_f[t, m])[1:]
-            for t, m in pairs
-        }
-
     def _unreachable_strategy(self, z0, strat_rows) -> bool:
         """Cheap infeasibility screen: position moves at most |v| dt per step."""
         cfg = self.config
@@ -698,7 +680,7 @@ class ObcaController:
 
         zs_g, us_g, keys = self._initial_guess(z0, step)
         if strat_rows and self._unreachable_strategy(z0, strat_rows):
-            return MpcSolution(zs_g, us_g, "infeasible", strat_rows,
+            return MpcSolution(zs_g, us_g, "infeasible",
                                {"iterations": 0, "rounds": 0, "engaged": 0,
                                 "cost": float("nan"), "precheck": True})
 
@@ -751,7 +733,10 @@ class ObcaController:
                     break
                 brake_start = True
                 zs_g, us_g = self._braking_guess(z0)
-                dual_map = self._reseed(pairs, zs_g, env)
+                _, lam_b, mu_b = _face_certificates(env, zs_g, cfg.params)
+                dual_map = {(t, m): _seed_duals(env.obstacles(t)[m], zs_g[t], cfg.params,
+                                                lam_b[t, m], mu_b[t, m])[1:]
+                            for t, m in pairs}
                 continue
             # Promotion check: a face certificate's value bounds the distance
             # from below, so only disengaged pairs under the threshold need
@@ -781,7 +766,7 @@ class ObcaController:
             brake_start = False
 
         result = MpcSolution(
-            zs=zs, us=us, status=sol.status, strategy_rows=strat_rows,
+            zs=zs, us=us, status=sol.status,
             stats={"iterations": iters, "rounds": rounds, "engaged": len(pairs),
                    "cost": sol.objective, "precheck": False},
         )

@@ -6,8 +6,10 @@ Solves
 
 for symmetric positive-definite H.  The bounds may hold -inf and +inf
 entries; only the finite ones constrain.  Inequality multipliers and
-working-set members are numbered rows of A first, then the finite lower
-bounds, then the finite upper bounds, each in variable order.
+working-set members are numbered rows of A first, then the finite bounds
+variable by variable (`bound_rows`), so the bounds of a leading block of
+variables are a prefix of the bound rows and those of a trailing block a
+suffix.
 
 The method (Goldfarb & Idnani, Math. Prog. 1983) keeps a working set of
 linearly independent constraint normals with the factorization JT @ N =
@@ -219,13 +221,13 @@ def solve_qp(
 
 def bound_rows(lb, ub):
     """(var, sign, rhs): the finite bounds of lb <= x <= ub as the rows
-    sign[j] * x[var[j]] <= rhs[j], the finite lower bounds first, then the
-    finite upper bounds, each in variable order."""
-    i_lo = np.flatnonzero(np.isfinite(lb))
-    i_hi = np.flatnonzero(np.isfinite(ub))
-    sign = np.ones(len(i_lo) + len(i_hi))
-    sign[: len(i_lo)] = -1.0
-    return np.concatenate([i_lo, i_hi]), sign, np.concatenate([-lb[i_lo], ub[i_hi]])
+    sign[j] * x[var[j]] <= rhs[j], variable by variable: each variable's
+    finite lower bound, then its finite upper bound.  This is the package's
+    one numbering of bound rows; `tightnav.nlp` and `tightnav.obca` number
+    theirs by it too."""
+    j = np.flatnonzero(np.column_stack([np.isfinite(lb), np.isfinite(ub)]))
+    rhs = np.column_stack([-lb, ub]).ravel()[j]
+    return j // 2, np.where(j % 2, 1.0, -1.0), rhs
 
 
 def unit_rows(var, sign, n):

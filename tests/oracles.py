@@ -279,9 +279,11 @@ def strategy_halfspace(q_boundary, base: Polytope) -> Halfspace:
 
 def exit_one(p_ref, base: Polytope, radius: float, direction) -> np.ndarray:
     """`geometry.project_to_critical_boundary` on one row."""
-    return project_to_critical_boundary(
-        np.asarray(p_ref, float)[None], np.asarray(direction, float)[None],
-        base.vertices[None], base.A[None], base.b[None], radius)[0]
+    p_ref = np.asarray(p_ref, float)[None]
+    verts, A, b = base.vertices[None], base.A[None], base.b[None]
+    return project_to_critical_boundary(p_ref, np.asarray(direction, float)[None],
+                                        verts, A, b, radius,
+                                        point_polytope_distances(p_ref, verts, A, b))[0]
 
 
 def strategy_constraints_per_stage(strategy, ref, env, r_ev: float, project=exit_one):

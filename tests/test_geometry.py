@@ -224,6 +224,14 @@ def stack(polys):
             np.array([p.b for p in polys]))
 
 
+def exits(p_ref, d, polys, radius):
+    """`project_to_critical_boundary` on the rows of `polys`, with the
+    rows' distances measured as its callers measure them."""
+    p_ref, (verts, A, b) = np.asarray(p_ref, float), stack(polys)
+    return project_to_critical_boundary(p_ref, d, verts, A, b, radius,
+                                        point_polytope_distances(p_ref, verts, A, b))
+
+
 def plain_point_polygon_distance(p, poly: Polytope) -> float:
     """The batched distance's documented arithmetic in Python floats.
 
@@ -317,7 +325,7 @@ def project_rows(p_ref, d, polys, radius):
     """The closed-form exits of all rows: within PROJECTION_TOL / 2 of the
     batched bisection where it finds a crossing, and at distance r on every
     row.  Returns the exits and the rows the bisection found."""
-    q = project_to_critical_boundary(p_ref, d, *stack(polys), radius)
+    q = exits(p_ref, d, polys, radius)
     q_bis, ok = project_by_bisection(p_ref, np.asarray(d, float), *stack(polys), radius)
     assert np.all(np.abs(q - q_bis)[ok] <= 0.5 * PROJECTION_TOL)
     assert_on_boundary(q, polys, radius)
@@ -431,7 +439,7 @@ def test_projection_parallel_and_vertex_rays():
     p_ref = np.array([r[0] for r in rows])
     dirs = np.array([r[1] for r in rows])
     with np.errstate(divide="raise", over="raise", invalid="raise"):
-        q = project_to_critical_boundary(p_ref, dirs, *stack([base] * len(rows)), 1.0)
+        q = exits(p_ref, dirs, [base] * len(rows), 1.0)
     for (_, _, want), got in zip(rows, q):
         if want is not None:
             np.testing.assert_allclose(got, want, rtol=0.0, atol=4e-16)
@@ -443,8 +451,7 @@ def test_projection_parallel_and_vertex_rays():
 def test_projection_requires_inside_point():
     base = Polytope.from_box([0, 0], 1, 1)
     with pytest.raises(GeometryError):
-        project_to_critical_boundary([[0.0, 0.0], [5.0, 0.0]], [[0.0, 1.0]] * 2,
-                                     *stack([base] * 2), 0.5)
+        exits([[0.0, 0.0], [5.0, 0.0]], [[0.0, 1.0]] * 2, [base] * 2, 0.5)
 
 
 def halfspaces_bitwise(qs, polys):
@@ -505,7 +512,7 @@ def test_strategy_halfspace_supporting_property_random():
     base = Polytope.from_box([0.2, -0.1], 0.7, 0.45, psi=0.6)
     theta = rng.uniform(0, 2 * math.pi, 25)
     d = np.column_stack([np.cos(theta), np.sin(theta)])
-    qs = project_to_critical_boundary([[0.2, -0.1]] * 25, d, *stack([base] * 25), 0.3)
+    qs = exits([[0.2, -0.1]] * 25, d, [base] * 25, 0.3)
     for q, hs in zip(qs, halfspaces_bitwise(qs, [base] * 25)):
         support = max(hs.w @ v for v in base.vertices)
         assert abs(hs.offset - support) < 1e-9

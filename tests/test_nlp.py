@@ -386,9 +386,9 @@ def shooting_subproblem(rng, n_steps=5, nx=3, nu=2, n_extra=6):
     Variables [x_1..x_N | u_0..u_{N-1} | extra]; the first nx * N equality
     rows are the linearized dynamics x_{t+1} = A_t x_t + B_t u_t + c_t, then
     two pair-like rows that couple one state's entries to the extras.
-    Inequalities: general rows on states and extras, then lower and upper
-    bounds on every state and every other variable, as `solve_nlp` folds
-    them in.  A known point satisfies every row, most inequalities with
+    Inequalities: general rows on states and extras, then each variable's
+    lower and upper bound, numbered as `qp.bound_rows` numbers them.  A
+    known point satisfies every row, most inequalities with
     slack, so some rows end up active and others not.
     Returns (B, g, Je, ce, Ji, ci, k).
     """
@@ -416,17 +416,20 @@ def shooting_subproblem(rng, n_steps=5, nx=3, nu=2, n_extra=6):
     Ji = np.vstack([general, -np.eye(n), np.eye(n)])
     slack = rng.uniform(0.0, 0.5, size=len(Ji))
     ci = -Ji @ p_feas - slack
-    return B, g, Je, ce, Ji, ci, k
+    # Bound row j of `bound_rows` is row var[j] of -eye(n) or of eye(n).
+    var, sign, _ = bound_rows(np.zeros(n), np.zeros(n))
+    order = np.concatenate([np.arange(6), 6 + np.where(sign < 0.0, var, n + var)])
+    return B, g, Je, ce, Ji[order], ci[order], k
 
 
 @pytest.mark.parametrize("seed", range(8))
 def test_condensed_subproblem_matches_full_qp(seed, monkeypatch):
     B, g, Je, ce, Ji, ci, k = shooting_subproblem(np.random.default_rng(seed))
     full = solve_qp(B, g, Ji, -ci, Je, -ce)
-    # Ji ends with a lower and an upper bound row on every variable.
+    # Ji ends with each variable's lower and upper bound rows.
     n = len(g)
     m = len(ci) - 2 * n
-    lb, ub = ci[m : m + n], -ci[m + n :]
+    lb, ub = ci[m::2], -ci[m + 1 :: 2]
     assert full.ok and len(full.active_rows) > 0
     for warm in (None, full.active_rows):
         cond = tightnav.nlp._solve_subproblem(B, g, Je, ce, Ji[:m], ci[:m], lb, ub, k, warm)
@@ -440,10 +443,11 @@ def test_condensed_subproblem_matches_full_qp(seed, monkeypatch):
 
     # The elastic relaxation of the same rows plus a contradictory pair, so
     # that a slack is positive: condensed, it must equal the relaxation
-    # solved uncondensed, with and without a hint holding upper bounds.
+    # solved uncondensed, with and without a hint holding upper bounds.  The
+    # slacks' bounds come after the variables', so the hint reaches the QP
+    # as it is.
     Ji, ci = np.vstack([Ji[:m], -Ji[:1]]), np.concatenate([ci[:m], 1.0 - ci[:1]])
     m += 1
-    n_slack = 2 * (len(ce) - k) + m
     elastic = functools.partial(tightnav.nlp._elastic_qp, B, g, Je, ce, Ji, ci, lb, ub, k)
     solve_subproblem = tightnav.nlp._solve_subproblem
     hints = []
@@ -464,12 +468,10 @@ def test_condensed_subproblem_matches_full_qp(seed, monkeypatch):
             patch.setattr(tightnav.nlp, "_solve_subproblem", uncondensed)
             patch.setattr(tightnav.nlp, "solve_qp", recording_qp)
             want = elastic(None, rho)
-            # Upper bounds are numbered from m + n on: past the slacks'
-            # lower bounds in the subproblem, and only there.
-            hint = np.union1d(want.active_rows, m + n + np.arange(0, n, 3))
+            hint = np.union1d(want.active_rows, m + 1 + 2 * np.arange(0, n, 3))
             hinted = elastic(hint, rho)
         assert want.ok and want.x[len(g) + 2 * (len(ce) - k) :].max() > 0.1
-        np.testing.assert_array_equal(hints[-1], np.where(hint >= m + n, hint + n_slack, hint))
+        np.testing.assert_array_equal(hints[-1], hint)
         for got in (hinted, elastic(None, rho), elastic(hint, rho)):
             assert got.ok
             np.testing.assert_array_equal(got.active_rows, want.active_rows)
@@ -604,7 +606,7 @@ def test_subproblems_pass_bounds_as_bounds(monkeypatch):
     sol = solve_nlp(prob, np.zeros(prob.n))
     assert sol.ok and len(calls) > 1
     # Some speed bound and some input bound end up active.
-    bound_vars = np.concatenate([np.flatnonzero(np.isfinite(lo)), np.flatnonzero(np.isfinite(hi))])
+    bound_vars = bound_rows(lo, hi)[0]
     active_vars = bound_vars[sol.active_rows[sol.active_rows >= 3] - 3]
     assert np.any(active_vars < k) and np.any(active_vars >= k)
     n_speed = 2 * 3
@@ -618,19 +620,13 @@ def test_subproblems_pass_bounds_as_bounds(monkeypatch):
         assert not np.any(single & (np.max(np.abs(A), axis=1) == 1.0))
 
 
-def test_condensed_hints_reach_the_qp_renumbered(monkeypatch):
+def test_condensed_hints_reach_the_qp_unchanged(monkeypatch):
     prob, k = speed_bounded_tracking()
     # A cold solve's working set, which holds state and input bounds, and
     # one general row.
     hint = np.union1d(solve_nlp(prob, np.zeros(prob.n)).active_rows, [1])
-    # The QP's number for each of the NLP's rows: the 3 general rows, then
-    # the states' bounds, then the bounds left as bounds, each group in the
-    # NLP's order.
-    bound_var = np.concatenate([np.flatnonzero(np.isfinite(prob.lower)),
-                                np.flatnonzero(np.isfinite(prob.upper))])
-    group = np.concatenate([np.zeros(3), np.where(bound_var < k, 1, 2)])
-    qp_number = np.argsort(np.argsort(group, kind="stable"), kind="stable")
-    assert {0, 1, 2} <= set(group[hint])
+    hinted_vars = bound_rows(prob.lower, prob.upper)[0][hint[hint >= 3] - 3]
+    assert np.any(hint < 3) and np.any(hinted_vars < k) and np.any(hinted_vars >= k)
     hints, qp_calls = [], []
     solve_subproblem = tightnav.nlp._solve_subproblem
 
@@ -648,13 +644,12 @@ def test_condensed_hints_reach_the_qp_renumbered(monkeypatch):
     sol = solve_nlp(prob, np.zeros(prob.n), warm_rows=hint)
     assert sol.ok and {kind for *_, kind in sol.history} == {"qp"}
     np.testing.assert_array_equal(hints[0], hint)
-    # Each hint goes to the QP renumbered, and each QP working set comes
-    # back as the next subproblem's hint (the solution's, for the last).
-    back = np.argsort(qp_number)
+    # Each hint reaches the QP as it is, and each QP working set comes back
+    # as it is as the next subproblem's hint (the solution's, for the last).
     for i, (warm, active) in enumerate(qp_calls):
-        np.testing.assert_array_equal(warm, qp_number[hints[i]])
+        np.testing.assert_array_equal(warm, hints[i])
         nxt = hints[i + 1] if i + 1 < len(hints) else sol.active_rows
-        np.testing.assert_array_equal(nxt, np.sort(back[active]))
+        np.testing.assert_array_equal(nxt, active)
 
 
 def elastic_toy():

@@ -37,11 +37,12 @@ from tightnav.obca import (
     lateral_direction,
     _face_certificates,
     _shift_keys,
+    _seed_duals,
     _StepNlp,
-    _witness_duals,
 )
 
 from tightnav.predictor import load_model
+from tightnav.qp import bound_rows
 from tightnav.scenario import benchmark_suite, parked_tv_scenario
 from tightnav.simulate import run_closed_loop
 
@@ -83,10 +84,17 @@ def straight_ref(z0, n, dt, params):
 
 # --- dual warm start --------------------------------------------------------
 
+def seed_duals(obstacle, z, params):
+    """`_seed_duals` of one pair, given the pair's face certificate."""
+    z = np.asarray(z, float)
+    _, lam_f, mu_f = _face_certificates(EnvironmentEncoding([[obstacle]]), z[None], params)
+    return _seed_duals(obstacle, z, params, lam_f[0, 0], mu_f[0, 0])
+
+
 def test_witness_duals_separated_boxes():
     obstacle = Polytope.from_box((3.0, 0.0), 0.5, 0.5)
     z = np.array([0.0, 0.0, 0.0, 0.0])
-    dist, lam, mu = _witness_duals(obstacle, z, UNIT_PARAMS)
+    dist, lam, mu = seed_duals(obstacle, z, UNIT_PARAMS)
     assert dist == pytest.approx(2.0, abs=1e-12)
     val, stat, nrm = dual_residuals(obstacle, z, lam, mu, UNIT_PARAMS)
     assert val == pytest.approx(2.0, abs=1e-6)
@@ -95,11 +103,18 @@ def test_witness_duals_separated_boxes():
     assert np.all(lam >= 0) and np.all(mu >= 0)
 
 
-def test_witness_duals_overlap_gives_zero():
+def test_seed_duals_overlap_gives_face_certificate():
+    # The witness multipliers vanish at contact; the face certificate keeps
+    # an escape direction, and is dual feasible.
     obstacle = Polytope.from_box((0.3, 0.0), 0.5, 0.5)
-    _, lam, mu = _witness_duals(obstacle, [0.0, 0.0, 0.0, 0.0], UNIT_PARAMS)
-    assert np.all(lam == 0.0)
-    assert np.all(mu == 0.0)
+    face_lam, face_mu = np.array([0.0, 0.0, 1.0, 0.0]), np.array([1.0, 0.0, 0.0, 0.0])
+    z = np.zeros(4)
+    dist, lam, mu = _seed_duals(obstacle, z, UNIT_PARAMS, face_lam, face_mu)
+    assert dist == 0.0 and lam is face_lam and mu is face_mu
+    _, lam, mu = seed_duals(obstacle, z, UNIT_PARAMS)
+    assert np.any(lam > 0.0)
+    val, stat, nrm = dual_residuals(obstacle, z, lam, mu, UNIT_PARAMS)
+    assert stat <= 1e-12 and nrm == pytest.approx(1.0, abs=1e-12)
 
 
 def test_witness_duals_random_pairs_feasible():
@@ -111,7 +126,7 @@ def test_witness_duals_random_pairs_feasible():
             [math.cos(a := rng.uniform(0, 2 * math.pi)), math.sin(a)])
         obstacle = Polytope.from_box(center, rng.uniform(0.1, 0.6),
                                      rng.uniform(0.1, 0.6), rng.uniform(0, math.pi))
-        witness, lam, mu = _witness_duals(obstacle, z, DESK)
+        witness, lam, mu = seed_duals(obstacle, z, DESK)
         val, stat, nrm = dual_residuals(obstacle, z, lam, mu, DESK)
         assert stat <= 1e-7
         assert nrm <= 1.0 + 1e-9
@@ -385,13 +400,14 @@ def test_solve_step_windows_a_short_encoding():
         assert short.ok and short.status == full.status
         assert short.zs.tobytes() == full.zs.tobytes() and short.us.tobytes() == full.us.tobytes()
         assert short.stats == full.stats
-        assert [(t, hs.w.tobytes(), hs.offset) for t, hs in short.strategy_rows] == \
-            [(t, hs.w.tobytes(), hs.offset) for t, hs in full.strategy_rows]
-        assert (len(short.strategy_rows) > 0) == (strategy is not None)
     # The screen reads the clamped timeline at every reference stage.
     rows = generate_strategy_constraints(StrategyLabel.PASS_RIGHT, ref, env,
                                          cfg.params.covering_radius)
     assert max(t for t, _ in rows) > 1
+    rows_full = generate_strategy_constraints(StrategyLabel.PASS_RIGHT, ref, env.window(0, 9),
+                                              cfg.params.covering_radius)
+    assert [(t, hs.w.tobytes(), hs.offset) for t, hs in rows] == \
+        [(t, hs.w.tobytes(), hs.offset) for t, hs in rows_full]
 
 
 def test_lateral_direction_orientation():
@@ -505,8 +521,11 @@ def test_solve_step_strategy_rows_enforced():
     ctrl = ObcaController(cfg)
     sol = ctrl.solve_step(z0, np.zeros(2), ref, env, strategy=StrategyLabel.PASS_LEFT)
     assert sol.ok
-    assert len(sol.strategy_rows) > 0
-    for t, hs in sol.strategy_rows:
+    # The rows of every stage past the measured state.
+    rows = [(t, hs) for t, hs in generate_strategy_constraints(
+        StrategyLabel.PASS_LEFT, ref, env, cfg.params.covering_radius) if t >= 1]
+    assert len(rows) > 0
+    for t, hs in rows:
         assert hs.violation(sol.zs[t, :2]) <= 1e-6
     # Passing left of a centered obstacle means clearing its top edge.
     t_close = int(np.argmin(np.abs(sol.zs[:, 0] - 1.1)))
@@ -557,7 +576,8 @@ def test_unreachable_strategy_detected_without_solving():
                                          strategy=StrategyLabel.PASS_LEFT)
     assert sol.status == "infeasible"
     assert sol.stats["precheck"]
-    assert len(sol.strategy_rows) > 0
+    assert generate_strategy_constraints(StrategyLabel.PASS_LEFT, ref, env,
+                                         cfg.params.covering_radius)
 
 
 def test_solve_step_deterministic():
@@ -782,7 +802,9 @@ def test_step_nlp_bounds_match_per_stage_definition(fd_nlp):
 # --- QP working set carried across steps --------------------------------------
 
 def reference_row_keys(nlp):
-    """Every inequality row's key, by enumerating the rows in the solver's order."""
+    """Every inequality row's key, by enumerating the rows in the solver's
+    order: the rows of `ineq`, then the bounds as `qp.bound_rows` numbers
+    them."""
     n_h = nlp.cfg.horizon
     owners = [("z_{}", t, -1, zsl(t)) for t in range(1, n_h + 1)]
     owners += [("u_{}", t, -1, usl(nlp, t)) for t in range(n_h)]
@@ -796,12 +818,11 @@ def reference_row_keys(nlp):
                 return (kind.format(side), t, m, v - sl.start)
         raise AssertionError(f"variable {v} has no owner")
 
-    lo, hi = nlp.bounds()
+    var, sign, _ = bound_rows(*nlp.bounds())
     return ([("clear", t, m, 0) for t, m in nlp.pairs]
             + [("normal", t, m, 0) for t, m in nlp.pairs]
             + [("strat", t, -1, 0) for t, _ in nlp.strat]
-            + [var_key(v, "lo") for v in np.flatnonzero(np.isfinite(lo))]
-            + [var_key(v, "hi") for v in np.flatnonzero(np.isfinite(hi))])
+            + [var_key(v, "lo" if s < 0.0 else "hi") for v, s in zip(var, sign)])
 
 
 def step_nlp(horizon, n_obstacles, pairs, strat_stages):
@@ -888,16 +909,18 @@ def record_nlp_calls(monkeypatch, clear_hints=False, fail_call=None):
     return calls
 
 
-def record_qp_hints(monkeypatch):
-    hints = []
+def record_qp_calls(monkeypatch):
+    """Log (warm_rows, solution) for every QP the NLP solver solves."""
+    calls = []
     solve_qp = tightnav.nlp.solve_qp
 
     def recording(*args, **kwargs):
-        hints.append(kwargs.get("warm_rows"))
-        return solve_qp(*args, **kwargs)
+        sol = solve_qp(*args, **kwargs)
+        calls.append((kwargs.get("warm_rows"), sol))
+        return sol
 
     monkeypatch.setattr(tightnav.nlp, "solve_qp", recording)
-    return hints
+    return calls
 
 
 def offset_scene():
@@ -939,33 +962,22 @@ def shifted_into(nlp, keys):
     return {(kind, t - 1, m, c) for kind, t, m, c in keys} & set(reference_row_keys(nlp))
 
 
-def qp_row_numbers(nlp):
-    """The QP's number for each of the NLP's inequality rows in a condensed
-    subproblem: the rows of `ineq` keep theirs, the bounds on the states,
-    which condensing turns into rows, follow them, and the bounds left as
-    bounds come last, each group in the NLP's order."""
-    group = [0 if kind in ("clear", "normal", "strat") else 1 if kind.startswith("z_") else 2
-             for kind, _, _, _ in reference_row_keys(nlp)]
-    return np.argsort(np.argsort(group, kind="stable"), kind="stable")
-
-
 def test_next_step_starts_from_shifted_working_set(monkeypatch):
     calls = record_nlp_calls(monkeypatch)
-    qp_hints = record_qp_hints(monkeypatch)
+    qp_calls = record_qp_calls(monkeypatch)
     starts = []
     sols = consecutive_steps(ObcaController(ControllerConfig()),
-                             before=lambda i: starts.append((len(calls), len(qp_hints))))
+                             before=lambda i: starts.append((len(calls), len(qp_calls))))
     nlp1, _, last1 = calls[starts[1][0] - 1]
     nlp2, hint2, _ = calls[starts[1][0]]
-    # The second step's first subproblem QP receives the hint, renumbered:
-    # it holds general rows and dual bounds, and the dual bounds move past
-    # the state bounds.
+    # The first step's last QP working set comes back from the NLP as it
+    # is, and the second step's first QP receives the hint, which holds
+    # general rows and dual bounds, as it is.
+    np.testing.assert_array_equal(qp_calls[starts[1][1] - 1][1].active_rows, last1.active_rows)
     assert hint2 is not None and len(hint2) > 0
     kinds = {kind.split("_")[0] for kind, _, _, _ in hinted_keys(nlp2, hint2)}
     assert "dual" in kinds and kinds & {"clear", "normal"}
-    want = qp_row_numbers(nlp2)[hint2]
-    assert not np.array_equal(want, hint2)
-    np.testing.assert_array_equal(qp_hints[starts[1][1]], want)
+    np.testing.assert_array_equal(qp_calls[starts[1][1]][0], hint2)
     # Every hinted row names a constraint the previous step's final working
     # set held one stage later, and every such constraint the new NLP has
     # is hinted.

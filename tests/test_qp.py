@@ -19,6 +19,7 @@ from tightnav.qp import (
     _inverse_factor,
     _solve_rows,
     _unfix,
+    bound_rows,
     kkt_residuals,
     solve_qp,
 )
@@ -390,13 +391,50 @@ def random_bounded_qp(rng, n, mi, me):
     return H, f, A, b, C, d, lb, ub
 
 
+def test_bound_rows_number_each_variable_lower_then_upper():
+    lb = np.array([0.0, -np.inf, -1.0, -np.inf, 3.0])
+    ub = np.array([1.0, 2.0, np.inf, np.inf, 3.0])
+    var, sign, rhs = bound_rows(lb, ub)
+    np.testing.assert_array_equal(var, [0, 0, 1, 2, 4, 4])
+    np.testing.assert_array_equal(sign, [-1.0, 1.0, 1.0, -1.0, -1.0, 1.0])
+    np.testing.assert_array_equal(rhs, [0.0, 1.0, 2.0, 1.0, -3.0, 3.0])
+    rng = np.random.default_rng(37)
+    for _ in range(20):
+        n, k, ns = (int(v) for v in rng.integers(1, 12, size=3))
+        mid = rng.standard_normal(n + k)
+        lb = np.where(rng.random(n + k) < 0.4, -np.inf, mid - rng.uniform(0.0, 1.0, n + k))
+        ub = np.where(rng.random(n + k) < 0.4, np.inf, mid + rng.uniform(0.0, 1.0, n + k))
+        var, sign, rhs = bound_rows(lb, ub)
+        # Every finite bound once, variables ascending, and a variable's
+        # lower bound before its upper.
+        assert len(var) == np.isfinite(lb).sum() + np.isfinite(ub).sum()
+        key = 2 * var + (sign > 0.0)
+        assert np.all(np.diff(key) > 0)
+        np.testing.assert_array_equal(sign * rhs, np.where(sign < 0.0, lb[var], ub[var]))
+        # Condensing the first k variables: their bounds are a prefix, and
+        # the rest are the bounds of the remaining variables.
+        cut = np.searchsorted(var, k)
+        assert np.all(var[:cut] < k)
+        rest = bound_rows(lb[k:], ub[k:])
+        for got, want in zip((var[cut:] - k, sign[cut:], rhs[cut:]), rest):
+            np.testing.assert_array_equal(got, want)
+        # Elastic slacks after the variables, each bounded below by 0: their
+        # bounds are a suffix after the variables' own.
+        e_var, e_sign, e_rhs = bound_rows(np.concatenate([lb, np.zeros(ns)]),
+                                          np.concatenate([ub, np.full(ns, np.inf)]))
+        m = len(var)
+        for got, want in zip((e_var[:m], e_sign[:m], e_rhs[:m]), (var, sign, rhs)):
+            np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(e_var[m:], n + k + np.arange(ns))
+        assert np.all(e_sign[m:] == -1.0) and np.all(e_rhs[m:] == 0.0)
+
+
 def bounds_as_rows(A, b, lb, ub):
     """(A, b) with the finite bounds appended as unit rows, numbered as
-    `solve_qp` numbers its bounds."""
-    n = A.shape[1]
-    i_lo, i_hi = np.flatnonzero(np.isfinite(lb)), np.flatnonzero(np.isfinite(ub))
-    return (np.vstack([A, -np.eye(n)[i_lo], np.eye(n)[i_hi]]),
-            np.concatenate([b, -lb[i_lo], ub[i_hi]]))
+    `bound_rows` numbers them."""
+    var, sign, rhs = bound_rows(lb, ub)
+    return (np.vstack([A, sign[:, None] * np.eye(A.shape[1])[var]]),
+            np.concatenate([b, rhs]))
 
 
 def recorded(monkeypatch, name, what=lambda H, out: len(H)):
@@ -423,7 +461,7 @@ def reduced_solves(monkeypatch):
 
 def fixed_free(b, lb, ub, hint):
     """The free-variable mask once the hint's bounds fix their variables."""
-    bound_var = np.concatenate([np.flatnonzero(np.isfinite(lb)), np.flatnonzero(np.isfinite(ub))])
+    bound_var = bound_rows(lb, ub)[0]
     free = np.ones(len(lb), dtype=bool)
     free[bound_var[hint[hint >= len(b)] - len(b)]] = False
     return free
@@ -572,9 +610,12 @@ def test_equality_without_free_variable_falls_back(monkeypatch):
         Ar, br = bounds_as_rows(A, b, lb, ub)
         rows = solve_qp(H, f, Ar, br, C, d)
         assert rows.ok
-        # Fixing both its variables leaves that equality none.
+        # Fixing both its variables at their lower bounds leaves that
+        # equality none.
+        var, sign, _ = bound_rows(lb, ub)
+        hint = len(b) + np.flatnonzero((var < 2) & (sign < 0.0))
         sizes.clear()
-        sol = solve_qp(H, f, A, b, C, d, warm_rows=[3, 4], lb=lb, ub=ub)
+        sol = solve_qp(H, f, A, b, C, d, warm_rows=hint, lb=lb, ub=ub)
         assert sizes == [n]
         assert_same_solution(sol, rows)
 
