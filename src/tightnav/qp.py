@@ -13,14 +13,22 @@ suffix.
 
 The method (Goldfarb & Idnani, Math. Prog. 1983) keeps a working set of
 linearly independent constraint normals with the factorization JT @ N =
-[R; 0], and a point that minimizes the objective with every working-set row
-held as an equality.  It starts with the equality constraints added in one
-pivoted QR.  An optional warm set of inequality rows, typically the previous
-SQP subproblem's active set, is added the same way in a second batch;
-members with negative multipliers are then dropped until the start is dual
-feasible, in the manner of qpOASES (Ferreau et al., Math. Prog. Comp. 2014).
-From that start, violated inequalities are added one at a time while dual
-feasibility is kept.  Infeasible problems are detected through an unbounded
+[R; 0], where JT H JT' = I, and a point that minimizes the objective with
+every working-set row held as an equality.  It starts with the equality
+constraints added in one pivoted QR.  An optional warm set of inequality
+rows, typically the previous SQP subproblem's active set, is added the same
+way in a second batch; members with negative multipliers are then dropped
+until the start is dual feasible, in the manner of qpOASES (Ferreau et al.,
+Math. Prog. Comp. 2014).  From that start, violated inequalities are added
+one at a time while dual feasibility is kept.
+
+The start needs only the Cholesky factor L of H: JT = Q' inv(L), with Q
+the two QRs' reflectors, stays implicit while the members' normals are
+taken as inv(L) N' by triangular solves and the start's point is lifted
+through the reflectors.  A hint that already is the optimal working set,
+no member negative and no row violated, ends the solve there, without
+inv(L).  JT itself is formed, by LAPACK trtri and the reflectors, only
+when the working set has to change.  Infeasible problems are detected through an unbounded
 dual ray.  Where rounding hides that ray, or a badly scaled problem grows the
 multipliers without bound, the step that would leave the float range ends
 the solve as a numerical failure instead.  All linear algebra is dense; the
@@ -45,8 +53,8 @@ itself for a cold start, a warm set whose bounds cover fewer variables
 fixed set that leaves an equality row or the whole problem without a free
 variable, and a reduced solve that does not end optimal.
 
-After a run's first factorization every working-set change is compiled
-work on O(n) rows of JT or fewer: a pivoted QR and Householder reflectors
+Once JT is formed every working-set change is compiled work on O(n) rows
+of JT or fewer: a pivoted QR and Householder reflectors
 for a batch, one reflection for a single row added, Givens rotations for a
 row dropped.
 
@@ -61,7 +69,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cholesky, get_lapack_funcs, qr, qr_delete, solve_triangular
+from scipy.linalg import get_lapack_funcs, qr_delete, solve_triangular
+
+_potrf, _potrs, _trtri, _trtrs, _geqp3, _ormqr = get_lapack_funcs(
+    ("potrf", "potrs", "trtri", "trtrs", "geqp3", "ormqr"), dtype=np.float64)
 
 _SLACK_TOL = 1e-10
 _DEP_TOL = 1e-11
@@ -87,53 +98,72 @@ class QpError(ValueError):
 
 
 def _factor_spd(H: np.ndarray) -> np.ndarray:
-    """Cholesky factor of H, adding a tiny ridge if H is only semidefinite."""
+    """Cholesky factor of H (LAPACK potrf), adding a tiny ridge if H is
+    only semidefinite."""
+    if not np.isfinite(H).all():
+        raise QpError("Hessian has non-finite entries")
     scale = max(float(np.trace(H)) / max(H.shape[0], 1), 1.0)
     ridge = 0.0
     for _ in range(8):
-        try:
-            return cholesky(H + ridge * np.eye(H.shape[0]), lower=True)
-        except np.linalg.LinAlgError:
-            ridge = scale * 1e-12 if ridge == 0.0 else ridge * 100.0
+        L, info = _potrf(H + ridge * np.eye(H.shape[0]) if ridge else H, lower=1, clean=1)
+        if info == 0:
+            return L
+        if info < 0:
+            raise QpError(f"potrf failed with info={info}")
+        ridge = scale * 1e-12 if ridge == 0.0 else ridge * 100.0
     raise QpError("Hessian is not positive definite even after regularization")
 
 
-def _inverse_factor(H: np.ndarray) -> np.ndarray:
-    """inv(L) for the Cholesky factor L of H, by LAPACK trtri: a third of
-    the flops of solving L X = I."""
-    L = _factor_spd(H)
-    trtri = get_lapack_funcs("trtri", (L,))
-    inv, info = trtri(L, lower=1, overwrite_c=1)
+def _inverse_factor(L: np.ndarray, reflectors=()) -> np.ndarray:
+    """JT = Q' inv(L) for the Cholesky factor L of H and the reflectors
+    (q, refl, tau) of `_add_rows`' batches, in the order they were taken.
+    inv(L) comes from LAPACK trtri, a third of the flops of solving L X = I,
+    and may overwrite L."""
+    inv, info = _trtri(L, lower=1, overwrite_c=1)
     if info != 0:
         raise QpError(f"trtri failed with info={info}")
+    for batch in reflectors:
+        _reflect(inv, *batch)
     return inv
 
 
-def _add_rows(JT, R, q, normals, rtol):
-    """Append linearly independent rows of `normals` to the working set.
-
-    One pivoted QR of the normals projected onto the complement of the
-    current span, JT[q:] @ normals.T, updates JT and R in place; its
-    Householder reflectors are applied to JT[q:] directly (LAPACK ormqr),
-    without forming the orthogonal factor.  A pivot whose diagonal falls to
-    rtol * max(largest diagonal, 1) or below is dependent on the rows before
-    it.  Returns (accepted, rejected) positions into `normals`, accepted in
-    pivot order.
-    """
-    k = normals.shape[0]
-    if k == 0 or q == JT.shape[0]:
-        return np.zeros(0, dtype=int), np.arange(k)
-    (refl, tau), Rb, piv = qr(JT[q:] @ normals.T, mode="raw", pivoting=True)
-    diag = np.abs(np.diag(Rb))
-    rank = int(np.sum(diag > max(diag[0], 1.0) * rtol))
-    refl = refl[:, : len(tau)]
-    ormqr = get_lapack_funcs("ormqr", (refl,))
-    lwork = int(ormqr("L", "T", refl, tau, JT[q:], -1)[1][0])
-    JT[q:], _, info = ormqr("L", "T", refl, tau, JT[q:], lwork)
+def _reflect(M, q, refl, tau, trans="T"):
+    """M[q:] = Q' M[q:] (trans "T") or Q M[q:] (trans "N") for the
+    orthogonal factor Q of a QR's Householder reflectors (LAPACK ormqr),
+    without forming Q."""
+    # Workspace past LAPACK's optimum for any block size up to 64.
+    lwork = 64 * max(M.shape[1], 1) + 65 * 64
+    M[q:], _, info = _ormqr("L", trans, refl, tau, M[q:], lwork)
     if info != 0:
         raise QpError(f"ormqr failed with info={info}")
-    R[:q, q : q + rank] = JT[:q] @ normals[piv[:rank]].T
-    R[q : q + rank, q : q + rank] = Rb[:rank, :rank]
+
+
+def _add_rows(R, q, P, rtol, reflectors):
+    """Append linearly independent normals to a working set of q members.
+
+    P holds the normals' coordinates JT @ normals.T under the current
+    factors.  One pivoted QR of P[q:] (LAPACK geqp3), their part in the
+    complement of the current span, extends R in place; its Householder
+    reflectors are appended to `reflectors` as (q, refl, tau), and applied
+    to JT[q:] (`_reflect`) they give the new JT.  A pivot whose diagonal
+    falls to rtol * max(largest diagonal, 1) or below is dependent on the
+    rows before it.  Returns (accepted, rejected) positions into the
+    normals, accepted in pivot order.
+    """
+    k = P.shape[1]
+    if k == 0 or q == P.shape[0]:
+        return np.zeros(0, dtype=int), np.arange(k)
+    # Workspace past LAPACK's optimum, 2k + (k + 1) * block size, for any
+    # block size up to 64.
+    raw, piv, tau, _, info = _geqp3(P[q:], 2 * k + 64 * (k + 1))
+    if info != 0:
+        raise QpError(f"geqp3 failed with info={info}")
+    piv -= 1
+    diag = np.abs(np.diagonal(raw))
+    rank = int(np.sum(diag > max(diag[0], 1.0) * rtol))
+    reflectors.append((q, raw[:, : len(tau)], tau))
+    R[:q, q : q + rank] = P[:q, piv[:rank]]
+    R[q : q + rank, q : q + rank] = np.triu(raw[:rank, :rank])
     return piv[:rank], piv[rank:]
 
 
@@ -152,15 +182,29 @@ def _drop_row(JT, R, q, pos):
     R[:, q - 1] = 0.0
 
 
-def _working_set_point(JT, R, x0, normals, rhs):
+def _working_set_point(R, x0, normals, rhs, lift):
     """Minimizer with every working-set row held as an equality, and its
     multipliers: (x, u) with normals @ x = rhs and Hx + f = normals' u,
-    where x0 is the unconstrained minimizer."""
+    where x0 is the unconstrained minimizer and lift(w) = JT[:q]' w."""
     q = normals.shape[0]
     if not q:
         return x0, np.zeros(0)
-    w = solve_triangular(R[:q, :q].T, rhs - normals @ x0, lower=True)
-    return x0 + JT[:q].T @ w, solve_triangular(R[:q, :q], w)
+    Rq = R[:q, :q]
+    w = _trtrs(Rq, rhs - normals @ x0, trans=1)[0]
+    return x0 + lift(w), _trtrs(Rq, w)[0]
+
+
+def _lift(L, reflectors, w):
+    """JT[:q]' w for JT = Q' inv(L) (`_inverse_factor`) without forming JT:
+    the reflectors applied to w padded with zeros, last batch first, then a
+    triangular solve with L'.  Through the multipliers instead, as
+    inv(L)' inv(L) N' u, the step loses digits to their size wherever it
+    is small against them."""
+    z = np.zeros((L.shape[0], 1))
+    z[: len(w), 0] = w
+    for batch in reversed(reflectors):
+        _reflect(z, *batch, trans="N")
+    return _trtrs(L, z, lower=1, trans=1)[0][:, 0]
 
 
 def solve_qp(
@@ -248,11 +292,15 @@ def _solve_fixing(H, f, A, b, C, d, b_var, b_sign, b_rhs, warm):
     docstring sets out, with the iterations spent here.
     """
     n, mi, me = len(f), len(b), len(d)
-    warm = np.unique(warm[(warm >= 0) & (warm < mi + len(b_var))])
+    hinted = np.zeros(mi + len(b_var), dtype=bool)
+    hinted[warm[(warm >= 0) & (warm < len(hinted))]] = True
+    warm = np.flatnonzero(hinted)
     # One bound per variable; the lower bound comes first in the numbering.
-    _, first = np.unique(b_var[warm[warm >= mi] - mi], return_index=True)
-    fixed = warm[warm >= mi][first] - mi
+    fixed = np.flatnonzero(hinted[mi:])
     var = b_var[fixed]
+    first = np.ones(len(var), dtype=bool)
+    first[1:] = var[1:] != var[:-1]
+    fixed, var = fixed[first], var[first]
     free = np.ones(n, dtype=bool)
     free[var] = False
     # Fewer than a quarter of the variables fixed, no free variable at all,
@@ -266,7 +314,7 @@ def _solve_fixing(H, f, A, b, C, d, b_var, b_sign, b_rhs, warm):
     col = np.cumsum(free) - 1
     loose = rows[mi:] - mi
     sol, factors = _solve_rows(
-        H[np.ix_(free, free)], f[free] + H[free] @ x,
+        H[np.ix_(free, free)], (f + H @ x)[free],
         np.vstack([A[:, free], unit_rows(col[b_var[loose]], b_sign[loose], col[-1] + 1)]),
         np.concatenate([b - A @ x, b_rhs[loose]]), C[:, free], d - C @ x, warm[warm < mi])
     if not sol.ok:
@@ -277,13 +325,14 @@ def _solve_fixing(H, f, A, b, C, d, b_var, b_sign, b_rhs, warm):
     work = rows[sol.active_rows]
     # Stationarity on a fixed variable: the general rows' terms plus the
     # fixed bound's own; the free variables' bounds do not touch it.
-    grad = H[var] @ x + f[var] + A[:, var].T @ lam[:mi] + C[:, var].T @ sol.nu
-    mult = -b_sign[fixed] * grad
+    Hx = H @ x
+    mult = -b_sign[fixed] * (Hx + f + lam[:mi] @ A + sol.nu @ C)[var]
     if np.all(mult >= 0.0):
         lam[mi + fixed] = mult
-        return QpSolution("optimal", x, lam, sol.nu, sol.iterations, _obj(H, f, x),
+        return QpSolution("optimal", x, lam, sol.nu, sol.iterations,
+                          float(0.5 * x @ Hx + f @ x),
                           np.sort(np.concatenate([work, mi + fixed]))), None, sol.iterations
-    JT, R, members = factors
+    JT, R, members = factors()
     ineq = members >= me
     if np.count_nonzero(~ineq) < me:
         # An equality row the reduced solve found dependent is no member,
@@ -322,7 +371,7 @@ def _unfix(H, var, sign, JT_F, R_F, N):
     free = np.ones(n, dtype=bool)
     free[var] = False
     P = JT_F @ H[np.ix_(free, var)]
-    L_inv = _inverse_factor(H[np.ix_(var, var)] - P.T @ P)
+    L_inv = _inverse_factor(_factor_spd(H[np.ix_(var, var)] - P.T @ P))
     JT = np.zeros((n, n))
     JT[:nx, free] = -(L_inv @ (P.T @ JT_F))[::-1]
     JT[:nx, var] = L_inv[::-1]
@@ -343,8 +392,11 @@ def _solve_rows(H, f, A, b, C, d, warm_rows, start=None):
     begin from in place of factoring H and adding the equalities and
     warm_rows.  JT H JT' = I, and JT @ N' = [R; 0] with R upper triangular
     for N the members' rows as given; every row of C must be a member.
-    Returns (solution, (JT, R, members)), the final working set in the same
-    terms, or (solution, None) when the solve stops before its loop ends.
+    Without it the run factors H once, by Cholesky, and forms JT from that
+    factor only when the working set changes (module docstring).
+    Returns (solution, factors), where factors() gives (JT, R, members) for
+    the final working set in the same terms, forming JT if the run did not;
+    or (solution, None) when the solve stops before its loop ends.
     """
     n = f.shape[0]
     mi, me = A.shape[0], C.shape[0]
@@ -352,27 +404,28 @@ def _solve_rows(H, f, A, b, C, d, warm_rows, start=None):
     lam_out = np.zeros(mi)
     nu_out = np.zeros(me)
 
-    # Normalize rows; zero rows are resolved immediately.
-    def _normalize(M, rhs):
-        norms = np.linalg.norm(M, axis=1)
-        keep = norms > _DEP_TOL
-        return M[keep] / norms[keep, None], rhs[keep] / norms[keep], keep, norms
-
-    Ai, bi, keep_i, norms_i = _normalize(A, b)
-    Ce, de, keep_e, norms_e = _normalize(C, d)
-    x_dummy = np.zeros(n)
+    # Row norms; zero rows are resolved immediately.
+    norms_i = np.sqrt(np.einsum("ij,ij->i", A, A))
+    norms_e = np.sqrt(np.einsum("ij,ij->i", C, C))
+    keep_i = norms_i > _DEP_TOL
+    keep_e = norms_e > _DEP_TOL
     if np.any(b[~keep_i] < -_SLACK_TOL) or np.any(np.abs(d[~keep_e]) > _SLACK_TOL):
-        return QpSolution("infeasible", x_dummy, lam_out, nu_out, 0, 0.0), None
+        return QpSolution("infeasible", np.zeros(n), lam_out, nu_out, 0, 0.0), None
     idx_i = np.flatnonzero(keep_i)
     idx_e = np.flatnonzero(keep_e)
 
-    # Internal >= convention: rows stored as (g, h) meaning g'x >= h.
-    # Inequalities a'x <= b become (-a, -b).  Equalities keep their sign and
-    # an unrestricted multiplier.
-    n_eq, n_in = Ce.shape[0], Ai.shape[0]
-    G = np.vstack([Ce, -Ai])
-    h = np.concatenate([de, -bi])
+    # Internal >= convention: rows stored normalized as (g, h) meaning
+    # g'x >= h.  Inequalities a'x <= b become (-a, -b).  Equalities keep
+    # their sign and an unrestricted multiplier.
+    n_eq, n_in = len(idx_e), len(idx_i)
     m_all = n_eq + n_in
+    G = np.empty((m_all, n))
+    h = np.empty(m_all)
+    np.divide(C if n_eq == me else C[keep_e], norms_e[idx_e, None], out=G[:n_eq])
+    np.divide(d[idx_e], norms_e[idx_e], out=h[:n_eq])
+    np.divide(A if n_in == mi else A[keep_i], -norms_i[idx_i, None], out=G[n_eq:])
+    np.divide(b[idx_i], -norms_i[idx_i], out=h[n_eq:])
+    Ce, de = G[:n_eq], h[:n_eq]
 
     # Internal row j of G is member caller[j]'s row divided by scale[j].
     caller = np.concatenate([idx_e, me + idx_i])
@@ -383,17 +436,32 @@ def _solve_rows(H, f, A, b, C, d, warm_rows, start=None):
     R = np.zeros((n, n))
     if start is None:
         # --- initial working set: equalities, then the warm rows -----------
-        JT = _inverse_factor(H)
-        x0 = -JT.T @ (JT @ f)
-        eq_rows, eq_dependent = _add_rows(JT, R, 0, Ce, 1e-13)
-        active = [int(j) for j in eq_rows]
+        # JT = Q' inv(L) stays implicit in L and the batches' reflectors
+        # until the working set changes.
+        JT = None
+        L = _factor_spd(H)
+        x0 = -_potrs(L, f, lower=1)[0]
+        # The internal rows of the hint, ascending.
+        cand = np.zeros(0, dtype=int)
         if warm_rows is not None and n_in:
-            _, _, cand = np.intersect1d(
-                np.asarray(warm_rows, dtype=int).ravel(), idx_i, return_indices=True
-            )
+            hint = np.asarray(warm_rows, dtype=int).ravel()
+            hinted = np.zeros(mi, dtype=bool)
+            hinted[hint[(hint >= 0) & (hint < mi)]] = True
+            cand = n_eq + np.flatnonzero(hinted[keep_i])
+        # The equalities' and the hint's normals as inv(L) N'.
+        P = _trtrs(L, G[np.concatenate([np.arange(n_eq), cand])].T, lower=1)[0]
+        reflectors = []
+        eq_rows, eq_dependent = _add_rows(R, 0, P[:, :n_eq], 1e-13, reflectors)
+        active = eq_rows.tolist()
+        if len(cand):
+            P = P[:, n_eq:]
+            for batch in reflectors:
+                _reflect(P, *batch)
             # Admit a warm row only where the add step below would admit it.
-            acc, _ = _add_rows(JT, R, len(active), G[n_eq + cand], np.sqrt(_DEP_TOL))
-            active += [n_eq + int(cand[j]) for j in acc]
+            acc, _ = _add_rows(R, len(active), P, np.sqrt(_DEP_TOL), reflectors)
+            active += cand[acc].tolist()
+        x, u = _working_set_point(R, x0, G[active], h[active],
+                                  lambda w: _lift(L, reflectors, w))
     else:
         JT, R_start, members = start
         internal = np.zeros(me + mi, dtype=int)
@@ -402,8 +470,8 @@ def _solve_rows(H, f, A, b, C, d, warm_rows, start=None):
         R[: len(active), : len(active)] = R_start / scale[active]
         x0 = -JT.T @ (JT @ f)
         eq_dependent = np.zeros(0, dtype=int)
+        x, u = _working_set_point(R, x0, G[active], h[active], lambda w: JT[: len(w)].T @ w)
     q = len(active)
-    x, u = _working_set_point(JT, R, x0, G[active], h[active])
     # Dependent equality rows must already be consistent.
     if eq_dependent.size and np.max(np.abs(Ce[eq_dependent] @ x - de[eq_dependent])) > 1e-8:
         return QpSolution("infeasible", x, lam_out, nu_out, 0, _obj(H, f, x)), None
@@ -418,11 +486,13 @@ def _solve_rows(H, f, A, b, C, d, warm_rows, start=None):
         drop = int(np.argmin(pull))
         if pull[drop] >= 0.0:
             break
+        if JT is None:
+            JT = _inverse_factor(L, reflectors)
         _drop_row(JT, R, q, drop)
         active.pop(drop)
         q -= 1
         iters += 1
-        x, u = _working_set_point(JT, R, x0, G[active], h[active])
+        x, u = _working_set_point(R, x0, G[active], h[active], lambda w: JT[: len(w)].T @ w)
 
     limit = 50 * (m_all + n + 1)
     status = "max_iterations"
@@ -434,14 +504,15 @@ def _solve_rows(H, f, A, b, C, d, warm_rows, start=None):
             while iters < limit:
                 iters += 1
                 slack = G[n_eq:] @ x - h[n_eq:] if n_in else np.zeros(0)
+                members = np.asarray(active, dtype=int)
                 in_set = np.zeros(n_in, dtype=bool)
-                for j in active:
-                    if j >= n_eq:
-                        in_set[j - n_eq] = True
+                in_set[members[members >= n_eq] - n_eq] = True
                 violated = (slack < -_SLACK_TOL) & ~in_set
                 if not np.any(violated):
                     status = "optimal"
                     break
+                if JT is None:
+                    JT = _inverse_factor(L, reflectors)
                 cand = np.flatnonzero(violated)
                 pick = cand[np.argmin(slack[cand])]
                 row = n_eq + int(pick)
@@ -504,16 +575,19 @@ def _solve_rows(H, f, A, b, C, d, warm_rows, start=None):
         return QpSolution("numerical_failure", x, lam_out, nu_out, iters, 0.0), None
 
     # Map internal multipliers back to the caller's convention.
-    for pos, j in enumerate(active):
-        if j < n_eq:
-            nu_out[idx_e[j]] = -u[pos] / norms_e[idx_e[j]]
-        else:
-            lam_out[idx_i[j - n_eq]] = u[pos] / norms_i[idx_i[j - n_eq]]
-    act = np.array(
-        sorted(idx_i[j - n_eq] for j in active if j >= n_eq), dtype=int
-    )
-    return (QpSolution(status, x, lam_out, nu_out, iters, _obj(H, f, x), act),
-            (JT, R[:q, :q] * scale[active], caller[active]))
+    members = np.asarray(active, dtype=int)
+    eq = members < n_eq
+    rows = idx_e[members[eq]]
+    nu_out[rows] = -u[eq] / norms_e[rows]
+    act = idx_i[members[~eq] - n_eq]
+    lam_out[act] = u[~eq] / norms_i[act]
+    act.sort()
+
+    def factors():
+        return (_inverse_factor(L, reflectors) if JT is None else JT,
+                R[:q, :q] * scale[active], caller[active])
+
+    return QpSolution(status, x, lam_out, nu_out, iters, _obj(H, f, x), act), factors
 
 
 def _obj(H, f, x) -> float:

@@ -109,7 +109,8 @@ def generate_expert_rollout(scenario: Scenario, ctrl_config: ControllerConfig | 
     v_ref = scenario.v_ref
     n_h = ctrl.horizon
     env = scenario.environment(ctrl.params)
-    tv_pad = scenario.tv_padded(n_steps + n_h + 1)
+    # Every remaining TV pose, however far past the rollout's last step.
+    tv_pad = scenario.tv_padded(max(n_steps + n_h + 1, len(scenario.tv_traj)))
     controller = ObcaController(ctrl)
 
     z = scenario.ev_init.copy()

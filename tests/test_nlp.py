@@ -817,6 +817,41 @@ def test_block_convexify_matches_whole_matrix_oracle(kind, seed, monkeypatch):
             assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
 
 
+def test_flip_decomposes_only_the_groups_near_or_below_the_floor(monkeypatch):
+    # Three size groups: 2 x 2 blocks well above the floor, 3 x 3 blocks
+    # with one negative direction, and 1 x 1 blocks at half the floor,
+    # which pass the shifted test but not the kept one.
+    rng = np.random.default_rng(7)
+    sizes = (2, 2, 3, 3, 1, 1)
+    labels = np.repeat(np.arange(len(sizes)), sizes)
+    n = len(labels)
+    h = np.zeros((n, n))
+    for label, size in enumerate(sizes):
+        idx = np.flatnonzero(labels == label)
+        a = rng.normal(size=(size, size))
+        h[np.ix_(idx, idx)] = a @ a.T + 0.5 * np.eye(size)
+        if size == 3:
+            h[idx[0], idx[0]] = -4.0
+        if size == 1:
+            h[idx[0], idx[0]] = 0.5 * tightnav.nlp.FLOOR
+    perm = rng.permutation(n)
+    h, labels = h[np.ix_(perm, perm)], labels[perm]
+    want, _ = convexify_path(lambda: convexify_whole(h), monkeypatch)
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(a):
+        calls.append(a.shape)
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    got = tightnav.nlp._convexify(h, tightnav.nlp._block_groups(labels))
+    assert sorted(calls) == [(2, 1, 1), (2, 3, 3)]
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13 * np.abs(want).max())
+    kept = labels == labels[perm == 0][0]
+    np.testing.assert_array_equal(got[np.ix_(kept, kept)], 0.5 * (h + h.T)[np.ix_(kept, kept)])
+
+
 def test_tangent_definite_hessian_takes_the_eigen_flip(monkeypatch):
     # min -x0 x1 s.t. x0 + x1 = 2: the Hessian [[0, -1], [-1, 0]] is
     # indefinite but positive definite on the constraint's tangent (1, -1).
@@ -891,6 +926,69 @@ def test_blocks_are_grouped_once_and_only_when_a_subproblem_runs(monkeypatch):
     again = solve_nlp(at_minimum, np.ones(2))
     assert again.ok and again.iterations == 1
     assert grouped == []
+
+
+def unit_stack(rng, m, n, k):
+    """(a, b): m general rows over n variables, then k rows with a single
+    nonzero entry each, on distinct variables, in shuffled order."""
+    units = np.zeros((k, n))
+    units[np.arange(k), rng.choice(n, k, replace=False)] = rng.choice([-1.0, 1.0, 2.5], k)
+    a = np.vstack([rng.normal(size=(m, n)), units])[rng.permutation(m + k)]
+    return a, rng.normal(size=m + k)
+
+
+def driver_shapes(monkeypatch):
+    """The shape of every stack the least-squares driver sees."""
+    seen = []
+    inner = tightnav.nlp.lstsq
+
+    def recording(a, b, **kwargs):
+        seen.append(a.shape)
+        return inner(a, b, **kwargs)
+
+    monkeypatch.setattr(tightnav.nlp, "lstsq", recording)
+    return seen
+
+
+def test_min_norm_solve_fixes_the_unit_rows(monkeypatch):
+    shapes = driver_shapes(monkeypatch)
+    rng = np.random.default_rng(11)
+    for m, n, k in ((10, 40, 25), (20, 28, 8), (0, 12, 5), (12, 12, 0)):
+        a, b = unit_stack(rng, m, n, k)
+        shapes.clear()
+        got = tightnav.nlp._min_norm_solve(a, b)
+        want = np.linalg.lstsq(a, b, rcond=None)[0]
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+        # The driver sees the general rows over the other variables only.
+        assert shapes == ([] if not m else [(m, n - k)])
+
+
+def test_min_norm_solve_falls_back_to_the_whole_stack(monkeypatch):
+    shapes = driver_shapes(monkeypatch)
+    rng = np.random.default_rng(12)
+    # Two unit rows on one variable, consistent or not.
+    a, b = unit_stack(rng, 6, 20, 5)
+    unit = np.flatnonzero(np.count_nonzero(a, axis=1) == 1)
+    for scale in (1.0, 3.0):
+        twin = np.vstack([a, 2.0 * a[unit[0]]])
+        rhs = np.append(b, 2.0 * scale * b[unit[0]])
+        shapes.clear()
+        got = tightnav.nlp._min_norm_solve(twin, rhs)
+        assert shapes == [twin.shape]
+        np.testing.assert_allclose(got, np.linalg.lstsq(twin, rhs, rcond=None)[0],
+                                   rtol=0.0, atol=1e-12)
+    # General rows that are rank deficient once the unit rows' variables
+    # are fixed: more of them than free variables, or a repeated one.
+    for m, n, k in ((9, 14, 6), (5, 20, 4)):
+        a, b = unit_stack(rng, m, n, k)
+        general = np.flatnonzero(np.count_nonzero(a, axis=1) > 1)
+        if m == 5:
+            a[general[1]] = a[general[0]]
+        shapes.clear()
+        got = tightnav.nlp._min_norm_solve(a, b)
+        assert shapes == [(m, n - k), a.shape]
+        np.testing.assert_allclose(got, np.linalg.lstsq(a, b, rcond=None)[0],
+                                   rtol=0.0, atol=1e-12)
 
 
 @pytest.mark.parametrize("rank", [None, 5, 12])

@@ -10,13 +10,16 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 
 from oracles import drop_row_givens
 from tightnav.qp import (
     QpSolution,
     _add_rows,
     _drop_row,
+    _factor_spd,
     _inverse_factor,
+    _reflect,
     _solve_rows,
     _unfix,
     bound_rows,
@@ -327,11 +330,16 @@ def test_working_set_updates_keep_the_factorization():
     for n in (20, 41, 60):
         H = random_spd(rng, n)
         normals = rng.standard_normal((3 * n // 4, n))
-        # Two batches, the second added onto the first.
-        JT, R = _inverse_factor(H), np.zeros((n, n))
-        first, rejected = _add_rows(JT, R, 0, normals[: n // 4], 1e-13)
-        second, rejected2 = _add_rows(JT, R, len(first), normals[n // 4 :], 1e-13)
+        # Two batches, the second added onto the first, each projected by
+        # the factors before it; JT formed from both batches' reflectors.
+        L, R, reflectors = _factor_spd(H), np.zeros((n, n)), []
+        P = solve_triangular(L, normals.T, lower=True)
+        first, rejected = _add_rows(R, 0, P[:, : n // 4], 1e-13, reflectors)
+        P = P[:, n // 4 :]
+        _reflect(P, *reflectors[0])
+        second, rejected2 = _add_rows(R, len(first), P, 1e-13, reflectors)
         assert rejected.size == rejected2.size == 0
+        JT = _inverse_factor(L, reflectors)
         N = np.vstack([normals[first], normals[n // 4 + second]])
         q = len(N)
         assert_factorization(JT, R, H, N)
@@ -359,8 +367,9 @@ def test_release_start_factors_all_variables_from_a_reduced_solve():
         C = rng.standard_normal((2, n))
         H_F, x_F = H[np.ix_(free, free)], x_feas[free]
         f_F = -H_F @ (x_F + 3.0 * rng.standard_normal(len(x_F)))
-        sol, (JT_F, R_F, members) = _solve_rows(
+        sol, factors = _solve_rows(
             H_F, f_F, A[:, free], A[:, free] @ x_F + 0.1, C[:, free], C[:, free] @ x_F, None)
+        JT_F, R_F, members = factors()
         assert sol.ok and len(members) > n // 4
         N = np.vstack([C, A])[members]
         JT, R = _unfix(H, var, sign, JT_F, R_F, N)
@@ -509,7 +518,7 @@ def test_bounds_as_vectors_garbage_hint():
 
 def test_fixed_bounds_with_negative_multipliers_are_released(monkeypatch):
     runs = recorded(monkeypatch, "_solve_rows", lambda H, out: (len(H), out[0].status))
-    factored = recorded(monkeypatch, "_inverse_factor")
+    factored = recorded(monkeypatch, "_factor_spd")
     released = seeded = 0
     for rng, (H, f, A, b, C, d, lb, ub), rows in bounded_cases(33, count=80):
         # Hint the final working set and three inactive bounds.
@@ -525,9 +534,10 @@ def test_fixed_bounds_with_negative_multipliers_are_released(monkeypatch):
         sizes = [size for size, _ in runs]
         assert sizes == [n] or (sizes[0] < n and sizes[1:] in ([], [n]))
         if len(sizes) == 2:
-            # A release round factors only the fixed variables' Schur
-            # complement.  The full solve starts over after a reduced solve
-            # that is not optimal or that found an equality row dependent.
+            # One Cholesky factorization per start: a release round factors
+            # only the fixed variables' Schur complement.  The full solve
+            # starts over after a reduced solve that is not optimal or that
+            # found an equality row dependent.
             free = fixed_free(b, lb, ub, hint)
             over = runs[0][1] != "optimal" or np.linalg.matrix_rank(C[:, free]) < len(C)
             n_free = int(free.sum())
@@ -543,7 +553,7 @@ def test_release_after_a_dependent_reduced_equality_starts_over(monkeypatch):
     # bound on x1 is inactive, so its release is needed; the seeded start
     # would leave the second equality out, so the full solve starts over.
     runs = recorded(monkeypatch, "_solve_rows", lambda H, out: (len(H), out[0].status))
-    factored = recorded(monkeypatch, "_inverse_factor")
+    factored = recorded(monkeypatch, "_factor_spd")
     rng = np.random.default_rng(36)
     n = 8
     for _ in range(5):
@@ -661,3 +671,66 @@ def test_mpc_subproblems_match_bounds_as_rows(monkeypatch):
         rows = solve_qp(H, f, *bounds_as_rows(A, b, kwargs["lb"], kwargs["ub"]), C, d)
         assert_same_solution(sol, rows)
     assert released >= 10, released
+
+
+# --- hints certified from one Cholesky factor ---------------------------------
+
+def general_row_cases(seed, count=30):
+    """(rng, problem, cold solve) for feasible QPs with general rows only,
+    each with at least one active inequality and one inactive one."""
+    rng = np.random.default_rng(seed)
+    while count:
+        n = int(rng.integers(4, 30))
+        mi, me = int(rng.integers(n // 2, 2 * n)), int(rng.integers(0, n // 3))
+        problem = random_feasible_qp(rng, n, mi, me)
+        # A steeper linear term pulls the minimizer onto more rows.
+        problem[1][:] *= 10.0
+        cold = solve_qp(*problem)
+        assert cold.ok
+        if 0 < len(cold.active_rows) < mi:
+            count -= 1
+            yield rng, problem, cold
+
+
+def test_exact_hint_takes_one_cholesky_and_no_inverse(monkeypatch):
+    cholesky = recorded(monkeypatch, "_factor_spd")
+    inverse = recorded(monkeypatch, "_inverse_factor")
+    for _, problem, cold in general_row_cases(40):
+        cholesky.clear()
+        inverse.clear()
+        sol = solve_qp(*problem, warm_rows=cold.active_rows)
+        assert_same_solution(sol, cold)
+        assert sol.iterations == 1
+        assert cholesky == [len(problem[1])] and inverse == []
+    # With bounds: a hint whose bounds fix their variables factors the
+    # reduced Hessian only.
+    fixing = 0
+    for _, (H, f, A, b, C, d, lb, ub), rows in bounded_cases(41):
+        cholesky.clear()
+        inverse.clear()
+        sol = solve_qp(H, f, A, b, C, d, warm_rows=rows.active_rows, lb=lb, ub=ub)
+        assert_same_solution(sol, rows)
+        assert len(cholesky) == 1 and inverse == []
+        fixing += cholesky[0] < len(f)
+    assert fixing >= 10, fixing
+
+
+def test_hint_a_row_short_or_over_forms_the_inverse_once(monkeypatch):
+    runs = recorded(monkeypatch, "_solve_rows")
+    cholesky = recorded(monkeypatch, "_factor_spd")
+    inverse = recorded(monkeypatch, "_inverse_factor")
+    for rng, problem, cold in general_row_cases(42):
+        n, mi = len(problem[1]), len(problem[3])
+        active = cold.active_rows
+        inactive = np.setdiff1d(np.arange(mi), active)
+        short = np.delete(active, rng.integers(len(active)))
+        over = np.union1d(active, rng.choice(inactive, 1))
+        for hint in (short, over):
+            runs.clear()
+            cholesky.clear()
+            inverse.clear()
+            sol = solve_qp(*problem, warm_rows=hint)
+            assert_same_solution(sol, cold)
+            # One start, one Cholesky factor, and the inverse factor formed
+            # once, when the working set first changes.
+            assert runs == cholesky == inverse == [n]

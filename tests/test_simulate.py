@@ -358,6 +358,24 @@ def test_dataset_counts_generator_inputs():
     assert np.array_equal(x2, x) and np.array_equal(y2, y)
 
 
+def test_expert_hold_rule_reads_every_remaining_tv_pose(monkeypatch):
+    # A rollout far shorter than the TV trajectory: the hold rule still sees
+    # the trajectory to its end.  Holding at every step keeps it cheap.
+    scenario = benchmark_suite()[3]
+    seen = []
+
+    def hold(z, tv, ctrl, v_ref):
+        seen.append(len(tv))
+        return 0.0
+
+    monkeypatch.setattr(tightnav.simulate, "safety_speed_target", hold)
+    rec = tightnav.simulate.generate_expert_rollout(scenario, CTRL, n_steps=4)
+    assert len(scenario.tv_traj) > 4 + CTRL.horizon + 1
+    assert seen == [len(scenario.tv_traj) - k for k in range(4)]
+    assert rec.n_steps == 4
+    np.testing.assert_array_equal(rec.tv_traj, scenario.tv_traj[:5])
+
+
 @pytest.fixture(scope="module")
 def short_benchmark():
     """One scheme on one scenario, cut after 5 steps; the scenarios come
