@@ -428,11 +428,13 @@ def solve_nlp(problem: NlpProblem, x0: np.ndarray,
         lam, nu = lam_new, nu_new
         history.append((it, merit0, merit_try, r_kkt, r_feas, alpha,
                         "elastic" if elastic else "qp"))
-
-    r_kkt = kkt(g, Je, Ji, nu, lam, ce, ci)
-    r_feas = _violation_inf(ce, ci)
-    if status == "max_iterations" and r_kkt <= TOL_KKT and r_feas <= TOL_FEAS:
-        status = "optimal"
+    else:
+        # Every break leaves the point whose residuals it just measured;
+        # only the last iteration's step has not been measured yet.
+        r_kkt = kkt(g, Je, Ji, nu, lam, ce, ci)
+        r_feas = _violation_inf(ce, ci)
+        if r_kkt <= TOL_KKT and r_feas <= TOL_FEAS:
+            status = "optimal"
     lam_u = lam[:m_u] if len(ci) else np.zeros(0)
     lower = b_sign < 0.0
     mult_lower = np.zeros(n)

@@ -11,7 +11,11 @@ region); the baseline variant omits those rows and is otherwise identical.
 Obstacle pairs far from the warm-start trajectory carry no decision
 variables.  After each solve a promotion check measures the disengaged
 pairs against the new trajectory, and a pair the optimizer moved the
-trajectory toward joins the NLP for another round.
+trajectory toward joins the NLP for another round.  The check is screened
+by how far the solve moved each stage: a pair's face certificate falls by
+at most that move, so the certificates are computed again only when a
+disengaged pair can have come under the threshold.  The index layout that
+depends on the horizon and the vehicle alone is built once per controller.
 
 Consecutive control steps warm-start each other twice over: the previous
 plan, shifted one stage, is the primal initial guess, and the previous
@@ -274,6 +278,13 @@ def _face_certificates(env: EnvironmentEncoding, zs, params: VehicleParams):
     triple is dual-feasible whenever its value is >= 0.  Trajectories
     stacked as zs (S, T, 4) get results of shape (S, T, ...), with the bits
     of one call per trajectory.  The face norms come from the encoding.
+
+    vals is 1-Lipschitz in position and r-Lipschitz in heading, r the
+    body's covering radius, so vals(z') >= vals(z) - (|dp| + r |dpsi|).  A
+    face's value is the position's distance beyond the face (1-Lipschitz)
+    less the body's extent |v| . half along the face's unit normal v in the
+    body frame; v turns at the heading's rate, so the extent changes by at
+    most |half| = r per radian, and the maximum over faces keeps the bound.
     """
     zs = np.asarray(zs, float)
     n = zs.shape[-2]
@@ -312,6 +323,21 @@ def _seed_duals(obs: Polytope, z, params: VehicleParams, face_lam, face_mu):
     return res.distance, res.mult_p / res.distance, res.mult_q / res.distance
 
 
+def _pairs_within_reach(f_guess, zs_guess, zs, pairs, threshold, radius) -> bool:
+    """Whether a pair not in `pairs` may have a certificate below `threshold`
+    at zs, given the certificates f_guess of every pair at zs_guess.
+
+    By the bound in `_face_certificates`, stage t's certificates fall by at
+    most |dp_t| + radius |dpsi_t| between the two; 1e-9 covers their
+    rounding.  Stage 0, the measured state, is never checked.
+    """
+    d = zs[1:] - zs_guess[1:]
+    move = np.hypot(d[:, 0], d[:, 1]) + radius * np.abs(d[:, 2])
+    engaged = set(pairs)
+    near = np.argwhere(f_guess[1:] - move[:, None] < threshold + 1e-9) + (1, 0)
+    return any((t, m) not in engaged for t, m in near.tolist())
+
+
 def _rotations_t(psi):
     """(R', dR'/dpsi), each (P, 2, 2), of the body rotations at headings psi."""
     c, s = np.cos(psi), np.sin(psi)
@@ -336,6 +362,42 @@ def _shift_keys(keys: list) -> list:
     translated back to rows.
     """
     return [(kind, t - 1, m, c) for kind, t, m, c in keys]
+
+
+class _HorizonLayout:
+    """The part of a step NLP that depends on the configuration only, built
+    once per controller: the variable counts `nz` and `nuv`, the index
+    arrays of the dynamics rows' Jacobian blocks (`_StepNlp.eq`), the body's
+    `g_vec`, the Hessian block labels and bounds of z and u, and the keys of
+    those bounds' rows (see `_StepNlp`).
+    """
+
+    def __init__(self, cfg: ControllerConfig):
+        p = cfg.params
+        n_h = cfg.horizon
+        self.nz = nz = 4 * n_h
+        self.nuv = nuv = 2 * n_h
+        # Dynamics-row blocks: row block t (z_{t+1} - f(z_t, u_t)) holds I
+        # at z_{t+1}, -dz_{t+1}/dz_t at z_t (t >= 1) and -dz_{t+1}/du_t at u_t.
+        stage = np.arange(n_h)[:, None, None]
+        r4 = np.arange(4)
+        self.dyn_rows = 4 * stage + r4[:, None]  # (N, 4, 1)
+        self.jz_cols = 4 * (stage[1:] - 1) + r4  # (N-1, 1, 4)
+        self.ju_cols = nz + 2 * stage + np.arange(2)  # (N, 1, 2)
+        self.g_vec = body_g_vector(p)
+        self.hess_blocks = np.concatenate([np.repeat(np.arange(n_h), 4), np.full(nuv, n_h)])
+        lo = np.full(nz + nuv, -np.inf)
+        hi = np.full(nz + nuv, np.inf)
+        lo[3:nz:4] = p.v_min
+        hi[3:nz:4] = p.v_max
+        lo[nz:] = np.tile([-p.delta_max, -p.a_max], n_h)
+        hi[nz:] = np.tile([p.delta_max, p.a_max], n_h)
+        self.lower, self.upper = lo, hi
+        var = [("z_", t, -1, c) for t in range(1, n_h + 1) for c in range(4)]
+        var += [("u_", t, -1, c) for t in range(n_h) for c in range(2)]
+        b_var, b_sign, _ = bound_rows(lo, hi)
+        self.bound_keys = [(var[v][0] + ("lo" if sign < 0 else "hi"), *var[v][1:])
+                           for v, sign in zip(b_var.tolist(), b_sign.tolist())]
 
 
 class _StepNlp:
@@ -364,18 +426,23 @@ class _StepNlp:
     where dual components 0-3 are lam and 4-7 are mu.  Both read one table,
     built the first time a non-empty row set or key list needs it: every
     row's key in the solver's order, and each key's row.
+
+    The parts that depend on the configuration alone come from a
+    `_HorizonLayout`, the controller's, or one built for this NLP.
     """
 
-    def __init__(self, cfg: ControllerConfig, z0, u_prev, ref, env, pairs, strat_rows):
+    def __init__(self, cfg: ControllerConfig, z0, u_prev, ref, env, pairs, strat_rows,
+                 layout: _HorizonLayout | None = None):
+        layout = layout or _HorizonLayout(cfg)
         self.cfg = cfg
         self.z0 = z0
         self.u_prev = u_prev
         self.ref = ref
         self.pairs = pairs
         self.strat = strat_rows
-        n_h = cfg.horizon
-        self.nz = 4 * n_h
-        self.nuv = 2 * n_h
+        self.layout = layout
+        self.nz = layout.nz
+        self.nuv = layout.nuv
         self.n = self.nz + self.nuv + 8 * len(pairs)
         # Stacked per-pair data and the columns each pair's rows touch.
         t_pair = np.array([t for t, _ in pairs], dtype=int)
@@ -389,17 +456,7 @@ class _StepNlp:
         self.mu_cols = self.lam_cols + 4
         t_strat = np.array([t for t, _ in strat_rows], dtype=int)
         self.strat_cols = 4 * (t_strat[:, None] - 1) + np.arange(2)  # (S, 2)
-        # Dynamics-row blocks: row block t (z_{t+1} - f(z_t, u_t)) holds I
-        # at z_{t+1}, -dz_{t+1}/dz_t at z_t (t >= 1) and -dz_{t+1}/du_t at u_t.
-        stage = np.arange(n_h)[:, None, None]
-        r4 = np.arange(4)
-        self.dyn_rows = 4 * stage + r4[:, None]  # (N, 4, 1)
-        self.jz_cols = 4 * (stage[1:] - 1) + r4  # (N-1, 1, 4)
-        self.ju_cols = self.nz + 2 * stage + np.arange(2)  # (N, 1, 2)
-        self.g_vec = body_g_vector(cfg.params)
-        self.hess_blocks = np.concatenate([np.repeat(np.arange(n_h), 4),
-                                           np.full(self.nuv, n_h),
-                                           np.repeat(t_pair - 1, 8)])
+        self.hess_blocks = np.concatenate([layout.hess_blocks, np.repeat(t_pair - 1, 8)])
         self._table = None
 
     @functools.cached_property
@@ -475,33 +532,22 @@ class _StepNlp:
     def bounds(self):
         """(lo, hi): speed bounds on every z_t, actuator bounds on every u_t,
         nonnegative duals."""
-        p = self.cfg.params
-        n_h = self.cfg.horizon
-        lo = np.full(self.n, -np.inf)
-        hi = np.full(self.n, np.inf)
-        lo[3 : self.nz : 4] = p.v_min
-        hi[3 : self.nz : 4] = p.v_max
-        lo[self.nz : self.nz + self.nuv] = np.tile([-p.delta_max, -p.a_max], n_h)
-        hi[self.nz : self.nz + self.nuv] = np.tile([p.delta_max, p.a_max], n_h)
-        lo[self.nz + self.nuv :] = 0.0
-        return lo, hi
+        n_dual = self.n - self.nz - self.nuv
+        return (np.concatenate([self.layout.lower, np.zeros(n_dual)]),
+                np.concatenate([self.layout.upper, np.full(n_dual, np.inf)]))
 
     def _row_table(self):
         """(keys, rows): every inequality row's key in the solver's order,
         and the row number of each key.  The bound rows follow the rows of
         `ineq` in the one order of `qp.bound_rows`, variable by variable,
-        which the QP numbers its rows by too."""
+        which the QP numbers its rows by too: the layout's z and u bounds,
+        then each dual's lower bound."""
         if self._table is None:
-            n_h = self.cfg.horizon
-            var = [("z_", t, -1, c) for t in range(1, n_h + 1) for c in range(4)]
-            var += [("u_", t, -1, c) for t in range(n_h) for c in range(2)]
-            var += [("dual_", t, m, c) for t, m in self.pairs for c in range(8)]
-            b_var, b_sign, _ = bound_rows(*self.bounds())
             keys = ([("clear", t, m, 0) for t, m in self.pairs]
                     + [("normal", t, m, 0) for t, m in self.pairs]
                     + [("strat", t, -1, 0) for t, _ in self.strat]
-                    + [(var[v][0] + ("lo" if sign < 0 else "hi"), *var[v][1:])
-                       for v, sign in zip(b_var.tolist(), b_sign.tolist())])
+                    + self.layout.bound_keys
+                    + [("dual_lo", t, m, c) for t, m in self.pairs for c in range(8)])
             self._table = (keys, {key: r for r, key in enumerate(keys)})
         return self._table
 
@@ -553,8 +599,9 @@ class _StepNlp:
                                       cfg.dt, cfg.params)
         vals[: self.nz] = (zs - pred).ravel()
         np.fill_diagonal(jac[:, : self.nz], 1.0)
-        jac[self.dyn_rows[1:], self.jz_cols] = -jz[1:]
-        jac[self.dyn_rows, self.ju_cols] = -ju
+        layout = self.layout
+        jac[layout.dyn_rows[1:], layout.jz_cols] = -jz[1:]
+        jac[layout.dyn_rows, layout.ju_cols] = -ju
         if n_pairs:
             rows = self.nz + 2 * np.arange(n_pairs)[:, None] + np.arange(2)  # (P, 2)
             a_t = self.obs_a.transpose(0, 2, 1)
@@ -579,10 +626,10 @@ class _StepNlp:
             edge = (self.obs_a @ x[self.pos_cols][:, :, None])[:, :, 0] - self.obs_b
             atl = (self.obs_a.transpose(0, 2, 1) @ lam[:, :, None])[:, :, 0]
             vals[clear] = cfg.d_min + EPS_STRICT - (
-                _rowdot(edge, lam) - _rowdot(x[self.mu_cols], self.g_vec))
+                _rowdot(edge, lam) - _rowdot(x[self.mu_cols], self.layout.g_vec))
             jac[clear[:, None], self.pos_cols] = -atl
             jac[clear[:, None], self.lam_cols] = -edge
-            jac[clear[:, None], self.mu_cols] = self.g_vec
+            jac[clear[:, None], self.mu_cols] = self.layout.g_vec
             vals[normal] = _rowdot(atl, atl) - 1.0
             jac[normal[:, None], self.lam_cols] = 2.0 * (self.obs_a @ atl[:, :, None])[:, :, 0]
         if self.strat:
@@ -608,6 +655,7 @@ class ObcaController:
 
     def __init__(self, config: ControllerConfig | None = None):
         self.config = config or ControllerConfig()
+        self._layout = _HorizonLayout(self.config)
         self._prev = None
         self._prev_step = None
 
@@ -709,9 +757,10 @@ class ObcaController:
 
         rounds = 0
         iters = 0
+        threshold = cfg.d_min + REENGAGE_MARGIN
         while True:
             rounds += 1
-            builder = _StepNlp(cfg, z0, u_prev, ref, env, pairs, strat_rows)
+            builder = _StepNlp(cfg, z0, u_prev, ref, env, pairs, strat_rows, self._layout)
             lo, hi = builder.bounds()
             prob = NlpProblem(n=builder.n, objective=builder.objective,
                               lag_hess=builder.lag_hess, eq=builder.eq,
@@ -733,17 +782,20 @@ class ObcaController:
                     break
                 brake_start = True
                 zs_g, us_g = self._braking_guess(z0)
-                _, lam_b, mu_b = _face_certificates(env, zs_g, cfg.params)
+                f_g, lam_b, mu_b = _face_certificates(env, zs_g, cfg.params)
                 dual_map = {(t, m): _seed_duals(env.obstacles(t)[m], zs_g[t], cfg.params,
                                                 lam_b[t, m], mu_b[t, m])[1:]
                             for t, m in pairs}
                 continue
             # Promotion check: a face certificate's value bounds the distance
             # from below, so only disengaged pairs under the threshold need
-            # the exact distance.
+            # the exact distance, and only pairs the solve moved within reach
+            # of the threshold need the certificate.
+            if rounds >= MAX_ROUNDS or not _pairs_within_reach(
+                    f_g, zs_g, zs, pairs, threshold, cfg.params.covering_radius):
+                break
             promote = []
             engaged = set(pairs)
-            threshold = cfg.d_min + REENGAGE_MARGIN
             f_s, lam_s, mu_s = _face_certificates(env, zs, cfg.params)
             for t, m in np.argwhere(f_s[1:] < threshold) + (1, 0):
                 t, m = int(t), int(m)
@@ -754,7 +806,7 @@ class ObcaController:
                 if dist < threshold:
                     promote.append((t, m))
                     dual_map[(t, m)] = (lam_w, mu_w)
-            if not promote or rounds >= MAX_ROUNDS:
+            if not promote:
                 break
             logger.debug("re-engaging %d obstacle pairs", len(promote))
             pairs = sorted(pairs + promote)
@@ -762,7 +814,7 @@ class ObcaController:
             # when it grazes a promoted obstacle the seeded face certificate
             # carries an escape gradient, and the braking fallback above still
             # covers the case where that round fails outright.
-            zs_g, us_g = zs, us
+            zs_g, us_g, f_g = zs, us, f_s
             brake_start = False
 
         result = MpcSolution(

@@ -212,10 +212,37 @@ def test_face_certificates_stack_matches_separate_calls():
             assert got[k].tobytes() == want.tobytes()
 
 
-def test_solve_step_certifies_twice_per_round(monkeypatch):
-    """One certificate call covers the warm start and the reference, and one
-    more follows each round's solve; a warm start that penetrates an
-    obstacle costs one more for its braking replacement."""
+@st.composite
+def moved_states(draw):
+    """(env, zs, moved): 3-step trajectories of random states, and the same
+    trajectories moved by up to 0.5 m and 1 rad, against a random box
+    between the lane walls of `static_env`."""
+    coord = st.floats(-2.0, 2.0)
+    tv = Polytope.from_box((draw(coord), draw(coord)), draw(st.floats(0.05, 0.6)),
+                           draw(st.floats(0.05, 0.6)), draw(st.floats(-math.pi, math.pi)))
+    states = [[draw(coord), draw(coord), draw(st.floats(-math.pi, math.pi)), 0.0]
+              for _ in range(3)]
+    moves = [[draw(st.floats(-0.5, 0.5)), draw(st.floats(-0.5, 0.5)),
+              draw(st.floats(-1.0, 1.0)), 0.0] for _ in range(3)]
+    zs = np.array(states)
+    return static_env(tv, 3), zs, zs + np.array(moves)
+
+
+@settings(max_examples=200, deadline=None)
+@given(moved_states())
+def test_face_certificates_lipschitz_in_position_and_heading(case):
+    """A certificate falls by at most the move |dp| + r |dpsi|, r the body's
+    covering radius: the bound that screens the promotion check."""
+    env, zs, moved = case
+    before = _face_certificates(env, zs, DESK)[0]
+    after = _face_certificates(env, moved, DESK)[0]
+    d = moved - zs
+    reach = np.hypot(d[:, 0], d[:, 1]) + DESK.covering_radius * np.abs(d[:, 2])
+    assert np.all(after >= before - reach[:, None] - 1e-12)
+
+
+def count_certificates(monkeypatch):
+    """Log the shape of the trajectories of every `_face_certificates` call."""
     calls = []
     certify = tightnav.obca._face_certificates
 
@@ -224,21 +251,80 @@ def test_solve_step_certifies_twice_per_round(monkeypatch):
         return certify(env, zs, params)
 
     monkeypatch.setattr(tightnav.obca, "_face_certificates", counting)
+    return calls
+
+
+def force_full_promotion_check(monkeypatch):
+    monkeypatch.setattr(tightnav.obca, "_pairs_within_reach", lambda *args: True)
+
+
+def test_solve_step_certifies_after_a_solve_only_within_reach(monkeypatch):
+    """One certificate call covers the warm start and the reference.  After
+    a solve, the certificates are computed again only when the solve moved
+    the trajectory far enough for a disengaged pair to come under the
+    promotion threshold; a warm start that penetrates an obstacle costs one
+    more call for its braking replacement."""
+    calls = count_certificates(monkeypatch)
     cfg = ControllerConfig()
     z0 = np.array([0.0, 0.0, 0.0, 0.6])
     ref = straight_ref(z0, cfg.horizon, cfg.dt, cfg.params)
-    # A TV beside the path: close enough to engage, clear of the warm start.
+    # A TV beside the path: close enough to engage, clear of the warm start,
+    # which the solve barely moves.
     env = static_env(Polytope.from_box((1.1, 0.3), 0.28, 0.11), 21)
     sol = ObcaController(cfg).solve_step(z0, np.zeros(2), ref, env)
-    assert sol.ok and sol.stats["engaged"] > 0
-    assert calls == [(2, 21, 4)] + [(21, 4)] * sol.stats["rounds"]
-    # The blocking TV sits on the zero-input rollout.
+    assert sol.ok and sol.stats["engaged"] > 0 and sol.stats["rounds"] == 1
+    assert calls == [(2, 21, 4)]
     calls.clear()
+    force_full_promotion_check(monkeypatch)
+    full = ObcaController(cfg).solve_step(z0, np.zeros(2), ref, env)
+    assert calls == [(2, 21, 4), (21, 4)]
+    assert full.zs.tobytes() == sol.zs.tobytes() and full.stats == sol.stats
+    # The blocking TV sits on the zero-input rollout: the solve starts from
+    # the stopped braking guess and moves far from it.
+    monkeypatch.undo()
+    calls = count_certificates(monkeypatch)
     _, env, z0, ref = blocking_scene()
     sol = ObcaController(cfg).solve_step(z0, np.zeros(2), ref, env,
                                          strategy=StrategyLabel.PASS_LEFT)
     assert sol.ok and sol.stats["rounds"] == 1
     assert calls == [(2, 21, 4), (21, 4), (21, 4)]
+
+
+def promotion_scene():
+    """A box midway between the zero-input rollout and a reference 0.9 m to
+    its left, more than ENGAGE_DIST from both: the first solve, with no
+    pair engaged, cuts through it, and the box is promoted."""
+    cfg = ControllerConfig()
+    n = cfg.horizon + 1
+    z0 = np.array([0.0, 0.0, 0.0, 0.6])
+    ref = np.column_stack([0.06 * np.arange(n), np.full(n, 0.9), np.zeros(n), np.full(n, 0.6)])
+    env = EnvironmentEncoding([[Polytope.from_box((0.9, 0.4), 0.1, 0.04)]] * n)
+    return env, z0, ref
+
+
+def test_promotion_round_solves_as_with_the_full_check(monkeypatch):
+    env, z0, ref = promotion_scene()
+    cfg = ControllerConfig()
+    sols = []
+    for full_check in (False, True):
+        if full_check:
+            force_full_promotion_check(monkeypatch)
+        calls = record_nlp_calls(monkeypatch)
+        sol = ObcaController(cfg).solve_step(z0, np.zeros(2), ref, env)
+        monkeypatch.undo()
+        # A promotion round, not a braking restart: the first round ends
+        # optimal with no pair engaged, the second engages the promoted pairs.
+        assert [(len(nlp.pairs), got.status) for nlp, _, got in calls] == \
+            [(0, "optimal"), (sol.stats["engaged"], "optimal")]
+        assert sol.stats["rounds"] == 2 and sol.stats["engaged"] > 0
+        sols.append(sol)
+    screened, full = sols
+    assert screened.zs.tobytes() == full.zs.tobytes()
+    assert screened.us.tobytes() == full.us.tobytes()
+    assert screened.status == full.status and screened.stats == full.stats
+    for t in range(1, cfg.horizon + 1):
+        body = body_polytope(screened.zs[t], cfg.params.length, cfg.params.width)
+        assert min_translation_distance(env.tv(t), body) >= cfg.d_min - 1e-5
 
 
 # --- strategy constraints ---------------------------------------------------

@@ -13,6 +13,8 @@ from tightnav.scenario import (
     ParkingLot,
     Scenario,
     ScenarioError,
+    benchmark_scenario,
+    benchmark_suite,
     forward_park_case,
     idle_window,
     lane_reference,
@@ -132,6 +134,23 @@ def test_random_scenario_deterministic():
     assert np.array_equal(a.ev_init, b.ev_init)
     c = random_scenario(18)
     assert not np.array_equal(a.tv_traj, c.tv_traj)
+
+
+def test_benchmark_scenario_builds_each_suite_scenario_alone():
+    suite = benchmark_suite()
+    for index, want in enumerate(suite):
+        got = benchmark_scenario(index)
+        assert (got.name, got.seed, got.v_ref, got.dt, got.lot) == \
+            (want.name, want.seed, want.v_ref, want.dt, want.lot)
+        assert got.tv_traj.tobytes() == want.tv_traj.tobytes()
+        assert got.ev_init.tobytes() == want.ev_init.tobytes()
+    assert benchmark_scenario(-1).name == suite[-1].name
+    small = benchmark_suite(n=6, seed0=7000)
+    assert [benchmark_scenario(i, n=6, seed0=7000).name for i in range(6)] == \
+        [sc.name for sc in small]
+    for index in (len(suite), -len(suite) - 1):
+        with pytest.raises(IndexError):
+            benchmark_scenario(index)
 
 
 def test_environment_layout_and_padding():
