@@ -364,6 +364,14 @@ def _shift_keys(keys: list) -> list:
     return [(kind, t - 1, m, c) for kind, t, m, c in keys]
 
 
+def _bound_keys(var, lo, hi) -> list:
+    """The keys of the finite bounds lo <= x <= hi in `qp.bound_rows` order,
+    where var[i] is ("z_" | "u_" | "dual_", t, m, c) for variable i."""
+    b_var, b_sign, _ = bound_rows(lo, hi)
+    return [(var[v][0] + ("lo" if sign < 0 else "hi"), *var[v][1:])
+            for v, sign in zip(b_var.tolist(), b_sign.tolist())]
+
+
 class _HorizonLayout:
     """The part of a step NLP that depends on the configuration only, built
     once per controller: the variable counts `nz` and `nuv`, the index
@@ -395,9 +403,7 @@ class _HorizonLayout:
         self.lower, self.upper = lo, hi
         var = [("z_", t, -1, c) for t in range(1, n_h + 1) for c in range(4)]
         var += [("u_", t, -1, c) for t in range(n_h) for c in range(2)]
-        b_var, b_sign, _ = bound_rows(lo, hi)
-        self.bound_keys = [(var[v][0] + ("lo" if sign < 0 else "hi"), *var[v][1:])
-                           for v, sign in zip(b_var.tolist(), b_sign.tolist())]
+        self.bound_keys = _bound_keys(var, lo, hi)
 
 
 class _StepNlp:
@@ -427,13 +433,12 @@ class _StepNlp:
     built the first time a non-empty row set or key list needs it: every
     row's key in the solver's order, and each key's row.
 
-    The parts that depend on the configuration alone come from a
-    `_HorizonLayout`, the controller's, or one built for this NLP.
+    The parts that depend on the configuration alone come from `layout`,
+    the controller's `_HorizonLayout`.
     """
 
     def __init__(self, cfg: ControllerConfig, z0, u_prev, ref, env, pairs, strat_rows,
-                 layout: _HorizonLayout | None = None):
-        layout = layout or _HorizonLayout(cfg)
+                 layout: _HorizonLayout):
         self.cfg = cfg
         self.z0 = z0
         self.u_prev = u_prev
@@ -541,13 +546,16 @@ class _StepNlp:
         and the row number of each key.  The bound rows follow the rows of
         `ineq` in the one order of `qp.bound_rows`, variable by variable,
         which the QP numbers its rows by too: the layout's z and u bounds,
-        then each dual's lower bound."""
+        then the duals' bounds."""
         if self._table is None:
+            lo, hi = self.bounds()
+            d = self.nz + self.nuv
+            dual = [("dual_", t, m, c) for t, m in self.pairs for c in range(8)]
             keys = ([("clear", t, m, 0) for t, m in self.pairs]
                     + [("normal", t, m, 0) for t, m in self.pairs]
                     + [("strat", t, -1, 0) for t, _ in self.strat]
                     + self.layout.bound_keys
-                    + [("dual_lo", t, m, c) for t, m in self.pairs for c in range(8)])
+                    + _bound_keys(dual, lo[d:], hi[d:]))
             self._table = (keys, {key: r for r, key in enumerate(keys)})
         return self._table
 

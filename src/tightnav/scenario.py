@@ -364,23 +364,23 @@ def dataset_suite(n: int = 68, seed0: int = 5000,
 
 _BENCHMARK_WEIGHTS = {"overtake": 0.25, "turn_in": 0.15, "reverse_short": 0.15,
                       "reverse_long": 0.45}
+_BENCHMARK_N = 52
+_BENCHMARK_SEED0 = 9000
 
 
-def benchmark_suite(n: int = 52, seed0: int = 9000,
+def benchmark_suite(n: int = _BENCHMARK_N, seed0: int = _BENCHMARK_SEED0,
                     lot: ParkingLot = DEFAULT_LOT) -> list[Scenario]:
     """Held-out evaluation set, weighted toward long-idle reverse parks."""
     plan = _family_plan(n, _BENCHMARK_WEIGHTS, seed0)
     return [random_scenario(seed0 + i, lot=lot, family=plan[i]) for i in range(n)]
 
 
-def benchmark_scenario(index: int, n: int = 52, seed0: int = 9000,
-                       lot: ParkingLot = DEFAULT_LOT) -> Scenario:
-    """`benchmark_suite(n, seed0, lot)[index]`, built without the others;
-    a negative index counts from the end, and one out of range raises
-    IndexError."""
-    index = range(n)[index]
-    family = _family_plan(n, _BENCHMARK_WEIGHTS, seed0)[index]
-    return random_scenario(seed0 + index, lot=lot, family=family)
+def benchmark_scenario(index: int) -> Scenario:
+    """`benchmark_suite()[index]`, built without the others; a negative
+    index counts from the end, and one out of range raises IndexError."""
+    index = range(_BENCHMARK_N)[index]
+    family = _family_plan(_BENCHMARK_N, _BENCHMARK_WEIGHTS, _BENCHMARK_SEED0)[index]
+    return random_scenario(_BENCHMARK_SEED0 + index, family=family)
 
 
 def forward_park_case(seed: int = 11, lot: ParkingLot = DEFAULT_LOT) -> Scenario:

@@ -36,6 +36,7 @@ from tightnav.obca import (
     generate_strategy_constraints,
     lateral_direction,
     _face_certificates,
+    _HorizonLayout,
     _shift_keys,
     _seed_duals,
     _StepNlp,
@@ -746,7 +747,8 @@ def fd_nlp():
     ref = straight_ref(z0, 3, cfg.dt, cfg.params)
     pairs = [(t, m) for t in (1, 2, 3) for m in (0, 1)]
     strat = [(2, Halfspace(np.array([0.6, 0.8]), -0.1))]
-    nlp = _StepNlp(cfg, z0, np.array([0.05, -0.1]), ref, env, pairs, strat)
+    nlp = _StepNlp(cfg, z0, np.array([0.05, -0.1]), ref, env, pairs, strat,
+                   _HorizonLayout(cfg))
     rng = np.random.default_rng(7)
     us = rng.uniform(-0.3, 0.3, (3, 2))
     zs = rollout(z0, us, cfg.dt, cfg.params) + rng.normal(0.0, 0.05, (4, 4))
@@ -814,7 +816,7 @@ def test_step_nlp_hessian_blocks_cover_lagrangian_sparsity():
     pairs = [(1, 1), (2, 0), (2, 1), (4, 0)]
     strat = [(1, Halfspace(np.array([0.6, 0.8]), -0.1)),
              (3, Halfspace(np.array([0.0, 1.0]), 0.2))]
-    nlp = _StepNlp(cfg, z0, np.zeros(2), ref, env, pairs, strat)
+    nlp = _StepNlp(cfg, z0, np.zeros(2), ref, env, pairs, strat, _HorizonLayout(cfg))
     labels = nlp.hess_blocks
     assert labels.shape == (nlp.n,)
     assert sorted(np.unique(labels, return_counts=True)[1]) == [4, 8, 12, 12, 20]
@@ -919,7 +921,7 @@ def step_nlp(horizon, n_obstacles, pairs, strat_stages):
     z0 = np.array([0.0, 0.0, 0.0, 0.5])
     ref = straight_ref(z0, horizon, cfg.dt, cfg.params)
     return _StepNlp(cfg, z0, np.zeros(2), ref, env, sorted(pairs),
-                    [(t, None) for t in sorted(strat_stages)])
+                    [(t, None) for t in sorted(strat_stages)], _HorizonLayout(cfg))
 
 
 @st.composite
