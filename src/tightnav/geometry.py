@@ -30,10 +30,11 @@ horizon at once, `point_polytope_distances` measures the point-to-polygon
 distance, `project_to_critical_boundary` computes in closed form where each
 pass-side ray leaves its region (the largest crossing of the pushed-out
 edges and the vertex arcs), and `strategy_halfspaces` supports the
-obstacle at each exit point.  A grid-sampling oracle, the equivalent
-distance QP, vertex enumeration by face intersection, the bisection the
-exit replaced and the retired per-edge, per-ray and per-point routines
-exist only in the tests.
+obstacle at each exit point, as arrays of unit normals and offsets that
+the NLP reads as they are; a point inside its obstacle raises.  A
+grid-sampling oracle, the equivalent distance QP, vertex enumeration by
+face intersection, the bisection the exit replaced and the retired
+per-edge, per-ray and per-point routines exist only in the tests.
 """
 
 from __future__ import annotations
@@ -115,26 +116,6 @@ class Polytope:
         """Support function max_{p in P} d.p over the vertices."""
         d = np.asarray(direction, float)
         return float(np.max(self.vertices @ d))
-
-
-@dataclass
-class Halfspace:
-    """Constraint w . p >= offset with unit normal w."""
-
-    w: np.ndarray
-    offset: float
-
-    def __post_init__(self):
-        self.w = np.asarray(self.w, dtype=float).ravel()
-        nrm = np.linalg.norm(self.w)
-        if nrm < 1e-12:
-            raise GeometryError("halfspace normal must be nonzero")
-        self.w = self.w / nrm
-        self.offset = float(self.offset) / nrm
-
-    def violation(self, p) -> float:
-        """Positive when p is on the wrong side."""
-        return self.offset - float(self.w @ np.asarray(p, float))
 
 
 def body_polytope(z, length: float, width: float) -> Polytope:
@@ -410,8 +391,9 @@ def _norms(v) -> np.ndarray:
     return np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
 
 
-def strategy_halfspaces(qs, verts, A, b) -> list:
-    """Supporting halfspaces of K polygons at K boundary points.
+def strategy_halfspaces(qs, verts, A, b):
+    """Supporting halfspaces w . p >= offset of K polygons at K boundary
+    points: (w (K, 2), offset (K,)).
 
     Row k's outward normal is (q - closest polygon point) / distance; when
     q is equidistant (within 1e-9) from several edges the distinct candidate
@@ -419,9 +401,10 @@ def strategy_halfspaces(qs, verts, A, b) -> list:
     within 1e-9 of one kept before it) are averaged and renormalized.  The
     offset is the polygon's support value, so every vertex satisfies
     w . v <= offset and the constraint w . p >= offset keeps the ego vehicle
-    on the far side.  Entry k is that `Halfspace`, or the GeometryError for
-    a point inside the polygon or within 1e-9 of it, or for a degenerate
-    averaged normal.  Norms and dot products run as stacked matmuls, which
+    on the far side.  The unit normal and its support value are divided once
+    more by the normal's computed norm.  Raises GeometryError when any point
+    lies inside its polygon or within 1e-9 of it, or when an averaged normal
+    is degenerate.  Norms and dot products run as stacked matmuls, which
     round as the 1-D `np.linalg.norm` and `@` do, so each row has the bits
     of its own per-point computation.
     """
@@ -431,10 +414,10 @@ def strategy_halfspaces(qs, verts, A, b) -> list:
     cx, cy, d2 = _closest_on_edges(qs[:, None], ring)
     dists = np.sqrt(d2[:, 0])
     dist = dists.min(axis=1)
-    inside = np.all((A @ qs[:, :, None])[..., 0] - b <= _INSIDE_TOL, axis=1) | (dist < 1e-9)
+    if np.any(np.all((A @ qs[:, :, None])[..., 0] - b <= _INSIDE_TOL, axis=1) | (dist < 1e-9)):
+        raise GeometryError("boundary point lies inside the base polytope")
     normals = np.stack([qs[:, None, 0] - cx[:, 0], qs[:, None, 1] - cy[:, 0]], axis=2)
-    # A zero distance marks an inside row, which gets no halfspace.
-    normals /= np.where(dists > 0.0, dists, 1.0)[..., None]
+    normals /= dists[..., None]
     n_edges = normals.shape[1]
     gaps = (normals[:, :, None] - normals[:, None, :]).reshape(-1, 2)
     close = (_norms(gaps) < 1e-9).reshape(-1, n_edges, n_edges)
@@ -448,14 +431,9 @@ def strategy_halfspaces(qs, verts, A, b) -> list:
                                                     normals[:, j]), total)
     w = total / np.count_nonzero(keep, axis=1)[:, None]
     wn = _norms(w)
-    w = w / np.where(inside | (wn < 1e-12), 1.0, wn)[:, None]
+    if np.any(wn < 1e-12):
+        raise GeometryError("degenerate averaged normal")
+    w = w / wn[:, None]
     support = (verts @ w[:, :, None])[..., 0].max(axis=1)
-    out = []
-    for k in range(len(qs)):
-        if inside[k]:
-            out.append(GeometryError("boundary point lies inside the base polytope"))
-        elif wn[k] < 1e-12:
-            out.append(GeometryError("degenerate averaged normal"))
-        else:
-            out.append(Halfspace(w[k], support[k]))
-    return out
+    wn = _norms(w)
+    return w / wn[:, None], support / wn

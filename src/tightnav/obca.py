@@ -38,7 +38,6 @@ import numpy as np
 
 from .dynamics import VehicleParams, rollout, step_jacobians, step_rk4
 from .geometry import (
-    GeometryError,
     Polytope,
     body_polytope,
     distance_witness,
@@ -236,10 +235,11 @@ def generate_strategy_constraints(strategy, ref, env: EnvironmentEncoding, r_ev:
     batched distance screens every stage's reference position; one batched
     exit takes the positions inside their region along the pass-side
     direction to the region's boundary, and one batched support gives each
-    boundary point its halfspace.  Returns [(t, Halfspace), ...]; steps
-    whose reference position lies outside the region get no constraint, and
-    a step whose halfspace fails is skipped with a warning rather than
-    aborting the solve.
+    boundary point its halfspace w . p >= offset.  Returns the rows as
+    (stages (S,), w (S, 2), offset (S,)); stages whose reference position
+    lies outside the region get no row.  Raises GeometryError as
+    `strategy_halfspaces` does, which an r_ev well above 1e-9 rules out:
+    every boundary point lies r_ev outside its polygon.
     """
     strategy = StrategyLabel(strategy)
     if strategy == StrategyLabel.YIELD:
@@ -254,17 +254,11 @@ def generate_strategy_constraints(strategy, ref, env: EnvironmentEncoding, r_ev:
     dist = point_polytope_distances(p_ref, verts, A, b)
     stages = np.flatnonzero(dist <= r_ev + 1e-9)
     if not len(stages):
-        return []
+        return stages, np.empty((0, 2)), np.empty(0)
     verts, A, b = verts[stages], A[stages], b[stages]
     dirs = np.array([lateral_direction(strategy, float(ref[t, 2])) for t in stages])
     qs = project_to_critical_boundary(p_ref[stages], dirs, verts, A, b, r_ev, dist[stages])
-    out = []
-    for t, hs in zip(stages.tolist(), strategy_halfspaces(qs, verts, A, b)):
-        if isinstance(hs, GeometryError):
-            logger.warning("strategy constraint skipped at step %d: %s", t, hs)
-            continue
-        out.append((t, hs))
-    return out
+    return (stages, *strategy_halfspaces(qs, verts, A, b))
 
 
 def _face_certificates(env: EnvironmentEncoding, zs, params: VehicleParams):
@@ -437,14 +431,14 @@ class _StepNlp:
     the controller's `_HorizonLayout`.
     """
 
-    def __init__(self, cfg: ControllerConfig, z0, u_prev, ref, env, pairs, strat_rows,
+    def __init__(self, cfg: ControllerConfig, z0, u_prev, ref, env, pairs, strat,
                  layout: _HorizonLayout):
         self.cfg = cfg
         self.z0 = z0
         self.u_prev = u_prev
         self.ref = ref
         self.pairs = pairs
-        self.strat = strat_rows
+        self.strat_stages, self.strat_w, self.strat_offset = strat
         self.layout = layout
         self.nz = layout.nz
         self.nuv = layout.nuv
@@ -459,8 +453,7 @@ class _StepNlp:
         self.psi_cols = 4 * (t_pair - 1) + 2  # (P,)
         self.lam_cols = self.nz + self.nuv + 8 * np.arange(len(pairs))[:, None] + np.arange(4)
         self.mu_cols = self.lam_cols + 4
-        t_strat = np.array([t for t, _ in strat_rows], dtype=int)
-        self.strat_cols = 4 * (t_strat[:, None] - 1) + np.arange(2)  # (S, 2)
+        self.strat_cols = 4 * (self.strat_stages[:, None] - 1) + np.arange(2)  # (S, 2)
         self.hess_blocks = np.concatenate([layout.hess_blocks, np.repeat(t_pair - 1, 8)])
         self._table = None
 
@@ -553,7 +546,7 @@ class _StepNlp:
             dual = [("dual_", t, m, c) for t, m in self.pairs for c in range(8)]
             keys = ([("clear", t, m, 0) for t, m in self.pairs]
                     + [("normal", t, m, 0) for t, m in self.pairs]
-                    + [("strat", t, -1, 0) for t, _ in self.strat]
+                    + [("strat", t, -1, 0) for t in self.strat_stages.tolist()]
                     + self.layout.bound_keys
                     + _bound_keys(dual, lo[d:], hi[d:]))
             self._table = (keys, {key: r for r, key in enumerate(keys)})
@@ -624,7 +617,7 @@ class _StepNlp:
     def ineq(self, x):
         cfg = self.cfg
         n_pairs = len(self.pairs)
-        n_rows = 2 * n_pairs + len(self.strat)
+        n_rows = 2 * n_pairs + len(self.strat_w)
         vals = np.zeros(n_rows)
         jac = np.zeros((n_rows, self.n))
         if n_pairs:
@@ -640,12 +633,11 @@ class _StepNlp:
             jac[clear[:, None], self.mu_cols] = self.layout.g_vec
             vals[normal] = _rowdot(atl, atl) - 1.0
             jac[normal[:, None], self.lam_cols] = 2.0 * (self.obs_a @ atl[:, :, None])[:, :, 0]
-        if self.strat:
-            rows = 2 * n_pairs + np.arange(len(self.strat))
-            w = np.array([hs.w for _, hs in self.strat])
-            offset = np.array([hs.offset for _, hs in self.strat])
-            vals[rows] = offset - np.einsum("si,si->s", w, x[self.strat_cols])
-            jac[rows[:, None], self.strat_cols] = -w
+        if len(self.strat_w):
+            rows = 2 * n_pairs + np.arange(len(self.strat_w))
+            vals[rows] = self.strat_offset - np.einsum("si,si->s", self.strat_w,
+                                                       x[self.strat_cols])
+            jac[rows[:, None], self.strat_cols] = -self.strat_w
         return vals, jac
 
 
@@ -700,8 +692,9 @@ class ObcaController:
             zs[t + 1] = step_rk4(zs[t], us[t], cfg.dt, cfg.params)
         return zs, us
 
-    def _unreachable_strategy(self, z0, strat_rows) -> bool:
-        """Cheap infeasibility screen: position moves at most |v| dt per step."""
+    def _unreachable_strategy(self, z0, stages, w, offset) -> bool:
+        """Cheap infeasibility screen: position moves at most |v| dt per step,
+        so a row z0 violates by more than the distance to its stage fails."""
         cfg = self.config
         p = cfg.params
         v_cap = max(abs(p.v_min), p.v_max)
@@ -710,7 +703,7 @@ class ObcaController:
         for i in range(1, cfg.horizon + 1):
             speed = min(v_cap, speed + p.a_max * cfg.dt)
             travel[i] = travel[i - 1] + speed * cfg.dt
-        return any(hs.violation(z0[:2]) > travel[t] + 1e-9 for t, hs in strat_rows)
+        return bool(np.any(offset - _rowdot(w, z0[:2]) > travel[stages] + 1e-9))
 
     def solve_step(self, z_k, u_prev, ref, env: EnvironmentEncoding,
                    strategy=None, step: int | None = None) -> MpcSolution:
@@ -724,18 +717,15 @@ class ObcaController:
         if env.n_steps < n_h + 1:
             env = env.window(0, n_h + 1)
 
-        strat_rows = []
+        strat = (np.empty(0, dtype=int), np.empty((0, 2)), np.empty(0))
         if strategy is not None and StrategyLabel(strategy) != StrategyLabel.YIELD:
-            strat_rows = [
-                (t, hs)
-                for t, hs in generate_strategy_constraints(
-                    strategy, ref, env, cfg.params.covering_radius
-                )
-                if t >= 1
-            ]
+            stages, w, offset = generate_strategy_constraints(strategy, ref, env,
+                                                              cfg.params.covering_radius)
+            later = stages >= 1
+            strat = (stages[later], w[later], offset[later])
 
         zs_g, us_g, keys = self._initial_guess(z0, step)
-        if strat_rows and self._unreachable_strategy(z0, strat_rows):
+        if self._unreachable_strategy(z0, *strat):
             return MpcSolution(zs_g, us_g, "infeasible",
                                {"iterations": 0, "rounds": 0, "engaged": 0,
                                 "cost": float("nan"), "precheck": True})
@@ -768,7 +758,7 @@ class ObcaController:
         threshold = cfg.d_min + REENGAGE_MARGIN
         while True:
             rounds += 1
-            builder = _StepNlp(cfg, z0, u_prev, ref, env, pairs, strat_rows, self._layout)
+            builder = _StepNlp(cfg, z0, u_prev, ref, env, pairs, strat, self._layout)
             lo, hi = builder.bounds()
             prob = NlpProblem(n=builder.n, objective=builder.objective,
                               lag_hess=builder.lag_hess, eq=builder.eq,

@@ -135,8 +135,10 @@ class TrainConfig:
 def train(features, labels, config: TrainConfig | None = None):
     """Seeded mini-batch gradient descent; returns (model, report).
 
-    Standardization statistics come from the training split only, so the
-    validation accuracy in the report is an honest holdout estimate.
+    Standardization statistics come from the training split only.  The
+    split is by row, so when the rows are windows of closed-loop rollouts
+    one rollout's windows land on both sides, and the validation accuracy
+    in the report overstates accuracy on unseen rollouts.
     """
     cfg = config or TrainConfig()
     x = np.asarray(features, float)
@@ -274,6 +276,12 @@ def save_model(model: MlpModel, path: str) -> None:
 
 
 def load_model(path: str) -> MlpModel:
+    """Read a model that `save_model` wrote.
+
+    Raises ValueError for a file of another format or label order, an array
+    whose shape differs from what the header's sizes give it, a non-finite
+    value or a non-positive feature scale.
+    """
     with open(path) as fh:
         doc = json.load(fh)
     if doc.get("format") != MODEL_FORMAT or doc.get("version") != MODEL_VERSION:
@@ -281,20 +289,16 @@ def load_model(path: str) -> MlpModel:
     expected = [label.name for label in StrategyLabel]
     if doc.get("labels") != expected:
         raise ValueError(f"model label order {doc.get('labels')} != {expected}")
-    model = MlpModel(
-        w1=np.asarray(doc["w1"], float),
-        b1=np.asarray(doc["b1"], float),
-        w2=np.asarray(doc["w2"], float),
-        b2=np.asarray(doc["b2"], float),
-        mean=np.asarray(doc["mean"], float),
-        scale=np.asarray(doc["scale"], float),
-    )
-    if model.w1.shape != (doc["n_hidden"], doc["d_in"]) or model.w2.shape != (
-        doc["n_out"],
-        doc["n_hidden"],
-    ):
-        raise ValueError("model weight shapes are inconsistent with the header")
-    return model
+    d_in, n_hidden, n_out = doc["d_in"], doc["n_hidden"], doc["n_out"]
+    shapes = {"w1": (n_hidden, d_in), "b1": (n_hidden,), "w2": (n_out, n_hidden),
+              "b2": (n_out,), "mean": (d_in,), "scale": (d_in,)}
+    arrays = {key: np.asarray(doc[key], float) for key in shapes}
+    if (n_hidden, n_out) != (N_HIDDEN, N_OUT) or any(
+            arrays[key].shape != shape for key, shape in shapes.items()):
+        raise ValueError("model array shapes are inconsistent with the header")
+    if not all(np.isfinite(a).all() for a in arrays.values()) or np.any(arrays["scale"] <= 0.0):
+        raise ValueError("model values must be finite and the feature scale positive")
+    return MlpModel(**arrays)
 
 
 def save_dataset(path: str, features, labels) -> None:

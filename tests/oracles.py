@@ -10,7 +10,8 @@
 - `project_one` bisects a single ray and `project_by_bisection` bisects many
   at once; `geometry.project_to_critical_boundary`, which computes each
   exit in closed form, must land within PROJECTION_TOL / 2 of them.
-- `strategy_halfspace` supports one polygon at one boundary point;
+- `strategy_halfspace` supports one polygon at one boundary point, as a
+  unit normal and offset (`unit_halfspace`);
   `geometry.strategy_halfspaces`, which supports many at once, must return
   the same bits.  `strategy_constraints_per_stage` screens, projects and
   builds the halfspace of one horizon stage at a time, by the closed-form
@@ -58,7 +59,6 @@ from tightnav.dynamics import VehicleParams, slip_angle, step_rk4
 from tightnav.geometry import (
     PROJECTION_TOL,
     GeometryError,
-    Halfspace,
     Polytope,
     _closest_on_edges,
     body_polytope,
@@ -146,8 +146,14 @@ def point_polytope_distance(p, poly: Polytope) -> float:
     return point_polytope_projection(p, poly)[0]
 
 
-def strategy_halfspace_per_edge(q_boundary, base: Polytope) -> Halfspace:
-    """`geometry.strategy_halfspace` on `point_polytope_projection`'s candidates."""
+def unit_halfspace(w, offset):
+    """(w, offset) of w . p >= offset divided by the computed norm of w."""
+    nrm = np.linalg.norm(w)
+    return w / nrm, float(offset) / nrm
+
+
+def strategy_halfspace_per_edge(q_boundary, base: Polytope):
+    """`strategy_halfspace` on `point_polytope_projection`'s candidates."""
     q = np.asarray(q_boundary, dtype=float)
     dist, _, cands = point_polytope_projection(q, base)
     if dist < 1e-9:
@@ -163,7 +169,7 @@ def strategy_halfspace_per_edge(q_boundary, base: Polytope) -> Halfspace:
     if wn < 1e-12:
         raise GeometryError("degenerate averaged normal")
     w = w / wn
-    return Halfspace(w, base.support(w))
+    return unit_halfspace(w, base.support(w))
 
 
 def project_one(p_ref, base: Polytope, radius: float, direction) -> np.ndarray:
@@ -247,14 +253,16 @@ def project_by_bisection(p_ref, d, verts, A, b, radius: float):
     return points, ok
 
 
-def strategy_halfspace(q_boundary, base: Polytope) -> Halfspace:
-    """Supporting hyperplane of the base polytope at one boundary point.
+def strategy_halfspace(q_boundary, base: Polytope):
+    """Supporting hyperplane w . p >= offset of the base polytope at one
+    boundary point: (w (2,), offset).
 
     The outward normal is (q - closest base point) / distance; when q is
     equidistant (within 1e-9) from several edges the distinct candidate
     normals are averaged and renormalized.  The offset is the base support
-    value.  Raises GeometryError when q lies inside the base or within 1e-9
-    of it.
+    value; both are divided once more by the normal's computed norm
+    (`unit_halfspace`).  Raises GeometryError when q lies inside the base
+    or within 1e-9 of it.
     """
     q = np.asarray(q_boundary, dtype=float)
     # Edges in the order v_i -> v_(i+1) from v_0, which decides which of two
@@ -274,7 +282,7 @@ def strategy_halfspace(q_boundary, base: Polytope) -> Halfspace:
     if wn < 1e-12:
         raise GeometryError("degenerate averaged normal")
     w = w / wn
-    return Halfspace(w, base.support(w))
+    return unit_halfspace(w, base.support(w))
 
 
 def exit_one(p_ref, base: Polytope, radius: float, direction) -> np.ndarray:
@@ -287,15 +295,16 @@ def exit_one(p_ref, base: Polytope, radius: float, direction) -> np.ndarray:
 
 
 def strategy_constraints_per_stage(strategy, ref, env, r_ev: float, project=exit_one):
-    """[(t, Halfspace), ...] for a pass strategy, one stage at a time.
+    """(stages (S,), w (S, 2), offset (S,)) for a pass strategy, one stage
+    at a time.
 
     Stage t reads the TV at env.tv(t), which holds the last step past the
     end.  `project` finds the boundary point: the closed-form exit or
-    `project_one`'s bisection.
+    `project_one`'s bisection.  A stage whose halfspace raises raises.
     """
     strategy = StrategyLabel(strategy)
     ref = np.asarray(ref, float)
-    out = []
+    stages, ws, offsets = [], [], []
     for t in range(len(ref)):
         base = env.tv(t)
         p_ref = ref[t, :2]
@@ -306,13 +315,11 @@ def strategy_constraints_per_stage(strategy, ref, env, r_ev: float, project=exit
         direction /= np.linalg.norm(direction)
         if strategy == StrategyLabel.PASS_RIGHT:
             direction = -direction
-        try:
-            q = project(p_ref, base, r_ev, direction)
-            hs = strategy_halfspace(q, base)
-        except GeometryError:
-            continue
-        out.append((t, hs))
-    return out
+        w, offset = strategy_halfspace(project(p_ref, base, r_ev, direction), base)
+        stages.append(t)
+        ws.append(w)
+        offsets.append(offset)
+    return np.array(stages, dtype=int), np.reshape(ws, (-1, 2)), np.array(offsets)
 
 
 def convexify_whole(h: np.ndarray, floor: float = 1e-6) -> np.ndarray:

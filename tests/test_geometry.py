@@ -21,7 +21,6 @@ from scipy.spatial.distance import cdist
 from tightnav.geometry import (
     PROJECTION_TOL,
     GeometryError,
-    Halfspace,
     Polytope,
     body_polytope,
     box_distances,
@@ -455,41 +454,36 @@ def test_projection_requires_inside_point():
 
 
 def halfspaces_bitwise(qs, polys):
-    """`strategy_halfspaces` over all rows, each checked bit for bit against
-    the per-point routine (the same GeometryError message where it raises)."""
-    got = strategy_halfspaces(np.array(qs, float), *stack(polys))
-    assert len(got) == len(qs)
-    for hs, q, poly in zip(got, qs, polys):
-        try:
-            want = strategy_halfspace(q, poly)
-        except GeometryError as exc:
-            assert isinstance(hs, GeometryError) and str(hs) == str(exc)
-            continue
-        assert isinstance(hs, Halfspace)
-        assert hs.w.tobytes() == want.w.tobytes()
-        assert float(hs.offset).hex() == float(want.offset).hex()
-    return got
+    """`strategy_halfspaces` over all rows, (w, offset), each row checked bit
+    for bit against the per-point routine."""
+    w, offset = strategy_halfspaces(np.array(qs, float), *stack(polys))
+    assert w.shape == (len(qs), 2) and offset.shape == (len(qs),)
+    for w_k, offset_k, q, poly in zip(w, offset, qs, polys):
+        want_w, want_offset = strategy_halfspace(q, poly)
+        assert w_k.tobytes() == want_w.tobytes()
+        assert float(offset_k).hex() == float(want_offset).hex()
+    return w, offset
 
 
 def test_strategy_halfspace_flat_face():
     base = Polytope.from_box([0, 0], 1.0, 1.0)
-    (hs,) = halfspaces_bitwise([[0.0, 2.0]], [base])
-    np.testing.assert_allclose(hs.w, [0.0, 1.0], atol=1e-9)
-    assert abs(hs.offset - 1.0) < 1e-9
+    (w,), (offset,) = halfspaces_bitwise([[0.0, 2.0]], [base])
+    np.testing.assert_allclose(w, [0.0, 1.0], atol=1e-9)
+    assert abs(offset - 1.0) < 1e-9
     # Supporting property: every base vertex on or below the plane.
     for v in base.vertices:
-        assert hs.w @ v <= hs.offset + 1e-9
+        assert w @ v <= offset + 1e-9
 
 
 def test_strategy_halfspace_vertex_tiebreak():
     # Boundary point off the corner: normal is the diagonal direction.
     base = Polytope.from_box([0, 0], 1.0, 1.0)
     s = 1.0 / math.sqrt(2.0)
-    (hs,) = halfspaces_bitwise([[1.0 + s, 1.0 + s]], [base])
-    np.testing.assert_allclose(hs.w, [s, s], atol=1e-6)
-    assert abs(hs.offset - base.support(hs.w)) < 1e-12
+    (w,), (offset,) = halfspaces_bitwise([[1.0 + s, 1.0 + s]], [base])
+    np.testing.assert_allclose(w, [s, s], atol=1e-6)
+    assert abs(offset - base.support(w)) < 1e-12
     for v in base.vertices:
-        assert hs.w @ v <= hs.offset + 1e-9
+        assert w @ v <= offset + 1e-9
 
 
 def test_strategy_halfspace_averages_near_tied_normals():
@@ -501,10 +495,10 @@ def test_strategy_halfspace_averages_near_tied_normals():
     # dx = 1e-4 the distances no longer tie.
     base = Polytope.from_box([0, 0], 1.0, 1.0)
     qs = [[1.0 - 1e-6, 2.0], [1.0 - 5e-10, 2.0], [1.0 - 1e-4, 2.0]]
-    got = halfspaces_bitwise(qs, [base] * len(qs))
-    np.testing.assert_allclose(got[0].w, [-5e-7, 1.0], rtol=0.0, atol=1e-12)
-    np.testing.assert_allclose(got[1].w, [-5e-10, 1.0], rtol=0.0, atol=1e-15)
-    assert got[2].w.tolist() == [0.0, 1.0]
+    w, _ = halfspaces_bitwise(qs, [base] * len(qs))
+    np.testing.assert_allclose(w[0], [-5e-7, 1.0], rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(w[1], [-5e-10, 1.0], rtol=0.0, atol=1e-15)
+    assert w[2].tolist() == [0.0, 1.0]
 
 
 def test_strategy_halfspace_supporting_property_random():
@@ -513,16 +507,17 @@ def test_strategy_halfspace_supporting_property_random():
     theta = rng.uniform(0, 2 * math.pi, 25)
     d = np.column_stack([np.cos(theta), np.sin(theta)])
     qs = exits([[0.2, -0.1]] * 25, d, [base] * 25, 0.3)
-    for q, hs in zip(qs, halfspaces_bitwise(qs, [base] * 25)):
-        support = max(hs.w @ v for v in base.vertices)
-        assert abs(hs.offset - support) < 1e-9
+    for q, w, offset in zip(qs, *halfspaces_bitwise(qs, [base] * 25)):
+        support = max(w @ v for v in base.vertices)
+        assert abs(offset - support) < 1e-9
         # q itself is on the constraint boundary.
-        assert abs(hs.w @ q - hs.offset - 0.3) < 1e-12
+        assert abs(w @ q - offset - 0.3) < 1e-12
 
 
 def test_strategy_halfspace_matches_per_edge_oracle():
     """`strategy_halfspaces` against the retired per-edge routine, and bit
-    for bit against the per-point one.
+    for bit against the per-point one.  A batch that holds a point inside
+    its box raises; the other rows make up the batch compared.
 
     Off a corner, both adjacent edges tie at the corner, their closest points
     come out of the same arithmetic in both routines, and the halfspaces
@@ -548,25 +543,30 @@ def test_strategy_halfspace_matches_per_edge_oracle():
                    rng.uniform(-3.0, 3.0, 2)]
             bases += [base] * 4
             at_corner += [True, False, False, False]
-    got = halfspaces_bitwise(qs, bases)
+    outside = np.array([not base.contains(q) for q, base in zip(qs, bases)])
+    assert not outside.all()
+    with pytest.raises(GeometryError, match="inside"):
+        strategy_halfspaces(np.array(qs), *stack(bases))
+    for q, base in zip(np.array(qs)[~outside], np.array(bases)[~outside]):
+        for oracle in (strategy_halfspace, strategy_halfspace_per_edge):
+            with pytest.raises(GeometryError, match="inside"):
+                oracle(q, base)
+    qs, bases = np.array(qs)[outside], np.array(bases)[outside]
     corner_rows = other_rows = 0
-    for hs, q, base, corner in zip(got, qs, bases, at_corner):
-        try:
-            want = strategy_halfspace_per_edge(q, base)
-        except GeometryError:
-            assert isinstance(hs, GeometryError)
-            continue
+    for w, offset, q, base, corner in zip(*halfspaces_bitwise(qs, bases), qs, bases,
+                                          np.array(at_corner)[outside]):
+        want_w, want_offset = strategy_halfspace_per_edge(q, base)
         tol = 4e-16
         if not corner:
             lengths = np.linalg.norm(np.roll(base.vertices, -1, axis=0) - base.vertices, axis=1)
             tol += 4 * eps * lengths.max() / point_polytope_distance(q, base)
-        assert np.max(np.abs(hs.w - want.w)) <= tol
-        assert abs(hs.offset - want.offset) <= tol
+        assert np.max(np.abs(w - want_w)) <= tol
+        assert abs(offset - want_offset) <= tol
         corner_rows += corner
         other_rows += not corner
     assert corner_rows == 600 and other_rows >= 1500
-    inside = strategy_halfspaces(bases[0].vertices.mean(axis=0)[None], *stack(bases[:1]))
-    assert isinstance(inside[0], GeometryError)
+    with pytest.raises(GeometryError, match="inside"):
+        strategy_halfspaces(bases[0].vertices.mean(axis=0)[None], *stack(bases[:1]))
 
 
 @st.composite
@@ -610,18 +610,10 @@ def test_strategy_halfspace_properties(rows):
     """
     bases, p_ref, dirs, radius = rows
     qs, _ = project_rows(p_ref, dirs, bases, radius)
-    for base, hs, d in zip(bases, halfspaces_bitwise(qs, bases), dirs):
-        assert np.all(base.vertices @ hs.w <= hs.offset + 1e-9)
-        assert abs(hs.offset - base.support(hs.w)) <= 1e-12
-        assert hs.w @ d >= 0.0
-
-
-def test_halfspace_normalization_and_violation():
-    hs = Halfspace([0.0, 2.0], 4.0)
-    np.testing.assert_allclose(hs.w, [0.0, 1.0])
-    assert abs(hs.offset - 2.0) < 1e-15
-    assert hs.violation([0.0, 1.0]) == pytest.approx(1.0)
-    assert hs.violation([0.0, 3.0]) == pytest.approx(-1.0)
+    for base, w, offset, d in zip(bases, *halfspaces_bitwise(qs, bases), dirs):
+        assert np.all(base.vertices @ w <= offset + 1e-9)
+        assert abs(offset - base.support(w)) <= 1e-12
+        assert w @ d >= 0.0
 
 
 def random_box_pair(rng):

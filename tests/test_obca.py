@@ -18,8 +18,6 @@ import tightnav.nlp
 import tightnav.obca
 from tightnav.dynamics import VehicleParams, rollout, step_rk4
 from tightnav.geometry import (
-    GeometryError,
-    Halfspace,
     Polytope,
     body_polytope,
     min_translation_distance,
@@ -338,11 +336,10 @@ def canonical_env(n_steps=3):
 def test_strategy_constraint_pass_left_canonical():
     env = canonical_env()
     ref = np.array([[0.0, 0.0, 0.0, 0.5]] * 3)
-    rows = generate_strategy_constraints(StrategyLabel.PASS_LEFT, ref, env, 1.0)
-    assert [t for t, _ in rows] == [0, 1, 2]
-    for _, hs in rows:
-        np.testing.assert_allclose(hs.w, [0.0, 1.0], atol=1e-6)
-        assert hs.offset == pytest.approx(1.0, abs=1e-6)
+    stages, w, offset = generate_strategy_constraints(StrategyLabel.PASS_LEFT, ref, env, 1.0)
+    assert stages.tolist() == [0, 1, 2]
+    np.testing.assert_allclose(w, [[0.0, 1.0]] * 3, atol=1e-6)
+    np.testing.assert_allclose(offset, 1.0, atol=1e-6)
 
 
 def test_strategy_constraint_pass_right_mirrors():
@@ -350,15 +347,16 @@ def test_strategy_constraint_pass_right_mirrors():
     ref = np.array([[0.0, 0.0, 0.0, 0.5]] * 3)
     left = generate_strategy_constraints(StrategyLabel.PASS_LEFT, ref, env, 1.0)
     right = generate_strategy_constraints(StrategyLabel.PASS_RIGHT, ref, env, 1.0)
-    for (_, hl), (_, hr) in zip(left, right):
-        np.testing.assert_allclose(hr.w, -hl.w, atol=1e-6)
-        assert hr.offset == pytest.approx(hl.offset, abs=1e-6)
+    assert len(left[0]) == 3 and right[0].tolist() == left[0].tolist()
+    np.testing.assert_allclose(right[1], -left[1], atol=1e-6)
+    np.testing.assert_allclose(right[2], left[2], rtol=0.0, atol=1e-6)
 
 
 def test_strategy_constraint_outside_region_empty():
     env = canonical_env()
     ref = np.array([[10.0, 10.0, 0.0, 0.5]] * 3)
-    assert generate_strategy_constraints(StrategyLabel.PASS_LEFT, ref, env, 1.0) == []
+    stages, w, offset = generate_strategy_constraints(StrategyLabel.PASS_LEFT, ref, env, 1.0)
+    assert stages.shape == (0,) and w.shape == (0, 2) and offset.shape == (0,)
 
 
 def test_strategy_constraint_yield_rejected():
@@ -382,9 +380,9 @@ def test_strategy_constraints_support_tv_polytope():
             for t in range(4)
         ])
         strat = StrategyLabel.PASS_LEFT if rng.random() < 0.5 else StrategyLabel.PASS_RIGHT
-        for t, hs in generate_strategy_constraints(strat, ref, env, r_ev):
+        for t, w, offset in zip(*generate_strategy_constraints(strat, ref, env, r_ev)):
             verts = env.tv(t).vertices
-            assert np.max(verts @ hs.w) <= hs.offset + 1e-9
+            assert np.max(verts @ w) <= offset + 1e-9
 
 
 def moving_tv_scene(rng, n_steps=21, dt=0.1):
@@ -414,12 +412,11 @@ def test_strategy_constraints_match_per_stage_oracle():
         for strat in (StrategyLabel.PASS_LEFT, StrategyLabel.PASS_RIGHT):
             got = generate_strategy_constraints(strat, ref, env, r_ev)
             want = strategy_constraints_per_stage(strat, ref, env, r_ev)
-            assert [t for t, _ in got] == [t for t, _ in want]
-            for (_, hg), (_, hw) in zip(got, want):
-                assert hg.w.tobytes() == hw.w.tobytes()
-                assert float(hg.offset).hex() == float(hw.offset).hex()
-            rows += len(got)
-            skipped += env.n_steps - len(got)
+            assert got[0].tolist() == want[0].tolist()
+            assert got[1].tobytes() == want[1].tobytes()
+            assert got[2].tobytes() == want[2].tobytes()
+            rows += len(got[0])
+            skipped += env.n_steps - len(got[0])
     assert rows >= 200 and skipped >= 200
 
 
@@ -432,15 +429,15 @@ def test_strategy_constraints_near_per_stage_bisection():
     for _ in range(10):
         ref, env = moving_tv_scene(rng)
         for strat in (StrategyLabel.PASS_LEFT, StrategyLabel.PASS_RIGHT):
-            got = generate_strategy_constraints(strat, ref, env, r_ev)
+            stages, w, offset = generate_strategy_constraints(strat, ref, env, r_ev)
             want = strategy_constraints_per_stage(strat, ref, env, r_ev, project=project_one)
-            assert [t for t, _ in got] == [t for t, _ in want]
-            for (t, hg), (_, hw) in zip(got, want):
-                # The normal turns by at most the point's move over its
-                # distance r_ev from the TV.
-                assert np.max(np.abs(hg.w - hw.w)) <= 1e-6 / r_ev
-                assert abs(hg.offset - hw.offset) <= 1e-6 / r_ev * (1.0 + np.abs(ref[t, :2]).max())
-            rows += len(got)
+            assert stages.tolist() == want[0].tolist()
+            # The normal turns by at most the point's move over its distance
+            # r_ev from the TV.
+            assert np.max(np.abs(w - want[1]), initial=0.0) <= 1e-6 / r_ev
+            reach = 1.0 + np.abs(ref[stages, :2]).max(axis=1)
+            assert np.all(np.abs(offset - want[2]) <= 1e-6 / r_ev * reach)
+            rows += len(stages)
     assert rows >= 50
 
 
@@ -461,10 +458,10 @@ def test_strategy_halfspaces_match_per_point_on_guided_stages(monkeypatch):
     run_closed_loop(benchmark_suite()[8], "sg", model=model)
     rows = 0
     for qs, verts, A, b, out in batches:
-        for q, v, a_k, b_k, got in zip(qs, verts, A, b, out):
-            want = strategy_halfspace(q, Polytope(a_k, b_k, v))
-            assert got.w.tobytes() == want.w.tobytes()
-            assert float(got.offset).hex() == float(want.offset).hex()
+        for q, v, a_k, b_k, w, offset in zip(qs, verts, A, b, *out):
+            want_w, want_offset = strategy_halfspace(q, Polytope(a_k, b_k, v))
+            assert w.tobytes() == want_w.tobytes()
+            assert float(offset).hex() == float(want_offset).hex()
             rows += 1
     assert len(batches) >= 30 and rows >= 400
 
@@ -490,11 +487,10 @@ def test_solve_step_windows_a_short_encoding():
     # The screen reads the clamped timeline at every reference stage.
     rows = generate_strategy_constraints(StrategyLabel.PASS_RIGHT, ref, env,
                                          cfg.params.covering_radius)
-    assert max(t for t, _ in rows) > 1
+    assert rows[0].max() > 1
     rows_full = generate_strategy_constraints(StrategyLabel.PASS_RIGHT, ref, env.window(0, 9),
                                               cfg.params.covering_radius)
-    assert [(t, hs.w.tobytes(), hs.offset) for t, hs in rows] == \
-        [(t, hs.w.tobytes(), hs.offset) for t, hs in rows_full]
+    assert [a.tobytes() for a in rows] == [a.tobytes() for a in rows_full]
 
 
 def test_lateral_direction_orientation():
@@ -609,11 +605,11 @@ def test_solve_step_strategy_rows_enforced():
     sol = ctrl.solve_step(z0, np.zeros(2), ref, env, strategy=StrategyLabel.PASS_LEFT)
     assert sol.ok
     # The rows of every stage past the measured state.
-    rows = [(t, hs) for t, hs in generate_strategy_constraints(
-        StrategyLabel.PASS_LEFT, ref, env, cfg.params.covering_radius) if t >= 1]
-    assert len(rows) > 0
-    for t, hs in rows:
-        assert hs.violation(sol.zs[t, :2]) <= 1e-6
+    stages, w, offset = generate_strategy_constraints(
+        StrategyLabel.PASS_LEFT, ref, env, cfg.params.covering_radius)
+    later = stages >= 1
+    assert later.any()
+    assert np.all(offset[later] - np.sum(w * sol.zs[stages, :2], axis=1)[later] <= 1e-6)
     # Passing left of a centered obstacle means clearing its top edge.
     t_close = int(np.argmin(np.abs(sol.zs[:, 0] - 1.1)))
     assert sol.zs[t_close, 1] > 0.055
@@ -663,8 +659,33 @@ def test_unreachable_strategy_detected_without_solving():
                                          strategy=StrategyLabel.PASS_LEFT)
     assert sol.status == "infeasible"
     assert sol.stats["precheck"]
-    assert generate_strategy_constraints(StrategyLabel.PASS_LEFT, ref, env,
-                                         cfg.params.covering_radius)
+    assert len(generate_strategy_constraints(StrategyLabel.PASS_LEFT, ref, env,
+                                             cfg.params.covering_radius)[0])
+
+
+def test_unreachable_strategy_fires_past_the_reachable_distance():
+    """The precheck fires on a row that z0 violates by more than 1e-9 past
+    the distance its stage can reach, and not on one violated by exactly
+    that distance."""
+    cfg = ControllerConfig()
+    p = cfg.params
+    z0 = np.array([0.0, 0.0, 0.3, -0.4])
+    travel, speed = [0.0], 0.4
+    for _ in range(cfg.horizon):
+        speed = min(max(abs(p.v_min), p.v_max), speed + p.a_max * cfg.dt)
+        travel.append(travel[-1] + speed * cfg.dt)
+    ctrl = ObcaController(cfg)
+    w = np.array([[0.0, 1.0]])
+    for t in (1, 7, cfg.horizon):
+        stages = np.array([t])
+        assert ctrl._unreachable_strategy(z0, stages, w, np.array([travel[t] + 2e-9]))
+        assert not ctrl._unreachable_strategy(z0, stages, w, np.array([travel[t]]))
+    # One firing row among rows that do not fire.
+    stages = np.array([1, 7, cfg.horizon])
+    offset = np.array([travel[1], travel[7] + 2e-9, travel[cfg.horizon]])
+    assert ctrl._unreachable_strategy(z0, stages, np.tile(w, (3, 1)), offset)
+    assert not ctrl._unreachable_strategy(z0, stages, np.tile(w, (3, 1)),
+                                          np.array([travel[t] for t in stages]))
 
 
 def test_solve_step_deterministic():
@@ -746,7 +767,7 @@ def fd_nlp():
     z0 = np.array([0.0, 0.05, 0.1, 0.5])
     ref = straight_ref(z0, 3, cfg.dt, cfg.params)
     pairs = [(t, m) for t in (1, 2, 3) for m in (0, 1)]
-    strat = [(2, Halfspace(np.array([0.6, 0.8]), -0.1))]
+    strat = (np.array([2]), np.array([[0.6, 0.8]]), np.array([-0.1]))
     nlp = _StepNlp(cfg, z0, np.array([0.05, -0.1]), ref, env, pairs, strat,
                    _HorizonLayout(cfg))
     rng = np.random.default_rng(7)
@@ -791,7 +812,7 @@ def test_step_nlp_lagrangian_hessian_matches_differences(fd_nlp):
     rng = np.random.default_rng(8)
     n_dyn = 4 * nlp.cfg.horizon
     nu = rng.normal(0.0, 1.0, n_dyn + 2 * len(nlp.pairs))
-    lam = rng.uniform(0.5, 2.0, 2 * len(nlp.pairs) + len(nlp.strat))
+    lam = rng.uniform(0.5, 2.0, 2 * len(nlp.pairs) + len(nlp.strat_w))
     # The dynamics rows are Gauss-Newton by design: their multipliers add
     # no curvature, so the oracle differentiates the Lagrangian without them.
     nu_obstacle = np.concatenate([np.zeros(n_dyn), nu[n_dyn:]])
@@ -814,8 +835,7 @@ def test_step_nlp_hessian_blocks_cover_lagrangian_sparsity():
     z0 = np.array([0.0, 0.05, 0.1, 0.5])
     ref = straight_ref(z0, 4, cfg.dt, cfg.params)
     pairs = [(1, 1), (2, 0), (2, 1), (4, 0)]
-    strat = [(1, Halfspace(np.array([0.6, 0.8]), -0.1)),
-             (3, Halfspace(np.array([0.0, 1.0]), 0.2))]
+    strat = (np.array([1, 3]), np.array([[0.6, 0.8], [0.0, 1.0]]), np.array([-0.1, 0.2]))
     nlp = _StepNlp(cfg, z0, np.zeros(2), ref, env, pairs, strat, _HorizonLayout(cfg))
     labels = nlp.hess_blocks
     assert labels.shape == (nlp.n,)
@@ -825,7 +845,7 @@ def test_step_nlp_hessian_blocks_cover_lagrangian_sparsity():
     for _ in range(5):
         x = rng.normal(0.0, 1.0, nlp.n)
         nu = rng.normal(0.0, 1.0, 4 * cfg.horizon + 2 * len(pairs))
-        lam = rng.uniform(0.1, 2.0, 2 * len(pairs) + len(strat))
+        lam = rng.uniform(0.1, 2.0, 2 * len(pairs) + len(strat[0]))
         h = nlp.lag_hess(x, nu, lam)
         rows, cols = np.nonzero(h)
         assert np.array_equal(labels[rows], labels[cols])
@@ -909,7 +929,7 @@ def reference_row_keys(nlp):
     var, sign, _ = bound_rows(*nlp.bounds())
     return ([("clear", t, m, 0) for t, m in nlp.pairs]
             + [("normal", t, m, 0) for t, m in nlp.pairs]
-            + [("strat", t, -1, 0) for t, _ in nlp.strat]
+            + [("strat", t, -1, 0) for t in nlp.strat_stages.tolist()]
             + [var_key(v, "lo" if s < 0.0 else "hi") for v, s in zip(var, sign)])
 
 
@@ -920,8 +940,9 @@ def step_nlp(horizon, n_obstacles, pairs, strat_stages):
     env = EnvironmentEncoding([boxes] * (horizon + 1))
     z0 = np.array([0.0, 0.0, 0.0, 0.5])
     ref = straight_ref(z0, horizon, cfg.dt, cfg.params)
-    return _StepNlp(cfg, z0, np.zeros(2), ref, env, sorted(pairs),
-                    [(t, None) for t in sorted(strat_stages)], _HorizonLayout(cfg))
+    stages = np.array(sorted(strat_stages), dtype=int)
+    strat = (stages, np.tile([0.0, 1.0], (len(stages), 1)), np.zeros(len(stages)))
+    return _StepNlp(cfg, z0, np.zeros(2), ref, env, sorted(pairs), strat, _HorizonLayout(cfg))
 
 
 @st.composite

@@ -4,7 +4,10 @@ Gradient correctness is checked against central finite differences; the
 feature layout is checked with an independent decoder written here.
 """
 
+import hashlib
+import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -13,6 +16,7 @@ from tightnav.dynamics import VehicleParams
 from tightnav.geometry import Polytope
 from tightnav.obca import EnvironmentEncoding, StrategyLabel
 from tightnav.predictor import (
+    N_HIDDEN,
     MlpModel,
     TrainConfig,
     _loss_and_grads,
@@ -29,6 +33,9 @@ from tightnav.predictor import (
 )
 
 DESK = VehicleParams()
+FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "fixtures")
+STRATEGY_MODEL = os.path.join(FIXTURES, "strategy_model.json")
+STRATEGY_MODEL_META = os.path.join(FIXTURES, "strategy_model.meta.json")
 
 
 def make_env(n_steps=21, shift=0.0):
@@ -321,8 +328,6 @@ def test_model_save_load_round_trip(tmp_path):
 
 
 def test_model_load_rejects_wrong_version(tmp_path):
-    import json
-
     model = random_model(np.random.default_rng(1), 4)
     path = tmp_path / "model.json"
     save_model(model, str(path))
@@ -331,6 +336,64 @@ def test_model_load_rejects_wrong_version(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError):
         load_model(str(path))
+
+
+def saved_model_doc(tmp_path):
+    path = tmp_path / "model.json"
+    save_model(random_model(np.random.default_rng(2), 4), str(path))
+    return path, json.loads(path.read_text())
+
+
+@pytest.mark.parametrize("key, value", [
+    ("b1", [0.0] * 39),
+    ("b2", [0.0]),
+    ("mean", [0.0]),
+    ("scale", [1.0]),
+    ("w1", [[0.0] * 4] * 41),
+    ("w2", [[0.0] * 40] * 2),
+    ("n_hidden", 20),
+])
+def test_model_load_rejects_misshapen_arrays(tmp_path, key, value):
+    """An array that numpy would broadcast, or a header that disagrees with
+    the network's sizes, does not load."""
+    path, doc = saved_model_doc(tmp_path)
+    doc[key] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="shapes"):
+        load_model(str(path))
+
+
+@pytest.mark.parametrize("key, index, value", [
+    ("w1", (3, 1), float("nan")),
+    ("b1", (0,), float("inf")),
+    ("w2", (2, 7), float("-inf")),
+    ("b2", (1,), float("nan")),
+    ("mean", (2,), float("nan")),
+    ("scale", (0,), float("inf")),
+    ("scale", (1,), 0.0),
+    ("scale", (3,), -1.0),
+])
+def test_model_load_rejects_bad_values(tmp_path, key, index, value):
+    """A NaN weight would give NaN scores, which select a guided pass."""
+    path, doc = saved_model_doc(tmp_path)
+    row = doc[key]
+    for i in index[:-1]:
+        row = row[i]
+    row[index[-1]] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="finite"):
+        load_model(str(path))
+
+
+def test_committed_strategy_model_loads():
+    """The benchmark's fixture passes the checks, and its bytes are the
+    ones its metadata records."""
+    with open(STRATEGY_MODEL_META) as fh:
+        recorded = json.load(fh)["sha256"]
+    with open(STRATEGY_MODEL, "rb") as fh:
+        assert hashlib.sha256(fh.read()).hexdigest() == recorded
+    model = load_model(STRATEGY_MODEL)
+    assert model.w1.shape == (N_HIDDEN, model.d_in) and model.scale.shape == (model.d_in,)
 
 
 def test_dataset_save_load_round_trip(tmp_path):
