@@ -17,12 +17,13 @@ _LOG_ENV = "TIGHTNAV_LOG"
 
 
 def configure_logging(level: str | None = None) -> None:
-    """Configure the package logger from an explicit level or TIGHTNAV_LOG."""
+    """Configure the package logger from an explicit level or TIGHTNAV_LOG.
+
+    The name is a logging level name in any case; any other name means
+    WARNING.
+    """
     name = level or os.environ.get(_LOG_ENV, "WARNING")
-    try:
-        resolved = getattr(logging, name.upper())
-    except AttributeError:
-        resolved = logging.WARNING
+    resolved = logging.getLevelNamesMapping().get(name.upper(), logging.WARNING)
     logging.basicConfig(
         level=resolved,
         format="%(asctime)s %(name)s %(levelname)s %(message)s",

@@ -11,7 +11,9 @@ the closed loop and the rollouts step one state at a time with `step_rk4`,
 which works on Python floats because a numpy call on a 4-vector costs more
 than its arithmetic (4.3 against 23 us per step with one numpy derivative
 per stage, on a 2-core x86-64 host).  Both take the same operations in the
-same order, so their steps agree to the last bit.
+same order, so their steps agree to the last bit.  `DT` is the stack's one
+sampling and control period; the kernels take dt as an argument so their
+tests can integrate at other steps.
 """
 
 from __future__ import annotations
@@ -20,6 +22,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+# Sampling and control period of the whole stack, s.
+DT = 0.1
 
 
 @dataclass

@@ -36,7 +36,7 @@ from enum import IntEnum
 
 import numpy as np
 
-from .dynamics import VehicleParams, rollout, step_jacobians, step_rk4
+from .dynamics import DT, VehicleParams, rollout, step_jacobians, step_rk4
 from .geometry import (
     Polytope,
     body_polytope,
@@ -150,15 +150,15 @@ class EnvironmentEncoding:
 class ControllerConfig:
     """The settable values of the whole control stack.
 
-    They pose the MPC problem: horizon, time step, clearance floor, tracking
-    weights and vehicle; passing a strategy to `solve_step` adds its rows.
-    The supervisor's safety controller, emergency brake and anticipation read
-    dt, d_min and params from here too, and the reference speed from the
-    `Scenario`; every other tuning value is a module constant.
+    They pose the MPC problem: horizon, clearance floor, tracking weights
+    and vehicle; passing a strategy to `solve_step` adds its rows.  The
+    supervisor's safety controller, emergency brake and anticipation read
+    d_min and params from here too, and the reference speed from the
+    `Scenario`.  The time step is the stack's constant `dynamics.DT`, and
+    every other tuning value is a module constant.
     """
 
     horizon: int = 20
-    dt: float = 0.1
     d_min: float = 0.01
     q_z: np.ndarray = field(default_factory=lambda: np.array([1.0, 1.0, 1.0, 10.0]))
     q_u: np.ndarray = field(default_factory=lambda: np.array([1.0, 1.0]))
@@ -166,17 +166,13 @@ class ControllerConfig:
     params: VehicleParams = field(default_factory=VehicleParams)
 
     def __post_init__(self):
-        # The supervisor imports this module, so its brake gain is looked up
-        # when a config is built rather than at import time.
-        from .supervisor import K_BRAKE
-
         self.q_z = np.asarray(self.q_z, float).ravel()
         self.q_u = np.asarray(self.q_u, float).ravel()
         self.q_d = np.asarray(self.q_d, float).ravel()
         if self.horizon < 1:
             raise ValueError("horizon must be at least one step")
-        if self.dt <= 0 or self.d_min <= 0:
-            raise ValueError("dt and d_min must be positive")
+        if self.d_min <= 0:
+            raise ValueError("d_min must be positive")
         if self.q_z.shape != (4,) or np.any(self.q_z < 0):
             raise ValueError("state weights must be 4 nonnegative entries")
         if self.q_u.shape != (2,) or np.any(self.q_u <= 0):
@@ -185,9 +181,6 @@ class ControllerConfig:
             raise ValueError("rate weights must be 2 nonnegative entries")
         if ENGAGE_DIST <= self.d_min:
             raise ValueError(f"d_min must be below the engage distance {ENGAGE_DIST}")
-        if K_BRAKE * self.dt > 1.0 + 1e-9:
-            raise ValueError("dt exceeds the safety controller's stability limit "
-                             f"1 / K_BRAKE = {1.0 / K_BRAKE}")
 
 
 @dataclass
@@ -596,8 +589,8 @@ class _StepNlp:
         # for t = 0) under u_t, so one call covers the horizon.
         zs = x[: self.nz].reshape(n_h, 4)
         us = x[self.nz : self.nz + self.nuv].reshape(n_h, 2)
-        pred, jz, ju = step_jacobians(np.vstack([self.z0[None, :], zs[:-1]]), us,
-                                      cfg.dt, cfg.params)
+        pred, jz, ju = step_jacobians(np.vstack([self.z0[None, :], zs[:-1]]), us, DT,
+                                      cfg.params)
         vals[: self.nz] = (zs - pred).ravel()
         np.fill_diagonal(jac[:, : self.nz], 1.0)
         layout = self.layout
@@ -672,11 +665,11 @@ class ObcaController:
         )
         if fresh:
             us = np.zeros((cfg.horizon, 2))
-            zs = rollout(z0, us, cfg.dt, cfg.params)
+            zs = rollout(z0, us, DT, cfg.params)
             return zs, us, None
         prev_zs, prev_us, prev_keys = self._prev
         us = np.vstack([prev_us[1:], prev_us[-1:]])
-        z_tail = step_rk4(prev_zs[-1], prev_us[-1], cfg.dt, cfg.params)
+        z_tail = step_rk4(prev_zs[-1], prev_us[-1], DT, cfg.params)
         zs = np.vstack([z0[None, :], prev_zs[2:], z_tail[None, :]])
         return zs, us, _shift_keys(prev_keys)
 
@@ -688,8 +681,8 @@ class ObcaController:
         zs[0] = z0
         for t in range(cfg.horizon):
             v = float(zs[t, 3])
-            us[t, 1] = float(np.clip(-v / cfg.dt, -cfg.params.a_max, cfg.params.a_max))
-            zs[t + 1] = step_rk4(zs[t], us[t], cfg.dt, cfg.params)
+            us[t, 1] = float(np.clip(-v / DT, -cfg.params.a_max, cfg.params.a_max))
+            zs[t + 1] = step_rk4(zs[t], us[t], DT, cfg.params)
         return zs, us
 
     def _unreachable_strategy(self, z0, stages, w, offset) -> bool:
@@ -701,8 +694,8 @@ class ObcaController:
         speed = abs(float(z0[3]))
         travel = np.zeros(cfg.horizon + 1)
         for i in range(1, cfg.horizon + 1):
-            speed = min(v_cap, speed + p.a_max * cfg.dt)
-            travel[i] = travel[i - 1] + speed * cfg.dt
+            speed = min(v_cap, speed + p.a_max * DT)
+            travel[i] = travel[i - 1] + speed * DT
         return bool(np.any(offset - _rowdot(w, z0[:2]) > travel[stages] + 1e-9))
 
     def solve_step(self, z_k, u_prev, ref, env: EnvironmentEncoding,

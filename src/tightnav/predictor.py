@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import VehicleParams
+from .dynamics import DT, VehicleParams
 from .fileio import atomic_write
 from .obca import EnvironmentEncoding, StrategyLabel
 
@@ -206,7 +206,7 @@ def evaluate(model: MlpModel, features, labels) -> float:
     return float(np.mean(pred == y))
 
 
-def label_rollout(ev_traj, tv_traj, params: VehicleParams, dt: float = 0.1) -> StrategyLabel:
+def label_rollout(ev_traj, tv_traj, params: VehicleParams, dt: float = DT) -> StrategyLabel:
     """Automatic strategy label from a pair of closed-loop trajectories.
 
     The pass event is the first step where the EV's longitudinal coordinate

@@ -5,20 +5,22 @@ parking maneuvers are synthesized by integrating the bicycle model through a
 primitive schedule (straight, arc, exact stop, idle, reverse arc), so every
 consecutive state pair is consistent with the dynamics by construction; the
 finished trajectory is rigidly translated onto the requested spot.
+
+There is one lot, `LOT`, and every scenario steps at the stack's period
+`DT` (defined in `dynamics` and re-exported here).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import VehicleParams, step_rk4
+from .dynamics import DT, VehicleParams, step_rk4
 from .geometry import Polytope, body_polytope, min_translation_distance
 from .obca import EnvironmentEncoding
 
-DT = 0.1
 V_REF = 0.6
 
 
@@ -66,36 +68,36 @@ class ParkingLot:
         return self.x_min <= x <= self.x_max and -y_max <= y <= y_max
 
 
-DEFAULT_LOT = ParkingLot()
+LOT = ParkingLot()
 
 
 # --- maneuver synthesis -----------------------------------------------------
 
-def _drive(states, delta, a, n, dt, params):
+def _drive(states, delta, a, n, params):
     z = states[-1]
     for _ in range(n):
-        z = step_rk4(z, np.array([delta, a]), dt, params)
+        z = step_rk4(z, np.array([delta, a]), DT, params)
         states.append(z)
     return states
 
 
-def _drive_until(states, delta, a, stop, dt, params, cap=400):
+def _drive_until(states, delta, a, stop, params, cap=400):
     z = states[-1]
     for _ in range(cap):
         if stop(z):
             return states
-        z = step_rk4(z, np.array([delta, a]), dt, params)
+        z = step_rk4(z, np.array([delta, a]), DT, params)
         states.append(z)
     raise ScenarioError("maneuver primitive failed to reach its stop condition")
 
 
-def _ramp_to(states, delta, v_target, dt, params):
+def _ramp_to(states, delta, v_target, params):
     """Change speed so the final step lands exactly on v_target."""
     z = states[-1]
     while abs(z[3] - v_target) > 1e-12:
         err = v_target - z[3]
-        a = math.copysign(min(params.a_max, abs(err) / dt), err)
-        z = step_rk4(z, np.array([delta, a]), dt, params)
+        a = math.copysign(min(params.a_max, abs(err) / DT), err)
+        z = step_rk4(z, np.array([delta, a]), DT, params)
         states.append(z)
     return states
 
@@ -109,8 +111,6 @@ def _mirror_y(states: np.ndarray) -> np.ndarray:
 
 def synth_tv_maneuver(row: str, index: int, mode: str, speed_scale: float = 1.0,
                       idle_duration: float = 0.0, seed: int = 0,
-                      lot: ParkingLot = DEFAULT_LOT, dt: float = DT,
-                      params: VehicleParams | None = None,
                       approach_len: float = 0.8) -> np.ndarray:
     """Kinematically consistent TV trajectory ending centered in the spot.
 
@@ -130,10 +130,10 @@ def synth_tv_maneuver(row: str, index: int, mode: str, speed_scale: float = 1.0,
         raise ScenarioError("speed scale outside the supported range [0.5, 1.6]")
     if not 0.3 <= approach_len <= 3.5:
         raise ScenarioError("approach length outside the supported range [0.3, 3.5]")
-    p = params or VehicleParams()
+    p = VehicleParams()
     rng = np.random.default_rng(seed)
     # Build in top-row coordinates and mirror afterwards for the bottom row.
-    cx, cy = lot.spot_center("top", index)
+    cx, cy = LOT.spot_center("top", index)
 
     v_cruise = 0.5 * speed_scale * float(rng.uniform(0.95, 1.05))
     v_park = 0.35 * speed_scale
@@ -144,44 +144,41 @@ def synth_tv_maneuver(row: str, index: int, mode: str, speed_scale: float = 1.0,
     # row is its mirror image.
     z0 = np.array([0.0, y_lane, 0.0, 0.0])
     states = [z0]
-    _ramp_to(states, 0.0, v_cruise, dt, p)
-    _drive(states, 0.0, 0.0, int(round(approach_len / (v_cruise * dt))), dt, p)
+    _ramp_to(states, 0.0, v_cruise, p)
+    _drive(states, 0.0, 0.0, int(round(approach_len / (v_cruise * DT))), p)
 
     if mode == "forward":
-        _ramp_to(states, 0.0, v_park, dt, p)
-        _drive_until(states, delta_turn, 0.0, lambda z: z[2] >= 0.5 * math.pi - 0.02,
-                     dt, p)
+        _ramp_to(states, 0.0, v_park, p)
+        _drive_until(states, delta_turn, 0.0, lambda z: z[2] >= 0.5 * math.pi - 0.02, p)
         y_turn_end = states[-1][1]
         y_stop = y_turn_end + 0.10
-        _drive_until(states, 0.0, 0.0, lambda z: z[1] >= y_stop, dt, p, cap=60)
-        _ramp_to(states, 0.0, 0.0, dt, p)
-        n_idle = 0
+        _drive_until(states, 0.0, 0.0, lambda z: z[1] >= y_stop, p, cap=60)
+        _ramp_to(states, 0.0, 0.0, p)
     else:
         # Swing the nose away from the spot while slowing, overrun the spot,
         # and stop in the lane for the gear change.
-        _ramp_to(states, 0.0, v_park, dt, p)
-        _drive_until(states, -0.6 * delta_turn, 0.0, lambda z: z[2] <= -0.30, dt, p)
-        _ramp_to(states, 0.0, 0.0, dt, p)
-        n_idle = math.ceil(idle_duration / dt)
+        _ramp_to(states, 0.0, v_park, p)
+        _drive_until(states, -0.6 * delta_turn, 0.0, lambda z: z[2] <= -0.30, p)
+        _ramp_to(states, 0.0, 0.0, p)
+        n_idle = math.ceil(idle_duration / DT)
         for _ in range(max(n_idle - 1, 0)):
             states.append(states[-1].copy())
         # Back in: negative speed with left steering swings the tail up into
         # the spot while the heading comes around to face the lane.
-        _ramp_to(states, delta_turn, -abs(v_park), dt, p)
-        _drive_until(states, delta_turn, 0.0, lambda z: z[2] <= -0.5 * math.pi + 0.02,
-                     dt, p)
+        _ramp_to(states, delta_turn, -abs(v_park), p)
+        _drive_until(states, delta_turn, 0.0, lambda z: z[2] <= -0.5 * math.pi + 0.02, p)
         y_arc_end = states[-1][1]
         y_stop = y_arc_end + 0.06
-        _drive_until(states, 0.0, 0.0, lambda z: z[1] >= y_stop, dt, p, cap=60)
-        _ramp_to(states, 0.0, 0.0, dt, p)
+        _drive_until(states, 0.0, 0.0, lambda z: z[1] >= y_stop, p, cap=60)
+        _ramp_to(states, 0.0, 0.0, p)
 
     traj = np.array(states)
     traj[:, :2] += np.array([cx, cy]) - traj[-1, :2]
     if row == "bottom":
         traj = _mirror_y(traj)
-    if not (lot.contains(traj[0, 0], traj[0, 1])
-            and lot.contains(traj[:, 0].min(), 0.0)
-            and lot.contains(traj[:, 0].max(), 0.0)):
+    if not (LOT.contains(traj[0, 0], traj[0, 1])
+            and LOT.contains(traj[:, 0].min(), 0.0)
+            and LOT.contains(traj[:, 0].max(), 0.0)):
         raise ScenarioError("maneuver does not fit the lot for this spot")
     return traj
 
@@ -208,22 +205,22 @@ class Scenario:
     tv_traj: np.ndarray
     ev_init: np.ndarray
     v_ref: float = V_REF
-    dt: float = DT
     seed: int = 0
     name: str = "scenario"
-    lot: ParkingLot = field(default_factory=ParkingLot)
 
     def __post_init__(self):
         self.tv_traj = np.asarray(self.tv_traj, float)
         self.ev_init = np.asarray(self.ev_init, float)
+        if not (math.isfinite(self.v_ref) and self.v_ref > 0):
+            raise ScenarioError(f"reference speed must be finite and positive, got {self.v_ref}")
         if self.tv_traj.ndim != 2 or self.tv_traj.shape[1] != 4 or len(self.tv_traj) < 2:
             raise ScenarioError("TV trajectory must be a (T, 4) array with T >= 2")
         if self.ev_init.shape != (4,):
             raise ScenarioError("EV initial state must have 4 entries")
         for x, y in self.tv_traj[:, :2]:
-            if not self.lot.contains(float(x), float(y)):
+            if not LOT.contains(float(x), float(y)):
                 raise ScenarioError("TV trajectory leaves the lot")
-        if not self.lot.contains(float(self.ev_init[0]), float(self.ev_init[1])):
+        if not LOT.contains(float(self.ev_init[0]), float(self.ev_init[1])):
             raise ScenarioError("EV start outside the lot")
         p = VehicleParams()
         ev0 = body_polytope(self.ev_init, p.length, p.width)
@@ -243,28 +240,40 @@ class Scenario:
         the two walls.  The encoding holds the parked pose after the
         trajectory ends."""
         p = params or VehicleParams()
-        top, bottom = self.lot.walls()
+        top, bottom = LOT.walls()
         return EnvironmentEncoding(
             [[body_polytope(z, p.length, p.width), top, bottom] for z in self.tv_traj])
 
 
-def lane_reference(z, horizon: int, dt: float = DT, v_ref: float = V_REF) -> np.ndarray:
+def lane_reference(z, horizon: int, v_ref: float = V_REF) -> np.ndarray:
     """Centerline reference advancing at v_ref from the EV's current abscissa."""
     z = np.asarray(z, float)
     n = horizon + 1
-    xs = z[0] + v_ref * dt * np.arange(n)
+    xs = z[0] + v_ref * DT * np.arange(n)
     return np.stack([xs, np.zeros(n), np.zeros(n), np.full(n, v_ref)], axis=1)
 
 
-def _hold_prefix(traj: np.ndarray, n: int) -> np.ndarray:
-    if n <= 0:
-        return traj
-    return np.vstack([np.tile(traj[0], (n, 1)), traj])
+def _place_ev(tv: np.ndarray, t_key: int, gap: float) -> tuple[np.ndarray, float]:
+    """(TV trajectory, EV start abscissa) that put the EV, driving at V_REF,
+    `gap` behind the TV's pose at step t_key when the TV reaches it.
+
+    A start too close to the lot's entry end is moved up to x_min + 0.15 and
+    the TV trajectory gets a hold prefix of its first pose that absorbs the
+    lost lead time; the start is then capped at x_min + 0.9.
+    """
+    x_meet = tv[t_key, 0] - gap
+    ev_x0 = x_meet - V_REF * DT * t_key
+    lo = LOT.x_min + 0.15
+    if ev_x0 < lo:
+        hold = math.ceil((lo - ev_x0) / (V_REF * DT))
+        tv = np.vstack([np.tile(tv[0], (hold, 1)), tv])
+        ev_x0 = lo
+    return tv, min(ev_x0, LOT.x_min + 0.9)
 
 
-def _assemble(tv_traj, ev_x0, seed, name, lot) -> Scenario:
+def _assemble(tv_traj, ev_x0, seed, name) -> Scenario:
     ev_init = np.array([ev_x0, 0.0, 0.0, V_REF])
-    return Scenario(tv_traj=tv_traj, ev_init=ev_init, seed=seed, name=name, lot=lot)
+    return Scenario(tv_traj=tv_traj, ev_init=ev_init, seed=seed, name=name)
 
 
 FAMILIES = ("overtake", "turn_in", "reverse_short", "reverse_long")
@@ -275,8 +284,7 @@ def _turn_start(tv: np.ndarray) -> int:
     return int(turning[0]) if len(turning) else len(tv) // 2
 
 
-def random_scenario(seed: int, lot: ParkingLot = DEFAULT_LOT,
-                    family: str | None = None) -> Scenario:
+def random_scenario(seed: int, family: str | None = None) -> Scenario:
     """Seeded scenario draw from one of four interaction families.
 
     `overtake`: a slow TV crawls down a long approach before turning in, so
@@ -300,17 +308,15 @@ def random_scenario(seed: int, lot: ParkingLot = DEFAULT_LOT,
         # alignment is needed because the EV catches it on the straight.
         index = int(rng.integers(4, 6))
         scale = float(rng.uniform(0.5, 0.65))
-        tv = synth_tv_maneuver(row, index, "forward", scale, 0.0, seed=seed,
-                               lot=lot, approach_len=1.7)
+        tv = synth_tv_maneuver(row, index, "forward", scale, 0.0, seed=seed, approach_len=1.7)
         ev_x0 = tv[0, 0] - float(rng.uniform(0.75, 0.95))
-        ev_x0 = min(max(ev_x0, lot.x_min + 0.15), lot.x_min + 0.9)
-        return _assemble(tv, ev_x0, seed, f"{family}-{row}{index}-s{seed}", lot)
+        ev_x0 = min(max(ev_x0, LOT.x_min + 0.15), LOT.x_min + 0.9)
+        return _assemble(tv, ev_x0, seed, f"{family}-{row}{index}-s{seed}")
     if family == "turn_in":
         index = int(rng.integers(1, 5))
         scale = float(rng.uniform(0.9, 1.3))
-        tv = synth_tv_maneuver(row, index, "forward", scale, 0.0, seed=seed, lot=lot)
+        tv = synth_tv_maneuver(row, index, "forward", scale, 0.0, seed=seed)
         t_key = _turn_start(tv)
-        gap = float(rng.uniform(0.55, 0.85))
     else:
         index = int(rng.integers(1, 5))
         if family == "reverse_short":
@@ -321,24 +327,17 @@ def random_scenario(seed: int, lot: ParkingLot = DEFAULT_LOT,
             # makes the eventual outcome visible early in the encounter.
             idle = float(rng.uniform(4.0, 5.0))
             scale = float(rng.uniform(0.7, 0.85))
-        tv = synth_tv_maneuver(row, index, "reverse", scale, idle, seed=seed, lot=lot)
+        tv = synth_tv_maneuver(row, index, "reverse", scale, idle, seed=seed)
         t_key = idle_window(tv)[0]
-        gap = float(rng.uniform(0.55, 0.85))
-
     # Aim the EV to sit a short gap behind the key point when it happens.
-    x_meet = tv[t_key, 0] - gap
-    ev_x0 = x_meet - V_REF * DT * t_key
-    lo = lot.x_min + 0.15
-    if ev_x0 < lo:
-        hold = math.ceil((lo - ev_x0) / (V_REF * DT))
-        tv = _hold_prefix(tv, hold)
-        ev_x0 = lo
-    ev_x0 = min(ev_x0, lot.x_min + 0.9)
-    return _assemble(tv, ev_x0, seed, f"{family}-{row}{index}-s{seed}", lot)
+    tv, ev_x0 = _place_ev(tv, t_key, float(rng.uniform(0.55, 0.85)))
+    return _assemble(tv, ev_x0, seed, f"{family}-{row}{index}-s{seed}")
 
 
-def _family_plan(n: int, weights: dict[str, float], seed: int) -> list[str]:
-    """Deterministic family assignment with counts proportional to weights."""
+def _suite_plan(n: int, seed0: int, weights: dict[str, float]) -> list[tuple[int, str]]:
+    """(seed, family) of each scenario of a suite of n, seeds counting up
+    from seed0 and family counts proportional to weights, in a shuffled
+    order fixed by seed0."""
     total = sum(weights.values())
     counts = {f: int(weights.get(f, 0.0) / total * n) for f in FAMILIES}
     remainders = sorted(FAMILIES,
@@ -349,67 +348,49 @@ def _family_plan(n: int, weights: dict[str, float], seed: int) -> list[str]:
             break
         counts[f] += 1
     plan = [f for f in FAMILIES for _ in range(counts[f])]
-    np.random.default_rng(seed).shuffle(plan)
-    return plan
+    np.random.default_rng(seed0).shuffle(plan)
+    return [(seed0 + i, family) for i, family in enumerate(plan)]
 
 
-def dataset_suite(n: int = 68, seed0: int = 5000,
-                  lot: ParkingLot = DEFAULT_LOT) -> list[Scenario]:
+_DATASET_PLAN = _suite_plan(68, 5000, {"overtake": 0.3, "turn_in": 0.2,
+                                       "reverse_short": 0.2, "reverse_long": 0.3})
+_BENCHMARK_PLAN = _suite_plan(52, 9000, {"overtake": 0.25, "turn_in": 0.15,
+                                         "reverse_short": 0.15, "reverse_long": 0.45})
+
+
+def dataset_suite() -> list[Scenario]:
     """Scenario set for expert data generation, balanced across families."""
-    weights = {"overtake": 0.3, "turn_in": 0.2, "reverse_short": 0.2,
-               "reverse_long": 0.3}
-    plan = _family_plan(n, weights, seed0)
-    return [random_scenario(seed0 + i, lot=lot, family=plan[i]) for i in range(n)]
+    return [random_scenario(seed, family) for seed, family in _DATASET_PLAN]
 
 
-_BENCHMARK_WEIGHTS = {"overtake": 0.25, "turn_in": 0.15, "reverse_short": 0.15,
-                      "reverse_long": 0.45}
-_BENCHMARK_N = 52
-_BENCHMARK_SEED0 = 9000
-
-
-def benchmark_suite(n: int = _BENCHMARK_N, seed0: int = _BENCHMARK_SEED0,
-                    lot: ParkingLot = DEFAULT_LOT) -> list[Scenario]:
+def benchmark_suite() -> list[Scenario]:
     """Held-out evaluation set, weighted toward long-idle reverse parks."""
-    plan = _family_plan(n, _BENCHMARK_WEIGHTS, seed0)
-    return [random_scenario(seed0 + i, lot=lot, family=plan[i]) for i in range(n)]
+    return [random_scenario(seed, family) for seed, family in _BENCHMARK_PLAN]
 
 
 def benchmark_scenario(index: int) -> Scenario:
     """`benchmark_suite()[index]`, built without the others; a negative
     index counts from the end, and one out of range raises IndexError."""
-    index = range(_BENCHMARK_N)[index]
-    family = _family_plan(_BENCHMARK_N, _BENCHMARK_WEIGHTS, _BENCHMARK_SEED0)[index]
-    return random_scenario(_BENCHMARK_SEED0 + index, family=family)
+    return random_scenario(*_BENCHMARK_PLAN[index])
 
 
-def forward_park_case(seed: int = 11, lot: ParkingLot = DEFAULT_LOT) -> Scenario:
+def forward_park_case() -> Scenario:
     """Case study: TV forward-parks into the top row ahead of the EV."""
-    tv = synth_tv_maneuver("top", 2, "forward", 1.0, 0.0, seed=seed, lot=lot)
-    turning = np.flatnonzero(np.abs(tv[:, 2]) > 0.05)
-    t_key = int(turning[0])
-    ev_x0 = max(tv[t_key, 0] - 0.7 - V_REF * DT * t_key, lot.x_min + 0.15)
-    return _assemble(tv, ev_x0, seed, "case-forward-park", lot)
+    tv = synth_tv_maneuver("top", 2, "forward", 1.0, 0.0, seed=11)
+    tv, ev_x0 = _place_ev(tv, _turn_start(tv), 0.7)
+    return _assemble(tv, ev_x0, 11, "case-forward-park")
 
 
-def reverse_park_case(seed: int = 12, idle_duration: float = 3.0,
-                      lot: ParkingLot = DEFAULT_LOT) -> Scenario:
-    """Case study: TV reverse-parks with a gear-change idle mid-task."""
-    tv = synth_tv_maneuver("top", 2, "reverse", 1.0, idle_duration, seed=seed, lot=lot)
-    t_key = idle_window(tv)[0]
-    ev_x0 = tv[t_key, 0] - 0.7 - V_REF * DT * t_key
-    lo = lot.x_min + 0.15
-    if ev_x0 < lo:
-        hold = math.ceil((lo - ev_x0) / (V_REF * DT))
-        tv = _hold_prefix(tv, hold)
-        ev_x0 = lo
-    return _assemble(tv, ev_x0, seed, "case-reverse-park", lot)
+def reverse_park_case() -> Scenario:
+    """Case study: TV reverse-parks with a 3 s gear-change idle mid-task."""
+    tv = synth_tv_maneuver("top", 2, "reverse", 1.0, 3.0, seed=12)
+    tv, ev_x0 = _place_ev(tv, idle_window(tv)[0], 0.7)
+    return _assemble(tv, ev_x0, 12, "case-reverse-park")
 
 
-def parked_tv_scenario(seed: int = 0, row: str = "top", index: int = 2,
-                       lot: ParkingLot = DEFAULT_LOT) -> Scenario:
+def parked_tv_scenario(row: str = "top", index: int = 2) -> Scenario:
     """Degenerate task: the TV sits parked for the whole run."""
-    cx, cy = lot.spot_center(row, index)
+    cx, cy = LOT.spot_center(row, index)
     psi = -0.5 * math.pi if row == "top" else 0.5 * math.pi
     tv = np.tile(np.array([cx, cy, psi, 0.0]), (2, 1))
-    return _assemble(tv, lot.x_min + 0.2, seed, "parked-tv", lot)
+    return _assemble(tv, LOT.x_min + 0.2, 0, "parked-tv")

@@ -12,10 +12,11 @@ to the safety controller whenever the previewed swept region closes the
 corridor ahead.
 
 A run has one source for each setting: the `ControllerConfig` gives the MPC
-and the supervisor their shared vehicle, time step and clearance floor, and
-the `Scenario` gives the time step it was built with and the reference speed
-that both the lane reference and safety control track.  The obstacles
-come from the scenario's one timeline, which the audit reads by step.
+and the supervisor their shared vehicle and clearance floor, and the
+`Scenario` gives the reference speed that both the lane reference and
+safety control track.  Every run steps at `dynamics.DT` in the one lot
+`scenario.LOT`.  The obstacles come from the scenario's one timeline, which
+the audit reads by step.
 """
 
 from __future__ import annotations
@@ -27,12 +28,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import VehicleParams, step_rk4
+from .dynamics import DT, VehicleParams, step_rk4
 from .fileio import atomic_write
 from .geometry import body_polytope, polytopes_intersect, separated_distance
 from .obca import ControllerConfig, EnvironmentEncoding, ObcaController, StrategyLabel
 from .predictor import encode_features, forward, label_rollout
-from .scenario import Scenario, lane_reference
+from .scenario import LOT, Scenario, lane_reference
 from .supervisor import (
     PolicyKind,
     anticipate_collision,
@@ -104,8 +105,6 @@ def generate_expert_rollout(scenario: Scenario, ctrl_config: ControllerConfig | 
     exact obstacle geometry afterwards.
     """
     ctrl = ctrl_config or ControllerConfig()
-    if abs(ctrl.dt - scenario.dt) > 1e-12:
-        raise ValueError("controller and scenario time steps differ")
     v_ref = scenario.v_ref
     n_h = ctrl.horizon
     env = scenario.environment(ctrl.params)
@@ -118,9 +117,9 @@ def generate_expert_rollout(scenario: Scenario, ctrl_config: ControllerConfig | 
     states = [z.copy()]
     inputs = []
     for k in range(n_steps):
-        if z[0] > scenario.lot.x_max:
+        if z[0] > LOT.x_max:
             break
-        ref = lane_reference(z, n_h, scenario.dt, v_ref)
+        ref = lane_reference(z, n_h, v_ref)
         gate = safety_speed_target(z, tv_pad[k:], ctrl, v_ref)
         if gate < EXPERT_HOLD_SPEED:
             u = safety_control(z, tv_pad[k:], ref, ctrl, v_ref)
@@ -130,7 +129,7 @@ def generate_expert_rollout(scenario: Scenario, ctrl_config: ControllerConfig | 
                 u = sol.us[0]
             else:
                 u = safety_control(z, tv_pad[k:], ref, ctrl, v_ref)
-        z = step_rk4(z, u, scenario.dt, ctrl.params)
+        z = step_rk4(z, u, DT, ctrl.params)
         states.append(z.copy())
         inputs.append(u)
         u_prev = u
@@ -144,7 +143,7 @@ def generate_expert_rollout(scenario: Scenario, ctrl_config: ControllerConfig | 
                            scenario.name, dist, t)
             return None
 
-    label = label_rollout(ev, tv_pad[: len(ev)], ctrl.params, scenario.dt)
+    label = label_rollout(ev, tv_pad[: len(ev)], ctrl.params)
     return RolloutRecord(
         ev_traj=ev,
         inputs=np.array(inputs).reshape(t_rec, 2),
@@ -277,15 +276,12 @@ def run_closed_loop(scenario: Scenario, scheme: str, model=None,
     if scheme == "sg" and model is None:
         raise ValueError("the sg scheme needs a trained strategy model")
     ctrl = ctrl_config or ControllerConfig()
-    if abs(ctrl.dt - scenario.dt) > 1e-12:
-        raise ValueError("controller and scenario time steps differ")
     v_ref = scenario.v_ref
     p = ctrl.params
     n_h = ctrl.horizon
     env = scenario.environment(p)
     tv_pad = scenario.tv_padded(max_steps + n_h + 1)
     controller = ObcaController(ctrl)
-    lot = scenario.lot
 
     z = scenario.ev_init.copy()
     u_prev = np.zeros(2)
@@ -306,12 +302,12 @@ def run_closed_loop(scenario: Scenario, scheme: str, model=None,
             outcome = OUTCOME_EMERGENCY
             iterations = k
             break
-        if not latched and z[0] > lot.x_max and abs(z[1]) <= lot.lane_half_width:
+        if not latched and z[0] > LOT.x_max and abs(z[1]) <= LOT.lane_half_width:
             outcome = OUTCOME_COMPLETED
             iterations = k
             break
 
-        ref = lane_reference(z, n_h, scenario.dt, v_ref)
+        ref = lane_reference(z, n_h, v_ref)
         scores = None
         strategy = None
         sg_status = None
@@ -350,7 +346,7 @@ def run_closed_loop(scenario: Scenario, scheme: str, model=None,
                             reason=reason, min_distance=dist, scores=scores,
                             strategy=strategy, sg_status=sg_status,
                             solve_time=solve_time))
-        z = step_rk4(z, u, scenario.dt, p)
+        z = step_rk4(z, u, DT, p)
         u_prev = u
     else:
         # A timed-out run still answers for the state its last input reached.
@@ -387,8 +383,7 @@ def _scheme_summary(rows) -> dict:
 
 
 def run_benchmark(scenarios, model, ctrl_config: ControllerConfig | None = None,
-                  schemes=SCHEMES, max_steps: int = 600,
-                  progress=None) -> BenchmarkResult:
+                  schemes=SCHEMES, max_steps: int = 600) -> BenchmarkResult:
     """Run every scenario under every scheme and summarize the pairing.
 
     Both schemes run on the caller's controller configuration; only the
@@ -415,8 +410,6 @@ def run_benchmark(scenarios, model, ctrl_config: ControllerConfig | None = None,
             }
             rows.append(row)
             per_scheme[scheme].append(row)
-            if progress is not None:
-                progress(row)
 
     summary = {scheme: _scheme_summary(per_scheme[scheme]) for scheme in schemes}
     joint = [

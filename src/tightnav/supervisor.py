@@ -8,9 +8,10 @@ an emergency brake (latched by the simulation loop) fires when even the
 safety controller cannot keep the required clearance over the prediction
 horizon.
 
-The supervisor has no settings of its own.  It shares the MPC's vehicle,
-time step and clearance floor through the `ControllerConfig` it is given,
-and tracks the scenario's reference speed `v_ref`, passed by the caller.
+The supervisor has no settings of its own.  It shares the MPC's vehicle
+and clearance floor through the `ControllerConfig` it is given, steps at
+the stack's period `dynamics.DT`, and tracks the scenario's reference speed
+`v_ref`, passed by the caller.
 Its gains, confidence threshold and corridor margins are the module
 constants below.  Inputs are returned as (delta_f, a) arrays.
 
@@ -28,7 +29,7 @@ from enum import IntEnum
 
 import numpy as np
 
-from .dynamics import VehicleParams, step_rk4
+from .dynamics import DT, VehicleParams, step_rk4
 from .geometry import box_distances
 from .obca import ControllerConfig, StrategyLabel
 
@@ -42,8 +43,7 @@ class PolicyKind(IntEnum):
 # Confidence a pass prediction needs before the guided MPC may act.
 XI = 0.75
 # Speed servo gains, 1/s: gentle toward a higher target, firm toward a lower
-# one.  K_BRAKE * dt <= 1 keeps the discrete servo stable; `ControllerConfig`
-# checks it where dt is set.
+# one.  K_BRAKE * DT <= 1 keeps the discrete servo stable.
 K_SPEED = 2.0
 K_BRAKE = 8.0
 # Extra standoff behind a TV pose angled across the corridor by more than
@@ -250,11 +250,11 @@ def _safety_input(z, tv, path, config: ControllerConfig, v_ref: float):
 
 def emergency_brake(z_ev, config: ControllerConfig) -> np.ndarray:
     """Input (0, a) for straight-wheel maximal braking that lands exactly on
-    v = 0 within config.dt."""
+    v = 0 within one step DT."""
     v = float(np.asarray(z_ev, float).ravel()[3])
     if v == 0.0:
         return np.zeros(2)
-    a = -math.copysign(min(config.params.a_max, abs(v) / config.dt), v)
+    a = -math.copysign(min(config.params.a_max, abs(v) / DT), v)
     return np.array([0.0, a])
 
 
@@ -286,7 +286,7 @@ def anticipate_collision(z_ev, tv_prediction, ref, config: ControllerConfig,
     ev = [z]
     for t in range(len(rows) - 1):
         u = _safety_input(z.tolist(), rows[t:], path, config, v_ref)
-        z = step_rk4(z, u, config.dt, p)
+        z = step_rk4(z, u, DT, p)
         ev.append(z)
     ev = np.array(ev)
     cut = 2.0 * p.covering_radius + config.d_min + 1e-9

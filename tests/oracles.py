@@ -69,7 +69,7 @@ from tightnav.geometry import (
 )
 from tightnav.obca import StrategyLabel
 from tightnav.qp import solve_qp
-from tightnav.scenario import DT
+from tightnav.scenario import DT, LOT
 from tightnav.supervisor import (
     BRAKE_HEADROOM,
     CORRIDOR_SLACK,
@@ -488,7 +488,7 @@ def padded_environment_steps(scenario, n_steps: int, params: VehicleParams | Non
     """Obstacles of n_steps steps: the TV body at each `tv_padded` pose, then
     the two walls."""
     p = params or VehicleParams()
-    top, bottom = scenario.lot.walls()
+    top, bottom = LOT.walls()
     tv = scenario.tv_padded(n_steps)
     return [[body_polytope(tv[t], p.length, p.width), top, bottom] for t in range(n_steps)]
 

@@ -14,6 +14,7 @@ import pytest
 
 from oracles import continuous_derivative, step_rk4_array
 from tightnav.dynamics import (
+    DT,
     VehicleParams,
     rollout,
     slip_angle,
@@ -22,7 +23,6 @@ from tightnav.dynamics import (
 )
 
 PARAMS = VehicleParams()
-DT = 0.1
 
 
 def fine_step(z, u, dt, params, substeps=1000):

@@ -19,7 +19,7 @@ import math
 import numpy as np
 import pytest
 
-from tightnav.dynamics import VehicleParams, step_jacobians, step_rk4
+from tightnav.dynamics import DT, VehicleParams, step_jacobians, step_rk4
 import tightnav.nlp
 from tightnav.nlp import TOL_FEAS, TOL_KKT, NlpProblem, NlpSolution, solve_nlp
 from tightnav.qp import bound_rows, kkt_residuals, solve_qp, unit_rows
@@ -27,7 +27,6 @@ from tightnav.qp import bound_rows, kkt_residuals, solve_qp, unit_rows
 from oracles import convexify_whole, elastic_qp_full_slack
 
 PARAMS = VehicleParams()
-DT = 0.1
 
 
 def rosenbrock(x):

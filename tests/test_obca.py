@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import tightnav.dynamics
 import tightnav.nlp
 import tightnav.obca
-from tightnav.dynamics import VehicleParams, rollout, step_rk4
+from tightnav.dynamics import DT, VehicleParams, rollout, step_rk4
 from tightnav.geometry import (
     Polytope,
     body_polytope,
@@ -266,7 +266,7 @@ def test_solve_step_certifies_after_a_solve_only_within_reach(monkeypatch):
     calls = count_certificates(monkeypatch)
     cfg = ControllerConfig()
     z0 = np.array([0.0, 0.0, 0.0, 0.6])
-    ref = straight_ref(z0, cfg.horizon, cfg.dt, cfg.params)
+    ref = straight_ref(z0, cfg.horizon, DT, cfg.params)
     # A TV beside the path: close enough to engage, clear of the warm start,
     # which the solve barely moves.
     env = static_env(Polytope.from_box((1.1, 0.3), 0.28, 0.11), 21)
@@ -475,7 +475,7 @@ def test_solve_step_windows_a_short_encoding():
     assert env.n_steps == 2
     x0, y_ref, v = 1.2, 0.34, 0.3
     z0 = np.array([x0, 0.3, 0.0, v])
-    ref = np.column_stack([x0 + v * cfg.dt * np.arange(9), np.full(9, y_ref), np.zeros(9),
+    ref = np.column_stack([x0 + v * DT * np.arange(9), np.full(9, y_ref), np.zeros(9),
                            np.full(9, v)])
     for strategy in (None, StrategyLabel.PASS_RIGHT):
         short = ObcaController(cfg).solve_step(z0, np.zeros(2), ref, env, strategy=strategy)
@@ -548,7 +548,7 @@ def blocking_scene():
     env = static_env(tv, 21)
     z0 = np.array([0.0, 0.0, 0.0, 0.6])
     cfg = ControllerConfig()
-    ref = straight_ref(z0, cfg.horizon, cfg.dt, cfg.params)
+    ref = straight_ref(z0, cfg.horizon, DT, cfg.params)
     return tv, env, z0, ref
 
 
@@ -557,7 +557,7 @@ def test_solve_step_far_obstacles_track_reference():
     env = static_env(far, 21, with_walls=False)
     cfg = ControllerConfig()
     z0 = np.array([0.0, 0.0, 0.0, 0.6])
-    ref = straight_ref(z0, cfg.horizon, cfg.dt, cfg.params)
+    ref = straight_ref(z0, cfg.horizon, DT, cfg.params)
     sol = ObcaController(cfg).solve_step(z0, np.zeros(2), ref, env)
     assert sol.ok
     assert np.max(np.abs(sol.zs - ref)) < 1e-4
@@ -672,8 +672,8 @@ def test_unreachable_strategy_fires_past_the_reachable_distance():
     z0 = np.array([0.0, 0.0, 0.3, -0.4])
     travel, speed = [0.0], 0.4
     for _ in range(cfg.horizon):
-        speed = min(max(abs(p.v_min), p.v_max), speed + p.a_max * cfg.dt)
-        travel.append(travel[-1] + speed * cfg.dt)
+        speed = min(max(abs(p.v_min), p.v_max), speed + p.a_max * DT)
+        travel.append(travel[-1] + speed * DT)
     ctrl = ObcaController(cfg)
     w = np.array([[0.0, 1.0]])
     for t in (1, 7, cfg.horizon):
@@ -704,11 +704,11 @@ def test_shifted_warm_start_consistency():
     tv, env, z0, ref_unused = blocking_scene()
     cfg = ControllerConfig()
     n = cfg.horizon
-    global_ref = straight_ref(z0, n + 2, cfg.dt, cfg.params)
+    global_ref = straight_ref(z0, n + 2, DT, cfg.params)
     ctrl = ObcaController(cfg)
     sol1 = ctrl.solve_step(z0, np.zeros(2), global_ref[: n + 1], env, step=0)
     assert sol1.ok
-    z1 = step_rk4(z0, sol1.us[0], cfg.dt, cfg.params)
+    z1 = step_rk4(z0, sol1.us[0], DT, cfg.params)
     sol2 = ctrl.solve_step(z1, sol1.us[0], global_ref[1 : n + 2], env, step=1)
     assert sol2.ok
     # The shifted plan reproduces the previous one near the applied end; the
@@ -727,14 +727,14 @@ def test_closed_loop_audit_min_distance():
     cfg = ControllerConfig()
     z = np.array([0.0, 0.0, 0.0, 0.6])
     u_prev = np.zeros(2)
-    global_ref = straight_ref(np.array([0.0, 0.0, 0.0, 0.6]), 50, cfg.dt, cfg.params)
+    global_ref = straight_ref(np.array([0.0, 0.0, 0.0, 0.6]), 50, DT, cfg.params)
     ctrl = ObcaController(cfg)
     for k in range(18):
         ref = global_ref[k : k + cfg.horizon + 1]
         sol = ctrl.solve_step(z, u_prev, ref, env.window(0, cfg.horizon + 1), step=k)
         assert sol.ok, f"step {k} status {sol.status}"
         u_prev = sol.us[0]
-        z = step_rk4(z, u_prev, cfg.dt, cfg.params)
+        z = step_rk4(z, u_prev, DT, cfg.params)
         body = body_polytope(z, cfg.params.length, cfg.params.width)
         for obs in env.obstacles(0):
             assert min_translation_distance(obs, body) >= cfg.d_min - 1e-4
@@ -765,14 +765,14 @@ def fd_nlp():
              Polytope.from_box((1.2, -0.35), 0.25, 0.12, -0.7)]
     env = EnvironmentEncoding([boxes] * 4)
     z0 = np.array([0.0, 0.05, 0.1, 0.5])
-    ref = straight_ref(z0, 3, cfg.dt, cfg.params)
+    ref = straight_ref(z0, 3, DT, cfg.params)
     pairs = [(t, m) for t in (1, 2, 3) for m in (0, 1)]
     strat = (np.array([2]), np.array([[0.6, 0.8]]), np.array([-0.1]))
     nlp = _StepNlp(cfg, z0, np.array([0.05, -0.1]), ref, env, pairs, strat,
                    _HorizonLayout(cfg))
     rng = np.random.default_rng(7)
     us = rng.uniform(-0.3, 0.3, (3, 2))
-    zs = rollout(z0, us, cfg.dt, cfg.params) + rng.normal(0.0, 0.05, (4, 4))
+    zs = rollout(z0, us, DT, cfg.params) + rng.normal(0.0, 0.05, (4, 4))
     duals = {pair: (rng.uniform(0.1, 1.0, 4), rng.uniform(0.1, 1.0, 4)) for pair in pairs}
     return nlp, nlp.pack(zs, us, duals)
 
@@ -833,7 +833,7 @@ def test_step_nlp_hessian_blocks_cover_lagrangian_sparsity():
              Polytope.from_box((1.2, -0.35), 0.25, 0.12, -0.7)]
     env = EnvironmentEncoding([boxes] * 5)
     z0 = np.array([0.0, 0.05, 0.1, 0.5])
-    ref = straight_ref(z0, 4, cfg.dt, cfg.params)
+    ref = straight_ref(z0, 4, DT, cfg.params)
     pairs = [(1, 1), (2, 0), (2, 1), (4, 0)]
     strat = (np.array([1, 3]), np.array([[0.6, 0.8], [0.0, 1.0]]), np.array([-0.1, 0.2]))
     nlp = _StepNlp(cfg, z0, np.zeros(2), ref, env, pairs, strat, _HorizonLayout(cfg))
@@ -939,7 +939,7 @@ def step_nlp(horizon, n_obstacles, pairs, strat_stages):
     boxes = [Polytope.from_box((1.0 + m, 0.0), 0.2, 0.1) for m in range(n_obstacles)]
     env = EnvironmentEncoding([boxes] * (horizon + 1))
     z0 = np.array([0.0, 0.0, 0.0, 0.5])
-    ref = straight_ref(z0, horizon, cfg.dt, cfg.params)
+    ref = straight_ref(z0, horizon, DT, cfg.params)
     stages = np.array(sorted(strat_stages), dtype=int)
     strat = (stages, np.tile([0.0, 1.0], (len(stages), 1)), np.zeros(len(stages)))
     return _StepNlp(cfg, z0, np.zeros(2), ref, env, sorted(pairs), strat, _HorizonLayout(cfg))
@@ -1039,7 +1039,7 @@ def offset_scene():
     env = static_env(tv, 21)
     z0 = np.array([0.0, 0.0, 0.0, 0.6])
     cfg = ControllerConfig()
-    return tv, env, z0, straight_ref(z0, cfg.horizon, cfg.dt, cfg.params)
+    return tv, env, z0, straight_ref(z0, cfg.horizon, DT, cfg.params)
 
 
 def consecutive_steps(ctrl, scene=blocking_scene, steps=(0, 1), before=None):
@@ -1047,7 +1047,7 @@ def consecutive_steps(ctrl, scene=blocking_scene, steps=(0, 1), before=None):
     first input; before(i), if given, runs ahead of the i-th solve."""
     tv, env, z, _ = scene()
     cfg = ctrl.config
-    global_ref = straight_ref(z, cfg.horizon + len(steps), cfg.dt, cfg.params)
+    global_ref = straight_ref(z, cfg.horizon + len(steps), DT, cfg.params)
     u_prev = np.zeros(2)
     sols = []
     for i, k in enumerate(steps):
@@ -1057,7 +1057,7 @@ def consecutive_steps(ctrl, scene=blocking_scene, steps=(0, 1), before=None):
         assert sol.ok
         sols.append(sol)
         u_prev = sol.us[0]
-        z = step_rk4(z, u_prev, cfg.dt, cfg.params)
+        z = step_rk4(z, u_prev, DT, cfg.params)
     return sols
 
 

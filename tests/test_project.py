@@ -6,6 +6,7 @@ import importlib
 import importlib.util
 import inspect
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -13,16 +14,16 @@ from pathlib import Path
 
 import pytest
 
+from tightnav import configure_logging
+
 ROOT = Path(__file__).resolve().parents[1]
 PYPROJECT = ROOT / "pyproject.toml"
 PACKAGE = ROOT / "src" / "tightnav"
 
 # The README's layer order: each module imports only from modules to its left.
 CHAIN = ["dynamics", "geometry", "qp", "nlp", "obca", "supervisor", "predictor", "simulate"]
-# The one import against that order: `ControllerConfig.__post_init__` reads the
-# supervisor's brake gain when a config is built, since the supervisor
-# imports obca.
-EXEMPT = {("obca", "supervisor", "K_BRAKE")}
+# Imports against that order, as (module, imported module, name); none is allowed.
+EXEMPT = set()
 
 
 def test_every_console_script_resolves():
@@ -123,3 +124,29 @@ def test_every_trace_target_is_an_attribute_of_its_owner():
             if inspect.ismodule(owner) and vars(owner)[attr].__module__ != owner.__name__
             and not used_beyond_import(owner, attr)]
     assert not idle, f"trace targets imported but never used by their owner: {idle}"
+
+
+@pytest.fixture
+def restore_logging():
+    """Put back the levels and handlers that `configure_logging` sets."""
+    root, package = logging.getLogger(), logging.getLogger("tightnav")
+    saved = root.level, list(root.handlers), package.level
+    yield
+    root.setLevel(saved[0])
+    root.handlers[:] = saved[1]
+    package.setLevel(saved[2])
+
+
+@pytest.mark.parametrize("name, level", [
+    ("debug", logging.DEBUG),
+    ("ERROR", logging.ERROR),
+    ("verbose", logging.WARNING),
+    # A logging module attribute that is not a level name.
+    ("basic_format", logging.WARNING),
+])
+def test_configure_logging_resolves_level_names(monkeypatch, restore_logging, name, level):
+    monkeypatch.setenv("TIGHTNAV_LOG", name)
+    configure_logging()
+    assert logging.getLogger("tightnav").level == level
+    configure_logging(name)
+    assert logging.getLogger("tightnav").level == level

@@ -1,5 +1,6 @@
 """Tests for lot geometry, TV maneuver synthesis, and scenario plumbing."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -8,13 +9,13 @@ import pytest
 from tightnav.dynamics import VehicleParams
 from tightnav.predictor import encode_features
 from tightnav.scenario import (
-    DEFAULT_LOT,
     DT,
-    ParkingLot,
+    LOT,
     Scenario,
     ScenarioError,
     benchmark_scenario,
     benchmark_suite,
+    dataset_suite,
     forward_park_case,
     idle_window,
     lane_reference,
@@ -40,7 +41,7 @@ def inside(poly, p, tol=1e-9):
 # --- lot geometry -----------------------------------------------------------
 
 def test_lot_spot_centers_and_walls():
-    lot = DEFAULT_LOT
+    lot = LOT
     cx, cy = lot.spot_center("top", 0)
     assert cx == pytest.approx(lot.spot_x0 + 0.5 * lot.spot_width)
     assert cy == pytest.approx(lot.lane_half_width + 0.5 * lot.spot_depth)
@@ -54,16 +55,16 @@ def test_lot_spot_centers_and_walls():
 
 def test_lot_rejects_bad_spots():
     with pytest.raises(ScenarioError):
-        DEFAULT_LOT.spot_center("left", 0)
+        LOT.spot_center("left", 0)
     with pytest.raises(ScenarioError):
-        DEFAULT_LOT.spot_center("top", 6)
+        LOT.spot_center("top", 6)
 
 
 # --- maneuver synthesis -----------------------------------------------------
 
 def test_forward_park_ends_inside_spot():
     tv = synth_tv_maneuver("top", 2, "forward", 1.0, 0.0, seed=3)
-    spot = DEFAULT_LOT.spot_box("top", 2)
+    spot = LOT.spot_box("top", 2)
     assert inside(spot, tv[-1, :2])
     # Heading aligned with the spot axis (vertical) within 5 degrees.
     axis_err = abs(abs(math.degrees(tv[-1, 2])) - 90.0)
@@ -86,7 +87,7 @@ def test_reverse_idle_run_length_exact():
 
 def test_reverse_ends_inside_spot_facing_lane():
     tv = synth_tv_maneuver("top", 4, "reverse", 0.9, 2.0, seed=7)
-    spot = DEFAULT_LOT.spot_box("top", 4)
+    spot = LOT.spot_box("top", 4)
     assert inside(spot, tv[-1, :2])
     assert abs(math.degrees(tv[-1, 2]) + 90.0) < 5.0  # nose toward the lane
 
@@ -128,6 +129,13 @@ def test_scenario_rejects_tv_outside_lot():
         Scenario(tv_traj=tv, ev_init=np.array([-1.4, 0.0, 0.0, 0.6]))
 
 
+@pytest.mark.parametrize("v_ref", [0.0, -0.6, math.nan, math.inf])
+def test_scenario_rejects_bad_reference_speed(v_ref):
+    tv = np.tile(np.array([1.0, 0.0, 0.0, 0.0]), (3, 1))
+    with pytest.raises(ScenarioError):
+        Scenario(tv_traj=tv, ev_init=np.array([-1.4, 0.0, 0.0, 0.6]), v_ref=v_ref)
+
+
 def test_random_scenario_deterministic():
     a, b = random_scenario(17), random_scenario(17)
     assert np.array_equal(a.tv_traj, b.tv_traj)
@@ -140,14 +148,34 @@ def test_benchmark_scenario_builds_each_suite_scenario_alone():
     suite = benchmark_suite()
     for index, want in enumerate(suite):
         got = benchmark_scenario(index)
-        assert (got.name, got.seed, got.v_ref, got.dt, got.lot) == \
-            (want.name, want.seed, want.v_ref, want.dt, want.lot)
+        assert (got.name, got.seed, got.v_ref) == (want.name, want.seed, want.v_ref)
         assert got.tv_traj.tobytes() == want.tv_traj.tobytes()
         assert got.ev_init.tobytes() == want.ev_init.tobytes()
     assert benchmark_scenario(-1).name == suite[-1].name
     for index in (len(suite), -len(suite) - 1):
         with pytest.raises(IndexError):
             benchmark_scenario(index)
+
+
+# sha256 over name, seed, v_ref and the raw bytes of tv_traj and ev_init of
+# every scenario the builders make: the benchmark and dataset suites, the two
+# case studies and the three parked spots of the benchmark's open-lane
+# workload.  The figure was taken with glibc's libm; another libm may round
+# the maneuver synthesis differently.
+SCENARIO_DIGEST = "1080a9d4397bb4c83750b319f2c03c1d9c7aad40151b78c05e95dc0a28ee11f8"
+
+
+def test_scenario_builders_are_pinned():
+    scenarios = [*benchmark_suite(), *dataset_suite(), forward_park_case(), reverse_park_case(),
+                 *(parked_tv_scenario(row=row, index=index)
+                   for row, index in (("top", 0), ("bottom", 3), ("top", 5)))]
+    assert len(scenarios) == 52 + 68 + 2 + 3
+    h = hashlib.sha256()
+    for sc in scenarios:
+        h.update(f"{sc.name}|{sc.seed}|{sc.v_ref!r}".encode())
+        h.update(sc.tv_traj.tobytes())
+        h.update(sc.ev_init.tobytes())
+    assert h.hexdigest() == SCENARIO_DIGEST
 
 
 def test_environment_layout_and_padding():

@@ -25,7 +25,7 @@ import pytest
 
 import tightnav.nlp
 import tightnav.simulate
-from tightnav.dynamics import step_rk4
+from tightnav.dynamics import DT, step_rk4
 from tightnav.obca import ControllerConfig, StrategyLabel
 from tightnav.predictor import MlpModel, N_HIDDEN, encode_features, load_model
 from tightnav.scenario import Scenario, benchmark_suite, forward_park_case, parked_tv_scenario
@@ -231,7 +231,7 @@ def test_emergency_brake_latches_until_stopped():
     assert all(b <= a for a, b in zip(speeds, speeds[1:]))
     assert speeds[-1] > 0.0
     # The run ends on the first step that finds the EV at rest.
-    z_end = step_rk4(braking[-1].z, braking[-1].u, CTRL.dt, CTRL.params)
+    z_end = step_rk4(braking[-1].z, braking[-1].u, DT, CTRL.params)
     assert z_end[3] == 0.0
     assert res.iterations == braking[-1].step + 1
 
@@ -240,7 +240,7 @@ def test_timed_out_run_audits_the_final_state():
     res = run_closed_loop(forward_park_case(), "bl", ctrl_config=CTRL, max_steps=MAX_STEPS)
     assert res.outcome == OUTCOME_TIMEOUT and len(res.logs) == MAX_STEPS
     last = res.logs[-1]
-    z_end = step_rk4(last.z, last.u, CTRL.dt, CTRL.params)
+    z_end = step_rk4(last.z, last.u, DT, CTRL.params)
     env = forward_park_case().environment(CTRL.params)
     _, d_end = _clearance(z_end, env.obstacles(MAX_STEPS), CTRL.params)
     # The last input brings the EV closer than any state it started a step in.

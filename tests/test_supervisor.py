@@ -13,13 +13,14 @@ from hypothesis import strategies as st
 
 import tightnav.supervisor
 from oracles import nearest_ref_index, safety_speed_target_every_pose
-from tightnav.dynamics import step_rk4
+from tightnav.dynamics import DT, step_rk4
 from tightnav.geometry import Polytope, body_polytope, min_translation_distance
 from tightnav.obca import ControllerConfig, StrategyLabel
 from tightnav.predictor import StrategyPrediction
 from tightnav.scenario import V_REF
 from tightnav.supervisor import (
     CORRIDOR_SLACK,
+    K_BRAKE,
     MANEUVER_ANGLE,
     PolicyKind,
     _path,
@@ -89,11 +90,13 @@ def test_select_is_total():
                         else (PolicyKind.SAFETY_CONTROL, "solver_not_optimal"))
 
 
+def test_brake_gain_is_stable_at_the_control_period():
+    # Under the brake servo the speed error shrinks by the factor
+    # 1 - K_BRAKE DT per step, and changes sign, overshooting, beyond 1/DT.
+    assert K_BRAKE * DT <= 1.0
+
+
 def test_config_validates_threshold_and_gains():
-    # The brake servo gain K_BRAKE = 8/s is stable for dt <= 1/8 s.
-    ControllerConfig(dt=0.125)
-    with pytest.raises(ValueError):
-        ControllerConfig(dt=0.13)
     # Pairs engage below 0.25 m, so the clearance floor must stay under it.
     ControllerConfig(d_min=0.2)
     with pytest.raises(ValueError):
@@ -168,7 +171,7 @@ def test_sc_stationary_tv_property():
         inside = False
         for _ in range(120):
             u = safety_control(z, tv_seq, ref, CFG, V_REF)
-            z = step_rk4(z, u, CFG.dt, p)
+            z = step_rk4(z, u, DT, p)
             if math.hypot(tv[0] - z[0], tv[1] - z[1]) <= 3.0 * r:
                 inside = True
             if inside:
@@ -289,7 +292,7 @@ def test_sc_survives_backward_sweep_closed_loop():
     z = np.array([0.0, 0.0, 0.0, 0.5])
     for t in range(n - 1):
         u = safety_control(z, tv_traj[t:], ref, CFG, V_REF)
-        z = step_rk4(z, u, CFG.dt, p)
+        z = step_rk4(z, u, DT, p)
         d = min_translation_distance(body_polytope(z, p.length, p.width),
                                      body_polytope(tv_traj[t + 1], p.length, p.width))
         assert d >= CFG.d_min
@@ -300,19 +303,19 @@ def test_sc_matches_speed_behind_moving_tv():
     p = CFG.params
     v_tv = 0.2
     n = 80
-    tv_traj = np.stack([0.8 + v_tv * CFG.dt * np.arange(n), np.zeros(n),
+    tv_traj = np.stack([0.8 + v_tv * DT * np.arange(n), np.zeros(n),
                         np.zeros(n), np.full(n, v_tv)], axis=1)
     ref = straight_ref(length=10.0, n=201)
     z = np.array([0.0, 0.0, 0.0, 0.6])
     settled_at = None
     for t in range(n - 21):
         u = safety_control(z, tv_traj[t : t + 21], ref, CFG, V_REF)
-        z = step_rk4(z, u, CFG.dt, p)
+        z = step_rk4(z, u, DT, p)
         d = min_translation_distance(body_polytope(z, p.length, p.width),
                                      body_polytope(tv_traj[t + 1], p.length, p.width))
         assert d >= CFG.d_min
         if settled_at is None and abs(z[3] - v_tv) < 0.02:
-            settled_at = (t + 1) * CFG.dt
+            settled_at = (t + 1) * DT
     assert settled_at is not None and settled_at <= 3.0
 
 
@@ -369,17 +372,17 @@ def test_eb_brakes_against_motion():
 def test_eb_lands_exactly_on_zero():
     z = np.array([0.0, 0.0, 0.0, 0.05])
     u = emergency_brake(z, CFG)
-    z1 = step_rk4(z, u, CFG.dt, CFG.params)
+    z1 = step_rk4(z, u, DT, CFG.params)
     assert z1[3] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_eb_stops_within_step_bound():
     v0 = 0.63
-    bound = math.ceil(abs(v0) / (CFG.params.a_max * CFG.dt))
+    bound = math.ceil(abs(v0) / (CFG.params.a_max * DT))
     z = np.array([0.0, 0.0, 0.0, v0])
     steps = 0
     while abs(z[3]) > 1e-12:
-        z = step_rk4(z, emergency_brake(z, CFG), CFG.dt, CFG.params)
+        z = step_rk4(z, emergency_brake(z, CFG), DT, CFG.params)
         steps += 1
         assert steps <= bound
     assert steps == bound
@@ -429,7 +432,7 @@ def anticipate_collision_loop(z_ev, tv, ref, config, v_ref):
                                     body_polytope(tv[t], p.length, p.width)) < config.d_min:
             return True
         if t + 1 < len(tv):
-            z = step_rk4(z, safety_control(z, tv[t:], ref, config, v_ref), config.dt, p)
+            z = step_rk4(z, safety_control(z, tv[t:], ref, config, v_ref), DT, p)
     return False
 
 
@@ -448,8 +451,8 @@ def test_anticipate_matches_per_stage_audit():
         yaw_rate = rng.uniform(-0.8, 0.8)
         for t in range(1, n):
             x, y, psi, v = tv[t - 1]
-            tv[t] = [x + v * CFG.dt * math.cos(psi), y + v * CFG.dt * math.sin(psi),
-                     psi + yaw_rate * CFG.dt, v]
+            tv[t] = [x + v * DT * math.cos(psi), y + v * DT * math.sin(psi),
+                     psi + yaw_rate * DT, v]
         got = anticipate_collision(z, tv, ref, CFG, V_REF)
         assert got == anticipate_collision_loop(z, tv, ref, CFG, V_REF)
         answers.append(got)
