@@ -581,7 +581,6 @@ def _solve_subproblem(B, g, Je, ce, Ji, ci, lb, ub, k, warm):
                              check_finite=False)
     sol.x = p
     sol.nu = np.concatenate([nu_s, sol.nu])
-    sol.objective = float(0.5 * p @ (B @ p) + g @ p)
     return sol
 
 

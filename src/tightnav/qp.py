@@ -85,7 +85,6 @@ class QpSolution:
     lam: np.ndarray  # inequality multipliers, >= 0
     nu: np.ndarray  # equality multipliers, free sign
     iterations: int
-    objective: float
     active_rows: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=int))
 
     @property
@@ -250,7 +249,7 @@ def solve_qp(
     b_var, b_sign, b_rhs = bound_rows(lb, ub)
     if np.any(lb > ub):
         return QpSolution("infeasible", np.zeros(n), np.zeros(len(b) + len(b_var)),
-                          np.zeros(len(d)), 0, 0.0)
+                          np.zeros(len(d)), 0)
     warm = None if warm_rows is None else np.asarray(warm_rows, dtype=int).ravel()
     spent = 0
     if warm is not None:
@@ -330,7 +329,6 @@ def _solve_fixing(H, f, A, b, C, d, b_var, b_sign, b_rhs, warm):
     if np.all(mult >= 0.0):
         lam[mi + fixed] = mult
         return QpSolution("optimal", x, lam, sol.nu, sol.iterations,
-                          float(0.5 * x @ Hx + f @ x),
                           np.sort(np.concatenate([work, mi + fixed]))), None, sol.iterations
     JT, R, members = factors()
     ineq = members >= me
@@ -410,7 +408,7 @@ def _solve_rows(H, f, A, b, C, d, warm_rows, start=None):
     keep_i = norms_i > _DEP_TOL
     keep_e = norms_e > _DEP_TOL
     if np.any(b[~keep_i] < -_SLACK_TOL) or np.any(np.abs(d[~keep_e]) > _SLACK_TOL):
-        return QpSolution("infeasible", np.zeros(n), lam_out, nu_out, 0, 0.0), None
+        return QpSolution("infeasible", np.zeros(n), lam_out, nu_out, 0), None
     idx_i = np.flatnonzero(keep_i)
     idx_e = np.flatnonzero(keep_e)
 
@@ -474,7 +472,7 @@ def _solve_rows(H, f, A, b, C, d, warm_rows, start=None):
     q = len(active)
     # Dependent equality rows must already be consistent.
     if eq_dependent.size and np.max(np.abs(Ce[eq_dependent] @ x - de[eq_dependent])) > 1e-8:
-        return QpSolution("infeasible", x, lam_out, nu_out, 0, _obj(H, f, x)), None
+        return QpSolution("infeasible", x, lam_out, nu_out, 0), None
 
     # Inequality members pulling the wrong way leave the working set, most
     # negative multiplier first, until (x, active) is dual feasible;
@@ -539,9 +537,7 @@ def _solve_rows(H, f, A, b, C, d, warm_rows, start=None):
                                 t1, blocker = ratio, pos
                     t2 = -s_val / nrm2 if nrm2 > _DEP_TOL else np.inf
                     if not np.isfinite(t1) and not np.isfinite(t2):
-                        return QpSolution(
-                            "infeasible", x, lam_out, nu_out, iters, _obj(H, f, x)
-                        ), None
+                        return QpSolution("infeasible", x, lam_out, nu_out, iters), None
                     t = min(t1, t2)
                     if np.isfinite(t2) and t > 0.0:
                         z = d2 @ JT[q:]
@@ -572,7 +568,7 @@ def _solve_rows(H, f, A, b, C, d, warm_rows, start=None):
                     u = np.delete(u, blocker)
                     q -= 1
     except FloatingPointError:
-        return QpSolution("numerical_failure", x, lam_out, nu_out, iters, 0.0), None
+        return QpSolution("numerical_failure", x, lam_out, nu_out, iters), None
 
     # Map internal multipliers back to the caller's convention.
     members = np.asarray(active, dtype=int)
@@ -587,11 +583,7 @@ def _solve_rows(H, f, A, b, C, d, warm_rows, start=None):
         return (_inverse_factor(L, reflectors) if JT is None else JT,
                 R[:q, :q] * scale[active], caller[active])
 
-    return QpSolution(status, x, lam_out, nu_out, iters, _obj(H, f, x), act), factors
-
-
-def _obj(H, f, x) -> float:
-    return float(0.5 * x @ (H @ x) + f @ x)
+    return QpSolution(status, x, lam_out, nu_out, iters, act), factors
 
 
 def kkt_residuals(H, f, A, b, C, d, sol: QpSolution, lb=None, ub=None):

@@ -228,12 +228,15 @@ class Scenario:
         if min_translation_distance(ev0, tv0) <= p.covering_radius:
             raise ScenarioError("EV start inside the TV's critical region")
 
-    def tv_padded(self, n_steps: int) -> np.ndarray:
-        """TV states over n_steps, frozen at the final pose once parked."""
-        if n_steps <= len(self.tv_traj):
-            return self.tv_traj[:n_steps]
-        tail = np.tile(self.tv_traj[-1], (n_steps - len(self.tv_traj), 1))
-        return np.vstack([self.tv_traj, tail])
+    def tv_window(self, start: int, count: int) -> np.ndarray:
+        """TV states of count steps from `start`, each clamped to the last
+        step, as `EnvironmentEncoding.window` clamps the obstacles."""
+        return self.tv_traj[np.minimum(np.arange(start, start + count), len(self.tv_traj) - 1)]
+
+    def tv_from(self, start: int) -> np.ndarray:
+        """The TV states from `start` on: the rest of the trajectory, or its
+        final pose once the trajectory is over."""
+        return self.tv_traj[min(start, len(self.tv_traj) - 1):]
 
     def environment(self, params: VehicleParams | None = None) -> EnvironmentEncoding:
         """The obstacle timeline: one step per TV pose, TV body first, then

@@ -15,8 +15,10 @@ A run has one source for each setting: the `ControllerConfig` gives the MPC
 and the supervisor their shared vehicle and clearance floor, and the
 `Scenario` gives the reference speed that both the lane reference and
 safety control track.  Every run steps at `dynamics.DT` in the one lot
-`scenario.LOT`.  The obstacles come from the scenario's one timeline, which
-the audit reads by step.
+`scenario.LOT`.  The obstacles and the TV states come from the scenario's
+one timeline, which every reader clamps to its final pose past the end, so
+nothing is sized from a run's length and a run cut at `max_steps` is a
+prefix of the full run.
 """
 
 from __future__ import annotations
@@ -108,8 +110,6 @@ def generate_expert_rollout(scenario: Scenario, ctrl_config: ControllerConfig | 
     v_ref = scenario.v_ref
     n_h = ctrl.horizon
     env = scenario.environment(ctrl.params)
-    # Every remaining TV pose, however far past the rollout's last step.
-    tv_pad = scenario.tv_padded(max(n_steps + n_h + 1, len(scenario.tv_traj)))
     controller = ObcaController(ctrl)
 
     z = scenario.ev_init.copy()
@@ -120,15 +120,16 @@ def generate_expert_rollout(scenario: Scenario, ctrl_config: ControllerConfig | 
         if z[0] > LOT.x_max:
             break
         ref = lane_reference(z, n_h, v_ref)
-        gate = safety_speed_target(z, tv_pad[k:], ctrl, v_ref)
+        tv_rest = scenario.tv_from(k)
+        gate = safety_speed_target(z, tv_rest, ctrl, v_ref)
         if gate < EXPERT_HOLD_SPEED:
-            u = safety_control(z, tv_pad[k:], ref, ctrl, v_ref)
+            u = safety_control(z, tv_rest, ref, ctrl, v_ref)
         else:
             sol = controller.solve_step(z, u_prev, ref, env.window(k, n_h + 1), step=k)
             if sol.ok:
                 u = sol.us[0]
             else:
-                u = safety_control(z, tv_pad[k:], ref, ctrl, v_ref)
+                u = safety_control(z, tv_rest, ref, ctrl, v_ref)
         z = step_rk4(z, u, DT, ctrl.params)
         states.append(z.copy())
         inputs.append(u)
@@ -143,11 +144,12 @@ def generate_expert_rollout(scenario: Scenario, ctrl_config: ControllerConfig | 
                            scenario.name, dist, t)
             return None
 
-    label = label_rollout(ev, tv_pad[: len(ev)], ctrl.params)
+    tv = scenario.tv_window(0, len(ev))
+    label = label_rollout(ev, tv, ctrl.params)
     return RolloutRecord(
         ev_traj=ev,
         inputs=np.array(inputs).reshape(t_rec, 2),
-        tv_traj=tv_pad[: len(ev)].copy(),
+        tv_traj=tv,
         env=env,
         label=label,
         scenario_name=scenario.name,
@@ -269,7 +271,8 @@ def run_closed_loop(scenario: Scenario, scheme: str, model=None,
     Safety control covers failed solves.  An emergency brake, once
     selected, stays latched until the vehicle stops.
     A run that reaches `max_steps` audits the state its last input reached
-    as well, so a final-state hit is a collision.
+    as well, so a final-state hit is a collision; its steps are the first
+    `max_steps` steps of the uncut run.
     """
     if scheme not in SCHEMES:
         raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
@@ -280,7 +283,6 @@ def run_closed_loop(scenario: Scenario, scheme: str, model=None,
     p = ctrl.params
     n_h = ctrl.horizon
     env = scenario.environment(p)
-    tv_pad = scenario.tv_padded(max_steps + n_h + 1)
     controller = ObcaController(ctrl)
 
     z = scenario.ev_init.copy()
@@ -316,7 +318,7 @@ def run_closed_loop(scenario: Scenario, scheme: str, model=None,
             policy, reason = PolicyKind.EMERGENCY_BRAKE, "latched"
         else:
             window = env.window(k, n_h + 1)
-            danger = anticipate_collision(z, tv_pad[k : k + n_h + 1], ref, ctrl, v_ref)
+            danger = anticipate_collision(z, scenario.tv_window(k, n_h + 1), ref, ctrl, v_ref)
             pred = None
             if scheme == "sg":
                 pred = forward(model, encode_features(z, window))
@@ -337,7 +339,7 @@ def run_closed_loop(scenario: Scenario, scheme: str, model=None,
             latched = True
             u = emergency_brake(z, ctrl)
         elif policy == PolicyKind.SAFETY_CONTROL:
-            u = safety_control(z, tv_pad[k:], ref, ctrl, v_ref)
+            u = safety_control(z, scenario.tv_from(k), ref, ctrl, v_ref)
         else:
             u = np.array(sol.us[0], float)
         solve_time = time.perf_counter() - t_begin
@@ -439,30 +441,3 @@ def write_benchmark_csv(result: BenchmarkResult, path: str) -> None:
             f"{row['min_distance']:.6f}",
         ]))
     atomic_write(path, "\n".join(lines) + "\n")
-
-
-def task_result_to_dict(res: TaskResult) -> dict:
-    """JSON-ready view of a run, steps included."""
-    return {
-        "scheme": res.scheme,
-        "scenario": res.scenario_name,
-        "seed": res.seed,
-        "outcome": res.outcome,
-        "iterations": res.iterations,
-        "min_distance": res.min_distance,
-        "steps": [
-            {
-                "step": log.step,
-                "z": [float(v) for v in log.z],
-                "u": [float(v) for v in log.u],
-                "policy": log.policy.name,
-                "reason": log.reason,
-                "min_distance": float(log.min_distance),
-                "scores": None if log.scores is None else [float(v) for v in log.scores],
-                "strategy": log.strategy,
-                "sg_status": log.sg_status,
-                "solve_time": float(log.solve_time),
-            }
-            for log in res.logs
-        ],
-    }

@@ -157,9 +157,10 @@ def safety_speed_target(z_ev, tv_prediction, config: ControllerConfig, v_ref: fl
     clearance floor d_min and the vehicle come from `config`.
 
     A predicted state equal to the one before it bounds the free distance
-    exactly as that one did, so it is skipped.  Padded predictions repeat
-    their final pose and a parked TV repeats every pose, so most of a long
-    prediction is skipped.
+    exactly as that one did, so it is skipped.  A TV idling through a gear
+    change repeats its pose, and a parked TV repeats it at every step, so
+    a prediction read past the trajectory's end, or a window clamped to
+    its final pose, costs no more than the poses that differ.
 
     For v_ref >= 0 the cap lies in [0, v_ref], and for a stationary TV
     straight ahead it does not decrease as the TV sits farther along the

@@ -39,9 +39,12 @@
   before it, must return the same cap.
 - `inverse_dynamics_residual` fits a bounded input to every state pair of a
   trajectory; synthesized target-vehicle maneuvers must score near zero.
-- `padded_environment_steps` builds one body polytope per `tv_padded` step
-  of a run plus the walls, `window_steps` pads a slice of those with the
-  last step, `stacked_faces` stacks each polytope's faces, and
+- `padded_tv_states` copies a TV trajectory and pads it with its final pose
+  to a run's length; `Scenario.tv_window` and `Scenario.tv_from`, which
+  clamp the index instead, must read the same states.
+- `padded_environment_steps` builds one body polytope per padded TV pose of
+  a run plus the walls, `window_steps` pads a slice of those with the last
+  step, `stacked_faces` stacks each polytope's faces, and
   `encode_features_per_polytope` flattens the obstacles one by one;
   `Scenario.environment`, whose encoding holds the last TV pose by clamping
   and slices each window from one face stack, must give the same bits.
@@ -484,12 +487,19 @@ def inverse_dynamics_residual(traj: np.ndarray, dt: float = DT,
     return worst
 
 
+def padded_tv_states(scenario, n_steps: int) -> np.ndarray:
+    """The first n_steps TV states of a trajectory followed by copies of its
+    final pose."""
+    tv = scenario.tv_traj
+    return np.vstack([tv, np.tile(tv[-1], (max(n_steps - len(tv), 0), 1))])[:n_steps]
+
+
 def padded_environment_steps(scenario, n_steps: int, params: VehicleParams | None = None):
-    """Obstacles of n_steps steps: the TV body at each `tv_padded` pose, then
-    the two walls."""
+    """Obstacles of n_steps steps: the TV body at each pose of the trajectory
+    padded with copies of its final pose, then the two walls."""
     p = params or VehicleParams()
     top, bottom = LOT.walls()
-    tv = scenario.tv_padded(n_steps)
+    tv = padded_tv_states(scenario, n_steps)
     return [[body_polytope(tv[t], p.length, p.width), top, bottom] for t in range(n_steps)]
 
 

@@ -136,7 +136,7 @@ def test_random_qps_match_enumeration_oracle():
         assert ref is not None
         sol = solve_qp(H, f, A, b, C, d)
         assert sol.ok, f"trial {trial} not solved"
-        assert sol.objective <= ref[0] + 1e-7
+        assert 0.5 * sol.x @ (H @ sol.x) + f @ sol.x <= ref[0] + 1e-7
         np.testing.assert_allclose(sol.x, ref[1], atol=1e-6)
         r_stat, r_prim, r_comp = kkt_residuals(H, f, A, b, C, d, sol)
         assert r_stat < 1e-8

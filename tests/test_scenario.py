@@ -29,6 +29,7 @@ from oracles import (
     encode_features_per_polytope,
     inverse_dynamics_residual,
     padded_environment_steps,
+    padded_tv_states,
     stacked_faces,
     window_steps,
 )
@@ -217,6 +218,24 @@ def test_environment_windows_match_the_padded_build(make):
             assert got.vertices.tobytes() == ref.vertices.tobytes()
         assert (encode_features(z, win).tobytes()
                 == encode_features_per_polytope(z, want).tobytes())
+
+
+@pytest.mark.parametrize("make", [reverse_park_case, parked_tv_scenario])
+def test_tv_reads_match_the_padded_trajectory(make):
+    """TV windows, read past the trajectory's end by clamping, equal the
+    trajectory padded with its final pose; the remaining states are the
+    padded ones without the padding's repeats of the final pose."""
+    sc = make()
+    horizon = 20
+    n_tv = len(sc.tv_traj)
+    padded = padded_tv_states(sc, 600 + horizon + 1)
+    for k in sorted({0, n_tv // 2, n_tv - 1, n_tv, n_tv + 5, 600}):
+        win = sc.tv_window(k, horizon + 1)
+        assert win.tobytes() == padded[k : k + horizon + 1].tobytes()
+        rest = sc.tv_from(k)
+        assert len(rest) == max(n_tv - k, 1)
+        assert rest.tobytes() == padded[k : k + len(rest)].tobytes()
+        assert np.all(padded[k + len(rest):] == sc.tv_traj[-1])
 
 
 def test_lane_reference_tracks_centerline():

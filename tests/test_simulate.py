@@ -6,15 +6,15 @@ engage obstacle pairs and the SQP subproblems run warm-started from the
 previous active set.  The MPC horizon is shortened to 8 steps to keep the
 runs fast.  Safety is audited with the exact body-to-obstacle distance the
 simulator logs at every step.  The dataset and benchmark tests use even
-shorter runs: they check bookkeeping and serialization, not driving.  One
-run is longer: 98 steps of a held-out reverse park under `sg`, whose last
-two steps run the SQP's elastic restoration.  One runs in a fresh
-interpreter with BLAS on one thread: 21 steps of a held-out turn-in under
-`sg`, whose last step overflows a QP's dual step.
+shorter runs: they check bookkeeping and the CSV writer, not driving.  One
+yielding reverse park runs to its end, to compare its first 30 steps with
+a cut run.  One run is longer: 98 steps of a held-out reverse park under
+`sg`, whose last two steps run the SQP's elastic restoration.  One runs in
+a fresh interpreter with BLAS on one thread: 21 steps of a held-out
+turn-in under `sg`, whose last step overflows a QP's dual step.
 """
 
 import dataclasses
-import json
 import math
 import os
 import subprocess
@@ -28,7 +28,13 @@ import tightnav.simulate
 from tightnav.dynamics import DT, step_rk4
 from tightnav.obca import ControllerConfig, StrategyLabel
 from tightnav.predictor import MlpModel, N_HIDDEN, encode_features, load_model
-from tightnav.scenario import Scenario, benchmark_suite, forward_park_case, parked_tv_scenario
+from tightnav.scenario import (
+    Scenario,
+    benchmark_suite,
+    forward_park_case,
+    parked_tv_scenario,
+    reverse_park_case,
+)
 from tightnav.simulate import (
     AUDIT_SLACK,
     _clearance,
@@ -39,10 +45,9 @@ from tightnav.simulate import (
     generate_dataset,
     run_benchmark,
     run_closed_loop,
-    task_result_to_dict,
     write_benchmark_csv,
 )
-from tightnav.supervisor import PolicyKind, emergency_brake
+from tightnav.supervisor import PolicyKind, emergency_brake, safety_control
 
 from oracles import clearance_twice
 
@@ -328,6 +333,37 @@ def test_safety_control_tracks_the_scenario_reference_speed():
     assert max(log.z[3] for log in res.logs[1:]) < 0.6
 
 
+def test_cut_run_is_a_prefix_of_the_full_run():
+    # A yielding reverse park: safety control reads the TV trajectory to its
+    # end, so a run cut at 30 steps must drive its steps as the uncut run.
+    sc = reverse_park_case()
+    model = constant_model(sc, CTRL, [0.0, 0.0, 5.0])
+    full = run_closed_loop(sc, "sg", model, ctrl_config=CTRL)
+    cut = run_closed_loop(sc, "sg", model, ctrl_config=CTRL, max_steps=MAX_STEPS)
+    assert len(full.logs) > MAX_STEPS and len(cut.logs) == MAX_STEPS
+    for got, want in zip(cut.logs, full.logs):
+        assert step_record(got) == step_record(want), got.step
+
+
+def test_closed_loop_safety_law_reads_every_remaining_tv_pose(monkeypatch):
+    # A run cut far shorter than the TV trajectory: the applied safety law
+    # still sees the trajectory to its end.  A yield prediction hands every
+    # step to safety control.
+    scenario = benchmark_suite()[3]
+    seen = []
+
+    def recording(z, tv, ref, ctrl, v_ref):
+        seen.append(len(tv))
+        return safety_control(z, tv, ref, ctrl, v_ref)
+
+    monkeypatch.setattr(tightnav.simulate, "safety_control", recording)
+    res = run_closed_loop(scenario, "sg", constant_model(scenario, CTRL, [0.0, 0.0, 5.0]),
+                          ctrl_config=CTRL, max_steps=4)
+    assert len(scenario.tv_traj) > 4 + CTRL.horizon + 1
+    assert [log.reason for log in res.logs] == ["yield_predicted"] * 4
+    assert seen == [len(scenario.tv_traj) - k for k in range(4)]
+
+
 def test_collision_anticipation_uses_the_controller_clearance_floor(monkeypatch):
     floors = []
     anticipate = tightnav.simulate.anticipate_collision
@@ -433,17 +469,3 @@ def test_benchmark_csv_round_trip(short_benchmark, tmp_path):
     assert fields[5] == f"{row['min_distance']:.6f}"
     assert len(fields[5].split(".")[1]) == 6
     assert float(fields[5]) == pytest.approx(row["min_distance"], abs=5e-7)
-
-
-def test_task_result_json_round_trip():
-    res = run_closed_loop(parked_tv_scenario(), "bl", ctrl_config=CTRL, max_steps=5)
-    out = json.loads(json.dumps(task_result_to_dict(res)))
-    assert (out["scheme"], out["outcome"], out["iterations"]) == ("bl", res.outcome, 5)
-    assert out["min_distance"] == res.min_distance
-    assert len(out["steps"]) == len(res.logs) == 5
-    for step, log in zip(out["steps"], res.logs):
-        assert step["step"] == log.step
-        assert step["policy"] == log.policy.name
-        assert step["policy"] in PolicyKind.__members__
-        assert step["z"] == [float(v) for v in log.z]
-        assert step["u"] == [float(v) for v in log.u]

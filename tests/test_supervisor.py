@@ -235,7 +235,7 @@ runs = st.lists(st.tuples(finite(0.05, 3.0), finite(-0.8, 0.8), finite(-math.pi,
 @given(ev_states, runs, st.integers(0, 30), finite(0.0, 2.0))
 def test_speed_target_skipping_repeats_matches_every_pose(z, poses, pad, v_ref):
     # TV poses ahead of the EV, most inside the corridor, each repeated for a
-    # run of steps, then the final pose padded as `Scenario.tv_padded` does.
+    # run of steps, then the final pose repeated, as a parked TV repeats it.
     # A run may turn in place: the spot of the run before, a new heading.
     tv = []
     for longi, lat, psi, v, n, turn in poses:
