@@ -13,61 +13,47 @@ than its arithmetic (4.3 against 23 us per step with one numpy derivative
 per stage, on a 2-core x86-64 host).  Both take the same operations in the
 same order, so their steps agree to the last bit.  `DT` is the stack's one
 sampling and control period; the kernels take dt as an argument so their
-tests can integrate at other steps.
+tests can integrate at other steps.  The car is the paper's one 1/10-scale
+platform, so its dimensions and actuation limits are this module's
+constants, which every layer above reads.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 # Sampling and control period of the whole stack, s.
 DT = 0.1
 
-
-@dataclass
-class VehicleParams:
-    """Geometric and actuation limits of a vehicle (1/10-scale defaults)."""
-
-    l_f: float = 0.13
-    l_r: float = 0.13
-    length: float = 0.36
-    width: float = 0.22
-    delta_max: float = 0.35
-    a_max: float = 1.0
-    v_min: float = -1.0
-    v_max: float = 2.0
-
-    def __post_init__(self):
-        if self.l_f <= 0 or self.l_r <= 0:
-            raise ValueError("axle distances must be positive")
-        if self.length <= 0 or self.width <= 0:
-            raise ValueError("body dimensions must be positive")
-
-    @property
-    def wheelbase(self) -> float:
-        return self.l_f + self.l_r
-
-    @property
-    def covering_radius(self) -> float:
-        """Radius of the smallest disc covering the body, centered at z."""
-        return 0.5 * math.hypot(self.length, self.width)
+# The 1/10-scale car: axle distances from the centre, body length and
+# width, m; steering limit, rad; acceleration limit, m/s^2; speed limits, m/s.
+L_F = 0.13
+L_R = 0.13
+LENGTH = 0.36
+WIDTH = 0.22
+DELTA_MAX = 0.35
+A_MAX = 1.0
+V_MIN = -1.0
+V_MAX = 2.0
+WHEELBASE = L_F + L_R
+# Radius of the smallest disc covering the body, centred at z.
+COVERING_RADIUS = 0.5 * math.hypot(LENGTH, WIDTH)
 
 
-def slip_angle(delta_f: float, params: VehicleParams) -> float:
-    """Sideslip angle beta = atan(l_r * tan(delta_f) / (l_f + l_r))."""
+def slip_angle(delta_f: float) -> float:
+    """Sideslip angle beta = atan(L_R * tan(delta_f) / (L_F + L_R))."""
     if abs(delta_f) >= 0.5 * math.pi:
         raise ValueError("steering angle beyond +-pi/2 is outside the model")
-    return math.atan(params.l_r * math.tan(delta_f) / params.wheelbase)
+    return math.atan(L_R * math.tan(delta_f) / WHEELBASE)
 
 
-def step_rk4(z: np.ndarray, u: np.ndarray, dt: float, params: VehicleParams) -> np.ndarray:
+def step_rk4(z: np.ndarray, u: np.ndarray, dt: float) -> np.ndarray:
     """One classical RK4 step of duration dt with zero-order-hold input.
 
     Computed on Python floats.  Each stage is k = (v cos(psi + beta),
-    v sin(psi + beta), v / l_r sin(beta), a) at z + (dt/2) k of the stage
+    v sin(psi + beta), v / L_R sin(beta), a) at z + (dt/2) k of the stage
     before (z + dt k3 for the last), with the slip angle beta taken once
     from `slip_angle`, and the step is z + (dt/6) (((k1 + 2 k2) + 2 k3) + k4).
     Position does not enter k, so only the heading and speed of the inner
@@ -76,17 +62,16 @@ def step_rk4(z: np.ndarray, u: np.ndarray, dt: float, params: VehicleParams) -> 
     """
     x, y, psi, v = np.asarray(z, float).tolist()
     delta, a = np.asarray(u, float).tolist()
-    lr = params.l_r
-    beta = slip_angle(delta, params)
+    beta = slip_angle(delta)
     sin_b = math.sin(beta)
     half = 0.5 * dt
-    vx1, vy1, r1 = v * math.cos(psi + beta), v * math.sin(psi + beta), v / lr * sin_b
+    vx1, vy1, r1 = v * math.cos(psi + beta), v * math.sin(psi + beta), v / L_R * sin_b
     psi2, v2 = psi + half * r1, v + half * a
-    vx2, vy2, r2 = v2 * math.cos(psi2 + beta), v2 * math.sin(psi2 + beta), v2 / lr * sin_b
+    vx2, vy2, r2 = v2 * math.cos(psi2 + beta), v2 * math.sin(psi2 + beta), v2 / L_R * sin_b
     psi3, v3 = psi + half * r2, v + half * a
-    vx3, vy3, r3 = v3 * math.cos(psi3 + beta), v3 * math.sin(psi3 + beta), v3 / lr * sin_b
+    vx3, vy3, r3 = v3 * math.cos(psi3 + beta), v3 * math.sin(psi3 + beta), v3 / L_R * sin_b
     psi4, v4 = psi + dt * r3, v + dt * a
-    vx4, vy4, r4 = v4 * math.cos(psi4 + beta), v4 * math.sin(psi4 + beta), v4 / lr * sin_b
+    vx4, vy4, r4 = v4 * math.cos(psi4 + beta), v4 * math.sin(psi4 + beta), v4 / L_R * sin_b
     w = dt / 6.0
     return np.array([x + w * (((vx1 + 2.0 * vx2) + 2.0 * vx3) + vx4),
                      y + w * (((vy1 + 2.0 * vy2) + 2.0 * vy3) + vy4),
@@ -94,7 +79,7 @@ def step_rk4(z: np.ndarray, u: np.ndarray, dt: float, params: VehicleParams) -> 
                      v + w * (((a + 2.0 * a) + 2.0 * a) + a)])
 
 
-def _stage(z, beta, dbeta, acc, params):
+def _stage(z, beta, dbeta, acc):
     """The RK4 stage derivative k at T stacked states and its Jacobians wrt z and u.
 
     z is (T, 4); beta is the slip angle of each row's steering input, dbeta
@@ -102,32 +87,31 @@ def _stage(z, beta, dbeta, acc, params):
     each (T,).  Returns (T, 4), (T, 4, 4) and (T, 4, 2).
     """
     psi, v = z[:, 2], z[:, 3]
-    lr = params.l_r
     c = np.cos(psi + beta)
     s = np.sin(psi + beta)
     sin_b = np.sin(beta)
-    k = np.stack([v * c, v * s, v / lr * sin_b, acc], axis=1)
+    k = np.stack([v * c, v * s, v / L_R * sin_b, acc], axis=1)
     fz = np.zeros((len(z), 4, 4))
     fz[:, 0, 2] = -v * s
     fz[:, 0, 3] = c
     fz[:, 1, 2] = v * c
     fz[:, 1, 3] = s
-    fz[:, 2, 3] = sin_b / lr
+    fz[:, 2, 3] = sin_b / L_R
     fu = np.zeros((len(z), 4, 2))
     fu[:, 0, 0] = -v * s * dbeta
     fu[:, 1, 0] = v * c * dbeta
-    fu[:, 2, 0] = (v / lr) * np.cos(beta) * dbeta
+    fu[:, 2, 0] = (v / L_R) * np.cos(beta) * dbeta
     fu[:, 3, 1] = 1.0
     return k, fz, fu
 
 
-def step_jacobians(z: np.ndarray, u: np.ndarray, dt: float, params: VehicleParams):
+def step_jacobians(z: np.ndarray, u: np.ndarray, dt: float):
     """(z_next, d z_next / d z, d z_next / d u) of the RK4 step.
 
     Takes one state (4,) and input (2,), or T of each stacked as (T, 4) and
     (T, 2); the results then have shapes (T, 4), (T, 4, 4) and (T, 4, 2),
     row t belonging to (z[t], u[t]).  z_next is bit-identical to
-    step_rk4(z[t], u[t], dt, params): the same four stages in the same
+    step_rk4(z[t], u[t], dt): the same four stages in the same
     order, with the slip angle taken from `slip_angle`.  The Jacobians are
     exact, by the forward-mode chain rule through those stages (finite
     differences are a test oracle only).
@@ -135,27 +119,26 @@ def step_jacobians(z: np.ndarray, u: np.ndarray, dt: float, params: VehicleParam
     z = np.asarray(z, float)
     u = np.asarray(u, float)
     if z.ndim == 1:
-        z_next, jz, ju = step_jacobians(z[None], u[None], dt, params)
+        z_next, jz, ju = step_jacobians(z[None], u[None], dt)
         return z_next[0], jz[0], ju[0]
-    lr, wb = params.l_r, params.wheelbase
-    beta = np.array([slip_angle(d, params) for d in u[:, 0].tolist()])
+    beta = np.array([slip_angle(d) for d in u[:, 0].tolist()])
     t = np.tan(u[:, 0])
-    dbeta = (lr / wb) * (1.0 + t * t) / (1.0 + (lr * t / wb) ** 2)
+    dbeta = (L_R / WHEELBASE) * (1.0 + t * t) / (1.0 + (L_R * t / WHEELBASE) ** 2)
     eye = np.eye(4)
 
-    k1, a1, b1 = _stage(z, beta, dbeta, u[:, 1], params)
+    k1, a1, b1 = _stage(z, beta, dbeta, u[:, 1])
     z2 = z + 0.5 * dt * k1
-    k2, a2r, b2r = _stage(z2, beta, dbeta, u[:, 1], params)
+    k2, a2r, b2r = _stage(z2, beta, dbeta, u[:, 1])
     j2 = eye + 0.5 * dt * a1
     a2 = a2r @ j2
     b2 = b2r + a2r @ (0.5 * dt * b1)
     z3 = z + 0.5 * dt * k2
-    k3, a3r, b3r = _stage(z3, beta, dbeta, u[:, 1], params)
+    k3, a3r, b3r = _stage(z3, beta, dbeta, u[:, 1])
     j3 = eye + 0.5 * dt * a2
     a3 = a3r @ j3
     b3 = b3r + a3r @ (0.5 * dt * b2)
     z4 = z + dt * k3
-    k4, a4r, b4r = _stage(z4, beta, dbeta, u[:, 1], params)
+    k4, a4r, b4r = _stage(z4, beta, dbeta, u[:, 1])
     j4 = eye + dt * a3
     a4 = a4r @ j4
     b4 = b4r + a4r @ (dt * b3)
@@ -166,10 +149,10 @@ def step_jacobians(z: np.ndarray, u: np.ndarray, dt: float, params: VehicleParam
     return z_next, jz, ju
 
 
-def rollout(z0: np.ndarray, inputs: np.ndarray, dt: float, params: VehicleParams) -> np.ndarray:
+def rollout(z0: np.ndarray, inputs: np.ndarray, dt: float) -> np.ndarray:
     """Integrate a sequence of inputs; returns (len(inputs)+1, 4) states."""
     states = np.empty((len(inputs) + 1, 4))
     states[0] = z0
     for k, u in enumerate(inputs):
-        states[k + 1] = step_rk4(states[k], u, dt, params)
+        states[k + 1] = step_rk4(states[k], u, dt)
     return states

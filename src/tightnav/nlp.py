@@ -150,7 +150,6 @@ class NlpSolution:
     x: np.ndarray
     objective: float
     mult_eq: np.ndarray
-    mult_ineq: np.ndarray
     mult_lower: np.ndarray
     mult_upper: np.ndarray
     kkt_residual: float
@@ -435,7 +434,6 @@ def solve_nlp(problem: NlpProblem, x0: np.ndarray,
         r_feas = _violation_inf(ce, ci)
         if r_kkt <= TOL_KKT and r_feas <= TOL_FEAS:
             status = "optimal"
-    lam_u = lam[:m_u] if len(ci) else np.zeros(0)
     lower = b_sign < 0.0
     mult_lower = np.zeros(n)
     mult_upper = np.zeros(n)
@@ -446,7 +444,6 @@ def solve_nlp(problem: NlpProblem, x0: np.ndarray,
         x=x,
         objective=fval,
         mult_eq=nu,
-        mult_ineq=lam_u,
         mult_lower=mult_lower,
         mult_upper=mult_upper,
         kkt_residual=r_kkt,

@@ -15,7 +15,7 @@ trajectory toward joins the NLP for another round.  The check is screened
 by how far the solve moved each stage: a pair's face certificate falls by
 at most that move, so the certificates are computed again only when a
 disengaged pair can have come under the threshold.  The index layout that
-depends on the horizon and the vehicle alone is built once per controller.
+depends on the horizon alone is built once per controller.
 
 Consecutive control steps warm-start each other twice over: the previous
 plan, shifted one stage, is the primal initial guess, and the previous
@@ -36,7 +36,19 @@ from enum import IntEnum
 
 import numpy as np
 
-from .dynamics import DT, VehicleParams, rollout, step_jacobians, step_rk4
+from .dynamics import (
+    A_MAX,
+    COVERING_RADIUS,
+    DELTA_MAX,
+    DT,
+    LENGTH,
+    V_MAX,
+    V_MIN,
+    WIDTH,
+    rollout,
+    step_jacobians,
+    step_rk4,
+)
 from .geometry import (
     Polytope,
     body_polytope,
@@ -50,8 +62,15 @@ from .qp import bound_rows
 
 logger = logging.getLogger(__name__)
 
-# Ego body in its own frame: {xi : BODY_G xi <= g} with g from body_g_vector.
+# Ego body in its own frame: {xi : BODY_G xi <= BODY_H}, BODY_H the car's
+# half-length and half-width, each twice.
 BODY_G = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
+BODY_H = np.array([0.5 * LENGTH, 0.5 * WIDTH, 0.5 * LENGTH, 0.5 * WIDTH])
+
+# Tracking weights of the MPC cost: state error, input, and input rate.
+Q_Z = np.array([1.0, 1.0, 1.0, 10.0])
+Q_U = np.array([1.0, 1.0])
+Q_D = np.array([50.0, 50.0])
 
 # The separating-plane multipliers never appear in the tracking cost, so the
 # minimizer is non-unique along dual directions and an SQP iterate can drift
@@ -79,11 +98,6 @@ class StrategyLabel(IntEnum):
     PASS_LEFT = 0
     PASS_RIGHT = 1
     YIELD = 2
-
-
-def body_g_vector(params: VehicleParams) -> np.ndarray:
-    half_l, half_w = 0.5 * params.length, 0.5 * params.width
-    return np.array([half_l, half_w, half_l, half_w])
 
 
 @dataclass
@@ -148,37 +162,25 @@ class EnvironmentEncoding:
 
 @dataclass
 class ControllerConfig:
-    """The settable values of the whole control stack.
+    """The settable values of the whole control stack: the MPC's horizon
+    and the clearance floor d_min.
 
-    They pose the MPC problem: horizon, clearance floor, tracking weights
-    and vehicle; passing a strategy to `solve_step` adds its rows.  The
-    supervisor's safety controller, emergency brake and anticipation read
-    d_min and params from here too, and the reference speed from the
-    `Scenario`.  The time step is the stack's constant `dynamics.DT`, and
-    every other tuning value is a module constant.
+    Passing a strategy to `solve_step` adds its rows.  The supervisor's
+    safety controller and anticipation read d_min from here too, and the
+    reference speed from the `Scenario`.  The car is the `dynamics`
+    constants, the time step `dynamics.DT`, the tracking weights this
+    module's `Q_Z`, `Q_U` and `Q_D`, and every other tuning value a module
+    constant.
     """
 
     horizon: int = 20
     d_min: float = 0.01
-    q_z: np.ndarray = field(default_factory=lambda: np.array([1.0, 1.0, 1.0, 10.0]))
-    q_u: np.ndarray = field(default_factory=lambda: np.array([1.0, 1.0]))
-    q_d: np.ndarray = field(default_factory=lambda: np.array([50.0, 50.0]))
-    params: VehicleParams = field(default_factory=VehicleParams)
 
     def __post_init__(self):
-        self.q_z = np.asarray(self.q_z, float).ravel()
-        self.q_u = np.asarray(self.q_u, float).ravel()
-        self.q_d = np.asarray(self.q_d, float).ravel()
         if self.horizon < 1:
             raise ValueError("horizon must be at least one step")
         if self.d_min <= 0:
             raise ValueError("d_min must be positive")
-        if self.q_z.shape != (4,) or np.any(self.q_z < 0):
-            raise ValueError("state weights must be 4 nonnegative entries")
-        if self.q_u.shape != (2,) or np.any(self.q_u <= 0):
-            raise ValueError("input weights must be 2 positive entries")
-        if self.q_d.shape != (2,) or np.any(self.q_d < 0):
-            raise ValueError("rate weights must be 2 nonnegative entries")
         if ENGAGE_DIST <= self.d_min:
             raise ValueError(f"d_min must be below the engage distance {ENGAGE_DIST}")
 
@@ -254,7 +256,7 @@ def generate_strategy_constraints(strategy, ref, env: EnvironmentEncoding, r_ev:
     return (stages, *strategy_halfspaces(qs, verts, A, b))
 
 
-def _face_certificates(env: EnvironmentEncoding, zs, params: VehicleParams):
+def _face_certificates(env: EnvironmentEncoding, zs):
     """Best single-face separation certificates for every step and obstacle.
 
     For each state zs[t] and obstacle m of env step t, returns (vals (T, M),
@@ -269,9 +271,10 @@ def _face_certificates(env: EnvironmentEncoding, zs, params: VehicleParams):
     vals is 1-Lipschitz in position and r-Lipschitz in heading, r the
     body's covering radius, so vals(z') >= vals(z) - (|dp| + r |dpsi|).  A
     face's value is the position's distance beyond the face (1-Lipschitz)
-    less the body's extent |v| . half along the face's unit normal v in the
-    body frame; v turns at the heading's rate, so the extent changes by at
-    most |half| = r per radian, and the maximum over faces keeps the bound.
+    less the body's extent |v| . h along the face's unit normal v in the
+    body frame, h = BODY_H[:2]; v turns at the heading's rate, so the extent
+    changes by at most |h| = r per radian, and the maximum over faces keeps
+    the bound.
     """
     zs = np.asarray(zs, float)
     n = zs.shape[-2]
@@ -281,8 +284,7 @@ def _face_certificates(env: EnvironmentEncoding, zs, params: VehicleParams):
     c, s = np.cos(zs[..., 2]), np.sin(zs[..., 2])
     rot = np.stack([np.stack([c, -s], axis=-1), np.stack([s, c], axis=-1)], axis=-2)
     v = env.unit_normals[:n] @ rot[..., None, :, :]  # obstacle normals in the body frame
-    half = np.array([0.5 * params.length, 0.5 * params.width])
-    face_vals = clear - np.abs(v) @ half
+    face_vals = clear - np.abs(v) @ BODY_H[:2]
     best = np.argmax(face_vals, axis=-1)[..., None]
     vals = np.take_along_axis(face_vals, best, axis=-1)[..., 0]
     lam = np.zeros(face_vals.shape)
@@ -293,7 +295,7 @@ def _face_certificates(env: EnvironmentEncoding, zs, params: VehicleParams):
     return vals, lam, mu
 
 
-def _seed_duals(obs: Polytope, z, params: VehicleParams, face_lam, face_mu):
+def _seed_duals(obs: Polytope, z, face_lam, face_mu):
     """(distance, lam, mu): the engagement seed of one pair at state z.
 
     Apart, the exact pairwise distance's scaled multipliers: they satisfy
@@ -304,7 +306,7 @@ def _seed_duals(obs: Polytope, z, params: VehicleParams, face_lam, face_mu):
     clearance row's position gradient and strand the solver; the
     certificate keeps a nonzero escape direction in the linearization.
     """
-    res = distance_witness(obs, body_polytope(z, params.length, params.width))
+    res = distance_witness(obs, body_polytope(z, LENGTH, WIDTH))
     if res.distance <= 1e-6:
         return res.distance, face_lam, face_mu
     return res.distance, res.mult_p / res.distance, res.mult_q / res.distance
@@ -360,15 +362,14 @@ def _bound_keys(var, lo, hi) -> list:
 
 
 class _HorizonLayout:
-    """The part of a step NLP that depends on the configuration only, built
-    once per controller: the variable counts `nz` and `nuv`, the index
-    arrays of the dynamics rows' Jacobian blocks (`_StepNlp.eq`), the body's
-    `g_vec`, the Hessian block labels and bounds of z and u, and the keys of
-    those bounds' rows (see `_StepNlp`).
+    """The part of a step NLP that depends on the horizon only, built once
+    per controller: the variable counts `nz` and `nuv`, the index arrays of
+    the dynamics rows' Jacobian blocks (`_StepNlp.eq`), the Hessian block
+    labels and bounds of z and u, and the keys of those bounds' rows (see
+    `_StepNlp`).
     """
 
     def __init__(self, cfg: ControllerConfig):
-        p = cfg.params
         n_h = cfg.horizon
         self.nz = nz = 4 * n_h
         self.nuv = nuv = 2 * n_h
@@ -379,14 +380,13 @@ class _HorizonLayout:
         self.dyn_rows = 4 * stage + r4[:, None]  # (N, 4, 1)
         self.jz_cols = 4 * (stage[1:] - 1) + r4  # (N-1, 1, 4)
         self.ju_cols = nz + 2 * stage + np.arange(2)  # (N, 1, 2)
-        self.g_vec = body_g_vector(p)
         self.hess_blocks = np.concatenate([np.repeat(np.arange(n_h), 4), np.full(nuv, n_h)])
         lo = np.full(nz + nuv, -np.inf)
         hi = np.full(nz + nuv, np.inf)
-        lo[3:nz:4] = p.v_min
-        hi[3:nz:4] = p.v_max
-        lo[nz:] = np.tile([-p.delta_max, -p.a_max], n_h)
-        hi[nz:] = np.tile([p.delta_max, p.a_max], n_h)
+        lo[3:nz:4] = V_MIN
+        hi[3:nz:4] = V_MAX
+        lo[nz:] = np.tile([-DELTA_MAX, -A_MAX], n_h)
+        hi[nz:] = np.tile([DELTA_MAX, A_MAX], n_h)
         self.lower, self.upper = lo, hi
         var = [("z_", t, -1, c) for t in range(1, n_h + 1) for c in range(4)]
         var += [("u_", t, -1, c) for t in range(n_h) for c in range(2)]
@@ -420,7 +420,7 @@ class _StepNlp:
     built the first time a non-empty row set or key list needs it: every
     row's key in the solver's order, and each key's row.
 
-    The parts that depend on the configuration alone come from `layout`,
+    The parts that depend on the horizon alone come from `layout`,
     the controller's `_HorizonLayout`.
     """
 
@@ -459,16 +459,15 @@ class _StepNlp:
         Built on first use: a solve that converges at its initial guess
         never reads it.
         """
-        cfg = self.cfg
-        n_h = cfg.horizon
+        n_h = self.cfg.horizon
         diag = np.full(self.n, 2.0 * DUAL_REG)
-        diag[: self.nz] = np.tile(2.0 * cfg.q_z, n_h)
+        diag[: self.nz] = np.tile(2.0 * Q_Z, n_h)
         u_diag = diag[self.nz : self.nz + self.nuv]
-        u_diag[:] = np.tile(2.0 * cfg.q_u + 2.0 * cfg.q_d, n_h)
-        u_diag[:-2] += np.tile(2.0 * cfg.q_d, n_h - 1)
+        u_diag[:] = np.tile(2.0 * Q_U + 2.0 * Q_D, n_h)
+        u_diag[:-2] += np.tile(2.0 * Q_D, n_h - 1)
         h = np.diag(diag)
         rate = np.arange(self.nz, self.nz + self.nuv - 2)
-        h[rate, rate + 2] = h[rate + 2, rate] = np.tile(-2.0 * cfg.q_d, n_h - 1)
+        h[rate, rate + 2] = h[rate + 2, rate] = np.tile(-2.0 * Q_D, n_h - 1)
         return h
 
     def lag_hess(self, x, nu, lam_rows):
@@ -566,13 +565,12 @@ class _StepNlp:
         return np.array([rows[key] for key in keys if key in rows], dtype=int)
 
     def objective(self, x):
-        cfg = self.cfg
-        n_h = cfg.horizon
+        n_h = self.cfg.horizon
         dz = x[: self.nz].reshape(n_h, 4) - self.ref[1:]
         us = x[self.nz : self.nz + self.nuv].reshape(n_h, 2)
         du = us - np.vstack([self.u_prev[None, :], us[:-1]])
         xd = x[self.nz + self.nuv :]
-        wz, wu, wd = cfg.q_z * dz, cfg.q_u * us, cfg.q_d * du
+        wz, wu, wd = Q_Z * dz, Q_U * us, Q_D * du
         val = np.vdot(dz, wz) + np.vdot(us, wu) + np.vdot(du, wd) + DUAL_REG * np.vdot(xd, xd)
         grad_u = 2.0 * wu + 2.0 * wd
         grad_u[:-1] -= 2.0 * wd[1:]
@@ -580,8 +578,7 @@ class _StepNlp:
         return float(val), grad
 
     def eq(self, x):
-        cfg = self.cfg
-        n_h = cfg.horizon
+        n_h = self.cfg.horizon
         n_pairs = len(self.pairs)
         vals = np.zeros(self.nz + 2 * n_pairs)
         jac = np.zeros((len(vals), self.n))
@@ -589,8 +586,7 @@ class _StepNlp:
         # for t = 0) under u_t, so one call covers the horizon.
         zs = x[: self.nz].reshape(n_h, 4)
         us = x[self.nz : self.nz + self.nuv].reshape(n_h, 2)
-        pred, jz, ju = step_jacobians(np.vstack([self.z0[None, :], zs[:-1]]), us, DT,
-                                      cfg.params)
+        pred, jz, ju = step_jacobians(np.vstack([self.z0[None, :], zs[:-1]]), us, DT)
         vals[: self.nz] = (zs - pred).ravel()
         np.fill_diagonal(jac[:, : self.nz], 1.0)
         layout = self.layout
@@ -620,10 +616,10 @@ class _StepNlp:
             edge = (self.obs_a @ x[self.pos_cols][:, :, None])[:, :, 0] - self.obs_b
             atl = (self.obs_a.transpose(0, 2, 1) @ lam[:, :, None])[:, :, 0]
             vals[clear] = cfg.d_min + EPS_STRICT - (
-                _rowdot(edge, lam) - _rowdot(x[self.mu_cols], self.layout.g_vec))
+                _rowdot(edge, lam) - _rowdot(x[self.mu_cols], BODY_H))
             jac[clear[:, None], self.pos_cols] = -atl
             jac[clear[:, None], self.lam_cols] = -edge
-            jac[clear[:, None], self.mu_cols] = self.layout.g_vec
+            jac[clear[:, None], self.mu_cols] = BODY_H
             vals[normal] = _rowdot(atl, atl) - 1.0
             jac[normal[:, None], self.lam_cols] = 2.0 * (self.obs_a @ atl[:, :, None])[:, :, 0]
         if len(self.strat_w):
@@ -665,11 +661,11 @@ class ObcaController:
         )
         if fresh:
             us = np.zeros((cfg.horizon, 2))
-            zs = rollout(z0, us, DT, cfg.params)
+            zs = rollout(z0, us, DT)
             return zs, us, None
         prev_zs, prev_us, prev_keys = self._prev
         us = np.vstack([prev_us[1:], prev_us[-1:]])
-        z_tail = step_rk4(prev_zs[-1], prev_us[-1], DT, cfg.params)
+        z_tail = step_rk4(prev_zs[-1], prev_us[-1], DT)
         zs = np.vstack([z0[None, :], prev_zs[2:], z_tail[None, :]])
         return zs, us, _shift_keys(prev_keys)
 
@@ -681,20 +677,19 @@ class ObcaController:
         zs[0] = z0
         for t in range(cfg.horizon):
             v = float(zs[t, 3])
-            us[t, 1] = float(np.clip(-v / DT, -cfg.params.a_max, cfg.params.a_max))
-            zs[t + 1] = step_rk4(zs[t], us[t], DT, cfg.params)
+            us[t, 1] = float(np.clip(-v / DT, -A_MAX, A_MAX))
+            zs[t + 1] = step_rk4(zs[t], us[t], DT)
         return zs, us
 
     def _unreachable_strategy(self, z0, stages, w, offset) -> bool:
         """Cheap infeasibility screen: position moves at most |v| dt per step,
         so a row z0 violates by more than the distance to its stage fails."""
-        cfg = self.config
-        p = cfg.params
-        v_cap = max(abs(p.v_min), p.v_max)
+        n_h = self.config.horizon
+        v_cap = max(abs(V_MIN), V_MAX)
         speed = abs(float(z0[3]))
-        travel = np.zeros(cfg.horizon + 1)
-        for i in range(1, cfg.horizon + 1):
-            speed = min(v_cap, speed + p.a_max * DT)
+        travel = np.zeros(n_h + 1)
+        for i in range(1, n_h + 1):
+            speed = min(v_cap, speed + A_MAX * DT)
             travel[i] = travel[i - 1] + speed * DT
         return bool(np.any(offset - _rowdot(w, z0[:2]) > travel[stages] + 1e-9))
 
@@ -713,7 +708,7 @@ class ObcaController:
         strat = (np.empty(0, dtype=int), np.empty((0, 2)), np.empty(0))
         if strategy is not None and StrategyLabel(strategy) != StrategyLabel.YIELD:
             stages, w, offset = generate_strategy_constraints(strategy, ref, env,
-                                                              cfg.params.covering_radius)
+                                                              COVERING_RADIUS)
             later = stages >= 1
             strat = (stages[later], w[later], offset[later])
 
@@ -727,12 +722,11 @@ class ObcaController:
         # where the dual rows cannot express an escape direction; fall back to
         # a braking rollout, which is collision-free whenever the start is.
         brake_start = False
-        (f_g, f_r), (lam_g, _), (mu_g, _) = _face_certificates(env, np.stack([zs_g, ref]),
-                                                               cfg.params)
+        (f_g, f_r), (lam_g, _), (mu_g, _) = _face_certificates(env, np.stack([zs_g, ref]))
         if np.min(f_g[1:]) < 0.0:
             zs_g, us_g = self._braking_guess(z0)
             brake_start = True
-            f_g, lam_g, mu_g = _face_certificates(env, zs_g, cfg.params)
+            f_g, lam_g, mu_g = _face_certificates(env, zs_g)
 
         # Engage only pairs that either the warm start or the reference comes
         # close to; far pairs get no decision variables.
@@ -740,7 +734,7 @@ class ObcaController:
         pairs = []
         for t, m in np.argwhere(np.minimum(f_g, f_r)[1:] < ENGAGE_DIST) + (1, 0):
             t, m = int(t), int(m)
-            dist, lam_w, mu_w = _seed_duals(env.obstacles(t)[m], zs_g[t], cfg.params,
+            dist, lam_w, mu_w = _seed_duals(env.obstacles(t)[m], zs_g[t],
                                             lam_g[t, m], mu_g[t, m])
             if dist < ENGAGE_DIST or f_r[t, m] < ENGAGE_DIST:
                 pairs.append((t, m))
@@ -773,8 +767,8 @@ class ObcaController:
                     break
                 brake_start = True
                 zs_g, us_g = self._braking_guess(z0)
-                f_g, lam_b, mu_b = _face_certificates(env, zs_g, cfg.params)
-                dual_map = {(t, m): _seed_duals(env.obstacles(t)[m], zs_g[t], cfg.params,
+                f_g, lam_b, mu_b = _face_certificates(env, zs_g)
+                dual_map = {(t, m): _seed_duals(env.obstacles(t)[m], zs_g[t],
                                                 lam_b[t, m], mu_b[t, m])[1:]
                             for t, m in pairs}
                 continue
@@ -783,16 +777,16 @@ class ObcaController:
             # the exact distance, and only pairs the solve moved within reach
             # of the threshold need the certificate.
             if rounds >= MAX_ROUNDS or not _pairs_within_reach(
-                    f_g, zs_g, zs, pairs, threshold, cfg.params.covering_radius):
+                    f_g, zs_g, zs, pairs, threshold, COVERING_RADIUS):
                 break
             promote = []
             engaged = set(pairs)
-            f_s, lam_s, mu_s = _face_certificates(env, zs, cfg.params)
+            f_s, lam_s, mu_s = _face_certificates(env, zs)
             for t, m in np.argwhere(f_s[1:] < threshold) + (1, 0):
                 t, m = int(t), int(m)
                 if (t, m) in engaged:
                     continue
-                dist, lam_w, mu_w = _seed_duals(env.obstacles(t)[m], zs[t], cfg.params,
+                dist, lam_w, mu_w = _seed_duals(env.obstacles(t)[m], zs[t],
                                                 lam_s[t, m], mu_s[t, m])
                 if dist < threshold:
                     promote.append((t, m))

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import DT, VehicleParams
+from .dynamics import COVERING_RADIUS, DT, LENGTH
 from .fileio import atomic_write
 from .obca import EnvironmentEncoding, StrategyLabel
 
@@ -206,7 +206,7 @@ def evaluate(model: MlpModel, features, labels) -> float:
     return float(np.mean(pred == y))
 
 
-def label_rollout(ev_traj, tv_traj, params: VehicleParams, dt: float = DT) -> StrategyLabel:
+def label_rollout(ev_traj, tv_traj, dt: float = DT) -> StrategyLabel:
     """Automatic strategy label from a pair of closed-loop trajectories.
 
     The pass event is the first step where the EV's longitudinal coordinate
@@ -225,8 +225,8 @@ def label_rollout(ev_traj, tv_traj, params: VehicleParams, dt: float = DT) -> St
     if len(ev) < 2:
         raise ValueError("need at least two steps to label a rollout")
 
-    half_l = 0.5 * params.length
-    near = 2.0 * params.covering_radius
+    half_l = 0.5 * LENGTH
+    near = 2.0 * COVERING_RADIUS
     pass_idx = None
     for t in range(len(ev)):
         c, s = math.cos(tv[t, 2]), math.sin(tv[t, 2])

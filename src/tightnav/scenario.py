@@ -7,7 +7,8 @@ consecutive state pair is consistent with the dynamics by construction; the
 finished trajectory is rigidly translated onto the requested spot.
 
 There is one lot, `LOT`, and every scenario steps at the stack's period
-`DT` (defined in `dynamics` and re-exported here).
+`DT` (defined in `dynamics` and re-exported here); both vehicles are the
+car of the `dynamics` constants.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import DT, VehicleParams, step_rk4
+from .dynamics import A_MAX, COVERING_RADIUS, DELTA_MAX, DT, LENGTH, WIDTH, step_rk4
 from .geometry import Polytope, body_polytope, min_translation_distance
 from .obca import EnvironmentEncoding
 
@@ -73,31 +74,31 @@ LOT = ParkingLot()
 
 # --- maneuver synthesis -----------------------------------------------------
 
-def _drive(states, delta, a, n, params):
+def _drive(states, delta, a, n):
     z = states[-1]
     for _ in range(n):
-        z = step_rk4(z, np.array([delta, a]), DT, params)
+        z = step_rk4(z, np.array([delta, a]), DT)
         states.append(z)
     return states
 
 
-def _drive_until(states, delta, a, stop, params, cap=400):
+def _drive_until(states, delta, a, stop, cap=400):
     z = states[-1]
     for _ in range(cap):
         if stop(z):
             return states
-        z = step_rk4(z, np.array([delta, a]), DT, params)
+        z = step_rk4(z, np.array([delta, a]), DT)
         states.append(z)
     raise ScenarioError("maneuver primitive failed to reach its stop condition")
 
 
-def _ramp_to(states, delta, v_target, params):
+def _ramp_to(states, delta, v_target):
     """Change speed so the final step lands exactly on v_target."""
     z = states[-1]
     while abs(z[3] - v_target) > 1e-12:
         err = v_target - z[3]
-        a = math.copysign(min(params.a_max, abs(err) / DT), err)
-        z = step_rk4(z, np.array([delta, a]), DT, params)
+        a = math.copysign(min(A_MAX, abs(err) / DT), err)
+        z = step_rk4(z, np.array([delta, a]), DT)
         states.append(z)
     return states
 
@@ -122,6 +123,8 @@ def synth_tv_maneuver(row: str, index: int, mode: str, speed_scale: float = 1.0,
     the spot, so consecutive pairs stay consistent with the vehicle dynamics
     exactly.
     """
+    if row not in ("top", "bottom"):
+        raise ScenarioError(f"row must be 'top' or 'bottom', got {row!r}")
     if mode not in ("forward", "reverse"):
         raise ScenarioError(f"mode must be 'forward' or 'reverse', got {mode!r}")
     if idle_duration < 0:
@@ -130,47 +133,46 @@ def synth_tv_maneuver(row: str, index: int, mode: str, speed_scale: float = 1.0,
         raise ScenarioError("speed scale outside the supported range [0.5, 1.6]")
     if not 0.3 <= approach_len <= 3.5:
         raise ScenarioError("approach length outside the supported range [0.3, 3.5]")
-    p = VehicleParams()
     rng = np.random.default_rng(seed)
     # Build in top-row coordinates and mirror afterwards for the bottom row.
     cx, cy = LOT.spot_center("top", index)
 
     v_cruise = 0.5 * speed_scale * float(rng.uniform(0.95, 1.05))
     v_park = 0.35 * speed_scale
-    delta_turn = p.delta_max * float(rng.uniform(0.93, 1.0))
+    delta_turn = DELTA_MAX * float(rng.uniform(0.93, 1.0))
     y_lane = float(rng.uniform(-0.2, -0.12))
 
     # Build the top-row maneuver starting from rest on the lane; the bottom
     # row is its mirror image.
     z0 = np.array([0.0, y_lane, 0.0, 0.0])
     states = [z0]
-    _ramp_to(states, 0.0, v_cruise, p)
-    _drive(states, 0.0, 0.0, int(round(approach_len / (v_cruise * DT))), p)
+    _ramp_to(states, 0.0, v_cruise)
+    _drive(states, 0.0, 0.0, int(round(approach_len / (v_cruise * DT))))
 
     if mode == "forward":
-        _ramp_to(states, 0.0, v_park, p)
-        _drive_until(states, delta_turn, 0.0, lambda z: z[2] >= 0.5 * math.pi - 0.02, p)
+        _ramp_to(states, 0.0, v_park)
+        _drive_until(states, delta_turn, 0.0, lambda z: z[2] >= 0.5 * math.pi - 0.02)
         y_turn_end = states[-1][1]
         y_stop = y_turn_end + 0.10
-        _drive_until(states, 0.0, 0.0, lambda z: z[1] >= y_stop, p, cap=60)
-        _ramp_to(states, 0.0, 0.0, p)
+        _drive_until(states, 0.0, 0.0, lambda z: z[1] >= y_stop, cap=60)
+        _ramp_to(states, 0.0, 0.0)
     else:
         # Swing the nose away from the spot while slowing, overrun the spot,
         # and stop in the lane for the gear change.
-        _ramp_to(states, 0.0, v_park, p)
-        _drive_until(states, -0.6 * delta_turn, 0.0, lambda z: z[2] <= -0.30, p)
-        _ramp_to(states, 0.0, 0.0, p)
+        _ramp_to(states, 0.0, v_park)
+        _drive_until(states, -0.6 * delta_turn, 0.0, lambda z: z[2] <= -0.30)
+        _ramp_to(states, 0.0, 0.0)
         n_idle = math.ceil(idle_duration / DT)
         for _ in range(max(n_idle - 1, 0)):
             states.append(states[-1].copy())
         # Back in: negative speed with left steering swings the tail up into
         # the spot while the heading comes around to face the lane.
-        _ramp_to(states, delta_turn, -abs(v_park), p)
-        _drive_until(states, delta_turn, 0.0, lambda z: z[2] <= -0.5 * math.pi + 0.02, p)
+        _ramp_to(states, delta_turn, -abs(v_park))
+        _drive_until(states, delta_turn, 0.0, lambda z: z[2] <= -0.5 * math.pi + 0.02)
         y_arc_end = states[-1][1]
         y_stop = y_arc_end + 0.06
-        _drive_until(states, 0.0, 0.0, lambda z: z[1] >= y_stop, p, cap=60)
-        _ramp_to(states, 0.0, 0.0, p)
+        _drive_until(states, 0.0, 0.0, lambda z: z[1] >= y_stop, cap=60)
+        _ramp_to(states, 0.0, 0.0)
 
     traj = np.array(states)
     traj[:, :2] += np.array([cx, cy]) - traj[-1, :2]
@@ -222,10 +224,9 @@ class Scenario:
                 raise ScenarioError("TV trajectory leaves the lot")
         if not LOT.contains(float(self.ev_init[0]), float(self.ev_init[1])):
             raise ScenarioError("EV start outside the lot")
-        p = VehicleParams()
-        ev0 = body_polytope(self.ev_init, p.length, p.width)
-        tv0 = body_polytope(self.tv_traj[0], p.length, p.width)
-        if min_translation_distance(ev0, tv0) <= p.covering_radius:
+        ev0 = body_polytope(self.ev_init, LENGTH, WIDTH)
+        tv0 = body_polytope(self.tv_traj[0], LENGTH, WIDTH)
+        if min_translation_distance(ev0, tv0) <= COVERING_RADIUS:
             raise ScenarioError("EV start inside the TV's critical region")
 
     def tv_window(self, start: int, count: int) -> np.ndarray:
@@ -238,14 +239,13 @@ class Scenario:
         final pose once the trajectory is over."""
         return self.tv_traj[min(start, len(self.tv_traj) - 1):]
 
-    def environment(self, params: VehicleParams | None = None) -> EnvironmentEncoding:
+    def environment(self) -> EnvironmentEncoding:
         """The obstacle timeline: one step per TV pose, TV body first, then
         the two walls.  The encoding holds the parked pose after the
         trajectory ends."""
-        p = params or VehicleParams()
         top, bottom = LOT.walls()
         return EnvironmentEncoding(
-            [[body_polytope(z, p.length, p.width), top, bottom] for z in self.tv_traj])
+            [[body_polytope(z, LENGTH, WIDTH), top, bottom] for z in self.tv_traj])
 
 
 def lane_reference(z, horizon: int, v_ref: float = V_REF) -> np.ndarray:

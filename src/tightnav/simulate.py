@@ -12,10 +12,10 @@ to the safety controller whenever the previewed swept region closes the
 corridor ahead.
 
 A run has one source for each setting: the `ControllerConfig` gives the MPC
-and the supervisor their shared vehicle and clearance floor, and the
-`Scenario` gives the reference speed that both the lane reference and
-safety control track.  Every run steps at `dynamics.DT` in the one lot
-`scenario.LOT`.  The obstacles and the TV states come from the scenario's
+its horizon and the MPC and the supervisor their shared clearance floor,
+and the `Scenario` gives the reference speed that both the lane reference
+and safety control track.  Every run drives the car of the `dynamics`
+constants at `dynamics.DT` in the one lot `scenario.LOT`.  The obstacles and the TV states come from the scenario's
 one timeline, which every reader clamps to its final pose past the end, so
 nothing is sized from a run's length and a run cut at `max_steps` is a
 prefix of the full run.
@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import DT, VehicleParams, step_rk4
+from .dynamics import DT, LENGTH, WIDTH, step_rk4
 from .fileio import atomic_write
 from .geometry import body_polytope, polytopes_intersect, separated_distance
 from .obca import ControllerConfig, EnvironmentEncoding, ObcaController, StrategyLabel
@@ -62,10 +62,10 @@ EXPERT_HOLD_SPEED = 0.18
 AUDIT_SLACK = 1e-4
 
 
-def _clearance(z, obstacles, params: VehicleParams):
+def _clearance(z, obstacles):
     """(intersects, distance): exact body-vs-obstacle audit at one state,
     with one separating-axis test per obstacle."""
-    body = body_polytope(z, params.length, params.width)
+    body = body_polytope(z, LENGTH, WIDTH)
     hit = False
     dist = math.inf
     for obs in obstacles:
@@ -109,7 +109,7 @@ def generate_expert_rollout(scenario: Scenario, ctrl_config: ControllerConfig | 
     ctrl = ctrl_config or ControllerConfig()
     v_ref = scenario.v_ref
     n_h = ctrl.horizon
-    env = scenario.environment(ctrl.params)
+    env = scenario.environment()
     controller = ObcaController(ctrl)
 
     z = scenario.ev_init.copy()
@@ -130,7 +130,7 @@ def generate_expert_rollout(scenario: Scenario, ctrl_config: ControllerConfig | 
                 u = sol.us[0]
             else:
                 u = safety_control(z, tv_rest, ref, ctrl, v_ref)
-        z = step_rk4(z, u, DT, ctrl.params)
+        z = step_rk4(z, u, DT)
         states.append(z.copy())
         inputs.append(u)
         u_prev = u
@@ -138,14 +138,14 @@ def generate_expert_rollout(scenario: Scenario, ctrl_config: ControllerConfig | 
     ev = np.array(states)
     t_rec = len(inputs)
     for t in range(len(ev)):
-        hit, dist = _clearance(ev[t], env.obstacles(t), ctrl.params)
+        hit, dist = _clearance(ev[t], env.obstacles(t))
         if hit or dist < ctrl.d_min - AUDIT_SLACK:
             logger.warning("discarding rollout %s: clearance %.4f at step %d",
                            scenario.name, dist, t)
             return None
 
     tv = scenario.tv_window(0, len(ev))
-    label = label_rollout(ev, tv, ctrl.params)
+    label = label_rollout(ev, tv)
     return RolloutRecord(
         ev_traj=ev,
         inputs=np.array(inputs).reshape(t_rec, 2),
@@ -272,17 +272,19 @@ def run_closed_loop(scenario: Scenario, scheme: str, model=None,
     selected, stays latched until the vehicle stops.
     A run that reaches `max_steps` audits the state its last input reached
     as well, so a final-state hit is a collision; its steps are the first
-    `max_steps` steps of the uncut run.
+    `max_steps` steps of the uncut run.  `max_steps=0` audits the start
+    state alone; a negative count raises ValueError.
     """
     if scheme not in SCHEMES:
         raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
     if scheme == "sg" and model is None:
         raise ValueError("the sg scheme needs a trained strategy model")
+    if max_steps < 0:
+        raise ValueError(f"max_steps must be nonnegative, got {max_steps}")
     ctrl = ctrl_config or ControllerConfig()
     v_ref = scenario.v_ref
-    p = ctrl.params
     n_h = ctrl.horizon
-    env = scenario.environment(p)
+    env = scenario.environment()
     controller = ObcaController(ctrl)
 
     z = scenario.ev_init.copy()
@@ -294,7 +296,7 @@ def run_closed_loop(scenario: Scenario, scheme: str, model=None,
     iterations = max_steps
 
     for k in range(max_steps):
-        hit, dist = _clearance(z, env.obstacles(k), p)
+        hit, dist = _clearance(z, env.obstacles(k))
         min_dist = min(min_dist, dist)
         if hit:
             outcome = OUTCOME_COLLISION
@@ -337,7 +339,7 @@ def run_closed_loop(scenario: Scenario, scheme: str, model=None,
 
         if policy == PolicyKind.EMERGENCY_BRAKE:
             latched = True
-            u = emergency_brake(z, ctrl)
+            u = emergency_brake(z)
         elif policy == PolicyKind.SAFETY_CONTROL:
             u = safety_control(z, scenario.tv_from(k), ref, ctrl, v_ref)
         else:
@@ -348,11 +350,11 @@ def run_closed_loop(scenario: Scenario, scheme: str, model=None,
                             reason=reason, min_distance=dist, scores=scores,
                             strategy=strategy, sg_status=sg_status,
                             solve_time=solve_time))
-        z = step_rk4(z, u, DT, p)
+        z = step_rk4(z, u, DT)
         u_prev = u
     else:
         # A timed-out run still answers for the state its last input reached.
-        hit, dist = _clearance(z, env.obstacles(max_steps), p)
+        hit, dist = _clearance(z, env.obstacles(max_steps))
         min_dist = min(min_dist, dist)
         if hit:
             outcome = OUTCOME_COLLISION

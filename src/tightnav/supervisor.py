@@ -8,10 +8,10 @@ an emergency brake (latched by the simulation loop) fires when even the
 safety controller cannot keep the required clearance over the prediction
 horizon.
 
-The supervisor has no settings of its own.  It shares the MPC's vehicle
-and clearance floor through the `ControllerConfig` it is given, steps at
-the stack's period `dynamics.DT`, and tracks the scenario's reference speed
-`v_ref`, passed by the caller.
+The supervisor has no settings of its own.  It shares the MPC's clearance
+floor through the `ControllerConfig` it is given, drives the car of the
+`dynamics` constants at the stack's period `dynamics.DT`, and tracks the
+scenario's reference speed `v_ref`, passed by the caller.
 Its gains, confidence threshold and corridor margins are the module
 constants below.  Inputs are returned as (delta_f, a) arrays.
 
@@ -29,7 +29,7 @@ from enum import IntEnum
 
 import numpy as np
 
-from .dynamics import DT, VehicleParams, step_rk4
+from .dynamics import A_MAX, COVERING_RADIUS, DELTA_MAX, DT, LENGTH, WHEELBASE, WIDTH, step_rk4
 from .geometry import box_distances
 from .obca import ControllerConfig, StrategyLabel
 
@@ -54,7 +54,7 @@ MANEUVER_ANGLE = 0.15
 # Lateral reach of the forward corridor beyond the EV's own half-width:
 # covers steering drift plus rotating bodies sweeping into the lane.
 CORRIDOR_SLACK = 0.22
-# Fraction of a_max the approach profile plans to brake with.
+# Fraction of A_MAX the approach profile plans to brake with.
 BRAKE_HEADROOM = 0.5
 
 
@@ -91,7 +91,7 @@ def _path(ref):
     return pts.tolist(), np.hypot(seg[:, 0], seg[:, 1]).tolist()
 
 
-def _pursuit_steering(z, path, p: VehicleParams) -> float:
+def _pursuit_steering(z, path) -> float:
     """Pure pursuit toward the path point three body lengths ahead.
 
     z holds the state as floats and path comes from `_path`.  The walk
@@ -108,7 +108,7 @@ def _pursuit_steering(z, path, p: VehicleParams) -> float:
         d2 = d * d + e * e
         if d2 < best:
             i0, best = i, d2
-    lookahead = 3.0 * p.length
+    lookahead = 3.0 * LENGTH
     target = pts[-1]
     travelled = 0.0
     for j in range(i0, len(lengths)):
@@ -121,14 +121,14 @@ def _pursuit_steering(z, path, p: VehicleParams) -> float:
     if ld < 1e-9:
         return 0.0
     alpha = math.atan2(dy, dx) - psi
-    delta = math.atan2(2.0 * p.wheelbase * math.sin(alpha), ld)
-    return min(max(delta, -p.delta_max), p.delta_max)
+    delta = math.atan2(2.0 * WHEELBASE * math.sin(alpha), ld)
+    return min(max(delta, -DELTA_MAX), DELTA_MAX)
 
 
-def _tv_extent_along(heading: float, tv_psi: float, params: VehicleParams) -> float:
+def _tv_extent_along(heading: float, tv_psi: float) -> float:
     """Half-extent of the TV body along a given axis direction."""
     rel = tv_psi - heading
-    return 0.5 * (abs(math.cos(rel)) * params.length + abs(math.sin(rel)) * params.width)
+    return 0.5 * (abs(math.cos(rel)) * LENGTH + abs(math.sin(rel)) * WIDTH)
 
 
 def _tv_states(tv_prediction) -> np.ndarray:
@@ -154,7 +154,7 @@ def safety_speed_target(z_ev, tv_prediction, config: ControllerConfig, v_ref: fl
     a turning vehicle sweeps roughly a turn radius.  The target is the TV's
     longitudinal speed plus a braking-distance allowance that vanishes at
     the standoff point, so the EV settles at zero relative speed.  The
-    clearance floor d_min and the vehicle come from `config`.
+    clearance floor d_min comes from `config`.
 
     A predicted state equal to the one before it bounds the free distance
     exactly as that one did, so it is skipped.  A TV idling through a gear
@@ -172,11 +172,10 @@ def safety_speed_target(z_ev, tv_prediction, config: ControllerConfig, v_ref: fl
 
 def _speed_target(z, tv, config: ControllerConfig, v_ref: float) -> float:
     """`safety_speed_target` of a state z and TV states tv given as floats."""
-    p = config.params
     d_min = config.d_min
     tv0 = tv[0]
     c, s = math.cos(z[2]), math.sin(z[2])
-    corridor_half = 0.5 * p.width + CORRIDOR_SLACK + 2.0 * d_min
+    corridor_half = 0.5 * WIDTH + CORRIDOR_SLACK + 2.0 * d_min
 
     # Free distance to the most intrusive predicted pose whose body can
     # reach the corridor, each measured with its own heading-aware extent.
@@ -187,12 +186,12 @@ def _speed_target(z, tv, config: ControllerConfig, v_ref: float) -> float:
         dxt, dyt = tvt[0] - z[0], tvt[1] - z[1]
         longi_t = c * dxt + s * dyt
         lat_t = -s * dxt + c * dyt
-        lat_extent_t = _tv_extent_along(z[2] + 0.5 * math.pi, tvt[2], p)
+        lat_extent_t = _tv_extent_along(z[2] + 0.5 * math.pi, tvt[2])
         in_corridor = longi_t > 0.0 and abs(lat_t) <= corridor_half + lat_extent_t
         return longi_t, in_corridor
 
     def _standoff(tvt):
-        out = 0.5 * p.length + _tv_extent_along(z[2], tvt[2], p) + 3.0 * d_min
+        out = 0.5 * LENGTH + _tv_extent_along(z[2], tvt[2]) + 3.0 * d_min
         rel = math.atan2(math.sin(tvt[2] - z[2]), math.cos(tvt[2] - z[2]))
         if abs(rel) > MANEUVER_ANGLE:
             out += MANEUVER_MARGIN
@@ -215,7 +214,7 @@ def _speed_target(z, tv, config: ControllerConfig, v_ref: float) -> float:
     # Largest approach speed whose braking distance plus first-order servo
     # creep (v/k after the target hits zero) still fits in s_free:
     # v^2 / (2 a) + v / k <= s_free, solved for v.
-    a_eff = BRAKE_HEADROOM * p.a_max
+    a_eff = BRAKE_HEADROOM * A_MAX
     k = K_BRAKE
     v_allow = (a_eff / k) * (math.sqrt(1.0 + 2.0 * k * k * s_free / a_eff) - 1.0)
     v_long_tv = tv0[3] * math.cos(tv0[2] - z[2])
@@ -239,23 +238,22 @@ def safety_control(z_ev, tv_prediction, ref, config: ControllerConfig,
 def _safety_input(z, tv, path, config: ControllerConfig, v_ref: float):
     """`safety_control` as a (delta_f, a) tuple, on a state z and TV states
     tv given as floats and a reference path from `_path`."""
-    p = config.params
-    delta = _pursuit_steering(z, path, p)
+    delta = _pursuit_steering(z, path)
     v_tgt = _speed_target(z, tv, config, v_ref)
     # Asymmetric servo: gentle speed-up, firm slow-down, so the vehicle can
     # actually hold the decreasing approach profile instead of lagging it.
     gain = K_BRAKE if z[3] > v_tgt else K_SPEED
-    a = min(max(gain * (v_tgt - z[3]), -p.a_max), p.a_max)
+    a = min(max(gain * (v_tgt - z[3]), -A_MAX), A_MAX)
     return delta, a
 
 
-def emergency_brake(z_ev, config: ControllerConfig) -> np.ndarray:
+def emergency_brake(z_ev) -> np.ndarray:
     """Input (0, a) for straight-wheel maximal braking that lands exactly on
     v = 0 within one step DT."""
     v = float(np.asarray(z_ev, float).ravel()[3])
     if v == 0.0:
         return np.zeros(2)
-    a = -math.copysign(min(config.params.a_max, abs(v) / DT), v)
+    a = -math.copysign(min(A_MAX, abs(v) / DT), v)
     return np.array([0.0, a])
 
 
@@ -269,9 +267,9 @@ def anticipate_collision(z_ev, tv_prediction, ref, config: ControllerConfig,
     config.d_min, the current pair included.
 
     The audit screens by centre distance first, and the screen is exact.  A
-    body lies inside the disc of radius `covering_radius` about its centre,
+    body lies inside the disc of radius `COVERING_RADIUS` about its centre,
     so two bodies whose centres are D apart are at least D - 2
-    covering_radius apart.  A pair with D > 2 covering_radius + d_min + 1e-9
+    COVERING_RADIUS apart.  A pair with D > 2 COVERING_RADIUS + d_min + 1e-9
     thus clears the floor by more than 1e-9, far above the rounding of
     `box_distances`, and is skipped.  The exact
     body-to-body distance of the remaining pairs comes from one batched
@@ -279,7 +277,6 @@ def anticipate_collision(z_ev, tv_prediction, ref, config: ControllerConfig,
     answer is that of stopping at the first breach: the states up to it are
     the same either way.
     """
-    p = config.params
     tv = _tv_states(tv_prediction)
     rows = tv.tolist()
     path = _path(ref)
@@ -287,11 +284,11 @@ def anticipate_collision(z_ev, tv_prediction, ref, config: ControllerConfig,
     ev = [z]
     for t in range(len(rows) - 1):
         u = _safety_input(z.tolist(), rows[t:], path, config, v_ref)
-        z = step_rk4(z, u, DT, p)
+        z = step_rk4(z, u, DT)
         ev.append(z)
     ev = np.array(ev)
-    cut = 2.0 * p.covering_radius + config.d_min + 1e-9
+    cut = 2.0 * COVERING_RADIUS + config.d_min + 1e-9
     near = np.hypot(ev[:, 0] - tv[:, 0], ev[:, 1] - tv[:, 1]) <= cut
     if not near.any():
         return False
-    return bool(np.any(box_distances(ev[near], tv[near], p.length, p.width) < config.d_min))
+    return bool(np.any(box_distances(ev[near], tv[near], LENGTH, WIDTH) < config.d_min))

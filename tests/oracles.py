@@ -58,7 +58,16 @@ import math
 import numpy as np
 from scipy.optimize import least_squares
 
-from tightnav.dynamics import VehicleParams, slip_angle, step_rk4
+from tightnav.dynamics import (
+    A_MAX,
+    DELTA_MAX,
+    L_R,
+    LENGTH,
+    WHEELBASE,
+    WIDTH,
+    slip_angle,
+    step_rk4,
+)
 from tightnav.geometry import (
     PROJECTION_TOL,
     GeometryError,
@@ -388,21 +397,21 @@ def drop_row_givens(JT, R, q, pos):
     R[q - 1 :, :] = 0.0
 
 
-def continuous_derivative(z: np.ndarray, u: np.ndarray, params: VehicleParams) -> np.ndarray:
+def continuous_derivative(z: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Time derivative of the state under the kinematic bicycle model."""
     psi, v = z[2], z[3]
-    beta = slip_angle(u[0], params)
+    beta = slip_angle(u[0])
     c = math.cos(psi + beta)
     s = math.sin(psi + beta)
-    return np.array([v * c, v * s, v / params.l_r * math.sin(beta), u[1]])
+    return np.array([v * c, v * s, v / L_R * math.sin(beta), u[1]])
 
 
-def step_rk4_array(z: np.ndarray, u: np.ndarray, dt: float, params: VehicleParams) -> np.ndarray:
+def step_rk4_array(z: np.ndarray, u: np.ndarray, dt: float) -> np.ndarray:
     """One classical RK4 step of duration dt with zero-order-hold input."""
-    k1 = continuous_derivative(z, u, params)
-    k2 = continuous_derivative(z + 0.5 * dt * k1, u, params)
-    k3 = continuous_derivative(z + 0.5 * dt * k2, u, params)
-    k4 = continuous_derivative(z + dt * k3, u, params)
+    k1 = continuous_derivative(z, u)
+    k2 = continuous_derivative(z + 0.5 * dt * k1, u)
+    k3 = continuous_derivative(z + 0.5 * dt * k2, u)
+    k4 = continuous_derivative(z + dt * k3, u)
     return z + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
@@ -414,24 +423,23 @@ def nearest_ref_index(ref: np.ndarray, p: np.ndarray) -> int:
 
 def safety_speed_target_every_pose(z_ev, tv_prediction, config, v_ref: float) -> float:
     """`supervisor.safety_speed_target` measuring every predicted pose."""
-    p = config.params
     d_min = config.d_min
     z = np.asarray(z_ev, float).ravel()
     tv = np.asarray(tv_prediction, float)
     tv0 = tv[0]
     c, s = math.cos(z[2]), math.sin(z[2])
-    corridor_half = 0.5 * p.width + CORRIDOR_SLACK + 2.0 * d_min
+    corridor_half = 0.5 * WIDTH + CORRIDOR_SLACK + 2.0 * d_min
 
     def _pose_geometry(tvt):
         dxt, dyt = float(tvt[0]) - z[0], float(tvt[1]) - z[1]
         longi_t = c * dxt + s * dyt
         lat_t = -s * dxt + c * dyt
-        lat_extent_t = _tv_extent_along(z[2] + 0.5 * math.pi, float(tvt[2]), p)
+        lat_extent_t = _tv_extent_along(z[2] + 0.5 * math.pi, float(tvt[2]))
         in_corridor = longi_t > 0.0 and abs(lat_t) <= corridor_half + lat_extent_t
         return longi_t, in_corridor
 
     def _standoff(tvt):
-        out = 0.5 * p.length + _tv_extent_along(z[2], float(tvt[2]), p) + 3.0 * d_min
+        out = 0.5 * LENGTH + _tv_extent_along(z[2], float(tvt[2])) + 3.0 * d_min
         rel = math.atan2(math.sin(float(tvt[2]) - z[2]), math.cos(float(tvt[2]) - z[2]))
         if abs(rel) > MANEUVER_ANGLE:
             out += MANEUVER_MARGIN
@@ -447,15 +455,14 @@ def safety_speed_target_every_pose(z_ev, tv_prediction, config, v_ref: float) ->
             continue
         s_free = min(s_free, longi_t - _standoff(tvt))
     s_free = max(0.0, s_free)
-    a_eff = BRAKE_HEADROOM * p.a_max
+    a_eff = BRAKE_HEADROOM * A_MAX
     k = K_BRAKE
     v_allow = (a_eff / k) * (math.sqrt(1.0 + 2.0 * k * k * s_free / a_eff) - 1.0)
     v_long_tv = float(tv0[3]) * math.cos(float(tv0[2]) - z[2])
     return max(0.0, min(v_ref, v_long_tv + v_allow))
 
 
-def inverse_dynamics_residual(traj: np.ndarray, dt: float = DT,
-                              params: VehicleParams | None = None) -> float:
+def inverse_dynamics_residual(traj: np.ndarray, dt: float = DT) -> float:
     """Worst one-step defect against the best-fitting bounded input.
 
     For each consecutive state pair the acceleration follows exactly from
@@ -463,26 +470,24 @@ def inverse_dynamics_residual(traj: np.ndarray, dt: float = DT,
     and then polished by a bounded least-squares fit, so a trajectory
     produced by any bounded-input RK4 integration scores near zero.
     """
-    p = params or VehicleParams()
     traj = np.asarray(traj, float)
     worst = 0.0
     for t in range(len(traj) - 1):
         z0, z1 = traj[t], traj[t + 1]
-        a0 = np.clip((z1[3] - z0[3]) / dt, -p.a_max, p.a_max)
+        a0 = np.clip((z1[3] - z0[3]) / dt, -A_MAX, A_MAX)
         v_mid = 0.5 * (z0[3] + z1[3])
         if abs(v_mid) > 1e-6:
-            sin_b = np.clip((z1[2] - z0[2]) / dt * p.l_r / v_mid, -0.95, 0.95)
+            sin_b = np.clip((z1[2] - z0[2]) / dt * L_R / v_mid, -0.95, 0.95)
             beta = math.asin(sin_b)
-            d0 = np.clip(math.atan(math.tan(beta) * p.wheelbase / p.l_r),
-                         -p.delta_max, p.delta_max)
+            d0 = np.clip(math.atan(math.tan(beta) * WHEELBASE / L_R), -DELTA_MAX, DELTA_MAX)
         else:
             d0 = 0.0
 
         def defect(u):
-            return step_rk4(z0, u, dt, p) - z1
+            return step_rk4(z0, u, dt) - z1
 
         fit = least_squares(defect, x0=np.array([d0, a0]),
-                            bounds=([-p.delta_max, -p.a_max], [p.delta_max, p.a_max]))
+                            bounds=([-DELTA_MAX, -A_MAX], [DELTA_MAX, A_MAX]))
         worst = max(worst, float(np.max(np.abs(fit.fun))))
     return worst
 
@@ -494,13 +499,12 @@ def padded_tv_states(scenario, n_steps: int) -> np.ndarray:
     return np.vstack([tv, np.tile(tv[-1], (max(n_steps - len(tv), 0), 1))])[:n_steps]
 
 
-def padded_environment_steps(scenario, n_steps: int, params: VehicleParams | None = None):
+def padded_environment_steps(scenario, n_steps: int):
     """Obstacles of n_steps steps: the TV body at each pose of the trajectory
     padded with copies of its final pose, then the two walls."""
-    p = params or VehicleParams()
     top, bottom = LOT.walls()
     tv = padded_tv_states(scenario, n_steps)
-    return [[body_polytope(tv[t], p.length, p.width), top, bottom] for t in range(n_steps)]
+    return [[body_polytope(tv[t], LENGTH, WIDTH), top, bottom] for t in range(n_steps)]
 
 
 def window_steps(steps, start: int, count: int):
@@ -524,9 +528,9 @@ def encode_features_per_polytope(z, steps) -> np.ndarray:
     return np.concatenate(parts)
 
 
-def clearance_twice(z, obstacles, params: VehicleParams):
+def clearance_twice(z, obstacles):
     """(intersects, distance) with two separating-axis tests per obstacle."""
-    body = body_polytope(z, params.length, params.width)
+    body = body_polytope(z, LENGTH, WIDTH)
     hit = False
     dist = math.inf
     for obs in obstacles:

@@ -19,14 +19,12 @@ import math
 import numpy as np
 import pytest
 
-from tightnav.dynamics import DT, VehicleParams, step_jacobians, step_rk4
+from tightnav.dynamics import A_MAX, DELTA_MAX, DT, step_jacobians, step_rk4
 import tightnav.nlp
 from tightnav.nlp import TOL_FEAS, TOL_KKT, NlpProblem, NlpSolution, solve_nlp
 from tightnav.qp import bound_rows, kkt_residuals, solve_qp, unit_rows
 
 from oracles import convexify_whole, elastic_qp_full_slack
-
-PARAMS = VehicleParams()
 
 
 def rosenbrock(x):
@@ -224,7 +222,7 @@ def build_tracking_nlp(z0, z_ref, n_steps, q_z, q_u):
         prev = z0
         for t in range(n_steps):
             ut = u_at(x, t)
-            pred, jz, ju = step_jacobians(prev, ut, DT, PARAMS)
+            pred, jz, ju = step_jacobians(prev, ut, DT)
             rows = slice(t * nz, (t + 1) * nz)
             vals[rows] = z_at(x, t + 1) - pred
             jac[rows, t * nz : (t + 1) * nz] = np.eye(nz)
@@ -238,8 +236,8 @@ def build_tracking_nlp(z0, z_ref, n_steps, q_z, q_u):
     hi = np.full(n, np.inf)
     for t in range(n_steps):
         j = n_steps * nz + t * nu
-        lo[j], hi[j] = -PARAMS.delta_max, PARAMS.delta_max
-        lo[j + 1], hi[j + 1] = -PARAMS.a_max, PARAMS.a_max
+        lo[j], hi[j] = -DELTA_MAX, DELTA_MAX
+        lo[j + 1], hi[j + 1] = -A_MAX, A_MAX
     # Exact objective Hessian; the dynamics rows are Gauss-Newton.
     h_obj = np.diag(np.concatenate([np.tile(2.0 * q_z, n_steps), np.tile(2.0 * q_u, n_steps)]))
     prob = NlpProblem(n=n, objective=objective, lag_hess=constant_hess(h_obj), eq=eq,
@@ -251,7 +249,7 @@ def rollout_cost(z0, us, z_ref, q_z, q_u):
     z = z0
     total = 0.0
     for t, u in enumerate(us, start=1):
-        z = step_rk4(z, np.asarray(u), DT, PARAMS)
+        z = step_rk4(z, np.asarray(u), DT)
         dz = z - z_ref[t]
         total += float(dz @ (q_z * dz)) + float(np.asarray(u) @ (q_u * np.asarray(u)))
     return total
@@ -273,8 +271,8 @@ def test_three_step_mpc_matches_grid_oracle():
     sol = solve_nlp(prob, x0)
     assert sol.ok
 
-    deltas = np.linspace(-PARAMS.delta_max, PARAMS.delta_max, 5)
-    accs = np.linspace(-PARAMS.a_max, PARAMS.a_max, 5)
+    deltas = np.linspace(-DELTA_MAX, DELTA_MAX, 5)
+    accs = np.linspace(-A_MAX, A_MAX, 5)
     grid = [(d, a) for d in deltas for a in accs]
     best_cost, best_seq = np.inf, None
     for seq in itertools.product(grid, repeat=n_steps):

@@ -16,7 +16,18 @@ from hypothesis import strategies as st
 import tightnav.dynamics
 import tightnav.nlp
 import tightnav.obca
-from tightnav.dynamics import DT, VehicleParams, rollout, step_rk4
+from tightnav.dynamics import (
+    A_MAX,
+    COVERING_RADIUS,
+    DELTA_MAX,
+    DT,
+    LENGTH,
+    V_MAX,
+    V_MIN,
+    WIDTH,
+    rollout,
+    step_rk4,
+)
 from tightnav.geometry import (
     Polytope,
     body_polytope,
@@ -25,12 +36,12 @@ from tightnav.geometry import (
 )
 from tightnav.obca import (
     BODY_G,
+    BODY_H,
     ControllerConfig,
     EnvironmentEncoding,
     MpcSolution,
     ObcaController,
     StrategyLabel,
-    body_g_vector,
     generate_strategy_constraints,
     lateral_direction,
     _face_certificates,
@@ -50,16 +61,11 @@ from oracles import project_one, strategy_constraints_per_stage, strategy_halfsp
 STRATEGY_MODEL = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "fixtures",
                               "strategy_model.json")
 
-UNIT_PARAMS = VehicleParams(l_f=0.25, l_r=0.25, length=1.0, width=1.0)
-DESK = VehicleParams()
-
-
-def dual_residuals(obs, z, lam, mu, params):
+def dual_residuals(obs, z, lam, mu):
     """(clearance value, stationarity residual, dual-normal magnitude)."""
     z = np.asarray(z, float)
     p, psi = z[:2], float(z[2])
-    g = body_g_vector(params)
-    val_c = float((obs.A @ p - obs.b) @ lam - g @ mu)
+    val_c = float((obs.A @ p - obs.b) @ lam - BODY_H @ mu)
     stat = BODY_G.T @ mu + rotation_matrix(psi).T @ (obs.A.T @ lam)
     return val_c, float(np.max(np.abs(stat))), float(np.linalg.norm(obs.A.T @ lam))
 
@@ -77,26 +83,27 @@ def static_env(tv, n_steps, with_walls=True):
     return EnvironmentEncoding([[tv]] * n_steps)
 
 
-def straight_ref(z0, n, dt, params):
-    return rollout(np.asarray(z0, float), np.zeros((n, 2)), dt, params)
+def straight_ref(z0, n, dt):
+    return rollout(np.asarray(z0, float), np.zeros((n, 2)), dt)
 
 
 # --- dual warm start --------------------------------------------------------
 
-def seed_duals(obstacle, z, params):
+def seed_duals(obstacle, z):
     """`_seed_duals` of one pair, given the pair's face certificate."""
     z = np.asarray(z, float)
-    _, lam_f, mu_f = _face_certificates(EnvironmentEncoding([[obstacle]]), z[None], params)
-    return _seed_duals(obstacle, z, params, lam_f[0, 0], mu_f[0, 0])
+    _, lam_f, mu_f = _face_certificates(EnvironmentEncoding([[obstacle]]), z[None])
+    return _seed_duals(obstacle, z, lam_f[0, 0], mu_f[0, 0])
 
 
 def test_witness_duals_separated_boxes():
+    # The car's nose sits at 0.5 LENGTH = 0.18, the box's near face at 2.5.
     obstacle = Polytope.from_box((3.0, 0.0), 0.5, 0.5)
     z = np.array([0.0, 0.0, 0.0, 0.0])
-    dist, lam, mu = seed_duals(obstacle, z, UNIT_PARAMS)
-    assert dist == pytest.approx(2.0, abs=1e-12)
-    val, stat, nrm = dual_residuals(obstacle, z, lam, mu, UNIT_PARAMS)
-    assert val == pytest.approx(2.0, abs=1e-6)
+    dist, lam, mu = seed_duals(obstacle, z)
+    assert dist == pytest.approx(2.32, abs=1e-12)
+    val, stat, nrm = dual_residuals(obstacle, z, lam, mu)
+    assert val == pytest.approx(2.32, abs=1e-6)
     assert stat <= 1e-8
     assert nrm <= 1.0 + 1e-9
     assert np.all(lam >= 0) and np.all(mu >= 0)
@@ -108,11 +115,11 @@ def test_seed_duals_overlap_gives_face_certificate():
     obstacle = Polytope.from_box((0.3, 0.0), 0.5, 0.5)
     face_lam, face_mu = np.array([0.0, 0.0, 1.0, 0.0]), np.array([1.0, 0.0, 0.0, 0.0])
     z = np.zeros(4)
-    dist, lam, mu = _seed_duals(obstacle, z, UNIT_PARAMS, face_lam, face_mu)
+    dist, lam, mu = _seed_duals(obstacle, z, face_lam, face_mu)
     assert dist == 0.0 and lam is face_lam and mu is face_mu
-    _, lam, mu = seed_duals(obstacle, z, UNIT_PARAMS)
+    _, lam, mu = seed_duals(obstacle, z)
     assert np.any(lam > 0.0)
-    val, stat, nrm = dual_residuals(obstacle, z, lam, mu, UNIT_PARAMS)
+    val, stat, nrm = dual_residuals(obstacle, z, lam, mu)
     assert stat <= 1e-12 and nrm == pytest.approx(1.0, abs=1e-12)
 
 
@@ -125,11 +132,11 @@ def test_witness_duals_random_pairs_feasible():
             [math.cos(a := rng.uniform(0, 2 * math.pi)), math.sin(a)])
         obstacle = Polytope.from_box(center, rng.uniform(0.1, 0.6),
                                      rng.uniform(0.1, 0.6), rng.uniform(0, math.pi))
-        witness, lam, mu = seed_duals(obstacle, z, DESK)
-        val, stat, nrm = dual_residuals(obstacle, z, lam, mu, DESK)
+        witness, lam, mu = seed_duals(obstacle, z)
+        val, stat, nrm = dual_residuals(obstacle, z, lam, mu)
         assert stat <= 1e-7
         assert nrm <= 1.0 + 1e-9
-        dist = min_translation_distance(obstacle, body_polytope(z, DESK.length, DESK.width))
+        dist = min_translation_distance(obstacle, body_polytope(z, LENGTH, WIDTH))
         assert witness == pytest.approx(dist, abs=1e-12)
         if dist > 1e-6:
             # Strong duality: the clearance expression equals the distance.
@@ -145,20 +152,20 @@ def test_face_certificate_lower_bound_and_feasible():
         obstacle = Polytope.from_box(center, rng.uniform(0.1, 0.8),
                                      rng.uniform(0.1, 0.8), rng.uniform(0, math.pi))
         vals, lams, mus = _face_certificates(static_env(obstacle, 1, with_walls=False),
-                                             z[None, :], DESK)
+                                             z[None, :])
         value, lam, mu = vals[0, 0], lams[0, 0], mus[0, 0]
-        dist = min_translation_distance(obstacle, body_polytope(z, DESK.length, DESK.width))
+        dist = min_translation_distance(obstacle, body_polytope(z, LENGTH, WIDTH))
         assert value <= dist + 1e-9
-        val_c, stat, nrm = dual_residuals(obstacle, z, lam, mu, DESK)
+        val_c, stat, nrm = dual_residuals(obstacle, z, lam, mu)
         assert val_c == pytest.approx(value, abs=1e-9)
         assert stat <= 1e-12
         assert nrm <= 1.0 + 1e-12
         assert np.all(lam >= 0) and np.all(mu >= 0)
 
 
-def body_corners(z, params):
+def body_corners(z):
     """The four ego-body corners at state z, by direct enumeration."""
-    half_l, half_w = 0.5 * params.length, 0.5 * params.width
+    half_l, half_w = 0.5 * LENGTH, 0.5 * WIDTH
     local = np.array([[half_l, half_w], [-half_l, half_w], [-half_l, -half_w], [half_l, -half_w]])
     return local @ rotation_matrix(float(z[2])).T + np.asarray(z[:2])
 
@@ -173,19 +180,19 @@ def test_face_certificates_batch_matches_corner_enumeration():
     env = EnvironmentEncoding([[tv, top, bottom] for tv in tvs])
     zs = np.column_stack([rng.uniform(-1, 3, n_steps), rng.uniform(-0.4, 0.4, n_steps),
                           rng.uniform(-math.pi, math.pi, n_steps), np.zeros(n_steps)])
-    vals, lam, mu = _face_certificates(env, zs, DESK)
+    vals, lam, mu = _face_certificates(env, zs)
     assert vals.shape == (n_steps, 3) and lam.shape == mu.shape == (n_steps, 3, 4)
     for t in range(n_steps):
-        corners = body_corners(zs[t], DESK)
+        corners = body_corners(zs[t])
         for m, obs in enumerate(env.obstacles(t)):
             # Clearance of the body beyond each obstacle face is the smallest
             # signed distance of its corners; the certificate takes the best face.
             norms = np.linalg.norm(obs.A, axis=1)
             per_face = np.min((corners @ obs.A.T - obs.b) / norms, axis=0)
             assert vals[t, m] == pytest.approx(np.max(per_face), abs=1e-12)
-            dist = min_translation_distance(obs, body_polytope(zs[t], DESK.length, DESK.width))
+            dist = min_translation_distance(obs, body_polytope(zs[t], LENGTH, WIDTH))
             assert vals[t, m] <= dist + 1e-9
-            val_c, stat, nrm = dual_residuals(obs, zs[t], lam[t, m], mu[t, m], DESK)
+            val_c, stat, nrm = dual_residuals(obs, zs[t], lam[t, m], mu[t, m])
             assert val_c == pytest.approx(vals[t, m], abs=1e-9)
             assert stat <= 1e-12
             assert nrm == pytest.approx(1.0, abs=1e-12)
@@ -205,9 +212,9 @@ def test_face_certificates_stack_matches_separate_calls():
     trajectories = [np.column_stack([rng.uniform(-1, 3, n_steps), rng.uniform(-0.4, 0.4, n_steps),
                                      rng.uniform(-math.pi, math.pi, n_steps),
                                      rng.uniform(-0.5, 0.5, n_steps)]) for _ in range(2)]
-    stacked = _face_certificates(env, np.stack(trajectories), DESK)
+    stacked = _face_certificates(env, np.stack(trajectories))
     for k, zs in enumerate(trajectories):
-        for got, want in zip(stacked, _face_certificates(env, zs, DESK)):
+        for got, want in zip(stacked, _face_certificates(env, zs)):
             assert got[k].tobytes() == want.tobytes()
 
 
@@ -233,10 +240,10 @@ def test_face_certificates_lipschitz_in_position_and_heading(case):
     """A certificate falls by at most the move |dp| + r |dpsi|, r the body's
     covering radius: the bound that screens the promotion check."""
     env, zs, moved = case
-    before = _face_certificates(env, zs, DESK)[0]
-    after = _face_certificates(env, moved, DESK)[0]
+    before = _face_certificates(env, zs)[0]
+    after = _face_certificates(env, moved)[0]
     d = moved - zs
-    reach = np.hypot(d[:, 0], d[:, 1]) + DESK.covering_radius * np.abs(d[:, 2])
+    reach = np.hypot(d[:, 0], d[:, 1]) + COVERING_RADIUS * np.abs(d[:, 2])
     assert np.all(after >= before - reach[:, None] - 1e-12)
 
 
@@ -245,9 +252,9 @@ def count_certificates(monkeypatch):
     calls = []
     certify = tightnav.obca._face_certificates
 
-    def counting(env, zs, params):
+    def counting(env, zs):
         calls.append(np.shape(zs))
-        return certify(env, zs, params)
+        return certify(env, zs)
 
     monkeypatch.setattr(tightnav.obca, "_face_certificates", counting)
     return calls
@@ -266,7 +273,7 @@ def test_solve_step_certifies_after_a_solve_only_within_reach(monkeypatch):
     calls = count_certificates(monkeypatch)
     cfg = ControllerConfig()
     z0 = np.array([0.0, 0.0, 0.0, 0.6])
-    ref = straight_ref(z0, cfg.horizon, DT, cfg.params)
+    ref = straight_ref(z0, cfg.horizon, DT)
     # A TV beside the path: close enough to engage, clear of the warm start,
     # which the solve barely moves.
     env = static_env(Polytope.from_box((1.1, 0.3), 0.28, 0.11), 21)
@@ -322,7 +329,7 @@ def test_promotion_round_solves_as_with_the_full_check(monkeypatch):
     assert screened.us.tobytes() == full.us.tobytes()
     assert screened.status == full.status and screened.stats == full.stats
     for t in range(1, cfg.horizon + 1):
-        body = body_polytope(screened.zs[t], cfg.params.length, cfg.params.width)
+        body = body_polytope(screened.zs[t], LENGTH, WIDTH)
         assert min_translation_distance(env.tv(t), body) >= cfg.d_min - 1e-5
 
 
@@ -368,7 +375,7 @@ def test_strategy_constraint_yield_rejected():
 
 def test_strategy_constraints_support_tv_polytope():
     rng = np.random.default_rng(11)
-    r_ev = DESK.covering_radius
+    r_ev = COVERING_RADIUS
     for _ in range(25):
         tv = Polytope.from_box(rng.uniform(-1, 1, size=2), rng.uniform(0.1, 0.5),
                                rng.uniform(0.1, 0.5), rng.uniform(0, math.pi))
@@ -405,7 +412,7 @@ def moving_tv_scene(rng, n_steps=21, dt=0.1):
 
 def test_strategy_constraints_match_per_stage_oracle():
     rng = np.random.default_rng(307)
-    r_ev = DESK.covering_radius
+    r_ev = COVERING_RADIUS
     rows = skipped = 0
     for _ in range(30):
         ref, env = moving_tv_scene(rng)
@@ -424,7 +431,7 @@ def test_strategy_constraints_near_per_stage_bisection():
     """The closed-form exits put each stage's halfspace where the bisection
     puts it, within what PROJECTION_TOL / 2 moves a supporting line."""
     rng = np.random.default_rng(311)
-    r_ev = DESK.covering_radius
+    r_ev = COVERING_RADIUS
     rows = 0
     for _ in range(10):
         ref, env = moving_tv_scene(rng)
@@ -471,7 +478,7 @@ def test_solve_step_windows_a_short_encoding():
     TV's 2-step timeline solves as its window covering the horizon does."""
     scenario = parked_tv_scenario()
     cfg = ControllerConfig(horizon=8)
-    env = scenario.environment(cfg.params)
+    env = scenario.environment()
     assert env.n_steps == 2
     x0, y_ref, v = 1.2, 0.34, 0.3
     z0 = np.array([x0, 0.3, 0.0, v])
@@ -486,10 +493,10 @@ def test_solve_step_windows_a_short_encoding():
         assert short.stats == full.stats
     # The screen reads the clamped timeline at every reference stage.
     rows = generate_strategy_constraints(StrategyLabel.PASS_RIGHT, ref, env,
-                                         cfg.params.covering_radius)
+                                         COVERING_RADIUS)
     assert rows[0].max() > 1
     rows_full = generate_strategy_constraints(StrategyLabel.PASS_RIGHT, ref, env.window(0, 9),
-                                              cfg.params.covering_radius)
+                                              COVERING_RADIUS)
     assert [a.tobytes() for a in rows] == [a.tobytes() for a in rows_full]
 
 
@@ -548,7 +555,7 @@ def blocking_scene():
     env = static_env(tv, 21)
     z0 = np.array([0.0, 0.0, 0.0, 0.6])
     cfg = ControllerConfig()
-    ref = straight_ref(z0, cfg.horizon, DT, cfg.params)
+    ref = straight_ref(z0, cfg.horizon, DT)
     return tv, env, z0, ref
 
 
@@ -557,7 +564,7 @@ def test_solve_step_far_obstacles_track_reference():
     env = static_env(far, 21, with_walls=False)
     cfg = ControllerConfig()
     z0 = np.array([0.0, 0.0, 0.0, 0.6])
-    ref = straight_ref(z0, cfg.horizon, DT, cfg.params)
+    ref = straight_ref(z0, cfg.horizon, DT)
     sol = ObcaController(cfg).solve_step(z0, np.zeros(2), ref, env)
     assert sol.ok
     assert np.max(np.abs(sol.zs - ref)) < 1e-4
@@ -572,7 +579,7 @@ def test_solve_step_avoids_blocking_obstacle():
     assert sol.ok
     assert sol.stats["engaged"] > 0
     for t in range(1, cfg.horizon + 1):
-        body = body_polytope(sol.zs[t], cfg.params.length, cfg.params.width)
+        body = body_polytope(sol.zs[t], LENGTH, WIDTH)
         for obs in env.obstacles(t):
             assert min_translation_distance(obs, body) >= cfg.d_min - 1e-5
     assert sol.stats["cost"] > 1e-4  # it had to leave the reference
@@ -606,7 +613,7 @@ def test_solve_step_strategy_rows_enforced():
     assert sol.ok
     # The rows of every stage past the measured state.
     stages, w, offset = generate_strategy_constraints(
-        StrategyLabel.PASS_LEFT, ref, env, cfg.params.covering_radius)
+        StrategyLabel.PASS_LEFT, ref, env, COVERING_RADIUS)
     later = stages >= 1
     assert later.any()
     assert np.all(offset[later] - np.sum(w * sol.zs[stages, :2], axis=1)[later] <= 1e-6)
@@ -660,7 +667,7 @@ def test_unreachable_strategy_detected_without_solving():
     assert sol.status == "infeasible"
     assert sol.stats["precheck"]
     assert len(generate_strategy_constraints(StrategyLabel.PASS_LEFT, ref, env,
-                                             cfg.params.covering_radius)[0])
+                                             COVERING_RADIUS)[0])
 
 
 def test_unreachable_strategy_fires_past_the_reachable_distance():
@@ -668,11 +675,10 @@ def test_unreachable_strategy_fires_past_the_reachable_distance():
     the distance its stage can reach, and not on one violated by exactly
     that distance."""
     cfg = ControllerConfig()
-    p = cfg.params
     z0 = np.array([0.0, 0.0, 0.3, -0.4])
     travel, speed = [0.0], 0.4
     for _ in range(cfg.horizon):
-        speed = min(max(abs(p.v_min), p.v_max), speed + p.a_max * DT)
+        speed = min(max(abs(V_MIN), V_MAX), speed + A_MAX * DT)
         travel.append(travel[-1] + speed * DT)
     ctrl = ObcaController(cfg)
     w = np.array([[0.0, 1.0]])
@@ -704,11 +710,11 @@ def test_shifted_warm_start_consistency():
     tv, env, z0, ref_unused = blocking_scene()
     cfg = ControllerConfig()
     n = cfg.horizon
-    global_ref = straight_ref(z0, n + 2, DT, cfg.params)
+    global_ref = straight_ref(z0, n + 2, DT)
     ctrl = ObcaController(cfg)
     sol1 = ctrl.solve_step(z0, np.zeros(2), global_ref[: n + 1], env, step=0)
     assert sol1.ok
-    z1 = step_rk4(z0, sol1.us[0], DT, cfg.params)
+    z1 = step_rk4(z0, sol1.us[0], DT)
     sol2 = ctrl.solve_step(z1, sol1.us[0], global_ref[1 : n + 2], env, step=1)
     assert sol2.ok
     # The shifted plan reproduces the previous one near the applied end; the
@@ -727,15 +733,15 @@ def test_closed_loop_audit_min_distance():
     cfg = ControllerConfig()
     z = np.array([0.0, 0.0, 0.0, 0.6])
     u_prev = np.zeros(2)
-    global_ref = straight_ref(np.array([0.0, 0.0, 0.0, 0.6]), 50, DT, cfg.params)
+    global_ref = straight_ref(np.array([0.0, 0.0, 0.0, 0.6]), 50, DT)
     ctrl = ObcaController(cfg)
     for k in range(18):
         ref = global_ref[k : k + cfg.horizon + 1]
         sol = ctrl.solve_step(z, u_prev, ref, env.window(0, cfg.horizon + 1), step=k)
         assert sol.ok, f"step {k} status {sol.status}"
         u_prev = sol.us[0]
-        z = step_rk4(z, u_prev, DT, cfg.params)
-        body = body_polytope(z, cfg.params.length, cfg.params.width)
+        z = step_rk4(z, u_prev, DT)
+        body = body_polytope(z, LENGTH, WIDTH)
         for obs in env.obstacles(0):
             assert min_translation_distance(obs, body) >= cfg.d_min - 1e-4
     assert z[0] > 0.9  # made real progress down the lane
@@ -765,14 +771,14 @@ def fd_nlp():
              Polytope.from_box((1.2, -0.35), 0.25, 0.12, -0.7)]
     env = EnvironmentEncoding([boxes] * 4)
     z0 = np.array([0.0, 0.05, 0.1, 0.5])
-    ref = straight_ref(z0, 3, DT, cfg.params)
+    ref = straight_ref(z0, 3, DT)
     pairs = [(t, m) for t in (1, 2, 3) for m in (0, 1)]
     strat = (np.array([2]), np.array([[0.6, 0.8]]), np.array([-0.1]))
     nlp = _StepNlp(cfg, z0, np.array([0.05, -0.1]), ref, env, pairs, strat,
                    _HorizonLayout(cfg))
     rng = np.random.default_rng(7)
     us = rng.uniform(-0.3, 0.3, (3, 2))
-    zs = rollout(z0, us, DT, cfg.params) + rng.normal(0.0, 0.05, (4, 4))
+    zs = rollout(z0, us, DT) + rng.normal(0.0, 0.05, (4, 4))
     duals = {pair: (rng.uniform(0.1, 1.0, 4), rng.uniform(0.1, 1.0, 4)) for pair in pairs}
     return nlp, nlp.pack(zs, us, duals)
 
@@ -798,9 +804,9 @@ def test_step_nlp_eq_steps_the_horizon_in_one_call(fd_nlp, monkeypatch):
     nlp, x = fd_nlp
     calls = []
 
-    def counted(z, u, dt, params):
+    def counted(z, u, dt):
         calls.append(np.shape(z))
-        return tightnav.dynamics.step_jacobians(z, u, dt, params)
+        return tightnav.dynamics.step_jacobians(z, u, dt)
 
     monkeypatch.setattr(tightnav.obca, "step_jacobians", counted)
     nlp.eq(x)
@@ -833,7 +839,7 @@ def test_step_nlp_hessian_blocks_cover_lagrangian_sparsity():
              Polytope.from_box((1.2, -0.35), 0.25, 0.12, -0.7)]
     env = EnvironmentEncoding([boxes] * 5)
     z0 = np.array([0.0, 0.05, 0.1, 0.5])
-    ref = straight_ref(z0, 4, DT, cfg.params)
+    ref = straight_ref(z0, 4, DT)
     pairs = [(1, 1), (2, 0), (2, 1), (4, 0)]
     strat = (np.array([1, 3]), np.array([[0.6, 0.8], [0.0, 1.0]]), np.array([-0.1, 0.2]))
     nlp = _StepNlp(cfg, z0, np.zeros(2), ref, env, pairs, strat, _HorizonLayout(cfg))
@@ -892,14 +898,13 @@ def dsl(nlp, j):
 
 def test_step_nlp_bounds_match_per_stage_definition(fd_nlp):
     nlp, _ = fd_nlp
-    p = nlp.cfg.params
     lo = np.full(nlp.n, -np.inf)
     hi = np.full(nlp.n, np.inf)
     for t in range(1, nlp.cfg.horizon + 1):
-        lo[zsl(t).start + 3], hi[zsl(t).start + 3] = p.v_min, p.v_max
+        lo[zsl(t).start + 3], hi[zsl(t).start + 3] = V_MIN, V_MAX
     for t in range(nlp.cfg.horizon):
         sl = usl(nlp, t)
-        lo[sl], hi[sl] = [-p.delta_max, -p.a_max], [p.delta_max, p.a_max]
+        lo[sl], hi[sl] = [-DELTA_MAX, -A_MAX], [DELTA_MAX, A_MAX]
     for j in range(len(nlp.pairs)):
         lsl, msl = dsl(nlp, j)
         lo[lsl] = lo[msl] = 0.0
@@ -939,7 +944,7 @@ def step_nlp(horizon, n_obstacles, pairs, strat_stages):
     boxes = [Polytope.from_box((1.0 + m, 0.0), 0.2, 0.1) for m in range(n_obstacles)]
     env = EnvironmentEncoding([boxes] * (horizon + 1))
     z0 = np.array([0.0, 0.0, 0.0, 0.5])
-    ref = straight_ref(z0, horizon, DT, cfg.params)
+    ref = straight_ref(z0, horizon, DT)
     stages = np.array(sorted(strat_stages), dtype=int)
     strat = (stages, np.tile([0.0, 1.0], (len(stages), 1)), np.zeros(len(stages)))
     return _StepNlp(cfg, z0, np.zeros(2), ref, env, sorted(pairs), strat, _HorizonLayout(cfg))
@@ -1039,7 +1044,7 @@ def offset_scene():
     env = static_env(tv, 21)
     z0 = np.array([0.0, 0.0, 0.0, 0.6])
     cfg = ControllerConfig()
-    return tv, env, z0, straight_ref(z0, cfg.horizon, DT, cfg.params)
+    return tv, env, z0, straight_ref(z0, cfg.horizon, DT)
 
 
 def consecutive_steps(ctrl, scene=blocking_scene, steps=(0, 1), before=None):
@@ -1047,7 +1052,7 @@ def consecutive_steps(ctrl, scene=blocking_scene, steps=(0, 1), before=None):
     first input; before(i), if given, runs ahead of the i-th solve."""
     tv, env, z, _ = scene()
     cfg = ctrl.config
-    global_ref = straight_ref(z, cfg.horizon + len(steps), DT, cfg.params)
+    global_ref = straight_ref(z, cfg.horizon + len(steps), DT)
     u_prev = np.zeros(2)
     sols = []
     for i, k in enumerate(steps):
@@ -1057,7 +1062,7 @@ def consecutive_steps(ctrl, scene=blocking_scene, steps=(0, 1), before=None):
         assert sol.ok
         sols.append(sol)
         u_prev = sol.us[0]
-        z = step_rk4(z, u_prev, DT, cfg.params)
+        z = step_rk4(z, u_prev, DT)
     return sols
 
 

@@ -12,7 +12,6 @@ import os
 import numpy as np
 import pytest
 
-from tightnav.dynamics import VehicleParams
 from tightnav.geometry import Polytope
 from tightnav.obca import EnvironmentEncoding, StrategyLabel
 from tightnav.predictor import (
@@ -32,7 +31,6 @@ from tightnav.predictor import (
     train,
 )
 
-DESK = VehicleParams()
 FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "fixtures")
 STRATEGY_MODEL = os.path.join(FIXTURES, "strategy_model.json")
 STRATEGY_MODEL_META = os.path.join(FIXTURES, "strategy_model.meta.json")
@@ -248,10 +246,10 @@ def straight_pass(y_offset, n=40, v=0.6, dt=0.1):
 
 def test_label_pass_left_and_right():
     ev, tv = straight_pass(+0.3)
-    assert label_rollout(ev, tv, DESK) == StrategyLabel.PASS_LEFT
+    assert label_rollout(ev, tv) == StrategyLabel.PASS_LEFT
     ev_m = ev.copy()
     ev_m[:, 1] *= -1.0
-    assert label_rollout(ev_m, tv, DESK) == StrategyLabel.PASS_RIGHT
+    assert label_rollout(ev_m, tv) == StrategyLabel.PASS_RIGHT
 
 
 def test_label_respects_tv_frame():
@@ -260,7 +258,7 @@ def test_label_respects_tv_frame():
     ys = np.linspace(-1.0, 1.5, n)
     ev = np.stack([np.full(n, 0.3), ys, np.full(n, math.pi / 2), np.full(n, 0.6)], axis=1)
     tv = np.tile(np.array([0.0, 0.5, math.pi / 2, 0.0]), (n, 1))
-    assert label_rollout(ev, tv, DESK) == StrategyLabel.PASS_RIGHT
+    assert label_rollout(ev, tv) == StrategyLabel.PASS_RIGHT
 
 
 def test_label_stop_and_wait_is_yield():
@@ -269,7 +267,7 @@ def test_label_stop_and_wait_is_yield():
     ev = np.zeros((n, 4))
     ev[:, 0] = 0.2  # parked one covering radius short of the TV
     tv = np.tile(np.array([0.5, 0.0, 0.0, 0.0]), (n, 1))
-    assert label_rollout(ev, tv, DESK, dt=dt) == StrategyLabel.YIELD
+    assert label_rollout(ev, tv, dt=dt) == StrategyLabel.YIELD
 
 
 def test_label_stop_then_pass_still_yield():
@@ -279,7 +277,7 @@ def test_label_stop_then_pass_still_yield():
     ev_pass, tv_pass = straight_pass(+0.3, n=30)
     ev = np.vstack([ev_wait, ev_pass + np.array([1.2, 0, 0, 0])])
     tv = np.tile(np.array([0.5, 0.0, 0.0, 0.0]), (len(ev), 1))
-    assert label_rollout(ev, tv, DESK, dt=dt) == StrategyLabel.YIELD
+    assert label_rollout(ev, tv, dt=dt) == StrategyLabel.YIELD
 
 
 def test_label_never_reaches_tv_is_yield():
@@ -288,7 +286,7 @@ def test_label_never_reaches_tv_is_yield():
     ev[:, 0] = -3.0
     ev[:, 3] = 0.0
     tv = np.tile(np.array([0.5, 0.0, 0.0, 0.0]), (n, 1))
-    assert label_rollout(ev, tv, DESK) == StrategyLabel.YIELD
+    assert label_rollout(ev, tv) == StrategyLabel.YIELD
 
 
 def test_label_subsample_invariant():
@@ -302,17 +300,17 @@ def test_label_subsample_invariant():
     ev_y[:, 0] = 0.2
     cases.append((ev_y, np.tile(np.array([0.5, 0.0, 0.0, 0.0]), (60, 1))))
     for ev_c, tv_c in cases:
-        full = label_rollout(ev_c, tv_c, DESK, dt=0.1)
-        half = label_rollout(ev_c[::2], tv_c[::2], DESK, dt=0.2)
+        full = label_rollout(ev_c, tv_c, dt=0.1)
+        half = label_rollout(ev_c[::2], tv_c[::2], dt=0.2)
         assert half == full
 
 
 def test_label_rejects_bad_trajectories():
     ev, tv = straight_pass(0.3)
     with pytest.raises(ValueError):
-        label_rollout(ev[:1], tv[:1], DESK)
+        label_rollout(ev[:1], tv[:1])
     with pytest.raises(ValueError):
-        label_rollout(ev, tv[:-1], DESK)
+        label_rollout(ev, tv[:-1])
 
 
 # --- persistence ------------------------------------------------------------

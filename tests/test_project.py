@@ -1,5 +1,5 @@
 """Tests of the project metadata in pyproject.toml, of the package layering,
-of the import cost and of the benchmark tracer's targets."""
+of the import cost and of the benchmark's tracer targets and imports."""
 
 import ast
 import importlib
@@ -124,6 +124,21 @@ def test_every_trace_target_is_an_attribute_of_its_owner():
             if inspect.ismodule(owner) and vars(owner)[attr].__module__ != owner.__name__
             and not used_beyond_import(owner, attr)]
     assert not idle, f"trace targets imported but never used by their owner: {idle}"
+
+
+def test_perfbench_package_imports_resolve():
+    """Every name perfbench imports from a package module, at any depth, is
+    an attribute of that module.  No test runs `make_model.py`, whose
+    imports sit inside a function, so a renamed package function would
+    otherwise break it silently."""
+    imported = set()
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        for target, names, _ in package_imports(path):
+            module = importlib.import_module(f"tightnav.{target}")
+            missing = [name for name in names if not hasattr(module, name)]
+            assert not missing, f"{path.name} imports {missing} from {module.__name__}"
+            imported.update(names)
+    assert {"TrainConfig", "save_model", "train", "dataset_suite", "generate_dataset"} <= imported
 
 
 @pytest.fixture

@@ -6,7 +6,6 @@ import math
 import numpy as np
 import pytest
 
-from tightnav.dynamics import VehicleParams
 from tightnav.predictor import encode_features
 from tightnav.scenario import (
     DT,
@@ -114,6 +113,8 @@ def test_synth_rejects_bad_arguments():
         synth_tv_maneuver("top", 2, "reverse", idle_duration=-1.0)
     with pytest.raises(ScenarioError):
         synth_tv_maneuver("top", 2, "forward", speed_scale=3.0)
+    with pytest.raises(ScenarioError):
+        synth_tv_maneuver("left", 2, "forward")
 
 
 # --- scenarios --------------------------------------------------------------
@@ -197,11 +198,10 @@ def test_environment_windows_match_the_padded_build(make):
     """Every window of the pose timeline equals the same window of the
     environment padded to a 600-step run, bit for bit."""
     sc = make()
-    p = VehicleParams()
     horizon = 20
     n_tv = len(sc.tv_traj)
-    padded = padded_environment_steps(sc, 600 + horizon + 1, p)
-    env = sc.environment(p)
+    padded = padded_environment_steps(sc, 600 + horizon + 1)
+    env = sc.environment()
     z = np.array([0.1, -0.05, 0.2, 0.5])
     for k in sorted({0, n_tv // 2, n_tv - 1, n_tv + 5, 600}):
         want = window_steps(padded, k, horizon + 1)

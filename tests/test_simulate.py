@@ -25,7 +25,7 @@ import pytest
 
 import tightnav.nlp
 import tightnav.simulate
-from tightnav.dynamics import DT, step_rk4
+from tightnav.dynamics import A_MAX, DELTA_MAX, DT, LENGTH, WIDTH, step_rk4
 from tightnav.obca import ControllerConfig, StrategyLabel
 from tightnav.predictor import MlpModel, N_HIDDEN, encode_features, load_model
 from tightnav.scenario import (
@@ -69,15 +69,14 @@ def step_record(log):
 
 
 def assert_safe_and_actuatable(res, ctrl):
-    p = ctrl.params
     assert res.outcome != OUTCOME_COLLISION
     assert len(res.logs) == res.iterations
     floor = ctrl.d_min - AUDIT_SLACK
     assert res.min_distance >= floor
     assert all(log.min_distance >= floor for log in res.logs)
     u = np.array([log.u for log in res.logs])
-    assert np.all(np.abs(u[:, 0]) <= p.delta_max + 1e-9)
-    assert np.all(np.abs(u[:, 1]) <= p.a_max + 1e-9)
+    assert np.all(np.abs(u[:, 0]) <= DELTA_MAX + 1e-9)
+    assert np.all(np.abs(u[:, 1]) <= A_MAX + 1e-9)
 
 
 @pytest.fixture(scope="module")
@@ -231,12 +230,12 @@ def test_emergency_brake_latches_until_stopped():
     for log in braking[1:]:
         assert (log.policy, log.reason) == (PolicyKind.EMERGENCY_BRAKE, "latched")
     for log in braking:
-        assert np.array_equal(log.u, emergency_brake(log.z, CTRL))
+        assert np.array_equal(log.u, emergency_brake(log.z))
     speeds = [abs(log.z[3]) for log in braking]
     assert all(b <= a for a, b in zip(speeds, speeds[1:]))
     assert speeds[-1] > 0.0
     # The run ends on the first step that finds the EV at rest.
-    z_end = step_rk4(braking[-1].z, braking[-1].u, DT, CTRL.params)
+    z_end = step_rk4(braking[-1].z, braking[-1].u, DT)
     assert z_end[3] == 0.0
     assert res.iterations == braking[-1].step + 1
 
@@ -245,9 +244,9 @@ def test_timed_out_run_audits_the_final_state():
     res = run_closed_loop(forward_park_case(), "bl", ctrl_config=CTRL, max_steps=MAX_STEPS)
     assert res.outcome == OUTCOME_TIMEOUT and len(res.logs) == MAX_STEPS
     last = res.logs[-1]
-    z_end = step_rk4(last.z, last.u, DT, CTRL.params)
-    env = forward_park_case().environment(CTRL.params)
-    _, d_end = _clearance(z_end, env.obstacles(MAX_STEPS), CTRL.params)
+    z_end = step_rk4(last.z, last.u, DT)
+    env = forward_park_case().environment()
+    _, d_end = _clearance(z_end, env.obstacles(MAX_STEPS))
     # The last input brings the EV closer than any state it started a step in.
     assert d_end < min(log.min_distance for log in res.logs)
     assert res.min_distance == d_end
@@ -256,22 +255,21 @@ def test_timed_out_run_audits_the_final_state():
 def test_clearance_matches_two_tests_per_obstacle():
     """One separating-axis test per obstacle gives the audit of the double
     call, bit for bit, on separated, touching and overlapping poses."""
-    p = CTRL.params
-    obstacles = forward_park_case().environment(p).obstacles(0)
+    obstacles = forward_park_case().environment().obstacles(0)
     tv = obstacles[0].vertices
     rng = np.random.default_rng(7)
     poses = [np.array([*rng.uniform([-1.6, -0.5], [3.4, 0.5]), rng.uniform(-math.pi, math.pi),
                        0.0]) for _ in range(300)]
     # An EV box a micron off the TV, flush against the TV's and the walls'
     # faces, and one overlapping.
-    poses += [np.array([tv[:, 0].min() - 0.5 * p.length - 1e-6, tv[:, 1].mean(), 0.0, 0.0]),
-              np.array([tv[:, 0].min() - 0.5 * p.length, tv[:, 1].mean(), 0.0, 0.0]),
-              np.array([0.0, obstacles[1].vertices[:, 1].min() - 0.5 * p.width, 0.0, 0.0]),
+    poses += [np.array([tv[:, 0].min() - 0.5 * LENGTH - 1e-6, tv[:, 1].mean(), 0.0, 0.0]),
+              np.array([tv[:, 0].min() - 0.5 * LENGTH, tv[:, 1].mean(), 0.0, 0.0]),
+              np.array([0.0, obstacles[1].vertices[:, 1].min() - 0.5 * WIDTH, 0.0, 0.0]),
               np.array([*tv.mean(axis=0), 0.3, 0.0])]
     hits = 0
     for z in poses:
-        got = _clearance(z, obstacles, p)
-        assert got == clearance_twice(z, obstacles, p)
+        got = _clearance(z, obstacles)
+        assert got == clearance_twice(z, obstacles)
         hits += got[0]
     assert 0 < hits < len(poses)
 
@@ -290,9 +288,19 @@ def test_final_state_hit_is_a_collision():
     assert res.min_distance == 0.0
 
 
+def test_step_count_must_be_nonnegative():
+    """A negative step count is refused; zero steps audit the start state."""
+    sc = reverse_park_case()
+    with pytest.raises(ValueError, match="max_steps"):
+        run_closed_loop(sc, "bl", ctrl_config=CTRL, max_steps=-3)
+    res = run_closed_loop(sc, "bl", ctrl_config=CTRL, max_steps=0)
+    assert res.outcome == OUTCOME_TIMEOUT and res.iterations == 0 and res.logs == []
+    assert res.min_distance == _clearance(sc.ev_init, sc.environment().obstacles(0))[1]
+
+
 def constant_model(scenario, ctrl, logits):
     """Strategy model whose prediction is softmax(logits) on every input."""
-    env = scenario.environment(ctrl.params).window(0, ctrl.horizon + 1)
+    env = scenario.environment().window(0, ctrl.horizon + 1)
     d_in = len(encode_features(scenario.ev_init, env))
     n_out = len(logits)
     return MlpModel(w1=np.zeros((N_HIDDEN, d_in)), b1=np.zeros(N_HIDDEN),
@@ -449,7 +457,7 @@ def test_benchmark_runs_every_scheme_with_callers_config(monkeypatch):
 
     monkeypatch.setattr(tightnav.simulate, "ObcaController", Recording)
     sc = parked_tv_scenario()
-    ctrl = ControllerConfig(horizon=8, q_z=[2.0, 2.0, 2.0, 20.0], q_d=[30.0, 30.0])
+    ctrl = ControllerConfig(horizon=8)
     run_benchmark([sc], constant_model(sc, ctrl, [5.0, 0.0, 0.0]), ctrl, schemes=("sg", "bl"),
                   max_steps=2)
     assert len(configs) == 2 and all(cfg is ctrl for cfg in configs)

@@ -13,7 +13,16 @@ from hypothesis import strategies as st
 
 import tightnav.supervisor
 from oracles import nearest_ref_index, safety_speed_target_every_pose
-from tightnav.dynamics import DT, step_rk4
+from tightnav.dynamics import (
+    A_MAX,
+    COVERING_RADIUS,
+    DELTA_MAX,
+    DT,
+    LENGTH,
+    WHEELBASE,
+    WIDTH,
+    step_rk4,
+)
 from tightnav.geometry import Polytope, body_polytope, min_translation_distance
 from tightnav.obca import ControllerConfig, StrategyLabel
 from tightnav.predictor import StrategyPrediction
@@ -135,7 +144,7 @@ def test_sc_steers_back_toward_centerline():
     above = safety_control(np.array([0.5, 0.2, 0.0, 0.5]), tv, straight_ref(), CFG, V_REF)
     below = safety_control(np.array([0.5, -0.2, 0.0, 0.5]), tv, straight_ref(), CFG, V_REF)
     assert above[0] < 0.0 < below[0]
-    assert abs(above[0]) <= CFG.params.delta_max + 1e-12
+    assert abs(above[0]) <= DELTA_MAX + 1e-12
 
 
 def test_sc_tracks_the_reference_speed_it_is_given():
@@ -157,28 +166,27 @@ def test_sc_rejects_empty_tv_prediction():
 
 def test_sc_stationary_tv_property():
     """50 random recoverable approaches: clearance kept, speed monotone."""
-    p = CFG.params
-    r = p.covering_radius
+    r = COVERING_RADIUS
     rng = np.random.default_rng(2)
     ref = straight_ref()
     for _ in range(50):
         gap0 = rng.uniform(2.0 * r, 10.0 * r)
         tv = np.array([gap0, 0.0, 0.0, 0.0])
         tv_seq = np.tile(tv, (30, 1))
-        v_cap = math.sqrt(max(2.0 * p.a_max * (gap0 - p.length - CFG.d_min), 0.0))
+        v_cap = math.sqrt(max(2.0 * A_MAX * (gap0 - LENGTH - CFG.d_min), 0.0))
         z = np.array([0.0, 0.0, 0.0, min(0.9 * v_cap, V_REF)])
         prev_v = z[3]
         inside = False
         for _ in range(120):
             u = safety_control(z, tv_seq, ref, CFG, V_REF)
-            z = step_rk4(z, u, DT, p)
+            z = step_rk4(z, u, DT)
             if math.hypot(tv[0] - z[0], tv[1] - z[1]) <= 3.0 * r:
                 inside = True
             if inside:
                 assert z[3] <= prev_v + 1e-9
             prev_v = z[3]
-            d = min_translation_distance(body_polytope(z, p.length, p.width),
-                                         body_polytope(tv, p.length, p.width))
+            d = min_translation_distance(body_polytope(z, LENGTH, WIDTH),
+                                         body_polytope(tv, LENGTH, WIDTH))
             assert d >= CFG.d_min
 
 
@@ -208,12 +216,11 @@ def test_speed_target_lies_between_zero_and_reference(z, tv, v_ref):
 def test_speed_target_ignores_tv_outside_the_corridor(z, tv, behind, gap, offset, v_ref):
     # Behind the EV, or beside the corridor by more than the TV's largest
     # lateral extent (its covering radius).
-    p = CFG.params
-    corridor_half = 0.5 * p.width + CORRIDOR_SLACK + 2.0 * CFG.d_min
+    corridor_half = 0.5 * WIDTH + CORRIDOR_SLACK + 2.0 * CFG.d_min
     if behind:
         tv[0] = ahead_of(z, -gap, offset, tv[0][2], tv[0][3])
     else:
-        lat = math.copysign(corridor_half + p.covering_radius + gap, offset)
+        lat = math.copysign(corridor_half + COVERING_RADIUS + gap, offset)
         tv[0] = ahead_of(z, offset, lat, tv[0][2], tv[0][3])
     assert safety_speed_target(np.array(z), np.array(tv), CFG, v_ref) == v_ref
 
@@ -281,7 +288,6 @@ def test_sc_holds_farther_behind_angled_tv():
 
 def test_sc_survives_backward_sweep_closed_loop():
     """EV settles behind the swept region, never inside the clearance floor."""
-    p = CFG.params
     n = 70
     tv_traj = np.tile(np.array([1.3, 0.0, 0.0, 0.0]), (n, 1))
     for t in range(15, 40):
@@ -292,15 +298,14 @@ def test_sc_survives_backward_sweep_closed_loop():
     z = np.array([0.0, 0.0, 0.0, 0.5])
     for t in range(n - 1):
         u = safety_control(z, tv_traj[t:], ref, CFG, V_REF)
-        z = step_rk4(z, u, DT, p)
-        d = min_translation_distance(body_polytope(z, p.length, p.width),
-                                     body_polytope(tv_traj[t + 1], p.length, p.width))
+        z = step_rk4(z, u, DT)
+        d = min_translation_distance(body_polytope(z, LENGTH, WIDTH),
+                                     body_polytope(tv_traj[t + 1], LENGTH, WIDTH))
         assert d >= CFG.d_min
     assert z[3] == pytest.approx(0.0, abs=0.01)
 
 
 def test_sc_matches_speed_behind_moving_tv():
-    p = CFG.params
     v_tv = 0.2
     n = 80
     tv_traj = np.stack([0.8 + v_tv * DT * np.arange(n), np.zeros(n),
@@ -310,18 +315,18 @@ def test_sc_matches_speed_behind_moving_tv():
     settled_at = None
     for t in range(n - 21):
         u = safety_control(z, tv_traj[t : t + 21], ref, CFG, V_REF)
-        z = step_rk4(z, u, DT, p)
-        d = min_translation_distance(body_polytope(z, p.length, p.width),
-                                     body_polytope(tv_traj[t + 1], p.length, p.width))
+        z = step_rk4(z, u, DT)
+        d = min_translation_distance(body_polytope(z, LENGTH, WIDTH),
+                                     body_polytope(tv_traj[t + 1], LENGTH, WIDTH))
         assert d >= CFG.d_min
         if settled_at is None and abs(z[3] - v_tv) < 0.02:
             settled_at = (t + 1) * DT
     assert settled_at is not None and settled_at <= 3.0
 
 
-def pursuit_steering_loop(z, ref, p):
+def pursuit_steering_loop(z, ref):
     """Reference: pure pursuit walking the reference one segment at a time."""
-    lookahead = 3.0 * p.length
+    lookahead = 3.0 * LENGTH
     i0 = nearest_ref_index(ref, z[:2])
     target = ref[-1, :2]
     dist = 0.0
@@ -335,12 +340,11 @@ def pursuit_steering_loop(z, ref, p):
     if ld < 1e-9:
         return 0.0
     alpha = math.atan2(dy, dx) - z[2]
-    delta = math.atan2(2.0 * p.wheelbase * math.sin(alpha), ld)
-    return float(np.clip(delta, -p.delta_max, p.delta_max))
+    delta = math.atan2(2.0 * WHEELBASE * math.sin(alpha), ld)
+    return float(np.clip(delta, -DELTA_MAX, DELTA_MAX))
 
 
 def test_pursuit_steering_matches_segment_walk():
-    p = CFG.params
     rng = np.random.default_rng(29)
     for _ in range(300):
         n = int(rng.integers(2, 30))
@@ -351,38 +355,38 @@ def test_pursuit_steering_matches_segment_walk():
         ref = np.column_stack([pts, np.zeros((n, 2))])
         z = np.array([*(pts[rng.integers(n)] + rng.normal(0.0, 0.1, 2)),
                       rng.uniform(-0.5, 0.5), 0.4])
-        got = _pursuit_steering(z.tolist(), _path(ref), p)
-        assert got == pursuit_steering_loop(z, ref, p)
+        got = _pursuit_steering(z.tolist(), _path(ref))
+        assert got == pursuit_steering_loop(z, ref)
     # A point exactly one lookahead along the path is the target, not the next.
-    look = 3.0 * p.length
+    look = 3.0 * LENGTH
     ref = np.array([[0.0, 0.0, 0.0, 0.5], [look, 0.0, 0.0, 0.5], [look, 1.0, 0.0, 0.5]])
     z = np.array([0.0, 0.0, 0.0, 0.5])
-    assert _pursuit_steering(z.tolist(), _path(ref), p) == pursuit_steering_loop(z, ref, p) == 0.0
+    assert _pursuit_steering(z.tolist(), _path(ref)) == pursuit_steering_loop(z, ref) == 0.0
 
 
 # --- emergency brake --------------------------------------------------------
 
 def test_eb_brakes_against_motion():
-    assert emergency_brake(np.array([0, 0, 0, 1.0]), CFG)[1] == -CFG.params.a_max
-    assert emergency_brake(np.array([0, 0, 0, -0.5]), CFG)[1] == CFG.params.a_max
-    u = emergency_brake(np.array([0, 0, 0, 0.0]), CFG)
+    assert emergency_brake(np.array([0, 0, 0, 1.0]))[1] == -A_MAX
+    assert emergency_brake(np.array([0, 0, 0, -0.5]))[1] == A_MAX
+    u = emergency_brake(np.array([0, 0, 0, 0.0]))
     assert u[0] == 0.0 and u[1] == 0.0
 
 
 def test_eb_lands_exactly_on_zero():
     z = np.array([0.0, 0.0, 0.0, 0.05])
-    u = emergency_brake(z, CFG)
-    z1 = step_rk4(z, u, DT, CFG.params)
+    u = emergency_brake(z)
+    z1 = step_rk4(z, u, DT)
     assert z1[3] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_eb_stops_within_step_bound():
     v0 = 0.63
-    bound = math.ceil(abs(v0) / (CFG.params.a_max * DT))
+    bound = math.ceil(abs(v0) / (A_MAX * DT))
     z = np.array([0.0, 0.0, 0.0, v0])
     steps = 0
     while abs(z[3]) > 1e-12:
-        z = step_rk4(z, emergency_brake(z, CFG), DT, CFG.params)
+        z = step_rk4(z, emergency_brake(z), DT)
         steps += 1
         assert steps <= bound
     assert steps == bound
@@ -411,7 +415,7 @@ def test_anticipate_audits_the_configured_clearance_floor():
     # Stopped EV 0.03 m behind a parked TV: inside a 0.05 m floor, outside
     # a 0.01 m one.
     gap = 0.03
-    tv = np.tile(np.array([CFG.params.length + gap, 0.0, 0.0, 0.0]), (21, 1))
+    tv = np.tile(np.array([LENGTH + gap, 0.0, 0.0, 0.0]), (21, 1))
     z = np.zeros(4)
     assert anticipate_collision(z, tv, straight_ref(), ControllerConfig(d_min=0.05), V_REF)
     assert not anticipate_collision(z, tv, straight_ref(), ControllerConfig(d_min=0.01), V_REF)
@@ -425,14 +429,13 @@ def test_anticipate_recoverable_approach_false():
 def anticipate_collision_loop(z_ev, tv, ref, config, v_ref):
     """Reference: audit each EV/TV pose pair with the polytope distance as
     the safety law rolls forward, stopping at the first breach."""
-    p = config.params
     z = np.asarray(z_ev, float).copy()
     for t in range(len(tv)):
-        if min_translation_distance(body_polytope(z, p.length, p.width),
-                                    body_polytope(tv[t], p.length, p.width)) < config.d_min:
+        if min_translation_distance(body_polytope(z, LENGTH, WIDTH),
+                                    body_polytope(tv[t], LENGTH, WIDTH)) < config.d_min:
             return True
         if t + 1 < len(tv):
-            z = step_rk4(z, safety_control(z, tv[t:], ref, config, v_ref), DT, p)
+            z = step_rk4(z, safety_control(z, tv[t:], ref, config, v_ref), DT)
     return False
 
 
@@ -477,9 +480,8 @@ def test_anticipate_screen_cut_is_exact(monkeypatch):
     # the EV sits at the origin, so the centre distance is the TV's
     # coordinate to the bit.  Pairs up to the cut reach box_distances and
     # pairs beyond it do not, with the oracle's answer on both sides.
-    p = CFG.params
-    cut = 2.0 * p.covering_radius + CFG.d_min + 1e-9
-    diag = math.atan2(p.width, p.length)
+    cut = 2.0 * COVERING_RADIUS + CFG.d_min + 1e-9
+    diag = math.atan2(WIDTH, LENGTH)
     real = tightnav.supervisor.box_distances
     measured = []
 
@@ -500,8 +502,8 @@ def test_anticipate_screen_cut_is_exact(monkeypatch):
             assert got == anticipate_collision_loop(z, tv, straight_ref(), CFG, V_REF)
             assert not got
             assert measured == ([1] if reached else [])
-            gap = min_translation_distance(body_polytope(z, p.length, p.width),
-                                           body_polytope(tv[0], p.length, p.width))
+            gap = min_translation_distance(body_polytope(z, LENGTH, WIDTH),
+                                           body_polytope(tv[0], LENGTH, WIDTH))
             assert gap == pytest.approx(CFG.d_min + 1e-9 + shift, abs=1e-13)
 
 
