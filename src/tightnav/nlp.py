@@ -48,6 +48,17 @@ acceptable step ends the solve: the next subproblem would be built from the
 same point and multipliers and fail the same way.  Identical inputs produce
 bit-identical iterate sequences.
 
+A solve evaluates at x0 only what its first KKT test reads: the
+objective's value and gradient and the constraint values, with the
+callbacks' `jacobian` flag off.  The multipliers start at zero, so that
+test's residual is max |g| and its complementarity term is 0.  Only when
+the test fails, that is when a subproblem is about to be built, is x0
+evaluated again with its Jacobians; every later point, each line-search
+trial and correction, is evaluated once with its Jacobians, and the
+accepted one's evaluation is the next iterate's; most trials are
+accepted, so evaluating them for values first would evaluate most twice.
+A warm start that is already optimal thus costs no Jacobian at all.
+
 The solver takes no options.  Its tolerances, iteration cap, line-search
 constants and elastic penalty are the module constants below, and every solve
 records its per-iteration history.
@@ -97,7 +108,11 @@ ELASTIC_PENALTY = 1e4
 class NlpProblem:
     """Problem data: min f(x) s.t. c_eq(x) = 0, c_in(x) <= 0, lb <= x <= ub.
 
-    objective(x) -> (value, gradient); eq/ineq(x) -> (values, jacobian).
+    objective(x) -> (value, gradient).  eq/ineq(x, jacobian) -> (values,
+    jacobian matrix): the solver passes jacobian=False where it reads the
+    values alone (at x0, for the first KKT test) and ignores the matrix
+    then, so the callback may return None for it; the values must not
+    depend on the flag.  Every other evaluation passes True.
     lag_hess(x, mult_eq, mult_ineq) -> the n x n Hessian of the Lagrangian
     f + mult_eq . c_eq + mult_ineq . c_in, where mult_ineq covers the rows of
     `ineq` only (bounds are linear and add no curvature).  It may be
@@ -238,6 +253,22 @@ def _violation_inf(ce, ci):
     return max(v, 0.0)
 
 
+def _kkt_residual(g, Je, Ji, nu, lam, ci, b_var, b_sign) -> float:
+    """Max-norm KKT residual: stationarity of the Lagrangian, whose bound
+    terms are numbered as `qp.bound_rows` gives them, and complementarity
+    of every inequality row, the bounds' included."""
+    stat = g.copy()
+    if len(nu):
+        stat += Je.T @ nu
+    m_u = len(Ji)
+    if m_u:
+        stat += Ji.T @ lam[:m_u]
+    np.add.at(stat, b_var, b_sign * lam[m_u:])
+    r_stat = float(np.max(np.abs(stat))) if len(g) else 0.0
+    r_comp = float(np.max(np.abs(lam * ci))) if len(ci) else 0.0
+    return max(r_stat, r_comp)
+
+
 def solve_nlp(problem: NlpProblem, x0: np.ndarray,
               warm_rows: np.ndarray | None = None) -> NlpSolution:
     """Solve the NLP from x0.
@@ -266,26 +297,23 @@ def solve_nlp(problem: NlpProblem, x0: np.ndarray,
     x = np.clip(x, lo, hi)
     b_var, b_sign, b_rhs = bound_rows(lo, hi)
 
-    def eval_all(xv):
+    def evaluate(xv, jacobian):
+        """(f, g, ce, Je, ci, Ji) at xv, Je and Ji None unless jacobian.  ci
+        holds the value of every inequality row, the bounds' included; Ji
+        holds the Jacobian of the rows of `ineq` only."""
         fval, g = problem.objective(xv)
-        ce, Je = (np.zeros(0), np.zeros((0, n)))
-        if problem.eq is not None:
-            ce, Je = problem.eq(xv)
-            ce = np.asarray(ce, float).ravel()
-            Je = np.asarray(Je, float).reshape(len(ce), n)
-        ci_u, Ji_u = (np.zeros(0), np.zeros((0, n)))
-        if problem.ineq is not None:
-            ci_u, Ji_u = problem.ineq(xv)
-            ci_u = np.asarray(ci_u, float).ravel()
-            Ji_u = np.asarray(Ji_u, float).reshape(len(ci_u), n)
-        # ci holds the value of every inequality row, the bounds' included;
-        # Ji holds the Jacobian of the rows of `ineq` only.
+        rows = []
+        for fn in (problem.eq, problem.ineq):
+            c, jac = (np.zeros(0), np.zeros((0, n))) if fn is None else fn(xv, jacobian)
+            c = np.asarray(c, float).ravel()
+            rows += [c, np.asarray(jac, float).reshape(len(c), n) if jacobian else None]
+        ce, Je, ci_u, Ji = rows
         ci = np.concatenate([ci_u, b_sign * xv[b_var] - b_rhs])
-        return float(fval), np.asarray(g, float).ravel(), ce, Je, ci, Ji_u
+        return float(fval), np.asarray(g, float).ravel(), ce, Je, ci, Ji
 
     mu_pen = 1.0
-    fval, g, ce, Je, ci, Ji = eval_all(x)
-    m_u = len(Ji)
+    fval, g, ce, Je, ci, Ji = evaluate(x, False)
+    m_u = len(ci) - len(b_var)
     lam = np.zeros(len(ci))
     nu = np.zeros(len(ce))
     warm = None if warm_rows is None else np.asarray(warm_rows, dtype=int).ravel()
@@ -294,23 +322,19 @@ def solve_nlp(problem: NlpProblem, x0: np.ndarray,
     history: list = []
     it = 0
 
-    def kkt(gv, Jev, Jiv, nuv, lamv, cev, civ):
-        stat = gv.copy()
-        if len(cev):
-            stat += Jev.T @ nuv
-        if m_u:
-            stat += Jiv.T @ lamv[:m_u]
-        np.add.at(stat, b_var, b_sign * lamv[m_u:])
-        r_stat = float(np.max(np.abs(stat))) if n else 0.0
-        r_comp = float(np.max(np.abs(lamv * civ))) if len(civ) else 0.0
-        return max(r_stat, r_comp)
-
     for it in range(1, ITER_MAX + 1):
-        r_kkt = kkt(g, Je, Ji, nu, lam, ce, ci)
+        if Je is None:
+            # x0, whose multipliers are zero: `_kkt_residual`'s multiplier
+            # terms add zeros and its complementarity term is 0.
+            r_kkt = float(np.max(np.abs(g))) if n else 0.0
+        else:
+            r_kkt = _kkt_residual(g, Je, Ji, nu, lam, ci, b_var, b_sign)
         r_feas = _violation_inf(ce, ci)
         if r_kkt <= TOL_KKT and r_feas <= TOL_FEAS:
             status = "optimal"
             break
+        if Je is None:
+            fval, g, ce, Je, ci, Ji = evaluate(x, True)
 
         # Ill-conditioned endgames can overflow the curvature to inf; surface
         # that as a status instead of letting the factorization raise, so
@@ -382,7 +406,7 @@ def solve_nlp(problem: NlpProblem, x0: np.ndarray,
         soc_tried = False
         for _ in range(LS_MAX):
             x_try = x + alpha * p
-            ev_try = eval_all(x_try)
+            ev_try = evaluate(x_try, True)
             f_try, _, ce_t, _, ci_t, _ = ev_try
             merit_try = f_try + mu_pen * _violation_l1(ce_t, ci_t)
             if merit_try <= merit0 + ARMIJO * alpha * deriv + 1e-12:
@@ -403,7 +427,7 @@ def solve_nlp(problem: NlpProblem, x0: np.ndarray,
                     # into the variable box before touching the model
                     # functions; some of them are undefined outside it.
                     x_soc = np.clip(x + p + dp, lo, hi)
-                    ev_soc = eval_all(x_soc)
+                    ev_soc = evaluate(x_soc, True)
                     f_soc, _, ce_s, _, ci_s, _ = ev_soc
                     m_soc = f_soc + mu_pen * _violation_l1(ce_s, ci_s)
                     if m_soc <= merit0 + ARMIJO * deriv + 1e-12:
@@ -430,7 +454,7 @@ def solve_nlp(problem: NlpProblem, x0: np.ndarray,
     else:
         # Every break leaves the point whose residuals it just measured;
         # only the last iteration's step has not been measured yet.
-        r_kkt = kkt(g, Je, Ji, nu, lam, ce, ci)
+        r_kkt = _kkt_residual(g, Je, Ji, nu, lam, ci, b_var, b_sign)
         r_feas = _violation_inf(ce, ci)
         if r_kkt <= TOL_KKT and r_feas <= TOL_FEAS:
             status = "optimal"

@@ -17,6 +17,15 @@ at most that move, so the certificates are computed again only when a
 disengaged pair can have come under the threshold.  The index layout that
 depends on the horizon alone is built once per controller.
 
+A step evaluates only what it reads.  The certificate pass returns each
+pair's value with its best face and body-frame normals, and a pair's dual
+certificate is formed from those only where it seeds an engaged pair at
+contact.  The NLP's rows evaluate without their Jacobians when the solver
+asks for values alone (its first KKT test at the warm start, see
+`tightnav.nlp`), so a step whose warm start is already optimal, the
+commonest step when no vehicle is close, builds no dynamics Jacobian.  A
+step without strategy rows skips the unreachable-strategy screen.
+
 Consecutive control steps warm-start each other twice over: the previous
 plan, shifted one stage, is the primal initial guess, and the previous
 solve's final QP working set, shifted the same way, seeds the first SQP
@@ -31,6 +40,7 @@ import copy
 import functools
 import logging
 import math
+import numbers
 from dataclasses import dataclass, field
 from enum import IntEnum
 
@@ -177,8 +187,14 @@ class ControllerConfig:
     d_min: float = 0.01
 
     def __post_init__(self):
+        # A bool is an int, and a NaN floor fails every comparison, which
+        # would switch collision anticipation off without an error.
+        if isinstance(self.horizon, bool) or not isinstance(self.horizon, numbers.Integral):
+            raise ValueError(f"horizon must be an integer, got {self.horizon!r}")
         if self.horizon < 1:
             raise ValueError("horizon must be at least one step")
+        if not math.isfinite(self.d_min):
+            raise ValueError(f"d_min must be finite, got {self.d_min!r}")
         if self.d_min <= 0:
             raise ValueError("d_min must be positive")
         if ENGAGE_DIST <= self.d_min:
@@ -260,13 +276,15 @@ def _face_certificates(env: EnvironmentEncoding, zs):
     """Best single-face separation certificates for every step and obstacle.
 
     For each state zs[t] and obstacle m of env step t, returns (vals (T, M),
-    lam (T, M, 4), mu (T, M, 4)).  vals[t, m] is a lower bound on the
+    best (T, M), normals (T, M, 4, 2)).  vals[t, m] is a lower bound on the
     body-obstacle distance: the clearance of the ego body beyond the most
-    separating obstacle face.  lam picks that face, mu balances the
-    stationarity row, and the normal bound holds with equality, so each
-    triple is dual-feasible whenever its value is >= 0.  Trajectories
-    stacked as zs (S, T, 4) get results of shape (S, T, ...), with the bits
-    of one call per trajectory.  The face norms come from the encoding.
+    separating obstacle face, best[t, m].  normals[t, m] holds that
+    obstacle's unit face normals in the body frame at zs[t], which with
+    `best` is all the pair's dual certificate needs (`_certificate`); only
+    a pair at contact reads one (`_seed_duals`), so no (lam, mu) is formed
+    here.  Trajectories stacked as zs (S, T, 4) get results of shape
+    (S, T, ...), with the bits of one call per trajectory.  The face norms
+    come from the encoding.
 
     vals is 1-Lipschitz in position and r-Lipschitz in heading, r the
     body's covering radius, so vals(z') >= vals(z) - (|dp| + r |dpsi|).  A
@@ -279,36 +297,47 @@ def _face_certificates(env: EnvironmentEncoding, zs):
     zs = np.asarray(zs, float)
     n = zs.shape[-2]
     a_mat, b_vec = (faces[:n] for faces in env.faces)
-    norms = env.norms[:n]
-    clear = ((a_mat @ zs[..., None, :2, None])[..., 0] - b_vec) / norms
+    clear = ((a_mat @ zs[..., None, :2, None])[..., 0] - b_vec) / env.norms[:n]
     c, s = np.cos(zs[..., 2]), np.sin(zs[..., 2])
     rot = np.stack([np.stack([c, -s], axis=-1), np.stack([s, c], axis=-1)], axis=-2)
-    v = env.unit_normals[:n] @ rot[..., None, :, :]  # obstacle normals in the body frame
-    face_vals = clear - np.abs(v) @ BODY_H[:2]
-    best = np.argmax(face_vals, axis=-1)[..., None]
-    vals = np.take_along_axis(face_vals, best, axis=-1)[..., 0]
-    lam = np.zeros(face_vals.shape)
-    np.put_along_axis(lam, best, 1.0 / np.take_along_axis(
-        np.broadcast_to(norms, face_vals.shape), best, axis=-1), axis=-1)
-    w2 = -np.take_along_axis(v, best[..., None], axis=-2)[..., 0, :]
-    mu = np.maximum(np.concatenate([w2, -w2], axis=-1), 0.0)
-    return vals, lam, mu
+    normals = env.unit_normals[:n] @ rot[..., None, :, :]
+    face_vals = clear - np.abs(normals) @ BODY_H[:2]
+    best = np.argmax(face_vals, axis=-1)
+    vals = np.take_along_axis(face_vals, best[..., None], axis=-1)[..., 0]
+    return vals, best, normals
 
 
-def _seed_duals(obs: Polytope, z, face_lam, face_mu):
-    """(distance, lam, mu): the engagement seed of one pair at state z.
+def _certificate(norms, face, normals):
+    """(lam (4,), mu (4,)): the dual certificate of one pair's best face.
+
+    norms (4,) are the obstacle's face norms, face the best face and
+    normals (4, 2) the unit face normals in the body frame, that pair's
+    entries of `_face_certificates`.  lam picks the face, scaled so the
+    normal bound holds with equality, and mu balances the stationarity
+    row, so the pair is dual-feasible whenever its value is >= 0.
+    """
+    lam = np.zeros(4)
+    lam[face] = 1.0 / norms[face]
+    w2 = -normals[face]
+    return lam, np.maximum(np.concatenate([w2, -w2]), 0.0)
+
+
+def _seed_duals(env: EnvironmentEncoding, t: int, m: int, z, faces):
+    """(distance, lam, mu): the engagement seed of pair (t, m) at state z.
 
     Apart, the exact pairwise distance's scaled multipliers: they satisfy
     the dual stationarity row exactly and put the clearance expression at
     the true distance.  At a distance of 1e-6 or less, the pair's best-face
-    certificate (face_lam, face_mu from `_face_certificates`), because the
-    witness multipliers vanish at contact, and zero duals would zero out the
-    clearance row's position gradient and strand the solver; the
-    certificate keeps a nonzero escape direction in the linearization.
+    certificate (`_certificate` of faces = (best, normals), the tail of the
+    trajectory's `_face_certificates`), because the witness multipliers
+    vanish at contact, and zero duals would zero out the clearance row's
+    position gradient and strand the solver; the certificate keeps a
+    nonzero escape direction in the linearization.
     """
-    res = distance_witness(obs, body_polytope(z, LENGTH, WIDTH))
+    res = distance_witness(env.obstacles(t)[m], body_polytope(z, LENGTH, WIDTH))
     if res.distance <= 1e-6:
-        return res.distance, face_lam, face_mu
+        best, normals = faces
+        return (res.distance, *_certificate(env.norms[t, m], best[t, m], normals[t, m]))
     return res.distance, res.mult_p / res.distance, res.mult_q / res.distance
 
 
@@ -577,38 +606,53 @@ class _StepNlp:
         grad = np.concatenate([2.0 * wz.ravel(), grad_u.ravel(), 2.0 * DUAL_REG * xd])
         return float(val), grad
 
-    def eq(self, x):
+    def eq(self, x, jacobian=True):
+        """(values, Jacobian) of the equality rows; the Jacobian is None
+        without `jacobian`.  The dynamics values then come from `step_rk4`
+        stage by stage, which gives `step_jacobians`' bits at a third of
+        its cost: 61 against 198 us for 20 stages, best of 7, on a 2-core
+        x86-64 host."""
         n_h = self.cfg.horizon
         n_pairs = len(self.pairs)
         vals = np.zeros(self.nz + 2 * n_pairs)
-        jac = np.zeros((len(vals), self.n))
         # Given x every stage is independent: stage t steps from z_t (z_0
-        # for t = 0) under u_t, so one call covers the horizon.
+        # for t = 0) under u_t, so one `step_jacobians` call covers the
+        # horizon.
         zs = x[: self.nz].reshape(n_h, 4)
         us = x[self.nz : self.nz + self.nuv].reshape(n_h, 2)
-        pred, jz, ju = step_jacobians(np.vstack([self.z0[None, :], zs[:-1]]), us, DT)
+        start = np.vstack([self.z0[None, :], zs[:-1]])
+        if jacobian:
+            pred, jz, ju = step_jacobians(start, us, DT)
+        else:
+            pred = np.array([step_rk4(z, u, DT) for z, u in zip(start, us)])
         vals[: self.nz] = (zs - pred).ravel()
-        np.fill_diagonal(jac[:, : self.nz], 1.0)
-        layout = self.layout
-        jac[layout.dyn_rows[1:], layout.jz_cols] = -jz[1:]
-        jac[layout.dyn_rows, layout.ju_cols] = -ju
         if n_pairs:
             rows = self.nz + 2 * np.arange(n_pairs)[:, None] + np.arange(2)  # (P, 2)
             a_t = self.obs_a.transpose(0, 2, 1)
             rot_t, drot_t = _rotations_t(x[self.psi_cols])
             atl = a_t @ x[self.lam_cols][:, :, None]  # (P, 2, 1)
             vals[rows] = x[self.mu_cols] @ BODY_G + (rot_t @ atl)[:, :, 0]
+        if not jacobian:
+            return vals, None
+        jac = np.zeros((len(vals), self.n))
+        np.fill_diagonal(jac[:, : self.nz], 1.0)
+        layout = self.layout
+        jac[layout.dyn_rows[1:], layout.jz_cols] = -jz[1:]
+        jac[layout.dyn_rows, layout.ju_cols] = -ju
+        if n_pairs:
             jac[rows, self.psi_cols[:, None]] = (drot_t @ atl)[:, :, 0]
             jac[rows[:, :, None], self.lam_cols[:, None, :]] = rot_t @ a_t
             jac[rows[:, :, None], self.mu_cols[:, None, :]] = BODY_G.T
         return vals, jac
 
-    def ineq(self, x):
+    def ineq(self, x, jacobian=True):
+        """(values, Jacobian) of the inequality rows; the Jacobian is None
+        without `jacobian`."""
         cfg = self.cfg
         n_pairs = len(self.pairs)
         n_rows = 2 * n_pairs + len(self.strat_w)
         vals = np.zeros(n_rows)
-        jac = np.zeros((n_rows, self.n))
+        jac = np.zeros((n_rows, self.n)) if jacobian else None
         if n_pairs:
             clear = np.arange(n_pairs)
             normal = n_pairs + clear
@@ -617,16 +661,19 @@ class _StepNlp:
             atl = (self.obs_a.transpose(0, 2, 1) @ lam[:, :, None])[:, :, 0]
             vals[clear] = cfg.d_min + EPS_STRICT - (
                 _rowdot(edge, lam) - _rowdot(x[self.mu_cols], BODY_H))
-            jac[clear[:, None], self.pos_cols] = -atl
-            jac[clear[:, None], self.lam_cols] = -edge
-            jac[clear[:, None], self.mu_cols] = BODY_H
             vals[normal] = _rowdot(atl, atl) - 1.0
-            jac[normal[:, None], self.lam_cols] = 2.0 * (self.obs_a @ atl[:, :, None])[:, :, 0]
+            if jacobian:
+                jac[clear[:, None], self.pos_cols] = -atl
+                jac[clear[:, None], self.lam_cols] = -edge
+                jac[clear[:, None], self.mu_cols] = BODY_H
+                jac[normal[:, None], self.lam_cols] = 2.0 * (
+                    self.obs_a @ atl[:, :, None])[:, :, 0]
         if len(self.strat_w):
             rows = 2 * n_pairs + np.arange(len(self.strat_w))
             vals[rows] = self.strat_offset - np.einsum("si,si->s", self.strat_w,
                                                        x[self.strat_cols])
-            jac[rows[:, None], self.strat_cols] = -self.strat_w
+            if jacobian:
+                jac[rows[:, None], self.strat_cols] = -self.strat_w
         return vals, jac
 
 
@@ -683,7 +730,11 @@ class ObcaController:
 
     def _unreachable_strategy(self, z0, stages, w, offset) -> bool:
         """Cheap infeasibility screen: position moves at most |v| dt per step,
-        so a row z0 violates by more than the distance to its stage fails."""
+        so a row z0 violates by more than the distance to its stage fails.
+        Without rows there is nothing to screen, and no travel table is
+        built."""
+        if not len(stages):
+            return False
         n_h = self.config.horizon
         v_cap = max(abs(V_MIN), V_MAX)
         speed = abs(float(z0[3]))
@@ -722,11 +773,12 @@ class ObcaController:
         # where the dual rows cannot express an escape direction; fall back to
         # a braking rollout, which is collision-free whenever the start is.
         brake_start = False
-        (f_g, f_r), (lam_g, _), (mu_g, _) = _face_certificates(env, np.stack([zs_g, ref]))
+        (f_g, f_r), best, normals = _face_certificates(env, np.stack([zs_g, ref]))
+        faces_g = best[0], normals[0]
         if np.min(f_g[1:]) < 0.0:
             zs_g, us_g = self._braking_guess(z0)
             brake_start = True
-            f_g, lam_g, mu_g = _face_certificates(env, zs_g)
+            f_g, *faces_g = _face_certificates(env, zs_g)
 
         # Engage only pairs that either the warm start or the reference comes
         # close to; far pairs get no decision variables.
@@ -734,8 +786,7 @@ class ObcaController:
         pairs = []
         for t, m in np.argwhere(np.minimum(f_g, f_r)[1:] < ENGAGE_DIST) + (1, 0):
             t, m = int(t), int(m)
-            dist, lam_w, mu_w = _seed_duals(env.obstacles(t)[m], zs_g[t],
-                                            lam_g[t, m], mu_g[t, m])
+            dist, lam_w, mu_w = _seed_duals(env, t, m, zs_g[t], faces_g)
             if dist < ENGAGE_DIST or f_r[t, m] < ENGAGE_DIST:
                 pairs.append((t, m))
                 dual_map[(t, m)] = (lam_w, mu_w)
@@ -767,9 +818,8 @@ class ObcaController:
                     break
                 brake_start = True
                 zs_g, us_g = self._braking_guess(z0)
-                f_g, lam_b, mu_b = _face_certificates(env, zs_g)
-                dual_map = {(t, m): _seed_duals(env.obstacles(t)[m], zs_g[t],
-                                                lam_b[t, m], mu_b[t, m])[1:]
+                f_g, *faces_b = _face_certificates(env, zs_g)
+                dual_map = {(t, m): _seed_duals(env, t, m, zs_g[t], faces_b)[1:]
                             for t, m in pairs}
                 continue
             # Promotion check: a face certificate's value bounds the distance
@@ -781,13 +831,12 @@ class ObcaController:
                 break
             promote = []
             engaged = set(pairs)
-            f_s, lam_s, mu_s = _face_certificates(env, zs)
+            f_s, *faces_s = _face_certificates(env, zs)
             for t, m in np.argwhere(f_s[1:] < threshold) + (1, 0):
                 t, m = int(t), int(m)
                 if (t, m) in engaged:
                     continue
-                dist, lam_w, mu_w = _seed_duals(env.obstacles(t)[m], zs[t],
-                                                lam_s[t, m], mu_s[t, m])
+                dist, lam_w, mu_w = _seed_duals(env, t, m, zs[t], faces_s)
                 if dist < threshold:
                     promote.append((t, m))
                     dual_map[(t, m)] = (lam_w, mu_w)

@@ -51,6 +51,10 @@
 - `clearance_twice` audits each obstacle with the separating-axis test and
   then `min_translation_distance`, which runs the test again;
   `simulate._clearance` must return the same (hit, distance).
+- `face_certificates_full` forms every (stage, obstacle) pair's best-face
+  certificate as full (lam, mu) arrays; `obca._face_certificates` returns
+  the values and what one pair's certificate needs, and `obca._certificate`
+  of a pair must give that pair's (lam, mu) bits.
 """
 
 import math
@@ -79,7 +83,7 @@ from tightnav.geometry import (
     polytopes_intersect,
     project_to_critical_boundary,
 )
-from tightnav.obca import StrategyLabel
+from tightnav.obca import BODY_H, StrategyLabel
 from tightnav.qp import solve_qp
 from tightnav.scenario import DT, LOT
 from tightnav.supervisor import (
@@ -538,3 +542,25 @@ def clearance_twice(z, obstacles):
             hit = True
         dist = min(dist, min_translation_distance(body, obs))
     return hit, dist
+
+
+def face_certificates_full(env, zs):
+    """(vals (T, M), lam (T, M, 4), mu (T, M, 4)): every pair's best-face
+    separation certificate, for trajectories stacked as (S, T, 4) too."""
+    zs = np.asarray(zs, float)
+    n = zs.shape[-2]
+    a_mat, b_vec = (faces[:n] for faces in env.faces)
+    norms = env.norms[:n]
+    clear = ((a_mat @ zs[..., None, :2, None])[..., 0] - b_vec) / norms
+    c, s = np.cos(zs[..., 2]), np.sin(zs[..., 2])
+    rot = np.stack([np.stack([c, -s], axis=-1), np.stack([s, c], axis=-1)], axis=-2)
+    v = env.unit_normals[:n] @ rot[..., None, :, :]
+    face_vals = clear - np.abs(v) @ BODY_H[:2]
+    best = np.argmax(face_vals, axis=-1)[..., None]
+    vals = np.take_along_axis(face_vals, best, axis=-1)[..., 0]
+    lam = np.zeros(face_vals.shape)
+    np.put_along_axis(lam, best, 1.0 / np.take_along_axis(
+        np.broadcast_to(norms, face_vals.shape), best, axis=-1), axis=-1)
+    w2 = -np.take_along_axis(v, best[..., None], axis=-2)[..., 0, :]
+    mu = np.maximum(np.concatenate([w2, -w2], axis=-1), 0.0)
+    return vals, lam, mu

@@ -59,7 +59,7 @@ def test_circle_constrained_linear_objective():
     def obj(x):
         return float(x[0] + x[1]), np.array([1.0, 1.0])
 
-    def eq(x):
+    def eq(x, jacobian=True):
         return np.array([x @ x - 1.0]), (2.0 * x).reshape(1, 2)
 
     def lag_hess(x, nu, lam):
@@ -101,7 +101,7 @@ def test_infeasible_detected_after_one_elastic_step(monkeypatch):
     def obj(x):
         return float(x @ x), 2.0 * x
 
-    def ineq(x):
+    def ineq(x, jacobian=True):
         # x0 >= 1 and x0 <= -1: empty.
         return np.array([1.0 - x[0], x[0] + 1.0]), np.array([[-1.0, 0.0], [1.0, 0.0]])
 
@@ -133,7 +133,7 @@ def test_merit_non_increasing_on_accepted_steps():
     def obj(x):
         return float((x[0] - 3) ** 2 + x[1] ** 2), np.array([2 * (x[0] - 3), 2 * x[1]])
 
-    def ineq(x):
+    def ineq(x, jacobian=True):
         return np.array([x[0] ** 2 + x[1] ** 2 - 1.0]), (2.0 * x).reshape(1, 2)
 
     prob = NlpProblem(n=2, objective=obj, lag_hess=disc_hess, ineq=ineq)
@@ -150,7 +150,7 @@ def test_determinism_bit_identical():
     def obj(x):
         return float((x[0] - 3) ** 2 + x[1] ** 2), np.array([2 * (x[0] - 3), 2 * x[1]])
 
-    def ineq(x):
+    def ineq(x, jacobian=True):
         return np.array([x[0] ** 2 + x[1] ** 2 - 1.0]), (2.0 * x).reshape(1, 2)
 
     prob = NlpProblem(n=2, objective=obj, lag_hess=disc_hess, ineq=ineq)
@@ -216,7 +216,7 @@ def build_tracking_nlp(z0, z_ref, n_steps, q_z, q_u):
             g[n_steps * nz + t * nu : n_steps * nz + (t + 1) * nu] = 2.0 * q_u * ut
         return val, g
 
-    def eq(x):
+    def eq(x, jacobian=True):
         vals = np.zeros(n_steps * nz)
         jac = np.zeros((n_steps * nz, n))
         prev = z0
@@ -230,7 +230,7 @@ def build_tracking_nlp(z0, z_ref, n_steps, q_z, q_u):
                 jac[rows, (t - 1) * nz : t * nz] = -jz
             jac[rows, n_steps * nz + t * nu : n_steps * nz + (t + 1) * nu] = -ju
             prev = z_at(x, t + 1)
-        return vals, jac
+        return vals, jac if jacobian else None
 
     lo = np.full(n, -np.inf)
     hi = np.full(n, np.inf)
@@ -315,7 +315,7 @@ def hinted_problems():
     def disc_obj(x):
         return float((x[0] - 3) ** 2 + x[1] ** 2), np.array([2 * (x[0] - 3), 2 * x[1]])
 
-    def disc_ineq(x):
+    def disc_ineq(x, jacobian=True):
         return np.array([x[0] ** 2 + x[1] ** 2 - 1.0]), (2.0 * x).reshape(1, 2)
 
     disc = NlpProblem(n=2, objective=disc_obj, lag_hess=disc_hess, ineq=disc_ineq)
@@ -505,7 +505,7 @@ def test_state_block_must_be_unit_lower_triangular():
     x0 = np.zeros(prob.n)
 
     def tampered(row, col, value):
-        def eq(x):
+        def eq(x, jacobian=True):
             vals, jac = prob.eq(x)
             jac[row, col] = value
             return vals, jac
@@ -558,7 +558,7 @@ def speed_bounded_tracking():
     lo, hi = prob.lower.copy(), prob.upper.copy()
     lo[3:k:4], hi[3:k:4] = 0.0, 0.7
 
-    def lateral(x):
+    def lateral(x, jacobian=True):
         jac = np.zeros((3, prob.n))
         jac[np.arange(3), np.arange(1, k, 4)] = 1.0
         return x[1:k:4] - 0.05, jac
@@ -567,10 +567,12 @@ def speed_bounded_tracking():
 
 
 def test_each_point_is_evaluated_once():
-    # The accepted trial's evaluation is the next iterate's, so no point
-    # reaches the constraint callbacks twice, and the iterates are those
-    # of an unrecorded rerun.  This solve rejects most full steps and
-    # accepts their second-order corrections instead.
+    # x0 reaches the constraint callbacks twice: without Jacobians for the
+    # first KKT test, then with them for the first subproblem.  The accepted
+    # trial's evaluation is the next iterate's, so every other point reaches
+    # them once, with Jacobians, and the iterates are those of an unrecorded
+    # rerun.  This solve rejects most full steps and accepts their
+    # second-order corrections instead.
     n_steps = 8
     z_ref = np.array([[0.1 * t, 0.5 * t, 0.0, 3.0] for t in range(n_steps + 1)])
     prob, _, _ = build_tracking_nlp(np.array([0.0, 0.0, 0.0, 0.5]), z_ref, n_steps,
@@ -578,17 +580,47 @@ def test_each_point_is_evaluated_once():
     prob = dataclasses.replace(prob, n_state=4 * n_steps)
     points = []
 
-    def eq(x):
-        points.append(x.copy())
-        return prob.eq(x)
+    def eq(x, jacobian=True):
+        points.append((x.tobytes(), jacobian))
+        return prob.eq(x, jacobian)
 
     x0 = np.zeros(prob.n)
     sol = solve_nlp(dataclasses.replace(prob, eq=eq), x0)
     assert sol.ok and len(points) > sol.iterations + 5
-    assert len({x.tobytes() for x in points}) == len(points)
+    assert points[:2] == [(x0.tobytes(), False), (x0.tobytes(), True)]
+    assert all(jacobian for _, jacobian in points[1:])
+    assert len({x for x, _ in points[1:]}) == len(points) - 1
     again = solve_nlp(prob, x0)
     assert np.array_equal(again.x, sol.x)
     assert again.history == sol.history
+
+
+def test_first_kkt_test_reads_the_gradient_alone():
+    """x0's multipliers are zero, so the first test's residual, the first
+    history record's, is `_kkt_residual` with zero multipliers at x0's full
+    evaluation, bit for bit: max |g|."""
+    prob, _ = speed_bounded_tracking()
+    x0 = np.zeros(prob.n)
+    sol = solve_nlp(prob, x0)
+    assert sol.ok and sol.iterations > 1
+    _, g = prob.objective(x0)
+    ce, Je = prob.eq(x0)
+    ci, Ji = prob.ineq(x0)
+    b_var, b_sign, b_rhs = bound_rows(prob.lower, prob.upper)
+    ci = np.concatenate([ci, b_sign * x0[b_var] - b_rhs])
+    want = tightnav.nlp._kkt_residual(g, Je, Ji, np.zeros(len(ce)), np.zeros(len(ci)), ci,
+                                      b_var, b_sign)
+    assert want > TOL_KKT
+    assert sol.history[0][3].hex() == want.hex() == float(np.max(np.abs(g))).hex()
+    rng = np.random.default_rng(4)
+    for n, me, mi in ((1, 0, 0), (6, 2, 3), (9, 4, 0), (5, 0, 7)):
+        g = rng.normal(size=n) * 10.0 ** rng.integers(-8, 3, n)
+        lo = np.where(rng.random(n) < 0.5, -1.0, -np.inf)
+        b_var, b_sign, b_rhs = bound_rows(lo, np.where(rng.random(n) < 0.5, 1.0, np.inf))
+        ci = rng.normal(size=mi + len(b_var))
+        want = tightnav.nlp._kkt_residual(g, rng.normal(size=(me, n)), rng.normal(size=(mi, n)),
+                                          np.zeros(me), np.zeros(len(ci)), ci, b_var, b_sign)
+        assert float(np.max(np.abs(g))).hex() == want.hex()
 
 
 def test_subproblems_pass_bounds_as_bounds(monkeypatch):
@@ -663,11 +695,11 @@ def elastic_toy():
     def obj(x):
         return float(x @ x), 2.0 * x
 
-    def eq(x):
+    def eq(x, jacobian=True):
         return (np.array([x[0] - 0.5 * x[1] - 0.2, 0.5 * (x[2] - x[3]) - 0.3 + 0.1 * x[2] ** 2]),
                 np.array([[1.0, -0.5, 0.0, 0.0], [0.0, 0.0, 0.5 + 0.2 * x[2], -0.5]]))
 
-    def ineq(x):
+    def ineq(x, jacobian=True):
         return np.array([0.5 * (1.0 - x[0]), x[3] - 2.0]), np.array([[-0.5, 0.0, 0.0, 0.0],
                                                                     [0.0, 0.0, 0.0, 1.0]])
 
@@ -859,7 +891,7 @@ def test_tangent_definite_hessian_takes_the_eigen_flip(monkeypatch):
         n=2,
         objective=lambda x: (float(-x[0] * x[1]), np.array([-x[1], -x[0]])),
         lag_hess=constant_hess(np.array([[0.0, -1.0], [-1.0, 0.0]])),
-        eq=lambda x: (np.array([x[0] + x[1] - 2.0]), np.array([[1.0, 1.0]])),
+        eq=lambda x, jacobian=True: (np.array([x[0] + x[1] - 2.0]), np.array([[1.0, 1.0]])),
     )
     sol, flipped = convexify_path(lambda: solve_nlp(prob, np.array([0.5, 1.5])),
                                   monkeypatch)

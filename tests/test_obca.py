@@ -5,6 +5,7 @@ system; trajectory safety is audited with the exact polytope distance.
 """
 
 import dataclasses
+import itertools
 import math
 import os
 
@@ -26,6 +27,7 @@ from tightnav.dynamics import (
     V_MIN,
     WIDTH,
     rollout,
+    step_jacobians,
     step_rk4,
 )
 from tightnav.geometry import (
@@ -44,6 +46,7 @@ from tightnav.obca import (
     StrategyLabel,
     generate_strategy_constraints,
     lateral_direction,
+    _certificate,
     _face_certificates,
     _HorizonLayout,
     _shift_keys,
@@ -56,7 +59,12 @@ from tightnav.qp import bound_rows
 from tightnav.scenario import benchmark_suite, parked_tv_scenario
 from tightnav.simulate import run_closed_loop
 
-from oracles import project_one, strategy_constraints_per_stage, strategy_halfspace
+from oracles import (
+    face_certificates_full,
+    project_one,
+    strategy_constraints_per_stage,
+    strategy_halfspace,
+)
 
 STRATEGY_MODEL = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "fixtures",
                               "strategy_model.json")
@@ -90,10 +98,24 @@ def straight_ref(z0, n, dt):
 # --- dual warm start --------------------------------------------------------
 
 def seed_duals(obstacle, z):
-    """`_seed_duals` of one pair, given the pair's face certificate."""
+    """`_seed_duals` of the one pair of a one-step, one-obstacle scene."""
     z = np.asarray(z, float)
-    _, lam_f, mu_f = _face_certificates(EnvironmentEncoding([[obstacle]]), z[None])
-    return _seed_duals(obstacle, z, lam_f[0, 0], mu_f[0, 0])
+    env = EnvironmentEncoding([[obstacle]])
+    _, *faces = _face_certificates(env, z[None])
+    return _seed_duals(env, 0, 0, z, faces)
+
+
+def count_pair_certificates(monkeypatch):
+    """Log the face of every `_certificate` call."""
+    calls = []
+    certify = tightnav.obca._certificate
+
+    def counting(norms, face, normals):
+        calls.append(int(face))
+        return certify(norms, face, normals)
+
+    monkeypatch.setattr(tightnav.obca, "_certificate", counting)
+    return calls
 
 
 def test_witness_duals_separated_boxes():
@@ -109,15 +131,20 @@ def test_witness_duals_separated_boxes():
     assert np.all(lam >= 0) and np.all(mu >= 0)
 
 
-def test_seed_duals_overlap_gives_face_certificate():
+def test_seed_duals_overlap_gives_face_certificate(monkeypatch):
     # The witness multipliers vanish at contact; the face certificate keeps
-    # an escape direction, and is dual feasible.
-    obstacle = Polytope.from_box((0.3, 0.0), 0.5, 0.5)
-    face_lam, face_mu = np.array([0.0, 0.0, 1.0, 0.0]), np.array([1.0, 0.0, 0.0, 0.0])
+    # an escape direction, and is dual feasible.  It is formed at contact
+    # only.
+    calls = count_pair_certificates(monkeypatch)
     z = np.zeros(4)
-    dist, lam, mu = _seed_duals(obstacle, z, face_lam, face_mu)
-    assert dist == 0.0 and lam is face_lam and mu is face_mu
-    _, lam, mu = seed_duals(obstacle, z)
+    seed_duals(Polytope.from_box((3.0, 0.0), 0.5, 0.5), z)
+    assert calls == []
+    obstacle = Polytope.from_box((0.3, 0.0), 0.5, 0.5)
+    dist, lam, mu = seed_duals(obstacle, z)
+    assert dist == 0.0 and len(calls) == 1
+    _, want_lam, want_mu = face_certificates_full(EnvironmentEncoding([[obstacle]]), z[None])
+    assert lam.tobytes() == want_lam[0, 0].tobytes()
+    assert mu.tobytes() == want_mu[0, 0].tobytes()
     assert np.any(lam > 0.0)
     val, stat, nrm = dual_residuals(obstacle, z, lam, mu)
     assert stat <= 1e-12 and nrm == pytest.approx(1.0, abs=1e-12)
@@ -151,9 +178,10 @@ def test_face_certificate_lower_bound_and_feasible():
         center = rng.uniform(-2.5, 2.5, size=2)
         obstacle = Polytope.from_box(center, rng.uniform(0.1, 0.8),
                                      rng.uniform(0.1, 0.8), rng.uniform(0, math.pi))
-        vals, lams, mus = _face_certificates(static_env(obstacle, 1, with_walls=False),
-                                             z[None, :])
-        value, lam, mu = vals[0, 0], lams[0, 0], mus[0, 0]
+        env = static_env(obstacle, 1, with_walls=False)
+        vals, best, normals = _face_certificates(env, z[None, :])
+        value = vals[0, 0]
+        lam, mu = _certificate(env.norms[0, 0], best[0, 0], normals[0, 0])
         dist = min_translation_distance(obstacle, body_polytope(z, LENGTH, WIDTH))
         assert value <= dist + 1e-9
         val_c, stat, nrm = dual_residuals(obstacle, z, lam, mu)
@@ -180,8 +208,9 @@ def test_face_certificates_batch_matches_corner_enumeration():
     env = EnvironmentEncoding([[tv, top, bottom] for tv in tvs])
     zs = np.column_stack([rng.uniform(-1, 3, n_steps), rng.uniform(-0.4, 0.4, n_steps),
                           rng.uniform(-math.pi, math.pi, n_steps), np.zeros(n_steps)])
-    vals, lam, mu = _face_certificates(env, zs)
+    vals, lam, mu = face_certificates_full(env, zs)
     assert vals.shape == (n_steps, 3) and lam.shape == mu.shape == (n_steps, 3, 4)
+    assert _face_certificates(env, zs)[0].tobytes() == vals.tobytes()
     for t in range(n_steps):
         corners = body_corners(zs[t])
         for m, obs in enumerate(env.obstacles(t)):
@@ -213,9 +242,36 @@ def test_face_certificates_stack_matches_separate_calls():
                                      rng.uniform(-math.pi, math.pi, n_steps),
                                      rng.uniform(-0.5, 0.5, n_steps)]) for _ in range(2)]
     stacked = _face_certificates(env, np.stack(trajectories))
+    full = face_certificates_full(env, np.stack(trajectories))
     for k, zs in enumerate(trajectories):
         for got, want in zip(stacked, _face_certificates(env, zs)):
             assert got[k].tobytes() == want.tobytes()
+        for got, want in zip(full, face_certificates_full(env, zs)):
+            assert got[k].tobytes() == want.tobytes()
+
+
+def test_pair_certificate_matches_full_arrays():
+    """Each pair's certificate, formed from a stacked call's best face and
+    normals, has the bits of the full (lam, mu) arrays, at contact too."""
+    rng = np.random.default_rng(36)
+    n_steps = 21
+    top, bottom = lane_walls()
+    tvs = [Polytope.from_box(rng.uniform(-1, 3, 2) * (1.0, 0.2), 0.2, 0.1, rng.uniform(-3, 3))
+           for _ in range(n_steps)]
+    env = EnvironmentEncoding([[tv, top, bottom] for tv in tvs])
+    zs = np.stack([np.column_stack([rng.uniform(-1, 3, n_steps), rng.uniform(-0.4, 0.4, n_steps),
+                                    rng.uniform(-math.pi, math.pi, n_steps),
+                                    rng.uniform(-0.5, 0.5, n_steps)]) for _ in range(2)])
+    # The TV's centre: every face certificate there is negative.
+    zs[1, ::3, :2] = [tv.vertices.mean(axis=0) for tv in tvs[::3]]
+    vals, best, normals = _face_certificates(env, zs)
+    want_vals, want_lam, want_mu = face_certificates_full(env, zs)
+    assert vals.tobytes() == want_vals.tobytes()
+    assert np.any(vals < 0.0) and np.any(vals > 0.0)
+    for k, t, m in itertools.product(range(2), range(n_steps), range(3)):
+        lam, mu = _certificate(env.norms[t, m], best[k, t, m], normals[k, t, m])
+        assert lam.tobytes() == want_lam[k, t, m].tobytes()
+        assert mu.tobytes() == want_mu[k, t, m].tobytes()
 
 
 @st.composite
@@ -586,20 +642,37 @@ def test_solve_step_avoids_blocking_obstacle():
 
 
 def test_solve_step_evaluates_each_point_once(monkeypatch):
+    """Each solve evaluates its x0 once without Jacobians, for its first
+    KKT test, and once with them when it takes a QP step; every other
+    point is evaluated once, with Jacobians."""
     tv, env, z0, ref = blocking_scene()
     cfg = ControllerConfig()
     points = []
+    starts = []
     eq = _StepNlp.eq
+    solve = tightnav.obca.solve_nlp
 
-    def recording(self, x):
-        points.append(x.copy())
-        return eq(self, x)
+    def recording(self, x, jacobian=True):
+        points.append((x.tobytes(), jacobian))
+        return eq(self, x, jacobian)
+
+    def recording_solve(problem, x0, warm_rows=None):
+        first = len(points)
+        sol = solve(problem, x0, warm_rows=warm_rows)
+        starts.append((points[first:], x0.tobytes(), sol.iterations))
+        return sol
 
     monkeypatch.setattr(_StepNlp, "eq", recording)
+    monkeypatch.setattr(tightnav.obca, "solve_nlp", recording_solve)
     sol = ObcaController(cfg).solve_step(z0, np.zeros(2), ref, env)
     assert sol.ok and sol.stats["engaged"] > 0
-    assert len(points) > 2
-    assert len({x.tobytes() for x in points}) == len(points)
+    assert any(iterations > 1 for *_, iterations in starts)
+    for own, x0, iterations in starts:
+        assert own[0] == (x0, False)
+        assert own.count((x0, True)) == (iterations > 1)
+        assert sum(not jacobian for _, jacobian in own) == 1
+    full = [x for x, jacobian in points if jacobian]
+    assert len(full) > 2 and len(set(full)) == len(full)
     monkeypatch.undo()
     again = ObcaController(cfg).solve_step(z0, np.zeros(2), ref, env)
     assert np.array_equal(again.zs, sol.zs) and np.array_equal(again.us, sol.us)
@@ -692,6 +765,9 @@ def test_unreachable_strategy_fires_past_the_reachable_distance():
     assert ctrl._unreachable_strategy(z0, stages, np.tile(w, (3, 1)), offset)
     assert not ctrl._unreachable_strategy(z0, stages, np.tile(w, (3, 1)),
                                           np.array([travel[t] for t in stages]))
+    # No rows, nothing to screen.
+    assert not ctrl._unreachable_strategy(z0, np.empty(0, dtype=int), np.empty((0, 2)),
+                                          np.empty(0))
 
 
 def test_solve_step_deterministic():
@@ -811,6 +887,54 @@ def test_step_nlp_eq_steps_the_horizon_in_one_call(fd_nlp, monkeypatch):
     monkeypatch.setattr(tightnav.obca, "step_jacobians", counted)
     nlp.eq(x)
     assert calls == [(nlp.cfg.horizon, 4)]
+
+
+def test_step_nlp_values_without_jacobians_match_full_evaluation(fd_nlp, monkeypatch):
+    """With the Jacobians off, the rows' values keep their bits, pairs and
+    strategy rows included, and the dynamics values come from one
+    `step_rk4` per stage instead of `step_jacobians`."""
+    nlp, x = fd_nlp
+    assert len(nlp.pairs) and len(nlp.strat_w)
+    rng = np.random.default_rng(9)
+    points = [x] + [x + rng.normal(0.0, 0.1, nlp.n) for _ in range(20)]
+    want = [(nlp.eq(v)[0], nlp.ineq(v)[0]) for v in points]
+    steps = []
+
+    def counted(z, u, dt):
+        steps.append(np.shape(z))
+        return tightnav.dynamics.step_rk4(z, u, dt)
+
+    monkeypatch.setattr(tightnav.obca, "step_rk4", counted)
+    monkeypatch.setattr(tightnav.obca, "step_jacobians", None)
+    for v, (want_eq, want_ineq) in zip(points, want):
+        vals, jac = nlp.eq(v, False)
+        assert jac is None and vals.tobytes() == want_eq.tobytes()
+        vals, jac = nlp.ineq(v, False)
+        assert jac is None and vals.tobytes() == want_ineq.tobytes()
+    assert steps == [(4,)] * (len(points) * nlp.cfg.horizon)
+
+
+def test_optimal_warm_start_builds_no_jacobian(monkeypatch):
+    """Beside the parked TV every solve ends at its first KKT test, so the
+    open-lane closed loop never builds a dynamics Jacobian."""
+    jacobians = []
+    iterations = []
+    solve = tightnav.obca.solve_nlp
+
+    def recording(*args, **kwargs):
+        sol = solve(*args, **kwargs)
+        iterations.append(sol.iterations)
+        return sol
+
+    def counted(z, u, dt):
+        jacobians.append(np.shape(z))
+        return step_jacobians(z, u, dt)
+
+    monkeypatch.setattr(tightnav.obca, "step_jacobians", counted)
+    monkeypatch.setattr(tightnav.obca, "solve_nlp", recording)
+    run_closed_loop(parked_tv_scenario(), "bl", max_steps=12)
+    assert len(iterations) >= 10 and set(iterations) == {1}
+    assert jacobians == []
 
 
 def test_step_nlp_lagrangian_hessian_matches_differences(fd_nlp):

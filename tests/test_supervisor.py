@@ -110,6 +110,14 @@ def test_config_validates_threshold_and_gains():
     ControllerConfig(d_min=0.2)
     with pytest.raises(ValueError):
         ControllerConfig(d_min=0.25)
+    # A NaN floor fails every comparison and would switch anticipation off.
+    for d_min in (float("nan"), float("inf"), -0.01, 0.0):
+        with pytest.raises(ValueError, match="d_min"):
+            ControllerConfig(d_min=d_min)
+    ControllerConfig(horizon=np.int64(5))
+    for horizon in (2.5, 20.0, True, 0, -3):
+        with pytest.raises(ValueError, match="horizon"):
+            ControllerConfig(horizon=horizon)
 
 
 # --- safety control ---------------------------------------------------------
