@@ -12,11 +12,17 @@ state rows fix the first `n_state` step components as an affine function of
 the rest, so the QP sees only the remaining variables and equality rows, and
 the step and the state-row multipliers are recovered exactly afterwards.
 The QP is the same strictly convex subproblem either way, so condensing
-changes its cost, not its answer.  A problem that declares its Hessian's
-diagonal blocks (`hess_blocks`) has its curvature tested and flipped block
-by block, batched over blocks of one size, instead of as one n x n
-matrix; the model is the same up to rounding, and bit for bit whenever no
-eigenvalue is flipped.
+changes its cost, not its answer.
+
+The Lagrangian Hessian travels as the stacks of its diagonal blocks
+(`hess_blocks`, batched over blocks of one size; see `NlpProblem`) from
+the problem's callback to the QP.  Its curvature is tested and flipped
+block by block; the model is the same as on one n x n matrix up to
+rounding, and bit for bit whenever no eigenvalue is flipped.  Condensing
+multiplies each block by the state map over that block's states only,
+which lead it, so every product is the sum a dense product takes over
+the same terms and exact zeros; the only dense Hessian formed is the
+QP's, the reduced one when states are condensed.
 
 Variable bounds reach the QP as bound vectors, never as dense unit rows;
 only the bounds of condensed states, which become affine in the remaining
@@ -66,6 +72,7 @@ records its per-iteration history.
 
 from __future__ import annotations
 
+import functools
 import logging
 from dataclasses import dataclass, field
 from typing import Callable
@@ -113,9 +120,12 @@ class NlpProblem:
     values alone (at x0, for the first KKT test) and ignores the matrix
     then, so the callback may return None for it; the values must not
     depend on the flag.  Every other evaluation passes True.
-    lag_hess(x, mult_eq, mult_ineq) -> the n x n Hessian of the Lagrangian
+    lag_hess(x, mult_eq, mult_ineq) -> the Hessian of the Lagrangian
     f + mult_eq . c_eq + mult_ineq . c_in, where mult_ineq covers the rows of
-    `ineq` only (bounds are linear and add no curvature).  It may be
+    `ineq` only (bounds are linear and add no curvature), as the stacks of
+    its diagonal blocks: one (blocks, size, size) array per index array of
+    `block_groups(hess_blocks)`, in that order, whose [b] is the Hessian on
+    the variables of that array's row b, in their order.  It may be
     indefinite or a Gauss-Newton approximation; the solver convexifies it
     before each subproblem.  Bounds may be None or contain +-inf entries.
 
@@ -127,16 +137,17 @@ class NlpProblem:
     when the block at a subproblem's iterate is not of that form.  0
     declares nothing.
 
-    hess_blocks, one integer label per variable, declares that `lag_hess`
-    has no nonzero entry between variables with different labels.  The
-    solver then tests and modifies the curvature block by block, and
-    raises ValueError when a Hessian has an entry outside the blocks.  None
-    declares nothing.
+    hess_blocks, one integer label per variable, declares that the
+    Lagrangian Hessian has no nonzero entry between variables with
+    different labels, so `lag_hess` returns the blocks' entries only.
+    None is one block holding every variable: `lag_hess` then returns
+    [h[None]] for the n x n Hessian h.  `solve_nlp` raises ValueError when
+    the stacks' count or shapes do not match the blocks.
     """
 
     n: int
     objective: Callable[[np.ndarray], tuple[float, np.ndarray]]
-    lag_hess: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
+    lag_hess: Callable[[np.ndarray, np.ndarray, np.ndarray], list[np.ndarray]]
     eq: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None
     ineq: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None
     lower: np.ndarray | None = None
@@ -178,12 +189,15 @@ class NlpSolution:
         return self.status == "optimal"
 
 
-def _block_groups(labels: np.ndarray) -> list[np.ndarray]:
+def block_groups(labels: np.ndarray) -> list[np.ndarray]:
     """The variables of each labelled block, grouped by block size: one
-    (blocks, size) index array per size, each row in ascending order."""
+    (blocks, size) index array per size, by ascending size, its rows the
+    blocks by ascending label, each row in ascending order."""
     order = np.argsort(labels, kind="stable")
-    _, first, size = np.unique(labels[order], return_index=True, return_counts=True)
-    return [order[first[size == s][:, None] + np.arange(s)] for s in np.unique(size)]
+    ordered = labels[order]
+    first = np.flatnonzero(np.concatenate([[True], ordered[1:] != ordered[:-1]]))
+    size = np.diff(first, append=len(labels))
+    return [order[first[size == s][:, None] + np.arange(s)] for s in sorted(set(size.tolist()))]
 
 
 def _definite(b: np.ndarray) -> bool:
@@ -197,42 +211,31 @@ def _definite(b: np.ndarray) -> bool:
     return True
 
 
-def _convexify(h: np.ndarray, blocks: list[np.ndarray] | None) -> np.ndarray:
-    """Positive-definite model of h: h + FLOOR * I when every block of it
-    passes a Cholesky test, else h with every block's eigenvalues replaced
-    by their magnitudes, floored at FLOOR (Nocedal & Wright, *Numerical
-    Optimization*, 2nd ed., 3.4).  The flip leaves a block whose eigenvalues
-    all exceed FLOOR as it is, up to rounding, so a size group that passes
-    a Cholesky test of h - FLOOR * I is kept without an eigendecomposition.
-
-    blocks (from `_block_groups`) declares h block diagonal: it must have no
-    nonzero entry outside the blocks, else ValueError.  The test and the
-    flip then run per block, batched over blocks of one size, and give the
-    same matrix as on the whole of h (the flip up to rounding).  None is
-    one block holding every variable.
+def _convexify(stacks: list[np.ndarray]) -> list[np.ndarray]:
+    """Positive-definite model of the block-diagonal Hessian whose blocks
+    are the stacks (`NlpProblem.lag_hess`), as stacks of the same shapes:
+    every block + FLOOR * I when every block passes a Cholesky test, else
+    every block with its eigenvalues replaced by their magnitudes, floored
+    at FLOOR (Nocedal & Wright, *Numerical Optimization*, 2nd ed., 3.4).
+    The flip leaves a block whose eigenvalues all exceed FLOOR as it is, up
+    to rounding, so a stack that passes a Cholesky test of s - FLOOR * I is
+    kept without an eigendecomposition.  Block by block, the test and the
+    flip give the model they give on the whole matrix (the flip up to
+    rounding).
     """
-    n = h.shape[0]
-    declared = blocks is not None
-    if not declared:
-        blocks = [np.arange(n)[None]]
-    sub = [h[ix[:, :, None], ix[:, None, :]] for ix in blocks]
-    if declared and np.count_nonzero(h) != sum(np.count_nonzero(s) for s in sub):
-        raise ValueError("the Lagrangian Hessian has entries outside hess_blocks")
-    sub = [0.5 * (s + s.transpose(0, 2, 1)) for s in sub]
+    sub = [0.5 * (s + s.transpose(0, 2, 1)) for s in stacks]
     parts = [s + FLOOR * np.eye(s.shape[-1]) for s in sub]
-    if not all(_definite(s) for s in parts):
-        parts = []
-        for s in sub:
-            if _definite(s - FLOOR * np.eye(s.shape[-1])):
-                parts.append(s)
-                continue
-            w, v = np.linalg.eigh(s)
-            w = np.maximum(np.abs(w), FLOOR)
-            parts.append((v * w[:, None, :]) @ v.transpose(0, 2, 1))
-    b = np.zeros((n, n))
-    for ix, part in zip(blocks, parts):
-        b[ix[:, :, None], ix[:, None, :]] = part
-    return b
+    if all(_definite(s) for s in parts):
+        return parts
+    parts = []
+    for s in sub:
+        if _definite(s - FLOOR * np.eye(s.shape[-1])):
+            parts.append(s)
+            continue
+        w, v = np.linalg.eigh(s)
+        w = np.maximum(np.abs(w), FLOOR)
+        parts.append((v * w[:, None, :]) @ v.transpose(0, 2, 1))
+    return parts
 
 
 def _violation_l1(ce, ci):
@@ -245,18 +248,15 @@ def _violation_l1(ce, ci):
 
 
 def _violation_inf(ce, ci):
-    v = 0.0
-    if ce.size:
-        v = max(v, float(np.max(np.abs(ce))))
-    if ci.size:
-        v = max(v, float(np.max(ci)))
-    return max(v, 0.0)
+    """Max-norm violation; NaN when a value is NaN, so that no KKT test
+    passes and the finiteness check ends the solve."""
+    return float(np.max(np.concatenate([np.abs(ce), ci, [0.0]])))
 
 
 def _kkt_residual(g, Je, Ji, nu, lam, ci, b_var, b_sign) -> float:
     """Max-norm KKT residual: stationarity of the Lagrangian, whose bound
     terms are numbered as `qp.bound_rows` gives them, and complementarity
-    of every inequality row, the bounds' included."""
+    of every inequality row, the bounds' included; NaN when a term is."""
     stat = g.copy()
     if len(nu):
         stat += Je.T @ nu
@@ -266,7 +266,7 @@ def _kkt_residual(g, Je, Ji, nu, lam, ci, b_var, b_sign) -> float:
     np.add.at(stat, b_var, b_sign * lam[m_u:])
     r_stat = float(np.max(np.abs(stat))) if len(g) else 0.0
     r_comp = float(np.max(np.abs(lam * ci))) if len(ci) else 0.0
-    return max(r_stat, r_comp)
+    return float(np.maximum(r_stat, r_comp))
 
 
 def solve_nlp(problem: NlpProblem, x0: np.ndarray,
@@ -336,19 +336,24 @@ def solve_nlp(problem: NlpProblem, x0: np.ndarray,
         if Je is None:
             fval, g, ce, Je, ci, Ji = evaluate(x, True)
 
-        # Ill-conditioned endgames can overflow the curvature to inf; surface
-        # that as a status instead of letting the factorization raise, so
-        # callers fall back the same way they do for any failed solve.
-        h_lag = problem.lag_hess(x, nu, lam[:m_u])
-        if not all(np.all(np.isfinite(a)) for a in (h_lag, g, Ji, ci, Je, ce)):
+        stacks = problem.lag_hess(x, nu, lam[:m_u])
+        if blocks is None:
+            blocks = ([np.arange(n)[None]] if labels is None
+                      else block_groups(np.asarray(labels)))
+            split = _state_split(blocks, k)
+        if [np.shape(s) for s in stacks] != [ix.shape + ix.shape[1:] for ix in blocks]:
+            raise ValueError("the Lagrangian Hessian's stacks do not match hess_blocks")
+        # Ill-conditioned endgames can overflow the curvature to inf, and a
+        # NaN value fails every KKT test above; surface both as a status
+        # instead of letting the factorization raise, so callers fall back
+        # the same way they do for any failed solve.
+        if not all(np.all(np.isfinite(a)) for a in (*stacks, g, Ji, ci, Je, ce)):
             status = "numerical_failure"
             break
-        if labels is not None and blocks is None:
-            blocks = _block_groups(np.asarray(labels))
-        B = _convexify(h_lag, blocks)
+        hess = _split_stacks(split, _convexify(stacks))
         _check_state_block(Je, k)
         try:
-            qp_sol = _solve_subproblem(B, g, Je, ce, Ji, ci[:m_u], lo - x, hi - x, k, warm)
+            qp_sol = _solve_subproblem(hess, g, Je, ce, Ji, ci[:m_u], lo - x, hi - x, k, warm)
         except (np.linalg.LinAlgError, ValueError):
             qp_sol = None
         elastic = False
@@ -359,7 +364,7 @@ def solve_nlp(problem: NlpProblem, x0: np.ndarray,
                 break
             elastic = restored = True
             try:
-                qp_sol = _elastic_qp(B, g, Je, ce, Ji, ci[:m_u], lo - x, hi - x, k,
+                qp_sol = _elastic_qp(hess, g, Je, ce, Ji, ci[:m_u], lo - x, hi - x, k,
                                      warm, ELASTIC_PENALTY)
             except (np.linalg.LinAlgError, ValueError):
                 status = "numerical_failure"
@@ -514,6 +519,15 @@ def _min_norm_solve(a, b):
     return lstsq(a, b, cond=cond, lapack_driver="gelsy", check_finite=False)[0]
 
 
+@functools.lru_cache(maxsize=4)
+def _upper(k):
+    """Row and column indices of the strict upper triangle of a k x k
+    block, read-only: every caller shares them."""
+    rows, cols = np.triu_indices(k, 1)
+    rows.flags.writeable = cols.flags.writeable = False
+    return rows, cols
+
+
 def _check_state_block(Je, k):
     """Raise ValueError unless the first k rows and columns of Je are unit
     lower triangular."""
@@ -521,8 +535,7 @@ def _check_state_block(Je, k):
         return
     if Je.shape[0] < k:
         raise ValueError(f"n_state={k} exceeds the {Je.shape[0]} equality rows")
-    e = Je[:k, :k]
-    if (np.diagonal(e) != 1.0).any() or np.triu(e, 1).any():
+    if (np.diagonal(Je[:k, :k]) != 1.0).any() or Je[_upper(k)].any():
         raise ValueError("the n_state block of the equality Jacobian is not "
                          "unit lower triangular")
 
@@ -538,25 +551,61 @@ def _ineq_rows(Ji, b_var, b_sign, rows):
     return out
 
 
-def _solve_subproblem(B, g, Je, ce, Ji, ci, lb, ub, k, warm):
+def _state_split(blocks, k):
+    """(group, rows, ix, ns) for the index arrays `blocks` of
+    `block_groups`: each array's blocks split by their count ns of states
+    (variables below k), which lead them, rows selecting the array's
+    blocks with that count (None for all) and ix their variables."""
+    out = []
+    for i, ix in enumerate(blocks):
+        below = ix < k
+        if (below == below[0]).all():
+            out.append((i, None, ix, int(np.count_nonzero(below[0]))))
+            continue
+        ns = np.count_nonzero(below, axis=1)
+        for u in np.unique(ns):
+            rows = np.flatnonzero(ns == u)
+            out.append((i, rows, ix[rows], int(u)))
+    return out
+
+
+def _split_stacks(split, parts):
+    """`_solve_subproblem`'s (ix, part, ns) triples: the stacks `parts` of
+    `block_groups`' index arrays, split as `_state_split` split those."""
+    return [(ix, parts[i] if rows is None else parts[i][rows], ns) for i, rows, ix, ns in split]
+
+
+def _solve_subproblem(hess, g, Je, ce, Ji, ci, lb, ub, k, warm):
     """QP step min 0.5 p'Bp + g'p s.t. Je p = -ce, Ji p <= -ci, lb <= p <= ub,
     solved with the first k components of p condensed out through the first
-    k rows.  Multipliers and active rows come back numbered as in the
-    module docstring.
+    k rows.  B is block diagonal, given as hess: (ix, part, ns) triples, ix
+    (blocks, size) the variables of blocks of one size whose first ns are
+    states (below k), each row in ascending order, and part (blocks, size,
+    size) their entries of B.  Multipliers and active rows come back
+    numbered as in the module docstring.
 
     With E = Je[:k, :k] unit lower triangular, those rows give
     p[:k] = s0 + S p[k:], where s0 = -E^-1 ce[:k] and S = -E^-1 Je[:k, k:].
     S is zero outside the columns `cols` that the state rows touch, so
     substituting changes only those columns of the reduced Hessian and of
-    the other rows, and only the rows with a state entry.  The bounds on
-    the first k components, the first bound rows, become rows over the
-    remaining ones placed after the rows of Ji, so every row keeps its
-    number; every other bound stays a bound.  The state-row
-    multipliers follow from the first k components of stationarity,
-    E' nu_s = -r_s.  Returns the solution in the full variables.
+    the other rows, and only the rows with a state entry.  A block's states
+    are its leading variables, so each product of B with S, s0 or p runs
+    per block over those states: S[states]' part gives the block's columns
+    of S' B[:k], and the blocks' state columns and rows give B[:, :k] s0
+    and B[:k] p.  The reduced Hessian, the one dense matrix, starts from
+    the blocks' other entries.  The bounds on the first k components, the
+    first bound rows, become rows over the remaining ones placed after the
+    rows of Ji, so every row keeps its number; every other bound stays a
+    bound.  The state-row multipliers follow from the first k components of
+    stationarity, E' nu_s = -r_s.  Returns the solution in the full
+    variables.
     """
+    n = len(g)
     if not k:
-        return solve_qp(B, g, Ji, -ci, Je, -ce, warm_rows=warm, lb=lb, ub=ub)
+        H = np.zeros((n, n))
+        for ix, part, _ in hess:
+            H[ix[:, :, None], ix[:, None, :]] = part
+        return solve_qp(H, g, Ji, -ci, Je, -ce, warm_rows=warm, lb=lb, ub=ub)
     # The caller has checked every input for finite values.
     e = Je[:k, :k]
     cols = np.flatnonzero(np.any(Je[:k, k:], axis=0))
@@ -564,12 +613,20 @@ def _solve_subproblem(B, g, Je, ce, Ji, ci, lb, ub, k, warm):
                              lower=True, unit_diagonal=True, check_finite=False)
     S, s0 = s_s0[:, :-1], s_s0[:, -1]
 
-    sb = S.T @ B[:k]
-    H = B[k:, k:].copy()
+    sb = np.zeros((len(cols), n))  # S' B[:k]
+    bs0 = np.zeros(n)  # B[:, :k] s0
+    H = np.zeros((n - k, n - k))
+    for ix, part, ns in hess:
+        free = ix[:, ns:] - k
+        H[free[:, :, None], free[:, None, :]] = part[:, ns:, ns:]
+        if ns:
+            st = ix[:, :ns]
+            sb[:, ix] = (S[st].transpose(0, 2, 1) @ part[:, :ns]).transpose(1, 0, 2)
+            bs0[ix] = (part[:, :, :ns] @ s0[st][:, :, None])[:, :, 0]
     H[cols] += sb[:, k:]
     H[:, cols] += sb[:, k:].T
     H[np.ix_(cols, cols)] += sb[:, :k] @ S
-    v = g + B[:, :k] @ s0
+    v = g + bs0
     f = v[k:].copy()
     f[cols] += S.T @ v[:k]
 
@@ -596,7 +653,11 @@ def _solve_subproblem(B, g, Je, ce, Ji, ci, lb, ub, k, warm):
     sol = solve_qp(H, f, A, b, C, d, warm_rows=warm, lb=lb[k:], ub=ub[k:])
     p = np.concatenate([s0 + S @ sol.x[cols], sol.x])
     m_u = len(ci)
-    r_s = B[:k] @ p + g[:k] + Ji[:, :k].T @ sol.lam[:m_u] + Je[k:, :k].T @ sol.nu
+    bp = np.zeros(k)  # B[:k] p
+    for ix, part, ns in hess:
+        if ns:
+            bp[ix[:, :ns]] = (part[:, :ns] @ p[ix][:, :, None])[:, :, 0]
+    r_s = bp + g[:k] + Ji[:, :k].T @ sol.lam[:m_u] + Je[k:, :k].T @ sol.nu
     r_s += np.bincount(s_var, s_sign * sol.lam[m_u : m_u + len(s_var)], minlength=k)
     nu_s = -solve_triangular(e, r_s, trans="T", lower=True, unit_diagonal=True,
                              check_finite=False)
@@ -605,23 +666,22 @@ def _solve_subproblem(B, g, Je, ce, Ji, ci, lb, ub, k, warm):
     return sol
 
 
-def _elastic_qp(B, g, Je, ce, Ji, ci, lb, ub, k, warm, rho):
+def _elastic_qp(hess, g, Je, ce, Ji, ci, lb, ub, k, warm, rho):
     """`_solve_subproblem`'s step with slack columns after the variables, 2
     per equality row after the k state rows and 1 per row of Ji, each with
-    cost rho and curvature 1e-6.  The slacks' lower bounds are the last
+    cost rho and curvature 1e-6, which hess gains as one more group of
+    1 x 1 blocks without states.  The slacks' lower bounds are the last
     bound rows, so the subproblem's row numbers hold unchanged before them,
     and `lam` and `active_rows` are cut off at the first.  Returns None when
     the relaxation fails."""
     n, me, mi = len(g), len(ce) - k, len(ci)
     ns = 2 * me + mi
-    H = np.zeros((n + ns, n + ns))
-    H[:n, :n] = B
-    H[n:, n:] = 1e-6 * np.eye(ns)
+    slack = (np.arange(n, n + ns)[:, None], np.full((ns, 1, 1), 1e-6), 0)
     Je = np.hstack([Je, np.zeros((len(ce), ns))])
     Je[k:, n : n + 2 * me] = np.hstack([np.eye(me), -np.eye(me)])
     Ji = np.hstack([Ji, np.zeros((mi, 2 * me)), -np.eye(mi)])
-    sol = _solve_subproblem(H, np.concatenate([g, np.full(ns, rho)]), Je, ce, Ji, ci,
-                            np.concatenate([lb, np.zeros(ns)]),
+    sol = _solve_subproblem(hess + [slack], np.concatenate([g, np.full(ns, rho)]), Je, ce,
+                            Ji, ci, np.concatenate([lb, np.zeros(ns)]),
                             np.concatenate([ub, np.full(ns, np.inf)]), k, warm)
     if sol.status != "optimal":
         logger.warning("elastic QP failed with status %s", sol.status)

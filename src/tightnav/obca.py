@@ -23,7 +23,9 @@ certificate is formed from those only where it seeds an engaged pair at
 contact.  The NLP's rows evaluate without their Jacobians when the solver
 asks for values alone (its first KKT test at the warm start, see
 `tightnav.nlp`), so a step whose warm start is already optimal, the
-commonest step when no vehicle is close, builds no dynamics Jacobian.  A
+commonest step when no vehicle is close, builds no dynamics Jacobian.
+The Lagrangian Hessian goes to the solver as the stacks of its stage
+blocks, so no n x n matrix is formed before the condensed QP's.  A
 step without strategy rows skips the unreachable-strategy screen.
 
 Consecutive control steps warm-start each other twice over: the previous
@@ -67,7 +69,7 @@ from .geometry import (
     project_to_critical_boundary,
     strategy_halfspaces,
 )
-from .nlp import NlpProblem, solve_nlp
+from .nlp import NlpProblem, block_groups, solve_nlp
 from .qp import bound_rows
 
 logger = logging.getLogger(__name__)
@@ -359,8 +361,12 @@ def _pairs_within_reach(f_guess, zs_guess, zs, pairs, threshold, radius) -> bool
 def _rotations_t(psi):
     """(R', dR'/dpsi), each (P, 2, 2), of the body rotations at headings psi."""
     c, s = np.cos(psi), np.sin(psi)
-    rot_t = np.stack([np.stack([c, s], axis=1), np.stack([-s, c], axis=1)], axis=1)
-    drot_t = np.stack([np.stack([-s, c], axis=1), np.stack([-c, -s], axis=1)], axis=1)
+    rot_t = np.empty((len(psi), 2, 2))
+    drot_t = np.empty((len(psi), 2, 2))
+    rot_t[:, 0, 0] = rot_t[:, 1, 1] = drot_t[:, 0, 1] = c
+    rot_t[:, 0, 1] = s
+    rot_t[:, 1, 0] = drot_t[:, 0, 0] = drot_t[:, 1, 1] = -s
+    drot_t[:, 1, 0] = -c
     return rot_t, drot_t
 
 
@@ -394,8 +400,8 @@ class _HorizonLayout:
     """The part of a step NLP that depends on the horizon only, built once
     per controller: the variable counts `nz` and `nuv`, the index arrays of
     the dynamics rows' Jacobian blocks (`_StepNlp.eq`), the Hessian block
-    labels and bounds of z and u, and the keys of those bounds' rows (see
-    `_StepNlp`).
+    labels, objective curvature and bounds of z and u, and the keys of
+    those bounds' rows (see `_StepNlp`).
     """
 
     def __init__(self, cfg: ControllerConfig):
@@ -410,6 +416,15 @@ class _HorizonLayout:
         self.jz_cols = 4 * (stage[1:] - 1) + r4  # (N-1, 1, 4)
         self.ju_cols = nz + 2 * stage + np.arange(2)  # (N, 1, 2)
         self.hess_blocks = np.concatenate([np.repeat(np.arange(n_h), 4), np.full(nuv, n_h)])
+        # The objective Hessian's diagonal on z and u (the input block's
+        # every stage but the last carries two rate terms), and the rate
+        # terms' entries coupling u_t to u_{t+1}.
+        diag = np.empty(nz + nuv)
+        diag[:nz] = np.tile(2.0 * Q_Z, n_h)
+        diag[nz:] = np.tile(2.0 * Q_U + 2.0 * Q_D, n_h)
+        diag[nz:-2] += np.tile(2.0 * Q_D, n_h - 1)
+        self.obj_diag = diag
+        self.obj_rate = np.tile(-2.0 * Q_D, n_h - 1)
         lo = np.full(nz + nuv, -np.inf)
         hi = np.full(nz + nuv, np.inf)
         lo[3:nz:4] = V_MIN
@@ -433,7 +448,11 @@ class _StepNlp:
     Inequalities: clearance and normal-bound per pair, then strategy rows.
     The Lagrangian Hessian is block diagonal, and `hess_blocks` labels its
     blocks: one per stage t, holding z_t and the duals of the pairs at t
-    (4 + 8 p_t variables), and one holding every input.
+    (4 + 8 p_t variables), and one holding every input.  `lag_hess`
+    returns those blocks' stacks (`NlpProblem`) and never forms the n x n
+    matrix; it and `eq` copy a template built on first use and write the
+    entries that depend on x through flat indices (`_hess_tables`,
+    `_eq_tables`).
 
     `row_keys` and `key_rows` translate between the solver's inequality-row
     numbers (see `tightnav.nlp`) and row identities that do not depend on
@@ -476,57 +495,88 @@ class _StepNlp:
         self.lam_cols = self.nz + self.nuv + 8 * np.arange(len(pairs))[:, None] + np.arange(4)
         self.mu_cols = self.lam_cols + 4
         self.strat_cols = 4 * (self.strat_stages[:, None] - 1) + np.arange(2)  # (S, 2)
+        # Each pair's two dual stationarity rows.
+        self.stat_rows = self.nz + 2 * np.arange(len(pairs))[:, None] + np.arange(2)  # (P, 2)
         self.hess_blocks = np.concatenate([layout.hess_blocks, np.repeat(t_pair - 1, 8)])
         self._table = None
 
     @functools.cached_property
-    def h_obj(self) -> np.ndarray:
-        """Exact objective Hessian; the dual block carries the regularizer's ridge.
+    def _hess_tables(self):
+        """(template, shapes, index) of `lag_hess`'s stacks, built on first
+        use: a solve that converges at its initial guess never reads them.
 
-        The input block is tridiagonal by stage: the rate term couples u_t
-        to u_{t+1}, and every stage but the last carries two rate terms.
-        Built on first use: a solve that converges at its initial guess
-        never reads it.
+        The stacks of `block_groups(hess_blocks)` lie one after another in
+        one flat buffer; shapes holds each one's (offset, blocks, size).
+        The template holds the exact objective Hessian there: Q_Z on z, the
+        input block tridiagonal by stage (the layout's `obj_diag` and
+        `obj_rate`), and the regularizer's ridge on the duals.  index holds
+        the flat positions of the pairs' entries: (pos, lam), (lam, pos),
+        (lam, lam), (psi, psi), (psi, lam) and (lam, psi).
         """
-        n_h = self.cfg.horizon
-        diag = np.full(self.n, 2.0 * DUAL_REG)
-        diag[: self.nz] = np.tile(2.0 * Q_Z, n_h)
-        u_diag = diag[self.nz : self.nz + self.nuv]
-        u_diag[:] = np.tile(2.0 * Q_U + 2.0 * Q_D, n_h)
-        u_diag[:-2] += np.tile(2.0 * Q_D, n_h - 1)
-        h = np.diag(diag)
-        rate = np.arange(self.nz, self.nz + self.nuv - 2)
-        h[rate, rate + 2] = h[rate + 2, rate] = np.tile(-2.0 * Q_D, n_h - 1)
-        return h
+        layout = self.layout
+        # Variable i's block starts at base[i] in the buffer, and i is row
+        # and column place[i] of it, a block of size[i] squared entries.
+        base = np.empty(self.n, dtype=int)
+        place = np.empty(self.n, dtype=int)
+        size = np.empty(self.n, dtype=int)
+        shapes = []
+        offset = 0
+        for ix in block_groups(self.hess_blocks):
+            blocks, width = ix.shape
+            base[ix] = offset + width * width * np.arange(blocks)[:, None]
+            place[ix] = np.arange(width)
+            size[ix] = width
+            shapes.append((offset, blocks, width))
+            offset += blocks * width * width
+        template = np.zeros(offset)
+        template[base + place * (size + 1)] = np.concatenate(
+            [layout.obj_diag, np.full(self.n - self.nz - self.nuv, 2.0 * DUAL_REG)])
+        # The inputs form one block in ascending order, so u_{t+1}'s
+        # entries sit 2 places after u_t's.
+        u = np.arange(self.nz, self.nz + self.nuv - 2)
+        at = base[u] + place[u] * (size[u] + 1)
+        template[at + 2] = template[at + 2 * size[u]] = layout.obj_rate
+        # z_t leads its block, so a pair's position and heading are places
+        # 0, 1 and 2 of its stage's block.
+        b = base[self.psi_cols][:, None]
+        w = size[self.psi_cols][:, None]
+        lam = place[self.lam_cols]
+        index = (b[:, None] + np.arange(2)[:, None] * w[:, None] + lam[:, None, :],
+                 b[:, None] + lam[:, :, None] * w[:, None] + np.arange(2),
+                 b[:, None] + lam[:, :, None] * w[:, None] + lam[:, None, :],
+                 b[:, 0] + 2 * w[:, 0] + 2, b + 2 * w + lam, b + lam * w + 2)
+        return template, shapes, index
 
     def lag_hess(self, x, nu, lam_rows):
-        """Lagrangian Hessian: exact objective plus dual-row curvature.
+        """Lagrangian Hessian as the stacks of its `hess_blocks` (see
+        `NlpProblem`): exact objective plus dual-row curvature, written
+        into a copy of the objective's template through flat indices.
 
         Dynamics rows are kept first-order (Gauss-Newton); their multipliers
         stay small next to the clearance and stationarity multipliers that
         carry the obstacle coupling.
         """
-        h = self.h_obj.copy()
+        template, shapes, index = self._hess_tables
+        h = template.copy()
         n_pairs = len(self.pairs)
-        if not n_pairs:
-            return h
-        a_mat = self.obs_a
-        a_t = a_mat.transpose(0, 2, 1)
-        pos, lam_c, psi_c = self.pos_cols, self.lam_cols, self.psi_cols
-        sig = lam_rows[:n_pairs, None, None]
-        h[pos[:, :, None], lam_c[:, None, :]] -= sig * a_t
-        h[lam_c[:, :, None], pos[:, None, :]] -= sig * a_mat
-        eta = lam_rows[n_pairs : 2 * n_pairs, None, None]
-        h[lam_c[:, :, None], lam_c[:, None, :]] += 2.0 * eta * (a_mat @ a_t)
-        nu_p = nu[self.nz :].reshape(n_pairs, 1, 2)
-        rot_t, drot_t = _rotations_t(x[psi_c])
-        atl = a_t @ x[lam_c][:, :, None]
-        # Pairs at one stage share psi's diagonal entry, so it accumulates.
-        np.add.at(h, (psi_c, psi_c), (nu_p @ -(rot_t @ atl))[:, 0, 0])
-        cross = ((nu_p @ drot_t) @ a_t)[:, 0]
-        h[psi_c[:, None], lam_c] += cross
-        h[lam_c, psi_c[:, None]] += cross
-        return h
+        if n_pairs:
+            pos_lam, lam_pos, lam_lam, psi_psi, psi_lam, lam_psi = index
+            a_mat = self.obs_a
+            a_t = a_mat.transpose(0, 2, 1)
+            sig = lam_rows[:n_pairs, None, None]
+            h[pos_lam] -= sig * a_t
+            h[lam_pos] -= sig * a_mat
+            eta = lam_rows[n_pairs : 2 * n_pairs, None, None]
+            h[lam_lam] += 2.0 * eta * (a_mat @ a_t)
+            nu_p = nu[self.nz :].reshape(n_pairs, 1, 2)
+            rot_t, drot_t = _rotations_t(x[self.psi_cols])
+            atl = a_t @ x[self.lam_cols][:, :, None]
+            # Pairs at one stage share psi's diagonal entry, so it accumulates.
+            np.add.at(h, psi_psi, (nu_p @ -(rot_t @ atl))[:, 0, 0])
+            cross = ((nu_p @ drot_t) @ a_t)[:, 0]
+            h[psi_lam] += cross
+            h[lam_psi] += cross
+        return [h[o : o + b * w * w].reshape(b, w, w) for o, b, w in shapes]
 
     def pack(self, zs, us, dual_map) -> np.ndarray:
         x = np.zeros(self.n)
@@ -606,12 +656,31 @@ class _StepNlp:
         grad = np.concatenate([2.0 * wz.ravel(), grad_u.ravel(), 2.0 * DUAL_REG * xd])
         return float(val), grad
 
+    @functools.cached_property
+    def _eq_tables(self):
+        """(template, index) of `eq`'s Jacobian, built on first use.  The
+        template holds the entries that do not depend on x: the identity on
+        z and each pair's BODY_G' on its mu.  index holds the flat positions
+        of the step Jacobians' blocks, -dz_{t+1}/dz_t at z_t (t >= 1) and
+        -dz_{t+1}/du_t at u_t, and of each pair's psi and lam entries."""
+        n = self.n
+        layout = self.layout
+        rows = self.stat_rows
+        jac = np.zeros((self.nz + 2 * len(self.pairs), n))
+        np.fill_diagonal(jac[:, : self.nz], 1.0)
+        jac[rows[:, :, None], self.mu_cols[:, None, :]] = BODY_G.T
+        index = (layout.dyn_rows[1:] * n + layout.jz_cols, layout.dyn_rows * n + layout.ju_cols,
+                 rows * n + self.psi_cols[:, None],
+                 rows[:, :, None] * n + self.lam_cols[:, None, :])
+        return jac, index
+
     def eq(self, x, jacobian=True):
         """(values, Jacobian) of the equality rows; the Jacobian is None
         without `jacobian`.  The dynamics values then come from `step_rk4`
         stage by stage, which gives `step_jacobians`' bits at a third of
         its cost: 61 against 198 us for 20 stages, best of 7, on a 2-core
-        x86-64 host."""
+        x86-64 host.  The Jacobian is a copy of `_eq_tables`' template with
+        the entries that depend on x written through flat indices."""
         n_h = self.cfg.horizon
         n_pairs = len(self.pairs)
         vals = np.zeros(self.nz + 2 * n_pairs)
@@ -627,22 +696,20 @@ class _StepNlp:
             pred = np.array([step_rk4(z, u, DT) for z, u in zip(start, us)])
         vals[: self.nz] = (zs - pred).ravel()
         if n_pairs:
-            rows = self.nz + 2 * np.arange(n_pairs)[:, None] + np.arange(2)  # (P, 2)
             a_t = self.obs_a.transpose(0, 2, 1)
             rot_t, drot_t = _rotations_t(x[self.psi_cols])
             atl = a_t @ x[self.lam_cols][:, :, None]  # (P, 2, 1)
-            vals[rows] = x[self.mu_cols] @ BODY_G + (rot_t @ atl)[:, :, 0]
+            vals[self.stat_rows] = x[self.mu_cols] @ BODY_G + (rot_t @ atl)[:, :, 0]
         if not jacobian:
             return vals, None
-        jac = np.zeros((len(vals), self.n))
-        np.fill_diagonal(jac[:, : self.nz], 1.0)
-        layout = self.layout
-        jac[layout.dyn_rows[1:], layout.jz_cols] = -jz[1:]
-        jac[layout.dyn_rows, layout.ju_cols] = -ju
+        template, (jz_at, ju_at, psi_at, lam_at) = self._eq_tables
+        jac = template.copy()
+        flat = jac.reshape(-1)
+        flat[jz_at] = -jz[1:]
+        flat[ju_at] = -ju
         if n_pairs:
-            jac[rows, self.psi_cols[:, None]] = (drot_t @ atl)[:, :, 0]
-            jac[rows[:, :, None], self.lam_cols[:, None, :]] = rot_t @ a_t
-            jac[rows[:, :, None], self.mu_cols[:, None, :]] = BODY_G.T
+            flat[psi_at] = (drot_t @ atl)[:, :, 0]
+            flat[lam_at] = rot_t @ a_t
         return vals, jac
 
     def ineq(self, x, jacobian=True):

@@ -69,7 +69,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs, qr_delete, solve_triangular
+from scipy.linalg import get_lapack_funcs, qr_delete
 
 _potrf, _potrs, _trtri, _trtrs, _geqp3, _ormqr = get_lapack_funcs(
     ("potrf", "potrs", "trtri", "trtrs", "geqp3", "ormqr"), dtype=np.float64)
@@ -524,7 +524,13 @@ def _solve_rows(H, f, A, b, C, d, warm_rows, start=None):
                     d2 = dvec[q:]
                     nrm2 = float(d2 @ d2)
                     if q:
-                        r_dir = solve_triangular(R[:q, :q], dvec[:q])
+                        # R r = d through R' as a lower factor, the LAPACK
+                        # call `scipy.linalg.solve_triangular` makes for a
+                        # C-ordered R, without its finiteness check: the
+                        # errstate above keeps R and d finite.
+                        r_dir, info = _trtrs(R[:q, :q].T, dvec[:q], lower=1, trans=1)
+                        if info:
+                            raise np.linalg.LinAlgError("singular working-set factor")
                     else:
                         r_dir = np.zeros(0)
                     # Dual blocking step (only inequality members can hit zero).

@@ -2,13 +2,17 @@
 
     python3 tests/closed_loop_digest.py            # perfbench and CI smoke runs
     python3 tests/closed_loop_digest.py --suite    # all benchmark_suite() runs
+    python3 tests/closed_loop_digest.py --against parent.txt   # compare as well
 
 Each line gives the run's name, scheme, outcome, step count, the `repr`
 of its minimum clearance, and a sha256 over every StepLog's state and
 input bytes plus its (policy, reason, sg_status).  Run it in the parent
-and in the change and `diff` the outputs: equal lines mean bit-identical
-closed loops.  The script imports `tightnav` from the `src/` next to it,
-so each checkout measures its own code.
+and in the change and compare the outputs: equal lines mean bit-identical
+closed loops.  `--against FILE` does the comparison: it reads the lines
+FILE saved, compares each run's line with the saved line of the same name
+and scheme, and after the last run exits 1, naming every run whose line
+differs or is missing from FILE.  The script imports `tightnav` from the
+`src/` next to it, so each checkout measures its own code.
 
 By default it drives the 7 runs of `perfbench/run.py`'s workloads and the
 CI smoke runs (`benchmark_scenario` 14 and 23 under `bl`, 28, 30, 37, 38
@@ -86,11 +90,27 @@ def digest(run) -> dict:
             "min_clearance": repr(res.min_distance), "sha256": h.hexdigest()}
 
 
+def differing_runs(lines, saved) -> list[str]:
+    """'name scheme' of each digest line that differs from the saved line
+    of its run or has none; saved holds a digest file's lines."""
+    by_run = {(d["name"], d["scheme"]): d for d in map(json.loads, filter(str.strip, saved))}
+    return [f"{line['name']} {line['scheme']}" for line in lines
+            if by_run.get((line["name"], line["scheme"])) != line]
+
+
 def main(argv=None) -> None:
     ap = argparse.ArgumentParser(description="closed-loop digests of tightnav runs")
     ap.add_argument("--suite", action="store_true",
                     help="every benchmark_suite() scenario under both schemes")
+    ap.add_argument("--against", metavar="FILE",
+                    help="compare each line with the one FILE saved for its run; exit 1 "
+                         "naming the runs whose lines differ")
     args = ap.parse_args(argv)
+    saved = None
+    if args.against:
+        with open(args.against) as fh:
+            saved = fh.readlines()
+    lines = []
     if args.suite:
         from tightnav.scenario import benchmark_suite
 
@@ -99,9 +119,19 @@ def main(argv=None) -> None:
         with multiprocessing.get_context("spawn").Pool(2) as pool:
             for line in pool.imap(digest, runs):
                 print(json.dumps(line), flush=True)
+                lines.append(line)
     else:
         for run in DEFAULT_RUNS:
-            print(json.dumps(digest(run)), flush=True)
+            line = digest(run)
+            print(json.dumps(line), flush=True)
+            lines.append(line)
+    if saved is not None:
+        differ = differing_runs(lines, saved)
+        if differ:
+            print(f"{len(differ)} of {len(lines)} runs differ from {args.against}: "
+                  + ", ".join(differ), file=sys.stderr)
+            sys.exit(1)
+        print(f"all {len(lines)} runs match {args.against}", file=sys.stderr)
 
 
 if __name__ == "__main__":

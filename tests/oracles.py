@@ -20,6 +20,20 @@
 - `convexify_whole` tests the Lagrangian Hessian for definiteness and flips
   its eigenvalues as one n x n matrix; `nlp._convexify`, which works per
   declared block, must take the same path and return the same matrix.
+  `block_stacks` gathers a matrix's diagonal blocks into the stacks of
+  `NlpProblem.lag_hess`, and `scatter_blocks` writes stacks back into an
+  n x n matrix.
+- `condense_dense` condenses the states out of an SQP subproblem through
+  the whole n x n Hessian (S' B[:k], B[:, :k] s0 and B[:k] p as dense
+  products), and `elastic_qp_dense` appends the elastic slacks to that
+  matrix; `nlp._solve_subproblem` and `nlp._elastic_qp`, which multiply
+  block by block, must hand the QP the same data and recover the same
+  step and state multipliers.
+- `step_lag_hess_dense` builds a step NLP's Lagrangian Hessian as one
+  n x n matrix from the objective's, with the body rotations of
+  `rotations_t_stacked`; `obca._StepNlp.lag_hess`, which fills the blocks'
+  stacks through flat indices, and `obca._rotations_t` must give the same
+  bits.
 - `elastic_qp_full_slack` builds the l1-elastic SQP subproblem uncondensed,
   with a slack on every equality row, state rows included, and on every
   inequality row, the variable bounds included as unit rows, and the
@@ -83,8 +97,10 @@ from tightnav.geometry import (
     polytopes_intersect,
     project_to_critical_boundary,
 )
-from tightnav.obca import BODY_H, StrategyLabel
-from tightnav.qp import solve_qp
+from scipy.linalg import solve_triangular
+
+from tightnav.obca import BODY_H, DUAL_REG, Q_D, Q_U, Q_Z, StrategyLabel
+from tightnav.qp import bound_rows, solve_qp
 from tightnav.scenario import DT, LOT
 from tightnav.supervisor import (
     BRAKE_HEADROOM,
@@ -352,6 +368,131 @@ def convexify_whole(h: np.ndarray, floor: float = 1e-6) -> np.ndarray:
     w, v = np.linalg.eigh(h)
     w = np.maximum(np.abs(w), floor)
     return (v * w) @ v.T
+
+
+def block_stacks(h, groups):
+    """The stacks of h's diagonal blocks, one (blocks, size, size) array
+    per index array of `groups` (`nlp.block_groups`)."""
+    return [h[ix[:, :, None], ix[:, None, :]] for ix in groups]
+
+
+def scatter_blocks(pairs, n):
+    """The n x n matrix whose diagonal blocks are the stacks of the
+    (index array, stack, ...) tuples, zero elsewhere."""
+    h = np.zeros((n, n))
+    for ix, part, *_ in pairs:
+        h[ix[:, :, None], ix[:, None, :]] = part
+    return h
+
+
+def condense_dense(B, g, Je, ce, Ji, ci, lb, ub, k, warm, solve=solve_qp):
+    """The SQP subproblem min 0.5 p'Bp + g'p s.t. Je p = -ce, Ji p <= -ci,
+    lb <= p <= ub with the first k components condensed out through the
+    first k rows, B a whole n x n matrix; `solve` takes the QP."""
+    if not k:
+        return solve(B, g, Ji, -ci, Je, -ce, warm_rows=warm, lb=lb, ub=ub)
+    e = Je[:k, :k]
+    cols = np.flatnonzero(np.any(Je[:k, k:], axis=0))
+    s_s0 = -solve_triangular(e, np.column_stack([Je[:k, k + cols], ce[:k]]),
+                             lower=True, unit_diagonal=True, check_finite=False)
+    S, s0 = s_s0[:, :-1], s_s0[:, -1]
+    sb = S.T @ B[:k]
+    H = B[k:, k:].copy()
+    H[cols] += sb[:, k:]
+    H[:, cols] += sb[:, k:].T
+    H[np.ix_(cols, cols)] += sb[:, :k] @ S
+    v = g + B[:, :k] @ s0
+    f = v[k:].copy()
+    f[cols] += S.T @ v[:k]
+
+    def eliminate(J, c):
+        red, rhs = J[:, k:].copy(), -c
+        rows = np.flatnonzero(np.any(J[:, :k], axis=1))
+        if len(rows):
+            js = J[rows, :k]
+            red[np.ix_(rows, cols)] += js @ S
+            rhs[rows] -= js @ s0
+        return red, rhs
+
+    A, b = eliminate(Ji, ci)
+    C, d = eliminate(Je[k:], ce[k:])
+    var, sign, rhs = bound_rows(lb, ub)
+    state = np.s_[: np.searchsorted(var, k)]
+    s_var, s_sign = var[state], sign[state]
+    rows = np.zeros((len(s_var), len(f)))
+    rows[:, cols] = s_sign[:, None] * S[s_var]
+    A = np.vstack([A, rows])
+    b = np.concatenate([b, rhs[state] - s_sign * s0[s_var]])
+    sol = solve(H, f, A, b, C, d, warm_rows=warm, lb=lb[k:], ub=ub[k:])
+    p = np.concatenate([s0 + S @ sol.x[cols], sol.x])
+    m_u = len(ci)
+    r_s = B[:k] @ p + g[:k] + Ji[:, :k].T @ sol.lam[:m_u] + Je[k:, :k].T @ sol.nu
+    r_s += np.bincount(s_var, s_sign * sol.lam[m_u : m_u + len(s_var)], minlength=k)
+    nu_s = -solve_triangular(e, r_s, trans="T", lower=True, unit_diagonal=True,
+                             check_finite=False)
+    sol.x = p
+    sol.nu = np.concatenate([nu_s, sol.nu])
+    return sol
+
+
+def elastic_qp_dense(B, g, Je, ce, Ji, ci, lb, ub, k, warm, rho, solve=solve_qp):
+    """`condense_dense` with the elastic slacks of `nlp._elastic_qp`
+    appended to the whole matrix: 2 per equality row after the k state
+    rows and 1 per row of Ji, each with cost rho and curvature 1e-6.
+    Returns the condensed solution as it comes, slacks included."""
+    n, me, mi = len(g), len(ce) - k, len(ci)
+    ns = 2 * me + mi
+    H = np.zeros((n + ns, n + ns))
+    H[:n, :n] = B
+    H[n:, n:] = 1e-6 * np.eye(ns)
+    Je = np.hstack([Je, np.zeros((len(ce), ns))])
+    Je[k:, n : n + 2 * me] = np.hstack([np.eye(me), -np.eye(me)])
+    Ji = np.hstack([Ji, np.zeros((mi, 2 * me)), -np.eye(mi)])
+    return condense_dense(H, np.concatenate([g, np.full(ns, rho)]), Je, ce, Ji, ci,
+                          np.concatenate([lb, np.zeros(ns)]),
+                          np.concatenate([ub, np.full(ns, np.inf)]), k, warm, solve)
+
+
+def rotations_t_stacked(psi):
+    """(R', dR'/dpsi), each (P, 2, 2), of the body rotations at headings psi."""
+    c, s = np.cos(psi), np.sin(psi)
+    rot_t = np.stack([np.stack([c, s], axis=1), np.stack([-s, c], axis=1)], axis=1)
+    drot_t = np.stack([np.stack([-s, c], axis=1), np.stack([-c, -s], axis=1)], axis=1)
+    return rot_t, drot_t
+
+
+def step_lag_hess_dense(nlp, x, nu, lam_rows):
+    """The Lagrangian Hessian of the step NLP `nlp` (`obca._StepNlp`) as one
+    n x n matrix: the exact objective Hessian, the dual block's ridge and
+    the pairs' curvature, the dynamics rows Gauss-Newton."""
+    n_h, nz, nuv, n = nlp.cfg.horizon, nlp.nz, nlp.nuv, nlp.n
+    diag = np.full(n, 2.0 * DUAL_REG)
+    diag[:nz] = np.tile(2.0 * Q_Z, n_h)
+    u_diag = diag[nz : nz + nuv]
+    u_diag[:] = np.tile(2.0 * Q_U + 2.0 * Q_D, n_h)
+    u_diag[:-2] += np.tile(2.0 * Q_D, n_h - 1)
+    h = np.diag(diag)
+    rate = np.arange(nz, nz + nuv - 2)
+    h[rate, rate + 2] = h[rate + 2, rate] = np.tile(-2.0 * Q_D, n_h - 1)
+    n_pairs = len(nlp.pairs)
+    if not n_pairs:
+        return h
+    a_mat = nlp.obs_a
+    a_t = a_mat.transpose(0, 2, 1)
+    pos, lam_c, psi_c = nlp.pos_cols, nlp.lam_cols, nlp.psi_cols
+    sig = lam_rows[:n_pairs, None, None]
+    h[pos[:, :, None], lam_c[:, None, :]] -= sig * a_t
+    h[lam_c[:, :, None], pos[:, None, :]] -= sig * a_mat
+    eta = lam_rows[n_pairs : 2 * n_pairs, None, None]
+    h[lam_c[:, :, None], lam_c[:, None, :]] += 2.0 * eta * (a_mat @ a_t)
+    nu_p = nu[nz:].reshape(n_pairs, 1, 2)
+    rot_t, drot_t = rotations_t_stacked(x[psi_c])
+    atl = a_t @ x[lam_c][:, :, None]
+    np.add.at(h, (psi_c, psi_c), (nu_p @ -(rot_t @ atl))[:, 0, 0])
+    cross = ((nu_p @ drot_t) @ a_t)[:, 0]
+    h[psi_c[:, None], lam_c] += cross
+    h[lam_c, psi_c[:, None]] += cross
+    return h
 
 
 def elastic_qp_full_slack(B, g, Je, ce, Ji, ci, rho):

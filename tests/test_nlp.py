@@ -6,9 +6,11 @@ exhaustive input-grid search.  Each problem supplies its Lagrangian Hessian
 as the solver requires; the tracking problem uses Gauss-Newton on the
 dynamics, as the OBCA controller does.  The condensed subproblem (states
 eliminated through the declared state rows) has the dense QP on the full
-subproblem as its oracle, the per-block convexification has the
+subproblem as its oracle, the block-by-block condensing has the condensing
+through the whole matrix, the per-block convexification has the
 whole-matrix one, and the elastic subproblem has the relaxation that puts a
-slack on every row and bound.
+slack on every row and bound.  Each toy problem's `lag_hess` returns its
+Hessian as one stack of one block unless it declares `hess_blocks`.
 """
 
 import dataclasses
@@ -18,13 +20,22 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tightnav.dynamics import A_MAX, DELTA_MAX, DT, step_jacobians, step_rk4
 import tightnav.nlp
 from tightnav.nlp import TOL_FEAS, TOL_KKT, NlpProblem, NlpSolution, solve_nlp
 from tightnav.qp import bound_rows, kkt_residuals, solve_qp, unit_rows
 
-from oracles import convexify_whole, elastic_qp_full_slack
+from oracles import (
+    block_stacks,
+    condense_dense,
+    convexify_whole,
+    elastic_qp_dense,
+    elastic_qp_full_slack,
+    scatter_blocks,
+)
 
 
 def rosenbrock(x):
@@ -37,14 +48,22 @@ def rosenbrock(x):
 
 
 def rosenbrock_hess(x, nu, lam):
-    return np.array([
+    return [np.array([
         [2.0 - 400.0 * (x[1] - x[0] ** 2) + 800.0 * x[0] ** 2, -400.0 * x[0]],
         [-400.0 * x[0], 200.0],
-    ])
+    ])[None]]
 
 
 def constant_hess(h):
-    return lambda x, nu, lam: h
+    """A Lagrangian Hessian callback without declared blocks: h as the one
+    stack of one block."""
+    return lambda x, nu, lam: [h[None]]
+
+
+def whole(B, k):
+    """B as the Hessian of `nlp._solve_subproblem` with k states: one block
+    of every variable."""
+    return [(np.arange(len(B))[None], B[None], k)]
 
 
 def test_rosenbrock_unconstrained():
@@ -63,7 +82,7 @@ def test_circle_constrained_linear_objective():
         return np.array([x @ x - 1.0]), (2.0 * x).reshape(1, 2)
 
     def lag_hess(x, nu, lam):
-        return 2.0 * nu[0] * np.eye(2)
+        return [2.0 * nu[0] * np.eye(2)[None]]
 
     prob = NlpProblem(n=2, objective=obj, lag_hess=lag_hess, eq=eq)
     sol = solve_nlp(prob, np.array([0.0, -1.0]))
@@ -126,7 +145,7 @@ def test_infeasible_detected_after_one_elastic_step(monkeypatch):
 
 def disc_hess(x, nu, lam):
     # (x0 - 3)^2 + x1^2 plus lam0 * (x . x - 1)
-    return 2.0 * (1.0 + lam[0]) * np.eye(2)
+    return [2.0 * (1.0 + lam[0]) * np.eye(2)[None]]
 
 
 def test_merit_non_increasing_on_accepted_steps():
@@ -188,6 +207,30 @@ def test_non_finite_hessian_reports_numerical_failure():
     assert sol.status == "numerical_failure"
     assert not sol.ok
     assert np.array_equal(sol.x, x0)
+
+
+@pytest.mark.parametrize("row", ["eq", "ineq"])
+def test_nan_constraint_value_ends_in_numerical_failure(row):
+    """A NaN constraint value fails every KKT test instead of dropping out
+    of the residuals: from x0 = 0, where the gradient vanishes, the solve
+    ends numerical_failure, not optimal with a feasibility residual of 0."""
+    def obj(x):
+        return float(x @ x), 2.0 * x
+
+    def rows(x, jacobian=True):
+        return np.array([np.nan]), np.array([[1.0, 0.0]])
+
+    prob = NlpProblem(n=2, objective=obj, lag_hess=constant_hess(2.0 * np.eye(2)),
+                      **{row: rows})
+    sol = solve_nlp(prob, np.zeros(2))
+    assert sol.status == "numerical_failure" and not sol.ok
+    assert math.isnan(sol.feas_residual)
+    assert np.array_equal(sol.x, np.zeros(2))
+    # The complementarity term keeps a NaN too.
+    b_var, b_sign, _ = bound_rows(np.zeros(2), np.full(2, np.inf))
+    r = tightnav.nlp._kkt_residual(np.zeros(2), np.zeros((0, 2)), np.zeros((1, 2)), np.zeros(0),
+                                   np.ones(3), np.array([np.nan, 0.0, 0.0]), b_var, b_sign)
+    assert math.isnan(r)
 
 
 # --- 3-step tracking problem vs. exhaustive input grid ----------------------
@@ -429,7 +472,8 @@ def test_condensed_subproblem_matches_full_qp(seed, monkeypatch):
     lb, ub = ci[m::2], -ci[m + 1 :: 2]
     assert full.ok and len(full.active_rows) > 0
     for warm in (None, full.active_rows):
-        cond = tightnav.nlp._solve_subproblem(B, g, Je, ce, Ji[:m], ci[:m], lb, ub, k, warm)
+        cond = tightnav.nlp._solve_subproblem(whole(B, k), g, Je, ce, Ji[:m], ci[:m], lb, ub,
+                                              k, warm)
         assert cond.ok
         np.testing.assert_array_equal(cond.active_rows, full.active_rows)
         for got, want in ((cond.x, full.x), (cond.lam, full.lam), (cond.nu, full.nu)):
@@ -446,7 +490,8 @@ def test_condensed_subproblem_matches_full_qp(seed, monkeypatch):
     # as it is.
     Ji, ci = np.vstack([Ji[:m], -Ji[:1]]), np.concatenate([ci[:m], 1.0 - ci[:1]])
     m += 1
-    elastic = functools.partial(tightnav.nlp._elastic_qp, B, g, Je, ce, Ji, ci, lb, ub, k)
+    elastic = functools.partial(tightnav.nlp._elastic_qp, whole(B, k), g, Je, ce, Ji, ci, lb,
+                                ub, k)
     solve_subproblem = tightnav.nlp._solve_subproblem
     hints = []
 
@@ -477,6 +522,110 @@ def test_condensed_subproblem_matches_full_qp(seed, monkeypatch):
                 assert a.shape == b.shape
                 np.testing.assert_allclose(a, b, rtol=tol, atol=tol)
     assert len(want.lam) == m + 2 * n and want.active_rows.max() < m + 2 * n
+
+
+def stage_block_subproblem(rng):
+    """Random condensable subproblem whose Hessian has stage blocks.
+
+    k states lead the variables, their state rows unit lower triangular,
+    and each state belongs to one of up to four stage blocks, which also
+    hold some of the other variables; up to three more blocks hold no
+    state.  The blocks' labels are shuffled, and every block is positive
+    definite.  Other equality and inequality rows touch states and the
+    rest; a known point satisfies every row and bound.  Returns (labels,
+    B, g, Je, ce, Ji, ci, lb, ub, k, warm) with B the whole matrix.
+    """
+    n_stage = int(rng.integers(1, 5))
+    n_states = rng.integers(1, 4, n_stage)
+    n_extra = rng.integers(0, 4, n_stage)
+    free = rng.integers(1, 5, int(rng.integers(1, 4)))
+    k = int(n_states.sum())
+    n = k + int(n_extra.sum() + free.sum())
+    names = rng.permutation(n_stage + len(free))
+    labels = np.empty(n, dtype=int)
+    labels[:k] = np.repeat(names[:n_stage], n_states)
+    rest = np.concatenate([np.repeat(names[:n_stage], n_extra),
+                           np.repeat(names[n_stage:], free)])
+    labels[k:] = rng.permutation(rest)
+    B = np.zeros((n, n))
+    for name in names:
+        ix = np.flatnonzero(labels == name)
+        a = rng.normal(size=(len(ix), len(ix)))
+        B[np.ix_(ix, ix)] = a @ a.T / len(ix) + np.eye(len(ix))
+    p_feas = rng.normal(size=n)
+    me, mi = int(rng.integers(0, 3)), int(rng.integers(0, 5))
+    state_rows = np.zeros((k, n))
+    lower = rng.normal(0.0, 0.5, (k, k)) * (rng.random((k, k)) < 0.5)
+    state_rows[:, :k] = np.eye(k) + np.tril(lower, -1)
+    touched = rng.random(n - k) < 0.6
+    state_rows[:, k:] = rng.normal(size=(k, n - k)) * touched
+    Je = np.vstack([state_rows, rng.normal(size=(me, n))])
+    ce = -Je @ p_feas
+    Ji = rng.normal(size=(mi, n)) * (rng.random((mi, n)) < 0.7)
+    ci = -Ji @ p_feas - rng.uniform(0.0, 0.5, mi)
+    lb = np.where(rng.random(n) < 0.5, p_feas - rng.uniform(0.0, 1.0, n), -np.inf)
+    ub = np.where(rng.random(n) < 0.5, p_feas + rng.uniform(0.0, 1.0, n), np.inf)
+    m = mi + int(np.isfinite(lb).sum() + np.isfinite(ub).sum())
+    warm = None if rng.random() < 0.3 else rng.choice(max(m, 1), int(rng.integers(0, m + 1)))
+    return labels, B, 3.0 * rng.normal(size=n), Je, ce, Ji, ci, lb, ub, k, warm
+
+
+def assert_relatively_close(got, want):
+    """got equals want to 1e-13 of want's largest magnitude."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    np.testing.assert_allclose(got, want, rtol=0.0,
+                               atol=1e-13 * np.abs(want).max(initial=0.0))
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), elastic=st.booleans())
+def test_block_condensing_matches_the_dense_oracle(seed, elastic):
+    """`_solve_subproblem` and `_elastic_qp` hand the QP the data that
+    condensing through the whole matrix gives, and recover the same step
+    and state multipliers from the same QP solution."""
+    labels, B, g, Je, ce, Ji, ci, lb, ub, k, warm = stage_block_subproblem(
+        np.random.default_rng(seed))
+    groups = tightnav.nlp.block_groups(labels)
+    hess = tightnav.nlp._split_stacks(tightnav.nlp._state_split(groups, k),
+                                      block_stacks(B, groups))
+    assert any(ns == 0 for *_, ns in hess)
+    rho = 10.0
+    qps = []
+
+    def recording(*args, **kwargs):
+        sol = solve_qp(*args, **kwargs)
+        qps.append((args, kwargs, dataclasses.replace(sol)))
+        return sol
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tightnav.nlp, "solve_qp", recording)
+        if elastic:
+            got = tightnav.nlp._elastic_qp(hess, g, Je, ce, Ji, ci, lb, ub, k, warm, rho)
+        else:
+            got = tightnav.nlp._solve_subproblem(hess, g, Je, ce, Ji, ci, lb, ub, k, warm)
+    (args, kwargs, raw), = qps
+
+    def replay(*want_args, **want_kwargs):
+        qps.append((want_args, want_kwargs, raw))
+        return dataclasses.replace(raw)
+
+    if elastic:
+        want = elastic_qp_dense(B, g, Je, ce, Ji, ci, lb, ub, k, warm, rho, solve=replay)
+    else:
+        want = condense_dense(B, g, Je, ce, Ji, ci, lb, ub, k, warm, solve=replay)
+    want_args, want_kwargs, _ = qps[1]
+    for a, b in zip(args, want_args, strict=True):
+        assert_relatively_close(a, b)
+    assert kwargs.keys() == want_kwargs.keys()
+    for key in ("lb", "ub"):
+        np.testing.assert_array_equal(kwargs[key], want_kwargs[key])
+    assert kwargs["warm_rows"] is warm and want_kwargs["warm_rows"] is warm
+    if got is None:
+        assert elastic and raw.status != "optimal"
+        return
+    assert_relatively_close(got.x, want.x)
+    assert_relatively_close(got.nu, want.nu)
 
 
 def test_condensed_tracking_solve_matches_uncondensed():
@@ -704,7 +853,7 @@ def elastic_toy():
                                                                     [0.0, 0.0, 0.0, 1.0]])
 
     def hess(x, nu, lam):
-        return np.diag([2.0, 2.0, 2.0 + 0.2 * nu[1], 2.0])
+        return [np.diag([2.0, 2.0, 2.0 + 0.2 * nu[1], 2.0])[None]]
 
     prob = NlpProblem(n=4, objective=obj, lag_hess=hess, eq=eq, ineq=ineq,
                       lower=np.array([-np.inf, -0.5, -1.0, 0.2]),
@@ -739,8 +888,9 @@ def test_elastic_qp_reaches_full_slack_violation(monkeypatch):
     for hint in (None, np.arange(inequality_row_count(prob, x0))):
         assert solve_nlp(prob, x0, warm_rows=hint).status == "infeasible"
     assert calls
-    for (B, g, Je, ce, Ji, ci, lb, ub, k, warm, rho), got, qp in calls:
+    for (hess, g, Je, ce, Ji, ci, lb, ub, k, warm, rho), got, qp in calls:
         assert got.status == "optimal"
+        B = scatter_blocks(hess, len(g))
         # The QP it solved: the state column condensed out, the slacks
         # appended, the bounds as bounds.
         (args, kwargs, raw), = qp
@@ -805,6 +955,14 @@ def block_hessian(rng, kind):
     return h, labels
 
 
+def convexify_dense(h, groups):
+    """`nlp._convexify` on the stacks of h's blocks `groups` (None for one
+    block of every variable), scattered back to an n x n matrix."""
+    groups = [np.arange(len(h))[None]] if groups is None else groups
+    parts = tightnav.nlp._convexify(block_stacks(h, groups))
+    return scatter_blocks(zip(groups, parts), len(h))
+
+
 def convexify_path(fn, monkeypatch):
     """(matrix, whether an eigendecomposition ran) of fn()."""
     calls = []
@@ -831,11 +989,11 @@ def test_block_convexify_matches_whole_matrix_oracle(kind, seed, monkeypatch):
     # The case reaches the path it was built for.
     assert want_eigen == kind.startswith("eigen")
     assert np.array_equal(want, floored) == (kind == "definite")
-    blocks = tightnav.nlp._block_groups(labels)
+    blocks = tightnav.nlp.block_groups(labels)
     assert sorted(ix.shape[1] for ix in blocks for _ in ix) == sorted(BLOCK_SIZES)
     for declared in (blocks, None):
         got, got_eigen = convexify_path(
-            lambda: tightnav.nlp._convexify(h, declared), monkeypatch)
+            lambda: convexify_dense(h, declared), monkeypatch)
         assert got_eigen == want_eigen
         if want_eigen:
             assert np.all(np.linalg.eigvalsh(got) > 0.0)
@@ -875,7 +1033,7 @@ def test_flip_decomposes_only_the_groups_near_or_below_the_floor(monkeypatch):
         return eigh(a)
 
     monkeypatch.setattr(np.linalg, "eigh", counted)
-    got = tightnav.nlp._convexify(h, tightnav.nlp._block_groups(labels))
+    got = convexify_dense(h, tightnav.nlp.block_groups(labels))
     assert sorted(calls) == [(2, 1, 1), (2, 3, 3)]
     np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13 * np.abs(want).max())
     kept = labels == labels[perm == 0][0]
@@ -902,32 +1060,44 @@ def test_tangent_definite_hessian_takes_the_eigen_flip(monkeypatch):
 
 def test_block_groups_cover_each_label_once():
     labels = np.array([5, -1, 5, 2, 2, 5, 9, -1])
-    groups = tightnav.nlp._block_groups(labels)
+    groups = tightnav.nlp.block_groups(labels)
     assert [ix.shape for ix in groups] == [(1, 1), (2, 2), (1, 3)]
     blocks = [row.tolist() for ix in groups for row in ix]
     assert sorted(blocks) == [[0, 2, 5], [1, 7], [3, 4], [6]]
 
 
 def test_entry_outside_declared_blocks_raises():
-    rng = np.random.default_rng(3)
-    h, labels = block_hessian(rng, "definite")
-    i = 0
-    j = int(np.flatnonzero(labels != labels[i])[0])
-    h[i, j] = h[j, i] = 1e-300
-    with pytest.raises(ValueError, match="hess_blocks"):
-        tightnav.nlp._convexify(h, tightnav.nlp._block_groups(labels))
-    # Through the solver: Rosenbrock's Hessian couples its two variables.
+    """A Hessian with an entry outside the declared blocks can reach the
+    solver only as stacks shaped for other blocks, which raise ValueError,
+    as do stacks of the wrong count, block count or size."""
     prob = NlpProblem(n=2, objective=rosenbrock, lag_hess=rosenbrock_hess)
     x0 = np.array([-1.2, 1.0])
+    # Rosenbrock's Hessian couples its two variables: one 2 x 2 stack where
+    # [0, 1] declares two 1 x 1 blocks.
     with pytest.raises(ValueError, match="hess_blocks"):
         solve_nlp(dataclasses.replace(prob, hess_blocks=np.array([0, 1])), x0)
     with pytest.raises(ValueError, match="hess_blocks"):
         solve_nlp(dataclasses.replace(prob, hess_blocks=np.zeros(3, dtype=int)), x0)
+    rng = np.random.default_rng(3)
+    h, labels = block_hessian(rng, "definite")
+    groups = tightnav.nlp.block_groups(labels)
+    stacks = block_stacks(h, groups)
+    wrong = [stacks[:-1], stacks + stacks[:1], [stacks[0][:-1]] + stacks[1:],
+             stacks[:1] + [stacks[1][:, :-1, :-1]] + stacks[2:],
+             [s.transpose(1, 0, 2) for s in stacks], [scatter_blocks(zip(groups, stacks), len(h))]]
+    sym = 0.5 * (h + h.T)
+    right = NlpProblem(n=len(h), objective=lambda x: (0.5 * x @ sym @ x - x.sum(), sym @ x - 1.0),
+                       lag_hess=lambda x, nu, lam: stacks, hess_blocks=labels)
+    assert solve_nlp(right, np.zeros(len(h))).ok
+    for bad in wrong:
+        with pytest.raises(ValueError, match="hess_blocks"):
+            solve_nlp(dataclasses.replace(right, lag_hess=lambda x, nu, lam, bad=bad: bad),
+                      np.zeros(len(h)))
     # One block holding both is the undeclared solve.
-    whole = solve_nlp(dataclasses.replace(prob, hess_blocks=np.array([4, 4])), x0)
+    whole_prob = solve_nlp(dataclasses.replace(prob, hess_blocks=np.array([4, 4])), x0)
     plain = solve_nlp(prob, x0)
-    assert whole.ok and np.array_equal(whole.x, plain.x)
-    assert whole.history == plain.history
+    assert whole_prob.ok and np.array_equal(whole_prob.x, plain.x)
+    assert whole_prob.history == plain.history
 
 
 def test_blocks_are_grouped_once_and_only_when_a_subproblem_runs(monkeypatch):
@@ -935,20 +1105,24 @@ def test_blocks_are_grouped_once_and_only_when_a_subproblem_runs(monkeypatch):
     prob, _, _ = build_tracking_nlp(np.array([0.0, 0.0, 0.0, 0.5]), z_ref, 3,
                                     np.array([1.0, 1.0, 1.0, 10.0]), np.ones(2))
     # The tracking Hessian is diagonal: one block per stage's state and input.
-    prob = dataclasses.replace(prob, n_state=12, hess_blocks=np.concatenate(
-        [np.repeat(np.arange(3), 4), np.repeat(np.arange(3), 2)]))
+    labels = np.concatenate([np.repeat(np.arange(3), 4), np.repeat(np.arange(3), 2)])
+    group = tightnav.nlp.block_groups
+    (h,), = prob.lag_hess(None, None, None)
+    stacks = block_stacks(h, group(labels))
+    prob = dataclasses.replace(prob, n_state=12, hess_blocks=labels,
+                               lag_hess=lambda x, nu, lam: stacks)
     grouped = []
-    group = tightnav.nlp._block_groups
 
     def counted(labels):
         grouped.append(len(labels))
         return group(labels)
 
-    monkeypatch.setattr(tightnav.nlp, "_block_groups", counted)
+    monkeypatch.setattr(tightnav.nlp, "block_groups", counted)
     sol = solve_nlp(prob, np.zeros(prob.n))
     assert sol.ok and sol.iterations > 2
     assert grouped == [prob.n]
-    plain = solve_nlp(dataclasses.replace(prob, hess_blocks=None), np.zeros(prob.n))
+    plain = solve_nlp(dataclasses.replace(prob, hess_blocks=None, lag_hess=constant_hess(h)),
+                      np.zeros(prob.n))
     assert np.array_equal(sol.x, plain.x) and sol.history == plain.history
     grouped.clear()
     at_minimum = NlpProblem(n=2, objective=rosenbrock, lag_hess=rosenbrock_hess,

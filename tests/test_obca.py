@@ -49,11 +49,13 @@ from tightnav.obca import (
     _certificate,
     _face_certificates,
     _HorizonLayout,
+    _rotations_t,
     _shift_keys,
     _seed_duals,
     _StepNlp,
 )
 
+from tightnav.nlp import block_groups
 from tightnav.predictor import load_model
 from tightnav.qp import bound_rows
 from tightnav.scenario import benchmark_suite, parked_tv_scenario
@@ -62,6 +64,9 @@ from tightnav.simulate import run_closed_loop
 from oracles import (
     face_certificates_full,
     project_one,
+    rotations_t_stacked,
+    scatter_blocks,
+    step_lag_hess_dense,
     strategy_constraints_per_stage,
     strategy_halfspace,
 )
@@ -859,12 +864,19 @@ def fd_nlp():
     return nlp, nlp.pack(zs, us, duals)
 
 
+def dense_lag_hess(nlp, x, nu, lam):
+    """`nlp.lag_hess`'s stacks scattered to the n x n matrix."""
+    return scatter_blocks(zip(block_groups(nlp.hess_blocks), nlp.lag_hess(x, nu, lam)), nlp.n)
+
+
 def test_step_nlp_objective_gradient_and_hessian_match_differences(fd_nlp):
     nlp, x = fd_nlp
     _, grad = nlp.objective(x)
     np.testing.assert_allclose(grad, central_diff(lambda v: nlp.objective(v)[0], x),
                                rtol=0.0, atol=1e-6)
-    np.testing.assert_allclose(nlp.h_obj, central_diff(lambda v: nlp.objective(v)[1], x),
+    # With zero multipliers the Lagrangian Hessian is the objective's.
+    h_obj = dense_lag_hess(nlp, x, np.zeros(len(nlp.eq(x)[0])), np.zeros(len(nlp.ineq(x)[0])))
+    np.testing.assert_allclose(h_obj, central_diff(lambda v: nlp.objective(v)[1], x),
                                rtol=0.0, atol=1e-6)
 
 
@@ -950,8 +962,38 @@ def test_step_nlp_lagrangian_hessian_matches_differences(fd_nlp):
     def lagrangian_grad(v):
         return nlp.objective(v)[1] + nlp.eq(v)[1].T @ nu_obstacle + nlp.ineq(v)[1].T @ lam
 
-    np.testing.assert_allclose(nlp.lag_hess(x, nu, lam), central_diff(lagrangian_grad, x),
+    np.testing.assert_allclose(dense_lag_hess(nlp, x, nu, lam), central_diff(lagrangian_grad, x),
                                rtol=0.0, atol=1e-6)
+
+
+def test_step_nlp_hessian_stacks_match_the_dense_oracle(fd_nlp):
+    """Two pairs at every stage, so the psi-psi entries accumulate, and a
+    strategy row: the stacks, scattered, are the dense Lagrangian Hessian
+    bit for bit, their shapes those of the declared blocks, and no call
+    changes an earlier call's stacks."""
+    nlp, x = fd_nlp
+    stages = [t for t, _ in nlp.pairs]
+    assert len(stages) > len(set(stages)) and len(nlp.strat_w)
+    groups = block_groups(nlp.hess_blocks)
+    rng = np.random.default_rng(12)
+    first = None
+    for scale in (0.0, 1.0, 1e3):
+        v = x + scale * rng.normal(0.0, 0.1, nlp.n)
+        nu = scale * rng.normal(0.0, 1.0, 4 * nlp.cfg.horizon + 2 * len(nlp.pairs))
+        lam = scale * rng.uniform(0.0, 2.0, 2 * len(nlp.pairs) + len(nlp.strat_w))
+        stacks = nlp.lag_hess(v, nu, lam)
+        assert [s.shape for s in stacks] == [ix.shape + ix.shape[1:] for ix in groups]
+        got = scatter_blocks(zip(groups, stacks), nlp.n)
+        assert got.tobytes() == step_lag_hess_dense(nlp, v, nu, lam).tobytes()
+        if first is None:
+            first, first_bytes = stacks, [s.tobytes() for s in stacks]
+    assert [s.tobytes() for s in first] == first_bytes
+
+
+def test_rotations_fill_the_stacked_oracle_bits():
+    psi = np.random.default_rng(5).uniform(-4.0, 4.0, 9)
+    for got, want in zip(_rotations_t(psi), rotations_t_stacked(psi)):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_step_nlp_hessian_blocks_cover_lagrangian_sparsity():
@@ -970,19 +1012,21 @@ def test_step_nlp_hessian_blocks_cover_lagrangian_sparsity():
     labels = nlp.hess_blocks
     assert labels.shape == (nlp.n,)
     assert sorted(np.unique(labels, return_counts=True)[1]) == [4, 8, 12, 12, 20]
-    assert "h_obj" not in vars(nlp)
+    assert "_hess_tables" not in vars(nlp)
+    groups = block_groups(labels)
     rng = np.random.default_rng(11)
     for _ in range(5):
         x = rng.normal(0.0, 1.0, nlp.n)
         nu = rng.normal(0.0, 1.0, 4 * cfg.horizon + 2 * len(pairs))
         lam = rng.uniform(0.1, 2.0, 2 * len(pairs) + len(strat[0]))
-        h = nlp.lag_hess(x, nu, lam)
+        h = step_lag_hess_dense(nlp, x, nu, lam)
         rows, cols = np.nonzero(h)
         assert np.array_equal(labels[rows], labels[cols])
         # Every pair's curvature shows up, so the check has teeth.
         assert np.count_nonzero(h) > nlp.n + 2 * (cfg.horizon - 1) + 16 * len(pairs)
-        blocks = tightnav.nlp._block_groups(labels)
-        tightnav.nlp._convexify(h, blocks)
+        stacks = nlp.lag_hess(x, nu, lam)
+        assert scatter_blocks(zip(groups, stacks), nlp.n).tobytes() == h.tobytes()
+        tightnav.nlp._convexify(stacks)
 
 
 def test_solve_step_declares_hessian_blocks_and_matches_undeclared(monkeypatch):
@@ -993,7 +1037,13 @@ def test_solve_step_declares_hessian_blocks_and_matches_undeclared(monkeypatch):
 
     def undeclared(prob, x0, warm_rows=None):
         declared.append(prob.hess_blocks is not None)
-        return solve_nlp(dataclasses.replace(prob, hess_blocks=None), x0, warm_rows)
+        groups = block_groups(prob.hess_blocks)
+
+        def dense(x, nu, lam):
+            return [scatter_blocks(zip(groups, prob.lag_hess(x, nu, lam)), prob.n)[None]]
+
+        return solve_nlp(dataclasses.replace(prob, hess_blocks=None, lag_hess=dense), x0,
+                         warm_rows)
 
     want = ObcaController(cfg).solve_step(z0, np.zeros(2), ref, env)
     monkeypatch.setattr(tightnav.obca, "solve_nlp", undeclared)

@@ -165,3 +165,40 @@ def test_configure_logging_resolves_level_names(monkeypatch, restore_logging, na
     assert logging.getLogger("tightnav").level == level
     configure_logging(name)
     assert logging.getLogger("tightnav").level == level
+
+
+def test_digest_comparison_names_the_runs_that_differ(monkeypatch, tmp_path, capsys):
+    """`closed_loop_digest.py --against FILE` names every run whose line
+    differs from FILE's line for the same run or is missing from it, and
+    exits 1 when there is one."""
+    spec = importlib.util.spec_from_file_location("closed_loop_digest",
+                                                  ROOT / "tests" / "closed_loop_digest.py")
+    digest = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(digest)
+    lines = [{"name": "a", "scheme": "sg", "outcome": "completed", "steps": 70,
+              "min_clearance": "0.05", "sha256": "00"},
+             {"name": "a", "scheme": "bl", "outcome": "completed", "steps": 70,
+              "min_clearance": "0.05", "sha256": "11"},
+             {"name": "b", "scheme": "bl", "outcome": "timeout", "steps": 300,
+              "min_clearance": "0.2", "sha256": "22"}]
+    saved = [json.dumps(line) + "\n" for line in lines] + ["\n"]
+    assert digest.differing_runs(lines, saved) == []
+    assert digest.differing_runs(lines, saved[::-1]) == []
+    changed = [dict(lines[0], sha256="01"), lines[1], dict(lines[2], steps=299)]
+    assert digest.differing_runs(changed, saved) == ["a sg", "b bl"]
+    assert digest.differing_runs(lines, saved[1:]) == ["a sg"]
+    # Through main, with each run's digest stubbed.
+    runs = [(line["name"], ("suite", i), line["scheme"]) for i, line in enumerate(lines)]
+    monkeypatch.setattr(digest, "DEFAULT_RUNS", runs)
+    monkeypatch.setattr(digest, "digest", lambda run: changed[runs.index(run)])
+    path = tmp_path / "saved.txt"
+    path.write_text("".join(saved))
+    with pytest.raises(SystemExit) as stop:
+        digest.main(["--against", str(path)])
+    assert stop.value.code == 1
+    out, err = capsys.readouterr()
+    assert [json.loads(line) for line in out.splitlines()] == changed
+    assert "2 of 3 runs differ" in err and "a sg, b bl" in err
+    monkeypatch.setattr(digest, "digest", lambda run: lines[runs.index(run)])
+    digest.main(["--against", str(path)])
+    assert "all 3 runs match" in capsys.readouterr().err
