@@ -25,8 +25,12 @@ asks for values alone (its first KKT test at the warm start, see
 `tightnav.nlp`), so a step whose warm start is already optimal, the
 commonest step when no vehicle is close, builds no dynamics Jacobian.
 The Lagrangian Hessian goes to the solver as the stacks of its stage
-blocks, so no n x n matrix is formed before the condensed QP's.  A
-step without strategy rows skips the unreachable-strategy screen.
+blocks, so no n x n matrix is formed before the condensed QP's.
+
+A solve that does not end optimal ends the step: the controller returns
+its status and retries nothing, and the supervisor falls back to its
+conservative policies.  A step solves at most `MAX_ROUNDS` NLPs, its
+first round and the promotion rounds after it.
 
 Consecutive control steps warm-start each other twice over: the previous
 plan, shifted one stage, is the primal initial guess, and the previous
@@ -99,8 +103,7 @@ ENGAGE_DIST = 0.25
 # After a solve, a disengaged pair whose distance falls below d_min plus
 # this margin is promoted into the NLP for another round.
 REENGAGE_MARGIN = 2e-3
-# Solves per control step after which promotion stops; a failed solve that
-# did not start from the braking guess is retried once from it on top.
+# NLPs per control step: the first round and the promotion rounds after it.
 MAX_ROUNDS = 3
 
 
@@ -208,10 +211,10 @@ class MpcSolution:
     """One horizon solve: the plan, its status and counters.
 
     zs has shape (N+1, 4) with zs[0] the measured state, us has shape (N, 2).
-    stats holds "iterations" (SQP iterations over all rounds), "rounds",
-    "engaged" (obstacle pairs in the last round's NLP), "cost" and
-    "precheck" (True when the unreachable-strategy screen answered without
-    solving).
+    stats holds "iterations" (SQP iterations over all rounds), "rounds"
+    (NLPs solved, at most `MAX_ROUNDS`), "engaged" (obstacle pairs in the
+    last round's NLP) and "cost".  A status other than "optimal" is the
+    last round's: a failed round ends the step.
     """
 
     zs: np.ndarray
@@ -751,9 +754,10 @@ class ObcaController:
     solution and that solve's final QP working set, and shifts both one
     stage to warm-start the next step (the plan as the primal guess, the
     working set as the first subproblem's QP hint).  Later rounds of a step
-    start from the previous round's working set.  Pass `step` so a gap in
-    the call sequence (another policy drove the vehicle, or the last solve
-    failed) falls back to a cold start; `reset` forgets both.
+    start from the previous round's working set.  A failed round ends the
+    step and is not kept.  Pass `step` so a gap in the call sequence
+    (another policy drove the vehicle, or the last solve failed) falls back
+    to a cold start; `reset` forgets both.
     """
 
     def __init__(self, config: ControllerConfig | None = None):
@@ -795,22 +799,6 @@ class ObcaController:
             zs[t + 1] = step_rk4(zs[t], us[t], DT)
         return zs, us
 
-    def _unreachable_strategy(self, z0, stages, w, offset) -> bool:
-        """Cheap infeasibility screen: position moves at most |v| dt per step,
-        so a row z0 violates by more than the distance to its stage fails.
-        Without rows there is nothing to screen, and no travel table is
-        built."""
-        if not len(stages):
-            return False
-        n_h = self.config.horizon
-        v_cap = max(abs(V_MIN), V_MAX)
-        speed = abs(float(z0[3]))
-        travel = np.zeros(n_h + 1)
-        for i in range(1, n_h + 1):
-            speed = min(v_cap, speed + A_MAX * DT)
-            travel[i] = travel[i - 1] + speed * DT
-        return bool(np.any(offset - _rowdot(w, z0[:2]) > travel[stages] + 1e-9))
-
     def solve_step(self, z_k, u_prev, ref, env: EnvironmentEncoding,
                    strategy=None, step: int | None = None) -> MpcSolution:
         cfg = self.config
@@ -831,20 +819,13 @@ class ObcaController:
             strat = (stages[later], w[later], offset[later])
 
         zs_g, us_g, keys = self._initial_guess(z0, step)
-        if self._unreachable_strategy(z0, *strat):
-            return MpcSolution(zs_g, us_g, "infeasible",
-                               {"iterations": 0, "rounds": 0, "engaged": 0,
-                                "cost": float("nan"), "precheck": True})
-
         # A warm start that penetrates an obstacle puts the solver in a region
         # where the dual rows cannot express an escape direction; fall back to
         # a braking rollout, which is collision-free whenever the start is.
-        brake_start = False
         (f_g, f_r), best, normals = _face_certificates(env, np.stack([zs_g, ref]))
         faces_g = best[0], normals[0]
         if np.min(f_g[1:]) < 0.0:
             zs_g, us_g = self._braking_guess(z0)
-            brake_start = True
             f_g, *faces_g = _face_certificates(env, zs_g)
 
         # Engage only pairs that either the warm start or the reference comes
@@ -858,11 +839,9 @@ class ObcaController:
                 pairs.append((t, m))
                 dual_map[(t, m)] = (lam_w, mu_w)
 
-        rounds = 0
         iters = 0
         threshold = cfg.d_min + REENGAGE_MARGIN
-        while True:
-            rounds += 1
+        for rounds in range(1, MAX_ROUNDS + 1):
             builder = _StepNlp(cfg, z0, u_prev, ref, env, pairs, strat, self._layout)
             lo, hi = builder.bounds()
             prob = NlpProblem(n=builder.n, objective=builder.objective,
@@ -870,30 +849,20 @@ class ObcaController:
                               ineq=builder.ineq, lower=lo, upper=hi,
                               n_state=builder.nz, hess_blocks=builder.hess_blocks)
             # Round 1 starts from the previous step's working set, shifted;
-            # later rounds, braking restarts included, from the previous
-            # round's.  Keys this NLP lacks (stages that left the horizon,
-            # pairs no longer engaged) drop out.
+            # later rounds from the previous round's.  Keys this NLP lacks
+            # (stages that left the horizon, pairs no longer engaged) drop
+            # out.
             sol = solve_nlp(prob, builder.pack(zs_g, us_g, dual_map),
                             warm_rows=builder.key_rows(keys))
             keys = builder.row_keys(sol.active_rows)
             iters += sol.iterations
             zs, us, dual_map = builder.unpack(sol.x)
-            if sol.status != "optimal":
-                # No solve takes a second elastic step: retry once from the
-                # braking guess instead, unless this solve started there.
-                if brake_start:
-                    break
-                brake_start = True
-                zs_g, us_g = self._braking_guess(z0)
-                f_g, *faces_b = _face_certificates(env, zs_g)
-                dual_map = {(t, m): _seed_duals(env, t, m, zs_g[t], faces_b)[1:]
-                            for t, m in pairs}
-                continue
-            # Promotion check: a face certificate's value bounds the distance
-            # from below, so only disengaged pairs under the threshold need
-            # the exact distance, and only pairs the solve moved within reach
-            # of the threshold need the certificate.
-            if rounds >= MAX_ROUNDS or not _pairs_within_reach(
+            # A failed round ends the step.  Otherwise, the promotion check: a
+            # face certificate's value bounds the distance from below, so only
+            # disengaged pairs under the threshold need the exact distance,
+            # and only pairs the solve moved within reach of the threshold
+            # need the certificate.
+            if sol.status != "optimal" or rounds == MAX_ROUNDS or not _pairs_within_reach(
                     f_g, zs_g, zs, pairs, threshold, COVERING_RADIUS):
                 break
             promote = []
@@ -913,15 +882,13 @@ class ObcaController:
             pairs = sorted(pairs + promote)
             # Warm-start the enlarged problem from the current optimum.  Even
             # when it grazes a promoted obstacle the seeded face certificate
-            # carries an escape gradient, and the braking fallback above still
-            # covers the case where that round fails outright.
+            # carries an escape gradient.
             zs_g, us_g, f_g = zs, us, f_s
-            brake_start = False
 
         result = MpcSolution(
             zs=zs, us=us, status=sol.status,
             stats={"iterations": iters, "rounds": rounds, "engaged": len(pairs),
-                   "cost": sol.objective, "precheck": False},
+                   "cost": sol.objective},
         )
         if result.ok:
             self._prev = (zs, us, keys)

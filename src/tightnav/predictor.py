@@ -278,17 +278,23 @@ def save_model(model: MlpModel, path: str) -> None:
 def load_model(path: str) -> MlpModel:
     """Read a model that `save_model` wrote.
 
-    Raises ValueError for a file of another format or label order, an array
-    whose shape differs from what the header's sizes give it, a non-finite
-    value or a non-positive feature scale.
+    Raises ValueError for a file of another format or label order, one
+    that lacks a size or an array, an array whose shape differs from what
+    the header's sizes give it, a non-finite value or a non-positive
+    feature scale.
     """
     with open(path) as fh:
         doc = json.load(fh)
-    if doc.get("format") != MODEL_FORMAT or doc.get("version") != MODEL_VERSION:
+    if not isinstance(doc, dict) or (
+            doc.get("format"), doc.get("version")) != (MODEL_FORMAT, MODEL_VERSION):
         raise ValueError(f"unsupported model file {path!r}")
     expected = [label.name for label in StrategyLabel]
     if doc.get("labels") != expected:
         raise ValueError(f"model label order {doc.get('labels')} != {expected}")
+    keys = ("d_in", "n_hidden", "n_out", "w1", "b1", "w2", "b2", "mean", "scale")
+    missing = [key for key in keys if key not in doc]
+    if missing:
+        raise ValueError(f"model file {path!r} lacks {', '.join(missing)}")
     d_in, n_hidden, n_out = doc["d_in"], doc["n_hidden"], doc["n_out"]
     shapes = {"w1": (n_hidden, d_in), "b1": (n_hidden,), "w2": (n_out, n_hidden),
               "b2": (n_out,), "mean": (d_in,), "scale": (d_in,)}

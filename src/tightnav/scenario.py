@@ -219,6 +219,8 @@ class Scenario:
             raise ScenarioError("TV trajectory must be a (T, 4) array with T >= 2")
         if self.ev_init.shape != (4,):
             raise ScenarioError("EV initial state must have 4 entries")
+        if not (np.isfinite(self.tv_traj).all() and np.isfinite(self.ev_init).all()):
+            raise ScenarioError("TV trajectory and EV initial state must be finite")
         for x, y in self.tv_traj[:, :2]:
             if not LOT.contains(float(x), float(y)):
                 raise ScenarioError("TV trajectory leaves the lot")

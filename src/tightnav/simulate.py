@@ -157,12 +157,13 @@ def generate_expert_rollout(scenario: Scenario, ctrl_config: ControllerConfig | 
     )
 
 
-def build_dataset(records, horizon: int = 20):
+def build_dataset(records, horizon: int):
     """(features, labels, manifest) from sliding windows over the rollouts.
 
-    Every window start k in [0, T - horizon] contributes one example: the
-    state at k plus the obstacle encoding over the following horizon, with
-    the rollout's single label.  Rollouts shorter than the horizon add no
+    `horizon` is the MPC's, `ControllerConfig.horizon`.  Every window
+    start k in [0, T - horizon] contributes one example: the state at k
+    plus the obstacle encoding over the following horizon, with the
+    rollout's single label.  Rollouts shorter than the horizon add no
     examples but still count in the manifest.
     """
     records = list(records)

@@ -735,44 +735,21 @@ def test_baseline_cost_no_higher_than_guided():
     assert bl.stats["cost"] <= sg.stats["cost"] + 1e-6
 
 
-def test_unreachable_strategy_detected_without_solving():
+def test_unreachable_strategy_ends_the_nlp_infeasible(monkeypatch):
+    # The EV stands 3 m below a TV that the strategy rows ask it to pass on
+    # the left, farther than a horizon can carry it: the one NLP ends
+    # infeasible, and so does the step.
     env = canonical_env(21)
     cfg = ControllerConfig()
     z0 = np.array([0.0, -3.0, 0.0, 0.0])
     ref = np.array([[0.0, 0.0, 0.0, 0.0]] * (cfg.horizon + 1))
-    sol = ObcaController(cfg).solve_step(z0, np.zeros(2), ref, env,
-                                         strategy=StrategyLabel.PASS_LEFT)
-    assert sol.status == "infeasible"
-    assert sol.stats["precheck"]
     assert len(generate_strategy_constraints(StrategyLabel.PASS_LEFT, ref, env,
                                              COVERING_RADIUS)[0])
-
-
-def test_unreachable_strategy_fires_past_the_reachable_distance():
-    """The precheck fires on a row that z0 violates by more than 1e-9 past
-    the distance its stage can reach, and not on one violated by exactly
-    that distance."""
-    cfg = ControllerConfig()
-    z0 = np.array([0.0, 0.0, 0.3, -0.4])
-    travel, speed = [0.0], 0.4
-    for _ in range(cfg.horizon):
-        speed = min(max(abs(V_MIN), V_MAX), speed + A_MAX * DT)
-        travel.append(travel[-1] + speed * DT)
-    ctrl = ObcaController(cfg)
-    w = np.array([[0.0, 1.0]])
-    for t in (1, 7, cfg.horizon):
-        stages = np.array([t])
-        assert ctrl._unreachable_strategy(z0, stages, w, np.array([travel[t] + 2e-9]))
-        assert not ctrl._unreachable_strategy(z0, stages, w, np.array([travel[t]]))
-    # One firing row among rows that do not fire.
-    stages = np.array([1, 7, cfg.horizon])
-    offset = np.array([travel[1], travel[7] + 2e-9, travel[cfg.horizon]])
-    assert ctrl._unreachable_strategy(z0, stages, np.tile(w, (3, 1)), offset)
-    assert not ctrl._unreachable_strategy(z0, stages, np.tile(w, (3, 1)),
-                                          np.array([travel[t] for t in stages]))
-    # No rows, nothing to screen.
-    assert not ctrl._unreachable_strategy(z0, np.empty(0, dtype=int), np.empty((0, 2)),
-                                          np.empty(0))
+    calls = record_nlp_calls(monkeypatch)
+    sol = ObcaController(cfg).solve_step(z0, np.zeros(2), ref, env,
+                                         strategy=StrategyLabel.PASS_LEFT)
+    assert [got.status for _, _, got in calls] == ["infeasible"]
+    assert sol.status == "infeasible" and sol.stats["rounds"] == 1
 
 
 def test_solve_step_deterministic():
@@ -1177,9 +1154,8 @@ def test_shifted_keys_drop_first_stage_and_disengaged_pairs(layout, data):
 def record_nlp_calls(monkeypatch, clear_hints=False, fail_call=None):
     """Log (nlp, warm_rows, solution) for every NLP the controller solves.
 
-    clear_hints withholds every hint.  The solve numbered fail_call is
-    reported as not optimal, which sends the controller into a braking
-    restart when its start was not already the braking guess.
+    clear_hints withholds every hint.  The solve numbered fail_call (from
+    0) is reported as `max_iterations`, which ends its control step.
     """
     calls = []
     solve_nlp = tightnav.obca.solve_nlp
@@ -1298,17 +1274,25 @@ def test_reset_or_step_gap_starts_cold(monkeypatch, interrupt):
     assert calls[starts[1]][1] is None
 
 
-def test_braking_restart_reuses_previous_round_working_set(monkeypatch):
-    # Report the first solve as failed: the controller restarts from the
-    # braking guess in a second round.
+def test_failed_solve_ends_the_step(monkeypatch):
+    # Report the first solve as failed: the step ends after that one NLP
+    # and keeps nothing, so the next step starts cold, though the failed
+    # round's working set would have given it a hint.
     calls = record_nlp_calls(monkeypatch, fail_call=0)
-    starts = []
-    sols = consecutive_steps(ObcaController(ControllerConfig()), offset_scene,
-                             before=lambda i: starts.append(len(calls)))
-    assert starts == [0, 2] and sols[0].stats["rounds"] == 2
-    (nlp_a, _, failed), (nlp_b, hint_b, final), (nlp_c, hint_c, _) = calls[:3]
-    # The restart starts from the failed round's working set, unshifted ...
-    assert len(failed.active_rows) > 0
-    assert hinted_keys(nlp_b, hint_b) == hinted_keys(nlp_a, failed.active_rows)
-    # ... and the next step from the final round's, shifted one stage.
-    assert set(hinted_keys(nlp_c, hint_c)) == shifted_into(nlp_c, hinted_keys(nlp_b, final.active_rows))
+    _, env, z0, ref = offset_scene()
+    ctrl = ObcaController(ControllerConfig())
+    failed = ctrl.solve_step(z0, np.zeros(2), ref, env, step=0)
+    assert len(calls) == 1 and len(calls[0][2].active_rows) > 0
+    assert failed.status == "max_iterations" and failed.stats["rounds"] == 1
+    assert ctrl.solve_step(z0, np.zeros(2), ref, env, step=1).ok
+    assert len(calls) == 2 and calls[1][1] is None
+
+
+def test_failed_promotion_round_ends_the_step(monkeypatch):
+    # The first round solves and promotes a pair; the second round, reported
+    # failed, ends the step after 2 NLPs.
+    env, z0, ref = promotion_scene()
+    calls = record_nlp_calls(monkeypatch, fail_call=1)
+    sol = ObcaController(ControllerConfig()).solve_step(z0, np.zeros(2), ref, env)
+    assert [len(nlp.pairs) > 0 for nlp, _, _ in calls] == [False, True]
+    assert sol.status == "max_iterations" and sol.stats["rounds"] == 2

@@ -342,6 +342,23 @@ def saved_model_doc(tmp_path):
     return path, json.loads(path.read_text())
 
 
+@pytest.mark.parametrize("key", ["d_in", "n_hidden", "n_out", "w1", "b1", "w2", "b2",
+                                 "mean", "scale"])
+def test_model_load_rejects_missing_key(tmp_path, key):
+    path, doc = saved_model_doc(tmp_path)
+    del doc[key]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=f"lacks {key}"):
+        load_model(str(path))
+
+
+def test_model_load_rejects_a_top_level_list(tmp_path):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps([1, 2]))
+    with pytest.raises(ValueError, match="unsupported"):
+        load_model(str(path))
+
+
 @pytest.mark.parametrize("key, value", [
     ("b1", [0.0] * 39),
     ("b2", [0.0]),

@@ -138,6 +138,20 @@ def test_scenario_rejects_bad_reference_speed(v_ref):
         Scenario(tv_traj=tv, ev_init=np.array([-1.4, 0.0, 0.0, 0.6]), v_ref=v_ref)
 
 
+@pytest.mark.parametrize("state, index, value", [
+    ("tv", (1, 2), math.nan),   # heading
+    ("tv", (2, 3), math.inf),   # speed
+    ("ev", 3, math.nan),        # speed
+    ("ev", 2, -math.inf),       # heading
+])
+def test_scenario_rejects_non_finite_states(state, index, value):
+    tv = np.tile(np.array([1.0, 0.0, 0.0, 0.0]), (3, 1))
+    ev = np.array([-1.4, 0.0, 0.0, 0.6])
+    (tv if state == "tv" else ev)[index] = value
+    with pytest.raises(ScenarioError, match="finite"):
+        Scenario(tv_traj=tv, ev_init=ev)
+
+
 def test_random_scenario_deterministic():
     a, b = random_scenario(17), random_scenario(17)
     assert np.array_equal(a.tv_traj, b.tv_traj)

@@ -188,22 +188,25 @@ def recording(*args, **kwargs):
 
 tightnav.nlp.solve_qp = recording
 res = run_closed_loop(benchmark_suite()[37], "sg", model=load_model(sys.argv[1]), max_steps=21)
-print(res.outcome, len(res.logs), statuses["numerical_failure"], res.logs[-1].sg_status)
+last = res.logs[-1]
+print(res.outcome, len(res.logs), statuses["numerical_failure"], last.sg_status, last.policy.name,
+      last.reason)
 """
 
 
 def test_qp_overflow_ends_the_qp_not_the_run():
     # At step 20 of this turn-in under `sg`, an elastic QP's multipliers
-    # grow past the float range.  That QP ends `numerical_failure`, its NLP
-    # `infeasible`, and the braking restart solves the step; no
-    # RuntimeWarning escapes.
+    # grow past the float range.  That QP ends `numerical_failure` and its
+    # NLP `infeasible`, which ends the step: the supervisor falls back to
+    # safety control.  No RuntimeWarning escapes.
     src = os.path.dirname(os.path.dirname(os.path.abspath(tightnav.__file__)))
     env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
     run = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", QP_OVERFLOW_RUN,
                           STRATEGY_MODEL], env=env, capture_output=True, text=True, timeout=300)
     assert run.returncode == 0, run.stderr
-    outcome, steps, failures, last = run.stdout.split()
-    assert (outcome, steps, last) == ("timeout", "21", "optimal")
+    outcome, steps, failures, *last = run.stdout.split()
+    assert (outcome, steps) == ("timeout", "21")
+    assert last == ["infeasible", "SAFETY_CONTROL", "solver_not_optimal"]
     assert int(failures) >= 1
 
 
