@@ -43,16 +43,13 @@ leading variables, so their bound rows, which condensing turns into
 general rows placed right after those of `problem.ineq`, keep their
 numbers, and the QP's numbering of a subproblem is the solver's.
 
-When a linearization is infeasible the solver switches to an elastic
-subproblem, the same condensed subproblem from the same hint with l1 slacks
-on the rows of `ineq` and the equality rows after the state rows; the state
-rows and the bounds stay hard, as in SNOPT's elastic mode (Gill, Murray &
-Saunders, SIAM Review 47, 2005).  A solve takes at most one elastic step:
-the NLP is declared infeasible as soon as a subproblem fails after it, the
-line search rejects it or the relaxation fails.  A line search that finds no
-acceptable step ends the solve: the next subproblem would be built from the
-same point and multipliers and fail the same way.  Identical inputs produce
-bit-identical iterate sequences.
+A subproblem without a solution ends the solve: `infeasible` when the QP
+reports any status but optimal, `numerical_failure` when solving it raises
+`LinAlgError` or `ValueError`.  The solver has no restoration phase of its
+own; a caller falls back as it does for any failed solve.  A line search
+that finds no acceptable step ends the solve too: the next subproblem would
+be built from the same point and multipliers and fail the same way.
+Identical inputs produce bit-identical iterate sequences.
 
 A solve evaluates at x0 only what its first KKT test reads: the
 objective's value and gradient and the constraint values, with the
@@ -65,15 +62,14 @@ accepted one's evaluation is the next iterate's; most trials are
 accepted, so evaluating them for values first would evaluate most twice.
 A warm start that is already optimal thus costs no Jacobian at all.
 
-The solver takes no options.  Its tolerances, iteration cap, line-search
-constants and elastic penalty are the module constants below, and every solve
-records its per-iteration history.
+The solver takes no options.  Its tolerances, iteration cap and line-search
+constants are the module constants below, and every solve records its
+per-iteration history.
 """
 
 from __future__ import annotations
 
 import functools
-import logging
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -86,8 +82,6 @@ from .qp import bound_rows, solve_qp, unit_rows
 # alternating runs of perfbench's set-up timing), although the same modules
 # load either way.
 from scipy.linalg import lstsq, solve_triangular
-
-logger = logging.getLogger(__name__)
 
 Status = str  # "optimal" | "max_iterations" | "infeasible" | "numerical_failure"
 
@@ -107,8 +101,6 @@ ITER_MAX = 100
 ARMIJO = 1e-4
 BACKTRACK = 0.5
 LS_MAX = 30
-# The l1 slack penalty of the one elastic step a solve may take.
-ELASTIC_PENALTY = 1e4
 
 
 @dataclass
@@ -167,9 +159,8 @@ class NlpSolution:
 
     history holds one tuple per SQP iteration that took or tried a step:
     (iteration, merit before, merit at the last trial, KKT residual,
-    feasibility residual, step length, kind), where kind is "qp" or
-    "elastic" for an accepted step and "ls-fail" or "elastic-fail" for the
-    line search that ended the solve.
+    feasibility residual, step length, kind), where kind is "qp" for an
+    accepted step and "ls-fail" for the line search that ended the solve.
     """
 
     status: Status
@@ -317,7 +308,6 @@ def solve_nlp(problem: NlpProblem, x0: np.ndarray,
     lam = np.zeros(len(ci))
     nu = np.zeros(len(ce))
     warm = None if warm_rows is None else np.asarray(warm_rows, dtype=int).ravel()
-    restored = False
     status: Status = "max_iterations"
     history: list = []
     it = 0
@@ -355,47 +345,32 @@ def solve_nlp(problem: NlpProblem, x0: np.ndarray,
         try:
             qp_sol = _solve_subproblem(hess, g, Je, ce, Ji, ci[:m_u], lo - x, hi - x, k, warm)
         except (np.linalg.LinAlgError, ValueError):
-            qp_sol = None
-        elastic = False
-        if qp_sol is None or qp_sol.status != "optimal":
-            # A solve takes one elastic step at most.
-            if restored:
-                status = "infeasible"
-                break
-            elastic = restored = True
-            try:
-                qp_sol = _elastic_qp(hess, g, Je, ce, Ji, ci[:m_u], lo - x, hi - x, k,
-                                     warm, ELASTIC_PENALTY)
-            except (np.linalg.LinAlgError, ValueError):
-                status = "numerical_failure"
-                break
-            if qp_sol is None:
-                status = "infeasible"
-                break
-        p = qp_sol.x[:n]
+            status = "numerical_failure"
+            break
+        if qp_sol.status != "optimal":
+            status = "infeasible"
+            break
+        p = qp_sol.x
         lam_new, nu_new, warm = qp_sol.lam, qp_sol.nu, qp_sol.active_rows
 
         # Penalty tracking: keep mu above the current multipliers (descent
-        # guarantee) but let it decay after transients, and never learn it
-        # from elastic multipliers, which sit at the relaxation penalty scale.
-        if not elastic:
-            mult_inf = 0.0
-            if len(lam_new):
-                mult_inf = max(mult_inf, float(np.max(lam_new)))
-            if len(nu_new):
-                mult_inf = max(mult_inf, float(np.max(np.abs(nu_new))))
-            mu_need = 1.5 * mult_inf + 1.0
-            if mu_pen < mu_need:
-                mu_pen = mu_need
-            elif mu_pen > 10.0 * mu_need:
-                mu_pen = 10.0 * mu_need
+        # guarantee) but let it decay after transients.
+        mult_inf = 0.0
+        if len(lam_new):
+            mult_inf = max(mult_inf, float(np.max(lam_new)))
+        if len(nu_new):
+            mult_inf = max(mult_inf, float(np.max(np.abs(nu_new))))
+        mu_need = 1.5 * mult_inf + 1.0
+        if mu_pen < mu_need:
+            mu_pen = mu_need
+        elif mu_pen > 10.0 * mu_need:
+            mu_pen = 10.0 * mu_need
 
         viol0 = _violation_l1(ce, ci)
         merit0 = fval + mu_pen * viol0
         # Credit only the violation reduction the linear model actually
-        # achieves; an elastic step may leave irreducible residual and the
-        # full -mu*viol0 term would then overpromise descent and starve the
-        # line search.
+        # achieves at the step, not the full mu*viol0: the QP meets its
+        # rows only to its own tolerance.
         ce_lin = ce + Je @ p if len(ce) else ce
         ci_lin = ci + np.concatenate([Ji @ p, b_sign * p[b_var]])
         model_red = viol0 - _violation_l1(ce_lin, ci_lin)
@@ -418,7 +393,7 @@ def solve_nlp(problem: NlpProblem, x0: np.ndarray,
                 accepted = True
                 x_acc, ev_acc = x_try, ev_try
                 break
-            if not soc_tried and not elastic and alpha == 1.0:
+            if not soc_tried and alpha == 1.0:
                 # Second-order correction: retarget the rows the subproblem
                 # held active using their values at the full step, so the
                 # merit's quadratic constraint drift cannot veto an otherwise
@@ -443,19 +418,15 @@ def solve_nlp(problem: NlpProblem, x0: np.ndarray,
             alpha *= BACKTRACK
         if not accepted:
             # The next subproblem would be built from the same x and
-            # multipliers, so it would return the same step: stop here.  An
-            # elastic step that cannot reduce the violation at all means the
-            # constraints are locally inconsistent.
-            kind = "elastic-fail" if elastic else "ls-fail"
-            history.append((it, merit0, merit_try, r_kkt, r_feas, alpha, kind))
-            status = "infeasible" if elastic else "max_iterations"
+            # multipliers, so it would return the same step: stop here.
+            history.append((it, merit0, merit_try, r_kkt, r_feas, alpha, "ls-fail"))
+            status = "max_iterations"
             break
 
         x = x_acc
         fval, g, ce, Je, ci, Ji = ev_acc
         lam, nu = lam_new, nu_new
-        history.append((it, merit0, merit_try, r_kkt, r_feas, alpha,
-                        "elastic" if elastic else "qp"))
+        history.append((it, merit0, merit_try, r_kkt, r_feas, alpha, "qp"))
     else:
         # Every break leaves the point whose residuals it just measured;
         # only the last iteration's step has not been measured yet.
@@ -665,28 +636,3 @@ def _solve_subproblem(hess, g, Je, ce, Ji, ci, lb, ub, k, warm):
     sol.nu = np.concatenate([nu_s, sol.nu])
     return sol
 
-
-def _elastic_qp(hess, g, Je, ce, Ji, ci, lb, ub, k, warm, rho):
-    """`_solve_subproblem`'s step with slack columns after the variables, 2
-    per equality row after the k state rows and 1 per row of Ji, each with
-    cost rho and curvature 1e-6, which hess gains as one more group of
-    1 x 1 blocks without states.  The slacks' lower bounds are the last
-    bound rows, so the subproblem's row numbers hold unchanged before them,
-    and `lam` and `active_rows` are cut off at the first.  Returns None when
-    the relaxation fails."""
-    n, me, mi = len(g), len(ce) - k, len(ci)
-    ns = 2 * me + mi
-    slack = (np.arange(n, n + ns)[:, None], np.full((ns, 1, 1), 1e-6), 0)
-    Je = np.hstack([Je, np.zeros((len(ce), ns))])
-    Je[k:, n : n + 2 * me] = np.hstack([np.eye(me), -np.eye(me)])
-    Ji = np.hstack([Ji, np.zeros((mi, 2 * me)), -np.eye(mi)])
-    sol = _solve_subproblem(hess + [slack], np.concatenate([g, np.full(ns, rho)]), Je, ce,
-                            Ji, ci, np.concatenate([lb, np.zeros(ns)]),
-                            np.concatenate([ub, np.full(ns, np.inf)]), k, warm)
-    if sol.status != "optimal":
-        logger.warning("elastic QP failed with status %s", sol.status)
-        return None
-    first = len(sol.lam) - ns
-    sol.lam = sol.lam[:first]
-    sol.active_rows = sol.active_rows[sol.active_rows < first]
-    return sol

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -130,6 +131,24 @@ class TrainConfig:
     learning_rate: float = 0.1
     seed: int = 0
     val_fraction: float = 0.2
+
+    def __post_init__(self):
+        # A NaN rate trains non-finite weights and a negative one climbs the
+        # loss, both without an error; a NaN fraction fails only inside the
+        # split.
+        for name in ("epochs", "batch"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if self.epochs < 0:
+            raise ValueError(f"epochs must be nonnegative, got {self.epochs}")
+        if self.batch < 1:
+            raise ValueError(f"batch must be at least 1, got {self.batch}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(f"learning_rate must be finite and positive, "
+                             f"got {self.learning_rate!r}")
+        if not 0.0 <= self.val_fraction < 1.0:
+            raise ValueError(f"val_fraction must be in [0, 1), got {self.val_fraction!r}")
 
 
 def train(features, labels, config: TrainConfig | None = None):

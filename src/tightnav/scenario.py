@@ -127,8 +127,8 @@ def synth_tv_maneuver(row: str, index: int, mode: str, speed_scale: float = 1.0,
         raise ScenarioError(f"row must be 'top' or 'bottom', got {row!r}")
     if mode not in ("forward", "reverse"):
         raise ScenarioError(f"mode must be 'forward' or 'reverse', got {mode!r}")
-    if idle_duration < 0:
-        raise ScenarioError("idle duration must be nonnegative")
+    if not (math.isfinite(idle_duration) and idle_duration >= 0):
+        raise ScenarioError(f"idle duration must be finite and nonnegative, got {idle_duration!r}")
     if not 0.5 <= speed_scale <= 1.6:
         raise ScenarioError("speed scale outside the supported range [0.5, 1.6]")
     if not 0.3 <= approach_len <= 3.5:

@@ -25,21 +25,14 @@
   n x n matrix.
 - `condense_dense` condenses the states out of an SQP subproblem through
   the whole n x n Hessian (S' B[:k], B[:, :k] s0 and B[:k] p as dense
-  products), and `elastic_qp_dense` appends the elastic slacks to that
-  matrix; `nlp._solve_subproblem` and `nlp._elastic_qp`, which multiply
-  block by block, must hand the QP the same data and recover the same
-  step and state multipliers.
+  products); `nlp._solve_subproblem`, which multiplies block by block,
+  must hand the QP the same data and recover the same step and state
+  multipliers.
 - `step_lag_hess_dense` builds a step NLP's Lagrangian Hessian as one
   n x n matrix from the objective's, with the body rotations of
   `rotations_t_stacked`; `obca._StepNlp.lag_hess`, which fills the blocks'
   stacks through flat indices, and `obca._rotations_t` must give the same
   bits.
-- `elastic_qp_full_slack` builds the l1-elastic SQP subproblem uncondensed,
-  with a slack on every equality row, state rows included, and on every
-  inequality row, the variable bounds included as unit rows, and the
-  slacks' nonnegativity as rows too.  `nlp._elastic_qp` keeps the state rows
-  and the bounds hard; where those can hold together, it must reach the
-  same least l1 violation of the other rows.
 - `drop_row_givens` removes a QP working-set member with one pure-Python
   Givens rotation per column after it; `qp._drop_row`, which leaves the
   rotations to compiled code, must reach the same |R|.
@@ -435,24 +428,6 @@ def condense_dense(B, g, Je, ce, Ji, ci, lb, ub, k, warm, solve=solve_qp):
     return sol
 
 
-def elastic_qp_dense(B, g, Je, ce, Ji, ci, lb, ub, k, warm, rho, solve=solve_qp):
-    """`condense_dense` with the elastic slacks of `nlp._elastic_qp`
-    appended to the whole matrix: 2 per equality row after the k state
-    rows and 1 per row of Ji, each with cost rho and curvature 1e-6.
-    Returns the condensed solution as it comes, slacks included."""
-    n, me, mi = len(g), len(ce) - k, len(ci)
-    ns = 2 * me + mi
-    H = np.zeros((n + ns, n + ns))
-    H[:n, :n] = B
-    H[n:, n:] = 1e-6 * np.eye(ns)
-    Je = np.hstack([Je, np.zeros((len(ce), ns))])
-    Je[k:, n : n + 2 * me] = np.hstack([np.eye(me), -np.eye(me)])
-    Ji = np.hstack([Ji, np.zeros((mi, 2 * me)), -np.eye(mi)])
-    return condense_dense(H, np.concatenate([g, np.full(ns, rho)]), Je, ce, Ji, ci,
-                          np.concatenate([lb, np.zeros(ns)]),
-                          np.concatenate([ub, np.full(ns, np.inf)]), k, warm, solve)
-
-
 def rotations_t_stacked(psi):
     """(R', dR'/dpsi), each (P, 2, 2), of the body rotations at headings psi."""
     c, s = np.cos(psi), np.sin(psi)
@@ -493,34 +468,6 @@ def step_lag_hess_dense(nlp, x, nu, lam_rows):
     h[psi_c[:, None], lam_c] += cross
     h[lam_c, psi_c[:, None]] += cross
     return h
-
-
-def elastic_qp_full_slack(B, g, Je, ce, Ji, ci, rho):
-    """Elastic subproblem with an l1 slack on every row of Je p + ce = 0
-    and Ji p + ci <= 0, the bound rows among the latter; None on failure."""
-    n = B.shape[0]
-    me, mi = len(ce), len(ci)
-    n_el = n + 2 * me + mi
-    H = np.zeros((n_el, n_el))
-    H[:n, :n] = B
-    H[n:, n:] = 1e-6 * np.eye(2 * me + mi)
-    f = np.concatenate([g, rho * np.ones(2 * me + mi)])
-    C = np.hstack([Je, np.eye(me), -np.eye(me), np.zeros((me, mi))]) if me else None
-    d = -ce if me else None
-    rows = []
-    rhs = []
-    if mi:
-        rows.append(np.hstack([Ji, np.zeros((mi, 2 * me)), -np.eye(mi)]))
-        rhs.append(-ci)
-    slack_rows = np.hstack([np.zeros((2 * me + mi, n)), -np.eye(2 * me + mi)])
-    rows.append(slack_rows)
-    rhs.append(np.zeros(2 * me + mi))
-    sol = solve_qp(H, f, np.vstack(rows), np.concatenate(rhs), C, d)
-    if sol.status != "optimal":
-        return None
-    sol.lam = sol.lam[:mi]
-    sol.active_rows = sol.active_rows[sol.active_rows < mi]
-    return sol
 
 
 def drop_row_givens(JT, R, q, pos):

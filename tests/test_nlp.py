@@ -7,14 +7,12 @@ as the solver requires; the tracking problem uses Gauss-Newton on the
 dynamics, as the OBCA controller does.  The condensed subproblem (states
 eliminated through the declared state rows) has the dense QP on the full
 subproblem as its oracle, the block-by-block condensing has the condensing
-through the whole matrix, the per-block convexification has the
-whole-matrix one, and the elastic subproblem has the relaxation that puts a
-slack on every row and bound.  Each toy problem's `lag_hess` returns its
+through the whole matrix, and the per-block convexification has the
+whole-matrix one.  Each toy problem's `lag_hess` returns its
 Hessian as one stack of one block unless it declares `hess_blocks`.
 """
 
 import dataclasses
-import functools
 import itertools
 import math
 
@@ -26,14 +24,12 @@ from hypothesis import strategies as st
 from tightnav.dynamics import A_MAX, DELTA_MAX, DT, step_jacobians, step_rk4
 import tightnav.nlp
 from tightnav.nlp import TOL_FEAS, TOL_KKT, NlpProblem, NlpSolution, solve_nlp
-from tightnav.qp import bound_rows, kkt_residuals, solve_qp, unit_rows
+from tightnav.qp import bound_rows, kkt_residuals, solve_qp
 
 from oracles import (
     block_stacks,
     condense_dense,
     convexify_whole,
-    elastic_qp_dense,
-    elastic_qp_full_slack,
     scatter_blocks,
 )
 
@@ -116,7 +112,7 @@ def test_optimal_implies_tolerances():
     assert sol.feas_residual <= TOL_FEAS
 
 
-def test_infeasible_detected_after_one_elastic_step(monkeypatch):
+def test_infeasible_subproblem_ends_the_solve():
     def obj(x):
         return float(x @ x), 2.0 * x
 
@@ -124,23 +120,15 @@ def test_infeasible_detected_after_one_elastic_step(monkeypatch):
         # x0 >= 1 and x0 <= -1: empty.
         return np.array([1.0 - x[0], x[0] + 1.0]), np.array([[-1.0, 0.0], [1.0, 0.0]])
 
-    calls = []
-    elastic = tightnav.nlp._elastic_qp
-
-    def counting(*args):
-        calls.append(args)
-        return elastic(*args)
-
-    monkeypatch.setattr(tightnav.nlp, "_elastic_qp", counting)
     prob = NlpProblem(n=2, objective=obj, lag_hess=constant_hess(2.0 * np.eye(2)),
                       ineq=ineq)
     sol = solve_nlp(prob, np.zeros(2))
-    # Iteration 1 takes the elastic step; iteration 2's subproblem fails
-    # again and ends the solve without a second one.
+    # Iteration 1's subproblem has no solution, which ends the solve before
+    # any step is taken.
     assert sol.status == "infeasible"
-    assert len(calls) == 1
-    assert sol.iterations == 2
-    assert [rec[-1] for rec in sol.history] == ["elastic"]
+    assert sol.iterations == 1
+    assert sol.history == []
+    np.testing.assert_array_equal(sol.x, np.zeros(2))
 
 
 def disc_hess(x, nu, lam):
@@ -463,7 +451,7 @@ def shooting_subproblem(rng, n_steps=5, nx=3, nu=2, n_extra=6):
 
 
 @pytest.mark.parametrize("seed", range(8))
-def test_condensed_subproblem_matches_full_qp(seed, monkeypatch):
+def test_condensed_subproblem_matches_full_qp(seed):
     B, g, Je, ce, Ji, ci, k = shooting_subproblem(np.random.default_rng(seed))
     full = solve_qp(B, g, Ji, -ci, Je, -ce)
     # Ji ends with each variable's lower and upper bound rows.
@@ -482,46 +470,6 @@ def test_condensed_subproblem_matches_full_qp(seed, monkeypatch):
         assert max(kkt_residuals(B, g, Ji, -ci, Je, -ce, cond)) < 1e-8
         values = [0.5 * sol.x @ (B @ sol.x) + g @ sol.x for sol in (cond, full)]
         assert values[0] == pytest.approx(values[1], rel=1e-12)
-
-    # The elastic relaxation of the same rows plus a contradictory pair, so
-    # that a slack is positive: condensed, it must equal the relaxation
-    # solved uncondensed, with and without a hint holding upper bounds.  The
-    # slacks' bounds come after the variables', so the hint reaches the QP
-    # as it is.
-    Ji, ci = np.vstack([Ji[:m], -Ji[:1]]), np.concatenate([ci[:m], 1.0 - ci[:1]])
-    m += 1
-    elastic = functools.partial(tightnav.nlp._elastic_qp, whole(B, k), g, Je, ce, Ji, ci, lb,
-                                ub, k)
-    solve_subproblem = tightnav.nlp._solve_subproblem
-    hints = []
-
-    def uncondensed(*args):
-        return solve_subproblem(*args[:-2], 0, args[-1])
-
-    def recording_qp(*args, **kwargs):
-        hints.append(kwargs["warm_rows"])
-        return solve_qp(*args, **kwargs)
-
-    # The QP's unconstrained minimizer puts each slack at -rho / 1e-6, so
-    # its points carry errors of about that many epsilons, and so do its
-    # multipliers relative to their size.
-    for rho in (1.0, tightnav.nlp.ELASTIC_PENALTY):
-        tol = 100.0 * np.finfo(float).eps * rho / 1e-6
-        with monkeypatch.context() as patch:
-            patch.setattr(tightnav.nlp, "_solve_subproblem", uncondensed)
-            patch.setattr(tightnav.nlp, "solve_qp", recording_qp)
-            want = elastic(None, rho)
-            hint = np.union1d(want.active_rows, m + 1 + 2 * np.arange(0, n, 3))
-            hinted = elastic(hint, rho)
-        assert want.ok and want.x[len(g) + 2 * (len(ce) - k) :].max() > 0.1
-        np.testing.assert_array_equal(hints[-1], hint)
-        for got in (hinted, elastic(None, rho), elastic(hint, rho)):
-            assert got.ok
-            np.testing.assert_array_equal(got.active_rows, want.active_rows)
-            for a, b in ((got.x, want.x), (got.lam, want.lam), (got.nu, want.nu)):
-                assert a.shape == b.shape
-                np.testing.assert_allclose(a, b, rtol=tol, atol=tol)
-    assert len(want.lam) == m + 2 * n and want.active_rows.max() < m + 2 * n
 
 
 def stage_block_subproblem(rng):
@@ -579,18 +527,17 @@ def assert_relatively_close(got, want):
 
 
 @settings(max_examples=80, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), elastic=st.booleans())
-def test_block_condensing_matches_the_dense_oracle(seed, elastic):
-    """`_solve_subproblem` and `_elastic_qp` hand the QP the data that
-    condensing through the whole matrix gives, and recover the same step
-    and state multipliers from the same QP solution."""
+@given(seed=st.integers(0, 2**32 - 1))
+def test_block_condensing_matches_the_dense_oracle(seed):
+    """`_solve_subproblem` hands the QP the data that condensing through
+    the whole matrix gives, and recovers the same step and state
+    multipliers from the same QP solution."""
     labels, B, g, Je, ce, Ji, ci, lb, ub, k, warm = stage_block_subproblem(
         np.random.default_rng(seed))
     groups = tightnav.nlp.block_groups(labels)
     hess = tightnav.nlp._split_stacks(tightnav.nlp._state_split(groups, k),
                                       block_stacks(B, groups))
     assert any(ns == 0 for *_, ns in hess)
-    rho = 10.0
     qps = []
 
     def recording(*args, **kwargs):
@@ -600,20 +547,14 @@ def test_block_condensing_matches_the_dense_oracle(seed, elastic):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(tightnav.nlp, "solve_qp", recording)
-        if elastic:
-            got = tightnav.nlp._elastic_qp(hess, g, Je, ce, Ji, ci, lb, ub, k, warm, rho)
-        else:
-            got = tightnav.nlp._solve_subproblem(hess, g, Je, ce, Ji, ci, lb, ub, k, warm)
+        got = tightnav.nlp._solve_subproblem(hess, g, Je, ce, Ji, ci, lb, ub, k, warm)
     (args, kwargs, raw), = qps
 
     def replay(*want_args, **want_kwargs):
         qps.append((want_args, want_kwargs, raw))
         return dataclasses.replace(raw)
 
-    if elastic:
-        want = elastic_qp_dense(B, g, Je, ce, Ji, ci, lb, ub, k, warm, rho, solve=replay)
-    else:
-        want = condense_dense(B, g, Je, ce, Ji, ci, lb, ub, k, warm, solve=replay)
+    want = condense_dense(B, g, Je, ce, Ji, ci, lb, ub, k, warm, solve=replay)
     want_args, want_kwargs, _ = qps[1]
     for a, b in zip(args, want_args, strict=True):
         assert_relatively_close(a, b)
@@ -621,9 +562,6 @@ def test_block_condensing_matches_the_dense_oracle(seed, elastic):
     for key in ("lb", "ub"):
         np.testing.assert_array_equal(kwargs[key], want_kwargs[key])
     assert kwargs["warm_rows"] is warm and want_kwargs["warm_rows"] is warm
-    if got is None:
-        assert elastic and raw.status != "optimal"
-        return
     assert_relatively_close(got.x, want.x)
     assert_relatively_close(got.nu, want.nu)
 
@@ -829,89 +767,6 @@ def test_condensed_hints_reach_the_qp_unchanged(monkeypatch):
         np.testing.assert_array_equal(warm, hints[i])
         nxt = hints[i + 1] if i + 1 < len(hints) else sol.active_rows
         np.testing.assert_array_equal(nxt, active)
-
-
-def elastic_toy():
-    """(problem, x0): an NLP over [z, u, a, b] whose linearization is
-    infeasible everywhere while its bounds and its state row are not.
-
-    z = 0.5 u + 0.2 is the state row (n_state = 1), so the bound |u| <= 0.5
-    keeps z <= 0.45 against the row 0.5 (1 - z) <= 0; a <= 0.1 and b >= 0.2
-    keep the general equality 0.5 (a - b) - 0.3 + 0.1 a^2 = 0 from holding.
-    The rows carry a factor 0.5 against the bounds and the state row, so an
-    l1 relaxation that softens those too gains nothing by violating them.
-    """
-    def obj(x):
-        return float(x @ x), 2.0 * x
-
-    def eq(x, jacobian=True):
-        return (np.array([x[0] - 0.5 * x[1] - 0.2, 0.5 * (x[2] - x[3]) - 0.3 + 0.1 * x[2] ** 2]),
-                np.array([[1.0, -0.5, 0.0, 0.0], [0.0, 0.0, 0.5 + 0.2 * x[2], -0.5]]))
-
-    def ineq(x, jacobian=True):
-        return np.array([0.5 * (1.0 - x[0]), x[3] - 2.0]), np.array([[-0.5, 0.0, 0.0, 0.0],
-                                                                    [0.0, 0.0, 0.0, 1.0]])
-
-    def hess(x, nu, lam):
-        return [np.diag([2.0, 2.0, 2.0 + 0.2 * nu[1], 2.0])[None]]
-
-    prob = NlpProblem(n=4, objective=obj, lag_hess=hess, eq=eq, ineq=ineq,
-                      lower=np.array([-np.inf, -0.5, -1.0, 0.2]),
-                      upper=np.array([np.inf, 0.5, 0.1, np.inf]), n_state=1)
-    return prob, np.array([0.0, 0.3, 0.0, 0.5])
-
-
-def general_violation(Je, ce, Ji, ci, k, p):
-    """l1 violation of the linearized rows after the k state rows."""
-    return (float(np.sum(np.abs(Je[k:] @ p + ce[k:])))
-            + float(np.sum(np.maximum(Ji @ p + ci, 0.0))))
-
-
-def test_elastic_qp_reaches_full_slack_violation(monkeypatch):
-    prob, x0 = elastic_toy()
-    calls, qps = [], []
-    elastic = tightnav.nlp._elastic_qp
-
-    def recording_elastic(*args):
-        qps.clear()
-        sol = elastic(*args)
-        calls.append((args, sol, qps[:]))
-        return sol
-
-    def recording_qp(*args, **kwargs):
-        sol = solve_qp(*args, **kwargs)
-        qps.append((args, kwargs, dataclasses.replace(sol)))
-        return sol
-
-    monkeypatch.setattr(tightnav.nlp, "_elastic_qp", recording_elastic)
-    monkeypatch.setattr(tightnav.nlp, "solve_qp", recording_qp)
-    for hint in (None, np.arange(inequality_row_count(prob, x0))):
-        assert solve_nlp(prob, x0, warm_rows=hint).status == "infeasible"
-    assert calls
-    for (hess, g, Je, ce, Ji, ci, lb, ub, k, warm, rho), got, qp in calls:
-        assert got.status == "optimal"
-        B = scatter_blocks(hess, len(g))
-        # The QP it solved: the state column condensed out, the slacks
-        # appended, the bounds as bounds.
-        (args, kwargs, raw), = qp
-        assert len(args[0]) == len(g) - k + 2 * (len(ce) - k) + len(ci)
-        # The QP's unconstrained minimizer puts each slack at -rho / 1e-6,
-        # so its points carry absolute errors of about that many epsilons.
-        tol = 10.0 * np.finfo(float).eps * rho / 1e-6
-        r_stat, r_prim, r_comp = kkt_residuals(*args, raw, lb=kwargs["lb"], ub=kwargs["ub"])
-        assert r_stat < 1e-8 and r_prim < tol and r_comp < tol * np.max(raw.lam)
-        p = got.x[: len(g)]
-        # Every bound holds to rounding, the state row too.
-        assert np.all(p >= lb - 1e-12) and np.all(p <= ub + 1e-12)
-        np.testing.assert_allclose(Je[:k] @ p, -ce[:k], rtol=0.0, atol=1e-12)
-        var, sign, rhs = bound_rows(lb, ub)
-        assert len(got.lam) == len(ci) + len(var)
-        assert np.all(got.active_rows < len(ci) + len(var))
-        rows = np.vstack([Ji, unit_rows(var, sign, len(g))])
-        want = elastic_qp_full_slack(B, g, Je, ce, rows, np.concatenate([ci, -rhs]), rho)
-        assert want.status == "optimal"
-        assert general_violation(Je, ce, Ji, ci, k, p) == pytest.approx(
-            general_violation(Je, ce, Ji, ci, k, want.x[: len(g)]), rel=1e-6)
 
 
 # --- block-diagonal convexification against the whole-matrix oracle ---------

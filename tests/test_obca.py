@@ -606,13 +606,15 @@ def test_environment_window_pads_with_last_step():
 
 # --- horizon solves ---------------------------------------------------------
 
-def blocking_scene():
-    """Obstacle centered on the reference line inside a walled lane.
+def blocking_scene(x=1.5):
+    """Obstacle centered on the reference line at x inside a walled lane.
 
     Both pass corridors are wide enough for the body even while it is still
-    turning, so either strategy admits a comfortably feasible thread.
+    turning, so either strategy admits a comfortably feasible thread.  The
+    zero-input warm start runs into the obstacle, so a cold solve starts from
+    the braking guess; at x = 1.1 that guess cannot meet the strategy rows.
     """
-    tv = Polytope.from_box((1.1, 0.0), 0.28, 0.11)
+    tv = Polytope.from_box((x, 0.0), 0.28, 0.11)
     env = static_env(tv, 21)
     z0 = np.array([0.0, 0.0, 0.0, 0.6])
     cfg = ControllerConfig()
@@ -696,22 +698,26 @@ def test_solve_step_strategy_rows_enforced():
     assert later.any()
     assert np.all(offset[later] - np.sum(w * sol.zs[stages, :2], axis=1)[later] <= 1e-6)
     # Passing left of a centered obstacle means clearing its top edge.
-    t_close = int(np.argmin(np.abs(sol.zs[:, 0] - 1.1)))
+    t_close = int(np.argmin(np.abs(sol.zs[:, 0] - 1.5)))
     assert sol.zs[t_close, 1] > 0.055
 
 
-def test_guided_solve_leaves_the_braking_guess_in_one_elastic_step(monkeypatch):
+def test_guided_solve_from_the_braking_guess_ends_infeasible(monkeypatch):
     # The zero-input warm start runs into the TV, so the solve starts from
-    # the stopped braking guess, whose linearization has no lateral
-    # authority against the strategy rows: its one elastic step leaves it.
-    tv, env, z0, ref = blocking_scene()
+    # the stopped braking guess.  At v = 0 its linearization has no lateral
+    # authority against the strategy rows, so the first subproblem has no
+    # solution: the one NLP ends infeasible at iteration 1 without a step,
+    # and the step keeps no plan, so the next one starts cold the same way.
+    tv, env, z0, ref = blocking_scene(1.1)
     calls = record_nlp_calls(monkeypatch)
-    sol = ObcaController(ControllerConfig()).solve_step(
-        z0, np.zeros(2), ref, env, strategy=StrategyLabel.PASS_LEFT)
-    assert sol.ok and len(calls) == 1
-    history = calls[0][2].history
-    assert [(rec[0], rec[-1]) for rec in history[:1]] == [(1, "elastic")]
-    assert len(history) > 1 and all(rec[-1] == "qp" for rec in history[1:])
+    ctrl = ObcaController(ControllerConfig())
+    sol = ctrl.solve_step(z0, np.zeros(2), ref, env, strategy=StrategyLabel.PASS_LEFT, step=0)
+    assert [(got.status, got.iterations) for *_, got in calls] == [("infeasible", 1)]
+    assert sol.status == "infeasible" and sol.stats["rounds"] == 1
+    np.testing.assert_array_equal(sol.zs, ctrl._braking_guess(z0)[0])
+    again = ctrl.solve_step(z0, np.zeros(2), ref, env, strategy=StrategyLabel.PASS_LEFT, step=1)
+    assert len(calls) == 2 and calls[1][1] is None
+    assert again.status == "infeasible" and np.array_equal(again.zs, sol.zs)
 
 
 def test_solve_step_pass_sides_differ():
@@ -721,7 +727,7 @@ def test_solve_step_pass_sides_differ():
     right = ObcaController(ControllerConfig()).solve_step(
         z0, np.zeros(2), ref, env, strategy=StrategyLabel.PASS_RIGHT)
     assert left.ok and right.ok
-    t_close = int(np.argmin(np.abs(left.zs[:, 0] - 1.1)))
+    t_close = int(np.argmin(np.abs(left.zs[:, 0] - 1.5)))
     assert left.zs[t_close, 1] > right.zs[t_close, 1]
 
 
@@ -765,7 +771,7 @@ def test_solve_step_deterministic():
 
 
 def test_shifted_warm_start_consistency():
-    tv, env, z0, ref_unused = blocking_scene()
+    tv, env, z0, ref_unused = blocking_scene(1.1)
     cfg = ControllerConfig()
     n = cfg.horizon
     global_ref = straight_ref(z0, n + 2, DT)

@@ -225,6 +225,24 @@ def test_train_rejects_single_class():
         train(x, np.zeros(20, dtype=int))
 
 
+@pytest.mark.parametrize("field, value", [
+    ("learning_rate", math.nan),
+    ("learning_rate", math.inf),
+    ("learning_rate", -0.1),
+    ("learning_rate", 0.0),
+    ("epochs", -3),
+    ("epochs", 2.5),
+    ("batch", 0),
+    ("batch", True),
+    ("val_fraction", -0.5),
+    ("val_fraction", math.nan),
+    ("val_fraction", 1.0),
+])
+def test_train_config_rejects_values_that_train_a_broken_model(field, value):
+    with pytest.raises(ValueError, match=field):
+        TrainConfig(**{field: value})
+
+
 def test_train_permutation_consistency():
     rng = np.random.default_rng(31)
     x, y = cluster_dataset(rng)

@@ -427,8 +427,8 @@ def test_bound_rows_number_each_variable_lower_then_upper():
         rest = bound_rows(lb[k:], ub[k:])
         for got, want in zip((var[cut:] - k, sign[cut:], rhs[cut:]), rest):
             np.testing.assert_array_equal(got, want)
-        # Elastic slacks after the variables, each bounded below by 0: their
-        # bounds are a suffix after the variables' own.
+        # Variables appended after the others, each bounded below by 0:
+        # their bounds are a suffix after the others' own.
         e_var, e_sign, e_rhs = bound_rows(np.concatenate([lb, np.zeros(ns)]),
                                           np.concatenate([ub, np.full(ns, np.inf)]))
         m = len(var)

@@ -117,6 +117,13 @@ def test_synth_rejects_bad_arguments():
         synth_tv_maneuver("left", 2, "forward")
 
 
+@pytest.mark.parametrize("mode", ["forward", "reverse"])
+@pytest.mark.parametrize("idle", [math.inf, math.nan])
+def test_synth_rejects_non_finite_idle(mode, idle):
+    with pytest.raises(ScenarioError, match="finite"):
+        synth_tv_maneuver("top", 2, mode, idle_duration=idle)
+
+
 # --- scenarios --------------------------------------------------------------
 
 def test_scenario_rejects_ev_start_in_critical_region():
