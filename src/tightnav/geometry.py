@@ -83,9 +83,10 @@ class Polytope:
             raise GeometryError("A and b row counts differ")
         if self.A.shape[0] < 3 or len(self.vertices) < 3:
             raise GeometryError("a bounded planar polytope needs >= 3 faces and vertices")
+        # Written so that a NaN norm fails the test too.
         norms = np.linalg.norm(self.A, axis=1)
-        if np.any(norms < 1e-12):
-            raise GeometryError("zero-norm face normal")
+        if not np.all(norms >= 1e-12):
+            raise GeometryError("zero-norm or non-finite face normal")
 
     @classmethod
     def from_box(cls, center, half_x: float, half_y: float, psi: float = 0.0):
@@ -94,8 +95,8 @@ class Polytope:
         The corners run counterclockwise from the one at the least angle
         about the center.
         """
-        if half_x <= 0 or half_y <= 0:
-            raise GeometryError("box half-extents must be positive")
+        if not (half_x > 0 and math.isfinite(half_x) and half_y > 0 and math.isfinite(half_y)):
+            raise GeometryError("box half-extents must be positive and finite")
         G = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
         g = np.array([half_x, half_y, half_x, half_y])
         R = rotation_matrix(psi)
@@ -120,8 +121,8 @@ class Polytope:
 
 def body_polytope(z, length: float, width: float) -> Polytope:
     """Vehicle body box at state z = (x, y, psi, ...)."""
-    if length <= 0 or width <= 0:
-        raise GeometryError("body dimensions must be positive")
+    if not (length > 0 and math.isfinite(length) and width > 0 and math.isfinite(width)):
+        raise GeometryError("body dimensions must be positive and finite")
     return Polytope.from_box(np.asarray(z, float)[:2], 0.5 * length, 0.5 * width,
                              float(np.asarray(z, float)[2]))
 
@@ -298,8 +299,8 @@ def box_distances(z_a, z_b, length: float, width: float) -> np.ndarray:
     vertex-to-edge distance in both directions.  Intersecting boxes get 0.
     Builds no `Polytope`.
     """
-    if length <= 0 or width <= 0:
-        raise GeometryError("body dimensions must be positive")
+    if not (length > 0 and math.isfinite(length) and width > 0 and math.isfinite(width)):
+        raise GeometryError("body dimensions must be positive and finite")
     z_a, z_b = np.asarray(z_a, float), np.asarray(z_b, float)
     va = _box_corners(z_a, 0.5 * length, 0.5 * width)
     vb = _box_corners(z_b, 0.5 * length, 0.5 * width)
@@ -349,8 +350,8 @@ def project_to_critical_boundary(p_ref, d, verts, A, b, radius: float, dist) -> 
     PROJECTION_TOL outside its region.
     """
     p_ref, d = np.asarray(p_ref, float), np.asarray(d, float)
-    if radius <= 0:
-        raise GeometryError("critical region radius must be positive")
+    if not (radius > 0 and math.isfinite(radius)):
+        raise GeometryError("critical region radius must be positive and finite")
     if np.any(np.asarray(dist, float) - radius > PROJECTION_TOL):
         raise GeometryError("reference point is outside the critical region")
     px, py = p_ref[:, None, 0], p_ref[:, None, 1]

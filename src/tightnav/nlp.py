@@ -6,13 +6,28 @@ a small multiple of the identity when that is positive definite, else with
 its negative eigenvalues flipped.  Steps are globalized by an l1 merit line
 search with a second-order correction.
 Subproblems go to the dense active-set QP in `qp`, warm-started from the
-previous subproblem's active rows.  A problem that declares `n_state` state
-equations (see `NlpProblem`) has its state step condensed out first: the
-state rows fix the first `n_state` step components as an affine function of
-the rest, so the QP sees only the remaining variables and equality rows, and
-the step and the state-row multipliers are recovered exactly afterwards.
-The QP is the same strictly convex subproblem either way, so condensing
-changes its cost, not its answer.
+previous subproblem's active rows.  A problem that declares its horizon's
+stage shape (`NlpProblem.stages`) has its state step condensed out first:
+the dynamics rows fix the states' step as an affine function of the
+inputs', so the QP sees only the remaining variables and equality rows,
+and the step and the dynamics rows' multipliers are recovered exactly
+afterwards.  The QP is the same strictly convex subproblem either way, so
+condensing changes its cost, not its answer.
+
+The dynamics rows travel as their stage blocks, the stacks (A_t, B_t)
+of the problem's `dynamics` callback, from the problem to the condensing:
+the KKT residual and the merit's linearization multiply block by block,
+and only the second-order correction, when it runs, forms their dense
+rows.  Their block on the states is unit lower block-bidiagonal by
+construction, so nothing checks it.  What condensing needs that does not
+change between a solve's iterates is planned once, at the solve's first
+subproblem (`_Condensing`): the state block's identity and the positions
+of its blocks, the layout of the state map's right-hand side, and the
+split of the states' bound rows from the others.  After that, each
+subproblem computes values only.  The products run over every input, so
+an input column that happens to be zero (steering at a standstill) is
+multiplied through rather than skipped; that changes the rounding of the
+condensed QP, not its terms.
 
 The Lagrangian Hessian travels as the stacks of its diagonal blocks
 (`hess_blocks`, batched over blocks of one size; see `NlpProblem`) from
@@ -81,7 +96,9 @@ from .qp import bound_rows, solve_qp, unit_rows
 # the package's set-up measurably slower (0.26 against 0.23 s over 10
 # alternating runs of perfbench's set-up timing), although the same modules
 # load either way.
-from scipy.linalg import lstsq, solve_triangular
+from scipy.linalg import get_lapack_funcs, lstsq
+
+_trtrs, = get_lapack_funcs(("trtrs",), dtype=np.float64)
 
 Status = str  # "optimal" | "max_iterations" | "infeasible" | "numerical_failure"
 
@@ -116,18 +133,26 @@ class NlpProblem:
     f + mult_eq . c_eq + mult_ineq . c_in, where mult_ineq covers the rows of
     `ineq` only (bounds are linear and add no curvature), as the stacks of
     its diagonal blocks: one (blocks, size, size) array per index array of
-    `block_groups(hess_blocks)`, in that order, whose [b] is the Hessian on
-    the variables of that array's row b, in their order.  It may be
-    indefinite or a Gauss-Newton approximation; the solver convexifies it
-    before each subproblem.  Bounds may be None or contain +-inf entries.
+    `blocks`, in that order, whose [b] is the Hessian on the variables of
+    that array's row b, in their order.  It may be indefinite or a
+    Gauss-Newton approximation; the solver convexifies it before each
+    subproblem.  Bounds may be None or contain +-inf entries; `solve_nlp`
+    raises ValueError for a bound of another shape than (n,), a NaN bound
+    and a lower bound above its upper one.
 
-    n_state declares that the first n_state equality rows are state
-    equations for the first n_state variables, as in multiple shooting: the
-    block of the equality Jacobian on those rows and columns must be unit
-    lower triangular (1 on the diagonal, 0 above it).  The solver eliminates
-    those variables from every subproblem, and `solve_nlp` raises ValueError
-    when the block at a subproblem's iterate is not of that form.  0
-    declares nothing.
+    stages = (N, nx, nu) declares a horizon of N stages, as in multiple
+    shooting: the first N nx variables are the states z_1..z_N, the next
+    N nu the inputs u_0..u_{N-1}, and the first N nx equality rows are the
+    dynamics z_{t+1} - f_t(z_t, u_t) = 0 (z_0 is data, not a variable).
+    Those rows come from `dynamics(x, jacobian) -> (residual, A, B)`: the
+    residual (N nx,), stage by stage, and the stacks A (N-1, nx, nx) of
+    df_t/dz_t for t = 1..N-1 and B (N, nx, nu) of df_t/du_t, both None
+    without `jacobian`, as for `eq`.  `eq` then holds only the other
+    equality rows, numbered after the dynamics rows in mult_eq.  The
+    solver eliminates the states from every subproblem.  `solve_nlp`
+    raises ValueError for stages that are not three positive integers with
+    N (nx + nu) <= n, and for a residual or stacks of other shapes.  None,
+    with `dynamics` None, declares nothing.
 
     hess_blocks, one integer label per variable, declares that the
     Lagrangian Hessian has no nonzero entry between variables with
@@ -144,8 +169,19 @@ class NlpProblem:
     ineq: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None
     lower: np.ndarray | None = None
     upper: np.ndarray | None = None
-    n_state: int = 0
+    stages: tuple[int, int, int] | None = None
+    dynamics: Callable[[np.ndarray, bool], tuple] | None = None
     hess_blocks: np.ndarray | None = None
+
+    @functools.cached_property
+    def blocks(self) -> list[np.ndarray]:
+        """The index arrays of `lag_hess`'s stacks: `block_groups(hess_blocks)`,
+        or one block of every variable for None.  Computed on first use,
+        once per problem, so a caller that builds the stacks reads the
+        grouping the solver reads."""
+        if self.hess_blocks is None:
+            return [np.arange(self.n)[None]]
+        return block_groups(np.asarray(self.hess_blocks))
 
 
 @dataclass
@@ -247,10 +283,11 @@ def _violation_inf(ce, ci):
 def _kkt_residual(g, Je, Ji, nu, lam, ci, b_var, b_sign) -> float:
     """Max-norm KKT residual: stationarity of the Lagrangian, whose bound
     terms are numbered as `qp.bound_rows` gives them, and complementarity
-    of every inequality row, the bounds' included; NaN when a term is."""
+    of every inequality row, the bounds' included; NaN when a term is.  Je
+    is the equality rows' `_EqJacobian`."""
     stat = g.copy()
     if len(nu):
-        stat += Je.T @ nu
+        stat += Je.tdot(nu)
     m_u = len(Ji)
     if m_u:
         stat += Ji.T @ lam[:m_u]
@@ -258,6 +295,80 @@ def _kkt_residual(g, Je, Ji, nu, lam, ci, b_var, b_sign) -> float:
     r_stat = float(np.max(np.abs(stat))) if len(g) else 0.0
     r_comp = float(np.max(np.abs(lam * ci))) if len(ci) else 0.0
     return float(np.maximum(r_stat, r_comp))
+
+
+class _EqJacobian:
+    """The equality rows' Jacobian at one point: for a staged problem (see
+    `NlpProblem`) the dynamics rows as their stacks A and B, I on
+    z_{t+1}, -A_t on z_t and -B_t on u_t, then the dense rows J of `eq`;
+    for any other problem J alone, with stages, A and B None.  The products
+    read the stacks block by block; only `dense` forms the whole matrix."""
+
+    def __init__(self, stages, A, B, J):
+        self.stages, self.A, self.B, self.J = stages, A, B, J
+
+    def arrays(self) -> tuple:
+        return (self.J,) if self.stages is None else (self.A, self.B, self.J)
+
+    def dot(self, p):
+        """The rows' product with p."""
+        if self.stages is None:
+            return self.J @ p
+        N, nx, nu = self.stages
+        k = N * nx
+        pz = p[:k].reshape(N, nx)
+        dyn = pz - (self.B @ p[k : k + N * nu].reshape(N, nu, 1))[:, :, 0]
+        dyn[1:] -= (self.A @ pz[:-1, :, None])[:, :, 0]
+        return np.concatenate([dyn.ravel(), self.J @ p])
+
+    def tdot(self, w):
+        """The transposed rows' product with w, one entry per row."""
+        if self.stages is None:
+            return self.J.T @ w
+        N, nx, nu = self.stages
+        k = N * nx
+        out = self.J.T @ w[k:]
+        wd = w[:k].reshape(N, nx)
+        z = out[:k].reshape(N, nx)
+        z += wd
+        z[:-1] -= (self.A.transpose(0, 2, 1) @ wd[1:, :, None])[:, :, 0]
+        out[k : k + N * nu] -= (self.B.transpose(0, 2, 1) @ wd[:, :, None]).ravel()
+        return out
+
+    def dense(self):
+        """The whole Jacobian, one dense row per equality row."""
+        if self.stages is None:
+            return self.J
+        N, nx, nu = self.stages
+        k, n = N * nx, self.J.shape[1]
+        t = np.arange(N)[:, None, None]
+        rows = nx * t + np.arange(nx)[:, None]
+        cols = nx * t + np.arange(nx)
+        dyn = np.zeros((k, n))
+        dyn[rows, cols] = np.eye(nx)
+        dyn[rows[1:], cols[:-1]] = -self.A
+        dyn[rows, k + nu * t + np.arange(nu)] = -self.B
+        return np.vstack([dyn, self.J])
+
+
+def _check_stages(stages, n) -> int:
+    """The state count N nx of a problem's `stages`, 0 for None; raises
+    ValueError unless stages is None or three positive integers with
+    N (nx + nu) <= n."""
+    if stages is None:
+        return 0
+    # Concrete types: `numbers.Integral` is an abstract base class, whose
+    # isinstance test showed in the per-step time of a clear lane, where
+    # most solves end at their first KKT test.
+    if len(stages) != 3 or not all(isinstance(v, (int, np.integer)) and type(v) is not bool
+                                   for v in stages):
+        raise ValueError(f"stages={stages!r} is not three integers (N, nx, nu)")
+    N, nx, nu = stages
+    if min(stages) < 1:
+        raise ValueError(f"stages={stages!r} is not three positive integers (N, nx, nu)")
+    if N * (nx + nu) > n:
+        raise ValueError(f"stages={stages!r} hold {N * (nx + nu)} variables, more than n={n}")
+    return N * nx
 
 
 def solve_nlp(problem: NlpProblem, x0: np.ndarray,
@@ -270,12 +381,13 @@ def solve_nlp(problem: NlpProblem, x0: np.ndarray,
     from their predecessor's working set.
     """
     n = problem.n
-    k = problem.n_state
     x = np.asarray(x0, dtype=float).copy()
     if x.shape != (n,):
         raise ValueError(f"x0 shape {x.shape} does not match n={n}")
-    if not 0 <= k <= n:
-        raise ValueError(f"n_state={k} is outside [0, n={n}]")
+    stages = problem.stages
+    k = _check_stages(stages, n)
+    if (problem.dynamics is None) != (stages is None):
+        raise ValueError("stages and dynamics must be given together")
     labels = problem.hess_blocks
     if labels is not None and np.shape(labels) != (n,):
         raise ValueError(f"hess_blocks shape {np.shape(labels)} does not match n={n}")
@@ -283,15 +395,23 @@ def solve_nlp(problem: NlpProblem, x0: np.ndarray,
 
     lo = np.full(n, -np.inf) if problem.lower is None else np.asarray(problem.lower, float)
     hi = np.full(n, np.inf) if problem.upper is None else np.asarray(problem.upper, float)
-    if np.any(lo > hi):
-        raise ValueError("lower bound exceeds upper bound")
+    for name, bound in (("lower", lo), ("upper", hi)):
+        if bound.shape != (n,):
+            raise ValueError(f"{name} shape {bound.shape} does not match n={n}")
+    # Written so that a NaN bound fails the test too.
+    if not np.all(lo <= hi):
+        raise ValueError("a lower bound exceeds its upper bound or a bound is NaN")
     x = np.clip(x, lo, hi)
     b_var, b_sign, b_rhs = bound_rows(lo, hi)
+    if k:
+        N, nx, nu = stages
+        shapes = ((N - 1, nx, nx), (N, nx, nu))
 
     def evaluate(xv, jacobian):
-        """(f, g, ce, Je, ci, Ji) at xv, Je and Ji None unless jacobian.  ci
-        holds the value of every inequality row, the bounds' included; Ji
-        holds the Jacobian of the rows of `ineq` only."""
+        """(f, g, ce, Je, ci, Ji) at xv, Je and Ji None unless jacobian.  ce
+        holds the dynamics rows' values first, and Je is an `_EqJacobian`;
+        ci holds the value of every inequality row, the bounds' included,
+        and Ji the Jacobian of the rows of `ineq` only."""
         fval, g = problem.objective(xv)
         rows = []
         for fn in (problem.eq, problem.ineq):
@@ -299,6 +419,20 @@ def solve_nlp(problem: NlpProblem, x0: np.ndarray,
             c = np.asarray(c, float).ravel()
             rows += [c, np.asarray(jac, float).reshape(len(c), n) if jacobian else None]
         ce, Je, ci_u, Ji = rows
+        if k:
+            r, A, B = problem.dynamics(xv, jacobian)
+            r = np.asarray(r, float)
+            if r.shape != (k,):
+                raise ValueError(f"dynamics residual shape {r.shape} does not match stages "
+                                 f"{stages}")
+            ce = np.concatenate([r, ce])
+            if jacobian:
+                if (np.shape(A), np.shape(B)) != shapes:
+                    raise ValueError(f"dynamics stacks of shapes {np.shape(A)} and "
+                                     f"{np.shape(B)} are not {shapes[0]} and {shapes[1]}")
+                Je = _EqJacobian(stages, A, B, Je)
+        elif jacobian:
+            Je = _EqJacobian(None, None, None, Je)
         ci = np.concatenate([ci_u, b_sign * xv[b_var] - b_rhs])
         return float(fval), np.asarray(g, float).ravel(), ce, Je, ci, Ji
 
@@ -328,22 +462,23 @@ def solve_nlp(problem: NlpProblem, x0: np.ndarray,
 
         stacks = problem.lag_hess(x, nu, lam[:m_u])
         if blocks is None:
-            blocks = ([np.arange(n)[None]] if labels is None
-                      else block_groups(np.asarray(labels)))
-            split = _state_split(blocks, k)
+            # The solve's plan: what its subproblems share.
+            blocks = problem.blocks
+            split = _state_split(blocks, k, n)
+            plan = _Condensing(stages, b_var, b_sign) if k else None
         if [np.shape(s) for s in stacks] != [ix.shape + ix.shape[1:] for ix in blocks]:
             raise ValueError("the Lagrangian Hessian's stacks do not match hess_blocks")
         # Ill-conditioned endgames can overflow the curvature to inf, and a
         # NaN value fails every KKT test above; surface both as a status
         # instead of letting the factorization raise, so callers fall back
         # the same way they do for any failed solve.
-        if not all(np.all(np.isfinite(a)) for a in (*stacks, g, Ji, ci, Je, ce)):
+        if not all(np.all(np.isfinite(a)) for a in (*stacks, g, Ji, ci, *Je.arrays(), ce)):
             status = "numerical_failure"
             break
         hess = _split_stacks(split, _convexify(stacks))
-        _check_state_block(Je, k)
         try:
-            qp_sol = _solve_subproblem(hess, g, Je, ce, Ji, ci[:m_u], lo - x, hi - x, k, warm)
+            qp_sol = _solve_subproblem(plan, hess, g, Je, ce, Ji, ci[:m_u], lo - x, hi - x,
+                                       warm)
         except (np.linalg.LinAlgError, ValueError):
             status = "numerical_failure"
             break
@@ -371,7 +506,7 @@ def solve_nlp(problem: NlpProblem, x0: np.ndarray,
         # Credit only the violation reduction the linear model actually
         # achieves at the step, not the full mu*viol0: the QP meets its
         # rows only to its own tolerance.
-        ce_lin = ce + Je @ p if len(ce) else ce
+        ce_lin = ce + Je.dot(p) if len(ce) else ce
         ci_lin = ci + np.concatenate([Ji @ p, b_sign * p[b_var]])
         model_red = viol0 - _violation_l1(ce_lin, ci_lin)
         deriv = float(g @ p) - mu_pen * max(model_red, 0.0)
@@ -397,9 +532,10 @@ def solve_nlp(problem: NlpProblem, x0: np.ndarray,
                 # Second-order correction: retarget the rows the subproblem
                 # held active using their values at the full step, so the
                 # merit's quadratic constraint drift cannot veto an otherwise
-                # sound Newton step (the Maratos effect).
+                # sound Newton step (the Maratos effect).  Only here are the
+                # dynamics rows formed densely.
                 soc_tried = True
-                j_stack = np.vstack([Je, _ineq_rows(Ji, b_var, b_sign, warm)])
+                j_stack = np.vstack([Je.dense(), _ineq_rows(Ji, b_var, b_sign, warm)])
                 r_vec = np.concatenate([ce_t, ci_t[warm]])
                 if j_stack.shape[0]:
                     dp = _min_norm_solve(j_stack, -r_vec)
@@ -490,27 +626,6 @@ def _min_norm_solve(a, b):
     return lstsq(a, b, cond=cond, lapack_driver="gelsy", check_finite=False)[0]
 
 
-@functools.lru_cache(maxsize=4)
-def _upper(k):
-    """Row and column indices of the strict upper triangle of a k x k
-    block, read-only: every caller shares them."""
-    rows, cols = np.triu_indices(k, 1)
-    rows.flags.writeable = cols.flags.writeable = False
-    return rows, cols
-
-
-def _check_state_block(Je, k):
-    """Raise ValueError unless the first k rows and columns of Je are unit
-    lower triangular."""
-    if not k:
-        return
-    if Je.shape[0] < k:
-        raise ValueError(f"n_state={k} exceeds the {Je.shape[0]} equality rows")
-    if (np.diagonal(Je[:k, :k]) != 1.0).any() or Je[_upper(k)].any():
-        raise ValueError("the n_state block of the equality Jacobian is not "
-                         "unit lower triangular")
-
-
 def _ineq_rows(Ji, b_var, b_sign, rows):
     """Jacobian rows of the inequality rows numbered `rows`: rows of Ji
     first, then for bound row j the unit row of `qp.unit_rows`."""
@@ -522,117 +637,169 @@ def _ineq_rows(Ji, b_var, b_sign, rows):
     return out
 
 
-def _state_split(blocks, k):
-    """(group, rows, ix, ns) for the index arrays `blocks` of
-    `block_groups`: each array's blocks split by their count ns of states
-    (variables below k), which lead them, rows selecting the array's
-    blocks with that count (None for all) and ix their variables."""
+def _state_split(blocks, k, n):
+    """(group, rows, ix, ns, at) for the index arrays `blocks` of
+    `block_groups` over n variables: each array's blocks split by their
+    count ns of states (variables below k), which lead them, rows selecting
+    the array's blocks with that count (None for all), ix their variables
+    and at the flat positions of their other variables' entries in the
+    reduced (n - k) x n - k Hessian.  A solve splits once."""
     out = []
     for i, ix in enumerate(blocks):
         below = ix < k
         if (below == below[0]).all():
-            out.append((i, None, ix, int(np.count_nonzero(below[0]))))
-            continue
-        ns = np.count_nonzero(below, axis=1)
-        for u in np.unique(ns):
-            rows = np.flatnonzero(ns == u)
-            out.append((i, rows, ix[rows], int(u)))
+            counts, rows_of = [int(np.count_nonzero(below[0]))], [None]
+        else:
+            ns = np.count_nonzero(below, axis=1)
+            counts = np.unique(ns).tolist()
+            rows_of = [np.flatnonzero(ns == u) for u in counts]
+        for u, rows in zip(counts, rows_of):
+            sub = ix if rows is None else ix[rows]
+            free = sub[:, u:] - k
+            out.append((i, rows, sub, u, free[:, :, None] * (n - k) + free[:, None, :]))
     return out
 
 
 def _split_stacks(split, parts):
-    """`_solve_subproblem`'s (ix, part, ns) triples: the stacks `parts` of
-    `block_groups`' index arrays, split as `_state_split` split those."""
-    return [(ix, parts[i] if rows is None else parts[i][rows], ns) for i, rows, ix, ns in split]
+    """`_solve_subproblem`'s (ix, part, ns, at) tuples: the stacks `parts`
+    of `block_groups`' index arrays, split as `_state_split` split those."""
+    return [(ix, parts[i] if rows is None else parts[i][rows], ns, at)
+            for i, rows, ix, ns, at in split]
 
 
-def _solve_subproblem(hess, g, Je, ce, Ji, ci, lb, ub, k, warm):
+class _Condensing:
+    """What condensing a staged solve's subproblems needs that does not
+    change between its iterates, built at its first subproblem.
+
+    With k = N nx states and nc = N nu inputs, the dynamics rows' block on
+    the states is E, unit lower block-bidiagonal: I on stage t's diagonal
+    block and -A_t left of it.  `e` holds E, its identity written once and
+    its -A_t blocks through the flat positions `a_at` per subproblem;
+    `rhs_t` holds the transpose of [Je[:k, k:k + nc] | ce[:k]], zero but
+    for the -B_t blocks (positions `b_at`) and the residuals in its last
+    row.  E is solved by LAPACK trtrs on E', as `solve_triangular` solves
+    a C-ordered E.  s_var and s_sign are the states' bound rows, the first
+    bound rows (`qp.bound_rows`), whose finite pattern is fixed per solve.
+    """
+
+    def __init__(self, stages, b_var, b_sign):
+        N, nx, nu = stages
+        self.k = k = N * nx
+        self.nc = N * nu
+        t = np.arange(N)[:, None, None]
+        rows = nx * t + np.arange(nx)[:, None]  # (N, nx, 1)
+        self.e = np.eye(k)
+        self.a_at = rows[1:] * k + nx * t[:-1] + np.arange(nx)  # (N-1, nx, nx)
+        self.rhs_t = np.zeros((self.nc + 1, k))
+        self.b_at = (nu * t + np.arange(nu)) * k + rows  # (N, nx, nu)
+        state = np.searchsorted(b_var, k)
+        self.s_var, self.s_sign = b_var[:state], b_sign[:state]
+
+    def state_map(self, A, B, c):
+        """(S, s0) with p[:k] = s0 + S p[k:k + nc] on the dynamics rows'
+        linearization at blocks A, B and residuals c."""
+        self.e.reshape(-1)[self.a_at] = -A
+        self.rhs_t.reshape(-1)[self.b_at] = -B
+        self.rhs_t[-1] = c
+        s_s0 = -self._solve(self.rhs_t.T, trans=1)
+        return s_s0[:, :-1], s_s0[:, -1]
+
+    def solve_transposed(self, r):
+        """E'^-1 r, E at the last `state_map`'s blocks."""
+        return self._solve(r, trans=0)
+
+    def _solve(self, rhs, trans):
+        # E' is upper triangular: trans 1 solves E x = rhs, trans 0 E' x = rhs.
+        x, info = _trtrs(self.e.T, rhs, lower=0, trans=trans, unitdiag=1)
+        if info:
+            raise np.linalg.LinAlgError(f"trtrs failed with info={info}")
+        return x
+
+
+def _solve_subproblem(plan, hess, g, Je, ce, Ji, ci, lb, ub, warm):
     """QP step min 0.5 p'Bp + g'p s.t. Je p = -ce, Ji p <= -ci, lb <= p <= ub,
-    solved with the first k components of p condensed out through the first
-    k rows.  B is block diagonal, given as hess: (ix, part, ns) triples, ix
-    (blocks, size) the variables of blocks of one size whose first ns are
-    states (below k), each row in ascending order, and part (blocks, size,
-    size) their entries of B.  Multipliers and active rows come back
-    numbered as in the module docstring.
+    solved with the k states condensed out through the dynamics rows when
+    the solve is staged (plan, a `_Condensing`, not None); Je is the
+    equality rows' `_EqJacobian`.  B is block diagonal,
+    given as hess: (ix, part, ns, at) tuples, ix (blocks, size) the
+    variables of blocks of one size whose first ns are states (below k),
+    each row in ascending order, part (blocks, size, size) their entries of
+    B and at the flat positions of the other variables' entries in the
+    reduced Hessian (`_state_split`).
+    Multipliers and active rows come back numbered as in the module
+    docstring.
 
-    With E = Je[:k, :k] unit lower triangular, those rows give
-    p[:k] = s0 + S p[k:], where s0 = -E^-1 ce[:k] and S = -E^-1 Je[:k, k:].
-    S is zero outside the columns `cols` that the state rows touch, so
-    substituting changes only those columns of the reduced Hessian and of
-    the other rows, and only the rows with a state entry.  A block's states
-    are its leading variables, so each product of B with S, s0 or p runs
-    per block over those states: S[states]' part gives the block's columns
-    of S' B[:k], and the blocks' state columns and rows give B[:, :k] s0
-    and B[:k] p.  The reduced Hessian, the one dense matrix, starts from
-    the blocks' other entries.  The bounds on the first k components, the
-    first bound rows, become rows over the remaining ones placed after the
-    rows of Ji, so every row keeps its number; every other bound stays a
-    bound.  The state-row multipliers follow from the first k components of
-    stationarity, E' nu_s = -r_s.  Returns the solution in the full
-    variables.
+    The dynamics rows give p[:k] = s0 + S p[k:k + nc], where s0 = -E^-1
+    ce[:k] and S = -E^-1 Je[:k, k:k + nc] with E = Je[:k, :k]
+    (`_Condensing`), so substituting changes only the inputs' columns of
+    the reduced Hessian and of the other rows, and only the rows with a
+    state entry.  A block's states are its leading variables, so each
+    product of B with S, s0 or p runs per block over those states: S[states]'
+    part gives the block's columns of S' B[:k], kept as rows of its
+    transpose, and the blocks' state columns and rows give B[:, :k] s0 and
+    B[:k] p.  The reduced Hessian,
+    the one dense matrix, starts from the blocks' other entries.  The
+    bounds on the states, the first bound rows, become rows over the
+    remaining variables placed after the rows of Ji, so every row keeps its
+    number; every other bound stays a bound.  The dynamics rows'
+    multipliers follow from the states' components of stationarity,
+    E' nu_s = -r_s.  Returns the solution in the full variables.
     """
     n = len(g)
-    if not k:
+    m_u = len(Ji)
+    if plan is None:
         H = np.zeros((n, n))
-        for ix, part, _ in hess:
-            H[ix[:, :, None], ix[:, None, :]] = part
-        return solve_qp(H, g, Ji, -ci, Je, -ce, warm_rows=warm, lb=lb, ub=ub)
+        for _, part, _, at in hess:
+            H.reshape(-1)[at] = part
+        return solve_qp(H, g, Ji, -ci, Je.J, -ce, warm_rows=warm, lb=lb, ub=ub)
     # The caller has checked every input for finite values.
-    e = Je[:k, :k]
-    cols = np.flatnonzero(np.any(Je[:k, k:], axis=0))
-    s_s0 = -solve_triangular(e, np.column_stack([Je[:k, k + cols], ce[:k]]),
-                             lower=True, unit_diagonal=True, check_finite=False)
-    S, s0 = s_s0[:, :-1], s_s0[:, -1]
+    k, nc = plan.k, plan.nc
+    S, s0 = plan.state_map(Je.A, Je.B, ce[:k])
 
-    sb = np.zeros((len(cols), n))  # S' B[:k]
+    sb_t = np.zeros((n, nc))  # (S' B[:k])'
     bs0 = np.zeros(n)  # B[:, :k] s0
     H = np.zeros((n - k, n - k))
-    for ix, part, ns in hess:
-        free = ix[:, ns:] - k
-        H[free[:, :, None], free[:, None, :]] = part[:, ns:, ns:]
+    for ix, part, ns, at in hess:
+        H.reshape(-1)[at] = part[:, ns:, ns:]
         if ns:
             st = ix[:, :ns]
-            sb[:, ix] = (S[st].transpose(0, 2, 1) @ part[:, :ns]).transpose(1, 0, 2)
+            sb_t[ix] = (S[st].transpose(0, 2, 1) @ part[:, :ns]).transpose(0, 2, 1)
             bs0[ix] = (part[:, :, :ns] @ s0[st][:, :, None])[:, :, 0]
-    H[cols] += sb[:, k:]
-    H[:, cols] += sb[:, k:].T
-    H[np.ix_(cols, cols)] += sb[:, :k] @ S
+    H[:nc] += sb_t[k:].T
+    H[:, :nc] += sb_t[k:]
+    H[:nc, :nc] += sb_t[:k].T @ S
     v = g + bs0
     f = v[k:].copy()
-    f[cols] += S.T @ v[:k]
+    f[:nc] += S.T @ v[:k]
 
-    def eliminate(J, c):
-        red, rhs = J[:, k:].copy(), -c
+    def eliminate(J, c, red, rhs):
+        red[:] = J[:, k:]
+        np.negative(c, out=rhs)
         rows = np.flatnonzero(np.any(J[:, :k], axis=1))
         if len(rows):
             js = J[rows, :k]
-            red[np.ix_(rows, cols)] += js @ S
+            red[rows, :nc] += js @ S
             rhs[rows] -= js @ s0
-        return red, rhs
 
-    A, b = eliminate(Ji, ci)
-    C, d = eliminate(Je[k:], ce[k:])
-    # The states' bound rows are the first bound rows.  Each one,
-    # sign * p_i <= rhs, becomes sign * S_i p[k:] <= rhs - sign * s0_i.
-    var, sign, rhs = bound_rows(lb, ub)
-    state = np.s_[: np.searchsorted(var, k)]
-    s_var, s_sign = var[state], sign[state]
-    rows = np.zeros((len(s_var), len(f)))
-    rows[:, cols] = s_sign[:, None] * S[s_var]
-    A = np.vstack([A, rows])
-    b = np.concatenate([b, rhs[state] - s_sign * s0[s_var]])
+    # The states' bound rows, sign * p_i <= rhs (-lb_i or ub_i), become
+    # sign * S_i p[k:] <= rhs - sign * s0_i after the rows of Ji.
+    s_var, s_sign = plan.s_var, plan.s_sign
+    A = np.zeros((m_u + len(s_var), n - k))
+    b = np.empty(len(A))
+    eliminate(Ji, ci, A[:m_u], b[:m_u])
+    A[m_u:, :nc] = s_sign[:, None] * S[s_var]
+    b[m_u:] = np.where(s_sign < 0.0, -lb[s_var], ub[s_var]) - s_sign * s0[s_var]
+    C = np.empty((len(Je.J), n - k))
+    d = np.empty(len(C))
+    eliminate(Je.J, ce[k:], C, d)
     sol = solve_qp(H, f, A, b, C, d, warm_rows=warm, lb=lb[k:], ub=ub[k:])
-    p = np.concatenate([s0 + S @ sol.x[cols], sol.x])
-    m_u = len(ci)
+    p = np.concatenate([s0 + S @ sol.x[:nc], sol.x])
     bp = np.zeros(k)  # B[:k] p
-    for ix, part, ns in hess:
+    for ix, part, ns, _ in hess:
         if ns:
             bp[ix[:, :ns]] = (part[:, :ns] @ p[ix][:, :, None])[:, :, 0]
-    r_s = bp + g[:k] + Ji[:, :k].T @ sol.lam[:m_u] + Je[k:, :k].T @ sol.nu
-    r_s += np.bincount(s_var, s_sign * sol.lam[m_u : m_u + len(s_var)], minlength=k)
-    nu_s = -solve_triangular(e, r_s, trans="T", lower=True, unit_diagonal=True,
-                             check_finite=False)
+    r_s = bp + g[:k] + Ji[:, :k].T @ sol.lam[:m_u] + Je.J[:, :k].T @ sol.nu
+    r_s += np.bincount(s_var, s_sign * sol.lam[m_u : len(A)], minlength=k)
     sol.x = p
-    sol.nu = np.concatenate([nu_s, sol.nu])
+    sol.nu = np.concatenate([-plan.solve_transposed(r_s), sol.nu])
     return sol
-

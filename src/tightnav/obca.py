@@ -25,7 +25,10 @@ asks for values alone (its first KKT test at the warm start, see
 `tightnav.nlp`), so a step whose warm start is already optimal, the
 commonest step when no vehicle is close, builds no dynamics Jacobian.
 The Lagrangian Hessian goes to the solver as the stacks of its stage
-blocks, so no n x n matrix is formed before the condensed QP's.
+blocks, so no n x n matrix is formed before the condensed QP's, and the
+dynamics rows go as the step Jacobians' stacks (A_t, B_t) of the NLP's
+stage shape (`NlpProblem.stages`), so their dense rows are formed only by
+the solver's second-order correction.
 
 A solve that does not end optimal ends the step: the controller returns
 its status and retries nothing, and the supervisor falls back to its
@@ -47,6 +50,7 @@ import functools
 import logging
 import math
 import numbers
+import weakref
 from dataclasses import dataclass, field
 from enum import IntEnum
 
@@ -73,7 +77,7 @@ from .geometry import (
     project_to_critical_boundary,
     strategy_halfspaces,
 )
-from .nlp import NlpProblem, block_groups, solve_nlp
+from .nlp import NlpProblem, solve_nlp
 from .qp import bound_rows
 
 logger = logging.getLogger(__name__)
@@ -401,23 +405,16 @@ def _bound_keys(var, lo, hi) -> list:
 
 class _HorizonLayout:
     """The part of a step NLP that depends on the horizon only, built once
-    per controller: the variable counts `nz` and `nuv`, the index arrays of
-    the dynamics rows' Jacobian blocks (`_StepNlp.eq`), the Hessian block
+    per controller: the variable counts `nz` and `nuv`, the Hessian block
     labels, objective curvature and bounds of z and u, and the keys of
-    those bounds' rows (see `_StepNlp`).
+    those bounds' rows (see `_StepNlp`).  The dynamics rows need no index
+    arrays: they travel as their stage blocks (`_StepNlp.dynamics`).
     """
 
     def __init__(self, cfg: ControllerConfig):
         n_h = cfg.horizon
         self.nz = nz = 4 * n_h
         self.nuv = nuv = 2 * n_h
-        # Dynamics-row blocks: row block t (z_{t+1} - f(z_t, u_t)) holds I
-        # at z_{t+1}, -dz_{t+1}/dz_t at z_t (t >= 1) and -dz_{t+1}/du_t at u_t.
-        stage = np.arange(n_h)[:, None, None]
-        r4 = np.arange(4)
-        self.dyn_rows = 4 * stage + r4[:, None]  # (N, 4, 1)
-        self.jz_cols = 4 * (stage[1:] - 1) + r4  # (N-1, 1, 4)
-        self.ju_cols = nz + 2 * stage + np.arange(2)  # (N, 1, 2)
         self.hess_blocks = np.concatenate([np.repeat(np.arange(n_h), 4), np.full(nuv, n_h)])
         # The objective Hessian's diagonal on z and u (the input block's
         # every stage but the last carries two rate terms), and the rate
@@ -445,9 +442,10 @@ class _StepNlp:
 
     Variables: [z_1..z_N | u_0..u_{N-1} | (lam, mu) per engaged pair].
     Equalities: discretized dynamics, then dual stationarity per pair.  The
-    dynamics rows are state equations for z (identity on z_{t+1}, the step
-    Jacobian on z_t), so the solver condenses z out of every subproblem
-    (`NlpProblem.n_state = nz`).
+    horizon is the NLP's stage shape (N, 4, 2) (`NlpProblem.stages`), so
+    the solver condenses z out of every subproblem: `dynamics` returns the
+    dynamics rows' residuals and the step Jacobians' stacks (A_t, B_t),
+    and `eq` the stationarity rows alone, as dense rows.
     Inequalities: clearance and normal-bound per pair, then strategy rows.
     The Lagrangian Hessian is block diagonal, and `hess_blocks` labels its
     blocks: one per stage t, holding z_t and the duals of the pairs at t
@@ -455,7 +453,9 @@ class _StepNlp:
     returns those blocks' stacks (`NlpProblem`) and never forms the n x n
     matrix; it and `eq` copy a template built on first use and write the
     entries that depend on x through flat indices (`_hess_tables`,
-    `_eq_tables`).
+    `_eq_tables`).  `problem` is the NLP as the solver takes it, and its
+    `blocks`, the grouping of `hess_blocks`, is the one `_hess_tables`
+    lays its stacks out by, so a solve groups the labels once.
 
     `row_keys` and `key_rows` translate between the solver's inequality-row
     numbers (see `tightnav.nlp`) and row identities that do not depend on
@@ -498,19 +498,35 @@ class _StepNlp:
         self.lam_cols = self.nz + self.nuv + 8 * np.arange(len(pairs))[:, None] + np.arange(4)
         self.mu_cols = self.lam_cols + 4
         self.strat_cols = 4 * (self.strat_stages[:, None] - 1) + np.arange(2)  # (S, 2)
-        # Each pair's two dual stationarity rows.
-        self.stat_rows = self.nz + 2 * np.arange(len(pairs))[:, None] + np.arange(2)  # (P, 2)
         self.hess_blocks = np.concatenate([layout.hess_blocks, np.repeat(t_pair - 1, 8)])
         self._table = None
+        self._problem = lambda: None
+
+    @property
+    def problem(self) -> NlpProblem:
+        """The NLP as `solve_nlp` takes it, bounds included: one problem
+        while any caller holds it.  The problem's callbacks hold this
+        builder, so it is held weakly here; a strong reference back would
+        keep both, with their tables, alive until the cyclic collector ran
+        (up to 47 builders during one `overtake-top5-s9008` run)."""
+        prob = self._problem()
+        if prob is None:
+            lo, hi = self.bounds()
+            prob = NlpProblem(n=self.n, objective=self.objective, lag_hess=self.lag_hess,
+                              eq=self.eq, ineq=self.ineq, lower=lo, upper=hi,
+                              stages=(self.cfg.horizon, 4, 2), dynamics=self.dynamics,
+                              hess_blocks=self.hess_blocks)
+            self._problem = weakref.ref(prob)
+        return prob
 
     @functools.cached_property
     def _hess_tables(self):
         """(template, shapes, index) of `lag_hess`'s stacks, built on first
         use: a solve that converges at its initial guess never reads them.
 
-        The stacks of `block_groups(hess_blocks)` lie one after another in
-        one flat buffer; shapes holds each one's (offset, blocks, size).
-        The template holds the exact objective Hessian there: Q_Z on z, the
+        The stacks of `problem.blocks`, the grouping of `hess_blocks`, lie
+        one after another in one flat buffer; shapes holds each one's
+        (offset, blocks, size).  The template holds the exact objective Hessian there: Q_Z on z, the
         input block tridiagonal by stage (the layout's `obj_diag` and
         `obj_rate`), and the regularizer's ridge on the duals.  index holds
         the flat positions of the pairs' entries: (pos, lam), (lam, pos),
@@ -524,7 +540,7 @@ class _StepNlp:
         size = np.empty(self.n, dtype=int)
         shapes = []
         offset = 0
-        for ix in block_groups(self.hess_blocks):
+        for ix in self.problem.blocks:
             blocks, width = ix.shape
             base[ix] = offset + width * width * np.arange(blocks)[:, None]
             place[ix] = np.arange(width)
@@ -662,57 +678,55 @@ class _StepNlp:
     @functools.cached_property
     def _eq_tables(self):
         """(template, index) of `eq`'s Jacobian, built on first use.  The
-        template holds the entries that do not depend on x: the identity on
-        z and each pair's BODY_G' on its mu.  index holds the flat positions
-        of the step Jacobians' blocks, -dz_{t+1}/dz_t at z_t (t >= 1) and
-        -dz_{t+1}/du_t at u_t, and of each pair's psi and lam entries."""
+        template holds the entries that do not depend on x, each pair's
+        BODY_G' on its mu; index holds the flat positions of each pair's
+        psi and lam entries."""
         n = self.n
-        layout = self.layout
-        rows = self.stat_rows
-        jac = np.zeros((self.nz + 2 * len(self.pairs), n))
-        np.fill_diagonal(jac[:, : self.nz], 1.0)
+        rows = 2 * np.arange(len(self.pairs))[:, None] + np.arange(2)  # (P, 2)
+        jac = np.zeros((2 * len(self.pairs), n))
         jac[rows[:, :, None], self.mu_cols[:, None, :]] = BODY_G.T
-        index = (layout.dyn_rows[1:] * n + layout.jz_cols, layout.dyn_rows * n + layout.ju_cols,
-                 rows * n + self.psi_cols[:, None],
-                 rows[:, :, None] * n + self.lam_cols[:, None, :])
-        return jac, index
+        return jac, (rows * n + self.psi_cols[:, None],
+                     rows[:, :, None] * n + self.lam_cols[:, None, :])
 
-    def eq(self, x, jacobian=True):
-        """(values, Jacobian) of the equality rows; the Jacobian is None
-        without `jacobian`.  The dynamics values then come from `step_rk4`
-        stage by stage, which gives `step_jacobians`' bits at a third of
-        its cost: 61 against 198 us for 20 stages, best of 7, on a 2-core
-        x86-64 host.  The Jacobian is a copy of `_eq_tables`' template with
-        the entries that depend on x written through flat indices."""
+    def dynamics(self, x, jacobian=True):
+        """(residual, A, B) of the dynamics rows z_{t+1} - f(z_t, u_t)
+        (`NlpProblem.stages`): the residual (4N,), then the step
+        Jacobians dz_{t+1}/dz_t for t >= 1, (N-1, 4, 4), and dz_{t+1}/du_t,
+        (N, 4, 2), or None and None without `jacobian`.  Given x every stage
+        is independent: stage t steps from z_t (z_0 for t = 0) under u_t, so
+        one `step_jacobians` call covers the horizon.  Without `jacobian`
+        the values come from `step_rk4` stage by stage, which gives
+        `step_jacobians`' bits at a third of its cost: 61 against 198 us for
+        20 stages, best of 7, on a 2-core x86-64 host."""
         n_h = self.cfg.horizon
-        n_pairs = len(self.pairs)
-        vals = np.zeros(self.nz + 2 * n_pairs)
-        # Given x every stage is independent: stage t steps from z_t (z_0
-        # for t = 0) under u_t, so one `step_jacobians` call covers the
-        # horizon.
         zs = x[: self.nz].reshape(n_h, 4)
         us = x[self.nz : self.nz + self.nuv].reshape(n_h, 2)
         start = np.vstack([self.z0[None, :], zs[:-1]])
-        if jacobian:
-            pred, jz, ju = step_jacobians(start, us, DT)
-        else:
+        if not jacobian:
             pred = np.array([step_rk4(z, u, DT) for z, u in zip(start, us)])
-        vals[: self.nz] = (zs - pred).ravel()
-        if n_pairs:
-            a_t = self.obs_a.transpose(0, 2, 1)
-            rot_t, drot_t = _rotations_t(x[self.psi_cols])
-            atl = a_t @ x[self.lam_cols][:, :, None]  # (P, 2, 1)
-            vals[self.stat_rows] = x[self.mu_cols] @ BODY_G + (rot_t @ atl)[:, :, 0]
+            return (zs - pred).ravel(), None, None
+        pred, jz, ju = step_jacobians(start, us, DT)
+        return (zs - pred).ravel(), jz[1:], ju
+
+    def eq(self, x, jacobian=True):
+        """(values, Jacobian) of the pairs' dual stationarity rows, two per
+        pair; the Jacobian is None without `jacobian`, else a copy of
+        `_eq_tables`' template with the entries that depend on x written
+        through flat indices."""
+        n_pairs = len(self.pairs)
+        if not n_pairs:
+            return np.zeros(0), np.zeros((0, self.n)) if jacobian else None
+        a_t = self.obs_a.transpose(0, 2, 1)
+        rot_t, drot_t = _rotations_t(x[self.psi_cols])
+        atl = a_t @ x[self.lam_cols][:, :, None]  # (P, 2, 1)
+        vals = (x[self.mu_cols] @ BODY_G + (rot_t @ atl)[:, :, 0]).ravel()
         if not jacobian:
             return vals, None
-        template, (jz_at, ju_at, psi_at, lam_at) = self._eq_tables
+        template, (psi_at, lam_at) = self._eq_tables
         jac = template.copy()
         flat = jac.reshape(-1)
-        flat[jz_at] = -jz[1:]
-        flat[ju_at] = -ju
-        if n_pairs:
-            flat[psi_at] = (drot_t @ atl)[:, :, 0]
-            flat[lam_at] = rot_t @ a_t
+        flat[psi_at] = (drot_t @ atl)[:, :, 0]
+        flat[lam_at] = rot_t @ a_t
         return vals, jac
 
     def ineq(self, x, jacobian=True):
@@ -843,11 +857,7 @@ class ObcaController:
         threshold = cfg.d_min + REENGAGE_MARGIN
         for rounds in range(1, MAX_ROUNDS + 1):
             builder = _StepNlp(cfg, z0, u_prev, ref, env, pairs, strat, self._layout)
-            lo, hi = builder.bounds()
-            prob = NlpProblem(n=builder.n, objective=builder.objective,
-                              lag_hess=builder.lag_hess, eq=builder.eq,
-                              ineq=builder.ineq, lower=lo, upper=hi,
-                              n_state=builder.nz, hess_blocks=builder.hess_blocks)
+            prob = builder.problem
             # Round 1 starts from the previous step's working set, shifted;
             # later rounds from the previous round's.  Keys this NLP lacks
             # (stages that left the horizon, pairs no longer engaged) drop

@@ -5,7 +5,9 @@ Solves
     subject to  C x = d,   A x <= b,   lb <= x <= ub
 
 for symmetric positive-definite H.  The bounds may hold -inf and +inf
-entries; only the finite ones constrain.  Inequality multipliers and
+entries; only the finite ones constrain.  Every other entry must be finite:
+`solve_qp` raises QpError for a NaN bound and for any non-finite entry of
+H, f, A, b, C or d.  Inequality multipliers and
 working-set members are numbered rows of A first, then the finite bounds
 variable by variable (`bound_rows`), so the bounds of a leading block of
 variables are a prefix of the bound rows and those of a trailing block a
@@ -246,8 +248,15 @@ def solve_qp(
         raise QpError("constraint matrix/vector size mismatch")
     if lb.shape != (n,) or ub.shape != (n,):
         raise QpError(f"bound shapes {lb.shape}, {ub.shape} do not match n={n}")
+    # A NaN would pass as a dropped row or bound, or reach x; the rows of A
+    # and C are checked through their norms (`_solve_rows`).
+    for name, v in (("f", f), ("b", b), ("d", d)):
+        if not np.isfinite(v).all():
+            raise QpError(f"{name} has non-finite entries")
     b_var, b_sign, b_rhs = bound_rows(lb, ub)
-    if np.any(lb > ub):
+    if not np.all(lb <= ub):
+        if np.isnan(lb).any() or np.isnan(ub).any():
+            raise QpError("a bound is NaN")
         return QpSolution("infeasible", np.zeros(n), np.zeros(len(b) + len(b_var)),
                           np.zeros(len(d)), 0)
     warm = None if warm_rows is None else np.asarray(warm_rows, dtype=int).ravel()
@@ -402,9 +411,12 @@ def _solve_rows(H, f, A, b, C, d, warm_rows, start=None):
     lam_out = np.zeros(mi)
     nu_out = np.zeros(me)
 
-    # Row norms; zero rows are resolved immediately.
+    # Row norms; zero rows are resolved immediately.  A non-finite entry
+    # makes its row's norm non-finite.
     norms_i = np.sqrt(np.einsum("ij,ij->i", A, A))
     norms_e = np.sqrt(np.einsum("ij,ij->i", C, C))
+    if not (np.isfinite(norms_i).all() and np.isfinite(norms_e).all()):
+        raise QpError("a row of A or C is not finite")
     keep_i = norms_i > _DEP_TOL
     keep_e = norms_e > _DEP_TOL
     if np.any(b[~keep_i] < -_SLACK_TOL) or np.any(np.abs(d[~keep_e]) > _SLACK_TOL):

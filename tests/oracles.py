@@ -33,6 +33,13 @@
   `rotations_t_stacked`; `obca._StepNlp.lag_hess`, which fills the blocks'
   stacks through flat indices, and `obca._rotations_t` must give the same
   bits.
+- `step_eq_dense` evaluates a step NLP's equality rows, the dynamics then
+  each pair's dual stationarity rows, as one dense (4N + 2P) x n Jacobian,
+  as the step NLP's `eq` once did; `obca._StepNlp.dynamics`, which returns
+  the dynamics rows' stage blocks (A_t, B_t), and `_StepNlp.eq`, which
+  returns the stationarity rows alone, must give the same bits once the
+  blocks are scattered by `dynamics_rows_dense`, the dense form of the
+  (A, B) stacks of `nlp.NlpProblem.stages`.
 - `drop_row_givens` removes a QP working-set member with one pure-Python
   Givens rotation per column after it; `qp._drop_row`, which leaves the
   rotations to compiled code, must reach the same |R|.
@@ -77,6 +84,7 @@ from tightnav.dynamics import (
     WHEELBASE,
     WIDTH,
     slip_angle,
+    step_jacobians,
     step_rk4,
 )
 from tightnav.geometry import (
@@ -92,7 +100,7 @@ from tightnav.geometry import (
 )
 from scipy.linalg import solve_triangular
 
-from tightnav.obca import BODY_H, DUAL_REG, Q_D, Q_U, Q_Z, StrategyLabel
+from tightnav.obca import BODY_G, BODY_H, DUAL_REG, Q_D, Q_U, Q_Z, StrategyLabel
 from tightnav.qp import bound_rows, solve_qp
 from tightnav.scenario import DT, LOT
 from tightnav.supervisor import (
@@ -468,6 +476,47 @@ def step_lag_hess_dense(nlp, x, nu, lam_rows):
     h[psi_c[:, None], lam_c] += cross
     h[lam_c, psi_c[:, None]] += cross
     return h
+
+
+def dynamics_rows_dense(stages, A, B, n):
+    """The dynamics rows of `nlp.NlpProblem.stages` = (N, nx, nu) with
+    stacks A and B as dense (N nx) x n rows: I on z_{t+1}, -A_t on z_t and
+    -B_t on u_t, one stage at a time."""
+    N, nx, nu = stages
+    k = N * nx
+    rows = np.zeros((k, n))
+    for t in range(N):
+        r = slice(nx * t, nx * (t + 1))
+        rows[r, nx * t : nx * (t + 1)] = np.eye(nx)
+        if t:
+            rows[r, nx * (t - 1) : nx * t] = -A[t - 1]
+        rows[r, k + nu * t : k + nu * (t + 1)] = -B[t]
+    return rows
+
+
+def step_eq_dense(nlp, x):
+    """(values, Jacobian) of the equality rows of the step NLP `nlp`
+    (`obca._StepNlp`): the dynamics rows z_{t+1} - f(z_t, u_t), then each
+    pair's two dual stationarity rows, the Jacobian one dense matrix."""
+    n_h, nz, nuv, n = nlp.cfg.horizon, nlp.nz, nlp.nuv, nlp.n
+    n_pairs = len(nlp.pairs)
+    zs = x[:nz].reshape(n_h, 4)
+    us = x[nz : nz + nuv].reshape(n_h, 2)
+    pred, jz, ju = step_jacobians(np.vstack([nlp.z0[None, :], zs[:-1]]), us, DT)
+    vals = np.zeros(nz + 2 * n_pairs)
+    vals[:nz] = (zs - pred).ravel()
+    jac = np.zeros((nz + 2 * n_pairs, n))
+    jac[:nz] = dynamics_rows_dense((n_h, 4, 2), jz[1:], ju, n)
+    if n_pairs:
+        rows = nz + 2 * np.arange(n_pairs)[:, None] + np.arange(2)
+        a_t = nlp.obs_a.transpose(0, 2, 1)
+        rot_t, drot_t = rotations_t_stacked(x[nlp.psi_cols])
+        atl = a_t @ x[nlp.lam_cols][:, :, None]
+        vals[rows] = x[nlp.mu_cols] @ BODY_G + (rot_t @ atl)[:, :, 0]
+        jac[rows[:, :, None], nlp.mu_cols[:, None, :]] = BODY_G.T
+        jac[rows, nlp.psi_cols[:, None]] = (drot_t @ atl)[:, :, 0]
+        jac[rows[:, :, None], nlp.lam_cols[:, None, :]] = rot_t @ a_t
+    return vals, jac
 
 
 def drop_row_givens(JT, R, q, pos):

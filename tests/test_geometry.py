@@ -197,6 +197,43 @@ def test_polytope_rejects_malformed_input():
             Polytope(A, b, verts)
 
 
+def nan_normal_polytope():
+    box = Polytope.from_box([0, 0], 1, 1)
+    return Polytope(np.vstack([box.A[:3], [np.nan, 1.0]]), box.b, box.vertices)
+
+
+def far_boxes(length):
+    """Two boxes 5 m apart, measured with body length `length`."""
+    return box_distances(np.zeros((1, 3)), np.array([[5.0, 0.0, 0.0]]), length, 0.2)
+
+
+def critical_exit(radius):
+    verts = Polytope.from_box([0, 0], 0.5, 0.5).vertices
+    box = Polytope.from_box([0, 0], 0.5, 0.5)
+    return project_to_critical_boundary(np.zeros((1, 2)), np.array([[1.0, 0.0]]),
+                                        verts[None], box.A[None], box.b[None], radius,
+                                        np.zeros(1))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Polytope.from_box([0, 0], np.nan, 1.0),
+    lambda: Polytope.from_box([0, 0], 1.0, np.inf),
+    lambda: body_polytope(np.zeros(4), np.nan, 0.2),
+    lambda: body_polytope(np.zeros(4), 0.3, np.inf),
+    lambda: far_boxes(np.nan),
+    lambda: far_boxes(np.inf),
+    lambda: critical_exit(np.nan),
+    lambda: critical_exit(np.inf),
+    nan_normal_polytope,
+], ids=["from_box-nan", "from_box-inf", "body-nan", "body-inf", "box_distances-nan",
+        "box_distances-inf", "critical-radius-nan", "critical-radius-inf", "nan-normal"])
+def test_non_finite_sizes_and_normals_are_rejected(build):
+    """A NaN fails every comparison, so `x <= 0` let NaN sizes through:
+    `box_distances` then read contact (0.0) for boxes 5 m apart."""
+    with pytest.raises(GeometryError):
+        build()
+
+
 def test_sat_intersection():
     P = Polytope.from_box([0, 0], 1, 1)
     assert polytopes_intersect(P, Polytope.from_box([1.5, 0], 1, 1))

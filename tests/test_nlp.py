@@ -30,6 +30,7 @@ from oracles import (
     block_stacks,
     condense_dense,
     convexify_whole,
+    dynamics_rows_dense,
     scatter_blocks,
 )
 
@@ -59,7 +60,32 @@ def constant_hess(h):
 def whole(B, k):
     """B as the Hessian of `nlp._solve_subproblem` with k states: one block
     of every variable."""
-    return [(np.arange(len(B))[None], B[None], k)]
+    n = len(B)
+    return tightnav.nlp._split_stacks(tightnav.nlp._state_split([np.arange(n)[None]], k, n),
+                                      [B[None]])
+
+
+def dense_eq(J):
+    """The dense equality rows J as the solver's `_EqJacobian`."""
+    return tightnav.nlp._EqJacobian(None, None, None, J)
+
+
+def staged_eq(Je, stages):
+    """Dense equality rows Je whose first N nx rows are dynamics rows of
+    `stages` as the solver's `_EqJacobian`: the stacks read off Je."""
+    N, nx, nu = stages
+    k = N * nx
+    A = np.array([-Je[nx * t : nx * (t + 1), nx * (t - 1) : nx * t] for t in range(1, N)])
+    B = np.array([-Je[nx * t : nx * (t + 1), k + nu * t : k + nu * (t + 1)] for t in range(N)])
+    eq = tightnav.nlp._EqJacobian(stages, A.reshape(N - 1, nx, nx), B, Je[k:])
+    assert eq.dense().tobytes() == Je.tobytes()
+    return eq
+
+
+def plan(stages, lb, ub):
+    """A solve's `_Condensing` for `stages` and the bounds lb <= p <= ub."""
+    b_var, b_sign, _ = bound_rows(lb, ub)
+    return tightnav.nlp._Condensing(stages, b_var, b_sign)
 
 
 def test_rosenbrock_unconstrained():
@@ -197,6 +223,27 @@ def test_non_finite_hessian_reports_numerical_failure():
     assert np.array_equal(sol.x, x0)
 
 
+@pytest.mark.parametrize("field, value, match", [
+    ("upper", np.ones(4), "upper shape"),
+    ("lower", -np.ones((3, 1)), "lower shape"),
+    ("lower", np.array([0.0, np.nan, -1.0]), "NaN"),
+    ("upper", np.array([1.0, 1.0, np.nan]), "NaN"),
+    ("lower", np.array([2.0, -1.0, -1.0]), "exceeds"),
+])
+def test_bounds_of_another_shape_or_nan_are_refused(field, value, match):
+    """A length-4 upper bound for n = 3 used to raise numpy's broadcast
+    error, a (3, 1) lower bound a TypeError, and a NaN lower bound ended
+    the solve numerical_failure with a NaN x."""
+    def obj(x):
+        return float(x @ x), 2.0 * x
+
+    prob = NlpProblem(n=3, objective=obj, lag_hess=constant_hess(2.0 * np.eye(3)),
+                      lower=-np.ones(3), upper=np.ones(3))
+    assert solve_nlp(prob, np.full(3, 0.5)).ok
+    with pytest.raises(ValueError, match=match):
+        solve_nlp(dataclasses.replace(prob, **{field: value}), np.full(3, 0.5))
+
+
 @pytest.mark.parametrize("row", ["eq", "ineq"])
 def test_nan_constraint_value_ends_in_numerical_failure(row):
     """A NaN constraint value fails every KKT test instead of dropping out
@@ -216,15 +263,18 @@ def test_nan_constraint_value_ends_in_numerical_failure(row):
     assert np.array_equal(sol.x, np.zeros(2))
     # The complementarity term keeps a NaN too.
     b_var, b_sign, _ = bound_rows(np.zeros(2), np.full(2, np.inf))
-    r = tightnav.nlp._kkt_residual(np.zeros(2), np.zeros((0, 2)), np.zeros((1, 2)), np.zeros(0),
+    r = tightnav.nlp._kkt_residual(np.zeros(2), dense_eq(np.zeros((0, 2))), np.zeros((1, 2)),
+                                   np.zeros(0),
                                    np.ones(3), np.array([np.nan, 0.0, 0.0]), b_var, b_sign)
     assert math.isnan(r)
 
 
 # --- 3-step tracking problem vs. exhaustive input grid ----------------------
 
-def build_tracking_nlp(z0, z_ref, n_steps, q_z, q_u):
-    """Tracking NLP over [z_1..z_N, u_0..u_{N-1}] with RK4 dynamics."""
+def build_tracking_nlp(z0, z_ref, n_steps, q_z, q_u, staged=False):
+    """Tracking NLP over [z_1..z_N, u_0..u_{N-1}] with RK4 dynamics: as
+    dense equality rows, or with `staged` as stages (N, 4, 2) and a
+    `dynamics` callback, whose stacks are the dense rows' blocks."""
     nz, nu = 4, 2
     n = n_steps * (nz + nu)
 
@@ -263,6 +313,12 @@ def build_tracking_nlp(z0, z_ref, n_steps, q_z, q_u):
             prev = z_at(x, t + 1)
         return vals, jac if jacobian else None
 
+    def dynamics(x, jacobian=True):
+        zs = x[: n_steps * nz].reshape(n_steps, nz)
+        us = x[n_steps * nz :].reshape(n_steps, nu)
+        pred, jz, ju = step_jacobians(np.vstack([z0[None, :], zs[:-1]]), us, DT)
+        return (zs - pred).ravel(), *((jz[1:], ju) if jacobian else (None, None))
+
     lo = np.full(n, -np.inf)
     hi = np.full(n, np.inf)
     for t in range(n_steps):
@@ -273,6 +329,8 @@ def build_tracking_nlp(z0, z_ref, n_steps, q_z, q_u):
     h_obj = np.diag(np.concatenate([np.tile(2.0 * q_z, n_steps), np.tile(2.0 * q_u, n_steps)]))
     prob = NlpProblem(n=n, objective=objective, lag_hess=constant_hess(h_obj), eq=eq,
                       lower=lo, upper=hi)
+    if staged:
+        prob = dataclasses.replace(prob, eq=None, stages=(n_steps, nz, nu), dynamics=dynamics)
     return prob, z_at, u_at
 
 
@@ -418,7 +476,7 @@ def shooting_subproblem(rng, n_steps=5, nx=3, nu=2, n_extra=6):
     lower and upper bound, numbered as `qp.bound_rows` numbers them.  A
     known point satisfies every row, most inequalities with
     slack, so some rows end up active and others not.
-    Returns (B, g, Je, ce, Ji, ci, k).
+    Returns (B, g, Je, ce, Ji, ci, stages).
     """
     k = nx * n_steps
     n = k + nu * n_steps + n_extra
@@ -447,21 +505,23 @@ def shooting_subproblem(rng, n_steps=5, nx=3, nu=2, n_extra=6):
     # Bound row j of `bound_rows` is row var[j] of -eye(n) or of eye(n).
     var, sign, _ = bound_rows(np.zeros(n), np.zeros(n))
     order = np.concatenate([np.arange(6), 6 + np.where(sign < 0.0, var, n + var)])
-    return B, g, Je, ce, Ji[order], ci[order], k
+    return B, g, Je, ce, Ji[order], ci[order], (n_steps, nx, nu)
 
 
 @pytest.mark.parametrize("seed", range(8))
 def test_condensed_subproblem_matches_full_qp(seed):
-    B, g, Je, ce, Ji, ci, k = shooting_subproblem(np.random.default_rng(seed))
+    B, g, Je, ce, Ji, ci, stages = shooting_subproblem(np.random.default_rng(seed))
     full = solve_qp(B, g, Ji, -ci, Je, -ce)
     # Ji ends with each variable's lower and upper bound rows.
     n = len(g)
     m = len(ci) - 2 * n
     lb, ub = ci[m::2], -ci[m + 1 :: 2]
+    k = stages[0] * stages[1]
     assert full.ok and len(full.active_rows) > 0
     for warm in (None, full.active_rows):
-        cond = tightnav.nlp._solve_subproblem(whole(B, k), g, Je, ce, Ji[:m], ci[:m], lb, ub,
-                                              k, warm)
+        cond = tightnav.nlp._solve_subproblem(plan(stages, lb, ub), whole(B, k), g,
+                                              staged_eq(Je, stages), ce, Ji[:m], ci[:m], lb, ub,
+                                              warm)
         assert cond.ok
         np.testing.assert_array_equal(cond.active_rows, full.active_rows)
         for got, want in ((cond.x, full.x), (cond.lam, full.lam), (cond.nu, full.nu)):
@@ -473,41 +533,44 @@ def test_condensed_subproblem_matches_full_qp(seed):
 
 
 def stage_block_subproblem(rng):
-    """Random condensable subproblem whose Hessian has stage blocks.
+    """Random staged subproblem whose Hessian has stage blocks.
 
-    k states lead the variables, their state rows unit lower triangular,
-    and each state belongs to one of up to four stage blocks, which also
-    hold some of the other variables; up to three more blocks hold no
-    state.  The blocks' labels are shuffled, and every block is positive
-    definite.  Other equality and inequality rows touch states and the
+    stages (N, nx, nu) of up to 4 stages lead the variables: the N nx
+    states, each stage's in one block that also holds some of the other
+    variables, and the N nu inputs, which lie in those blocks or in up to
+    three more that hold no state, as do the extra variables.  The blocks'
+    labels are shuffled, and every block is positive definite.  The
+    dynamics stacks A and B are random, and some of B's input columns are
+    zero (an input that does not move the state, as steering at a
+    standstill).  Other equality and inequality rows touch states and the
     rest; a known point satisfies every row and bound.  Returns (labels,
-    B, g, Je, ce, Ji, ci, lb, ub, k, warm) with B the whole matrix.
+    B, g, stages, eq, Je, ce, Ji, ci, lb, ub, warm) with B the whole
+    matrix, eq the solver's `_EqJacobian` and Je its dense rows.
     """
-    n_stage = int(rng.integers(1, 5))
-    n_states = rng.integers(1, 4, n_stage)
-    n_extra = rng.integers(0, 4, n_stage)
-    free = rng.integers(1, 5, int(rng.integers(1, 4)))
-    k = int(n_states.sum())
-    n = k + int(n_extra.sum() + free.sum())
-    names = rng.permutation(n_stage + len(free))
-    labels = np.empty(n, dtype=int)
-    labels[:k] = np.repeat(names[:n_stage], n_states)
-    rest = np.concatenate([np.repeat(names[:n_stage], n_extra),
-                           np.repeat(names[n_stage:], free)])
-    labels[k:] = rng.permutation(rest)
+    stages = N, nx, nu = tuple(int(v) for v in rng.integers(1, [5, 4, 3], endpoint=True))
+    k, nc = N * nx, N * nu
+    n_rest = nc + int(rng.integers(0, 5))
+    n_free = min(int(rng.integers(1, 4)), n_rest)
+    names = rng.permutation(N + n_free)
+    labels = np.empty(k + n_rest, dtype=int)
+    labels[:k] = np.repeat(names[:N], nx)
+    # Each remaining variable joins a stage block or a stateless block, and
+    # every stateless block gets one at least.
+    labels[k:] = rng.choice(names, n_rest)
+    labels[k + rng.permutation(n_rest)[:n_free]] = names[N:]
+    n = len(labels)
     B = np.zeros((n, n))
     for name in names:
         ix = np.flatnonzero(labels == name)
         a = rng.normal(size=(len(ix), len(ix)))
-        B[np.ix_(ix, ix)] = a @ a.T / len(ix) + np.eye(len(ix))
+        B[np.ix_(ix, ix)] = a @ a.T / max(len(ix), 1) + np.eye(len(ix))
     p_feas = rng.normal(size=n)
     me, mi = int(rng.integers(0, 3)), int(rng.integers(0, 5))
-    state_rows = np.zeros((k, n))
-    lower = rng.normal(0.0, 0.5, (k, k)) * (rng.random((k, k)) < 0.5)
-    state_rows[:, :k] = np.eye(k) + np.tril(lower, -1)
-    touched = rng.random(n - k) < 0.6
-    state_rows[:, k:] = rng.normal(size=(k, n - k)) * touched
-    Je = np.vstack([state_rows, rng.normal(size=(me, n))])
+    A_st = np.eye(nx) + rng.normal(0.0, 0.5, (N - 1, nx, nx))
+    B_st = rng.normal(size=(N, nx, nu)) * (rng.random((N, 1, nu)) < 0.8)
+    J_other = rng.normal(size=(me, n)) * (rng.random((me, n)) < 0.7)
+    eq = tightnav.nlp._EqJacobian(stages, A_st, B_st, J_other)
+    Je = np.vstack([dynamics_rows_dense(stages, A_st, B_st, n), J_other])
     ce = -Je @ p_feas
     Ji = rng.normal(size=(mi, n)) * (rng.random((mi, n)) < 0.7)
     ci = -Ji @ p_feas - rng.uniform(0.0, 0.5, mi)
@@ -515,7 +578,7 @@ def stage_block_subproblem(rng):
     ub = np.where(rng.random(n) < 0.5, p_feas + rng.uniform(0.0, 1.0, n), np.inf)
     m = mi + int(np.isfinite(lb).sum() + np.isfinite(ub).sum())
     warm = None if rng.random() < 0.3 else rng.choice(max(m, 1), int(rng.integers(0, m + 1)))
-    return labels, B, 3.0 * rng.normal(size=n), Je, ce, Ji, ci, lb, ub, k, warm
+    return labels, B, 3.0 * rng.normal(size=n), stages, eq, Je, ce, Ji, ci, lb, ub, warm
 
 
 def assert_relatively_close(got, want):
@@ -529,15 +592,16 @@ def assert_relatively_close(got, want):
 @settings(max_examples=80, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_block_condensing_matches_the_dense_oracle(seed):
-    """`_solve_subproblem` hands the QP the data that condensing through
-    the whole matrix gives, and recovers the same step and state
+    """`_solve_subproblem`, fed the dynamics rows as (A, B) stacks, hands
+    the QP the data that condensing the same rows scattered into a dense
+    Je through the whole matrix gives, and recovers the same step and state
     multipliers from the same QP solution."""
-    labels, B, g, Je, ce, Ji, ci, lb, ub, k, warm = stage_block_subproblem(
+    labels, B, g, stages, eq, Je, ce, Ji, ci, lb, ub, warm = stage_block_subproblem(
         np.random.default_rng(seed))
+    k = stages[0] * stages[1]
     groups = tightnav.nlp.block_groups(labels)
-    hess = tightnav.nlp._split_stacks(tightnav.nlp._state_split(groups, k),
+    hess = tightnav.nlp._split_stacks(tightnav.nlp._state_split(groups, k, len(g)),
                                       block_stacks(B, groups))
-    assert any(ns == 0 for *_, ns in hess)
     qps = []
 
     def recording(*args, **kwargs):
@@ -547,7 +611,8 @@ def test_block_condensing_matches_the_dense_oracle(seed):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(tightnav.nlp, "solve_qp", recording)
-        got = tightnav.nlp._solve_subproblem(hess, g, Je, ce, Ji, ci, lb, ub, k, warm)
+        got = tightnav.nlp._solve_subproblem(plan(stages, lb, ub), hess, g, eq, ce, Ji, ci,
+                                             lb, ub, warm)
     (args, kwargs, raw), = qps
 
     def replay(*want_args, **want_kwargs):
@@ -568,10 +633,10 @@ def test_block_condensing_matches_the_dense_oracle(seed):
 
 def test_condensed_tracking_solve_matches_uncondensed():
     z_ref = np.array([[0.06 * t, 0.2 * t, 0.0, 3.0] for t in range(4)])
-    plain, _, _ = build_tracking_nlp(np.array([0.0, 0.0, 0.0, 0.5]), z_ref, 3,
-                                     np.array([1.0, 1.0, 1.0, 10.0]), np.ones(2))
-    assert plain.n_state == 0
-    condensed = dataclasses.replace(plain, n_state=12)
+    args = (np.array([0.0, 0.0, 0.0, 0.5]), z_ref, 3, np.array([1.0, 1.0, 1.0, 10.0]), np.ones(2))
+    plain, _, _ = build_tracking_nlp(*args)
+    condensed, _, _ = build_tracking_nlp(*args, staged=True)
+    assert plain.stages is None and condensed.stages == (3, 4, 2)
     x0 = np.zeros(plain.n)
     want = solve_nlp(plain, x0)
     got = solve_nlp(condensed, x0)
@@ -585,39 +650,61 @@ def test_condensed_tracking_solve_matches_uncondensed():
     assert np.array_equal(again.mult_eq, got.mult_eq)
 
 
-def test_state_block_must_be_unit_lower_triangular():
+def tampered_dynamics(prob, change):
+    """prob with its dynamics callback's (residual, A, B) passed through
+    change; without Jacobians the stacks stay None."""
+    def dynamics(x, jacobian=True):
+        r, A, B = change(*prob.dynamics(x, True))
+        return (r, A, B) if jacobian else (r, None, None)
+    return dataclasses.replace(prob, dynamics=dynamics)
+
+
+@pytest.mark.parametrize("change", [
+    lambda r, A, B: (r, A[1:], B),
+    lambda r, A, B: (r, np.concatenate([A, A[:1]]), B),
+    lambda r, A, B: (r, A, B[1:]),
+    lambda r, A, B: (r, A[:, :3], B),
+    lambda r, A, B: (r, A, B[:, :, :1]),
+    lambda r, A, B: (r, A.transpose(1, 0, 2), B),
+    lambda r, A, B: (r, A, B.transpose(0, 2, 1)),
+    lambda r, A, B: (r[1:], A, B),
+], ids=["A-short", "A-long", "B-short", "A-size", "B-size", "A-axes", "B-axes", "residual"])
+def test_dynamics_stacks_must_match_the_stages(change):
     z_ref = np.array([[0.06 * t, 0.01 * t, 0.0, 0.8] for t in range(4)])
     prob, _, _ = build_tracking_nlp(np.array([0.0, 0.0, 0.0, 0.5]), z_ref, 3,
-                                    np.ones(4), np.ones(2))
+                                    np.ones(4), np.ones(2), staged=True)
     x0 = np.zeros(prob.n)
+    assert solve_nlp(prob, x0).ok
+    with pytest.raises(ValueError, match="dynamics"):
+        solve_nlp(tampered_dynamics(prob, change), x0)
 
-    def tampered(row, col, value):
-        def eq(x, jacobian=True):
-            vals, jac = prob.eq(x)
-            jac[row, col] = value
-            return vals, jac
-        return dataclasses.replace(prob, eq=eq, n_state=12)
 
-    for row, col, value in ((5, 5, 2.0), (0, 0, 0.0), (2, 7, 0.3), (3, 11, -1e-12)):
-        with pytest.raises(ValueError, match="unit lower triangular"):
-            solve_nlp(tampered(row, col, value), x0)
-    # Entries below the diagonal are the dynamics and are allowed.
-    assert solve_nlp(tampered(7, 2, 0.3), x0).iterations > 0
-    # Entries right of the block are not part of it either.
-    assert solve_nlp(tampered(2, 12, 0.3), x0).iterations > 0
-    for n_state in (-1, prob.n + 1):
-        with pytest.raises(ValueError, match="n_state"):
-            solve_nlp(dataclasses.replace(prob, n_state=n_state), x0)
-    # More state rows than equality rows.
-    with pytest.raises(ValueError, match="n_state"):
-        solve_nlp(dataclasses.replace(prob, n_state=13), x0)
+@pytest.mark.parametrize("stages", [(3, 4, 3), (4, 4, 2), (3, 5, 2), (0, 4, 2), (3, 0, 2),
+                                    (3, -4, 2), (3, 4), (3.0, 4, 2), (True, 4, 2)])
+def test_stages_must_fit_the_variables(stages):
+    z_ref = np.array([[0.06 * t, 0.01 * t, 0.0, 0.8] for t in range(4)])
+    prob, _, _ = build_tracking_nlp(np.array([0.0, 0.0, 0.0, 0.5]), z_ref, 3,
+                                    np.ones(4), np.ones(2), staged=True)
+    # n = 18 holds (3, 4, 2): N (nx + nu) > n and non-positive or
+    # non-integer entries are refused before any evaluation.
+    with pytest.raises(ValueError, match="stages"):
+        solve_nlp(dataclasses.replace(prob, stages=stages), np.zeros(prob.n))
+
+
+def test_stages_and_dynamics_come_together():
+    z_ref = np.array([[0.06 * t, 0.01 * t, 0.0, 0.8] for t in range(4)])
+    prob, _, _ = build_tracking_nlp(np.array([0.0, 0.0, 0.0, 0.5]), z_ref, 3,
+                                    np.ones(4), np.ones(2), staged=True)
+    for broken in (dataclasses.replace(prob, dynamics=None),
+                   dataclasses.replace(prob, stages=None)):
+        with pytest.raises(ValueError, match="together"):
+            solve_nlp(broken, np.zeros(prob.n))
 
 
 def test_every_condensed_subproblem_reaches_module_solve_qp(monkeypatch):
     z_ref = np.array([[0.06 * t, 0.2 * t, 0.0, 3.0] for t in range(4)])
     prob, _, _ = build_tracking_nlp(np.array([0.0, 0.0, 0.0, 0.5]), z_ref, 3,
-                                    np.array([1.0, 1.0, 1.0, 10.0]), np.ones(2))
-    prob = dataclasses.replace(prob, n_state=12)
+                                    np.array([1.0, 1.0, 1.0, 10.0]), np.ones(2), staged=True)
     sizes = []
 
     def counting(H, *args, **kwargs):
@@ -640,7 +727,7 @@ def speed_bounded_tracking():
     position below 0.05."""
     z_ref = np.array([[0.06 * t, 0.2 * t, 0.0, 3.0] for t in range(4)])
     prob, _, _ = build_tracking_nlp(np.array([0.0, 0.0, 0.0, 0.5]), z_ref, 3,
-                                    np.array([1.0, 1.0, 1.0, 10.0]), np.ones(2))
+                                    np.array([1.0, 1.0, 1.0, 10.0]), np.ones(2), staged=True)
     k = 12
     lo, hi = prob.lower.copy(), prob.upper.copy()
     lo[3:k:4], hi[3:k:4] = 0.0, 0.7
@@ -650,7 +737,7 @@ def speed_bounded_tracking():
         jac[np.arange(3), np.arange(1, k, 4)] = 1.0
         return x[1:k:4] - 0.05, jac
 
-    return dataclasses.replace(prob, n_state=k, lower=lo, upper=hi, ineq=lateral), k
+    return dataclasses.replace(prob, lower=lo, upper=hi, ineq=lateral), k
 
 
 def test_each_point_is_evaluated_once():
@@ -663,16 +750,15 @@ def test_each_point_is_evaluated_once():
     n_steps = 8
     z_ref = np.array([[0.1 * t, 0.5 * t, 0.0, 3.0] for t in range(n_steps + 1)])
     prob, _, _ = build_tracking_nlp(np.array([0.0, 0.0, 0.0, 0.5]), z_ref, n_steps,
-                                    np.array([1.0, 1.0, 1.0, 10.0]), np.ones(2))
-    prob = dataclasses.replace(prob, n_state=4 * n_steps)
+                                    np.array([1.0, 1.0, 1.0, 10.0]), np.ones(2), staged=True)
     points = []
 
-    def eq(x, jacobian=True):
+    def dynamics(x, jacobian=True):
         points.append((x.tobytes(), jacobian))
-        return prob.eq(x, jacobian)
+        return prob.dynamics(x, jacobian)
 
     x0 = np.zeros(prob.n)
-    sol = solve_nlp(dataclasses.replace(prob, eq=eq), x0)
+    sol = solve_nlp(dataclasses.replace(prob, dynamics=dynamics), x0)
     assert sol.ok and len(points) > sol.iterations + 5
     assert points[:2] == [(x0.tobytes(), False), (x0.tobytes(), True)]
     assert all(jacobian for _, jacobian in points[1:])
@@ -691,7 +777,8 @@ def test_first_kkt_test_reads_the_gradient_alone():
     sol = solve_nlp(prob, x0)
     assert sol.ok and sol.iterations > 1
     _, g = prob.objective(x0)
-    ce, Je = prob.eq(x0)
+    ce, A, B = prob.dynamics(x0)
+    Je = tightnav.nlp._EqJacobian(prob.stages, A, B, np.zeros((0, prob.n)))
     ci, Ji = prob.ineq(x0)
     b_var, b_sign, b_rhs = bound_rows(prob.lower, prob.upper)
     ci = np.concatenate([ci, b_sign * x0[b_var] - b_rhs])
@@ -705,8 +792,9 @@ def test_first_kkt_test_reads_the_gradient_alone():
         lo = np.where(rng.random(n) < 0.5, -1.0, -np.inf)
         b_var, b_sign, b_rhs = bound_rows(lo, np.where(rng.random(n) < 0.5, 1.0, np.inf))
         ci = rng.normal(size=mi + len(b_var))
-        want = tightnav.nlp._kkt_residual(g, rng.normal(size=(me, n)), rng.normal(size=(mi, n)),
-                                          np.zeros(me), np.zeros(len(ci)), ci, b_var, b_sign)
+        want = tightnav.nlp._kkt_residual(g, dense_eq(rng.normal(size=(me, n))),
+                                          rng.normal(size=(mi, n)), np.zeros(me),
+                                          np.zeros(len(ci)), ci, b_var, b_sign)
         assert float(np.max(np.abs(g))).hex() == want.hex()
 
 
@@ -958,13 +1046,13 @@ def test_entry_outside_declared_blocks_raises():
 def test_blocks_are_grouped_once_and_only_when_a_subproblem_runs(monkeypatch):
     z_ref = np.array([[0.06 * t, 0.2 * t, 0.0, 3.0] for t in range(4)])
     prob, _, _ = build_tracking_nlp(np.array([0.0, 0.0, 0.0, 0.5]), z_ref, 3,
-                                    np.array([1.0, 1.0, 1.0, 10.0]), np.ones(2))
+                                    np.array([1.0, 1.0, 1.0, 10.0]), np.ones(2), staged=True)
     # The tracking Hessian is diagonal: one block per stage's state and input.
     labels = np.concatenate([np.repeat(np.arange(3), 4), np.repeat(np.arange(3), 2)])
     group = tightnav.nlp.block_groups
     (h,), = prob.lag_hess(None, None, None)
     stacks = block_stacks(h, group(labels))
-    prob = dataclasses.replace(prob, n_state=12, hess_blocks=labels,
+    prob = dataclasses.replace(prob, hess_blocks=labels,
                                lag_hess=lambda x, nu, lam: stacks)
     grouped = []
 

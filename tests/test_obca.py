@@ -5,9 +5,11 @@ system; trajectory safety is audited with the exact polytope distance.
 """
 
 import dataclasses
+import gc
 import itertools
 import math
 import os
+import weakref
 
 import numpy as np
 import pytest
@@ -62,10 +64,12 @@ from tightnav.scenario import benchmark_suite, parked_tv_scenario
 from tightnav.simulate import run_closed_loop
 
 from oracles import (
+    dynamics_rows_dense,
     face_certificates_full,
     project_one,
     rotations_t_stacked,
     scatter_blocks,
+    step_eq_dense,
     step_lag_hess_dense,
     strategy_constraints_per_stage,
     strategy_halfspace,
@@ -858,20 +862,55 @@ def test_step_nlp_objective_gradient_and_hessian_match_differences(fd_nlp):
     np.testing.assert_allclose(grad, central_diff(lambda v: nlp.objective(v)[0], x),
                                rtol=0.0, atol=1e-6)
     # With zero multipliers the Lagrangian Hessian is the objective's.
-    h_obj = dense_lag_hess(nlp, x, np.zeros(len(nlp.eq(x)[0])), np.zeros(len(nlp.ineq(x)[0])))
+    n_eq = 4 * nlp.cfg.horizon + len(nlp.eq(x)[0])
+    h_obj = dense_lag_hess(nlp, x, np.zeros(n_eq), np.zeros(len(nlp.ineq(x)[0])))
     np.testing.assert_allclose(h_obj, central_diff(lambda v: nlp.objective(v)[1], x),
                                rtol=0.0, atol=1e-6)
 
 
+def dynamics_dense(nlp, x):
+    """(residual, dense rows) of the step NLP's dynamics rows."""
+    r, A, B = nlp.dynamics(x)
+    return r, dynamics_rows_dense(nlp.problem.stages, A, B, nlp.n)
+
+
 def test_step_nlp_constraint_jacobians_match_differences(fd_nlp):
     nlp, x = fd_nlp
-    for rows in (nlp.eq, nlp.ineq):
+    for rows in (lambda v: dynamics_dense(nlp, v), nlp.eq, nlp.ineq):
         _, jac = rows(x)
         np.testing.assert_allclose(jac, central_diff(lambda v: rows(v)[0], x),
                                    rtol=0.0, atol=1e-7)
 
 
-def test_step_nlp_eq_steps_the_horizon_in_one_call(fd_nlp, monkeypatch):
+def test_step_nlp_dynamics_and_eq_match_the_dense_oracle(fd_nlp):
+    """Pairs at every stage and a strategy row engaged: the dynamics
+    residuals and the stationarity rows, in that order, are the dense
+    equality rows' values bit for bit, and the (A, B) stacks, scattered,
+    with `eq`'s rows below them are the dense Jacobian bit for bit, as the
+    solver's own dense assembly for the second-order correction is."""
+    nlp, x = fd_nlp
+    assert len(nlp.pairs) and len(nlp.strat_w)
+    n_h = nlp.cfg.horizon
+    assert nlp.problem.stages == (n_h, 4, 2)
+    rng = np.random.default_rng(13)
+    for v in [x] + [x + rng.normal(0.0, 0.1, nlp.n) for _ in range(5)]:
+        want_vals, want_jac = step_eq_dense(nlp, v)
+        r, A, B = nlp.dynamics(v)
+        assert A.shape == (n_h - 1, 4, 4) and B.shape == (n_h, 4, 2)
+        vals, jac = nlp.eq(v)
+        assert jac.shape == (2 * len(nlp.pairs), nlp.n)
+        assert np.concatenate([r, vals]).tobytes() == want_vals.tobytes()
+        dense = np.vstack([dynamics_rows_dense(nlp.problem.stages, A, B, nlp.n), jac])
+        assert dense.tobytes() == want_jac.tobytes()
+        solver = tightnav.nlp._EqJacobian(nlp.problem.stages, A, B, jac)
+        assert solver.dense().tobytes() == want_jac.tobytes()
+        p = rng.normal(size=nlp.n)
+        w = rng.normal(size=len(want_vals))
+        np.testing.assert_allclose(solver.dot(p), want_jac @ p, rtol=1e-13, atol=1e-13)
+        np.testing.assert_allclose(solver.tdot(w), want_jac.T @ w, rtol=1e-13, atol=1e-13)
+
+
+def test_step_nlp_dynamics_steps_the_horizon_in_one_call(fd_nlp, monkeypatch):
     nlp, x = fd_nlp
     calls = []
 
@@ -880,6 +919,7 @@ def test_step_nlp_eq_steps_the_horizon_in_one_call(fd_nlp, monkeypatch):
         return tightnav.dynamics.step_jacobians(z, u, dt)
 
     monkeypatch.setattr(tightnav.obca, "step_jacobians", counted)
+    nlp.dynamics(x)
     nlp.eq(x)
     assert calls == [(nlp.cfg.horizon, 4)]
 
@@ -892,7 +932,7 @@ def test_step_nlp_values_without_jacobians_match_full_evaluation(fd_nlp, monkeyp
     assert len(nlp.pairs) and len(nlp.strat_w)
     rng = np.random.default_rng(9)
     points = [x] + [x + rng.normal(0.0, 0.1, nlp.n) for _ in range(20)]
-    want = [(nlp.eq(v)[0], nlp.ineq(v)[0]) for v in points]
+    want = [(nlp.dynamics(v)[0], nlp.eq(v)[0], nlp.ineq(v)[0]) for v in points]
     steps = []
 
     def counted(z, u, dt):
@@ -901,7 +941,9 @@ def test_step_nlp_values_without_jacobians_match_full_evaluation(fd_nlp, monkeyp
 
     monkeypatch.setattr(tightnav.obca, "step_rk4", counted)
     monkeypatch.setattr(tightnav.obca, "step_jacobians", None)
-    for v, (want_eq, want_ineq) in zip(points, want):
+    for v, (want_dyn, want_eq, want_ineq) in zip(points, want):
+        vals, A, B = nlp.dynamics(v, False)
+        assert A is None and B is None and vals.tobytes() == want_dyn.tobytes()
         vals, jac = nlp.eq(v, False)
         assert jac is None and vals.tobytes() == want_eq.tobytes()
         vals, jac = nlp.ineq(v, False)
@@ -939,11 +981,10 @@ def test_step_nlp_lagrangian_hessian_matches_differences(fd_nlp):
     nu = rng.normal(0.0, 1.0, n_dyn + 2 * len(nlp.pairs))
     lam = rng.uniform(0.5, 2.0, 2 * len(nlp.pairs) + len(nlp.strat_w))
     # The dynamics rows are Gauss-Newton by design: their multipliers add
-    # no curvature, so the oracle differentiates the Lagrangian without them.
-    nu_obstacle = np.concatenate([np.zeros(n_dyn), nu[n_dyn:]])
-
+    # no curvature, so the oracle differentiates the Lagrangian without them,
+    # through the stationarity rows of `eq` alone.
     def lagrangian_grad(v):
-        return nlp.objective(v)[1] + nlp.eq(v)[1].T @ nu_obstacle + nlp.ineq(v)[1].T @ lam
+        return nlp.objective(v)[1] + nlp.eq(v)[1].T @ nu[n_dyn:] + nlp.ineq(v)[1].T @ lam
 
     np.testing.assert_allclose(dense_lag_hess(nlp, x, nu, lam), central_diff(lagrangian_grad, x),
                                rtol=0.0, atol=1e-6)
@@ -1035,6 +1076,59 @@ def test_solve_step_declares_hessian_blocks_and_matches_undeclared(monkeypatch):
     assert want.ok and got.ok and want.stats["engaged"] > 0
     np.testing.assert_allclose(got.zs, want.zs, rtol=0.0, atol=1e-9)
     np.testing.assert_allclose(got.us, want.us, rtol=0.0, atol=1e-9)
+
+
+def test_each_step_nlp_groups_its_hessian_blocks_once(monkeypatch):
+    """`_StepNlp` lays out `lag_hess`'s stacks by the grouping the solver
+    reads (`NlpProblem.blocks`), so a step groups each NLP's labels once."""
+    tv, env, z0, ref = blocking_scene()
+    group = tightnav.nlp.block_groups
+    grouped, nlps = [], []
+    solve = tightnav.obca.solve_nlp
+
+    def counted(labels):
+        grouped.append(len(labels))
+        return group(labels)
+
+    def recording(prob, x0, warm_rows=None):
+        sol = solve(prob, x0, warm_rows)
+        nlps.append((prob.n, sol.iterations))
+        return sol
+
+    monkeypatch.setattr(tightnav.nlp, "block_groups", counted)
+    # Counted too wherever `obca` would group labels through a name of its own.
+    monkeypatch.setattr(tightnav.obca, "block_groups", counted, raising=False)
+    monkeypatch.setattr(tightnav.obca, "solve_nlp", recording)
+    sol = ObcaController(ControllerConfig()).solve_step(z0, np.zeros(2), ref, env)
+    assert sol.ok and sol.stats["engaged"] > 0
+    assert nlps and all(iterations > 1 for _, iterations in nlps)
+    assert grouped == [n for n, _ in nlps]
+
+
+def test_step_nlp_and_its_problem_are_freed_without_the_cycle_collector(fd_nlp):
+    """The problem's callbacks hold the builder, so the builder holds the
+    problem weakly: once the caller drops both, reference counting frees
+    them, tables and all, and a builder hands out one problem while it is
+    held."""
+    nlp, x = fd_nlp
+    fresh = _StepNlp(nlp.cfg, nlp.z0, nlp.u_prev, nlp.ref, EnvironmentEncoding(
+        [[Polytope.from_box((0.9, 0.3), 0.2, 0.1, 0.4)]] * 4), [(1, 0)], (
+        np.empty(0, dtype=int), np.empty((0, 2)), np.empty(0)), nlp.layout)
+    prob = fresh.problem
+    assert fresh.problem is prob
+    groups = prob.blocks
+    prob.lag_hess(fresh.pack(rollout(nlp.z0, np.zeros((3, 2)), DT), np.zeros((3, 2)), {}),
+                  np.zeros(12 + 2), np.zeros(2))
+    assert "_hess_tables" in vars(fresh) and prob.blocks is groups
+    gc_was = gc.isenabled()
+    gc.disable()
+    try:
+        builder = weakref.ref(fresh)
+        del fresh, prob
+        assert builder() is None
+    finally:
+        if gc_was:
+            gc.enable()
 
 
 def zsl(t):

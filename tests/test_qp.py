@@ -14,6 +14,7 @@ from scipy.linalg import solve_triangular
 
 from oracles import drop_row_givens
 from tightnav.qp import (
+    QpError,
     QpSolution,
     _add_rows,
     _drop_row,
@@ -175,6 +176,38 @@ def test_infeasible_with_equalities():
     b = np.array([-1.0])
     sol = solve_qp(H, np.zeros(2), A, b, C, d)
     assert sol.status == "infeasible"
+
+
+def small_qp():
+    """Keyword arguments of a small feasible QP with every kind of data."""
+    return {"H": np.eye(2), "f": np.array([1.0, -1.0]),
+            "A": np.array([[1.0, 1.0], [1.0, -1.0]]), "b": np.array([1.0, 2.0]),
+            "C": np.array([[1.0, 2.0]]), "d": np.array([0.5]),
+            "lb": np.array([-1.0, -np.inf]), "ub": np.array([np.inf, 3.0])}
+
+
+@pytest.mark.parametrize("name, index", [
+    ("f", 0), ("d", 0), ("b", 1), ("lb", 0), ("lb", 1), ("ub", 1), ("A", (0, 1)), ("C", (0, 0)),
+])
+def test_non_finite_data_is_rejected(name, index):
+    """A NaN in f or d used to come back `optimal` with a NaN x, one in b
+    or a bound dropped its row or bound, and one in A's rows ended
+    `infeasible`."""
+    assert solve_qp(**small_qp()).ok
+    data = small_qp()
+    data[name][index] = np.nan
+    with pytest.raises(QpError):
+        solve_qp(**data)
+
+
+def test_infinite_bounds_are_allowed_but_not_infinite_rows():
+    H, f = np.eye(2), np.zeros(2)
+    sol = solve_qp(H, f, lb=np.array([-np.inf, 1.0]), ub=np.array([np.inf, np.inf]))
+    assert sol.ok and np.array_equal(sol.x, [0.0, 1.0])
+    with pytest.raises(QpError):
+        solve_qp(H, f, np.array([[np.inf, 0.0]]), np.array([1.0]))
+    with pytest.raises(QpError):
+        solve_qp(H, f, np.array([[1.0, 0.0]]), np.array([np.inf]))
 
 
 def test_step_past_the_float_range_is_a_numerical_failure():
