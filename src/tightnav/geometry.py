@@ -39,13 +39,10 @@ per-edge, per-ray and per-point routines exist only in the tests.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 
 import numpy as np
-
-logger = logging.getLogger(__name__)
 
 # A face counts as active at a boundary point within this distance.
 _ACTIVE_TOL = 1e-9

@@ -4,7 +4,15 @@ Every subproblem uses the problem's exact Lagrangian Hessian at the current
 iterate and multipliers, convexified so the QP is strictly convex: shifted by
 a small multiple of the identity when that is positive definite, else with
 its negative eigenvalues flipped.  Steps are globalized by an l1 merit line
-search with a second-order correction.
+search with a second-order correction.  When the full step fails the merit
+test, the correction solves the step's own subproblem again with only the
+rows' constant terms moved to their values at the full step (Nocedal &
+Wright, *Numerical Optimization*, 2nd ed., 18.3): the same condensing,
+Hessian, gradient, bounds and working-set hint, so it is one more QP call
+and needs nothing of its own.  A correction whose QP ends other than
+optimal or raises is skipped, and the line search backtracks; the step's
+multipliers and working set, not the correction's, go on to the next
+iterate.
 Subproblems go to the dense active-set QP in `qp`, warm-started from the
 previous subproblem's active rows.  A problem that declares its horizon's
 stage shape (`NlpProblem.stages`) has its state step condensed out first:
@@ -17,17 +25,16 @@ condensing changes its cost, not its answer.
 The dynamics rows travel as their stage blocks, the stacks (A_t, B_t)
 of the problem's `dynamics` callback, from the problem to the condensing:
 the KKT residual and the merit's linearization multiply block by block,
-and only the second-order correction, when it runs, forms their dense
-rows.  Their block on the states is unit lower block-bidiagonal by
-construction, so nothing checks it.  What condensing needs that does not
-change between a solve's iterates is planned once, at the solve's first
-subproblem (`_Condensing`): the state block's identity and the positions
-of its blocks, the layout of the state map's right-hand side, and the
-split of the states' bound rows from the others.  After that, each
-subproblem computes values only.  The products run over every input, so
-an input column that happens to be zero (steering at a standstill) is
-multiplied through rather than skipped; that changes the rounding of the
-condensed QP, not its terms.
+and no dense dynamics row is formed.  Their block on the states is unit
+lower block-bidiagonal by construction, so nothing checks it.  What
+condensing needs that does not change between a solve's iterates is
+planned once, at the solve's first subproblem (`_Condensing`): the state
+block's identity and the positions of its blocks, the layout of the state
+map's right-hand side, and the split of the states' bound rows from the
+others.  After that, each subproblem computes values only.  The products
+run over every input, so an input column that happens to be zero (steering
+at a standstill) is multiplied through rather than skipped; that changes
+the rounding of the condensed QP, not its terms.
 
 The Lagrangian Hessian travels as the stacks of its diagonal blocks
 (`hess_blocks`, batched over blocks of one size; see `NlpProblem`) from
@@ -42,8 +49,7 @@ QP's, the reduced one when states are condensed.
 Variable bounds reach the QP as bound vectors, never as dense unit rows;
 only the bounds of condensed states, which become affine in the remaining
 variables, turn into rows.  The solver keeps the bounds' values after the
-values of `problem.ineq` for the KKT, violation and merit terms, and forms
-a bound's unit Jacobian row only for the second-order correction's stack.
+values of `problem.ineq` for the KKT, violation and merit terms.
 
 The first subproblem of a solve starts from the caller's `warm_rows` hint,
 typically the working set of a related earlier solve; the solution carries
@@ -90,13 +96,13 @@ from typing import Callable
 
 import numpy as np
 
-from .qp import bound_rows, solve_qp, unit_rows
+from .qp import bound_rows, solve_qp
 
 # Imported after `.qp`, which loads scipy.linalg.  Loading it here first made
 # the package's set-up measurably slower (0.26 against 0.23 s over 10
 # alternating runs of perfbench's set-up timing), although the same modules
 # load either way.
-from scipy.linalg import get_lapack_funcs, lstsq
+from scipy.linalg import get_lapack_funcs
 
 _trtrs, = get_lapack_funcs(("trtrs",), dtype=np.float64)
 
@@ -302,7 +308,7 @@ class _EqJacobian:
     `NlpProblem`) the dynamics rows as their stacks A and B, I on
     z_{t+1}, -A_t on z_t and -B_t on u_t, then the dense rows J of `eq`;
     for any other problem J alone, with stages, A and B None.  The products
-    read the stacks block by block; only `dense` forms the whole matrix."""
+    read the stacks block by block; the whole matrix is never formed."""
 
     def __init__(self, stages, A, B, J):
         self.stages, self.A, self.B, self.J = stages, A, B, J
@@ -334,21 +340,6 @@ class _EqJacobian:
         z[:-1] -= (self.A.transpose(0, 2, 1) @ wd[1:, :, None])[:, :, 0]
         out[k : k + N * nu] -= (self.B.transpose(0, 2, 1) @ wd[:, :, None]).ravel()
         return out
-
-    def dense(self):
-        """The whole Jacobian, one dense row per equality row."""
-        if self.stages is None:
-            return self.J
-        N, nx, nu = self.stages
-        k, n = N * nx, self.J.shape[1]
-        t = np.arange(N)[:, None, None]
-        rows = nx * t + np.arange(nx)[:, None]
-        cols = nx * t + np.arange(nx)
-        dyn = np.zeros((k, n))
-        dyn[rows, cols] = np.eye(nx)
-        dyn[rows[1:], cols[:-1]] = -self.A
-        dyn[rows, k + nu * t + np.arange(nu)] = -self.B
-        return np.vstack([dyn, self.J])
 
 
 def _check_stages(stages, n) -> int:
@@ -518,7 +509,6 @@ def solve_nlp(problem: NlpProblem, x0: np.ndarray,
         alpha = 1.0
         accepted = False
         merit_try = merit0
-        soc_tried = False
         for _ in range(LS_MAX):
             x_try = x + alpha * p
             ev_try = evaluate(x_try, True)
@@ -528,21 +518,21 @@ def solve_nlp(problem: NlpProblem, x0: np.ndarray,
                 accepted = True
                 x_acc, ev_acc = x_try, ev_try
                 break
-            if not soc_tried and alpha == 1.0:
-                # Second-order correction: retarget the rows the subproblem
-                # held active using their values at the full step, so the
-                # merit's quadratic constraint drift cannot veto an otherwise
-                # sound Newton step (the Maratos effect).  Only here are the
-                # dynamics rows formed densely.
-                soc_tried = True
-                j_stack = np.vstack([Je.dense(), _ineq_rows(Ji, b_var, b_sign, warm)])
-                r_vec = np.concatenate([ce_t, ci_t[warm]])
-                if j_stack.shape[0]:
-                    dp = _min_norm_solve(j_stack, -r_vec)
-                    # The correction is unconstrained, so project it back
-                    # into the variable box before touching the model
-                    # functions; some of them are undefined outside it.
-                    x_soc = np.clip(x + p + dp, lo, hi)
+            if alpha == 1.0 and (len(ce) or m_u):
+                # Second-order correction: the step's subproblem again, its
+                # rows' constant terms moved to their values at the full
+                # step, so the merit's quadratic constraint drift cannot veto
+                # an otherwise sound Newton step (the Maratos effect; Nocedal
+                # & Wright, 18.3).  Its bounds keep x + p_soc in the box, and
+                # a correction without an optimal QP is skipped.  Without
+                # general rows it would be the step itself.
+                try:
+                    soc = _solve_subproblem(plan, hess, g, Je, ce_t - Je.dot(p), Ji,
+                                            ci_t[:m_u] - Ji @ p, lo - x, hi - x, warm)
+                except (np.linalg.LinAlgError, ValueError):
+                    soc = None
+                if soc is not None and soc.status == "optimal":
+                    x_soc = x + soc.x
                     ev_soc = evaluate(x_soc, True)
                     f_soc, _, ce_s, _, ci_s, _ = ev_soc
                     m_soc = f_soc + mu_pen * _violation_l1(ce_s, ci_s)
@@ -588,53 +578,6 @@ def solve_nlp(problem: NlpProblem, x0: np.ndarray,
         history=history,
         active_rows=np.empty(0, dtype=int) if warm is None else warm,
     )
-
-
-def _min_norm_solve(a, b):
-    """Minimum-norm least-squares solution of a x = b, as `np.linalg.lstsq`
-    gives it, with numpy's rank cutoff; LAPACK's cutoff of one machine
-    epsilon counts a rank-deficient stack as full rank and returns a huge
-    x.  The QR-based driver takes half the time of numpy's SVD one on the
-    correction's row stacks.  The caller has checked a for finite values.
-
-    Rows with a single nonzero entry, the unit rows of active bounds, fix
-    their variables, and the driver runs on the other rows over the other
-    variables only.  When that reduced stack has full row rank, so does a,
-    and the reduced minimum-norm solution with the fixed values is a's.
-    Otherwise, or when two such rows share a variable, the driver runs on
-    the whole stack.  On the correction's stacks, 30 to 100 of a median 232
-    rows are unit rows.
-    """
-    cond = np.finfo(float).eps * max(a.shape)
-    nonzero = a != 0.0
-    unit = np.count_nonzero(nonzero, axis=1) == 1
-    col = np.argmax(nonzero[unit], axis=1)
-    fixed = np.zeros(a.shape[1], dtype=bool)
-    fixed[col] = True
-    if len(col) and np.count_nonzero(fixed) == len(col):
-        x = np.zeros(a.shape[1])
-        x[col] = b[unit] / a[unit, col]
-        rest = a[~unit]
-        if not len(rest):
-            return x
-        if not fixed.all():
-            sol, _, rank, _ = lstsq(rest[:, ~fixed], b[~unit] - rest @ x, cond=cond,
-                                    lapack_driver="gelsy", check_finite=False)
-            if rank == len(rest):
-                x[~fixed] = sol
-                return x
-    return lstsq(a, b, cond=cond, lapack_driver="gelsy", check_finite=False)[0]
-
-
-def _ineq_rows(Ji, b_var, b_sign, rows):
-    """Jacobian rows of the inequality rows numbered `rows`: rows of Ji
-    first, then for bound row j the unit row of `qp.unit_rows`."""
-    ineq = rows < len(Ji)
-    j = rows[~ineq] - len(Ji)
-    out = np.empty((len(rows), Ji.shape[1]))
-    out[ineq] = Ji[rows[ineq]]
-    out[~ineq] = unit_rows(b_var[j], b_sign[j], Ji.shape[1])
-    return out
 
 
 def _state_split(blocks, k, n):

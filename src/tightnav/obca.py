@@ -128,6 +128,8 @@ class EnvironmentEncoding:
     two lane boundaries) and every polytope has exactly 4 faces so the dual
     blocks stay rectangular.  Past its last step the timeline holds that
     step: `obstacles`, `tv` and `window` clamp t, the encoding's only padding.
+    They raise ValueError for a negative step, and `window` for a count
+    below 1.
     Every obstacle's data is stacked once: `faces`, its (A, b) to shapes
     (T, M, 4, 2) and (T, M, 4); `vertices` (T, M, V, 2); and the face
     normals' `norms` (T, M, 4) and `unit_normals` A / norms (T, M, 4, 2).  A
@@ -162,6 +164,8 @@ class EnvironmentEncoding:
         return len(self.steps[0])
 
     def obstacles(self, t: int) -> list:
+        if t < 0:
+            raise ValueError(f"step {t} is negative")
         return self.steps[min(t, len(self.steps) - 1)]
 
     def tv(self, t: int) -> Polytope:
@@ -170,6 +174,8 @@ class EnvironmentEncoding:
 
     def window(self, start: int, count: int) -> "EnvironmentEncoding":
         """count steps from `start`, each clamped to the last step."""
+        if start < 0 or count < 1:
+            raise ValueError(f"window of {count} steps from step {start}")
         index = np.minimum(np.arange(start, start + count), len(self.steps) - 1)
         win = copy.copy(self)
         win.steps = [self.steps[t] for t in index.tolist()]

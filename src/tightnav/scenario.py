@@ -233,12 +233,18 @@ class Scenario:
 
     def tv_window(self, start: int, count: int) -> np.ndarray:
         """TV states of count steps from `start`, each clamped to the last
-        step, as `EnvironmentEncoding.window` clamps the obstacles."""
+        step, as `EnvironmentEncoding.window` clamps the obstacles; raises
+        ValueError for a negative start or a count below 1."""
+        if start < 0 or count < 1:
+            raise ValueError(f"window of {count} steps from step {start}")
         return self.tv_traj[np.minimum(np.arange(start, start + count), len(self.tv_traj) - 1)]
 
     def tv_from(self, start: int) -> np.ndarray:
         """The TV states from `start` on: the rest of the trajectory, or its
-        final pose once the trajectory is over."""
+        final pose once the trajectory is over; raises ValueError for a
+        negative start."""
+        if start < 0:
+            raise ValueError(f"step {start} is negative")
         return self.tv_traj[min(start, len(self.tv_traj) - 1):]
 
     def environment(self) -> EnvironmentEncoding:

@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 from tightnav.dynamics import A_MAX, DELTA_MAX, DT, step_jacobians, step_rk4
 import tightnav.nlp
-from tightnav.nlp import TOL_FEAS, TOL_KKT, NlpProblem, NlpSolution, solve_nlp
+from tightnav.nlp import BACKTRACK, TOL_FEAS, TOL_KKT, NlpProblem, NlpSolution, solve_nlp
 from tightnav.qp import bound_rows, kkt_residuals, solve_qp
 
 from oracles import (
@@ -77,9 +77,10 @@ def staged_eq(Je, stages):
     k = N * nx
     A = np.array([-Je[nx * t : nx * (t + 1), nx * (t - 1) : nx * t] for t in range(1, N)])
     B = np.array([-Je[nx * t : nx * (t + 1), k + nu * t : k + nu * (t + 1)] for t in range(N)])
-    eq = tightnav.nlp._EqJacobian(stages, A.reshape(N - 1, nx, nx), B, Je[k:])
-    assert eq.dense().tobytes() == Je.tobytes()
-    return eq
+    A = A.reshape(N - 1, nx, nx)
+    assert np.vstack([dynamics_rows_dense(stages, A, B, Je.shape[1]), Je[k:]]).tobytes() \
+        == Je.tobytes()
+    return tightnav.nlp._EqJacobian(stages, A, B, Je[k:])
 
 
 def plan(stages, lb, ub):
@@ -194,6 +195,103 @@ def test_determinism_bit_identical():
     assert np.array_equal(runs[0].x, runs[1].x)
     assert runs[0].iterations == runs[1].iterations
     assert runs[0].history == runs[1].history
+
+
+def maratos_obj(x):
+    """2 (x . x - 1) - x0, the objective of Nocedal & Wright's Example 15.4."""
+    return float(2.0 * (x @ x - 1.0) - x[0]), np.array([4.0 * x[0] - 1.0, 4.0 * x[1]])
+
+
+def test_maratos_example_takes_every_full_step():
+    """min 2 (x . x - 1) - x0 on the unit circle (Nocedal & Wright,
+    *Numerical Optimization*, 2nd ed., Example 15.4): each Newton step
+    raises the l1 merit, and the second-order correction lets the solve
+    take a unit step every iteration.  Without it this start takes 11
+    iterations and backtracks to 0.125."""
+    def eq(x, jacobian=True):
+        return np.array([x @ x - 1.0]), (2.0 * x).reshape(1, 2)
+
+    def lag_hess(x, nu, lam):
+        return [(4.0 + 2.0 * nu[0]) * np.eye(2)[None]]
+
+    prob = NlpProblem(n=2, objective=maratos_obj, lag_hess=lag_hess, eq=eq)
+    sol = solve_nlp(prob, np.array([math.cos(0.5), math.sin(0.5)]))
+    assert sol.ok and sol.iterations == 6
+    np.testing.assert_allclose(sol.x, [1.0, 0.0], atol=1e-9)
+    np.testing.assert_allclose(sol.mult_eq, [-1.5], atol=1e-9)
+    assert [rec[5] for rec in sol.history] == [1.0] * 5
+
+
+def test_correction_starts_from_the_steps_working_set(monkeypatch):
+    """The Maratos example held outside the disc by an inequality row,
+    active from the start.  A subproblem solved right after a rejected full
+    step, at the step's iterate (its gradient), is the correction, and its
+    hint is the step QP's working set; the next iteration's hint is the
+    step's working set too."""
+    def ineq(x, jacobian=True):
+        return np.array([1.0 - x @ x]), (-2.0 * x).reshape(1, 2)
+
+    def lag_hess(x, nu, lam):
+        return [(4.0 - 2.0 * lam[0]) * np.eye(2)[None]]
+
+    log = []
+    inner = tightnav.nlp._solve_subproblem
+
+    def recording(*args):
+        sol = inner(*args)
+        log.append(("qp", args[-1], sol.active_rows, args[2].tobytes()))
+        return sol
+
+    def evaluated(x, jacobian=True):
+        log.append(("eval",))
+        return ineq(x, jacobian)
+
+    monkeypatch.setattr(tightnav.nlp, "_solve_subproblem", recording)
+    prob = NlpProblem(n=2, objective=maratos_obj, lag_hess=lag_hess, ineq=evaluated)
+    sol = solve_nlp(prob, np.array([math.cos(0.5), math.sin(0.5)]))
+    assert sol.ok
+    np.testing.assert_allclose(sol.x, [1.0, 0.0], atol=1e-4)
+    qps = [i for i, entry in enumerate(log) if entry[0] == "qp"]
+    corrections = [i for i in qps if log[i - 1][0] == "eval" and log[i - 2][0] == "qp"
+                   and log[i - 2][3] == log[i][3]]
+    assert corrections
+    for i in corrections:
+        step = log[i - 2]
+        assert len(step[2]) and np.array_equal(log[i][1], step[2])
+        following = [j for j in qps if j > i]
+        if following:
+            assert np.array_equal(log[following[0]][1], step[2])
+
+
+def test_nan_at_the_full_step_skips_the_correction():
+    """A constraint whose value is NaN beyond x0 = 1 while the full steps
+    overshoot there (the Hessian understates the curvature tenfold): the
+    correction's QP refuses the NaN rows, so the line search backtracks
+    along the step to a finite point without evaluating a correction."""
+    def obj(x):
+        return float((x[0] - 0.5) ** 2 + x[1] ** 2), np.array([2.0 * (x[0] - 0.5), 2.0 * x[1]])
+
+    points = []
+
+    def eq(x, jacobian=True):
+        points.append(x.copy())
+        value = np.nan if x[0] > 1.0 else x[1] - 0.1 * x[0] ** 2
+        return np.array([value]), np.array([[-0.2 * x[0], 1.0]])
+
+    prob = NlpProblem(n=2, objective=obj, lag_hess=constant_hess(0.2 * np.eye(2)), eq=eq)
+    x0 = np.array([-1.0, 0.1])
+    sol = solve_nlp(prob, x0)
+    assert sol.ok and sol.x[0] < 1.0
+    first = sol.history[0]
+    assert first[5] < 1.0 and math.isfinite(first[2])
+    # x0 twice, then the first iteration's trials, all on one line.
+    trials = np.array(points[2:])
+    p = trials[0] - x0
+    assert trials[0][0] > 1.0
+    n_trials = int(round(math.log(first[5], BACKTRACK))) + 1
+    for j, xt in enumerate(trials[:n_trials]):
+        np.testing.assert_allclose(xt, x0 + BACKTRACK ** j * p, rtol=0.0, atol=1e-12)
+    assert np.all(np.isfinite(trials[n_trials - 1]))
 
 
 def test_failed_line_search_stops_without_moving():
@@ -1073,81 +1171,3 @@ def test_blocks_are_grouped_once_and_only_when_a_subproblem_runs(monkeypatch):
     again = solve_nlp(at_minimum, np.ones(2))
     assert again.ok and again.iterations == 1
     assert grouped == []
-
-
-def unit_stack(rng, m, n, k):
-    """(a, b): m general rows over n variables, then k rows with a single
-    nonzero entry each, on distinct variables, in shuffled order."""
-    units = np.zeros((k, n))
-    units[np.arange(k), rng.choice(n, k, replace=False)] = rng.choice([-1.0, 1.0, 2.5], k)
-    a = np.vstack([rng.normal(size=(m, n)), units])[rng.permutation(m + k)]
-    return a, rng.normal(size=m + k)
-
-
-def driver_shapes(monkeypatch):
-    """The shape of every stack the least-squares driver sees."""
-    seen = []
-    inner = tightnav.nlp.lstsq
-
-    def recording(a, b, **kwargs):
-        seen.append(a.shape)
-        return inner(a, b, **kwargs)
-
-    monkeypatch.setattr(tightnav.nlp, "lstsq", recording)
-    return seen
-
-
-def test_min_norm_solve_fixes_the_unit_rows(monkeypatch):
-    shapes = driver_shapes(monkeypatch)
-    rng = np.random.default_rng(11)
-    for m, n, k in ((10, 40, 25), (20, 28, 8), (0, 12, 5), (12, 12, 0)):
-        a, b = unit_stack(rng, m, n, k)
-        shapes.clear()
-        got = tightnav.nlp._min_norm_solve(a, b)
-        want = np.linalg.lstsq(a, b, rcond=None)[0]
-        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
-        # The driver sees the general rows over the other variables only.
-        assert shapes == ([] if not m else [(m, n - k)])
-
-
-def test_min_norm_solve_falls_back_to_the_whole_stack(monkeypatch):
-    shapes = driver_shapes(monkeypatch)
-    rng = np.random.default_rng(12)
-    # Two unit rows on one variable, consistent or not.
-    a, b = unit_stack(rng, 6, 20, 5)
-    unit = np.flatnonzero(np.count_nonzero(a, axis=1) == 1)
-    for scale in (1.0, 3.0):
-        twin = np.vstack([a, 2.0 * a[unit[0]]])
-        rhs = np.append(b, 2.0 * scale * b[unit[0]])
-        shapes.clear()
-        got = tightnav.nlp._min_norm_solve(twin, rhs)
-        assert shapes == [twin.shape]
-        np.testing.assert_allclose(got, np.linalg.lstsq(twin, rhs, rcond=None)[0],
-                                   rtol=0.0, atol=1e-12)
-    # General rows that are rank deficient once the unit rows' variables
-    # are fixed: more of them than free variables, or a repeated one.
-    for m, n, k in ((9, 14, 6), (5, 20, 4)):
-        a, b = unit_stack(rng, m, n, k)
-        general = np.flatnonzero(np.count_nonzero(a, axis=1) > 1)
-        if m == 5:
-            a[general[1]] = a[general[0]]
-        shapes.clear()
-        got = tightnav.nlp._min_norm_solve(a, b)
-        assert shapes == [(m, n - k), a.shape]
-        np.testing.assert_allclose(got, np.linalg.lstsq(a, b, rcond=None)[0],
-                                   rtol=0.0, atol=1e-12)
-
-
-@pytest.mark.parametrize("rank", [None, 5, 12])
-def test_min_norm_solve_matches_numpy_lstsq(rank):
-    rng = np.random.default_rng(rank or 0)
-    for m, n in ((20, 28), (28, 28), (40, 28)):
-        if rank is None and m > n:
-            continue
-        a = rng.normal(size=(m, n))
-        if rank is not None:
-            a = rng.normal(size=(m, rank)) @ rng.normal(size=(rank, n))
-        b = rng.normal(size=m)
-        want = np.linalg.lstsq(a, b, rcond=None)[0]
-        np.testing.assert_allclose(tightnav.nlp._min_norm_solve(a, b), want,
-                                   rtol=0.0, atol=1e-12)

@@ -2,6 +2,7 @@
 of the import cost and of the benchmark's tracer targets and imports."""
 
 import ast
+import functools
 import importlib
 import importlib.util
 import inspect
@@ -100,11 +101,36 @@ def test_import_loads_no_scipy_subpackage_but_linalg():
     assert json.loads(out.stdout) == ["linalg"]
 
 
+@functools.lru_cache(maxsize=None)
+def read_names(path: Path) -> frozenset:
+    """Every name the file's source reads."""
+    return frozenset(node.id for node in ast.walk(ast.parse(path.read_text()))
+                     if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load))
+
+
 def used_beyond_import(module, name: str) -> bool:
     """Whether the module's source reads `name` anywhere but its import."""
-    tree = ast.parse(Path(module.__file__).read_text())
-    return any(isinstance(node, ast.Name) and node.id == name and isinstance(node.ctx, ast.Load)
-               for node in ast.walk(tree))
+    return name in read_names(Path(module.__file__))
+
+
+def test_every_imported_name_is_used():
+    """Each name a package module's imports bind, at any depth, is read
+    beyond its import: an import left behind by deleted code would
+    otherwise stay, and still cost its load."""
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = importlib.import_module(
+            "tightnav" if path.stem == "__init__" else f"tightnav.{path.stem}")
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [a.asname or a.name.partition(".")[0] for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                names = [a.asname or a.name for a in node.names]
+            else:
+                continue
+            unused += [(path.stem, name) for name in names
+                       if not used_beyond_import(module, name)]
+    assert not unused, f"imported but never read: {unused}"
 
 
 def test_every_trace_target_is_an_attribute_of_its_owner():

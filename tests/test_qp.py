@@ -679,9 +679,11 @@ def test_bounded_infeasible_with_hint_still_infeasible():
 
 
 def test_mpc_subproblems_match_bounds_as_rows(monkeypatch):
-    # The QPs of the first 10 steps of an overtake under the unguided MPC
-    # (n up to 200, hints carried across SQP iterations and steps), each
-    # against the same QP with its bounds as rows, solved cold.
+    # The QPs of a whole overtake under the unguided MPC (n up to 200,
+    # hints carried across SQP iterations and steps, second-order
+    # corrections included), each against the same QP with its bounds as
+    # rows, solved cold.  The whole run, not its first steps, so that enough
+    # of them take the release path.
     import tightnav.nlp
     from tightnav.scenario import benchmark_suite
     from tightnav.simulate import run_closed_loop
@@ -694,7 +696,7 @@ def test_mpc_subproblems_match_bounds_as_rows(monkeypatch):
         return inner(*args, **kwargs)
 
     monkeypatch.setattr(tightnav.nlp, "solve_qp", capture)
-    run_closed_loop(benchmark_suite()[8], "bl", max_steps=10)
+    run_closed_loop(benchmark_suite()[8], "bl")
     sizes = reduced_solves(monkeypatch)
     released = 0
     for (H, f, A, b, C, d), kwargs in calls:

@@ -259,6 +259,25 @@ def test_tv_reads_match_the_padded_trajectory(make):
         assert np.all(padded[k + len(rest):] == sc.tv_traj[-1])
 
 
+@pytest.mark.parametrize("read", [
+    lambda sc, env: env.window(-1, 3),
+    lambda sc, env: env.window(0, 0),
+    lambda sc, env: env.obstacles(-1),
+    lambda sc, env: env.tv(-1),
+    lambda sc, env: sc.tv_window(-1, 3),
+    lambda sc, env: sc.tv_window(2, 0),
+    lambda sc, env: sc.tv_from(-1),
+], ids=["window-negative", "window-empty", "obstacles", "tv", "tv_window-negative",
+        "tv_window-empty", "tv_from"])
+def test_negative_steps_and_empty_windows_are_refused(read):
+    """Python's negative indexing would read a negative step from the end of
+    the timeline (step -1 as the TV's final pose), and an empty window has
+    no obstacle count to report."""
+    sc = benchmark_scenario(8)
+    with pytest.raises(ValueError):
+        read(sc, sc.environment())
+
+
 def test_lane_reference_tracks_centerline():
     ref = lane_reference(np.array([0.3, 0.2, 0.1, 0.0]), 20)
     assert ref.shape == (21, 4)
