@@ -115,9 +115,8 @@ TOL_FEAS = 1e-6
 # Convexification: the shift added to a definite Lagrangian Hessian, and
 # the least eigenvalue that a flipped one keeps.
 FLOOR = 1e-6
-# SQP iterations per solve.  One OBCA control step runs up to
-# `tightnav.obca.MAX_ROUNDS` solves, so this is the cap that a per-step
-# work budget would replace.
+# SQP iterations per solve.  One OBCA control step runs one solve, so this
+# is the cap that a per-step work budget would replace.
 ITER_MAX = 100
 # Merit line search: Armijo sufficient-decrease fraction, step shrink factor
 # and trial count.

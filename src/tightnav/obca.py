@@ -8,14 +8,19 @@ variant additionally pins the ego position to one side of the obstacle along
 the horizon (pass-left / pass-right hyperplanes built from the critical
 region); the baseline variant omits those rows and is otherwise identical.
 
-Obstacle pairs far from the warm-start trajectory carry no decision
-variables.  After each solve a promotion check measures the disengaged
-pairs against the new trajectory, and a pair the optimizer moved the
-trajectory toward joins the NLP for another round.  The check is screened
-by how far the solve moved each stage: a pair's face certificate falls by
-at most that move, so the certificates are computed again only when a
-disengaged pair can have come under the threshold.  The index layout that
-depends on the horizon alone is built once per controller.
+Obstacle pairs far from the warm-start trajectory and the reference carry
+no decision variables, and a step solves one NLP over the pairs that
+either brings within `ENGAGE_DIST`.  The applied input needs no other
+pair.  A pair is left out only when the guess's stage 1 is at least
+`ENGAGE_DIST` from it, and both the guess's and the solution's stage 1
+are one RK4 step from the measured state under an admissible input (a
+shifted plan's to the solver's feasibility tolerance).  Between two such
+inputs no point of the body moves farther than |dp| + r |dpsi|, r the
+body's covering radius: on a grid of inputs, 0.234 m at 1.9 m/s, below
+`ENGAGE_DIST` - d_min at the default d_min.  So the solved stage 1 keeps
+its clearance from every pair left out, and the later stages are planned
+again at the next step.  The index layout that depends on the horizon
+alone is built once per controller.
 
 A step evaluates only what it reads.  The certificate pass returns each
 pair's value with its best face and body-frame normals, and a pair's dual
@@ -27,13 +32,11 @@ commonest step when no vehicle is close, builds no dynamics Jacobian.
 The Lagrangian Hessian goes to the solver as the stacks of its stage
 blocks, so no n x n matrix is formed before the condensed QP's, and the
 dynamics rows go as the step Jacobians' stacks (A_t, B_t) of the NLP's
-stage shape (`NlpProblem.stages`), so their dense rows are formed only by
-the solver's second-order correction.
+stage shape (`NlpProblem.stages`), so no dense dynamics row is formed.
 
 A solve that does not end optimal ends the step: the controller returns
 its status and retries nothing, and the supervisor falls back to its
-conservative policies.  A step solves at most `MAX_ROUNDS` NLPs, its
-first round and the promotion rounds after it.
+conservative policies.
 
 Consecutive control steps warm-start each other twice over: the previous
 plan, shifted one stage, is the primal initial guess, and the previous
@@ -47,7 +50,6 @@ from __future__ import annotations
 
 import copy
 import functools
-import logging
 import math
 import numbers
 import weakref
@@ -80,8 +82,6 @@ from .geometry import (
 from .nlp import NlpProblem, solve_nlp
 from .qp import bound_rows
 
-logger = logging.getLogger(__name__)
-
 # Ego body in its own frame: {xi : BODY_G xi <= BODY_H}, BODY_H the car's
 # half-length and half-width, each twice.
 BODY_G = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
@@ -104,11 +104,6 @@ EPS_STRICT = 1e-6
 # Pairs that the warm start or the reference brings closer than this get
 # dual variables; farther pairs get none.
 ENGAGE_DIST = 0.25
-# After a solve, a disengaged pair whose distance falls below d_min plus
-# this margin is promoted into the NLP for another round.
-REENGAGE_MARGIN = 2e-3
-# NLPs per control step: the first round and the promotion rounds after it.
-MAX_ROUNDS = 3
 
 
 class StrategyLabel(IntEnum):
@@ -221,10 +216,8 @@ class MpcSolution:
     """One horizon solve: the plan, its status and counters.
 
     zs has shape (N+1, 4) with zs[0] the measured state, us has shape (N, 2).
-    stats holds "iterations" (SQP iterations over all rounds), "rounds"
-    (NLPs solved, at most `MAX_ROUNDS`), "engaged" (obstacle pairs in the
-    last round's NLP) and "cost".  A status other than "optimal" is the
-    last round's: a failed round ends the step.
+    stats holds "iterations" (the NLP's SQP iterations), "rounds" (NLPs
+    solved, always 1), "engaged" (obstacle pairs in the NLP) and "cost".
     """
 
     zs: np.ndarray
@@ -354,21 +347,6 @@ def _seed_duals(env: EnvironmentEncoding, t: int, m: int, z, faces):
         best, normals = faces
         return (res.distance, *_certificate(env.norms[t, m], best[t, m], normals[t, m]))
     return res.distance, res.mult_p / res.distance, res.mult_q / res.distance
-
-
-def _pairs_within_reach(f_guess, zs_guess, zs, pairs, threshold, radius) -> bool:
-    """Whether a pair not in `pairs` may have a certificate below `threshold`
-    at zs, given the certificates f_guess of every pair at zs_guess.
-
-    By the bound in `_face_certificates`, stage t's certificates fall by at
-    most |dp_t| + radius |dpsi_t| between the two; 1e-9 covers their
-    rounding.  Stage 0, the measured state, is never checked.
-    """
-    d = zs[1:] - zs_guess[1:]
-    move = np.hypot(d[:, 0], d[:, 1]) + radius * np.abs(d[:, 2])
-    engaged = set(pairs)
-    near = np.argwhere(f_guess[1:] - move[:, None] < threshold + 1e-9) + (1, 0)
-    return any((t, m) not in engaged for t, m in near.tolist())
 
 
 def _rotations_t(psi):
@@ -617,11 +595,7 @@ class _StepNlp:
         n_h = self.cfg.horizon
         zs = np.vstack([self.z0[None, :], x[: self.nz].reshape(n_h, 4)])
         us = x[self.nz : self.nz + self.nuv].reshape(n_h, 2)
-        duals = {}
-        for j, pair in enumerate(self.pairs):
-            duals[pair] = (np.maximum(x[self.lam_cols[j]], 0.0),
-                           np.maximum(x[self.mu_cols[j]], 0.0))
-        return zs, us, duals
+        return zs, us
 
     def bounds(self):
         """(lo, hi): speed bounds on every z_t, actuator bounds on every u_t,
@@ -773,11 +747,10 @@ class ObcaController:
     A single instance is sequential: it keeps the previous successful
     solution and that solve's final QP working set, and shifts both one
     stage to warm-start the next step (the plan as the primal guess, the
-    working set as the first subproblem's QP hint).  Later rounds of a step
-    start from the previous round's working set.  A failed round ends the
-    step and is not kept.  Pass `step` so a gap in the call sequence
-    (another policy drove the vehicle, or the last solve failed) falls back
-    to a cold start; `reset` forgets both.
+    working set as the first subproblem's QP hint).  Each step solves one
+    NLP, and a failed solve ends the step and is not kept.  Pass `step` so
+    a gap in the call sequence (another policy drove the vehicle, or the
+    last solve failed) falls back to a cold start; `reset` forgets both.
     """
 
     def __init__(self, config: ControllerConfig | None = None):
@@ -859,54 +832,18 @@ class ObcaController:
                 pairs.append((t, m))
                 dual_map[(t, m)] = (lam_w, mu_w)
 
-        iters = 0
-        threshold = cfg.d_min + REENGAGE_MARGIN
-        for rounds in range(1, MAX_ROUNDS + 1):
-            builder = _StepNlp(cfg, z0, u_prev, ref, env, pairs, strat, self._layout)
-            prob = builder.problem
-            # Round 1 starts from the previous step's working set, shifted;
-            # later rounds from the previous round's.  Keys this NLP lacks
-            # (stages that left the horizon, pairs no longer engaged) drop
-            # out.
-            sol = solve_nlp(prob, builder.pack(zs_g, us_g, dual_map),
-                            warm_rows=builder.key_rows(keys))
-            keys = builder.row_keys(sol.active_rows)
-            iters += sol.iterations
-            zs, us, dual_map = builder.unpack(sol.x)
-            # A failed round ends the step.  Otherwise, the promotion check: a
-            # face certificate's value bounds the distance from below, so only
-            # disengaged pairs under the threshold need the exact distance,
-            # and only pairs the solve moved within reach of the threshold
-            # need the certificate.
-            if sol.status != "optimal" or rounds == MAX_ROUNDS or not _pairs_within_reach(
-                    f_g, zs_g, zs, pairs, threshold, COVERING_RADIUS):
-                break
-            promote = []
-            engaged = set(pairs)
-            f_s, *faces_s = _face_certificates(env, zs)
-            for t, m in np.argwhere(f_s[1:] < threshold) + (1, 0):
-                t, m = int(t), int(m)
-                if (t, m) in engaged:
-                    continue
-                dist, lam_w, mu_w = _seed_duals(env, t, m, zs[t], faces_s)
-                if dist < threshold:
-                    promote.append((t, m))
-                    dual_map[(t, m)] = (lam_w, mu_w)
-            if not promote:
-                break
-            logger.debug("re-engaging %d obstacle pairs", len(promote))
-            pairs = sorted(pairs + promote)
-            # Warm-start the enlarged problem from the current optimum.  Even
-            # when it grazes a promoted obstacle the seeded face certificate
-            # carries an escape gradient.
-            zs_g, us_g, f_g = zs, us, f_s
-
+        builder = _StepNlp(cfg, z0, u_prev, ref, env, pairs, strat, self._layout)
+        # The previous step's working set, shifted; keys this NLP lacks
+        # (stages that left the horizon, pairs no longer engaged) drop out.
+        sol = solve_nlp(builder.problem, builder.pack(zs_g, us_g, dual_map),
+                        warm_rows=builder.key_rows(keys))
+        zs, us = builder.unpack(sol.x)
         result = MpcSolution(
             zs=zs, us=us, status=sol.status,
-            stats={"iterations": iters, "rounds": rounds, "engaged": len(pairs),
+            stats={"iterations": sol.iterations, "rounds": 1, "engaged": len(pairs),
                    "cost": sol.objective},
         )
         if result.ok:
-            self._prev = (zs, us, keys)
+            self._prev = (zs, us, builder.row_keys(sol.active_rows))
             self._prev_step = step
         return result

@@ -365,8 +365,11 @@ def _suite_plan(n: int, seed0: int, weights: dict[str, float]) -> list[tuple[int
 
 _DATASET_PLAN = _suite_plan(68, 5000, {"overtake": 0.3, "turn_in": 0.2,
                                        "reverse_short": 0.2, "reverse_long": 0.3})
-_BENCHMARK_PLAN = _suite_plan(52, 9000, {"overtake": 0.25, "turn_in": 0.15,
-                                         "reverse_short": 0.15, "reverse_long": 0.45})
+# The held-out suites' family weights, toward long-idle reverse parks.
+_HELD_OUT_WEIGHTS = {"overtake": 0.25, "turn_in": 0.15, "reverse_short": 0.15,
+                     "reverse_long": 0.45}
+_BENCHMARK_PLAN = _suite_plan(52, 9000, _HELD_OUT_WEIGHTS)
+_VALIDATION_PLAN = _suite_plan(52, 9100, _HELD_OUT_WEIGHTS)
 
 
 def dataset_suite() -> list[Scenario]:
@@ -377,6 +380,13 @@ def dataset_suite() -> list[Scenario]:
 def benchmark_suite() -> list[Scenario]:
     """Held-out evaluation set, weighted toward long-idle reverse parks."""
     return [random_scenario(seed, family) for seed, family in _BENCHMARK_PLAN]
+
+
+def validation_suite() -> list[Scenario]:
+    """A second held-out set, drawn as the benchmark suite is from other
+    seeds, to check that a change chosen on the benchmark suite does not
+    only fit its scenarios."""
+    return [random_scenario(seed, family) for seed, family in _VALIDATION_PLAN]
 
 
 def benchmark_scenario(index: int) -> Scenario:

@@ -2,6 +2,7 @@
 
     python3 tests/closed_loop_digest.py            # perfbench and CI smoke runs
     python3 tests/closed_loop_digest.py --suite    # all benchmark_suite() runs
+    python3 tests/closed_loop_digest.py --suite validation   # all validation_suite() runs
     python3 tests/closed_loop_digest.py --against parent.txt   # compare as well
 
 Each line gives the run's name, scheme, outcome, step count, the `repr`
@@ -14,11 +15,13 @@ and scheme, and after the last run exits 1, naming every run whose line
 differs or is missing from FILE.  The script imports `tightnav` from the
 `src/` next to it, so each checkout measures its own code.
 
-By default it drives the 7 runs of `perfbench/run.py`'s workloads and the
-CI smoke runs (`benchmark_scenario` 14 and 23 under `bl`, 28, 30, 37, 38
-and 42 under `sg`, and `forward_park_case()` under `bl`).  `--suite`
+By default it drives the 7 runs of `perfbench/run.py`'s workloads, two
+tail runs (`benchmark_scenario` 14 under `bl` and 30 under `sg`) and the
+CI smoke runs (`benchmark_scenario` 23 under `bl`, 28, 37, 38 and 42 under
+`sg`, and `forward_park_case()` under `bl`).  `--suite`
 drives every `benchmark_suite()` scenario under both schemes over two
-worker processes.
+worker processes, and `--suite validation` every `validation_suite()`
+scenario.
 
 OpenBLAS and OpenMP run on one thread, set before numpy loads: closed-loop
 states are bit-reproducible only at a fixed thread count.  The BL tail's
@@ -35,6 +38,7 @@ os.environ["OPENBLAS_NUM_THREADS"] = "1"
 os.environ["OMP_NUM_THREADS"] = "1"
 
 import argparse  # noqa: E402
+import functools  # noqa: E402
 import hashlib  # noqa: E402
 import json  # noqa: E402
 import multiprocessing  # noqa: E402
@@ -44,7 +48,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 MODEL_PATH = os.path.join(ROOT, "perfbench", "fixtures", "strategy_model.json")
 
-# (name, builder, scheme): the perfbench workloads' runs, then the CI smoke runs.
+# (name, builder, scheme): the perfbench workloads' runs, then the tail and CI
+# smoke runs.
 DEFAULT_RUNS = (
     ("overtake-top5-s9008", ("suite", 8), "bl"),
     ("case-reverse-park", ("reverse_park_case",), "bl"),
@@ -64,12 +69,21 @@ DEFAULT_RUNS = (
 )
 
 
+@functools.cache
+def _validation_suite():
+    from tightnav.scenario import validation_suite
+
+    return validation_suite()
+
+
 def _build(spec):
     import tightnav.scenario as sc
 
     kind, *args = spec
     if kind == "suite":
         return sc.benchmark_scenario(*args)
+    if kind == "validation":
+        return _validation_suite()[args[0]]
     return getattr(sc, kind)(*args)
 
 
@@ -100,8 +114,9 @@ def differing_runs(lines, saved) -> list[str]:
 
 def main(argv=None) -> None:
     ap = argparse.ArgumentParser(description="closed-loop digests of tightnav runs")
-    ap.add_argument("--suite", action="store_true",
-                    help="every benchmark_suite() scenario under both schemes")
+    ap.add_argument("--suite", nargs="?", const="benchmark", choices=("benchmark", "validation"),
+                    help="every scenario of the benchmark suite (the default) or the "
+                         "validation suite under both schemes")
     ap.add_argument("--against", metavar="FILE",
                     help="compare each line with the one FILE saved for its run; exit 1 "
                          "naming the runs whose lines differ")
@@ -114,8 +129,12 @@ def main(argv=None) -> None:
     if args.suite:
         from tightnav.scenario import benchmark_suite
 
-        runs = [(sc.name, ("suite", i), scheme)
-                for i, sc in enumerate(benchmark_suite()) for scheme in ("sg", "bl")]
+        if args.suite == "validation":
+            suite, kind = _validation_suite(), "validation"
+        else:
+            suite, kind = benchmark_suite(), "suite"
+        runs = [(sc.name, (kind, i), scheme)
+                for i, sc in enumerate(suite) for scheme in ("sg", "bl")]
         with multiprocessing.get_context("spawn").Pool(2) as pool:
             for line in pool.imap(digest, runs):
                 print(json.dumps(line), flush=True)

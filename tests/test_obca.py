@@ -303,7 +303,10 @@ def moved_states(draw):
 @given(moved_states())
 def test_face_certificates_lipschitz_in_position_and_heading(case):
     """A certificate falls by at most the move |dp| + r |dpsi|, r the body's
-    covering radius: the bound that screens the promotion check."""
+    covering radius, as the exact distance does.  With the stage-1 reach
+    of `test_stage_one_reach_stays_below_the_engage_margin`, this is why a
+    step's one NLP needs no pair that its guess leaves out: no admissible
+    input moves stage 1 far enough to bring that pair within d_min."""
     env, zs, moved = case
     before = _face_certificates(env, zs)[0]
     after = _face_certificates(env, moved)[0]
@@ -325,46 +328,54 @@ def count_certificates(monkeypatch):
     return calls
 
 
-def force_full_promotion_check(monkeypatch):
-    monkeypatch.setattr(tightnav.obca, "_pairs_within_reach", lambda *args: True)
-
-
-def test_solve_step_certifies_after_a_solve_only_within_reach(monkeypatch):
-    """One certificate call covers the warm start and the reference.  After
-    a solve, the certificates are computed again only when the solve moved
-    the trajectory far enough for a disengaged pair to come under the
-    promotion threshold; a warm start that penetrates an obstacle costs one
-    more call for its braking replacement."""
+def test_solve_step_certifies_once_per_step(monkeypatch):
+    """One certificate call covers the warm start and the reference, and the
+    solve adds none; a warm start that penetrates an obstacle costs one more
+    call for its braking replacement."""
     calls = count_certificates(monkeypatch)
     cfg = ControllerConfig()
     z0 = np.array([0.0, 0.0, 0.0, 0.6])
     ref = straight_ref(z0, cfg.horizon, DT)
-    # A TV beside the path: close enough to engage, clear of the warm start,
-    # which the solve barely moves.
+    # A TV beside the path: close enough to engage, clear of the warm start.
     env = static_env(Polytope.from_box((1.1, 0.3), 0.28, 0.11), 21)
     sol = ObcaController(cfg).solve_step(z0, np.zeros(2), ref, env)
     assert sol.ok and sol.stats["engaged"] > 0 and sol.stats["rounds"] == 1
     assert calls == [(2, 21, 4)]
     calls.clear()
-    force_full_promotion_check(monkeypatch)
-    full = ObcaController(cfg).solve_step(z0, np.zeros(2), ref, env)
-    assert calls == [(2, 21, 4), (21, 4)]
-    assert full.zs.tobytes() == sol.zs.tobytes() and full.stats == sol.stats
     # The blocking TV sits on the zero-input rollout: the solve starts from
-    # the stopped braking guess and moves far from it.
-    monkeypatch.undo()
-    calls = count_certificates(monkeypatch)
+    # the stopped braking guess.
     _, env, z0, ref = blocking_scene()
     sol = ObcaController(cfg).solve_step(z0, np.zeros(2), ref, env,
                                          strategy=StrategyLabel.PASS_LEFT)
     assert sol.ok and sol.stats["rounds"] == 1
-    assert calls == [(2, 21, 4), (21, 4), (21, 4)]
+    assert calls == [(2, 21, 4), (21, 4)]
+
+
+def test_stage_one_reach_stays_below_the_engage_margin():
+    """One RK4 step from a state under two admissible inputs ends within
+    |dp| + r |dpsi| < ENGAGE_DIST - d_min of itself, r the body's covering
+    radius, for start speeds from V_MIN to 1.9 m/s.  A pair is left out of
+    a step's NLP only when the guess's stage 1 is ENGAGE_DIST from it, and
+    the guess's and the solution's stage 1 are both such steps, so the
+    applied input keeps d_min from every pair left out."""
+    margin = tightnav.obca.ENGAGE_DIST - ControllerConfig().d_min
+    inputs = [np.array([delta, a]) for delta in np.linspace(-DELTA_MAX, DELTA_MAX, 15)
+              for a in np.linspace(-A_MAX, A_MAX, 9)]
+    worst = 0.0
+    for v in np.linspace(V_MIN, 1.9, 30):
+        z0 = np.array([0.3, -0.2, 0.7, v])
+        ends = np.array([step_rk4(z0, u, DT) for u in inputs])
+        d = ends[:, None] - ends[None]
+        reach = np.hypot(d[..., 0], d[..., 1]) + COVERING_RADIUS * np.abs(d[..., 2])
+        worst = max(worst, float(reach.max()))
+    # 0.234 m at 1.9 m/s: the grid reaches close to the margin.
+    assert 0.2 < worst < margin
 
 
 def promotion_scene():
     """A box midway between the zero-input rollout and a reference 0.9 m to
-    its left, more than ENGAGE_DIST from both: the first solve, with no
-    pair engaged, cuts through it, and the box is promoted."""
+    its left, more than ENGAGE_DIST from both: the first solve engages no
+    pair, and its plan cuts through the box."""
     cfg = ControllerConfig()
     n = cfg.horizon + 1
     z0 = np.array([0.0, 0.0, 0.0, 0.6])
@@ -373,29 +384,31 @@ def promotion_scene():
     return env, z0, ref
 
 
-def test_promotion_round_solves_as_with_the_full_check(monkeypatch):
-    env, z0, ref = promotion_scene()
+def test_one_nlp_per_step_keeps_the_applied_clearance(monkeypatch):
+    """60 closed-loop steps on `promotion_scene`, the reference moving one
+    stage a step: every step solves one NLP, and though the first plan cuts
+    through the box, the box is engaged before the applied inputs bring the
+    body within d_min of it."""
+    env, z, ref0 = promotion_scene()
     cfg = ControllerConfig()
-    sols = []
-    for full_check in (False, True):
-        if full_check:
-            force_full_promotion_check(monkeypatch)
-        calls = record_nlp_calls(monkeypatch)
-        sol = ObcaController(cfg).solve_step(z0, np.zeros(2), ref, env)
-        monkeypatch.undo()
-        # A promotion round, not a braking restart: the first round ends
-        # optimal with no pair engaged, the second engages the promoted pairs.
-        assert [(len(nlp.pairs), got.status) for nlp, _, got in calls] == \
-            [(0, "optimal"), (sol.stats["engaged"], "optimal")]
-        assert sol.stats["rounds"] == 2 and sol.stats["engaged"] > 0
-        sols.append(sol)
-    screened, full = sols
-    assert screened.zs.tobytes() == full.zs.tobytes()
-    assert screened.us.tobytes() == full.us.tobytes()
-    assert screened.status == full.status and screened.stats == full.stats
-    for t in range(1, cfg.horizon + 1):
-        body = body_polytope(screened.zs[t], LENGTH, WIDTH)
-        assert min_translation_distance(env.tv(t), body) >= cfg.d_min - 1e-5
+    calls = record_nlp_calls(monkeypatch)
+    ctrl = ObcaController(cfg)
+    u = np.zeros(2)
+    engaged, clearance = [], []
+    for k in range(60):
+        ref = ref0 + np.array([0.06 * k, 0.0, 0.0, 0.0])
+        sol = ctrl.solve_step(z, u, ref, env, step=k)
+        assert sol.ok and sol.stats["rounds"] == 1 and len(calls) == k + 1
+        if k == 0:
+            assert min(min_translation_distance(env.tv(t), body_polytope(sol.zs[t], LENGTH, WIDTH))
+                       for t in range(1, cfg.horizon + 1)) < cfg.d_min
+        engaged.append(sol.stats["engaged"])
+        u = sol.us[0]
+        z = step_rk4(z, u, DT)
+        clearance.append(min_translation_distance(env.tv(0), body_polytope(z, LENGTH, WIDTH)))
+    assert engaged[0] == 0 and max(engaged) > 0
+    assert min(clearance) >= cfg.d_min - 1e-5
+    assert min(clearance) < 2 * cfg.d_min
 
 
 # --- strategy constraints ---------------------------------------------------
@@ -1385,13 +1398,3 @@ def test_failed_solve_ends_the_step(monkeypatch):
     assert failed.status == "max_iterations" and failed.stats["rounds"] == 1
     assert ctrl.solve_step(z0, np.zeros(2), ref, env, step=1).ok
     assert len(calls) == 2 and calls[1][1] is None
-
-
-def test_failed_promotion_round_ends_the_step(monkeypatch):
-    # The first round solves and promotes a pair; the second round, reported
-    # failed, ends the step after 2 NLPs.
-    env, z0, ref = promotion_scene()
-    calls = record_nlp_calls(monkeypatch, fail_call=1)
-    sol = ObcaController(ControllerConfig()).solve_step(z0, np.zeros(2), ref, env)
-    assert [len(nlp.pairs) > 0 for nlp, _, _ in calls] == [False, True]
-    assert sol.status == "max_iterations" and sol.stats["rounds"] == 2

@@ -1,5 +1,6 @@
 """Tests for lot geometry, TV maneuver synthesis, and scenario plumbing."""
 
+import collections
 import hashlib
 import math
 
@@ -22,6 +23,7 @@ from tightnav.scenario import (
     random_scenario,
     reverse_park_case,
     synth_tv_maneuver,
+    validation_suite,
 )
 
 from oracles import (
@@ -178,6 +180,24 @@ def test_benchmark_scenario_builds_each_suite_scenario_alone():
     for index in (len(suite), -len(suite) - 1):
         with pytest.raises(IndexError):
             benchmark_scenario(index)
+
+
+def test_validation_suite_is_disjoint_and_drawn_as_the_benchmark():
+    """The validation suite shares no seed with the benchmark suite
+    (9000-9051) or the dataset (5000-5067), and holds as many scenarios of
+    each family as the benchmark suite."""
+    validation, benchmark = validation_suite(), benchmark_suite()
+    seeds = {sc.seed for sc in validation}
+    assert len(seeds) == len(validation) == 52
+    assert not seeds & {sc.seed for sc in benchmark}
+    assert not seeds & {sc.seed for sc in dataset_suite()}
+    assert {sc.seed for sc in benchmark} == set(range(9000, 9052))
+    assert {sc.seed for sc in dataset_suite()} == set(range(5000, 5068))
+
+    def families(suite):
+        return collections.Counter(sc.name.split("-")[0] for sc in suite)
+
+    assert families(validation) == families(benchmark)
 
 
 # sha256 over name, seed, v_ref and the raw bytes of tv_traj and ev_init of

@@ -142,24 +142,25 @@ from tightnav.predictor import load_model
 from tightnav.scenario import benchmark_suite
 from tightnav.simulate import run_closed_loop
 
-res = run_closed_loop(benchmark_suite()[37], "sg", model=load_model(sys.argv[1]), max_steps=21)
+res = run_closed_loop(benchmark_suite()[37], "sg", model=load_model(sys.argv[1]), max_steps=22)
 last = res.logs[-1]
 print(res.outcome, len(res.logs), last.sg_status, last.policy.name, last.reason)
 """
 
 
 def test_qp_overflow_ends_the_qp_not_the_run():
-    # At step 20 of this turn-in under `sg`, where a QP's multipliers once
-    # grew past the float range, a subproblem has no solution.  That ends
-    # the NLP `infeasible`, which ends the step: the supervisor falls back
-    # to safety control.  No RuntimeWarning escapes.
+    # This turn-in under `sg` once grew a QP's multipliers past the float
+    # range at step 20.  Its first infeasible guided step is step 21: a
+    # subproblem has no solution, which ends the NLP `infeasible` and so
+    # the step, and the supervisor falls back to safety control.  No
+    # RuntimeWarning escapes.
     src = os.path.dirname(os.path.dirname(os.path.abspath(tightnav.__file__)))
     env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
     run = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", QP_OVERFLOW_RUN,
                           STRATEGY_MODEL], env=env, capture_output=True, text=True, timeout=300)
     assert run.returncode == 0, run.stderr
     outcome, steps, *last = run.stdout.split()
-    assert (outcome, steps) == ("timeout", "21")
+    assert (outcome, steps) == ("timeout", "22")
     assert last == ["infeasible", "SAFETY_CONTROL", "solver_not_optimal"]
 
 
