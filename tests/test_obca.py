@@ -729,7 +729,7 @@ def test_guided_solve_from_the_braking_guess_ends_infeasible(monkeypatch):
     calls = record_nlp_calls(monkeypatch)
     ctrl = ObcaController(ControllerConfig())
     sol = ctrl.solve_step(z0, np.zeros(2), ref, env, strategy=StrategyLabel.PASS_LEFT, step=0)
-    assert [(got.status, got.iterations) for *_, got in calls] == [("infeasible", 1)]
+    assert [(got.status, got.iterations) for _, _, got, _ in calls] == [("infeasible", 1)]
     assert sol.status == "infeasible" and sol.stats["rounds"] == 1
     np.testing.assert_array_equal(sol.zs, ctrl._braking_guess(z0)[0])
     again = ctrl.solve_step(z0, np.zeros(2), ref, env, strategy=StrategyLabel.PASS_LEFT, step=1)
@@ -771,7 +771,7 @@ def test_unreachable_strategy_ends_the_nlp_infeasible(monkeypatch):
     calls = record_nlp_calls(monkeypatch)
     sol = ObcaController(cfg).solve_step(z0, np.zeros(2), ref, env,
                                          strategy=StrategyLabel.PASS_LEFT)
-    assert [got.status for _, _, got in calls] == ["infeasible"]
+    assert [got.status for _, _, got, _ in calls] == ["infeasible"]
     assert sol.status == "infeasible" and sol.stats["rounds"] == 1
 
 
@@ -1264,7 +1264,7 @@ def test_shifted_keys_drop_first_stage_and_disengaged_pairs(layout, data):
 
 
 def record_nlp_calls(monkeypatch, clear_hints=False, fail_call=None):
-    """Log (nlp, warm_rows, solution) for every NLP the controller solves.
+    """Log (nlp, warm_rows, solution, x0) for every NLP the controller solves.
 
     clear_hints withholds every hint.  The solve numbered fail_call (from
     0) is reported as `max_iterations`, which ends its control step.
@@ -1276,7 +1276,7 @@ def record_nlp_calls(monkeypatch, clear_hints=False, fail_call=None):
         if clear_hints:
             warm_rows = None
         sol = solve_nlp(prob, x0, warm_rows=warm_rows)
-        calls.append((prob.ineq.__self__, warm_rows, sol))
+        calls.append((prob.ineq.__self__, warm_rows, sol, x0))
         if len(calls) - 1 == fail_call:
             return dataclasses.replace(sol, status="max_iterations")
         return sol
@@ -1338,14 +1338,32 @@ def shifted_into(nlp, keys):
     return {(kind, t - 1, m, c) for kind, t, m, c in keys} & set(reference_row_keys(nlp))
 
 
+def packed(pair_duals):
+    """(lam, mu) as `pack` writes them into x0: clipped at zero."""
+    return tuple(np.maximum(d, 0.0) for d in pair_duals)
+
+
+def seeded_duals(nlp, env, x0):
+    """`_seed_duals`' (lam, mu) for each of nlp's pairs at the guess in x0."""
+    zs = np.vstack([nlp.z0, x0[: nlp.nz].reshape(-1, 4)])
+    _, *faces = _face_certificates(env, zs)
+    return {(t, m): packed(_seed_duals(env, t, m, zs[t], faces)[1:]) for t, m in nlp.pairs}
+
+
+def assert_same_duals(got, want):
+    assert got.keys() == want.keys()
+    for pair in got:
+        np.testing.assert_array_equal(np.concatenate(got[pair]), np.concatenate(want[pair]))
+
+
 def test_next_step_starts_from_shifted_working_set(monkeypatch):
     calls = record_nlp_calls(monkeypatch)
     qp_calls = record_qp_calls(monkeypatch)
     starts = []
     sols = consecutive_steps(ObcaController(ControllerConfig()),
                              before=lambda i: starts.append((len(calls), len(qp_calls))))
-    nlp1, _, last1 = calls[starts[1][0] - 1]
-    nlp2, hint2, _ = calls[starts[1][0]]
+    nlp1, _, last1, _ = calls[starts[1][0] - 1]
+    nlp2, hint2, _, _ = calls[starts[1][0]]
     # The first step's last QP working set comes back from the NLP as it
     # is, and the second step's first QP receives the hint, which holds
     # general rows and dual bounds, as it is.
@@ -1372,6 +1390,7 @@ def test_next_step_starts_from_shifted_working_set(monkeypatch):
 
 @pytest.mark.parametrize("interrupt", ["reset", "gap"])
 def test_reset_or_step_gap_starts_cold(monkeypatch, interrupt):
+    # No hint and no carried duals: every pair starts from its seed.
     calls = record_nlp_calls(monkeypatch)
     ctrl = ObcaController(ControllerConfig())
     starts = []
@@ -1383,13 +1402,15 @@ def test_reset_or_step_gap_starts_cold(monkeypatch, interrupt):
 
     consecutive_steps(ctrl, steps=(0, 1) if interrupt == "reset" else (0, 5), before=before)
     assert calls[starts[0]][1] is None
-    assert calls[starts[1]][1] is None
+    nlp, warm_rows, _, x0 = calls[starts[1]]
+    assert warm_rows is None and nlp.pairs
+    assert_same_duals(nlp.duals(x0), seeded_duals(nlp, blocking_scene()[1], x0))
 
 
 def test_failed_solve_ends_the_step(monkeypatch):
     # Report the first solve as failed: the step ends after that one NLP
     # and keeps nothing, so the next step starts cold, though the failed
-    # round's working set would have given it a hint.
+    # round's working set and duals would have given it a hint and a start.
     calls = record_nlp_calls(monkeypatch, fail_call=0)
     _, env, z0, ref = offset_scene()
     ctrl = ObcaController(ControllerConfig())
@@ -1398,3 +1419,29 @@ def test_failed_solve_ends_the_step(monkeypatch):
     assert failed.status == "max_iterations" and failed.stats["rounds"] == 1
     assert ctrl.solve_step(z0, np.zeros(2), ref, env, step=1).ok
     assert len(calls) == 2 and calls[1][1] is None
+    nlp, _, _, x0 = calls[1]
+    assert nlp.pairs
+    assert_same_duals(nlp.duals(x0), seeded_duals(nlp, env, x0))
+
+
+def test_persisting_pairs_start_from_the_previous_duals(monkeypatch):
+    # Over ten steps through the blocking scene, a pair that step k solved
+    # one stage later starts step k + 1 from those duals, which the geometric
+    # seed does not give, and a pair new at step k + 1 starts from its seed.
+    calls = record_nlp_calls(monkeypatch)
+    env = blocking_scene()[1]
+    consecutive_steps(ObcaController(ControllerConfig()), steps=range(10))
+    persisting = new = reseeded = 0
+    for (prev, _, sol, _), (nlp, _, _, x0) in itertools.pairwise(calls):
+        solved = prev.duals(sol.x)
+        seeds = seeded_duals(nlp, env, x0)
+        want = {(t, m): packed(solved[(t + 1, m)]) if (t + 1, m) in solved else seeds[(t, m)]
+                for t, m in nlp.pairs}
+        assert_same_duals(nlp.duals(x0), want)
+        kept = [pair for pair in nlp.pairs if (pair[0] + 1, pair[1]) in solved]
+        persisting += len(kept)
+        new += len(nlp.pairs) - len(kept)
+        reseeded += sum(np.array_equal(np.concatenate(want[pair]), np.concatenate(seeds[pair]))
+                        for pair in kept)
+    assert persisting > 0 and new > 0 and reseeded < persisting
+

@@ -679,7 +679,7 @@ def test_bounded_infeasible_with_hint_still_infeasible():
 
 
 def test_mpc_subproblems_match_bounds_as_rows(monkeypatch):
-    # The QPs of a whole overtake under the unguided MPC (n up to 200,
+    # The QPs of a whole turn-in under the unguided MPC (n up to 200,
     # hints carried across SQP iterations and steps, second-order
     # corrections included), each against the same QP with its bounds as
     # rows, solved cold.  The whole run, not its first steps, so that enough
@@ -696,7 +696,7 @@ def test_mpc_subproblems_match_bounds_as_rows(monkeypatch):
         return inner(*args, **kwargs)
 
     monkeypatch.setattr(tightnav.nlp, "solve_qp", capture)
-    run_closed_loop(benchmark_suite()[8], "bl")
+    run_closed_loop(benchmark_suite()[1], "bl")
     sizes = reduced_solves(monkeypatch)
     released = 0
     for (H, f, A, b, C, d), kwargs in calls:
