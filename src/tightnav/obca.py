@@ -10,16 +10,19 @@ region); the baseline variant omits those rows and is otherwise identical.
 
 Obstacle pairs far from the warm-start trajectory and the reference carry
 no decision variables, and a step solves one NLP over the pairs that
-either brings within `ENGAGE_DIST`.  The applied input needs no other
-pair.  A pair is left out only when the guess's stage 1 is at least
-`ENGAGE_DIST` from it, and both the guess's and the solution's stage 1
-are one RK4 step from the measured state under an admissible input (a
-shifted plan's to the solver's feasibility tolerance).  Between two such
-inputs no point of the body moves farther than |dp| + r |dpsi|, r the
-body's covering radius: on a grid of inputs, 0.234 m at 1.9 m/s, below
-`ENGAGE_DIST` - d_min at the default d_min.  So the solved stage 1 keeps
-its clearance from every pair left out, and the later stages are planned
-again at the next step.  The index layout that depends on the horizon
+either brings within `ENGAGE_DIST`.  Below about 1.9 m/s the applied
+input needs no other pair.  A pair is left out only when the guess's
+stage 1 is at least `ENGAGE_DIST` from it, and both the guess's and the
+solution's stage 1 are one RK4 step from the measured state under an
+admissible input (a shifted plan's to the solver's feasibility
+tolerance).  Between two such inputs no point of the body moves farther
+than |dp| + r |dpsi|, r the body's covering radius: on a grid of inputs,
+0.234 m at 1.9 m/s, below `ENGAGE_DIST` - d_min = 0.24 m at the default
+d_min.  At `V_MAX` = 2.0 m/s the same grid reaches 0.249 m, above that
+margin, so at top speed a pair left out could come within d_min of the
+applied stage 1; no suite run goes that fast.  Below that speed the
+solved stage 1 keeps its clearance from every pair left out, and the
+later stages are planned again at the next step.  The index layout that depends on the horizon
 alone is built once per controller.
 
 A step evaluates only what it reads.  The certificate pass returns each

@@ -41,19 +41,17 @@ Bounds are kept apart from the general rows, as in qpOASES and DAQP
 cover at least a quarter of the variables, they fix their variables, and
 the method above runs once on the free variables only, with the free
 variables' finite bounds as unit rows.  Each fixed bound's multiplier is
-then read off stationarity.  If one is negative, the method continues on
-all variables, every finite bound a unit row, from the reduced solve's
-factorization: only the Schur complement of the fixed block is factored,
-every fixed bound joins the working set ahead of the reduced one, which
-reproduces the reduced solution, and the pruning above drops the bounds
-with negative multipliers.  That start would leave out an equality row the
-reduced solve found dependent; then the method runs on all variables,
-factored afresh, from the reduced working set plus the fixed bounds with
-nonnegative multipliers.  It runs on all variables from the warm set
-itself for a cold start, a warm set whose bounds cover fewer variables
-(fixing so few saves less than the reduced problem costs to set up), a
-fixed set that leaves an equality row or the whole problem without a free
-variable, and a reduced solve that does not end optimal.
+then read off stationarity; if none is negative, that is the solution.
+Otherwise the method runs once more, on all variables with every finite
+bound a unit row, from the one start above: H factored afresh, then the
+reduced working set plus the fixed bounds with nonnegative multipliers as
+the warm set.  With hints carried from the previous solve such a release
+is rare, so it takes the same start as every other solve rather than one
+of its own.  The method runs on all variables from the warm set itself for
+a cold start, a warm set whose bounds cover fewer variables (fixing so few
+saves less than the reduced problem costs to set up), a fixed set that
+leaves an equality row or the whole problem without a free variable, and a
+reduced solve that does not end optimal.
 
 Once JT is formed every working-set change is compiled work on O(n) rows
 of JT or fewer: a pivoted QR and Householder reflectors
@@ -225,7 +223,9 @@ def solve_qp(
     a previous related solve, used as the initial working set.  Bound
     members may fix their variables (the lower bound where a variable has
     both), as the module docstring sets out; the other members are added in
-    one batch after the equalities.  Rows that are duplicated, out of range,
+    one batch after the equalities.  When the reduced solve does not settle
+    the QP, the one full solve starts from the hint it returns instead of
+    warm_rows.  Rows that are duplicated, out of range,
     zero, or linearly dependent on earlier members are skipped, and members
     whose multiplier comes out negative are dropped before the active-set
     loop starts.  The solution does not depend on the hint; only the work to
@@ -265,8 +265,8 @@ def solve_qp(
         sol, warm, spent = _solve_fixing(H, f, A, b, C, d, b_var, b_sign, b_rhs, warm)
         if sol is not None:
             return sol
-    sol, _ = _solve_rows(H, f, np.vstack([A, unit_rows(b_var, b_sign, n)]),
-                         np.concatenate([b, b_rhs]), C, d, warm)
+    sol = _solve_rows(H, f, np.vstack([A, unit_rows(b_var, b_sign, n)]),
+                      np.concatenate([b, b_rhs]), C, d, warm)
     sol.iterations += spent
     return sol
 
@@ -294,12 +294,11 @@ def _solve_fixing(H, f, A, b, C, d, b_var, b_sign, b_rhs, warm):
 
     Bound row j holds b_sign[j] * x[b_var[j]] <= b_rhs[j], numbered mi + j.
     Returns (solution, hint, iterations): the QP's solution when the reduced
-    solve ends optimal and either every fixed bound's multiplier comes out
-    nonnegative or the bounds are released from its factorization;
-    otherwise None and the hint the full solve starts from, as the module
-    docstring sets out, with the iterations spent here.
+    solve ends optimal and every fixed bound's multiplier comes out
+    nonnegative; otherwise None and the hint the full solve starts from, as
+    the module docstring sets out, with the iterations spent here.
     """
-    n, mi, me = len(f), len(b), len(d)
+    n, mi = len(f), len(b)
     hinted = np.zeros(mi + len(b_var), dtype=bool)
     hinted[warm[(warm >= 0) & (warm < len(hinted))]] = True
     warm = np.flatnonzero(hinted)
@@ -321,7 +320,7 @@ def _solve_fixing(H, f, A, b, C, d, b_var, b_sign, b_rhs, warm):
     rows = np.concatenate([np.arange(mi), mi + np.flatnonzero(free[b_var])])
     col = np.cumsum(free) - 1
     loose = rows[mi:] - mi
-    sol, factors = _solve_rows(
+    sol = _solve_rows(
         H[np.ix_(free, free)], (f + H @ x)[free],
         np.vstack([A[:, free], unit_rows(col[b_var[loose]], b_sign[loose], col[-1] + 1)]),
         np.concatenate([b - A @ x, b_rhs[loose]]), C[:, free], d - C @ x, warm[warm < mi])
@@ -339,71 +338,17 @@ def _solve_fixing(H, f, A, b, C, d, b_var, b_sign, b_rhs, warm):
         lam[mi + fixed] = mult
         return QpSolution("optimal", x, lam, sol.nu, sol.iterations,
                           np.sort(np.concatenate([work, mi + fixed]))), None, sol.iterations
-    JT, R, members = factors()
-    ineq = members >= me
-    if np.count_nonzero(~ineq) < me:
-        # An equality row the reduced solve found dependent is no member,
-        # and the start below would leave it out of the working set.
-        return None, np.concatenate([work, mi + fixed[mult >= 0.0]]), sol.iterations
-    # Release: go on over all variables from the reduced factorization,
-    # every fixed bound a member; the full solve's pruning drops those with
-    # negative multipliers.  Members are numbered rows of C, then of A.
-    A_all = np.vstack([A, unit_rows(b_var, b_sign, n)])
-    members[ineq] = me + rows[members[ineq] - me]
-    JT, R = _unfix(H, var, b_sign[fixed], JT, R, np.vstack([C, A_all])[members])
-    full, _ = _solve_rows(H, f, A_all, np.concatenate([b, b_rhs]), C, d, None,
-                          start=(JT, R, np.concatenate([me + mi + fixed[::-1], members])))
-    full.iterations += sol.iterations
-    return full, None, full.iterations
+    # Release: the full solve starts from the reduced working set and the
+    # fixed bounds that hold.
+    return None, np.concatenate([work, mi + fixed[mult >= 0.0]]), sol.iterations
 
 
-def _unfix(H, var, sign, JT_F, R_F, N):
-    """The factorization on all variables from one on the free variables.
-
-    var, ascending, are the fixed variables and sign their bound rows'
-    signs (sign[j] * x[var[j]] <= rhs[j]).  JT_F and R_F are `_solve_rows`'
-    factors over the free variables F: JT_F H[F, F] JT_F' = I and
-    JT_F N[:, F]' = [R_F; 0] for the working-set rows N.  With
-    P = JT_F H[F, var] and the Schur complement H[var, var] - P'P = L L',
-    the rows (columns F, then var)
-        JT = [rev(inv(L) [-P' JT_F, I]); [JT_F, 0]]
-    (rev reversing the rows) satisfy JT H JT' = I.  For the working set of
-    every fixed bound, last variable first, then N's rows, JT @ N' = [R; 0]
-    with the upper triangular
-        R = [[inv(L) reversed in rows and columns, each column times
-              its bound's sign, JT[:nx] N'], [0, R_F]].
-    Only the Schur complement is factored.
-    """
-    n, nx = len(H), len(var)
-    free = np.ones(n, dtype=bool)
-    free[var] = False
-    P = JT_F @ H[np.ix_(free, var)]
-    L_inv = _inverse_factor(_factor_spd(H[np.ix_(var, var)] - P.T @ P))
-    JT = np.zeros((n, n))
-    JT[:nx, free] = -(L_inv @ (P.T @ JT_F))[::-1]
-    JT[:nx, var] = L_inv[::-1]
-    JT[nx:, free] = JT_F
-    q = nx + len(N)
-    R = np.zeros((q, q))
-    R[:nx, :nx] = L_inv[::-1, ::-1] * sign[::-1]
-    R[:nx, nx:] = JT[:nx] @ N.T
-    R[nx:, nx:] = R_F
-    return JT, R
-
-
-def _solve_rows(H, f, A, b, C, d, warm_rows, start=None):
+def _solve_rows(H, f, A, b, C, d, warm_rows):
     """The method on all variables, every inequality a row of A.
 
-    Working-set members are numbered as the rows of C, then the rows of A
-    (row i of A is member len(C) + i).  start: optional (JT, R, members) to
-    begin from in place of factoring H and adding the equalities and
-    warm_rows.  JT H JT' = I, and JT @ N' = [R; 0] with R upper triangular
-    for N the members' rows as given; every row of C must be a member.
-    Without it the run factors H once, by Cholesky, and forms JT from that
-    factor only when the working set changes (module docstring).
-    Returns (solution, factors), where factors() gives (JT, R, members) for
-    the final working set in the same terms, forming JT if the run did not;
-    or (solution, None) when the solve stops before its loop ends.
+    warm_rows: optional rows of A to start from, added in one batch after
+    the equalities.  The run factors H once, by Cholesky, and forms JT from
+    that factor only when the working set changes (module docstring).
     """
     n = f.shape[0]
     mi, me = A.shape[0], C.shape[0]
@@ -420,7 +365,7 @@ def _solve_rows(H, f, A, b, C, d, warm_rows, start=None):
     keep_i = norms_i > _DEP_TOL
     keep_e = norms_e > _DEP_TOL
     if np.any(b[~keep_i] < -_SLACK_TOL) or np.any(np.abs(d[~keep_e]) > _SLACK_TOL):
-        return QpSolution("infeasible", np.zeros(n), lam_out, nu_out, 0), None
+        return QpSolution("infeasible", np.zeros(n), lam_out, nu_out, 0)
     idx_i = np.flatnonzero(keep_i)
     idx_e = np.flatnonzero(keep_e)
 
@@ -437,54 +382,40 @@ def _solve_rows(H, f, A, b, C, d, warm_rows, start=None):
     np.divide(b[idx_i], -norms_i[idx_i], out=h[n_eq:])
     Ce, de = G[:n_eq], h[:n_eq]
 
-    # Internal row j of G is member caller[j]'s row divided by scale[j].
-    caller = np.concatenate([idx_e, me + idx_i])
-    scale = np.concatenate([norms_e[idx_e], -norms_i[idx_i]])
-
     # JT rows [0:q] span the active normals in factored coordinates:
     # JT @ n_active = [R; 0] columns.
     R = np.zeros((n, n))
-    if start is None:
-        # --- initial working set: equalities, then the warm rows -----------
-        # JT = Q' inv(L) stays implicit in L and the batches' reflectors
-        # until the working set changes.
-        JT = None
-        L = _factor_spd(H)
-        x0 = -_potrs(L, f, lower=1)[0]
-        # The internal rows of the hint, ascending.
-        cand = np.zeros(0, dtype=int)
-        if warm_rows is not None and n_in:
-            hint = np.asarray(warm_rows, dtype=int).ravel()
-            hinted = np.zeros(mi, dtype=bool)
-            hinted[hint[(hint >= 0) & (hint < mi)]] = True
-            cand = n_eq + np.flatnonzero(hinted[keep_i])
-        # The equalities' and the hint's normals as inv(L) N'.
-        P = _trtrs(L, G[np.concatenate([np.arange(n_eq), cand])].T, lower=1)[0]
-        reflectors = []
-        eq_rows, eq_dependent = _add_rows(R, 0, P[:, :n_eq], 1e-13, reflectors)
-        active = eq_rows.tolist()
-        if len(cand):
-            P = P[:, n_eq:]
-            for batch in reflectors:
-                _reflect(P, *batch)
-            # Admit a warm row only where the add step below would admit it.
-            acc, _ = _add_rows(R, len(active), P, np.sqrt(_DEP_TOL), reflectors)
-            active += cand[acc].tolist()
-        x, u = _working_set_point(R, x0, G[active], h[active],
-                                  lambda w: _lift(L, reflectors, w))
-    else:
-        JT, R_start, members = start
-        internal = np.zeros(me + mi, dtype=int)
-        internal[caller] = np.arange(m_all)
-        active = internal[members].tolist()
-        R[: len(active), : len(active)] = R_start / scale[active]
-        x0 = -JT.T @ (JT @ f)
-        eq_dependent = np.zeros(0, dtype=int)
-        x, u = _working_set_point(R, x0, G[active], h[active], lambda w: JT[: len(w)].T @ w)
+    # --- initial working set: equalities, then the warm rows ---------------
+    # JT = Q' inv(L) stays implicit in L and the batches' reflectors until
+    # the working set changes.
+    JT = None
+    L = _factor_spd(H)
+    x0 = -_potrs(L, f, lower=1)[0]
+    # The internal rows of the hint, ascending.
+    cand = np.zeros(0, dtype=int)
+    if warm_rows is not None and n_in:
+        hint = np.asarray(warm_rows, dtype=int).ravel()
+        hinted = np.zeros(mi, dtype=bool)
+        hinted[hint[(hint >= 0) & (hint < mi)]] = True
+        cand = n_eq + np.flatnonzero(hinted[keep_i])
+    # The equalities' and the hint's normals as inv(L) N'.
+    P = _trtrs(L, G[np.concatenate([np.arange(n_eq), cand])].T, lower=1)[0]
+    reflectors = []
+    eq_rows, eq_dependent = _add_rows(R, 0, P[:, :n_eq], 1e-13, reflectors)
+    active = eq_rows.tolist()
+    if len(cand):
+        P = P[:, n_eq:]
+        for batch in reflectors:
+            _reflect(P, *batch)
+        # Admit a warm row only where the add step below would admit it.
+        acc, _ = _add_rows(R, len(active), P, np.sqrt(_DEP_TOL), reflectors)
+        active += cand[acc].tolist()
+    x, u = _working_set_point(R, x0, G[active], h[active],
+                              lambda w: _lift(L, reflectors, w))
     q = len(active)
     # Dependent equality rows must already be consistent.
     if eq_dependent.size and np.max(np.abs(Ce[eq_dependent] @ x - de[eq_dependent])) > 1e-8:
-        return QpSolution("infeasible", x, lam_out, nu_out, 0), None
+        return QpSolution("infeasible", x, lam_out, nu_out, 0)
 
     # Inequality members pulling the wrong way leave the working set, most
     # negative multiplier first, until (x, active) is dual feasible;
@@ -555,7 +486,7 @@ def _solve_rows(H, f, A, b, C, d, warm_rows, start=None):
                                 t1, blocker = ratio, pos
                     t2 = -s_val / nrm2 if nrm2 > _DEP_TOL else np.inf
                     if not np.isfinite(t1) and not np.isfinite(t2):
-                        return QpSolution("infeasible", x, lam_out, nu_out, iters), None
+                        return QpSolution("infeasible", x, lam_out, nu_out, iters)
                     t = min(t1, t2)
                     if np.isfinite(t2) and t > 0.0:
                         z = d2 @ JT[q:]
@@ -586,7 +517,7 @@ def _solve_rows(H, f, A, b, C, d, warm_rows, start=None):
                     u = np.delete(u, blocker)
                     q -= 1
     except FloatingPointError:
-        return QpSolution("numerical_failure", x, lam_out, nu_out, iters), None
+        return QpSolution("numerical_failure", x, lam_out, nu_out, iters)
 
     # Map internal multipliers back to the caller's convention.
     members = np.asarray(active, dtype=int)
@@ -596,12 +527,7 @@ def _solve_rows(H, f, A, b, C, d, warm_rows, start=None):
     act = idx_i[members[~eq] - n_eq]
     lam_out[act] = u[~eq] / norms_i[act]
     act.sort()
-
-    def factors():
-        return (_inverse_factor(L, reflectors) if JT is None else JT,
-                R[:q, :q] * scale[active], caller[active])
-
-    return QpSolution(status, x, lam_out, nu_out, iters, act), factors
+    return QpSolution(status, x, lam_out, nu_out, iters, act)
 
 
 def kkt_residuals(H, f, A, b, C, d, sol: QpSolution, lb=None, ub=None):

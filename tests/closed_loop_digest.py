@@ -11,9 +11,13 @@ input bytes plus its (policy, reason, sg_status).  Run it in the parent
 and in the change and compare the outputs: equal lines mean bit-identical
 closed loops.  `--against FILE` does the comparison: it reads the lines
 FILE saved, compares each run's line with the saved line of the same name
-and scheme, and after the last run exits 1, naming every run whose line
-differs or is missing from FILE.  The script imports `tightnav` from the
-`src/` next to it, so each checkout measures its own code.
+and scheme, and after the last run names every run whose line differs or
+is missing from FILE.  It splits them into runs whose outcome or step count
+changed, each shown as `outcome/steps → outcome/steps`, and runs that
+differ only in clearance or bits, prints each scheme's outcome counts in
+FILE and in this run, and exits 1 if any run differs.  The script imports
+`tightnav` from the `src/` next to it, so each checkout measures its own
+code.
 
 By default it drives the 7 runs of `perfbench/run.py`'s workloads, two
 tail runs (`benchmark_scenario` 14 under `bl` and 30 under `sg`) and the
@@ -38,6 +42,7 @@ os.environ["OPENBLAS_NUM_THREADS"] = "1"
 os.environ["OMP_NUM_THREADS"] = "1"
 
 import argparse  # noqa: E402
+import collections  # noqa: E402
 import functools  # noqa: E402
 import hashlib  # noqa: E402
 import json  # noqa: E402
@@ -104,12 +109,55 @@ def digest(run) -> dict:
             "min_clearance": repr(res.min_distance), "sha256": h.hexdigest()}
 
 
+def _parsed(saved) -> list[dict]:
+    return [json.loads(line) for line in saved if line.strip()]
+
+
 def differing_runs(lines, saved) -> list[str]:
     """'name scheme' of each digest line that differs from the saved line
     of its run or has none; saved holds a digest file's lines."""
-    by_run = {(d["name"], d["scheme"]): d for d in map(json.loads, filter(str.strip, saved))}
+    by_run = {(d["name"], d["scheme"]): d for d in _parsed(saved)}
     return [f"{line['name']} {line['scheme']}" for line in lines
             if by_run.get((line["name"], line["scheme"])) != line]
+
+
+def comparison(lines, saved, path) -> list[str]:
+    """The report `--against path` prints: the runs that differ from the
+    saved lines, split into those whose outcome or step count changed
+    (saved `outcome/steps` → this run's, "none" for a run missing from the
+    file) and those that differ only in clearance or bits, then each
+    scheme's outcome counts in the file and in this run."""
+    old = _parsed(saved)
+    by_run = {(d["name"], d["scheme"]): d for d in old}
+    differ = differing_runs(lines, saved)
+    if not differ:
+        report = [f"all {len(lines)} runs match {path}"]
+    else:
+        report = [f"{len(differ)} of {len(lines)} runs differ from {path}: " + ", ".join(differ)]
+        flips, bits, moved = [], [], 0.0
+        for line in lines:
+            was = by_run.get((line["name"], line["scheme"]))
+            if was == line:
+                continue
+            name = f"{line['name']} {line['scheme']}"
+            if was is not None and (was["outcome"], was["steps"]) == (line["outcome"], line["steps"]):
+                bits.append(name)
+                a, b = float(was["min_clearance"]), float(line["min_clearance"])
+                if a != b:
+                    moved = max(moved, abs(b - a) / max(abs(a), abs(b)))
+            else:
+                before = f"{was['outcome']}/{was['steps']}" if was else "none"
+                flips.append(f"  {name}: {before} → {line['outcome']}/{line['steps']}")
+        report.append(f"outcome or steps changed: {len(flips)}")
+        report += flips
+        report.append(f"clearance or bits only: {len(bits)}, clearance moved by at most "
+                      f"{moved:.2g} relative" + (": " + ", ".join(bits) if bits else ""))
+    for scheme in sorted({d["scheme"] for d in old + lines}):
+        before = collections.Counter(d["outcome"] for d in old if d["scheme"] == scheme)
+        after = collections.Counter(d["outcome"] for d in lines if d["scheme"] == scheme)
+        report.append(f"{scheme} outcomes, {path} → this run: " + ", ".join(
+            f"{outcome} {before[outcome]} → {after[outcome]}" for outcome in sorted(before | after)))
+    return report
 
 
 def main(argv=None) -> None:
@@ -145,12 +193,9 @@ def main(argv=None) -> None:
             print(json.dumps(line), flush=True)
             lines.append(line)
     if saved is not None:
-        differ = differing_runs(lines, saved)
-        if differ:
-            print(f"{len(differ)} of {len(lines)} runs differ from {args.against}: "
-                  + ", ".join(differ), file=sys.stderr)
+        print("\n".join(comparison(lines, saved, args.against)), file=sys.stderr)
+        if differing_runs(lines, saved):
             sys.exit(1)
-        print(f"all {len(lines)} runs match {args.against}", file=sys.stderr)
 
 
 if __name__ == "__main__":

@@ -213,6 +213,24 @@ def test_digest_comparison_names_the_runs_that_differ(monkeypatch, tmp_path, cap
     changed = [dict(lines[0], sha256="01"), lines[1], dict(lines[2], steps=299)]
     assert digest.differing_runs(changed, saved) == ["a sg", "b bl"]
     assert digest.differing_runs(lines, saved[1:]) == ["a sg"]
+    # The report splits the differing runs into outcome or step changes and
+    # bit-only ones, and counts each scheme's outcomes on both sides.
+    changed[0]["min_clearance"] = "0.0500000001"
+    assert digest.comparison(changed, saved, "f") == [
+        "2 of 3 runs differ from f: a sg, b bl",
+        "outcome or steps changed: 1",
+        "  b bl: timeout/300 → timeout/299",
+        "clearance or bits only: 1, clearance moved by at most 2e-09 relative: a sg",
+        "bl outcomes, f → this run: completed 1 → 1, timeout 1 → 1",
+        "sg outcomes, f → this run: completed 1 → 1"]
+    flipped = [dict(lines[0], outcome="emergency_braked", steps=40)]
+    assert digest.comparison(flipped, saved[1:], "f") == [
+        "1 of 1 runs differ from f: a sg",
+        "outcome or steps changed: 1",
+        "  a sg: none → emergency_braked/40",
+        "clearance or bits only: 0, clearance moved by at most 0 relative",
+        "bl outcomes, f → this run: completed 1 → 0, timeout 1 → 0",
+        "sg outcomes, f → this run: emergency_braked 0 → 1"]
     # Through main, with each run's digest stubbed.
     runs = [(line["name"], ("suite", i), line["scheme"]) for i, line in enumerate(lines)]
     monkeypatch.setattr(digest, "DEFAULT_RUNS", runs)
@@ -225,6 +243,7 @@ def test_digest_comparison_names_the_runs_that_differ(monkeypatch, tmp_path, cap
     out, err = capsys.readouterr()
     assert [json.loads(line) for line in out.splitlines()] == changed
     assert "2 of 3 runs differ" in err and "a sg, b bl" in err
+    assert "  b bl: timeout/300 → timeout/299" in err.splitlines()
     monkeypatch.setattr(digest, "digest", lambda run: lines[runs.index(run)])
     digest.main(["--against", str(path)])
     assert "all 3 runs match" in capsys.readouterr().err

@@ -21,8 +21,6 @@ from tightnav.qp import (
     _factor_spd,
     _inverse_factor,
     _reflect,
-    _solve_rows,
-    _unfix,
     bound_rows,
     kkt_residuals,
     solve_qp,
@@ -386,32 +384,6 @@ def test_working_set_updates_keep_the_factorization():
                                        np.abs(R_ref[: q - 1, : q - 1]), rtol=0.0, atol=1e-12)
 
 
-def test_release_start_factors_all_variables_from_a_reduced_solve():
-    rng = np.random.default_rng(38)
-    for n in (20, 41, 60):
-        H = random_spd(rng, n)
-        var = np.sort(rng.choice(n, size=n // 3, replace=False))
-        sign = rng.choice([-1.0, 1.0], size=len(var))
-        free = np.ones(n, dtype=bool)
-        free[var] = False
-        # A reduced QP on the free variables with a large working set.
-        x_feas = rng.standard_normal(n)
-        A = rng.standard_normal((n, n))
-        C = rng.standard_normal((2, n))
-        H_F, x_F = H[np.ix_(free, free)], x_feas[free]
-        f_F = -H_F @ (x_F + 3.0 * rng.standard_normal(len(x_F)))
-        sol, factors = _solve_rows(
-            H_F, f_F, A[:, free], A[:, free] @ x_F + 0.1, C[:, free], C[:, free] @ x_F, None)
-        JT_F, R_F, members = factors()
-        assert sol.ok and len(members) > n // 4
-        N = np.vstack([C, A])[members]
-        JT, R = _unfix(H, var, sign, JT_F, R_F, N)
-        # The fixed bounds sign * x[var] <= rhs, last variable first.
-        bounds = np.zeros((len(var), n))
-        bounds[np.arange(len(var)), var[::-1]] = sign[::-1]
-        assert_factorization(JT, R, H, np.vstack([bounds, N]))
-
-
 # --- variable bounds as vectors against the same bounds as rows ---------------
 
 def random_bounded_qp(rng, n, mi, me):
@@ -549,14 +521,19 @@ def test_bounds_as_vectors_garbage_hint():
         assert_same_solution(sol, rows)
 
 
+def hinting_inactive_bounds(seed, count=80):
+    """`bounded_cases` as (problem, cold solve, hint), the hint the final
+    working set and three inactive bounds."""
+    for rng, problem, rows in bounded_cases(seed, count):
+        inactive = np.setdiff1d(np.arange(len(problem[3]), len(rows.lam)), rows.active_rows)
+        yield problem, rows, np.union1d(rows.active_rows, rng.permutation(inactive)[:3])
+
+
 def test_fixed_bounds_with_negative_multipliers_are_released(monkeypatch):
-    runs = recorded(monkeypatch, "_solve_rows", lambda H, out: (len(H), out[0].status))
+    runs = recorded(monkeypatch, "_solve_rows", lambda H, out: (len(H), out.status))
     factored = recorded(monkeypatch, "_factor_spd")
     released = seeded = 0
-    for rng, (H, f, A, b, C, d, lb, ub), rows in bounded_cases(33, count=80):
-        # Hint the final working set and three inactive bounds.
-        inactive = np.setdiff1d(np.arange(len(b), len(rows.lam)), rows.active_rows)
-        hint = np.union1d(rows.active_rows, rng.permutation(inactive)[:3])
+    for (H, f, A, b, C, d, lb, ub), rows, hint in hinting_inactive_bounds(33):
         runs.clear()
         factored.clear()
         sol = solve_qp(H, f, A, b, C, d, warm_rows=hint, lb=lb, ub=ub)
@@ -567,25 +544,63 @@ def test_fixed_bounds_with_negative_multipliers_are_released(monkeypatch):
         sizes = [size for size, _ in runs]
         assert sizes == [n] or (sizes[0] < n and sizes[1:] in ([], [n]))
         if len(sizes) == 2:
-            # One Cholesky factorization per start: a release round factors
-            # only the fixed variables' Schur complement.  The full solve
-            # starts over after a reduced solve that is not optimal or that
-            # found an equality row dependent.
-            free = fixed_free(b, lb, ub, hint)
-            over = runs[0][1] != "optimal" or np.linalg.matrix_rank(C[:, free]) < len(C)
-            n_free = int(free.sum())
-            assert factored == [n_free, n if over else n - n_free]
+            # One Cholesky factorization per start.  The full solve starts
+            # over from a pruned hint after a reduced solve that ends
+            # optimal, and from the hint itself after one that does not.
+            assert factored == [int(fixed_free(b, lb, ub, hint).sum()), n]
             released += 1
-            seeded += not over
+            seeded += runs[0][1] == "optimal"
     assert released >= 15 and seeded >= 15, (released, seeded)
+
+
+def test_a_release_restarts_from_the_reduced_working_set_and_the_bounds_that_hold(
+        monkeypatch):
+    import tightnav.qp
+
+    calls = []
+    inner = tightnav.qp._solve_rows
+
+    def recording(H, f, A, b, C, d, warm_rows, **kwargs):
+        out = inner(H, f, A, b, C, d, warm_rows, **kwargs)
+        calls.append((warm_rows, out))
+        return out
+
+    monkeypatch.setattr(tightnav.qp, "_solve_rows", recording)
+    released = 0
+    for (H, f, A, b, C, d, lb, ub), rows, hint in hinting_inactive_bounds(33):
+        calls.clear()
+        assert_same_solution(solve_qp(H, f, A, b, C, d, warm_rows=hint, lb=lb, ub=ub), rows)
+        if len(calls) < 2 or not calls[0][1].ok:
+            continue
+        (_, reduced), (restart, _) = calls
+        # The hint's fixed bounds, the lower one where a variable has both,
+        # and their multipliers at the reduced solution.
+        n, mi = len(f), len(b)
+        var, sign, rhs = bound_rows(lb, ub)
+        hinted = hint[hint >= mi] - mi
+        fixed = hinted[np.r_[True, var[hinted][1:] != var[hinted][:-1]]]
+        free = fixed_free(b, lb, ub, hint)
+        x = np.zeros(n)
+        x[var[fixed]] = sign[fixed] * rhs[fixed]
+        x[free] = reduced.x
+        mult = -sign[fixed] * (H @ x + f + reduced.lam[:mi] @ A + reduced.nu @ C)[var[fixed]]
+        assert np.any(mult < 0.0)
+        # The reduced rows are A's, then the free variables' bounds.
+        reduced_rows = np.concatenate([np.arange(mi), mi + np.flatnonzero(free[var])])
+        restart = np.sort(restart)
+        np.testing.assert_array_equal(
+            restart, np.union1d(reduced_rows[reduced.active_rows], mi + fixed[mult >= 0.0]))
+        assert not np.isin(mi + fixed[mult < 0.0], restart).any()
+        released += 1
+    assert released >= 15, released
 
 
 def test_release_after_a_dependent_reduced_equality_starts_over(monkeypatch):
     # Two equality rows differ only on x0, so once x0 and x1 are fixed the
     # reduced solve finds the second dependent (and consistent).  The hinted
-    # bound on x1 is inactive, so its release is needed; the seeded start
-    # would leave the second equality out, so the full solve starts over.
-    runs = recorded(monkeypatch, "_solve_rows", lambda H, out: (len(H), out[0].status))
+    # bound on x1 is inactive, so its release is needed; the full solve adds
+    # both equalities again before the pruned hint, so neither is left out.
+    runs = recorded(monkeypatch, "_solve_rows", lambda H, out: (len(H), out.status))
     factored = recorded(monkeypatch, "_factor_spd")
     rng = np.random.default_rng(36)
     n = 8
