@@ -14,13 +14,13 @@ optimal or raises is skipped, and the line search backtracks; the step's
 multipliers and working set, not the correction's, go on to the next
 iterate.
 Subproblems go to the dense active-set QP in `qp`, warm-started from the
-previous subproblem's active rows.  A problem that declares its horizon's
-stage shape (`NlpProblem.stages`) has its state step condensed out first:
-the dynamics rows fix the states' step as an affine function of the
-inputs', so the QP sees only the remaining variables and equality rows,
-and the step and the dynamics rows' multipliers are recovered exactly
-afterwards.  The QP is the same strictly convex subproblem either way, so
-condensing changes its cost, not its answer.
+previous subproblem's active rows, and each has its state step condensed
+out first: the dynamics rows of the horizon (`NlpProblem.stages`; zero
+stages for an unstaged problem) fix the states' step as an affine
+function of the inputs', so the QP sees only the remaining variables and
+equality rows, and the step and the dynamics rows' multipliers are
+recovered exactly afterwards.  The QP is the same strictly convex
+subproblem either way, so condensing changes its cost, not its answer.
 
 The dynamics rows travel as their stage blocks, the stacks (A_t, B_t)
 of the problem's `dynamics` callback, from the problem to the condensing:
@@ -37,14 +37,14 @@ at a standstill) is multiplied through rather than skipped; that changes
 the rounding of the condensed QP, not its terms.
 
 The Lagrangian Hessian travels as the stacks of its diagonal blocks
-(`hess_blocks`, batched over blocks of one size; see `NlpProblem`) from
-the problem's callback to the QP.  Its curvature is tested and flipped
-block by block; the model is the same as on one n x n matrix up to
-rounding, and bit for bit whenever no eigenvalue is flipped.  Condensing
-multiplies each block by the state map over that block's states only,
-which lead it, so every product is the sum a dense product takes over
-the same terms and exact zeros; the only dense Hessian formed is the
-QP's, the reduced one when states are condensed.
+(`hess_blocks`, batched over blocks of one size and state count; see
+`block_groups`) from the problem's callback to the QP.  Its curvature is
+tested and flipped block by block; the model is the same as on one n x n
+matrix up to rounding, and bit for bit whenever no eigenvalue is flipped.
+Condensing multiplies each block by the state map over that block's
+states only, which lead it, so every product is the sum a dense product
+takes over the same terms and exact zeros; the only dense Hessian formed
+is the QP's, the reduced one.
 
 Variable bounds reach the QP as bound vectors, never as dense unit rows;
 only the bounds of condensed states, which become affine in the remaining
@@ -157,7 +157,8 @@ class NlpProblem:
     solver eliminates the states from every subproblem.  `solve_nlp`
     raises ValueError for stages that are not three positive integers with
     N (nx + nu) <= n, and for a residual or stacks of other shapes.  None,
-    with `dynamics` None, declares nothing.
+    with `dynamics` None, is zero stages: no state and no dynamics row, so
+    every equality row is a row of `eq`.
 
     hess_blocks, one integer label per variable, declares that the
     Lagrangian Hessian has no nonzero entry between variables with
@@ -180,13 +181,12 @@ class NlpProblem:
 
     @functools.cached_property
     def blocks(self) -> list[np.ndarray]:
-        """The index arrays of `lag_hess`'s stacks: `block_groups(hess_blocks)`,
-        or one block of every variable for None.  Computed on first use,
-        once per problem, so a caller that builds the stacks reads the
-        grouping the solver reads."""
-        if self.hess_blocks is None:
-            return [np.arange(self.n)[None]]
-        return block_groups(np.asarray(self.hess_blocks))
+        """The index arrays of `lag_hess`'s stacks: `block_groups` of
+        hess_blocks (one label for None) and the state count N nx of
+        `stages` (0 for None).  Computed on first use, once per problem, so
+        a caller that builds the stacks reads the grouping the solver reads."""
+        labels = np.zeros(self.n) if self.hess_blocks is None else np.asarray(self.hess_blocks)
+        return block_groups(labels, _check_stages(self.stages, self.n))
 
 
 @dataclass
@@ -221,15 +221,21 @@ class NlpSolution:
         return self.status == "optimal"
 
 
-def block_groups(labels: np.ndarray) -> list[np.ndarray]:
-    """The variables of each labelled block, grouped by block size: one
-    (blocks, size) index array per size, by ascending size, its rows the
-    blocks by ascending label, each row in ascending order."""
+def block_groups(labels: np.ndarray, k: int) -> list[np.ndarray]:
+    """The variables of each labelled block, grouped by block size and by
+    the block's count of states (variables below k): one (blocks, size)
+    index array per pair, by ascending size, then count, its rows the blocks
+    by ascending label, each row ascending, so a block's states lead it."""
     order = np.argsort(labels, kind="stable")
     ordered = labels[order]
     first = np.flatnonzero(np.concatenate([[True], ordered[1:] != ordered[:-1]]))
     size = np.diff(first, append=len(labels))
-    return [order[first[size == s][:, None] + np.arange(s)] for s in sorted(set(size.tolist()))]
+    below = np.concatenate([[0], np.cumsum(order < k)])
+    states = below[first + size] - below[first]
+    # One key per block that orders by size, then state count (at most n).
+    key = size * (len(labels) + 1) + states
+    return [order[first[key == c][:, None] + np.arange(c // (len(labels) + 1))]
+            for c in sorted(set(key.tolist()))]
 
 
 def _definite(b: np.ndarray) -> bool:
@@ -303,22 +309,17 @@ def _kkt_residual(g, Je, Ji, nu, lam, ci, b_var, b_sign) -> float:
 
 
 class _EqJacobian:
-    """The equality rows' Jacobian at one point: for a staged problem (see
-    `NlpProblem`) the dynamics rows as their stacks A and B, I on
-    z_{t+1}, -A_t on z_t and -B_t on u_t, then the dense rows J of `eq`;
-    for any other problem J alone, with stages, A and B None.  The products
-    read the stacks block by block; the whole matrix is never formed."""
+    """The equality rows' Jacobian at one point: the dynamics rows of
+    `stages` (see `NlpProblem`; zero stages, with empty stacks, for an
+    unstaged problem) as their stacks A and B, I on z_{t+1}, -A_t on z_t
+    and -B_t on u_t, then the dense rows J of `eq`.  The products read the
+    stacks block by block; the whole matrix is never formed."""
 
     def __init__(self, stages, A, B, J):
         self.stages, self.A, self.B, self.J = stages, A, B, J
 
-    def arrays(self) -> tuple:
-        return (self.J,) if self.stages is None else (self.A, self.B, self.J)
-
     def dot(self, p):
         """The rows' product with p."""
-        if self.stages is None:
-            return self.J @ p
         N, nx, nu = self.stages
         k = N * nx
         pz = p[:k].reshape(N, nx)
@@ -328,8 +329,6 @@ class _EqJacobian:
 
     def tdot(self, w):
         """The transposed rows' product with w, one entry per row."""
-        if self.stages is None:
-            return self.J.T @ w
         N, nx, nu = self.stages
         k = N * nx
         out = self.J.T @ w[k:]
@@ -374,10 +373,13 @@ def solve_nlp(problem: NlpProblem, x0: np.ndarray,
     x = np.asarray(x0, dtype=float).copy()
     if x.shape != (n,):
         raise ValueError(f"x0 shape {x.shape} does not match n={n}")
-    stages = problem.stages
-    k = _check_stages(stages, n)
-    if (problem.dynamics is None) != (stages is None):
+    k = _check_stages(problem.stages, n)
+    if (problem.dynamics is None) != (problem.stages is None):
         raise ValueError("stages and dynamics must be given together")
+    # No stages are zero stages: no dynamics row, and empty stacks.
+    stages = (0, 0, 0) if problem.stages is None else problem.stages
+    N, nx, nu = stages
+    shapes = ((N - 1, nx, nx), (N, nx, nu))
     labels = problem.hess_blocks
     if labels is not None and np.shape(labels) != (n,):
         raise ValueError(f"hess_blocks shape {np.shape(labels)} does not match n={n}")
@@ -393,9 +395,6 @@ def solve_nlp(problem: NlpProblem, x0: np.ndarray,
         raise ValueError("a lower bound exceeds its upper bound or a bound is NaN")
     x = np.clip(x, lo, hi)
     b_var, b_sign, b_rhs = bound_rows(lo, hi)
-    if k:
-        N, nx, nu = stages
-        shapes = ((N - 1, nx, nx), (N, nx, nu))
 
     def evaluate(xv, jacobian):
         """(f, g, ce, Je, ci, Ji) at xv, Je and Ji None unless jacobian.  ce
@@ -409,6 +408,7 @@ def solve_nlp(problem: NlpProblem, x0: np.ndarray,
             c = np.asarray(c, float).ravel()
             rows += [c, np.asarray(jac, float).reshape(len(c), n) if jacobian else None]
         ce, Je, ci_u, Ji = rows
+        A = B = np.zeros((0, 0, 0))  # zero stages' stacks
         if k:
             r, A, B = problem.dynamics(xv, jacobian)
             r = np.asarray(r, float)
@@ -420,9 +420,8 @@ def solve_nlp(problem: NlpProblem, x0: np.ndarray,
                 if (np.shape(A), np.shape(B)) != shapes:
                     raise ValueError(f"dynamics stacks of shapes {np.shape(A)} and "
                                      f"{np.shape(B)} are not {shapes[0]} and {shapes[1]}")
-                Je = _EqJacobian(stages, A, B, Je)
-        elif jacobian:
-            Je = _EqJacobian(None, None, None, Je)
+        if jacobian:
+            Je = _EqJacobian(stages, A, B, Je)
         ci = np.concatenate([ci_u, b_sign * xv[b_var] - b_rhs])
         return float(fval), np.asarray(g, float).ravel(), ce, Je, ci, Ji
 
@@ -455,17 +454,17 @@ def solve_nlp(problem: NlpProblem, x0: np.ndarray,
             # The solve's plan: what its subproblems share.
             blocks = problem.blocks
             split = _state_split(blocks, k, n)
-            plan = _Condensing(stages, b_var, b_sign) if k else None
+            plan = _Condensing(stages, b_var, b_sign)
         if [np.shape(s) for s in stacks] != [ix.shape + ix.shape[1:] for ix in blocks]:
             raise ValueError("the Lagrangian Hessian's stacks do not match hess_blocks")
         # Ill-conditioned endgames can overflow the curvature to inf, and a
         # NaN value fails every KKT test above; surface both as a status
         # instead of letting the factorization raise, so callers fall back
         # the same way they do for any failed solve.
-        if not all(np.all(np.isfinite(a)) for a in (*stacks, g, Ji, ci, *Je.arrays(), ce)):
+        if not all(np.all(np.isfinite(a)) for a in (*stacks, g, Ji, ci, Je.A, Je.B, Je.J, ce)):
             status = "numerical_failure"
             break
-        hess = _split_stacks(split, _convexify(stacks))
+        hess = [(ix, part, ns, at) for (ix, ns, at), part in zip(split, _convexify(stacks))]
         try:
             qp_sol = _solve_subproblem(plan, hess, g, Je, ce, Ji, ci[:m_u], lo - x, hi - x,
                                        warm)
@@ -580,38 +579,23 @@ def solve_nlp(problem: NlpProblem, x0: np.ndarray,
 
 
 def _state_split(blocks, k, n):
-    """(group, rows, ix, ns, at) for the index arrays `blocks` of
-    `block_groups` over n variables: each array's blocks split by their
-    count ns of states (variables below k), which lead them, rows selecting
-    the array's blocks with that count (None for all), ix their variables
-    and at the flat positions of their other variables' entries in the
-    reduced (n - k) x n - k Hessian.  A solve splits once."""
+    """(ix, ns, at) for each index array ix of `block_groups`(labels, k)
+    over n variables: the count ns of states (variables below k) that lead
+    each of its blocks, and the flat positions at of the blocks' other
+    variables' entries in the reduced (n - k) x (n - k) Hessian.  A solve
+    splits once."""
     out = []
-    for i, ix in enumerate(blocks):
-        below = ix < k
-        if (below == below[0]).all():
-            counts, rows_of = [int(np.count_nonzero(below[0]))], [None]
-        else:
-            ns = np.count_nonzero(below, axis=1)
-            counts = np.unique(ns).tolist()
-            rows_of = [np.flatnonzero(ns == u) for u in counts]
-        for u, rows in zip(counts, rows_of):
-            sub = ix if rows is None else ix[rows]
-            free = sub[:, u:] - k
-            out.append((i, rows, sub, u, free[:, :, None] * (n - k) + free[:, None, :]))
+    for ix in blocks:
+        ns = int(np.count_nonzero(ix[0] < k))
+        free = ix[:, ns:] - k
+        out.append((ix, ns, free[:, :, None] * (n - k) + free[:, None, :]))
     return out
 
 
-def _split_stacks(split, parts):
-    """`_solve_subproblem`'s (ix, part, ns, at) tuples: the stacks `parts`
-    of `block_groups`' index arrays, split as `_state_split` split those."""
-    return [(ix, parts[i] if rows is None else parts[i][rows], ns, at)
-            for i, rows, ix, ns, at in split]
-
-
 class _Condensing:
-    """What condensing a staged solve's subproblems needs that does not
-    change between its iterates, built at its first subproblem.
+    """What condensing a solve's subproblems needs that does not change
+    between its iterates, built at its first subproblem.  Zero stages,
+    (0, 0, 0), condense nothing: k = nc = 0, and every solve by E is empty.
 
     With k = N nx states and nc = N nu inputs, the dynamics rows' block on
     the states is E, unit lower block-bidiagonal: I on stage t's diagonal
@@ -652,6 +636,9 @@ class _Condensing:
 
     def _solve(self, rhs, trans):
         # E' is upper triangular: trans 1 solves E x = rhs, trans 0 E' x = rhs.
+        # Zero stages pose an empty system, which LAPACK rejects.
+        if not len(rhs):
+            return rhs
         x, info = _trtrs(self.e.T, rhs, lower=0, trans=trans, unitdiag=1)
         if info:
             raise np.linalg.LinAlgError(f"trtrs failed with info={info}")
@@ -660,14 +647,14 @@ class _Condensing:
 
 def _solve_subproblem(plan, hess, g, Je, ce, Ji, ci, lb, ub, warm):
     """QP step min 0.5 p'Bp + g'p s.t. Je p = -ce, Ji p <= -ci, lb <= p <= ub,
-    solved with the k states condensed out through the dynamics rows when
-    the solve is staged (plan, a `_Condensing`, not None); Je is the
-    equality rows' `_EqJacobian`.  B is block diagonal,
-    given as hess: (ix, part, ns, at) tuples, ix (blocks, size) the
-    variables of blocks of one size whose first ns are states (below k),
-    each row in ascending order, part (blocks, size, size) their entries of
-    B and at the flat positions of the other variables' entries in the
-    reduced Hessian (`_state_split`).
+    solved with the k states condensed out through the dynamics rows
+    (plan, the solve's `_Condensing`; k = 0 for zero stages, whose QP is
+    the subproblem itself); Je is the equality rows' `_EqJacobian`.  B is
+    block diagonal, given as hess: (ix, part, ns, at) tuples, ix (blocks,
+    size) the variables of blocks of one size whose first ns are states
+    (below k), each row in ascending order, part (blocks, size, size) their
+    entries of B and at the flat positions of the other variables' entries
+    in the reduced Hessian (`_state_split`).
     Multipliers and active rows come back numbered as in the module
     docstring.
 
@@ -689,11 +676,6 @@ def _solve_subproblem(plan, hess, g, Je, ce, Ji, ci, lb, ub, warm):
     """
     n = len(g)
     m_u = len(Ji)
-    if plan is None:
-        H = np.zeros((n, n))
-        for _, part, _, at in hess:
-            H.reshape(-1)[at] = part
-        return solve_qp(H, g, Ji, -ci, Je.J, -ce, warm_rows=warm, lb=lb, ub=ub)
     # The caller has checked every input for finite values.
     k, nc = plan.k, plan.nc
     S, s0 = plan.state_map(Je.A, Je.B, ce[:k])

@@ -6,10 +6,12 @@ exhaustive input-grid search.  Each problem supplies its Lagrangian Hessian
 as the solver requires; the tracking problem uses Gauss-Newton on the
 dynamics, as the OBCA controller does.  The condensed subproblem (states
 eliminated through the declared state rows) has the dense QP on the full
-subproblem as its oracle, the block-by-block condensing has the condensing
-through the whole matrix, and the per-block convexification has the
-whole-matrix one.  Each toy problem's `lag_hess` returns its
-Hessian as one stack of one block unless it declares `hess_blocks`.
+subproblem as its oracle (an unstaged one, condensed over zero stages,
+hands the QP that subproblem itself), the block-by-block condensing has
+the condensing through the whole matrix, and the per-block
+convexification has the whole-matrix one.  Each toy problem's `lag_hess`
+returns its Hessian as one stack of one block unless it declares
+`hess_blocks`.
 """
 
 import dataclasses
@@ -57,17 +59,24 @@ def constant_hess(h):
     return lambda x, nu, lam: [h[None]]
 
 
+def split_hessian(groups, stacks, k):
+    """The stacks of the index arrays `groups` (`nlp.block_groups` with k
+    states) as the Hessian of `nlp._solve_subproblem`."""
+    n = sum(ix.size for ix in groups)
+    return [(ix, part, ns, at)
+            for (ix, ns, at), part in zip(tightnav.nlp._state_split(groups, k, n), stacks)]
+
+
 def whole(B, k):
     """B as the Hessian of `nlp._solve_subproblem` with k states: one block
     of every variable."""
-    n = len(B)
-    return tightnav.nlp._split_stacks(tightnav.nlp._state_split([np.arange(n)[None]], k, n),
-                                      [B[None]])
+    return split_hessian([np.arange(len(B))[None]], [B[None]], k)
 
 
 def dense_eq(J):
-    """The dense equality rows J as the solver's `_EqJacobian`."""
-    return tightnav.nlp._EqJacobian(None, None, None, J)
+    """The dense equality rows J of an unstaged problem as the solver's
+    `_EqJacobian`: zero stages, with empty stacks."""
+    return tightnav.nlp._EqJacobian((0, 0, 0), np.zeros((0, 0, 0)), np.zeros((0, 0, 0)), J)
 
 
 def staged_eq(Je, stages):
@@ -697,9 +706,8 @@ def test_block_condensing_matches_the_dense_oracle(seed):
     labels, B, g, stages, eq, Je, ce, Ji, ci, lb, ub, warm = stage_block_subproblem(
         np.random.default_rng(seed))
     k = stages[0] * stages[1]
-    groups = tightnav.nlp.block_groups(labels)
-    hess = tightnav.nlp._split_stacks(tightnav.nlp._state_split(groups, k, len(g)),
-                                      block_stacks(B, groups))
+    groups = tightnav.nlp.block_groups(labels, k)
+    hess = split_hessian(groups, block_stacks(B, groups), k)
     qps = []
 
     def recording(*args, **kwargs):
@@ -727,6 +735,55 @@ def test_block_condensing_matches_the_dense_oracle(seed):
     assert kwargs["warm_rows"] is warm and want_kwargs["warm_rows"] is warm
     assert_relatively_close(got.x, want.x)
     assert_relatively_close(got.nu, want.nu)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_unstaged_subproblem_condenses_over_zero_stages(seed):
+    """An unstaged subproblem goes through the same condensing over zero
+    stages: the QP receives the dense subproblem's arrays, Hessian blocks
+    scattered, as they are, and its solution comes back unchanged."""
+    rng = np.random.default_rng(seed)
+    n, me, mi = 7, int(rng.integers(0, 3)), int(rng.integers(0, 5))
+    labels = rng.integers(0, 3, n)
+    B = np.zeros((n, n))
+    for label in np.unique(labels):
+        ix = np.flatnonzero(labels == label)
+        a = rng.normal(size=(len(ix), len(ix)))
+        B[np.ix_(ix, ix)] = a @ a.T + np.eye(len(ix))
+    groups = tightnav.nlp.block_groups(labels, 0)
+    hess = split_hessian(groups, block_stacks(B, groups), 0)
+    g = rng.normal(size=n)
+    p_feas = rng.normal(size=n)
+    J = rng.normal(size=(me, n))
+    ce = -J @ p_feas
+    Ji = rng.normal(size=(mi, n))
+    ci = -Ji @ p_feas - rng.uniform(0.0, 0.5, mi)
+    lb = np.where(rng.random(n) < 0.5, p_feas - rng.uniform(0.0, 1.0, n), -np.inf)
+    ub = np.where(rng.random(n) < 0.5, p_feas + rng.uniform(0.0, 1.0, n), np.inf)
+    warm = rng.choice(mi + 2, 2, replace=False)
+    want = solve_qp(B, g, Ji, -ci, J, -ce, warm_rows=warm, lb=lb, ub=ub)
+    assert want.ok
+    qps = []
+
+    def recording(*args, **kwargs):
+        sol = solve_qp(*args, **kwargs)
+        qps.append((args, kwargs, sol))
+        return dataclasses.replace(sol)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tightnav.nlp, "solve_qp", recording)
+        got = tightnav.nlp._solve_subproblem(plan((0, 0, 0), lb, ub), hess, g, dense_eq(J), ce,
+                                             Ji, ci, lb, ub, warm)
+    (args, kwargs, raw), = qps
+    for a, b in zip((*args, kwargs["lb"], kwargs["ub"]), (B, g, Ji, -ci, J, -ce, lb, ub),
+                    strict=True):
+        assert a.shape == b.shape
+        np.testing.assert_array_equal(a, b)
+    assert kwargs["warm_rows"] is warm
+    for sol in (raw, got):
+        for field in ("x", "lam", "nu", "active_rows"):
+            np.testing.assert_array_equal(getattr(sol, field), getattr(want, field))
+        assert sol.status == want.status
 
 
 def test_condensed_tracking_solve_matches_uncondensed():
@@ -1030,7 +1087,7 @@ def test_block_convexify_matches_whole_matrix_oracle(kind, seed, monkeypatch):
     # The case reaches the path it was built for.
     assert want_eigen == kind.startswith("eigen")
     assert np.array_equal(want, floored) == (kind == "definite")
-    blocks = tightnav.nlp.block_groups(labels)
+    blocks = tightnav.nlp.block_groups(labels, 0)
     assert sorted(ix.shape[1] for ix in blocks for _ in ix) == sorted(BLOCK_SIZES)
     for declared in (blocks, None):
         got, got_eigen = convexify_path(
@@ -1074,7 +1131,7 @@ def test_flip_decomposes_only_the_groups_near_or_below_the_floor(monkeypatch):
         return eigh(a)
 
     monkeypatch.setattr(np.linalg, "eigh", counted)
-    got = convexify_dense(h, tightnav.nlp.block_groups(labels))
+    got = convexify_dense(h, tightnav.nlp.block_groups(labels, 0))
     assert sorted(calls) == [(2, 1, 1), (2, 3, 3)]
     np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13 * np.abs(want).max())
     kept = labels == labels[perm == 0][0]
@@ -1101,10 +1158,25 @@ def test_tangent_definite_hessian_takes_the_eigen_flip(monkeypatch):
 
 def test_block_groups_cover_each_label_once():
     labels = np.array([5, -1, 5, 2, 2, 5, 9, -1])
-    groups = tightnav.nlp.block_groups(labels)
+    groups = tightnav.nlp.block_groups(labels, 0)
     assert [ix.shape for ix in groups] == [(1, 1), (2, 2), (1, 3)]
     blocks = [row.tolist() for ix in groups for row in ix]
     assert sorted(blocks) == [[0, 2, 5], [1, 7], [3, 4], [6]]
+
+
+def test_block_groups_split_equal_sizes_by_state_count():
+    """Four blocks of three variables, with 2, 2, 0 and 1 of the k = 5
+    states: one group per state count, by ascending count, each by
+    ascending label, and `_state_split` reads each group's count off it."""
+    labels = np.array([7, 7, 2, 2, 0, 5, 7, 2, 5, 5, 0, 0])
+    groups = tightnav.nlp.block_groups(labels, 5)
+    assert [ix.tolist() for ix in groups] == [[[5, 8, 9]], [[4, 10, 11]],
+                                              [[2, 3, 7], [0, 1, 6]]]
+    split = tightnav.nlp._state_split(groups, 5, len(labels))
+    assert [ns for _, ns, _ in split] == [0, 1, 2]
+    # Without states the four blocks form one group.
+    assert [ix.tolist() for ix in tightnav.nlp.block_groups(labels, 0)] == [
+        [[4, 10, 11], [2, 3, 7], [5, 8, 9], [0, 1, 6]]]
 
 
 def test_entry_outside_declared_blocks_raises():
@@ -1121,7 +1193,7 @@ def test_entry_outside_declared_blocks_raises():
         solve_nlp(dataclasses.replace(prob, hess_blocks=np.zeros(3, dtype=int)), x0)
     rng = np.random.default_rng(3)
     h, labels = block_hessian(rng, "definite")
-    groups = tightnav.nlp.block_groups(labels)
+    groups = tightnav.nlp.block_groups(labels, 0)
     stacks = block_stacks(h, groups)
     wrong = [stacks[:-1], stacks + stacks[:1], [stacks[0][:-1]] + stacks[1:],
              stacks[:1] + [stacks[1][:, :-1, :-1]] + stacks[2:],
@@ -1149,14 +1221,14 @@ def test_blocks_are_grouped_once_and_only_when_a_subproblem_runs(monkeypatch):
     labels = np.concatenate([np.repeat(np.arange(3), 4), np.repeat(np.arange(3), 2)])
     group = tightnav.nlp.block_groups
     (h,), = prob.lag_hess(None, None, None)
-    stacks = block_stacks(h, group(labels))
+    stacks = block_stacks(h, group(labels, 12))
     prob = dataclasses.replace(prob, hess_blocks=labels,
                                lag_hess=lambda x, nu, lam: stacks)
     grouped = []
 
-    def counted(labels):
+    def counted(labels, k):
         grouped.append(len(labels))
-        return group(labels)
+        return group(labels, k)
 
     monkeypatch.setattr(tightnav.nlp, "block_groups", counted)
     sol = solve_nlp(prob, np.zeros(prob.n))

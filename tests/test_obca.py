@@ -57,7 +57,7 @@ from tightnav.obca import (
     _StepNlp,
 )
 
-from tightnav.nlp import block_groups
+from tightnav.nlp import solve_nlp
 from tightnav.predictor import load_model
 from tightnav.qp import bound_rows
 from tightnav.scenario import benchmark_suite, parked_tv_scenario
@@ -865,8 +865,9 @@ def fd_nlp():
 
 
 def dense_lag_hess(nlp, x, nu, lam):
-    """`nlp.lag_hess`'s stacks scattered to the n x n matrix."""
-    return scatter_blocks(zip(block_groups(nlp.hess_blocks), nlp.lag_hess(x, nu, lam)), nlp.n)
+    """`nlp.lag_hess`'s stacks scattered to the n x n matrix by the grouping
+    they are laid out by, `problem.blocks`."""
+    return scatter_blocks(zip(nlp.problem.blocks, nlp.lag_hess(x, nu, lam)), nlp.n)
 
 
 def test_step_nlp_objective_gradient_and_hessian_match_differences(fd_nlp):
@@ -1010,7 +1011,7 @@ def test_step_nlp_hessian_stacks_match_the_dense_oracle(fd_nlp):
     nlp, x = fd_nlp
     stages = [t for t, _ in nlp.pairs]
     assert len(stages) > len(set(stages)) and len(nlp.strat_w)
-    groups = block_groups(nlp.hess_blocks)
+    groups = nlp.problem.blocks
     rng = np.random.default_rng(12)
     first = None
     for scale in (0.0, 1.0, 1e3):
@@ -1049,7 +1050,7 @@ def test_step_nlp_hessian_blocks_cover_lagrangian_sparsity():
     assert labels.shape == (nlp.n,)
     assert sorted(np.unique(labels, return_counts=True)[1]) == [4, 8, 12, 12, 20]
     assert "_hess_tables" not in vars(nlp)
-    groups = block_groups(labels)
+    groups = nlp.problem.blocks
     rng = np.random.default_rng(11)
     for _ in range(5):
         x = rng.normal(0.0, 1.0, nlp.n)
@@ -1073,7 +1074,7 @@ def test_solve_step_declares_hessian_blocks_and_matches_undeclared(monkeypatch):
 
     def undeclared(prob, x0, warm_rows=None):
         declared.append(prob.hess_blocks is not None)
-        groups = block_groups(prob.hess_blocks)
+        groups = prob.blocks
 
         def dense(x, nu, lam):
             return [scatter_blocks(zip(groups, prob.lag_hess(x, nu, lam)), prob.n)[None]]
@@ -1090,6 +1091,46 @@ def test_solve_step_declares_hessian_blocks_and_matches_undeclared(monkeypatch):
     np.testing.assert_allclose(got.us, want.us, rtol=0.0, atol=1e-9)
 
 
+def test_equal_size_stage_and_input_blocks_group_apart_and_solve_as_undeclared():
+    """Horizon 6 with one pair per stage: each stage block (z_t and its
+    pair's duals, 4 + 8 variables) has the input block's size, 2 * 6.  The
+    blocks group apart by their state counts, the stacks laid out by that
+    grouping are the dense Lagrangian Hessian bit for bit, and the solve
+    with the blocks declared matches the one without."""
+    cfg = ControllerConfig(horizon=6)
+    box = Polytope.from_box((0.75, 0.12), 0.2, 0.1, 0.3)
+    env = EnvironmentEncoding([[box]] * 7)
+    z0 = np.array([0.0, 0.0, 0.0, 1.0])
+    ref = straight_ref(z0, 6, DT)
+    pairs = [(t, 0) for t in range(1, 7)]
+    nlp = _StepNlp(cfg, z0, np.zeros(2), ref, env, pairs,
+                   (np.empty(0, dtype=int), np.empty((0, 2)), np.empty(0)), _HorizonLayout(cfg))
+    groups = nlp.problem.blocks
+    assert [ix.shape for ix in groups] == [(1, 12), (6, 12)]
+    assert [np.count_nonzero(ix < nlp.nz, axis=1).tolist() for ix in groups] == [[0], [4] * 6]
+    rng = np.random.default_rng(6)
+    us = np.zeros((6, 2))
+    zs = rollout(z0, us, DT)
+    _, *faces = _face_certificates(env, zs)
+    x0 = nlp.pack(zs, us, {(t, m): _seed_duals(env, t, m, zs[t], faces)[1:] for t, m in pairs})
+    for scale in (0.0, 1.0):
+        v = x0 + scale * rng.normal(0.0, 0.1, nlp.n)
+        nu = scale * rng.normal(0.0, 1.0, 4 * 6 + 2 * len(pairs))
+        lam = scale * rng.uniform(0.0, 2.0, 2 * len(pairs))
+        stacks = nlp.lag_hess(v, nu, lam)
+        assert [s.shape for s in stacks] == [ix.shape + ix.shape[1:] for ix in groups]
+        got = scatter_blocks(zip(groups, stacks), nlp.n)
+        assert got.tobytes() == step_lag_hess_dense(nlp, v, nu, lam).tobytes()
+
+    def dense(x, nu, lam):
+        return [scatter_blocks(zip(groups, nlp.lag_hess(x, nu, lam)), nlp.n)[None]]
+
+    want = solve_nlp(dataclasses.replace(nlp.problem, hess_blocks=None, lag_hess=dense), x0)
+    got = solve_nlp(nlp.problem, x0)
+    assert want.ok and got.ok and {kind for *_, kind in got.history} == {"qp"}
+    np.testing.assert_allclose(got.x, want.x, rtol=0.0, atol=1e-9)
+
+
 def test_each_step_nlp_groups_its_hessian_blocks_once(monkeypatch):
     """`_StepNlp` lays out `lag_hess`'s stacks by the grouping the solver
     reads (`NlpProblem.blocks`), so a step groups each NLP's labels once."""
@@ -1098,9 +1139,9 @@ def test_each_step_nlp_groups_its_hessian_blocks_once(monkeypatch):
     grouped, nlps = [], []
     solve = tightnav.obca.solve_nlp
 
-    def counted(labels):
+    def counted(labels, k):
         grouped.append(len(labels))
-        return group(labels)
+        return group(labels, k)
 
     def recording(prob, x0, warm_rows=None):
         sol = solve(prob, x0, warm_rows)
@@ -1386,6 +1427,42 @@ def test_next_step_starts_from_shifted_working_set(monkeypatch):
     cold = consecutive_steps(ObcaController(ControllerConfig()))
     np.testing.assert_allclose(sols[1].zs, cold[1].zs, rtol=0.0, atol=1e-6)
     np.testing.assert_allclose(sols[1].us, cold[1].us, rtol=0.0, atol=1e-6)
+
+
+def test_a_step_that_needs_no_subproblem_carries_its_hint_on(monkeypatch):
+    """A clear road whose reference runs faster than V_MAX holds the speed
+    bounds active.  The next step's reference is its own shifted guess, so
+    its NLP ends at its first KKT test without a QP and returns the hint it
+    received; the step after that, fast again, starts its first QP from
+    those keys, shifted."""
+    calls = record_nlp_calls(monkeypatch)
+    qp_calls = record_qp_calls(monkeypatch)
+    cfg = ControllerConfig()
+    env = static_env(Polytope.from_box((40.0, 5.0), 0.3, 0.2), cfg.horizon + 1,
+                     with_walls=False)
+
+    def fast(z):
+        return straight_ref(np.concatenate([z[:3], [1.5 * V_MAX]]), cfg.horizon, DT)
+
+    ctrl = ObcaController(cfg)
+    z = np.array([0.0, 0.0, 0.0, V_MAX])
+    first = ctrl.solve_step(z, np.zeros(2), fast(z), env, step=0)
+    assert first.ok and qp_calls
+    z = first.zs[1]
+    guess = np.vstack([z, first.zs[2:], step_rk4(first.zs[-1], first.us[-1], DT)])
+    idle = ctrl.solve_step(z, first.us[0], guess, env, step=1)
+    n_qp = len(qp_calls)
+    nlp, hint, sol, _ = calls[1]
+    assert idle.ok and sol.iterations == 1 and n_qp == len(qp_calls)
+    assert len(hint) and np.array_equal(sol.active_rows, hint)
+    assert {kind for kind, *_ in nlp.row_keys(hint)} == {"z_hi"}
+    z = idle.zs[1]
+    assert ctrl.solve_step(z, idle.us[0], fast(z), env, step=2).ok
+    nxt = calls[2][0]
+    want = nxt.key_rows(_shift_keys(nlp.row_keys(hint)))
+    assert len(want) == len(hint) - 1
+    np.testing.assert_array_equal(calls[2][1], want)
+    np.testing.assert_array_equal(qp_calls[n_qp][0], want)
 
 
 @pytest.mark.parametrize("interrupt", ["reset", "gap"])
