@@ -56,6 +56,19 @@ instant the same obstacle.  So a persisting pair's solved duals still
 certify the clearance of that pose from that obstacle, and they agree
 with the hinted dual bounds, which the geometric seed of `_seed_duals`
 need not.  New pairs, and every pair after a cold start, take the seed.
+A pair's distance decides its engagement only when its reference
+certificate is `ENGAGE_DIST` or more: a persisting pair nearer the
+reference is engaged from its carried duals and not measured.
+
+The stage that enters the horizon has no later stage to shift from.  The
+shifted plan repeats the last stage there: the last input again, and one
+RK4 step of it from the last state.  So the working set's keys of the
+last stage (N, and N - 1 for the inputs) are kept where they were too,
+beside their shifted copies.  This is a hint only: the entering stage
+faces the obstacles of a new instant from a new pose, and its duals are
+seeded, so a row hinted there may not hold; the QP drops or releases it,
+and its answer does not depend on the hint, only its work and rounding
+path do.
 """
 
 from __future__ import annotations
@@ -345,10 +358,12 @@ def _certificate(norms, face, normals):
 def _seed_duals(env: EnvironmentEncoding, t: int, m: int, z, faces):
     """(distance, lam, mu): the engagement seed of pair (t, m) at state z.
 
-    Every candidate pair of a step is measured here, since the distance
-    decides its engagement; the duals start the NLP only for a pair the
-    previous step did not carry (a new pair, a cold start, a gap; see
-    `ObcaController`).
+    A candidate pair of a step is measured here unless the previous step
+    carries it and its reference certificate is within `ENGAGE_DIST`, which
+    engages it whatever the distance; for every other candidate the
+    distance decides its engagement.  The duals start the NLP only for a
+    pair the previous step did not carry (a new pair, a cold start, a gap;
+    see `ObcaController`).
 
     Apart, the exact pairwise distance's scaled multipliers: they satisfy
     the dual stationarity row exactly and put the clearance expression at
@@ -387,13 +402,17 @@ def _rowdot(a, b):
     return (a[:, None, :] @ np.broadcast_to(b, a.shape)[:, :, None])[:, 0, 0]
 
 
-def _shift_keys(keys: list) -> list:
-    """Row keys (see `_StepNlp`) moved one stage earlier, for the next step.
+def _shift_keys(keys: list, horizon: int) -> list:
+    """Row keys (see `_StepNlp`) moved one stage earlier, for the next step,
+    then the keys of the last stage (N, or N - 1 for an input) once more
+    where they were: the shifted plan repeats its last stage there.
 
     Keys that leave the horizon get a stage no NLP has and are dropped when
     translated back to rows.
     """
-    return [(kind, t - 1, m, c) for kind, t, m, c in keys]
+    last = [(kind, t, m, c) for kind, t, m, c in keys
+            if t == (horizon - 1 if kind.startswith("u_") else horizon)]
+    return [(kind, t - 1, m, c) for kind, t, m, c in keys] + last
 
 
 def _bound_keys(var, lo, hi) -> list:
@@ -772,9 +791,12 @@ class ObcaController:
     A single instance is sequential: it keeps the previous successful
     solution, that solve's final QP working set and its engaged pairs'
     duals, and shifts all three one stage to warm-start the next step (the
-    plan as the primal guess, the working set as the first subproblem's QP
-    hint, and the duals as the start of each pair engaged again; other
-    pairs take `_seed_duals`' seed).  Each step solves one NLP, and a
+    plan as the primal guess, with its last stage repeated; the working
+    set as the first subproblem's QP hint, with the last stage's keys kept
+    for the stage that enters; and the duals as the start of each pair
+    engaged again, which is not measured when its reference certificate
+    is within `ENGAGE_DIST`; other pairs take `_seed_duals`' seed).  Each
+    step solves one NLP, and a
     failed solve ends the step and is not kept.  Pass `step` so a gap in
     the call sequence (another policy drove the vehicle, or the last solve
     failed) falls back to a cold start; `reset` forgets all three.
@@ -809,7 +831,7 @@ class ObcaController:
         z_tail = step_rk4(prev_zs[-1], prev_us[-1], DT)
         zs = np.vstack([z0[None, :], prev_zs[2:], z_tail[None, :]])
         duals = {(t - 1, m): pair_duals for (t, m), pair_duals in prev_duals.items()}
-        return zs, us, _shift_keys(prev_keys), duals
+        return zs, us, _shift_keys(prev_keys, cfg.horizon), duals
 
     def _braking_guess(self, z0):
         """Stop-as-fast-as-possible rollout; the safe fallback warm start."""
@@ -855,15 +877,20 @@ class ObcaController:
         # Engage only pairs that either the warm start or the reference comes
         # close to; far pairs get no decision variables.  A pair the previous
         # solve engaged one stage later starts from that solve's duals, any
-        # other from its geometric seed.
+        # other from its geometric seed.  A carried pair whose reference
+        # certificate is within ENGAGE_DIST is engaged whatever its distance,
+        # so it is not measured.
         dual_map = {}
-        pairs = []
         for t, m in np.argwhere(np.minimum(f_g, f_r)[1:] < ENGAGE_DIST) + (1, 0):
             t, m = int(t), int(m)
+            near_ref = f_r[t, m] < ENGAGE_DIST
+            if near_ref and (t, m) in carried:
+                dual_map[(t, m)] = carried[(t, m)]
+                continue
             dist, lam_w, mu_w = _seed_duals(env, t, m, zs_g[t], faces_g)
-            if dist < ENGAGE_DIST or f_r[t, m] < ENGAGE_DIST:
-                pairs.append((t, m))
+            if dist < ENGAGE_DIST or near_ref:
                 dual_map[(t, m)] = carried.get((t, m), (lam_w, mu_w))
+        pairs = list(dual_map)
 
         builder = _StepNlp(cfg, z0, u_prev, ref, env, pairs, strat, self._layout)
         # The previous step's working set, shifted; keys this NLP lacks

@@ -69,6 +69,11 @@
   certificate as full (lam, mu) arrays; `obca._face_certificates` returns
   the values and what one pair's certificate needs, and `obca._certificate`
   of a pair must give that pair's (lam, mu) bits.
+- `engage_seeding_every_candidate` measures every candidate pair of a step
+  with `obca._seed_duals` before it decides the pair's engagement;
+  `ObcaController.solve_step`, which engages a carried pair near the
+  reference without measuring it, must engage the same pairs from the same
+  (lam, mu).
 """
 
 import math
@@ -100,7 +105,18 @@ from tightnav.geometry import (
 )
 from scipy.linalg import solve_triangular
 
-from tightnav.obca import BODY_G, BODY_H, DUAL_REG, Q_D, Q_U, Q_Z, StrategyLabel
+from tightnav.obca import (
+    BODY_G,
+    BODY_H,
+    DUAL_REG,
+    ENGAGE_DIST,
+    Q_D,
+    Q_U,
+    Q_Z,
+    StrategyLabel,
+    _face_certificates,
+    _seed_duals,
+)
 from tightnav.qp import bound_rows, solve_qp
 from tightnav.scenario import DT, LOT
 from tightnav.supervisor import (
@@ -701,3 +717,20 @@ def face_certificates_full(env, zs):
     w2 = -np.take_along_axis(v, best[..., None], axis=-2)[..., 0, :]
     mu = np.maximum(np.concatenate([w2, -w2], axis=-1), 0.0)
     return vals, lam, mu
+
+
+def engage_seeding_every_candidate(env, zs, ref, carried):
+    """(pairs, duals): the pairs a step engages from the guess zs and the
+    reference, and each one's starting (lam, mu), its carried duals or else
+    its seed.  Every pair that zs or ref brings within ENGAGE_DIST is
+    measured, and engaged if its distance or its reference certificate is
+    within ENGAGE_DIST."""
+    (f_g, f_r), best, normals = _face_certificates(env, np.stack([zs, ref]))
+    pairs, duals = [], {}
+    for t, m in np.argwhere(np.minimum(f_g, f_r)[1:] < ENGAGE_DIST) + (1, 0):
+        t, m = int(t), int(m)
+        dist, lam, mu = _seed_duals(env, t, m, zs[t], (best[0], normals[0]))
+        if dist < ENGAGE_DIST or f_r[t, m] < ENGAGE_DIST:
+            pairs.append((t, m))
+            duals[(t, m)] = carried.get((t, m), (lam, mu))
+    return pairs, duals

@@ -65,6 +65,7 @@ from tightnav.simulate import run_closed_loop
 
 from oracles import (
     dynamics_rows_dense,
+    engage_seeding_every_candidate,
     face_certificates_full,
     project_one,
     rotations_t_stacked,
@@ -1286,22 +1287,25 @@ def test_shifted_keys_drop_first_stage_and_disengaged_pairs(layout, data):
     after = step_nlp(horizon, n_obs, pairs2, stages2)
     ref_before, ref_after = reference_row_keys(before), reference_row_keys(after)
     active = sorted(data.draw(st.sets(st.sampled_from(range(len(ref_before))))))
-    rows = after.key_rows(_shift_keys(before.row_keys(active)))
+    rows = after.key_rows(_shift_keys(before.row_keys(active), horizon))
     assert len(set(rows.tolist())) == len(rows)
     assert np.all((rows >= 0) & (rows < len(ref_after)))
-    kept = []
-    for r in active:
-        kind, t, m, c = ref_before[r]
+
+    def named(kind, t, m, c):
+        # Whether `after` has the row (kind, t, m, c).
         first = 0 if kind.startswith("u_") else 1
-        if t - 1 < first:
-            continue  # left the horizon
+        if t < first:
+            return False  # left the horizon
         if kind in ("clear", "normal") or kind.startswith("dual_"):
-            if (t - 1, m) not in pairs2:
-                continue  # pair no longer engaged
-        if kind == "strat" and t - 1 not in stages2:
-            continue  # no strategy row at that stage
-        kept.append((kind, t - 1, m, c))
-    assert [ref_after[r] for r in rows] == kept
+            return (t, m) in pairs2  # a pair engaged at that stage
+        return kind != "strat" or t in stages2  # a strategy row at that stage
+
+    # Every key one stage earlier, then the last stage's keys where they
+    # were: N for the states, pairs, dual bounds and strategy rows, N - 1
+    # for the inputs.
+    keys = [ref_before[r] for r in active]
+    shifted = [(kind, t - 1, m, c) for kind, t, m, c in keys] + entering(keys, horizon)
+    assert [ref_after[r] for r in rows] == [key for key in shifted if named(*key)]
 
 
 def record_nlp_calls(monkeypatch, clear_hints=False, fail_call=None):
@@ -1374,9 +1378,17 @@ def hinted_keys(nlp, rows):
     return [ref[r] for r in rows]
 
 
+def entering(keys, horizon):
+    """The keys of the last stage: stage N, or N - 1 for an input bound."""
+    return [(kind, t, m, c) for kind, t, m, c in keys
+            if t == (horizon - 1 if kind.startswith("u_") else horizon)]
+
+
 def shifted_into(nlp, keys):
-    """The keys one stage earlier that name a row of `nlp`."""
-    return {(kind, t - 1, m, c) for kind, t, m, c in keys} & set(reference_row_keys(nlp))
+    """The keys one stage earlier, and the last stage's keys where they
+    were, that name a row of `nlp`."""
+    moved = {(kind, t - 1, m, c) for kind, t, m, c in keys} | set(entering(keys, nlp.cfg.horizon))
+    return moved & set(reference_row_keys(nlp))
 
 
 def packed(pair_duals):
@@ -1414,11 +1426,11 @@ def test_next_step_starts_from_shifted_working_set(monkeypatch):
     assert "dual" in kinds and kinds & {"clear", "normal"}
     np.testing.assert_array_equal(qp_calls[starts[1][1]][0], hint2)
     # Every hinted row names a constraint the previous step's final working
-    # set held one stage later, and every such constraint the new NLP has
-    # is hinted.
+    # set held one stage later, or at the same last stage, and every such
+    # constraint the new NLP has is hinted.
     keys1 = hinted_keys(nlp1, last1.active_rows)
     keys2 = hinted_keys(nlp2, hint2)
-    shifted = [(kind, t - 1, m, c) for kind, t, m, c in keys1]
+    shifted = [(kind, t - 1, m, c) for kind, t, m, c in keys1] + entering(keys1, nlp2.cfg.horizon)
     assert all(key in shifted for key in keys2)
     assert set(keys2) == shifted_into(nlp2, keys1)
     # The hint changes the work, not the answer.
@@ -1459,10 +1471,35 @@ def test_a_step_that_needs_no_subproblem_carries_its_hint_on(monkeypatch):
     z = idle.zs[1]
     assert ctrl.solve_step(z, idle.us[0], fast(z), env, step=2).ok
     nxt = calls[2][0]
-    want = nxt.key_rows(_shift_keys(nlp.row_keys(hint)))
-    assert len(want) == len(hint) - 1
+    # Stage 1's z_hi leaves the horizon and stage N's stays, for the
+    # stage that enters repeats it.
+    want = nxt.key_rows(_shift_keys(nlp.row_keys(hint), cfg.horizon))
+    assert len(want) == len(hint)
+    assert ("z_hi", cfg.horizon, -1, 3) in nxt.row_keys(want)
+    assert set(nxt.row_keys(want)) == shifted_into(nxt, nlp.row_keys(hint))
     np.testing.assert_array_equal(calls[2][1], want)
     np.testing.assert_array_equal(qp_calls[n_qp][0], want)
+
+
+def test_the_entering_stage_is_hinted_from_the_last_one(monkeypatch):
+    """Over ten steps through the blocking scene, the last stage engages the
+    TV at every step.  The shifted plan repeats its last stage, so the
+    rows that the previous solve's final working set held for the pair at
+    stage N are hinted to the next step's first QP at stage N again."""
+    calls = record_nlp_calls(monkeypatch)
+    qp_calls = record_qp_calls(monkeypatch)
+    starts = []
+    consecutive_steps(ObcaController(ControllerConfig()), steps=range(10),
+                      before=lambda i: starts.append(len(qp_calls)))
+    n_h = ControllerConfig().horizon
+    hinted = 0
+    for (prev, _, sol, _), (nlp, hint, _, _), first in zip(calls, calls[1:], starts[1:]):
+        at_last = [key for key in prev.row_keys(sol.active_rows)
+                   if key[1] == n_h and (key[1], key[2]) in nlp.pairs]
+        assert set(at_last) <= set(nlp.row_keys(hint))
+        np.testing.assert_array_equal(qp_calls[first][0], hint)
+        hinted += ("clear", n_h, 0, 0) in at_last
+    assert hinted == len(calls) - 1
 
 
 @pytest.mark.parametrize("interrupt", ["reset", "gap"])
@@ -1522,3 +1559,36 @@ def test_persisting_pairs_start_from_the_previous_duals(monkeypatch):
                         for pair in kept)
     assert persisting > 0 and new > 0 and reseeded < persisting
 
+
+def test_carried_pairs_near_the_reference_are_engaged_unmeasured(monkeypatch):
+    """Over ten steps through the blocking scene, `_seed_duals` measures no
+    pair that the step carries from the previous solve and whose reference
+    certificate is within ENGAGE_DIST: such a pair is engaged whatever its
+    distance, and it starts from its carried duals.  Each step engages the
+    pairs, and starts from the x0, of the rule that measures every
+    candidate."""
+    calls = record_nlp_calls(monkeypatch)
+    measured = []
+    seed = tightnav.obca._seed_duals
+
+    def recording(env, t, m, z, faces):
+        measured.append((len(calls), (t, m)))
+        return seed(env, t, m, z, faces)
+
+    monkeypatch.setattr(tightnav.obca, "_seed_duals", recording)
+    env = blocking_scene()[1]
+    consecutive_steps(ObcaController(ControllerConfig()), steps=range(10))
+    carried = {}
+    skipped = 0
+    for i, (nlp, _, sol, x0) in enumerate(calls):
+        f_r = _face_certificates(env, nlp.ref)[0]
+        exempt = {pair for pair in carried if pair[0] >= 1
+                  and f_r[pair] < tightnav.obca.ENGAGE_DIST}
+        assert not exempt & {pair for k, pair in measured if k == i}
+        zs, us = nlp.unpack(x0)
+        pairs, duals = engage_seeding_every_candidate(env, zs, nlp.ref, carried)
+        assert nlp.pairs == pairs
+        np.testing.assert_array_equal(x0, nlp.pack(zs, us, duals))
+        skipped += len(exempt)
+        carried = {(t - 1, m): pair_duals for (t, m), pair_duals in nlp.duals(sol.x).items()}
+    assert skipped > 0 and measured

@@ -247,3 +247,25 @@ def test_digest_comparison_names_the_runs_that_differ(monkeypatch, tmp_path, cap
     monkeypatch.setattr(digest, "digest", lambda run: lines[runs.index(run)])
     digest.main(["--against", str(path)])
     assert "all 3 runs match" in capsys.readouterr().err
+
+
+def test_every_bench_record_names_benchmark_workloads_and_metrics():
+    """Each `BENCH_*.json` at the repository root parses, and every perfbench
+    result line it holds, and every summary row, names a workload and
+    end-to-end metrics that BENCHMARK.json lists; every result line is
+    `correct`."""
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    workloads = {w["name"] for w in bench["workloads"]}
+    metrics = {m["name"] for m in bench["end_to_end"]}
+    paths = sorted(ROOT.glob("BENCH_*.json"))
+    assert paths
+    for path in paths:
+        record = json.loads(path.read_text())
+        assert record["runs"], path.name
+        for run in record["runs"]:
+            where = (path.name, run["workload"], run["side"], run["seed"])
+            assert run["workload"] in workloads, where
+            assert run["result"]["metrics"] and set(run["result"]["metrics"]) <= metrics, where
+            assert run["result"]["correct"] is True, where
+        for workload, table in record.get("summary", {}).items():
+            assert workload in workloads and set(table) <= metrics, (path.name, workload)
