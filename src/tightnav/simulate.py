@@ -1,15 +1,17 @@
 """Closed-loop simulation: expert rollouts, dataset assembly, policy benchmark.
 
-Two controller schemes run on identical scenarios and share one per-step
-path: anticipate collisions, screen with `supervisor.select_policy`, solve
-the MPC if the screen allows it, and select again on the solve's status.
-`sg` consults the strategy predictor each step and solves the guided MPC;
-`bl` passes no prediction, solves the same MPC without strategy
-constraints, and falls back to safety control or the emergency brake on
-the same terms.  The expert that generates training data is the baseline
-MPC with perfect preview of the TV trajectory plus a hold rule that defers
-to the safety controller whenever the previewed swept region closes the
-corridor ahead.
+Three controller schemes drive one closed loop, `run_closed_loop`, on
+identical scenarios.  `sg` and `bl` share one per-step path: anticipate
+collisions, screen with `supervisor.select_policy`, solve the MPC if the
+screen allows it, and select again on the solve's status.  `sg` consults
+the strategy predictor each step and solves the guided MPC; `bl` passes no
+prediction, solves the same MPC without strategy constraints, and falls
+back to safety control or the emergency brake on the same terms.  The
+`expert` scheme generates the training data: the unguided MPC with perfect
+preview of the TV trajectory plus a hold rule that defers to the safety
+controller whenever the previewed swept region closes the corridor ahead.
+It anticipates nothing, predicts nothing and never brakes;
+`generate_expert_rollout` runs it and audits and labels the run.
 
 A run has one source for each setting: the `ControllerConfig` gives the MPC
 its horizon and the MPC and the supervisor their shared clearance floor,
@@ -47,7 +49,7 @@ from .supervisor import (
 
 logger = logging.getLogger(__name__)
 
-SCHEMES = ("sg", "bl")
+SCHEMES = ("sg", "bl", "expert")
 
 OUTCOME_COMPLETED = "completed"
 OUTCOME_COLLISION = "collision"
@@ -84,11 +86,9 @@ class RolloutRecord:
 
     ev_traj: np.ndarray  # (T+1, 4)
     inputs: np.ndarray  # (T, 2)
-    tv_traj: np.ndarray  # (T+1, 4), the realized TV states
     env: EnvironmentEncoding  # the scenario's obstacle timeline, for window features
     label: StrategyLabel
     scenario_name: str
-    seed: int
 
     @property
     def n_steps(self) -> int:
@@ -97,63 +97,31 @@ class RolloutRecord:
 
 def generate_expert_rollout(scenario: Scenario, ctrl_config: ControllerConfig | None = None,
                             n_steps: int = EXPERT_ROLLOUT_STEPS) -> RolloutRecord | None:
-    """Drive the scenario with the previewing expert; None if the audit fails.
+    """Drive the scenario under the `expert` scheme for at most n_steps
+    steps; None if the run collides or its clearance dips below the floor.
 
-    The expert solves the unguided MPC each step except when the hold rule
-    fires: if the safe-speed cap over the remaining TV trajectory drops near
-    zero the corridor ahead is blocked or about to be swept, and the expert
-    lets the safety controller hold position instead of squeezing through a
-    gap that is about to close.  Every realized state is audited against the
-    exact obstacle geometry afterwards.
+    The closed loop audits every state it reaches, the last one included,
+    and stops once the EV has left the lot along the lane.  A kept run's
+    trajectory is its logged states plus the state its last input reached,
+    labelled against the TV's states over the same steps.
     """
     ctrl = ctrl_config or ControllerConfig()
-    v_ref = scenario.v_ref
-    n_h = ctrl.horizon
-    env = scenario.environment()
-    controller = ObcaController(ctrl)
-
-    z = scenario.ev_init.copy()
-    u_prev = np.zeros(2)
-    states = [z.copy()]
-    inputs = []
-    for k in range(n_steps):
-        if z[0] > LOT.x_max:
-            break
-        ref = lane_reference(z, n_h, v_ref)
-        tv_rest = scenario.tv_from(k)
-        gate = safety_speed_target(z, tv_rest, ctrl, v_ref)
-        if gate < EXPERT_HOLD_SPEED:
-            u = safety_control(z, tv_rest, ref, ctrl, v_ref)
-        else:
-            sol = controller.solve_step(z, u_prev, ref, env.window(k, n_h + 1), step=k)
-            if sol.ok:
-                u = sol.us[0]
-            else:
-                u = safety_control(z, tv_rest, ref, ctrl, v_ref)
-        z = step_rk4(z, u, DT)
-        states.append(z.copy())
-        inputs.append(u)
-        u_prev = u
-
-    ev = np.array(states)
-    t_rec = len(inputs)
-    for t in range(len(ev)):
-        hit, dist = _clearance(ev[t], env.obstacles(t))
-        if hit or dist < ctrl.d_min - AUDIT_SLACK:
-            logger.warning("discarding rollout %s: clearance %.4f at step %d",
-                           scenario.name, dist, t)
-            return None
-
-    tv = scenario.tv_window(0, len(ev))
-    label = label_rollout(ev, tv)
+    res = run_closed_loop(scenario, "expert", ctrl_config=ctrl, max_steps=n_steps)
+    floor = ctrl.d_min - AUDIT_SLACK
+    if res.outcome == OUTCOME_COLLISION or res.min_distance < floor:
+        why = "collision" if res.outcome == OUTCOME_COLLISION else "clearance below the floor"
+        logger.warning("discarding rollout %s: %s, %d steps, minimum clearance %.4f",
+                       scenario.name, why, res.iterations, res.min_distance)
+        return None
+    zs = [log.z for log in res.logs]
+    us = [log.u for log in res.logs]
+    ev = np.array(zs + [step_rk4(zs[-1], us[-1], DT) if us else scenario.ev_init])
     return RolloutRecord(
         ev_traj=ev,
-        inputs=np.array(inputs).reshape(t_rec, 2),
-        tv_traj=tv,
-        env=env,
-        label=label,
+        inputs=np.array(us).reshape(len(us), 2),
+        env=scenario.environment(),
+        label=label_rollout(ev, scenario.tv_window(0, len(ev))),
         scenario_name=scenario.name,
-        seed=scenario.seed,
     )
 
 
@@ -264,13 +232,17 @@ def run_closed_loop(scenario: Scenario, scheme: str, model=None,
     """Simulate one scenario under the supervised controller stack.
 
     Each step: audit the exact clearance, check task completion, then let
-    the supervisor pick exactly one policy.  Both schemes screen the step
+    the supervisor pick exactly one policy.  `sg` and `bl` screen the step
     with `select_policy` before solving, so the MPC is only solved when
     no collision is anticipated and, under `sg`, a confident pass
     prediction makes it eligible; under `bl` the prediction is None and
     the MPC is solved unguided; both read the step's one horizon window.
-    Safety control covers failed solves.  An emergency brake, once
-    selected, stays latched until the vehicle stops.
+    `expert` anticipates nothing and predicts nothing: it holds under
+    safety control (reason "hold") while the safe-speed cap over the
+    remaining TV trajectory is below `EXPERT_HOLD_SPEED`, and otherwise
+    solves unguided as `bl` does.  Safety control covers failed solves.
+    An emergency brake, once selected, stays latched until the vehicle
+    stops; the expert never selects one.
     A run that reaches `max_steps` audits the state its last input reached
     as well, so a final-state hit is a collision; its steps are the first
     `max_steps` steps of the uncut run.  `max_steps=0` audits the start
@@ -319,6 +291,13 @@ def run_closed_loop(scenario: Scenario, scheme: str, model=None,
         t_begin = time.perf_counter()
         if latched:
             policy, reason = PolicyKind.EMERGENCY_BRAKE, "latched"
+        elif scheme == "expert":
+            if safety_speed_target(z, scenario.tv_from(k), ctrl, v_ref) < EXPERT_HOLD_SPEED:
+                policy, reason = PolicyKind.SAFETY_CONTROL, "hold"
+            else:
+                sol = controller.solve_step(z, u_prev, ref, env.window(k, n_h + 1), step=k)
+                sg_status = sol.status
+                policy, reason = select_policy(None, sol.status, False)
         else:
             window = env.window(k, n_h + 1)
             danger = anticipate_collision(z, scenario.tv_window(k, n_h + 1), ref, ctrl, v_ref)
@@ -388,7 +367,7 @@ def _scheme_summary(rows) -> dict:
 
 
 def run_benchmark(scenarios, model, ctrl_config: ControllerConfig | None = None,
-                  schemes=SCHEMES, max_steps: int = 600) -> BenchmarkResult:
+                  schemes=("sg", "bl"), max_steps: int = 600) -> BenchmarkResult:
     """Run every scenario under every scheme and summarize the pairing.
 
     Both schemes run on the caller's controller configuration; only the

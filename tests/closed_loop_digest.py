@@ -3,6 +3,7 @@
     python3 tests/closed_loop_digest.py            # perfbench and CI smoke runs
     python3 tests/closed_loop_digest.py --suite    # all benchmark_suite() runs
     python3 tests/closed_loop_digest.py --suite validation   # all validation_suite() runs
+    python3 tests/closed_loop_digest.py --expert   # all dataset_suite() expert rollouts
     python3 tests/closed_loop_digest.py --against parent.txt   # compare as well
 
 Each line gives the run's name, scheme, outcome, step count, the `repr`
@@ -25,7 +26,15 @@ CI smoke runs (`benchmark_scenario` 23 under `bl`, 28, 37, 38 and 42 under
 `sg`, and `forward_park_case()` under `bl`).  `--suite`
 drives every `benchmark_suite()` scenario under both schemes over two
 worker processes, and `--suite validation` every `validation_suite()`
-scenario.
+scenario.  `--expert` drives `generate_expert_rollout` on every
+`dataset_suite()` scenario over two worker processes.  Its lines give the
+scenario's name, scheme "expert", outcome "kept" or "discarded", and for a
+kept rollout its step count, label and a sha256 over its `ev_traj` and
+`inputs` bytes; a last line, named "build_dataset", gives the example count
+and a sha256 over `build_dataset`'s features and labels.  These are fields
+every `RolloutRecord` has had, so the script also digests a checkout from
+before the expert was a scheme of `run_closed_loop`: copy it into that
+checkout's `tests/`.
 
 OpenBLAS and OpenMP run on one thread, set before numpy loads: closed-loop
 states are bit-reproducible only at a fixed thread count.  The BL tail's
@@ -75,10 +84,12 @@ DEFAULT_RUNS = (
 
 
 @functools.cache
-def _validation_suite():
-    from tightnav.scenario import validation_suite
+def _suite(name):
+    """`benchmark_suite()`, `validation_suite()` or `dataset_suite()`, built
+    once per process."""
+    import tightnav.scenario as sc
 
-    return validation_suite()
+    return getattr(sc, f"{name}_suite")()
 
 
 def _build(spec):
@@ -88,7 +99,7 @@ def _build(spec):
     if kind == "suite":
         return sc.benchmark_scenario(*args)
     if kind == "validation":
-        return _validation_suite()[args[0]]
+        return _suite("validation")[args[0]]
     return getattr(sc, kind)(*args)
 
 
@@ -107,6 +118,36 @@ def digest(run) -> dict:
         h.update(f"{log.policy.name}|{log.reason}|{log.sg_status}\n".encode())
     return {"name": name, "scheme": scheme, "outcome": res.outcome, "steps": res.iterations,
             "min_clearance": repr(res.min_distance), "sha256": h.hexdigest()}
+
+
+def expert_digest(index):
+    """(line, record) of the expert rollout of `dataset_suite()[index]`;
+    the record is None for a discarded rollout."""
+    from tightnav.simulate import generate_expert_rollout
+
+    sc = _suite("dataset")[index]
+    rec = generate_expert_rollout(sc)
+    line = {"name": sc.name, "scheme": "expert", "outcome": "discarded", "steps": None,
+            "label": None, "sha256": None}
+    if rec is not None:
+        h = hashlib.sha256(rec.ev_traj.tobytes())
+        h.update(rec.inputs.tobytes())
+        line.update(outcome="kept", steps=rec.n_steps, label=rec.label.name,
+                    sha256=h.hexdigest())
+    return line, rec
+
+
+def dataset_digest(records) -> dict:
+    """The line of `build_dataset` over the kept rollouts, at the default
+    horizon."""
+    from tightnav.obca import ControllerConfig
+    from tightnav.simulate import build_dataset
+
+    x, y, manifest = build_dataset(records, ControllerConfig().horizon)
+    h = hashlib.sha256(x.tobytes())
+    h.update(y.tobytes())
+    return {"name": "build_dataset", "scheme": "expert", "outcome": "dataset",
+            "steps": manifest["n_examples"], "label": None, "sha256": h.hexdigest()}
 
 
 def _parsed(saved) -> list[dict]:
@@ -142,9 +183,11 @@ def comparison(lines, saved, path) -> list[str]:
             name = f"{line['name']} {line['scheme']}"
             if was is not None and (was["outcome"], was["steps"]) == (line["outcome"], line["steps"]):
                 bits.append(name)
-                a, b = float(was["min_clearance"]), float(line["min_clearance"])
-                if a != b:
-                    moved = max(moved, abs(b - a) / max(abs(a), abs(b)))
+                # Expert lines carry no clearance.
+                if "min_clearance" in line and "min_clearance" in was:
+                    a, b = float(was["min_clearance"]), float(line["min_clearance"])
+                    if a != b:
+                        moved = max(moved, abs(b - a) / max(abs(a), abs(b)))
             else:
                 before = f"{was['outcome']}/{was['steps']}" if was else "none"
                 flips.append(f"  {name}: {before} → {line['outcome']}/{line['steps']}")
@@ -162,9 +205,13 @@ def comparison(lines, saved, path) -> list[str]:
 
 def main(argv=None) -> None:
     ap = argparse.ArgumentParser(description="closed-loop digests of tightnav runs")
-    ap.add_argument("--suite", nargs="?", const="benchmark", choices=("benchmark", "validation"),
-                    help="every scenario of the benchmark suite (the default) or the "
-                         "validation suite under both schemes")
+    runs = ap.add_mutually_exclusive_group()
+    runs.add_argument("--suite", nargs="?", const="benchmark",
+                      choices=("benchmark", "validation"),
+                      help="every scenario of the benchmark suite (the default) or the "
+                           "validation suite under both schemes")
+    runs.add_argument("--expert", action="store_true",
+                      help="every dataset_suite() expert rollout, then the dataset they build")
     ap.add_argument("--against", metavar="FILE",
                     help="compare each line with the one FILE saved for its run; exit 1 "
                          "naming the runs whose lines differ")
@@ -174,13 +221,22 @@ def main(argv=None) -> None:
         with open(args.against) as fh:
             saved = fh.readlines()
     lines = []
-    if args.suite:
-        from tightnav.scenario import benchmark_suite
-
+    if args.expert:
+        records = []
+        with multiprocessing.get_context("spawn").Pool(2) as pool:
+            for line, rec in pool.imap(expert_digest, range(len(_suite("dataset")))):
+                print(json.dumps(line), flush=True)
+                lines.append(line)
+                if rec is not None:
+                    records.append(rec)
+        line = dataset_digest(records)
+        print(json.dumps(line), flush=True)
+        lines.append(line)
+    elif args.suite:
         if args.suite == "validation":
-            suite, kind = _validation_suite(), "validation"
+            suite, kind = _suite("validation"), "validation"
         else:
-            suite, kind = benchmark_suite(), "suite"
+            suite, kind = _suite("benchmark"), "suite"
         runs = [(sc.name, (kind, i), scheme)
                 for i, sc in enumerate(suite) for scheme in ("sg", "bl")]
         with multiprocessing.get_context("spawn").Pool(2) as pool:

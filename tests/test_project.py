@@ -193,14 +193,35 @@ def test_configure_logging_resolves_level_names(monkeypatch, restore_logging, na
     assert logging.getLogger("tightnav").level == level
 
 
-def test_digest_comparison_names_the_runs_that_differ(monkeypatch, tmp_path, capsys):
-    """`closed_loop_digest.py --against FILE` names every run whose line
-    differs from FILE's line for the same run or is missing from it, and
-    exits 1 when there is one."""
+def digest_module():
     spec = importlib.util.spec_from_file_location("closed_loop_digest",
                                                   ROOT / "tests" / "closed_loop_digest.py")
     digest = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(digest)
+    return digest
+
+
+def test_digest_comparison_of_expert_lines():
+    """Expert rollout lines carry no clearance; one that differs only in
+    its bits is reported as such."""
+    digest = digest_module()
+    kept = {"name": "a", "scheme": "expert", "outcome": "kept", "steps": 90,
+            "label": "YIELD", "sha256": "00"}
+    dropped = {"name": "b", "scheme": "expert", "outcome": "discarded", "steps": None,
+               "label": None, "sha256": None}
+    saved = [json.dumps(kept) + "\n", json.dumps(dropped) + "\n"]
+    assert digest.comparison([dict(kept, sha256="01"), dropped], saved, "f") == [
+        "1 of 2 runs differ from f: a expert",
+        "outcome or steps changed: 0",
+        "clearance or bits only: 1, clearance moved by at most 0 relative: a expert",
+        "expert outcomes, f → this run: discarded 1 → 1, kept 1 → 1"]
+
+
+def test_digest_comparison_names_the_runs_that_differ(monkeypatch, tmp_path, capsys):
+    """`closed_loop_digest.py --against FILE` names every run whose line
+    differs from FILE's line for the same run or is missing from it, and
+    exits 1 when there is one."""
+    digest = digest_module()
     lines = [{"name": "a", "scheme": "sg", "outcome": "completed", "steps": 70,
               "min_clearance": "0.05", "sha256": "00"},
              {"name": "a", "scheme": "bl", "outcome": "completed", "steps": 70,

@@ -1,16 +1,17 @@
 """Tests for the simulation layer: closed loop, expert data and benchmark.
 
-Each closed-loop run is capped at 30 control steps.  On the overtake the EV
-reaches its closest approach to the TV within those steps, so the MPC solves
-engage obstacle pairs and the SQP subproblems run warm-started from the
-previous active set.  The MPC horizon is shortened to 8 steps to keep the
-runs fast.  Safety is audited with the exact body-to-obstacle distance the
-simulator logs at every step.  The dataset and benchmark tests use even
-shorter runs: they check bookkeeping and the CSV writer, not driving.  One
-yielding reverse park runs to its end, to compare its first 30 steps with
-a cut run.  One runs in a fresh interpreter with BLAS on one thread: 21
-steps of a held-out turn-in under `sg`, whose last step's solve ends
-infeasible.
+Each closed-loop run is capped at 30 control steps, except the expert
+scheme's runs of a reverse park, which take 40 to reach the expert's hold
+behind the TV.  On the overtake the EV reaches its closest approach to the
+TV within those steps, so the MPC solves engage obstacle pairs and the SQP
+subproblems run warm-started from the previous active set.  The MPC
+horizon is shortened to 8 steps to keep the runs fast.  Safety is audited
+with the exact body-to-obstacle distance the simulator logs at every step.
+The dataset and benchmark tests use even shorter runs: they check
+bookkeeping and the CSV writer, not driving.  One yielding reverse park
+runs to its end, to compare its first 30 steps with a cut run.  One runs
+in a fresh interpreter with BLAS on one thread: 21 steps of a held-out
+turn-in under `sg`, whose last step's solve ends infeasible.
 """
 
 import dataclasses
@@ -231,13 +232,16 @@ def test_clearance_matches_two_tests_per_obstacle():
     assert 0 < hits < len(poses)
 
 
-def test_final_state_hit_is_a_collision():
-    # The TV stays far ahead for three steps, then sits where the EV must be
-    # after its third input, whatever the supervisor chose.
+def final_hit_scenario():
+    """The TV stays far ahead for three steps, then sits where the EV must
+    be after its third input, whatever the supervisor chose."""
     far = [2.5, 0.0, math.pi, 0.0]
     tv = np.array([far, far, far] + [[-0.9, 0.0, 0.0, 0.0]] * 2)
-    sc = Scenario(tv_traj=tv, ev_init=np.array([-1.0, 0.0, 0.0, 0.6]), name="final-hit")
-    res = run_closed_loop(sc, "bl", ctrl_config=CTRL, max_steps=3)
+    return Scenario(tv_traj=tv, ev_init=np.array([-1.0, 0.0, 0.0, 0.6]), name="final-hit")
+
+
+def test_final_state_hit_is_a_collision():
+    res = run_closed_loop(final_hit_scenario(), "bl", ctrl_config=CTRL, max_steps=3)
     assert len(res.logs) == 3
     assert all(log.min_distance > 0.3 for log in res.logs)
     assert res.outcome == OUTCOME_COLLISION
@@ -361,20 +365,96 @@ def test_dataset_counts_generator_inputs():
 
 def test_expert_hold_rule_reads_every_remaining_tv_pose(monkeypatch):
     # A rollout far shorter than the TV trajectory: the hold rule still sees
-    # the trajectory to its end.  Holding at every step keeps it cheap.
+    # the trajectory to its end, and the label reads the TV over the
+    # rollout's states.  Holding at every step keeps it cheap.
     scenario = benchmark_suite()[3]
     seen = []
+    labelled = []
 
     def hold(z, tv, ctrl, v_ref):
         seen.append(len(tv))
         return 0.0
 
+    def label(ev, tv):
+        labelled.append((ev, tv))
+        return StrategyLabel.YIELD
+
     monkeypatch.setattr(tightnav.simulate, "safety_speed_target", hold)
+    monkeypatch.setattr(tightnav.simulate, "label_rollout", label)
     rec = tightnav.simulate.generate_expert_rollout(scenario, CTRL, n_steps=4)
     assert len(scenario.tv_traj) > 4 + CTRL.horizon + 1
     assert seen == [len(scenario.tv_traj) - k for k in range(4)]
     assert rec.n_steps == 4
-    np.testing.assert_array_equal(rec.tv_traj, scenario.tv_traj[:5])
+    ((ev, tv),) = labelled
+    assert ev is rec.ev_traj
+    np.testing.assert_array_equal(tv, scenario.tv_traj[:5])
+
+
+# The expert at horizon 8 solves this reverse park's first 36 steps and
+# holds behind the maneuvering TV from step 36 on.
+EXPERT_STEPS = 40
+
+
+def test_expert_scheme_reasons():
+    res = run_closed_loop(benchmark_suite()[3], "expert", ctrl_config=CTRL,
+                          max_steps=EXPERT_STEPS)
+    reasons = {log.reason for log in res.logs}
+    assert reasons <= {"hold", "nominal", "solver_not_optimal"}
+    assert {"hold", "nominal"} <= reasons
+    for log in res.logs:
+        assert log.scores is None and log.strategy is None
+        assert (log.policy == PolicyKind.SG_OBCA) == (log.reason == "nominal")
+        assert (log.sg_status is None) == (log.reason == "hold")
+
+
+def test_expert_scheme_never_anticipates_predicts_or_brakes(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the expert must not call this")
+
+    for name in ("anticipate_collision", "forward", "emergency_brake"):
+        monkeypatch.setattr(tightnav.simulate, name, refuse)
+    res = run_closed_loop(benchmark_suite()[3], "expert", ctrl_config=CTRL,
+                          max_steps=EXPERT_STEPS)
+    assert len(res.logs) == EXPERT_STEPS
+    assert all(log.policy != PolicyKind.EMERGENCY_BRAKE for log in res.logs)
+
+
+@pytest.mark.parametrize("build, steps", [
+    (parked_tv_scenario, 10),
+    (lambda: benchmark_suite()[3], EXPERT_STEPS),
+], ids=["parked-tv", "reverse-short"])
+def test_expert_rollout_is_the_expert_scheme_run(build, steps):
+    scenario = build()
+    res = run_closed_loop(scenario, "expert", ctrl_config=CTRL, max_steps=steps)
+    rec = tightnav.simulate.generate_expert_rollout(scenario, CTRL, n_steps=steps)
+    assert rec.n_steps == len(res.logs) == steps
+    assert rec.ev_traj.tobytes() == np.array(
+        [log.z for log in res.logs] + [step_rk4(res.logs[-1].z, res.logs[-1].u, DT)]).tobytes()
+    assert rec.inputs.tobytes() == np.array([log.u for log in res.logs]).tobytes()
+
+
+def test_discard_warning_names_outcome_steps_and_clearance(caplog, monkeypatch):
+    # The TV of final_hit_scenario() sits where the EV is after its third
+    # input.  On the parked-TV lane the EV keeps 0.34 m, which a negative
+    # audit slack puts below the floor.
+    with caplog.at_level("WARNING", logger="tightnav.simulate"):
+        assert tightnav.simulate.generate_expert_rollout(final_hit_scenario(), CTRL,
+                                                         n_steps=3) is None
+        monkeypatch.setattr(tightnav.simulate, "AUDIT_SLACK", -1.0)
+        assert tightnav.simulate.generate_expert_rollout(parked_tv_scenario(), CTRL,
+                                                         n_steps=2) is None
+    hit, narrow = [record.getMessage() for record in caplog.records]
+    assert hit == "discarding rollout final-hit: collision, 3 steps, minimum clearance 0.0000"
+    assert narrow == ("discarding rollout parked-tv: clearance below the floor, 2 steps, "
+                      "minimum clearance 0.3400")
+
+
+def test_unknown_scheme_is_refused():
+    sc = parked_tv_scenario()
+    assert run_closed_loop(sc, "expert", ctrl_config=CTRL, max_steps=0).outcome == OUTCOME_TIMEOUT
+    for scheme in ("EXPERT", "expert ", "baseline"):
+        with pytest.raises(ValueError, match="'expert'"):
+            run_closed_loop(sc, scheme, ctrl_config=CTRL, max_steps=1)
 
 
 @pytest.fixture(scope="module")
